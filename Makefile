@@ -2,9 +2,9 @@
 # vet, build, race-enabled tests, and a short benchmark smoke run.
 GO ?= go
 
-.PHONY: check vet build test race check-race check-cluster check-approx check-replica check-degraded bench bench-smoke bench-voxel bench-cluster bench-json bench-compare fuzz-smoke
+.PHONY: check vet build test race check-race check-bench bench bench-smoke bench-voxel bench-cluster bench-json bench-compare fuzz-smoke
 
-check: vet build check-race check-cluster check-approx check-replica check-degraded fuzz-smoke bench-smoke bench-voxel
+check: vet build check-race check-bench fuzz-smoke bench-smoke bench-voxel
 
 vet:
 	$(GO) vet ./...
@@ -22,41 +22,19 @@ race:
 
 # Full race gate (~4-5 min): every test — including the snapshot
 # round-trips, the voxserve shutdown hammer and the experiment suites —
-# under the race detector. This is what `check` runs pre-merge.
+# under the race detector. This is what `check` runs pre-merge, and the
+# only race gate: it selects by package, not by test name, so the
+# cluster parity/chaos, approximate-tier recall, replication failover and
+# degraded-query suites cannot fall out of it by being renamed.
 check-race:
 	$(GO) test -race -timeout 60m ./...
 
-# Sharded-cluster gate: the cross-shard parity oracle, the chaos suite
-# (fault injection, kill/reopen, stall timeouts), the batch-query
-# oracles and the coordinator's HTTP layer, all under the race detector.
-check-cluster:
-	$(GO) test -race -timeout 30m -run 'Parity|Chaos|Merge|Cluster|Shard|Batch' ./internal/cluster/... ./internal/server/... ./internal/experiments/
-
-# Approximate-tier gate: the exact-oracle recall harness (recall@k
-# floors, ε-recall, approx-off byte-identical transcripts, worker
-# invariance) plus the approx-mode suites of the engine, snapshot codec
-# and HTTP server, all under the race detector.
-check-approx:
-	$(GO) test -race -timeout 30m ./internal/recall/ ./internal/index/sketch/
-	$(GO) test -race -timeout 30m -run 'Approx|Sketch' ./internal/vsdb/ ./internal/snapshot/ ./internal/server/ ./internal/cluster/ ./internal/index/filter/
-
-# Replication gate: the ship-frame codec and follower replay units, the
-# failover chaos suite, the replica-parity oracle matrix, the WAL cursor
-# and strict-replay layers, and the replicated HTTP surface — all under
-# the race detector (-short keeps the parity matrix at its CI size).
-check-replica:
-	$(GO) test -race -timeout 30m ./internal/replica/
-	$(GO) test -race -short -timeout 30m -run 'Replica|Failover|Promot|Fenc|Rejoin|Chaos|Cursor|Replay|ApplyRecord' ./internal/cluster/ ./internal/server/ ./internal/vsdb/ ./internal/wal/
-
-# Degraded-query gate: the scan-to-CAD oracle (cropped rescans must
-# retrieve their true part under partial matching, identically at every
-# shard × worker combination), the degrade generators' determinism
-# contracts, the partial-matching property suite, and the query-by-
-# upload HTTP surface — all under the race detector.
-check-degraded:
-	$(GO) test -race -timeout 30m -run 'Degraded|Partial' ./internal/recall/ ./internal/dist/ ./internal/vsdb/ ./internal/cluster/
-	$(GO) test -race -timeout 30m ./internal/degrade/ ./internal/meshquery/
-	$(GO) test -race -timeout 30m -run 'QueryMesh|Malformed|SetQuery' ./internal/server/
+# Benchmark build gate: bench/ is a module of its own (it links against
+# internal/... through a replace), so `go test ./...` here never compiles
+# it — and a broken bench build would otherwise surface only as a 100 %
+# failed benchmark run.
+check-bench:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Fuzz smoke: every decoder fuzzer for a few seconds each, on top of
 # the checked-in seed corpora. Catches framing/CRC regressions in the

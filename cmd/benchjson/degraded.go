@@ -63,7 +63,7 @@ func measureDegraded(quick bool) *DegradedDoc {
 			queries := recall.DegradedQueries(cat, covers, degrade.Params{Kind: kind, Severity: sev, Seed: seed})
 			full := recall.TruePartRecall(cat, queries, k, db.KNN)
 			partial := recall.TruePartRecall(cat, queries, k, func(q [][]float64, kk int) []vsdb.Neighbor {
-				return db.KNNSet(q, kk, vsdb.SetQuery{Partial: true, I: partialI})
+				return db.Search([]vsdb.Query{{Set: q, Kind: vsdb.KNN, K: kk, Match: vsdb.SetQuery{Partial: true, I: partialI}}})[0]
 			})
 			out.Rows = append(out.Rows, DegradedRowDoc{
 				Kind:              kind.String(),

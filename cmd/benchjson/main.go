@@ -624,14 +624,15 @@ func measureApprox(cfg ConfigDoc, quick bool) *ApproxDoc {
 		if err != nil {
 			fatal("approx reopen: %v", err)
 		}
+		knnApprox := func(q [][]float64, k int) []vsdb.Neighbor {
+			return mdb.Search([]vsdb.Query{{Set: q, Kind: vsdb.KNN, K: k, Approx: true}})[0]
+		}
 		for _, q := range queries { // warmup: page-in + lazy structures
-			mdb.KNNApprox(q, cfg.K)
+			knnApprox(q, cfg.K)
 			mdb.KNN(q, cfg.K)
 		}
-		rep := recall.EvalKNN(qs, cfg.K,
-			func(q [][]float64, k int) []vsdb.Neighbor { return mdb.KNNApprox(q, k) },
-			func(q [][]float64, k int) []vsdb.Neighbor { return mdb.KNN(q, k) },
-			mdb.SketchCandidates)
+		rep := recall.EvalKNN(qs, cfg.K, knnApprox, mdb.KNN,
+			func() int64 { return mdb.Stats().SketchCandidates })
 		pt := ApproxPointDoc{
 			KNNFactor:          factor,
 			RecallAt10:         rep.MeanRecall,

@@ -8,9 +8,10 @@ import (
 	"testing"
 
 	"github.com/voxset/voxset/internal/cluster"
+	"github.com/voxset/voxset/internal/vsdb"
 )
 
-// Batch-vs-sequential oracle at the coordinator: KNNBatch/RangeBatch
+// Batch-vs-sequential oracle at the coordinator: a k-nn or range batch
 // must answer entry i byte-identically to KNN/Range with queries[i],
 // across shard widths and worker counts — the single fan-out is a
 // transport optimization, never a semantic one.
@@ -55,7 +56,7 @@ func TestClusterBatchParity(t *testing.T) {
 					assertSameResult(t, fmt.Sprintf("KNN query %d", i), batch[i], single)
 				}
 
-				rBatch, err := c.RangeBatch(queries, eps)
+				rBatch, err := c.Search(batchOf(queries, vsdb.Query{Kind: vsdb.Range, Eps: eps}))
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -75,9 +75,9 @@ type Config struct {
 	// Tracker, if non-nil, is shared by every shard (it is safe for
 	// concurrent use), so cost-model accounting stays cluster-wide.
 	Tracker *storage.Tracker
-	// Approx, if non-nil, enables the approximate candidate tier on every
-	// shard (vsdb.Config.Approx semantics); the KNNApprox/RangeApprox
-	// scatter paths then answer through it.
+	// Approx, if non-nil, configures the approximate candidate tier on
+	// every shard (vsdb.Config.Approx semantics); queries with Approx set
+	// then answer through it.
 	Approx *vsdb.ApproxOptions
 
 	// WALDir, if non-empty, gives every shard a write-ahead log named
@@ -402,48 +402,30 @@ func (c *DB) Epoch() uint64 {
 	return sum
 }
 
-// Refinements sums the shards' exact-evaluation counters.
-func (c *DB) Refinements() int64 { return c.sum(func(db *vsdb.DB) int64 { return db.Refinements() }) }
-
-// ApproxEnabled reports whether the approximate candidate tier is
-// configured cluster-wide.
-func (c *DB) ApproxEnabled() bool { return c.cfg.Approx != nil }
-
-// SketchCandidates sums the shards' sketch-candidate counters (0 on an
-// exact-only cluster).
-func (c *DB) SketchCandidates() int64 {
-	return c.sum(func(db *vsdb.DB) int64 { return db.SketchCandidates() })
-}
-
-// WALRecords sums the shards' write-ahead-log record counts.
-func (c *DB) WALRecords() int64 { return c.sum(func(db *vsdb.DB) int64 { return db.WALRecords() }) }
-
-// Compactions sums the shards' compaction counters.
-func (c *DB) Compactions() int64 { return c.sum(func(db *vsdb.DB) int64 { return db.Compactions() }) }
-
-// DeltaLen sums the shards' delta-memtable lengths.
-func (c *DB) DeltaLen() int {
-	return int(c.sum(func(db *vsdb.DB) int64 { return int64(db.DeltaLen()) }))
-}
-
-// TombstoneRatio returns the cluster-wide fraction of base-resident
-// objects that are deleted but not yet compacted away.
-func (c *DB) TombstoneRatio() float64 {
-	tombs := int(c.sum(func(db *vsdb.DB) int64 { return int64(db.Tombstones()) }))
-	if tombs == 0 {
-		return 0
-	}
-	return float64(tombs) / float64(c.Len()+tombs)
-}
-
-func (c *DB) sum(f func(*vsdb.DB) int64) int64 {
-	var sum int64
+// Stats sums the shards' serving gauges (vsdb.Stats semantics): the
+// counters add up, ApproxEnabled is the cluster-wide configuration, and
+// TombstoneRatio is recomputed from the summed tombstone count — the
+// cluster-wide fraction of base-resident objects deleted but not yet
+// compacted away. Down shards contribute nothing.
+func (c *DB) Stats() vsdb.Stats {
+	st := vsdb.Stats{ApproxEnabled: c.cfg.Approx != nil}
 	for i := range c.shards {
-		if db := c.shards[i].db.Load(); db != nil {
-			sum += f(db)
+		db := c.shards[i].db.Load()
+		if db == nil {
+			continue
 		}
+		s := db.Stats()
+		st.Refinements += s.Refinements
+		st.SketchCandidates += s.SketchCandidates
+		st.WALRecords += s.WALRecords
+		st.DeltaLen += s.DeltaLen
+		st.Tombstones += s.Tombstones
+		st.Compactions += s.Compactions
 	}
-	return sum
+	if st.Tombstones > 0 {
+		st.TombstoneRatio = float64(st.Tombstones) / float64(c.Len()+st.Tombstones)
+	}
+	return st
 }
 
 // Get returns the stored vector set of a live id (nil if absent or its
@@ -743,12 +725,13 @@ func (c *DB) Status() []ShardStatus {
 			st.MeanLatencyMS = float64(s.latNS.Load()) / float64(n) / float64(time.Millisecond)
 		}
 		if db := s.db.Load(); db != nil {
+			gauges := db.Stats()
 			st.Up = true
 			st.Objects = db.Len()
 			st.Epoch = db.Epoch()
-			st.WALRecords = db.WALRecords()
-			st.DeltaObjects = db.DeltaLen()
-			st.TombstoneRatio = db.TombstoneRatio()
+			st.WALRecords = gauges.WALRecords
+			st.DeltaObjects = gauges.DeltaLen
+			st.TombstoneRatio = gauges.TombstoneRatio
 		} else {
 			st.Epoch = s.downEpoch.Load()
 		}

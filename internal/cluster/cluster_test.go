@@ -205,20 +205,20 @@ func TestCompactFoldsEveryShard(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if c.TombstoneRatio() == 0 && c.DeltaLen() == 0 {
+	if c.Stats().TombstoneRatio == 0 && c.Stats().DeltaLen == 0 {
 		t.Fatal("deletes left no folding work (test is vacuous)")
 	}
 	if err := c.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.TombstoneRatio(); got != 0 {
+	if got := c.Stats().TombstoneRatio; got != 0 {
 		t.Fatalf("tombstone ratio after compact = %g", got)
 	}
-	if got := c.DeltaLen(); got != 0 {
+	if got := c.Stats().DeltaLen; got != 0 {
 		t.Fatalf("delta length after compact = %d", got)
 	}
-	if c.Compactions() < 3 {
-		t.Fatalf("compactions = %d, want ≥ 3 (one per shard)", c.Compactions())
+	if c.Stats().Compactions < 3 {
+		t.Fatalf("compactions = %d, want ≥ 3 (one per shard)", c.Stats().Compactions)
 	}
 	if c.Len() != 24 {
 		t.Fatalf("Len = %d, want 24", c.Len())

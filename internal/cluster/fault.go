@@ -7,12 +7,7 @@ type Op string
 
 // Shard-local operations visible to FaultPolicy.
 const (
-	OpKNN        Op = "knn"
-	OpRange      Op = "range"
-	OpKNNBatch   Op = "knn-batch"
-	OpRangeBatch Op = "range-batch"
-	OpKNNSet     Op = "knn-set"
-	OpRangeSet   Op = "range-set"
+	OpSearch     Op = "search"
 	OpInsert     Op = "insert"
 	OpDelete     Op = "delete"
 	OpBulkInsert Op = "bulk-insert"
@@ -23,13 +18,7 @@ const (
 // that time out are retried (re-running them is free of side effects);
 // a timed-out mutation is not, because its effect is ambiguous — the
 // stalled attempt may still apply.
-func (op Op) read() bool {
-	switch op {
-	case OpKNN, OpRange, OpKNNBatch, OpRangeBatch, OpKNNSet, OpRangeSet:
-		return true
-	}
-	return false
-}
+func (op Op) read() bool { return op == OpSearch }
 
 // FaultPolicy injects failures into shard-local operations for chaos
 // tests and resilience drills. Fault is consulted at the start of every

@@ -108,15 +108,20 @@ func LoadDir(dir string, cfg Config) (*DB, error) {
 	return open(cfg, dir)
 }
 
-// FromSnapshotFile scatters a monolithic (unsharded) vsdb snapshot into
-// a fresh cluster: every persisted object routes to its shard, in
-// snapshot order, through BulkInsert. It is how voxserve -shards serves
-// a single-file snapshot built by the unsharded pipeline.
+// FromSnapshotFile scatters a monolithic (unsharded) vsdb snapshot — in
+// either format, vsdb.OpenFile sniffs it — into a fresh cluster: every
+// persisted object routes to its shard, in snapshot order, through
+// BulkInsert. It is how voxserve -shards serves a single-file snapshot
+// built by the unsharded pipeline.
 func FromSnapshotFile(path string, cfg Config) (*DB, error) {
-	src, err := vsdb.LoadFile(path, vsdb.LoadOptions{Workers: cfg.Workers})
+	src, err := vsdb.OpenFile(path, vsdb.LoadOptions{Workers: cfg.Workers})
 	if err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
 	}
+	// A paged source serves its sets straight from the mapping. BulkInsert
+	// deep-copies every set (and encodes the shipped frames) before it
+	// returns, so nothing aliases the mapping once the source is closed.
+	defer src.Close()
 	if cfg.Dim == 0 {
 		cfg.Dim = src.Dim()
 	}

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -118,15 +119,15 @@ func TestCheckpointTruncatesShardWALs(t *testing.T) {
 	cfg.WALDir = walDir
 	c := newCluster(t, cfg)
 	populate(t, c, 36, 23)
-	if c.WALRecords() != 36 {
-		t.Fatalf("WAL records = %d, want 36", c.WALRecords())
+	if c.Stats().WALRecords != 36 {
+		t.Fatalf("WAL records = %d, want 36", c.Stats().WALRecords)
 	}
 	snapDir := t.TempDir()
 	if err := c.Checkpoint(snapDir); err != nil {
 		t.Fatal(err)
 	}
-	if c.WALRecords() != 0 {
-		t.Fatalf("WAL records after checkpoint = %d, want 0", c.WALRecords())
+	if c.Stats().WALRecords != 0 {
+		t.Fatalf("WAL records after checkpoint = %d, want 0", c.Stats().WALRecords)
 	}
 	// Mutations after the checkpoint land in the truncated logs...
 	rng := rand.New(rand.NewSource(24))
@@ -135,8 +136,8 @@ func TestCheckpointTruncatesShardWALs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if c.WALRecords() != 10 {
-		t.Fatalf("WAL records after 10 post-checkpoint inserts = %d", c.WALRecords())
+	if c.Stats().WALRecords != 10 {
+		t.Fatalf("WAL records after 10 post-checkpoint inserts = %d", c.Stats().WALRecords)
 	}
 	want := shardFingerprints(t, c)
 	c.Close()
@@ -210,7 +211,10 @@ func TestReopenFromSnapshotDirAndWALSuffix(t *testing.T) {
 }
 
 // FromSnapshotFile scatters a monolithic snapshot across shards with
-// query parity against the unsharded source.
+// query parity against the unsharded source — in either on-disk format.
+// A paged (VXSNAP02) source is memory-mapped while it is scattered and
+// unmapped before FromSnapshotFile returns, so the reads after it also
+// assert that BulkInsert deep-copied every set out of the mapping.
 func TestFromSnapshotFile(t *testing.T) {
 	src, err := vsdb.Open(vsdb.Config{Dim: 3, MaxCard: 3, Omega: testOmega})
 	if err != nil {
@@ -222,23 +226,36 @@ func TestFromSnapshotFile(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	path := filepath.Join(t.TempDir(), "mono.vsnap")
-	if err := src.SaveFile(path); err != nil {
+	v1 := filepath.Join(t.TempDir(), "mono.vsnap")
+	if err := src.SaveFile(v1); err != nil {
 		t.Fatal(err)
 	}
-	c, err := cluster.FromSnapshotFile(path, cluster.Config{Shards: 3, Omega: testOmega})
-	if err != nil {
+	paged := filepath.Join(t.TempDir(), "mono-paged.vsnap")
+	if err := snapshot.ConvertFile(v1, paged, 0); err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	if c.Len() != 40 || c.Dim() != 3 || c.MaxCard() != 3 {
-		t.Fatalf("scattered cluster: Len=%d Dim=%d MaxCard=%d", c.Len(), c.Dim(), c.MaxCard())
-	}
-	res, err := c.KNN(chaosQuery, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := vsdbtest.Diff(res.Neighbors, src.KNN(chaosQuery, 9)); d != "" {
-		t.Fatalf("scattered cluster diverges from source: %s", d)
+	for _, tc := range []struct{ name, path string }{{"VXSNAP01", v1}, {"VXSNAP02", paged}} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := cluster.FromSnapshotFile(tc.path, cluster.Config{Shards: 3, Omega: testOmega})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			if c.Len() != 40 || c.Dim() != 3 || c.MaxCard() != 3 {
+				t.Fatalf("scattered cluster: Len=%d Dim=%d MaxCard=%d", c.Len(), c.Dim(), c.MaxCard())
+			}
+			for _, id := range src.IDs() {
+				if !reflect.DeepEqual(c.Get(id), src.Get(id)) {
+					t.Fatalf("object %d differs from the source after the scatter", id)
+				}
+			}
+			res, err := c.KNN(chaosQuery, 9)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := vsdbtest.Diff(res.Neighbors, src.KNN(chaosQuery, 9)); d != "" {
+				t.Fatalf("scattered cluster diverges from source: %s", d)
+			}
+		})
 	}
 }

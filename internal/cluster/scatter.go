@@ -21,65 +21,35 @@ type Result struct {
 	Errors map[int]error
 }
 
-// KNN returns the k nearest stored objects across all shards. Each
-// shard is asked for its own top k (the over-fetch that makes the merge
-// exact: every member of the global top k is inside its shard's top k),
-// in parallel, and the per-shard lists are merged under the (dist, id)
-// contract — bit-identical to an unsharded database holding the same
-// objects.
-func (c *DB) KNN(query [][]float64, k int) (Result, error) {
-	return c.scatter(OpKNN, func(db *vsdb.DB) []vsdb.Neighbor {
-		return db.KNN(query, k)
-	}, k)
-}
-
-// Range returns all stored objects within eps of the query set, merged
-// across shards under the (dist, id) contract.
-func (c *DB) Range(query [][]float64, eps float64) (Result, error) {
-	return c.scatter(OpRange, func(db *vsdb.DB) []vsdb.Neighbor {
-		return db.Range(query, eps)
-	}, -1)
-}
-
-// KNNBatch answers queries[i] exactly as KNN(queries[i], k) would —
-// per-query results are identical entry for entry — with a single
-// scatter-gather fan-out for the whole batch: each shard receives the
-// batch once (one retry loop, one timeout, one epoch view pinned
-// shard-side by vsdb.KNNBatch) instead of once per query.
-func (c *DB) KNNBatch(queries [][][]float64, k int) ([]Result, error) {
-	return scatterBatch(c, OpKNNBatch, len(queries), func(db *vsdb.DB) [][]vsdb.Neighbor {
-		return db.KNNBatch(queries, k)
-	}, k)
-}
-
-// RangeBatch answers queries[i] exactly as Range(queries[i], eps)
-// would, with a single fan-out for the whole batch (see KNNBatch).
-func (c *DB) RangeBatch(queries [][][]float64, eps float64) ([]Result, error) {
-	return scatterBatch(c, OpRangeBatch, len(queries), func(db *vsdb.DB) [][]vsdb.Neighbor {
-		return db.RangeBatch(queries, eps)
-	}, -1)
-}
-
-// scatterBatch fans one batch of nq queries out to every shard and
-// merges per query index, applying the same strict/partial degradation
-// contract as scatter — a failed shard degrades (or fails) every entry
-// of the batch identically, so Partial and Errors are shared across the
-// returned results.
-func scatterBatch(c *DB, op Op, nq int, run func(*vsdb.DB) [][]vsdb.Neighbor, k int) ([]Result, error) {
-	if nq == 0 {
+// Search answers every query of the batch with ONE scatter-gather
+// fan-out: each shard receives the whole batch once (one retry loop, one
+// timeout, one epoch view pinned shard-side by vsdb.Search) and the
+// per-shard lists are merged per entry under the (dist, id) contract,
+// truncated at that entry's K for a KNN query and complete for a Range
+// query. The result is bit-identical to an unsharded database holding
+// the same objects, for every Kind, Approx and Match:
+//
+//   - every set distance is scored per (query, object) pair, so each
+//     member of an entry's global top K is inside its own shard's top K
+//     (the over-fetch that makes the k-nn merge exact), and an ε-range
+//     result is the disjoint union of the shards' results;
+//   - distances are exact under Approx too — only the candidate set is
+//     approximate — so the merge semantics do not change with the mode.
+//
+// Degradation is per call, not per entry: in strict mode any shard
+// failure fails the whole Search; in partial mode a failed shard is
+// missing from every entry alike, so all results of one call share one
+// Partial flag and one Errors map. Each shard's query counter advances
+// by len(qs) — it counts logical queries, not fan-outs.
+func (c *DB) Search(qs []vsdb.Query) ([]Result, error) {
+	if len(qs) == 0 {
 		return nil, nil
 	}
 	n := len(c.shards)
-	perShard := make([][][]vsdb.Neighbor, n) // shard → query → neighbors
+	perShard := make([][][]vsdb.Neighbor, n) // shard → entry → neighbors
 	errs := make([]error, n)
 	c.forEachShard(func(i int) {
-		perShard[i], errs[i] = callShardQuery(c, i, op, nq, func(db *vsdb.DB) ([][]vsdb.Neighbor, error) {
-			lists := run(db)
-			if len(lists) != nq {
-				return nil, fmt.Errorf("shard %d: batch returned %d results for %d queries", i, len(lists), nq)
-			}
-			return lists, nil
-		})
+		perShard[i], errs[i] = c.callSearch(i, qs)
 	})
 	var shardErrs map[int]error
 	var first error
@@ -103,23 +73,52 @@ func scatterBatch(c *DB, op Op, nq int, run func(*vsdb.DB) [][]vsdb.Neighbor, k 
 			return nil, fmt.Errorf("cluster: all %d shards failed: %w", n, first)
 		}
 	}
-	out := make([]Result, nq)
+	out := make([]Result, len(qs))
 	lists := make([][]vsdb.Neighbor, 0, n)
-	for q := 0; q < nq; q++ {
+	for q := range qs {
 		lists = lists[:0]
 		for i := 0; i < n; i++ {
-			if perShard[i] == nil {
-				continue // failed shard (partial mode)
+			if perShard[i] != nil { // nil: failed shard (partial mode)
+				lists = append(lists, perShard[i][q])
 			}
-			lists = append(lists, perShard[i][q])
 		}
-		out[q] = Result{
-			Neighbors: Merge(lists, k),
-			Partial:   shardErrs != nil,
-			Errors:    shardErrs,
+		k := -1
+		if qs[q].Kind == vsdb.KNN {
+			k = qs[q].K
 		}
+		out[q] = Result{Neighbors: Merge(lists, k), Partial: shardErrs != nil, Errors: shardErrs}
 	}
 	return out, nil
+}
+
+// KNN returns the k nearest stored objects across all shards: Search of
+// one exact KNN query.
+func (c *DB) KNN(query [][]float64, k int) (Result, error) {
+	return c.searchOne(vsdb.Query{Set: query, Kind: vsdb.KNN, K: k})
+}
+
+// Range returns all stored objects within eps of the query set: Search
+// of one exact Range query.
+func (c *DB) Range(query [][]float64, eps float64) (Result, error) {
+	return c.searchOne(vsdb.Query{Set: query, Kind: vsdb.Range, Eps: eps})
+}
+
+func (c *DB) searchOne(q vsdb.Query) (Result, error) {
+	rs, err := c.Search([]vsdb.Query{q})
+	if err != nil {
+		return Result{}, err
+	}
+	return rs[0], nil
+}
+
+// KNNBatch answers queries[i] exactly as KNN(queries[i], k) would, in
+// one Search (a single fan-out for the whole batch).
+func (c *DB) KNNBatch(queries [][][]float64, k int) ([]Result, error) {
+	qs := make([]vsdb.Query, len(queries))
+	for i, q := range queries {
+		qs[i] = vsdb.Query{Set: q, Kind: vsdb.KNN, K: k}
+	}
+	return c.Search(qs)
 }
 
 // forEachShard runs fn(i) for every shard concurrently (one goroutine
@@ -128,65 +127,18 @@ func (c *DB) forEachShard(fn func(i int)) {
 	parallel.Run(len(c.shards), fn)
 }
 
-// scatter fans run out to every shard, gathers the per-shard sorted
-// lists, and merges them; k ≥ 0 truncates the merge (k-nn), k < 0
-// keeps everything (range).
-func (c *DB) scatter(op Op, run func(*vsdb.DB) []vsdb.Neighbor, k int) (Result, error) {
-	n := len(c.shards)
-	lists := make([][]vsdb.Neighbor, n)
-	errs := make([]error, n)
-	c.forEachShard(func(i int) {
-		lists[i], errs[i] = c.callQuery(i, op, run)
-	})
-	var shardErrs map[int]error
-	var first error
-	for i, err := range errs {
-		if err == nil {
-			continue
-		}
-		if first == nil {
-			first = err
-		}
-		if shardErrs == nil {
-			shardErrs = make(map[int]error)
-		}
-		shardErrs[i] = err
-	}
-	if first != nil {
-		if !c.partial.Load() {
-			return Result{}, fmt.Errorf("cluster: %w", first)
-		}
-		if len(shardErrs) == n {
-			return Result{}, fmt.Errorf("cluster: all %d shards failed: %w", n, first)
-		}
-	}
-	return Result{
-		Neighbors: Merge(lists, k),
-		Partial:   shardErrs != nil,
-		Errors:    shardErrs,
-	}, nil
-}
-
-// callQuery runs one read-only shard operation under the retry loop,
+// callSearch runs the batch against shard i under the retry loop,
 // recording the shard's serving statistics.
-func (c *DB) callQuery(i int, op Op, run func(*vsdb.DB) []vsdb.Neighbor) ([]vsdb.Neighbor, error) {
-	return callShardQuery(c, i, op, 1, func(db *vsdb.DB) ([]vsdb.Neighbor, error) {
-		return run(db), nil
-	})
-}
-
-// callShardQuery is the shared read-path wrapper: nq is the number of
-// logical queries the call carries (1 for single ops, the batch size
-// for batch ops) so the shard's query counter stays a query count.
-func callShardQuery[T any](c *DB, i int, op Op, nq int, fn func(*vsdb.DB) (T, error)) (T, error) {
+func (c *DB) callSearch(i int, qs []vsdb.Query) ([][]vsdb.Neighbor, error) {
 	s := &c.shards[i]
-	s.queries.Add(int64(nq))
+	s.queries.Add(int64(len(qs)))
 	start := time.Now()
-	res, err := withRetries(c, i, op, fn)
+	res, err := withRetries(c, i, OpSearch, func(db *vsdb.DB) ([][]vsdb.Neighbor, error) {
+		return db.Search(qs), nil
+	})
 	if err != nil {
 		s.errors.Add(1)
-		var zero T
-		return zero, err
+		return nil, err
 	}
 	s.latNS.Add(time.Since(start).Nanoseconds())
 	s.latN.Add(1)

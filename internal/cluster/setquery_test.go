@@ -10,8 +10,8 @@ import (
 	"github.com/voxset/voxset/internal/vsdb"
 )
 
-// TestSetQueryShardedEqualsUnsharded: KNNSet/RangeSet through the
-// scatter-gather coordinator must be bit-identical to an unsharded
+// TestSetQueryShardedEqualsUnsharded: queries carrying a Match through
+// the scatter-gather coordinator must be bit-identical to an unsharded
 // database holding the same objects — for the minimal matching distance
 // (where it inherits KNN's guarantee) and for the partial matching
 // distance (where it holds because partial matching is scored per
@@ -47,9 +47,10 @@ func TestSetQueryShardedEqualsUnsharded(t *testing.T) {
 	for trial := 0; trial < 8; trial++ {
 		q := randSet(rng)
 		for _, sq := range queries {
-			want := ref.KNNSet(q, 10, sq)
+			knn := vsdb.Query{Set: q, Kind: vsdb.KNN, K: 10, Match: sq}
+			want := ref.Search([]vsdb.Query{knn})[0]
 			for _, c := range []*cluster.DB{one, four} {
-				res, err := c.KNNSet(q, 10, sq)
+				res, err := searchOne(c, knn)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -57,10 +58,10 @@ func TestSetQueryShardedEqualsUnsharded(t *testing.T) {
 					t.Fatalf("trial %d %+v shards=%d: got %v, want %v", trial, sq, c.N(), res.Neighbors, want)
 				}
 			}
-			eps := 1.5
-			wantR := ref.RangeSet(q, eps, sq)
+			within := vsdb.Query{Set: q, Kind: vsdb.Range, Eps: 1.5, Match: sq}
+			wantR := ref.Search([]vsdb.Query{within})[0]
 			for _, c := range []*cluster.DB{one, four} {
-				res, err := c.RangeSet(q, eps, sq)
+				res, err := searchOne(c, within)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -78,14 +79,13 @@ func TestSetQueryShardedEqualsUnsharded(t *testing.T) {
 
 var errFlakySet = errors.New("transient set-query fault")
 
-// TestSetQueryFaultRetry: OpKNNSet is classified read-only, so injected
-// faults and timeouts on partial-matching queries retry like every
-// other read.
+// TestSetQueryFaultRetry: partial-matching queries run under OpSearch
+// like every other read, so injected faults and timeouts on them retry.
 func TestSetQueryFaultRetry(t *testing.T) {
 	cfg := testConfig(2)
 	failures := 0
 	cfg.Fault = cluster.FaultFunc(func(shard int, op cluster.Op, attempt int) error {
-		if op == cluster.OpKNNSet && shard == 0 && attempt == 0 {
+		if op == cluster.OpSearch && shard == 0 && attempt == 0 {
 			failures++
 			return errFlakySet
 		}
@@ -93,12 +93,12 @@ func TestSetQueryFaultRetry(t *testing.T) {
 	})
 	c := newCluster(t, cfg)
 	populate(t, c, 40, 17)
-	res, err := c.KNNSet([][]float64{{0, 0, 0}}, 5, vsdb.SetQuery{Partial: true})
+	res, err := searchOne(c, vsdb.Query{Set: [][]float64{{0, 0, 0}}, Kind: vsdb.KNN, K: 5, Match: vsdb.SetQuery{Partial: true}})
 	if err != nil {
-		t.Fatalf("KNNSet with first-attempt fault: %v", err)
+		t.Fatalf("partial k-nn with first-attempt fault: %v", err)
 	}
 	if failures == 0 {
-		t.Fatal("fault hook never fired for OpKNNSet")
+		t.Fatal("fault hook never fired for OpSearch")
 	}
 	if res.Partial || len(res.Neighbors) != 5 {
 		t.Fatalf("got %+v, want 5 complete neighbors after retry", res)

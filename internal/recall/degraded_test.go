@@ -73,12 +73,12 @@ func TestDegradedOracleCroppedTopK(t *testing.T) {
 			if q == nil {
 				continue
 			}
-			res, err := c.KNNSet(q, 10, sq)
+			res, err := c.Search([]vsdb.Query{{Set: q, Kind: vsdb.KNN, K: 10, Match: sq}})
 			if err != nil {
 				t.Fatalf("shards=%d workers=%d query %d: %v", cc.shards, cc.workers, i, err)
 			}
-			answers[i] = res.Neighbors
-			for _, nb := range res.Neighbors {
+			answers[i] = res[0].Neighbors
+			for _, nb := range answers[i] {
 				if nb.ID == cat.IDs[i] {
 					hits++
 					break
@@ -113,7 +113,7 @@ func TestDegradedPartialRecallModerateCrops(t *testing.T) {
 	queries := DegradedQueries(cat, degradedCovers, degrade.Params{Kind: degrade.Crop, Severity: 0.25, Seed: 19})
 	full := TruePartRecall(cat, queries, 10, db.KNN)
 	partial := TruePartRecall(cat, queries, 10, func(q [][]float64, k int) []vsdb.Neighbor {
-		return db.KNNSet(q, k, vsdb.SetQuery{Partial: true, I: 4})
+		return db.Search([]vsdb.Query{{Set: q, Kind: vsdb.KNN, K: k, Match: vsdb.SetQuery{Partial: true, I: 4}}})[0]
 	})
 	t.Logf("crop severity 0.25: full recall@10 = %.3f, partial(i=4) = %.3f", full, partial)
 	if partial < 0.9 {
@@ -138,7 +138,7 @@ func TestDegradedSeverityZeroDistanceZero(t *testing.T) {
 			if q == nil {
 				t.Fatalf("%s severity 0: query %d extracted empty", kind, i)
 			}
-			res := db.KNNSet(q, 10, vsdb.SetQuery{Partial: true})
+			res := db.Search([]vsdb.Query{{Set: q, Kind: vsdb.KNN, K: 10, Match: vsdb.SetQuery{Partial: true}}})[0]
 			found := false
 			for _, nb := range res {
 				if nb.ID == cat.IDs[i] && nb.Dist == 0 {

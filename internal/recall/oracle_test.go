@@ -94,44 +94,42 @@ func buildCluster(t *testing.T, ids []uint64, sets [][][]float64, shards, worker
 	return c
 }
 
+// clusterSearch answers one query through the coordinator's Search.
+func clusterSearch(t *testing.T, c *cluster.DB, q vsdb.Query) []vsdb.Neighbor {
+	rs, err := c.Search([]vsdb.Query{q})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rs[0].Neighbors
+}
+
 func clusterKNN(t *testing.T, c *cluster.DB) KNNFunc {
 	return func(q [][]float64, k int) []vsdb.Neighbor {
-		r, err := c.KNN(q, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r.Neighbors
+		return clusterSearch(t, c, vsdb.Query{Set: q, Kind: vsdb.KNN, K: k})
 	}
 }
 
 func clusterKNNApprox(t *testing.T, c *cluster.DB) KNNFunc {
 	return func(q [][]float64, k int) []vsdb.Neighbor {
-		r, err := c.KNNApprox(q, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r.Neighbors
+		return clusterSearch(t, c, vsdb.Query{Set: q, Kind: vsdb.KNN, K: k, Approx: true})
 	}
 }
 
 func clusterRange(t *testing.T, c *cluster.DB) RangeFunc {
 	return func(q [][]float64, eps float64) []vsdb.Neighbor {
-		r, err := c.Range(q, eps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r.Neighbors
+		return clusterSearch(t, c, vsdb.Query{Set: q, Kind: vsdb.Range, Eps: eps})
 	}
 }
 
 func clusterRangeApprox(t *testing.T, c *cluster.DB) RangeFunc {
 	return func(q [][]float64, eps float64) []vsdb.Neighbor {
-		r, err := c.RangeApprox(q, eps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r.Neighbors
+		return clusterSearch(t, c, vsdb.Query{Set: q, Kind: vsdb.Range, Eps: eps, Approx: true})
 	}
+}
+
+// sketchCandidates reads the cluster's candidate gauge for EvalKNN.
+func sketchCandidates(c *cluster.DB) func() int64 {
+	return func() int64 { return c.Stats().SketchCandidates }
 }
 
 // oracleApprox is the tier configuration the floor tests pin: the
@@ -181,7 +179,7 @@ func TestRecallFloorAcrossTopologies(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			t.Run(fmt.Sprintf("shards=%d/workers=%d", shards, workers), func(t *testing.T) {
 				c := buildCluster(t, ids, sets, shards, workers, oracleApprox())
-				rep := EvalKNN(qs, k, clusterKNNApprox(t, c), clusterKNN(t, c), c.SketchCandidates)
+				rep := EvalKNN(qs, k, clusterKNNApprox(t, c), clusterKNN(t, c), sketchCandidates(c))
 				if rep.MeanRecall < floor {
 					t.Fatalf("mean recall@%d = %.3f below floor %.2f (min %.3f)",
 						k, rep.MeanRecall, floor, rep.MinRecall)
@@ -225,16 +223,16 @@ func TestApproxOffTranscriptsByteIdentical(t *testing.T) {
 			t.Run(fmt.Sprintf("shards=%d/workers=%d", shards, workers), func(t *testing.T) {
 				c := buildCluster(t, ids, sets, shards, workers, nil)
 				if got := Transcript(qs, k, clusterKNNApprox(t, c)); !bytes.Equal(got, want) {
-					t.Fatal("approx-off KNNApprox transcript differs from the exact engine")
+					t.Fatal("approx-off approximate k-nn transcript differs from the exact engine")
 				}
 				if got := Transcript(qs, k, clusterKNN(t, c)); !bytes.Equal(got, want) {
 					t.Fatal("exact cluster KNN transcript differs from the single database")
 				}
 				if got := RangeTranscript(qs, eps, clusterRangeApprox(t, c)); !bytes.Equal(got, wantRange) {
-					t.Fatal("approx-off RangeApprox transcript differs from the exact engine")
+					t.Fatal("approx-off approximate range transcript differs from the exact engine")
 				}
-				if c.SketchCandidates() != 0 {
-					t.Fatalf("unconfigured tier proposed %d candidates", c.SketchCandidates())
+				if n := c.Stats().SketchCandidates; n != 0 {
+					t.Fatalf("unconfigured tier proposed %d candidates", n)
 				}
 			})
 		}

@@ -65,7 +65,7 @@ type Report struct {
 
 // EvalKNN runs every query through both engines and reports recall@k
 // and median latencies. candidates, if non-nil, is read before and
-// after the approximate pass (e.g. (*vsdb.DB).SketchCandidates) to
+// after the approximate pass (e.g. (*vsdb.DB).Stats().SketchCandidates) to
 // price the tier's candidate volume.
 func EvalKNN(queries [][][]float64, k int, approx, exact KNNFunc, candidates func() int64) Report {
 	r := Report{Queries: len(queries), K: k, MinRecall: 1}

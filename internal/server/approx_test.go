@@ -51,6 +51,10 @@ func decodeQuery(t *testing.T, body []byte) QueryResponse {
 	return qr
 }
 
+// searchOne answers a single query straight from the engine — the
+// reference the HTTP answers are compared against.
+func searchOne(db *vsdb.DB, q vsdb.Query) []vsdb.Neighbor { return db.Search([]vsdb.Query{q})[0] }
+
 func wantNeighbors(t *testing.T, got []Neighbor, want []vsdb.Neighbor, label string) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -74,11 +78,11 @@ func TestApproxDefaultAndOverride(t *testing.T) {
 	off := false
 
 	_, body := postJSON(t, on.URL+"/knn", QueryRequest{Set: q, K: 7})
-	wantNeighbors(t, decodeQuery(t, body).Neighbors, db.KNNApprox(q, 7), "default approx /knn")
+	wantNeighbors(t, decodeQuery(t, body).Neighbors, searchOne(db, vsdb.Query{Set: q, Kind: vsdb.KNN, K: 7, Approx: true}), "default approx /knn")
 	_, body = postJSON(t, on.URL+"/knn", QueryRequest{Set: q, K: 7, Approx: &off})
 	wantNeighbors(t, decodeQuery(t, body).Neighbors, db.KNN(q, 7), "approx=false /knn")
 	_, body = postJSON(t, on.URL+"/range", QueryRequest{Set: q, Eps: 2.0})
-	wantNeighbors(t, decodeQuery(t, body).Neighbors, db.RangeApprox(q, 2.0), "default approx /range")
+	wantNeighbors(t, decodeQuery(t, body).Neighbors, searchOne(db, vsdb.Query{Set: q, Kind: vsdb.Range, Eps: 2.0, Approx: true}), "default approx /range")
 	_, body = postJSON(t, on.URL+"/range", QueryRequest{Set: q, Eps: 2.0, Approx: &off})
 	wantNeighbors(t, decodeQuery(t, body).Neighbors, db.Range(q, 2.0), "approx=false /range")
 
@@ -87,7 +91,7 @@ func TestApproxDefaultAndOverride(t *testing.T) {
 	_, body = postJSON(t, exact.URL+"/knn", QueryRequest{Set: q, K: 7})
 	wantNeighbors(t, decodeQuery(t, body).Neighbors, db.KNN(q, 7), "default exact /knn")
 	_, body = postJSON(t, exact.URL+"/knn", QueryRequest{Set: q, K: 7, Approx: &use})
-	wantNeighbors(t, decodeQuery(t, body).Neighbors, db.KNNApprox(q, 7), "approx=true /knn")
+	wantNeighbors(t, decodeQuery(t, body).Neighbors, searchOne(db, vsdb.Query{Set: q, Kind: vsdb.KNN, K: 7, Approx: true}), "approx=true /knn")
 }
 
 // TestApproxCacheSeparation: an exact result cached for a query must not
@@ -108,7 +112,7 @@ func TestApproxCacheSeparation(t *testing.T) {
 	if qr.Cached {
 		t.Fatal("approximate query served from the exact cache entry")
 	}
-	wantNeighbors(t, qr.Neighbors, db.KNNApprox(q, 9), "approx after exact")
+	wantNeighbors(t, qr.Neighbors, searchOne(db, vsdb.Query{Set: q, Kind: vsdb.KNN, K: 9, Approx: true}), "approx after exact")
 
 	// Both modes now cached, each under its own key.
 	_, body = postJSON(t, ts.URL+"/knn", QueryRequest{Set: q, K: 9})
@@ -122,7 +126,7 @@ func TestApproxCacheSeparation(t *testing.T) {
 	if !qr.Cached {
 		t.Fatal("repeated approximate query not cached")
 	}
-	wantNeighbors(t, qr.Neighbors, db.KNNApprox(q, 9), "cached approx")
+	wantNeighbors(t, qr.Neighbors, searchOne(db, vsdb.Query{Set: q, Kind: vsdb.KNN, K: 9, Approx: true}), "cached approx")
 }
 
 // TestApproxBatchGrouping: a /knn/batch mixing ks and query modes
@@ -161,7 +165,7 @@ func TestApproxBatchGrouping(t *testing.T) {
 	for i, q := range queries {
 		var want []vsdb.Neighbor
 		if q.Approx != nil && *q.Approx {
-			want = db.KNNApprox(q.Set, q.K)
+			want = searchOne(db, vsdb.Query{Set: q.Set, Kind: vsdb.KNN, K: q.K, Approx: true})
 		} else {
 			want = db.KNN(q.Set, q.K)
 		}
@@ -242,11 +246,11 @@ func TestApproxClusterParity(t *testing.T) {
 	_, ts := newTestServer(t, Config{Cluster: c, Approx: true})
 	q := [][]float64{{0.2, -0.4, 0.6}}
 	_, body := postJSON(t, ts.URL+"/knn", QueryRequest{Set: q, K: 8})
-	want, err := c.KNNApprox(q, 8)
+	want, err := c.Search([]vsdb.Query{{Set: q, Kind: vsdb.KNN, K: 8, Approx: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantNeighbors(t, decodeQuery(t, body).Neighbors, want.Neighbors, "cluster approx /knn")
+	wantNeighbors(t, decodeQuery(t, body).Neighbors, want[0].Neighbors, "cluster approx /knn")
 
 	off := false
 	_, body = postJSON(t, ts.URL+"/knn", QueryRequest{Set: q, K: 8, Approx: &off})

@@ -1,16 +1,12 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
-	"sort"
-	"strconv"
 	"time"
 
-	"github.com/voxset/voxset/internal/cluster"
+	"github.com/voxset/voxset/internal/vsdb"
 )
 
 // maxBatchSize bounds one /knn/batch request. The cap keeps a single
@@ -20,7 +16,8 @@ import (
 const maxBatchSize = 1024
 
 // BatchRequest is the body of /knn/batch: each entry is a complete /knn
-// request body ("set" or "id", plus "k"; k may differ per entry).
+// request body ("set" or "id", plus "k" and optionally "approx"; both may
+// differ per entry).
 type BatchRequest struct {
 	Queries []QueryRequest `json:"queries"`
 }
@@ -36,12 +33,14 @@ type BatchResponse struct {
 
 // handleKNNBatch answers N k-nn queries in one request. The whole batch
 // is validated up front (a bad entry fails the batch with its index, so
-// clients never guess which entry was rejected), probed against the
-// query cache entry by entry under the same epoch-prefixed keys /knn
-// uses, and the misses run on ONE query slot under ONE request timeout:
-// entries sharing a (k, query mode) pair go to the backend as a single
-// KNNBatch / KNNBatchApprox call, so a cluster coordinator fans each
-// group out to every shard exactly once.
+// clients never guess which entry was rejected) and then executed like
+// any other query: probed against the cache entry by entry under the keys
+// /knn itself uses (so a batch entry hits results cached by single
+// queries and vice versa), the misses in ONE backend Search — whatever
+// mix of k and query mode they carry — so a cluster coordinator fans the
+// batch out to every shard exactly once. Batch entries count as
+// approximate queries but are not shadow-sampled: the recall gauge draws
+// from single-entry requests only.
 func (s *Server) handleKNNBatch(w http.ResponseWriter, r *http.Request) {
 	m := &s.batchM
 	m.count.Add(1)
@@ -67,130 +66,23 @@ func (s *Server) handleKNNBatch(w http.ResponseWriter, r *http.Request) {
 
 	// Validate every entry before running any: a batch is one request and
 	// fails as one request.
-	sets := make([][][]float64, n)
+	qs := make([]vsdb.Query, n)
 	for i := range req.Queries {
-		set, err := s.resolveQuerySet(&req.Queries[i])
-		if err == nil {
-			err = s.validateParams(&req.Queries[i], opKNN)
-		}
-		if err != nil {
+		var err error
+		if qs[i], err = s.resolveQuery(&req.Queries[i], vsdb.KNN); err != nil {
 			m.errors.Add(1)
 			writeJSON(w, http.StatusBadRequest, errorResponse{
 				Error: fmt.Sprintf("queries[%d]: %s", i, err)})
 			return
 		}
-		sets[i] = set
 	}
 	s.batchSizes.observe(n)
 	s.batchQueries.Add(int64(n))
 
-	// Per-entry cache probe under the keys /knn itself uses, so a batch
-	// entry hits results cached by single queries and vice versa. Misses
-	// group by (k, resolved query mode): each group is one backend
-	// KNNBatch / KNNBatchApprox call, so a coordinator fans each group
-	// out to every shard exactly once.
-	type group struct {
-		k      int
-		approx bool
+	results, ok := s.execute(w, r, m, start, qs)
+	if !ok {
+		return
 	}
-	results := make([]QueryResponse, n)
-	keys := make([]uint64, n)
-	byGroup := make(map[group][]int) // group → indexes of cache misses
-	for i := range req.Queries {
-		approx := s.useApprox(req.Queries[i].Approx)
-		keys[i] = s.cacheKey(opKNN, &req.Queries[i], sets[i], approx)
-		if res, ok := s.cache.get(keys[i]); ok {
-			m.cacheHits.Add(1)
-			results[i] = QueryResponse{
-				Neighbors: res, Cached: true,
-				ElapsedMS: float64(time.Since(start)) / float64(time.Millisecond),
-			}
-			continue
-		}
-		g := group{k: req.Queries[i].K, approx: approx}
-		byGroup[g] = append(byGroup[g], i)
-	}
-
-	if len(byGroup) > 0 {
-		gs := make([]group, 0, len(byGroup))
-		for g := range byGroup {
-			gs = append(gs, g)
-		}
-		sort.Slice(gs, func(i, j int) bool { // deterministic backend call order
-			if gs[i].k != gs[j].k {
-				return gs[i].k < gs[j].k
-			}
-			return !gs[i].approx && gs[j].approx
-		})
-		ctx, cancel := context.WithTimeout(r.Context(), s.timeout)
-		defer cancel()
-		perEntry := make([]cluster.Result, n)
-		_, err := runSlot(s, ctx, func() (struct{}, error) {
-			for _, g := range gs {
-				idxs := byGroup[g]
-				qs := make([][][]float64, len(idxs))
-				for j, qi := range idxs {
-					qs[j] = sets[qi]
-				}
-				var res []cluster.Result
-				var err error
-				if g.approx {
-					// Batch entries count as approximate queries but are
-					// not shadow-sampled: the recall gauge draws from the
-					// single-query path only.
-					s.approxM.queries.Add(int64(len(idxs)))
-					res, err = s.db.KNNBatchApprox(qs, g.k)
-				} else {
-					res, err = s.db.KNNBatch(qs, g.k)
-				}
-				if err != nil {
-					return struct{}{}, err
-				}
-				for j, qi := range idxs {
-					perEntry[qi] = res[j]
-				}
-			}
-			return struct{}{}, nil
-		})
-		if err != nil {
-			if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-				m.timeouts.Add(1)
-				writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "query timed out or server shutting down"})
-				return
-			}
-			m.errors.Add(1)
-			writeJSON(w, http.StatusBadGateway, errorResponse{Error: err.Error()})
-			return
-		}
-		for _, idxs := range byGroup {
-			for _, qi := range idxs {
-				res := perEntry[qi]
-				out := make([]Neighbor, len(res.Neighbors))
-				for j, nb := range res.Neighbors {
-					out[j] = Neighbor{ID: nb.ID, Dist: nb.Dist}
-				}
-				resp := QueryResponse{
-					Neighbors: out,
-					Partial:   res.Partial,
-					ElapsedMS: float64(time.Since(start)) / float64(time.Millisecond),
-				}
-				if res.Partial {
-					// A degraded answer is not the answer: never cache it.
-					resp.ShardErrors = make(map[string]string, len(res.Errors))
-					for shard, serr := range res.Errors {
-						resp.ShardErrors[strconv.Itoa(shard)] = serr.Error()
-					}
-				} else {
-					s.cache.put(keys[qi], out)
-				}
-				results[qi] = resp
-			}
-		}
-	}
-
 	m.latency.observe(time.Since(start))
-	writeJSON(w, http.StatusOK, BatchResponse{
-		Results:   results,
-		ElapsedMS: float64(time.Since(start)) / float64(time.Millisecond),
-	})
+	writeJSON(w, http.StatusOK, BatchResponse{Results: results, ElapsedMS: msSince(start)})
 }

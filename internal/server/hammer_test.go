@@ -310,5 +310,5 @@ func TestServeMutationHammer(t *testing.T) {
 		}
 	}
 	t.Logf("storm: %d queries, %d mutations, %d refused, %d compactions, final %d objects",
-		served.Load(), mutated.Load(), refused.Load(), db.Compactions(), len(ids))
+		served.Load(), mutated.Load(), refused.Load(), db.Stats().Compactions, len(ids))
 }

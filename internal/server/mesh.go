@@ -2,12 +2,9 @@ package server
 
 import (
 	"bytes"
-	"context"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"math"
 	"net/http"
@@ -15,7 +12,6 @@ import (
 	"strconv"
 	"time"
 
-	"github.com/voxset/voxset/internal/cluster"
 	"github.com/voxset/voxset/internal/mesh"
 	"github.com/voxset/voxset/internal/meshquery"
 	"github.com/voxset/voxset/internal/vsdb"
@@ -31,13 +27,14 @@ const coverDim = 6
 // one request. The extraction is internal/meshquery (the same code
 // offline callers use, which is what makes served answers byte-
 // identical to offline extraction + query-by-vector-set), and the
-// search stage reuses the exact /knn–/range machinery: same query
-// slots, same timeout, same cache (minimal-matching mesh queries share
-// cache entries with /knn queries carrying the same extracted set),
-// same strict/partial cluster semantics. Parse and extraction run on
-// the request goroutine like JSON decoding does elsewhere — they are
-// bounded by MaxMeshBytes and the fixed grid resolution — while the
-// search runs on a bounded slot under the request timeout.
+// search stage is the /knn–/range machinery itself (Server.execute):
+// same query slots, same timeout, same cache (minimal-matching mesh
+// queries share cache entries with /knn queries carrying the same
+// extracted set), same strict/partial cluster semantics. Parse and
+// extraction run on the request goroutine like JSON decoding does
+// elsewhere — they are bounded by MaxMeshBytes and the fixed grid
+// resolution — while the search runs on a bounded slot under the
+// request timeout.
 
 // MeshStages is the per-stage latency breakdown of one mesh query.
 type MeshStages struct {
@@ -87,75 +84,62 @@ type MeshBatchResponse struct {
 	ElapsedMS float64             `json:"elapsed_ms"`
 }
 
-// meshParams is one mesh query's resolved parameter set.
-type meshParams struct {
-	knn     bool // k-nn vs ε-range
-	k       int
-	eps     float64
-	partial bool
-	i       int // partial matching size (0 = auto)
-	approx  bool
-}
-
-func (p meshParams) setQuery() vsdb.SetQuery {
-	return vsdb.SetQuery{Partial: p.partial, I: p.i}
-}
-
-// parseMeshParams resolves and validates /query/mesh URL parameters.
-func (s *Server) parseMeshParams(q url.Values) (meshParams, error) {
-	var p meshParams
-	kStr, epsStr := q.Get("k"), q.Get("eps")
+// parseMeshParams resolves and validates /query/mesh URL parameters into
+// the query they ask for (its Set comes from the extraction).
+func (s *Server) parseMeshParams(v url.Values) (vsdb.Query, error) {
+	var q vsdb.Query
+	kStr, epsStr := v.Get("k"), v.Get("eps")
 	switch {
 	case kStr != "" && epsStr != "":
-		return p, errors.New("give either \"k\" or \"eps\", not both")
+		return q, errors.New("give either \"k\" or \"eps\", not both")
 	case kStr != "":
 		k, err := strconv.Atoi(kStr)
 		if err != nil || k <= 0 || k > s.maxK {
-			return p, fmt.Errorf("k must be an integer in [1, %d], got %q", s.maxK, kStr)
+			return q, fmt.Errorf("k must be an integer in [1, %d], got %q", s.maxK, kStr)
 		}
-		p.knn, p.k = true, k
+		q.Kind, q.K = vsdb.KNN, k
 	case epsStr != "":
 		eps, err := strconv.ParseFloat(epsStr, 64)
 		if err != nil || eps < 0 || math.IsNaN(eps) || math.IsInf(eps, 0) {
-			return p, fmt.Errorf("eps must be a finite value ≥ 0, got %q", epsStr)
+			return q, fmt.Errorf("eps must be a finite value ≥ 0, got %q", epsStr)
 		}
-		p.eps = eps
+		q.Kind, q.Eps = vsdb.Range, eps
 	default:
-		return p, errors.New("give \"k\" (k-nn) or \"eps\" (range)")
+		return q, errors.New("give \"k\" (k-nn) or \"eps\" (range)")
 	}
-	switch d := q.Get("dist"); d {
+	switch d := v.Get("dist"); d {
 	case "", "minimal":
 	case "partial":
-		p.partial = true
+		q.Match.Partial = true
 	default:
-		return p, fmt.Errorf("dist must be \"minimal\" or \"partial\", got %q", d)
+		return q, fmt.Errorf("dist must be \"minimal\" or \"partial\", got %q", d)
 	}
-	if iStr := q.Get("i"); iStr != "" {
-		if !p.partial {
-			return p, errors.New("\"i\" requires dist=partial")
+	if iStr := v.Get("i"); iStr != "" {
+		if !q.Match.Partial {
+			return q, errors.New("\"i\" requires dist=partial")
 		}
 		i, err := strconv.Atoi(iStr)
 		if err != nil || i < 0 {
-			return p, fmt.Errorf("i must be an integer ≥ 0, got %q", iStr)
+			return q, fmt.Errorf("i must be an integer ≥ 0, got %q", iStr)
 		}
-		p.i = i
+		q.Match.I = i
 	}
-	switch a := q.Get("approx"); a {
+	switch a := v.Get("approx"); a {
 	case "":
-		p.approx = s.approx
+		q.Approx = s.approx
 	case "true":
-		p.approx = true
+		q.Approx = true
 	case "false":
-		p.approx = false
+		q.Approx = false
 	default:
-		return p, fmt.Errorf("approx must be \"true\" or \"false\", got %q", a)
+		return q, fmt.Errorf("approx must be \"true\" or \"false\", got %q", a)
 	}
-	if p.approx && p.partial {
+	if q.Approx && q.Match.Partial {
 		// Partial matching is not a metric: no filter lower bound, no
 		// sketch tier. There is no approximate partial path to offer.
-		return p, errors.New("dist=partial has no approximate tier; drop approx or use dist=minimal")
+		return q, errors.New("dist=partial has no approximate tier; drop approx or use dist=minimal")
 	}
-	return p, nil
+	return q, nil
 }
 
 // meshExtractConfig resolves the extraction parameters against the
@@ -175,74 +159,6 @@ func (s *Server) meshExtractConfig() (meshquery.Config, error) {
 		return meshquery.Config{}, fmt.Errorf("extraction cover budget %d exceeds database MaxCard %d", cfg.Covers, s.db.MaxCard())
 	}
 	return cfg, nil
-}
-
-// meshCacheKey digests one mesh query for the LRU. Minimal-matching
-// queries reuse the exact key a /knn or /range request with the same
-// extracted set would produce — the two endpoints answer from the same
-// cache entries, which is parity made visible. Partial-matching queries
-// get their own op words (the matching size joins the parameter hash).
-func (s *Server) meshCacheKey(p meshParams, set [][]float64) uint64 {
-	if !p.partial {
-		req := QueryRequest{K: p.k, Eps: p.eps}
-		if p.knn {
-			return s.cacheKey(opKNN, &req, set, p.approx)
-		}
-		return s.cacheKey(opRange, &req, set, p.approx)
-	}
-	h := fnv.New64a()
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], s.db.Epoch())
-	h.Write(b[:])
-	word := uint64(opKNNSet)
-	if !p.knn {
-		word = uint64(opRangeSet)
-	}
-	binary.LittleEndian.PutUint64(b[:], word)
-	h.Write(b[:])
-	binary.LittleEndian.PutUint64(b[:], uint64(p.i))
-	h.Write(b[:])
-	if p.knn {
-		binary.LittleEndian.PutUint64(b[:], uint64(p.k))
-	} else {
-		binary.LittleEndian.PutUint64(b[:], math.Float64bits(p.eps))
-	}
-	h.Write(b[:])
-	for _, v := range set {
-		binary.LittleEndian.PutUint64(b[:], uint64(len(v)))
-		h.Write(b[:])
-		for _, x := range v {
-			binary.LittleEndian.PutUint64(b[:], math.Float64bits(x))
-			h.Write(b[:])
-		}
-	}
-	return h.Sum64()
-}
-
-// Partial-matching op words for the cache key space; disjoint from the
-// opKNN/opRange words by value.
-const (
-	opKNNSet queryOp = iota + 2
-	opRangeSet
-)
-
-// meshSearch runs the search stage of one mesh query against the
-// backend (no slot, no cache — the callers own those).
-func (s *Server) meshSearch(p meshParams, set [][]float64) (cluster.Result, error) {
-	switch {
-	case p.partial && p.knn:
-		return s.db.KNNSet(set, p.k, p.setQuery())
-	case p.partial:
-		return s.db.RangeSet(set, p.eps, p.setQuery())
-	case p.knn && p.approx:
-		return s.approxKNN(set, p.k)
-	case p.knn:
-		return s.db.KNN(set, p.k)
-	case p.approx:
-		s.approxM.queries.Add(1)
-		return s.db.RangeApprox(set, p.eps)
-	}
-	return s.db.Range(set, p.eps)
 }
 
 // meshExtraction is one mesh query's pipeline state up to (and
@@ -289,7 +205,7 @@ func (s *Server) handleQueryMesh(w http.ResponseWriter, r *http.Request) {
 	m := &s.meshM
 	m.count.Add(1)
 	start := time.Now()
-	p, err := s.parseMeshParams(r.URL.Query())
+	q, err := s.parseMeshParams(r.URL.Query())
 	if err != nil {
 		m.errors.Add(1)
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
@@ -319,70 +235,39 @@ func (s *Server) handleQueryMesh(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	key := s.meshCacheKey(p, ex.set)
-	if res, ok := s.cache.get(key); ok {
-		m.cacheHits.Add(1)
-		s.meshStages.observe(ex.stages)
-		m.latency.observe(time.Since(start))
-		writeJSON(w, http.StatusOK, MeshQueryResponse{
-			Neighbors: res, Set: ex.set,
-			Triangles: ex.triangles, Voxels: ex.voxels,
-			Cached: true, ElapsedMS: msSince(start), Stages: ex.stages,
-		})
-		return
-	}
-
-	ctx, cancel := context.WithTimeout(r.Context(), s.timeout)
-	defer cancel()
+	q.Set = ex.set
 	t := time.Now()
-	res, err := s.run(ctx, func() (cluster.Result, error) { return s.meshSearch(p, ex.set) })
-	ex.stages.SearchMS = msSince(t)
-	if err != nil {
-		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-			m.timeouts.Add(1)
-			writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "query timed out or server shutting down"})
-			return
-		}
-		m.errors.Add(1)
-		writeJSON(w, http.StatusBadGateway, errorResponse{Error: err.Error()})
+	out, ok := s.execute(w, r, m, start, []vsdb.Query{q})
+	if !ok {
 		return
 	}
-	resp := s.meshResponse(p, ex, res, key)
+	if !out[0].Cached {
+		ex.stages.SearchMS = msSince(t)
+	}
+	resp := meshResponse(ex, out[0])
 	resp.ElapsedMS = msSince(start)
 	s.meshStages.observe(ex.stages)
 	m.latency.observe(time.Since(start))
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// meshResponse assembles one mesh query's response body, caching the
-// neighbors when the answer is complete (a degraded partial answer is
-// not the answer — never cached, same rule as /knn).
-func (s *Server) meshResponse(p meshParams, ex meshExtraction, res cluster.Result, key uint64) MeshQueryResponse {
-	out := make([]Neighbor, len(res.Neighbors))
-	for i, nb := range res.Neighbors {
-		out[i] = Neighbor{ID: nb.ID, Dist: nb.Dist}
+// meshResponse wraps one executed query's answer with the pipeline
+// metadata of the mesh it was extracted from.
+func meshResponse(ex meshExtraction, qr QueryResponse) MeshQueryResponse {
+	return MeshQueryResponse{
+		Neighbors:   qr.Neighbors,
+		Set:         ex.set,
+		Triangles:   ex.triangles,
+		Voxels:      ex.voxels,
+		Cached:      qr.Cached,
+		Stages:      ex.stages,
+		Partial:     qr.Partial,
+		ShardErrors: qr.ShardErrors,
 	}
-	resp := MeshQueryResponse{
-		Neighbors: out,
-		Set:       ex.set,
-		Triangles: ex.triangles,
-		Voxels:    ex.voxels,
-		Stages:    ex.stages,
-		Partial:   res.Partial,
-	}
-	if res.Partial {
-		resp.ShardErrors = make(map[string]string, len(res.Errors))
-		for shard, serr := range res.Errors {
-			resp.ShardErrors[strconv.Itoa(shard)] = serr.Error()
-		}
-	} else {
-		s.cache.put(key, out)
-	}
-	return resp
 }
 
 // batchMeshParams mirrors parseMeshParams for one batch entry.
-func (s *Server) batchMeshParams(q *MeshBatchQuery) (meshParams, error) {
+func (s *Server) batchMeshParams(q *MeshBatchQuery) (vsdb.Query, error) {
 	v := url.Values{}
 	if q.K != 0 {
 		v.Set("k", strconv.Itoa(q.K))
@@ -404,9 +289,9 @@ func (s *Server) batchMeshParams(q *MeshBatchQuery) (meshParams, error) {
 
 // handleQueryMeshBatch answers N mesh queries in one request. Every
 // entry is validated, parsed and extracted up front (a bad entry fails
-// the batch with its index), cached entries answer immediately, and the
-// misses run sequentially on ONE query slot under ONE request timeout —
-// the same slot discipline as /knn/batch.
+// the batch with its index); the extracted queries then execute exactly
+// like a /knn/batch: cached entries answer immediately, the misses run as
+// one Search on ONE query slot under ONE request timeout.
 func (s *Server) handleQueryMeshBatch(w http.ResponseWriter, r *http.Request) {
 	m := &s.meshBatchM
 	m.count.Add(1)
@@ -439,7 +324,7 @@ func (s *Server) handleQueryMeshBatch(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 		return
 	}
-	params := make([]meshParams, n)
+	qs := make([]vsdb.Query, n)
 	exs := make([]meshExtraction, n)
 	for i := range req.Queries {
 		q := &req.Queries[i]
@@ -448,7 +333,7 @@ func (s *Server) handleQueryMeshBatch(w http.ResponseWriter, r *http.Request) {
 			writeJSON(w, http.StatusRequestEntityTooLarge, errorResponse{Error: fmt.Sprintf("query %d: mesh exceeds %d bytes", i, s.maxMeshBytes)})
 			return
 		}
-		if params[i], err = s.batchMeshParams(q); err == nil {
+		if qs[i], err = s.batchMeshParams(q); err == nil {
 			exs[i], err = s.extractMesh(q.STL, cfg)
 		}
 		if err != nil {
@@ -456,63 +341,32 @@ func (s *Server) handleQueryMeshBatch(w http.ResponseWriter, r *http.Request) {
 			writeJSON(w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("query %d: %v", i, err)})
 			return
 		}
+		qs[i].Set = exs[i].set
 	}
 
-	keys := make([]uint64, n)
+	t := time.Now()
+	out, ok := s.execute(w, r, m, start, qs)
+	if !ok {
+		return
+	}
+	// The misses shared one Search; each reports an equal share of its
+	// wall time as its search stage, so the stage histogram's sum still
+	// is the time spent searching.
+	misses := 0
+	for i := range out {
+		if !out[i].Cached {
+			misses++
+		}
+	}
+	searchMS := msSince(t) / float64(max(misses, 1))
 	results := make([]MeshQueryResponse, n)
-	var missIdx []int
-	for i := range params {
-		keys[i] = s.meshCacheKey(params[i], exs[i].set)
-		if res, ok := s.cache.get(keys[i]); ok {
-			m.cacheHits.Add(1)
-			results[i] = MeshQueryResponse{
-				Neighbors: res, Set: exs[i].set,
-				Triangles: exs[i].triangles, Voxels: exs[i].voxels,
-				Cached: true, Stages: exs[i].stages,
-			}
-			continue
+	for i := range out {
+		if !out[i].Cached {
+			exs[i].stages.SearchMS = searchMS
 		}
-		missIdx = append(missIdx, i)
-	}
-
-	if len(missIdx) > 0 {
-		ctx, cancel := context.WithTimeout(r.Context(), s.timeout)
-		defer cancel()
-		type miss struct {
-			i   int
-			res cluster.Result
-			dur float64
-		}
-		misses, err := runSlot(s, ctx, func() ([]miss, error) {
-			out := make([]miss, 0, len(missIdx))
-			for _, i := range missIdx {
-				t := time.Now()
-				res, err := s.meshSearch(params[i], exs[i].set)
-				if err != nil {
-					return nil, err
-				}
-				out = append(out, miss{i, res, msSince(t)})
-			}
-			return out, nil
-		})
-		if err != nil {
-			if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-				m.timeouts.Add(1)
-				writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "query timed out or server shutting down"})
-				return
-			}
-			m.errors.Add(1)
-			writeJSON(w, http.StatusBadGateway, errorResponse{Error: err.Error()})
-			return
-		}
-		for _, ms := range misses {
-			exs[ms.i].stages.SearchMS = ms.dur
-			results[ms.i] = s.meshResponse(params[ms.i], exs[ms.i], ms.res, keys[ms.i])
-		}
-	}
-	for i := range results {
+		results[i] = meshResponse(exs[i], out[i])
 		results[i].ElapsedMS = msSince(start)
-		s.meshStages.observe(results[i].Stages)
+		s.meshStages.observe(exs[i].stages)
 	}
 	m.latency.observe(time.Since(start))
 	writeJSON(w, http.StatusOK, MeshBatchResponse{Results: results, ElapsedMS: msSince(start)})

@@ -128,10 +128,10 @@ func TestQueryMeshParityBothModes(t *testing.T) {
 	checks := []check{
 		{"k=5", db.KNN(qset, 5)},
 		{"k=5&dist=minimal", db.KNN(qset, 5)},
-		{"k=5&dist=partial", db.KNNSet(qset, 5, vsdb.SetQuery{Partial: true})},
-		{"k=5&dist=partial&i=3", db.KNNSet(qset, 5, vsdb.SetQuery{Partial: true, I: 3})},
+		{"k=5&dist=partial", searchOne(db, vsdb.Query{Set: qset, Kind: vsdb.KNN, K: 5, Match: vsdb.SetQuery{Partial: true}})},
+		{"k=5&dist=partial&i=3", searchOne(db, vsdb.Query{Set: qset, Kind: vsdb.KNN, K: 5, Match: vsdb.SetQuery{Partial: true, I: 3}})},
 		{"eps=1.25", db.Range(qset, 1.25)},
-		{"eps=1.25&dist=partial&i=2", db.RangeSet(qset, 1.25, vsdb.SetQuery{Partial: true, I: 2})},
+		{"eps=1.25&dist=partial&i=2", searchOne(db, vsdb.Query{Set: qset, Kind: vsdb.Range, Eps: 1.25, Match: vsdb.SetQuery{Partial: true, I: 2}})},
 	}
 	for _, mode := range []struct {
 		name, url string

@@ -8,9 +8,9 @@
 //	                                                N k-nn queries in one
 //	                                                round trip, answered
 //	                                                against one database
-//	                                                epoch per k; entry i
-//	                                                equals a /knn call
-//	                                                with queries[i]
+//	                                                epoch; entry i equals
+//	                                                a /knn call with
+//	                                                queries[i]
 //	POST /range    {"set": [[...],...], "eps": 1.5} ε-range under dist_mm
 //	POST /query/mesh?k=10                           query by upload: a raw
 //	                                                STL body is voxelized,
@@ -133,9 +133,9 @@ type Config struct {
 }
 
 // backend is the serving surface shared by a single vsdb database and a
-// sharded cluster coordinator: queries return a cluster.Result (always
-// complete and error-free for a single database), mutations report
-// routing or shard failures as errors.
+// sharded cluster coordinator: one Search for every query form, which
+// returns cluster.Results (always complete and error-free for a single
+// database); mutations report routing or shard failures as errors.
 type backend interface {
 	Len() int
 	Dim() int
@@ -145,75 +145,25 @@ type backend interface {
 	Insert(id uint64, set [][]float64) error
 	Delete(id uint64) error
 	Compact() error
-	KNN(query [][]float64, k int) (cluster.Result, error)
-	KNNBatch(queries [][][]float64, k int) ([]cluster.Result, error)
-	Range(query [][]float64, eps float64) (cluster.Result, error)
-	KNNSet(query [][]float64, k int, q vsdb.SetQuery) (cluster.Result, error)
-	RangeSet(query [][]float64, eps float64, q vsdb.SetQuery) (cluster.Result, error)
-	KNNApprox(query [][]float64, k int) (cluster.Result, error)
-	KNNBatchApprox(queries [][][]float64, k int) ([]cluster.Result, error)
-	RangeApprox(query [][]float64, eps float64) (cluster.Result, error)
-	ApproxEnabled() bool
-	SketchCandidates() int64
-	Refinements() int64
-	WALRecords() int64
-	DeltaLen() int
-	TombstoneRatio() float64
-	Compactions() int64
+	Search(qs []vsdb.Query) ([]cluster.Result, error)
+	Stats() vsdb.Stats
 }
 
-// singleDB adapts *vsdb.DB to the backend interface: its queries cannot
-// partially fail, so they always return a complete Result and nil error.
-type singleDB struct{ db *vsdb.DB }
+// singleDB adapts *vsdb.DB to the backend interface. Only the two
+// methods that can fail in a cluster differ in shape: a single database's
+// queries cannot partially fail, so Search always returns complete
+// Results and a nil error.
+type singleDB struct{ *vsdb.DB }
 
-func (b singleDB) Len() int                                { return b.db.Len() }
-func (b singleDB) Dim() int                                { return b.db.Dim() }
-func (b singleDB) MaxCard() int                            { return b.db.MaxCard() }
-func (b singleDB) Epoch() uint64                           { return b.db.Epoch() }
-func (b singleDB) Get(id uint64) [][]float64               { return b.db.Get(id) }
-func (b singleDB) Insert(id uint64, set [][]float64) error { return b.db.Insert(id, set) }
-func (b singleDB) Delete(id uint64) error                  { return b.db.Delete(id) }
-func (b singleDB) Compact() error                          { b.db.Compact(); return nil }
-func (b singleDB) Refinements() int64                      { return b.db.Refinements() }
-func (b singleDB) WALRecords() int64                       { return b.db.WALRecords() }
-func (b singleDB) DeltaLen() int                           { return b.db.DeltaLen() }
-func (b singleDB) TombstoneRatio() float64                 { return b.db.TombstoneRatio() }
-func (b singleDB) Compactions() int64                      { return b.db.Compactions() }
-func (b singleDB) KNN(q [][]float64, k int) (cluster.Result, error) {
-	return cluster.Result{Neighbors: b.db.KNN(q, k)}, nil
-}
-func (b singleDB) KNNBatch(qs [][][]float64, k int) ([]cluster.Result, error) {
-	lists := b.db.KNNBatch(qs, k)
+func (b singleDB) Compact() error { b.DB.Compact(); return nil }
+
+func (b singleDB) Search(qs []vsdb.Query) ([]cluster.Result, error) {
+	lists := b.DB.Search(qs)
 	out := make([]cluster.Result, len(lists))
 	for i, l := range lists {
 		out[i] = cluster.Result{Neighbors: l}
 	}
 	return out, nil
-}
-func (b singleDB) Range(q [][]float64, eps float64) (cluster.Result, error) {
-	return cluster.Result{Neighbors: b.db.Range(q, eps)}, nil
-}
-func (b singleDB) KNNSet(q [][]float64, k int, sq vsdb.SetQuery) (cluster.Result, error) {
-	return cluster.Result{Neighbors: b.db.KNNSet(q, k, sq)}, nil
-}
-func (b singleDB) RangeSet(q [][]float64, eps float64, sq vsdb.SetQuery) (cluster.Result, error) {
-	return cluster.Result{Neighbors: b.db.RangeSet(q, eps, sq)}, nil
-}
-func (b singleDB) ApproxEnabled() bool     { return b.db.ApproxEnabled() }
-func (b singleDB) SketchCandidates() int64 { return b.db.SketchCandidates() }
-func (b singleDB) KNNApprox(q [][]float64, k int) (cluster.Result, error) {
-	return cluster.Result{Neighbors: b.db.KNNApprox(q, k)}, nil
-}
-func (b singleDB) KNNBatchApprox(qs [][][]float64, k int) ([]cluster.Result, error) {
-	lists := b.db.KNNBatchApprox(qs, k)
-	out := make([]cluster.Result, len(lists))
-	for i, l := range lists {
-		out[i] = cluster.Result{Neighbors: l}
-	}
-	return out, nil
-}
-func (b singleDB) RangeApprox(q [][]float64, eps float64) (cluster.Result, error) {
-	return cluster.Result{Neighbors: b.db.RangeApprox(q, eps)}, nil
 }
 
 // Server serves a vsdb database or cluster over HTTP. Create with New,
@@ -449,23 +399,16 @@ func writeJSON(w http.ResponseWriter, code int, body interface{}) {
 }
 
 func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
-	s.handleQuery(w, r, &s.knnM, opKNN)
+	s.handleQuery(w, r, &s.knnM, vsdb.KNN)
 }
 
 func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
-	s.handleQuery(w, r, &s.rangeM, opRange)
+	s.handleQuery(w, r, &s.rangeM, vsdb.Range)
 }
 
-type queryOp int
-
-const (
-	opKNN queryOp = iota
-	opRange
-)
-
-// handleQuery is the shared /knn + /range path: decode, validate, cache
-// lookup, bounded + timed execution, cache fill.
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, m *endpointMetrics, op queryOp) {
+// handleQuery is the shared /knn + /range path: decode, validate, then
+// execute a batch of one.
+func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, m *endpointMetrics, kind vsdb.Kind) {
 	m.count.Add(1)
 	start := time.Now()
 	var req QueryRequest
@@ -474,65 +417,80 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, m *endpoint
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "invalid JSON: " + err.Error()})
 		return
 	}
-	set, err := s.resolveQuerySet(&req)
-	if err == nil {
-		err = s.validateParams(&req, op)
-	}
+	q, err := s.resolveQuery(&req, kind)
 	if err != nil {
 		m.errors.Add(1)
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 		return
 	}
-
-	approx := s.useApprox(req.Approx)
-	key := s.cacheKey(op, &req, set, approx)
-	if res, ok := s.cache.get(key); ok {
-		m.cacheHits.Add(1)
-		m.latency.observe(time.Since(start))
-		writeJSON(w, http.StatusOK, QueryResponse{
-			Neighbors: res, Cached: true,
-			ElapsedMS: float64(time.Since(start)) / float64(time.Millisecond),
-		})
+	out, ok := s.execute(w, r, m, start, []vsdb.Query{q})
+	if !ok {
 		return
 	}
+	m.latency.observe(time.Since(start))
+	writeJSON(w, http.StatusOK, out[0])
+}
 
+// execute is the one path every query endpoint answers through, whatever
+// it decoded its queries from: each entry is probed against the query
+// cache, the misses run as ONE backend Search on ONE query slot under ONE
+// request timeout, and complete answers fill the cache. Singles are
+// batches of one. On failure it has written the error response (503 for a
+// timeout, 502 for a strict-mode shard failure: the coordinator could not
+// gather a complete answer) and counted it in m, and returns false.
+func (s *Server) execute(w http.ResponseWriter, r *http.Request, m *endpointMetrics, start time.Time, qs []vsdb.Query) ([]QueryResponse, bool) {
+	epoch := s.db.Epoch()
+	out := make([]QueryResponse, len(qs))
+	keys := make([]uint64, len(qs))
+	var misses []vsdb.Query
+	for i := range qs {
+		keys[i] = cacheKey(epoch, &qs[i])
+		if res, ok := s.cache.get(keys[i]); ok {
+			m.cacheHits.Add(1)
+			out[i] = QueryResponse{Neighbors: res, Cached: true, ElapsedMS: msSince(start)}
+			continue
+		}
+		misses = append(misses, qs[i])
+	}
+	if len(misses) == 0 {
+		return out, true
+	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.timeout)
 	defer cancel()
-	res, err := s.run(ctx, func() (cluster.Result, error) {
-		switch {
-		case op == opKNN && approx:
-			return s.approxKNN(set, req.K)
-		case op == opKNN:
-			return s.db.KNN(set, req.K)
-		case approx:
-			s.approxM.queries.Add(1)
-			return s.db.RangeApprox(set, req.Eps)
-		}
-		return s.db.Range(set, req.Eps)
-	})
+	res, err := s.run(ctx, func() ([]cluster.Result, error) { return s.search(misses, len(qs) == 1) })
 	if err != nil {
 		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
 			m.timeouts.Add(1)
 			writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "query timed out or server shutting down"})
-			return
+			return nil, false
 		}
-		// A strict-mode shard failure: the coordinator could not gather
-		// a complete answer.
 		m.errors.Add(1)
 		writeJSON(w, http.StatusBadGateway, errorResponse{Error: err.Error()})
-		return
+		return nil, false
 	}
+	j := 0 // res[j] answers the j-th miss
+	for i := range out {
+		if out[i].Cached {
+			continue
+		}
+		out[i] = s.queryResponse(res[j], keys[i])
+		out[i].ElapsedMS = msSince(start)
+		j++
+	}
+	return out, true
+}
+
+// queryResponse turns one backend result into its response body, caching
+// the neighbors under key when the answer is complete. A degraded partial
+// answer is not the answer: it carries the per-shard errors and is never
+// cached.
+func (s *Server) queryResponse(res cluster.Result, key uint64) QueryResponse {
 	out := make([]Neighbor, len(res.Neighbors))
 	for i, nb := range res.Neighbors {
 		out[i] = Neighbor{ID: nb.ID, Dist: nb.Dist}
 	}
-	resp := QueryResponse{
-		Neighbors: out,
-		Partial:   res.Partial,
-		ElapsedMS: float64(time.Since(start)) / float64(time.Millisecond),
-	}
+	resp := QueryResponse{Neighbors: out, Partial: res.Partial}
 	if res.Partial {
-		// A degraded answer is not the answer: never cache it.
 		resp.ShardErrors = make(map[string]string, len(res.Errors))
 		for shard, serr := range res.Errors {
 			resp.ShardErrors[strconv.Itoa(shard)] = serr.Error()
@@ -540,8 +498,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, m *endpoint
 	} else {
 		s.cache.put(key, out)
 	}
-	m.latency.observe(time.Since(start))
-	writeJSON(w, http.StatusOK, resp)
+	return resp
 }
 
 // useApprox resolves a request's query mode: the per-request override if
@@ -553,22 +510,54 @@ func (s *Server) useApprox(override *bool) bool {
 	return s.approx
 }
 
-// approxKNN answers one k-nn query through the approximate tier and,
-// every approxSample-th such query, shadow-runs the exact engine on the
-// same slot to fold a recall@k observation into /metrics. A shadow
-// failure (or a degraded partial answer on either side) drops the sample,
-// never the query.
-func (s *Server) approxKNN(set [][]float64, k int) (cluster.Result, error) {
-	n := s.approxM.queries.Add(1)
-	res, err := s.db.KNNApprox(set, k)
-	if err != nil || res.Partial || s.approxSample <= 0 || n%int64(s.approxSample) != 0 {
+// search runs the backend Search on the caller's query slot, counting
+// approximate entries into /metrics. With sample set (a single-entry
+// request) every approxSample-th approximate k-nn is additionally
+// shadow-run against the exact engine on the same slot, folding a
+// recall@k observation into /metrics. A shadow failure (or a degraded
+// partial answer on either side) drops the sample, never the query.
+func (s *Server) search(qs []vsdb.Query, sample bool) ([]cluster.Result, error) {
+	var approx int64
+	for i := range qs {
+		if qs[i].Approx {
+			approx++
+		}
+	}
+	n := s.approxM.queries.Add(approx)
+	res, err := s.db.Search(qs)
+	if err != nil || !sample || !qs[0].Approx || qs[0].Kind != vsdb.KNN || res[0].Partial ||
+		s.approxSample <= 0 || n%int64(s.approxSample) != 0 {
 		return res, err
 	}
-	exact, eerr := s.db.KNN(set, k)
-	if eerr == nil && !exact.Partial {
-		s.approxM.observeRecall(res.Neighbors, exact.Neighbors)
+	shadow := qs[0]
+	shadow.Approx = false
+	if exact, eerr := s.db.Search([]vsdb.Query{shadow}); eerr == nil && !exact[0].Partial {
+		s.approxM.observeRecall(res[0].Neighbors, exact[0].Neighbors)
 	}
-	return res, err
+	return res, nil
+}
+
+// resolveQuery validates one /knn, /range or /knn/batch entry and turns
+// it into the query it asks for: the set inline or fetched by stored id,
+// k or eps by kind, the mode from the request or the server default.
+func (s *Server) resolveQuery(req *QueryRequest, kind vsdb.Kind) (vsdb.Query, error) {
+	set, err := s.resolveQuerySet(req)
+	if err != nil {
+		return vsdb.Query{}, err
+	}
+	q := vsdb.Query{Set: set, Kind: kind, Approx: s.useApprox(req.Approx)}
+	if kind == vsdb.KNN {
+		if req.K <= 0 || req.K > s.maxK {
+			return q, fmt.Errorf("k must be in [1, %d], got %d", s.maxK, req.K)
+		}
+		q.K = req.K
+		return q, nil
+	}
+	if req.Eps < 0 || math.IsNaN(req.Eps) || math.IsInf(req.Eps, 0) {
+		return q, fmt.Errorf("eps must be a finite value ≥ 0, got %v", req.Eps)
+	}
+	q.Eps = req.Eps
+	return q, nil
 }
 
 // resolveQuerySet returns the query vector set, either inline or fetched
@@ -602,37 +591,16 @@ func (s *Server) resolveQuerySet(req *QueryRequest) ([][]float64, error) {
 	return req.Set, nil
 }
 
-func (s *Server) validateParams(req *QueryRequest, op queryOp) error {
-	if op == opKNN {
-		if req.K <= 0 || req.K > s.maxK {
-			return fmt.Errorf("k must be in [1, %d], got %d", s.maxK, req.K)
-		}
-		return nil
-	}
-	if req.Eps < 0 || math.IsNaN(req.Eps) || math.IsInf(req.Eps, 0) {
-		return fmt.Errorf("eps must be a finite value ≥ 0, got %v", req.Eps)
-	}
-	return nil
-}
-
 // run executes fn on a bounded query slot, abandoning the wait (but not
 // corrupting anything — the database is read-only) when ctx expires.
-func (s *Server) run(ctx context.Context, fn func() (cluster.Result, error)) (cluster.Result, error) {
-	return runSlot(s, ctx, fn)
-}
-
-// runSlot is run's core, generic over the result shape because the batch
-// path returns a slice of results on one slot. (A package-level function
-// because Go methods cannot carry type parameters.)
-func runSlot[T any](s *Server, ctx context.Context, fn func() (T, error)) (T, error) {
-	var zero T
+func (s *Server) run(ctx context.Context, fn func() ([]cluster.Result, error)) ([]cluster.Result, error) {
 	select {
 	case s.sem <- struct{}{}:
 	case <-ctx.Done():
-		return zero, ctx.Err()
+		return nil, ctx.Err()
 	}
 	type outcome struct {
-		res T
+		res []cluster.Result
 		err error
 	}
 	done := make(chan outcome, 1)
@@ -645,45 +613,54 @@ func runSlot[T any](s *Server, ctx context.Context, fn func() (T, error)) (T, er
 	case o := <-done:
 		return o.res, o.err
 	case <-ctx.Done():
-		return zero, ctx.Err()
+		return nil, ctx.Err()
 	}
 }
 
-// cacheKey digests (epoch, op, parameter, query set) into the LRU key.
-// The parameter is hashed bit-exactly, so k-nn with different k or range
-// with different ε never collide by construction of the prefix. The
-// database epoch leads the digest: any mutation advances it, so every
-// entry cached against the previous state simply stops being reachable —
-// the stale-neighbor bug of serving a pre-insert result after the
-// database has changed cannot occur. (Compaction does not advance the
-// epoch: it changes the representation, not the answers, so those cache
-// entries stay correct and stay live. A cluster's epoch is the sum of
-// its shard epochs — also advanced by every mutation.) The resolved
-// query mode is part of the key: an approximate answer must never be
-// served to an exact request, nor the reverse.
-func (s *Server) cacheKey(op queryOp, req *QueryRequest, set [][]float64, approx bool) uint64 {
+// cacheKey digests (epoch, query) into the LRU key — the one hasher
+// every query endpoint shares, so endpoints that execute the same query
+// answer from the same entry (a minimal-matching /query/mesh upload hits
+// what /knn cached for its extracted set, a /knn/batch entry what /knn
+// did). Kind, mode and matching size lead the digest and the parameter is
+// hashed bit-exactly, so k-nn with different k, range with different ε,
+// approximate and exact, minimal and partial(i) never collide by
+// construction of the prefix: an approximate answer is never served to an
+// exact request, nor the reverse. The database epoch leads everything:
+// any mutation advances it, so every entry cached against the previous
+// state simply stops being reachable — the stale-neighbor bug of serving
+// a pre-insert result after the database has changed cannot occur.
+// (Compaction does not advance the epoch: it changes the representation,
+// not the answers, so those cache entries stay correct and stay live. A
+// cluster's epoch is the sum of its shard epochs — also advanced by every
+// mutation.)
+func cacheKey(epoch uint64, q *vsdb.Query) uint64 {
 	h := fnv.New64a()
 	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], s.db.Epoch())
-	h.Write(b[:])
-	word := uint64(op)
-	if approx {
-		word |= 1 << 32
-	}
-	binary.LittleEndian.PutUint64(b[:], word)
-	h.Write(b[:])
-	if op == opKNN {
-		binary.LittleEndian.PutUint64(b[:], uint64(req.K))
-	} else {
-		binary.LittleEndian.PutUint64(b[:], math.Float64bits(req.Eps))
-	}
-	h.Write(b[:])
-	for _, v := range set {
-		binary.LittleEndian.PutUint64(b[:], uint64(len(v)))
+	word := func(x uint64) {
+		binary.LittleEndian.PutUint64(b[:], x)
 		h.Write(b[:])
+	}
+	word(epoch)
+	mode := uint64(q.Kind)
+	if q.Approx {
+		mode |= 1 << 8
+	}
+	if q.Match.Partial {
+		mode |= 1 << 9
+	}
+	word(mode)
+	if q.Match.Partial {
+		word(uint64(q.Match.I))
+	}
+	if q.Kind == vsdb.KNN {
+		word(uint64(q.K))
+	} else {
+		word(math.Float64bits(q.Eps))
+	}
+	for _, v := range q.Set {
+		word(uint64(len(v)))
 		for _, x := range v {
-			binary.LittleEndian.PutUint64(b[:], math.Float64bits(x))
-			h.Write(b[:])
+			word(math.Float64bits(x))
 		}
 	}
 	return h.Sum64()
@@ -843,12 +820,13 @@ func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.compactM.latency.observe(time.Since(start))
+	st := s.db.Stats()
 	writeJSON(w, http.StatusOK, CompactResponse{
 		Epoch:          s.db.Epoch(),
-		Compactions:    s.db.Compactions(),
-		DeltaObjects:   s.db.DeltaLen(),
-		TombstoneRatio: s.db.TombstoneRatio(),
-		WALRecords:     s.db.WALRecords(),
+		Compactions:    st.Compactions,
+		DeltaObjects:   st.DeltaLen,
+		TombstoneRatio: st.TombstoneRatio,
+		WALRecords:     st.WALRecords,
 	})
 }
 
@@ -892,6 +870,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 // simulated page I/O priced under the paper's cost model, and — in
 // coordinator mode — the per-shard gauges.
 func (s *Server) MetricsSnapshot() MetricsSnapshot {
+	st := s.db.Stats()
 	snap := MetricsSnapshot{
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		Objects:       s.db.Len(),
@@ -910,12 +889,12 @@ func (s *Server) MetricsSnapshot() MetricsSnapshot {
 		},
 		BatchSizes:     s.batchSizes.snapshot(),
 		BatchQueries:   s.batchQueries.Load(),
-		Refinements:    s.db.Refinements(),
+		Refinements:    st.Refinements,
 		Epoch:          s.db.Epoch(),
-		WALRecords:     s.db.WALRecords(),
-		DeltaObjects:   s.db.DeltaLen(),
-		TombstoneRatio: s.db.TombstoneRatio(),
-		Compactions:    s.db.Compactions(),
+		WALRecords:     st.WALRecords,
+		DeltaObjects:   st.DeltaLen,
+		TombstoneRatio: st.TombstoneRatio,
+		Compactions:    st.Compactions,
 	}
 	if s.cluster != nil {
 		snap.ClusterShards = s.cluster.N()
@@ -934,8 +913,8 @@ func (s *Server) MetricsSnapshot() MetricsSnapshot {
 	if s.meshM.count.Load() > 0 || s.meshBatchM.count.Load() > 0 {
 		snap.QueryMeshStages = s.meshStages.snapshot()
 	}
-	if s.db.ApproxEnabled() || s.approxM.queries.Load() > 0 {
-		snap.Approx = s.approxM.snapshot(s.db.ApproxEnabled(), s.approx, s.db.SketchCandidates())
+	if st.ApproxEnabled || s.approxM.queries.Load() > 0 {
+		snap.Approx = s.approxM.snapshot(st.ApproxEnabled, s.approx, st.SketchCandidates)
 	}
 	queries := snap.Endpoints["knn"].Count + snap.Endpoints["range"].Count + snap.BatchQueries
 	if queries > 0 {

@@ -3,20 +3,20 @@ package vsdb
 import (
 	"github.com/voxset/voxset/internal/index/sketch"
 	"github.com/voxset/voxset/internal/parallel"
-	"github.com/voxset/voxset/internal/vectorset"
 )
 
 // Approximate queries (DESIGN.md §12): with Config.Approx (or
-// LoadOptions.Approx) set, the KNNApprox/RangeApprox family answers
-// through the sketch candidate tier — the base index proposes the
-// Hamming-closest objects and only those are refined with the exact
-// matching distance. Every returned distance is still exact; the
-// approximation is recall (base objects the sketch scan failed to
-// propose are missed). Delta-memtable objects are always exact-scanned,
-// exactly as in the exact path, so a freshly inserted object is never
-// missed. Without Approx configured the same methods ARE the exact
-// engine — byte-identical results by construction — so callers can wire
-// one code path and toggle the tier by configuration.
+// LoadOptions.Approx) set, a Query with Approx set answers through the
+// sketch candidate tier — the base index proposes the Hamming-closest
+// objects and only those are refined with the exact matching distance.
+// Every returned distance is still exact; the approximation is recall
+// (base objects the sketch scan failed to propose are missed; for ε-range
+// internal/recall's ε-recall quantifies how many). Delta-memtable
+// objects are always exact-scanned, exactly as in the exact path, so a
+// freshly inserted object is never missed. Without Approx configured the
+// same queries ARE the exact engine — byte-identical results by
+// construction — so callers can wire one code path and toggle the tier by
+// configuration.
 
 // Default candidate-budget policy.
 const (
@@ -81,103 +81,6 @@ func (a *ApproxOptions) rangeBudget() int {
 		return a.RangeCandidates
 	}
 	return DefaultRangeCandidates
-}
-
-// ApproxEnabled reports whether the approximate tier is configured; when
-// false the Approx query methods run the exact engine.
-func (db *DB) ApproxEnabled() bool { return db.cfg.Approx != nil }
-
-// SketchCandidates returns the cumulative number of candidates proposed
-// by approximate scans — the tier's analogue of Refinements. The ratio
-// Refinements/SketchCandidates over an approximate workload is ~1 (each
-// proposed candidate is refined once, plus delta scans).
-func (db *DB) SketchCandidates() int64 {
-	return db.skExtra.Load() + db.cur.Load().base.SketchCandidates()
-}
-
-// KNNApprox answers KNN through the approximate tier: exact distances
-// over a sketch-proposed candidate set. With the tier unconfigured it is
-// exactly KNN.
-func (db *DB) KNNApprox(query [][]float64, k int) []Neighbor {
-	return db.knnApproxView(db.cur.Load(), vectorset.FlatFromRows(query), k)
-}
-
-func (db *DB) knnApproxView(v *view, query vectorset.Flat, k int) []Neighbor {
-	if db.cfg.Approx == nil {
-		return db.knnView(v, query, k)
-	}
-	if k > len(v.ids) {
-		k = len(v.ids)
-	}
-	if k <= 0 {
-		return nil
-	}
-	// Tombstones widen both the fetch and the budget: a tombstoned object
-	// occupying a candidate slot must not evict a live one.
-	budget := db.cfg.Approx.knnBudget(k) + len(v.tomb)
-	out := make([]Neighbor, 0, k+len(v.deltaIDs))
-	for _, nb := range v.base.KNNApproxFlat(query, k+len(v.tomb), budget) {
-		if _, dead := v.tomb[uint64(nb.ID)]; dead {
-			continue
-		}
-		out = append(out, Neighbor{ID: uint64(nb.ID), Dist: nb.Dist})
-	}
-	out = append(out, db.deltaScan(v, query, -1)...)
-	sortNeighbors(out)
-	if len(out) > k {
-		out = out[:k]
-	}
-	return out
-}
-
-// RangeApprox answers Range through the approximate tier: every returned
-// object truly lies within eps (distances are exact), but objects the
-// sketch scan did not propose are missed — internal/recall's ε-recall
-// quantifies how many. With the tier unconfigured it is exactly Range.
-func (db *DB) RangeApprox(query [][]float64, eps float64) []Neighbor {
-	return db.rangeApproxView(db.cur.Load(), vectorset.FlatFromRows(query), eps)
-}
-
-func (db *DB) rangeApproxView(v *view, query vectorset.Flat, eps float64) []Neighbor {
-	if db.cfg.Approx == nil {
-		return db.rangeView(v, query, eps)
-	}
-	budget := db.cfg.Approx.rangeBudget() + len(v.tomb)
-	out := make([]Neighbor, 0, 16)
-	for _, nb := range v.base.RangeApproxFlat(query, eps, budget) {
-		if _, dead := v.tomb[uint64(nb.ID)]; dead {
-			continue
-		}
-		out = append(out, Neighbor{ID: uint64(nb.ID), Dist: nb.Dist})
-	}
-	out = append(out, db.deltaScan(v, query, eps)...)
-	sortNeighbors(out)
-	return out
-}
-
-// KNNBatchApprox is KNNBatch through the approximate tier: one pinned
-// epoch view, queries fanned over the worker pool, per-query results
-// identical to sequential KNNApprox calls at the same epoch.
-func (db *DB) KNNBatchApprox(queries [][][]float64, k int) [][]Neighbor {
-	v := db.cur.Load()
-	flats := flattenQueries(queries)
-	out := make([][]Neighbor, len(queries))
-	db.runBatch(len(queries), func(i int) {
-		out[i] = db.knnApproxView(v, flats[i], k)
-	})
-	return out
-}
-
-// RangeBatchApprox is RangeBatch through the approximate tier (see
-// KNNBatchApprox).
-func (db *DB) RangeBatchApprox(queries [][][]float64, eps float64) [][]Neighbor {
-	v := db.cur.Load()
-	flats := flattenQueries(queries)
-	out := make([][]Neighbor, len(queries))
-	db.runBatch(len(queries), func(i int) {
-		out[i] = db.rangeApproxView(v, flats[i], eps)
-	})
-	return out
 }
 
 // viewSketches returns the signature table of the view's live objects in

@@ -40,31 +40,31 @@ func randomApproxDB(t *testing.T, seed int64, n, workers int) *DB {
 	return db
 }
 
-// TestApproxDisabledIsExact: without Config.Approx the Approx methods
-// are the exact engine, result for result.
+// TestApproxDisabledIsExact: without Config.Approx a Query with Approx set
+// is answered by the exact engine, result for result.
 func TestApproxDisabledIsExact(t *testing.T) {
 	db := randomDB(t, 21, 150)
-	if db.ApproxEnabled() {
+	if db.Stats().ApproxEnabled {
 		t.Fatal("ApproxEnabled without configuration")
 	}
 	rng := rand.New(rand.NewSource(5))
 	qs := [][][]float64{randomQuery(rng), randomQuery(rng), randomQuery(rng)}
 	for _, q := range qs {
-		if got, want := db.KNNApprox(q, 7), db.KNN(q, 7); !reflect.DeepEqual(got, want) {
-			t.Fatalf("KNNApprox differs from KNN:\n%v\n%v", got, want)
+		if got, want := one(db, Query{Set: q, Kind: KNN, K: 7, Approx: true}), db.KNN(q, 7); !reflect.DeepEqual(got, want) {
+			t.Fatalf("approximate k-nn differs from KNN:\n%v\n%v", got, want)
 		}
-		if got, want := db.RangeApprox(q, 2.5), db.Range(q, 2.5); !reflect.DeepEqual(got, want) {
-			t.Fatalf("RangeApprox differs from Range:\n%v\n%v", got, want)
+		if got, want := one(db, Query{Set: q, Kind: Range, Eps: 2.5, Approx: true}), db.Range(q, 2.5); !reflect.DeepEqual(got, want) {
+			t.Fatalf("approximate range differs from Range:\n%v\n%v", got, want)
 		}
 	}
-	if got, want := db.KNNBatchApprox(qs, 7), db.KNNBatch(qs, 7); !reflect.DeepEqual(got, want) {
-		t.Fatal("KNNBatchApprox differs from KNNBatch")
+	if got, want := db.Search(batchOf(qs, Query{Kind: KNN, K: 7, Approx: true})), db.KNNBatch(qs, 7); !reflect.DeepEqual(got, want) {
+		t.Fatal("approximate k-nn batch differs from KNNBatch")
 	}
-	if got, want := db.RangeBatchApprox(qs, 2.5), db.RangeBatch(qs, 2.5); !reflect.DeepEqual(got, want) {
-		t.Fatal("RangeBatchApprox differs from RangeBatch")
+	if got, want := db.Search(batchOf(qs, Query{Kind: Range, Eps: 2.5, Approx: true})), db.Search(batchOf(qs, Query{Kind: Range, Eps: 2.5})); !reflect.DeepEqual(got, want) {
+		t.Fatal("approximate range batch differs from the exact range batch")
 	}
-	if db.SketchCandidates() != 0 {
-		t.Fatalf("exact-only workload proposed %d sketch candidates", db.SketchCandidates())
+	if db.Stats().SketchCandidates != 0 {
+		t.Fatalf("exact-only workload proposed %d sketch candidates", db.Stats().SketchCandidates)
 	}
 }
 
@@ -85,11 +85,11 @@ func TestApproxExactDistancesWithMutations(t *testing.T) {
 	if err := db.Insert(9001, probe); err != nil {
 		t.Fatal(err)
 	}
-	if db.DeltaLen() == 0 {
+	if db.Stats().DeltaLen == 0 {
 		t.Fatal("test expects the insert to land in the delta memtable")
 	}
 
-	got := db.KNNApprox(probe, 15)
+	got := one(db, Query{Set: probe, Kind: KNN, K: 15, Approx: true})
 	if len(got) != 15 {
 		t.Fatalf("got %d neighbors, want 15", len(got))
 	}
@@ -107,7 +107,7 @@ func TestApproxExactDistancesWithMutations(t *testing.T) {
 			t.Fatalf("results out of (dist, id) order at %d", i)
 		}
 	}
-	for _, nb := range db.RangeApprox(probe, 2.0) {
+	for _, nb := range one(db, Query{Set: probe, Kind: Range, Eps: 2.0, Approx: true}) {
 		if nb.Dist > 2.0 || nb.ID < 10 {
 			t.Fatalf("range hit %+v out of bounds", nb)
 		}
@@ -126,10 +126,10 @@ func TestApproxDeterministicAcrossWorkers(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for i := 0; i < 10; i++ {
 		q := randomQuery(rng)
-		if ra, rb := a.KNNApprox(q, 9), b.KNNApprox(q, 9); !reflect.DeepEqual(ra, rb) {
+		if ra, rb := one(a, Query{Set: q, Kind: KNN, K: 9, Approx: true}), one(b, Query{Set: q, Kind: KNN, K: 9, Approx: true}); !reflect.DeepEqual(ra, rb) {
 			t.Fatalf("query %d: workers=1 and workers=4 disagree:\n%v\n%v", i, ra, rb)
 		}
-		if ra, rb := a.RangeApprox(q, 2.2), b.RangeApprox(q, 2.2); !reflect.DeepEqual(ra, rb) {
+		if ra, rb := one(a, Query{Set: q, Kind: Range, Eps: 2.2, Approx: true}), one(b, Query{Set: q, Kind: Range, Eps: 2.2, Approx: true}); !reflect.DeepEqual(ra, rb) {
 			t.Fatalf("range query %d: workers=1 and workers=4 disagree", i)
 		}
 	}
@@ -144,13 +144,13 @@ func TestApproxBatchMatchesSequential(t *testing.T) {
 	for i := range qs {
 		qs[i] = randomQuery(rng)
 	}
-	knn := db.KNNBatchApprox(qs, 6)
-	rng2 := db.RangeBatchApprox(qs, 2.0)
+	knn := db.Search(batchOf(qs, Query{Kind: KNN, K: 6, Approx: true}))
+	rng2 := db.Search(batchOf(qs, Query{Kind: Range, Eps: 2.0, Approx: true}))
 	for i, q := range qs {
-		if want := db.KNNApprox(q, 6); !reflect.DeepEqual(knn[i], want) {
+		if want := one(db, Query{Set: q, Kind: KNN, K: 6, Approx: true}); !reflect.DeepEqual(knn[i], want) {
 			t.Fatalf("batch knn entry %d differs from sequential", i)
 		}
-		if want := db.RangeApprox(q, 2.0); !reflect.DeepEqual(rng2[i], want) {
+		if want := one(db, Query{Set: q, Kind: Range, Eps: 2.0, Approx: true}); !reflect.DeepEqual(rng2[i], want) {
 			t.Fatalf("batch range entry %d differs from sequential", i)
 		}
 	}
@@ -163,8 +163,8 @@ func TestApproxSketchCandidatesCounter(t *testing.T) {
 	db := randomApproxDB(t, 61, 200, 1)
 	rng := rand.New(rand.NewSource(3))
 	q := randomQuery(rng)
-	db.KNNApprox(q, 5)
-	before := db.SketchCandidates()
+	one(db, Query{Set: q, Kind: KNN, K: 5, Approx: true})
+	before := db.Stats().SketchCandidates
 	if before <= 0 {
 		t.Fatalf("counter %d after an approximate query, want > 0", before)
 	}
@@ -172,7 +172,7 @@ func TestApproxSketchCandidatesCounter(t *testing.T) {
 		t.Fatal(err)
 	}
 	db.Compact()
-	if after := db.SketchCandidates(); after < before {
+	if after := db.Stats().SketchCandidates; after < before {
 		t.Fatalf("counter shrank across compaction: %d → %d", before, after)
 	}
 }
@@ -202,7 +202,7 @@ func TestApproxPersistenceRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for i := 0; i < 5; i++ {
 		q := randomQuery(rng)
-		if got, want := back.KNNApprox(q, 8), db.KNNApprox(q, 8); !reflect.DeepEqual(got, want) {
+		if got, want := one(back, Query{Set: q, Kind: KNN, K: 8, Approx: true}), one(db, Query{Set: q, Kind: KNN, K: 8, Approx: true}); !reflect.DeepEqual(got, want) {
 			t.Fatalf("query %d: loaded database disagrees:\n%v\n%v", i, got, want)
 		}
 	}
@@ -223,7 +223,7 @@ func TestApproxPersistenceRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := randomQuery(rng)
-	for _, nb := range reb.KNNApprox(q, 5) {
+	for _, nb := range one(reb, Query{Set: q, Kind: KNN, K: 5, Approx: true}) {
 		if want := reb.Distance(q, reb.Get(nb.ID)); nb.Dist != want {
 			t.Fatalf("rebuilt-tier neighbor %d: dist %v, exact %v", nb.ID, nb.Dist, want)
 		}
@@ -277,11 +277,11 @@ func TestApproxPagedAdoptsPersistedSketches(t *testing.T) {
 	qrng := rand.New(rand.NewSource(6))
 	for qi := 0; qi < 8; qi++ {
 		q := randomQuery(qrng)
-		if got, want := mapped.KNNApprox(q, 10), heap.KNNApprox(q, 10); !reflect.DeepEqual(got, want) {
+		if got, want := one(mapped, Query{Set: q, Kind: KNN, K: 10, Approx: true}), one(heap, Query{Set: q, Kind: KNN, K: 10, Approx: true}); !reflect.DeepEqual(got, want) {
 			t.Fatalf("query %d: mapped and heap tiers disagree:\n%v\n%v", qi, got, want)
 		}
 	}
-	if mapped.SketchCandidates() == 0 {
+	if mapped.Stats().SketchCandidates == 0 {
 		t.Fatal("mapped database proposed no candidates")
 	}
 }

@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// Batch-vs-sequential oracle: KNNBatch and RangeBatch must answer every
+// Batch-vs-sequential oracle: KNNBatch and a Range batch must answer every
 // entry byte-identically to the corresponding single query, for every
 // worker count, against a database with all three layers live (compacted
 // base, delta memtable, tombstones).
@@ -53,9 +53,9 @@ func TestBatchMatchesSequential(t *testing.T) {
 				assertSameNeighbors(t, fmt.Sprintf("KNN query %d", i), batch[i], want)
 			}
 
-			rBatch := db.RangeBatch(queries, eps)
+			rBatch := db.Search(batchOf(queries, Query{Kind: Range, Eps: eps}))
 			if len(rBatch) != len(queries) {
-				t.Fatalf("RangeBatch returned %d lists for %d queries", len(rBatch), len(queries))
+				t.Fatalf("Range batch returned %d lists for %d queries", len(rBatch), len(queries))
 			}
 			for i, q := range queries {
 				assertSameNeighbors(t, fmt.Sprintf("Range query %d", i), rBatch[i], db.Range(q, eps))

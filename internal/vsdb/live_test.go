@@ -373,9 +373,9 @@ func TestUncompactedSnapshotFingerprint(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if db.DeltaLen() == 0 || db.TombstoneRatio() == 0 {
+	if db.Stats().DeltaLen == 0 || db.Stats().TombstoneRatio == 0 {
 		t.Fatalf("precondition: want outstanding delta and tombstones, got %d / %v",
-			db.DeltaLen(), db.TombstoneRatio())
+			db.Stats().DeltaLen, db.Stats().TombstoneRatio)
 	}
 	var liveBuf bytes.Buffer
 	if err := db.Save(&liveBuf); err != nil {

@@ -3,13 +3,12 @@ package vsdb
 import (
 	"github.com/voxset/voxset/internal/dist"
 	"github.com/voxset/voxset/internal/parallel"
-	"github.com/voxset/voxset/internal/vectorset"
 )
 
-// SetQuery selects the set distance a query-by-vector-set runs under.
-// The zero value is the minimal matching distance — exactly what KNN
-// and Range compute — so callers that thread a SetQuery through without
-// touching it lose nothing.
+// SetQuery selects the set distance a Query runs under. The zero value
+// is the minimal matching distance, answered through the filter/refine
+// engine, so callers that thread a SetQuery through without touching it
+// lose nothing.
 //
 // Partial switches to the partial matching distance of §4.1: the
 // cheapest pairing of i query vectors with i distinct object vectors,
@@ -43,35 +42,20 @@ func (q SetQuery) partialI(nq, nobj int) int {
 	return i
 }
 
-// KNNSet returns the k nearest stored objects to an ad-hoc query vector
-// set under the distance selected by q. With the zero SetQuery it is
-// exactly KNN (same code path, byte-identical results); with q.Partial
-// it ranks by the partial matching distance via an exact scan. Results
-// are deterministic and identical at any worker count.
-func (db *DB) KNNSet(query [][]float64, k int, q SetQuery) []Neighbor {
-	v := db.cur.Load()
-	if !q.Partial {
-		return db.knnView(v, vectorset.FlatFromRows(query), k)
+// partialView answers one Match.Partial query against a pinned view by
+// exact scan: every live object within Eps for a Range query, the K
+// nearest for a KNN query. Deterministic and identical at any worker
+// count.
+func (db *DB) partialView(v *view, q *Query) []Neighbor {
+	if q.Kind == Range {
+		return db.partialScan(v, q.Set, q.Match, q.Eps)
 	}
-	out := db.partialScan(v, query, q, -1)
-	if k > len(out) {
-		k = len(out)
-	}
+	out := db.partialScan(v, q.Set, q.Match, -1)
+	k := min(q.K, len(out))
 	if k <= 0 {
 		return nil
 	}
 	return out[:k:k]
-}
-
-// RangeSet returns all stored objects within eps of the query set under
-// the distance selected by q (Range for the zero SetQuery, an exact
-// partial-matching scan with q.Partial).
-func (db *DB) RangeSet(query [][]float64, eps float64, q SetQuery) []Neighbor {
-	v := db.cur.Load()
-	if !q.Partial {
-		return db.rangeView(v, vectorset.FlatFromRows(query), eps)
-	}
-	return db.partialScan(v, query, q, eps)
 }
 
 // partialScan computes the partial matching distance from query to

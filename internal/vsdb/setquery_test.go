@@ -57,11 +57,11 @@ func TestKNNSetMinimalEqualsKNN(t *testing.T) {
 	defer db.Close()
 	for trial := 0; trial < 10; trial++ {
 		q := randQuerySet(rng, 1+rng.Intn(5), 3)
-		if got, want := db.KNNSet(q, 7, SetQuery{}), db.KNN(q, 7); !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d: KNNSet(zero) %v != KNN %v", trial, got, want)
+		if got, want := one(db, Query{Set: q, Kind: KNN, K: 7, Match: SetQuery{}}), db.KNN(q, 7); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: k-nn with the zero Match %v != KNN %v", trial, got, want)
 		}
-		if got, want := db.RangeSet(q, 2.5, SetQuery{}), db.Range(q, 2.5); !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d: RangeSet(zero) %v != Range %v", trial, got, want)
+		if got, want := one(db, Query{Set: q, Kind: Range, Eps: 2.5, Match: SetQuery{}}), db.Range(q, 2.5); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: range with the zero Match %v != Range %v", trial, got, want)
 		}
 	}
 }
@@ -89,9 +89,9 @@ func TestKNNSetPartialAgainstReference(t *testing.T) {
 			if k > len(want) {
 				k = len(want)
 			}
-			got := db.KNNSet(q, k, sq)
+			got := one(db, Query{Set: q, Kind: KNN, K: k, Match: sq})
 			if !reflect.DeepEqual(got, want[:k]) {
-				t.Fatalf("trial %d %+v: KNNSet %v, reference %v", trial, sq, got, want[:k])
+				t.Fatalf("trial %d %+v: partial k-nn %v, reference %v", trial, sq, got, want[:k])
 			}
 
 			eps := want[len(want)/3].Dist
@@ -101,9 +101,9 @@ func TestKNNSetPartialAgainstReference(t *testing.T) {
 					wantRange = append(wantRange, nb)
 				}
 			}
-			gotRange := db.RangeSet(q, eps, sq)
+			gotRange := one(db, Query{Set: q, Kind: Range, Eps: eps, Match: sq})
 			if !reflect.DeepEqual(gotRange, wantRange) {
-				t.Fatalf("trial %d %+v: RangeSet %v, reference %v", trial, sq, gotRange, wantRange)
+				t.Fatalf("trial %d %+v: partial range %v, reference %v", trial, sq, gotRange, wantRange)
 			}
 		}
 	}
@@ -119,7 +119,7 @@ func TestKNNSetPartialWorkerInvariance(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		q := randQuerySet(rng, 1+rng.Intn(5), 3)
 		sq := SetQuery{Partial: true, I: 1 + trial%3}
-		if got1, got4 := db1.KNNSet(q, 9, sq), db4.KNNSet(q, 9, sq); !reflect.DeepEqual(got1, got4) {
+		if got1, got4 := one(db1, Query{Set: q, Kind: KNN, K: 9, Match: sq}), one(db4, Query{Set: q, Kind: KNN, K: 9, Match: sq}); !reflect.DeepEqual(got1, got4) {
 			t.Fatalf("trial %d: workers=1 %v, workers=4 %v", trial, got1, got4)
 		}
 	}
@@ -130,20 +130,20 @@ func TestKNNSetPartialWorkerInvariance(t *testing.T) {
 func TestKNNSetPartialEmptyAndEdge(t *testing.T) {
 	db, _ := buildSetQueryDB(t, 10, 2)
 	defer db.Close()
-	if got := db.KNNSet(nil, 5, SetQuery{Partial: true}); got != nil {
+	if got := one(db, Query{Set: nil, Kind: KNN, K: 5, Match: SetQuery{Partial: true}}); got != nil {
 		t.Fatalf("empty query: got %v, want nil", got)
 	}
 	q := [][]float64{{0, 0, 0}}
-	if got := db.KNNSet(q, 1000, SetQuery{Partial: true}); len(got) != db.Len() {
+	if got := one(db, Query{Set: q, Kind: KNN, K: 1000, Match: SetQuery{Partial: true}}); len(got) != db.Len() {
 		t.Fatalf("k beyond size: got %d results, want %d", len(got), db.Len())
 	}
-	if got := db.KNNSet(q, 0, SetQuery{Partial: true}); got != nil {
+	if got := one(db, Query{Set: q, Kind: KNN, K: 0, Match: SetQuery{Partial: true}}); got != nil {
 		t.Fatalf("k=0: got %v, want nil", got)
 	}
 	// I=0 (auto) at i=min cardinality must rank the exact duplicate of a
 	// stored set first at distance 0.
 	stored := db.Get(db.IDs()[4])
-	got := db.KNNSet(stored, 1, SetQuery{Partial: true})
+	got := one(db, Query{Set: stored, Kind: KNN, K: 1, Match: SetQuery{Partial: true}})
 	if len(got) != 1 || got[0].Dist != 0 {
 		t.Fatalf("self query: got %v, want a distance-0 hit", got)
 	}

@@ -49,6 +49,7 @@ import (
 	"sync/atomic"
 
 	"github.com/voxset/voxset/internal/dist"
+	"github.com/voxset/voxset/internal/index"
 	"github.com/voxset/voxset/internal/index/filter"
 	"github.com/voxset/voxset/internal/index/sketch"
 	"github.com/voxset/voxset/internal/parallel"
@@ -106,9 +107,9 @@ type Config struct {
 	// 0 means DefaultCompactRatio; negative disables the threshold.
 	CompactRatio float64
 
-	// Approx, if non-nil, enables the approximate candidate tier
-	// (DESIGN.md §12) behind the KNNApprox/RangeApprox methods. The exact
-	// query methods are unaffected.
+	// Approx, if non-nil, configures the approximate candidate tier
+	// (DESIGN.md §12) that queries with Query.Approx set answer through.
+	// Exact queries are unaffected.
 	Approx *ApproxOptions
 }
 
@@ -309,32 +310,52 @@ func (db *DB) IDs() []uint64 {
 // key query caches on it.
 func (db *DB) Epoch() uint64 { return db.cur.Load().seq }
 
-// DeltaLen returns the number of objects in the delta memtable (inserted
-// since the last compaction).
-func (db *DB) DeltaLen() int { return len(db.cur.Load().delta) }
+// Stats is a point-in-time reading of the database's serving gauges.
+type Stats struct {
+	// Refinements is the cumulative number of exact matching-distance
+	// evaluations performed by queries since the last reset — the filter
+	// pipeline's selectivity measure. Delta memtable scans count too: each
+	// scanned set is an exact evaluation. (In-flight queries racing a
+	// compaction may lose their evaluations to the retiring base's
+	// counter; the gauge is monotone, not exact.)
+	Refinements int64
+	// ApproxEnabled reports whether the approximate tier is configured;
+	// when false, Query.Approx runs the exact engine.
+	ApproxEnabled bool
+	// SketchCandidates is the cumulative number of candidates proposed by
+	// approximate scans — the tier's analogue of Refinements.
+	SketchCandidates int64
+	// WALRecords is the number of records in the attached log (0 without
+	// one).
+	WALRecords int64
+	// DeltaLen is the number of objects in the delta memtable (inserted
+	// since the last compaction).
+	DeltaLen int
+	// Tombstones is the number of base-resident objects that are deleted
+	// but not yet compacted away, and TombstoneRatio their fraction of the
+	// base. Aggregating layers (the sharded cluster coordinator) sum the
+	// count to derive a global ratio, which per-database ratios alone
+	// cannot give.
+	Tombstones     int
+	TombstoneRatio float64
+	// Compactions is the number of compaction passes performed (automatic
+	// and explicit).
+	Compactions int64
+}
 
-// TombstoneRatio returns the fraction of base-resident objects that are
-// deleted but not yet compacted away.
-func (db *DB) TombstoneRatio() float64 { return db.cur.Load().tombRatio() }
-
-// Tombstones returns the number of base-resident objects that are
-// deleted but not yet compacted away. Aggregating layers (the sharded
-// cluster coordinator) sum it across databases to derive a global
-// tombstone ratio, which the per-database ratio alone cannot give.
-func (db *DB) Tombstones() int { return len(db.cur.Load().tomb) }
-
-// Compactions returns the number of compaction passes performed
-// (automatic and explicit).
-func (db *DB) Compactions() int64 { return db.compactions.Load() }
-
-// Refinements returns the cumulative number of exact matching-distance
-// evaluations performed by queries since the last reset — the filter
-// pipeline's selectivity measure, surfaced for serving metrics. Delta
-// memtable scans count too: each scanned set is an exact evaluation.
-// (In-flight queries racing a compaction may lose their evaluations to
-// the retiring base's counter; the gauge is monotone, not exact.)
-func (db *DB) Refinements() int64 {
-	return db.refExtra.Load() + db.cur.Load().base.Refinements()
+// Stats reads the serving gauges against the current view.
+func (db *DB) Stats() Stats {
+	v := db.cur.Load()
+	return Stats{
+		Refinements:      db.refExtra.Load() + v.base.Refinements(),
+		ApproxEnabled:    db.cfg.Approx != nil,
+		SketchCandidates: db.skExtra.Load() + v.base.SketchCandidates(),
+		WALRecords:       db.WALRecords(),
+		DeltaLen:         len(v.delta),
+		Tombstones:       len(v.tomb),
+		TombstoneRatio:   v.tombRatio(),
+		Compactions:      db.compactions.Load(),
+	}
 }
 
 // ResetRefinements zeroes the refinement counter.
@@ -367,49 +388,128 @@ type Neighbor struct {
 	Dist float64
 }
 
-// KNN returns the k nearest stored objects to the query set. The result
-// is exact and identical at any worker count and any epoch
-// representation (compacted or not): base candidates come from the
-// filter pipeline over-fetched past the tombstones, delta objects are
-// exact-scanned, and the merged list is (dist, id)-ordered.
-func (db *DB) KNN(query [][]float64, k int) []Neighbor {
-	return db.knnView(db.cur.Load(), vectorset.FlatFromRows(query), k)
+// Kind selects the query form. The paper has exactly two (§4.3).
+type Kind uint8
+
+const (
+	// KNN asks for the Query.K nearest stored objects.
+	KNN Kind = iota
+	// Range asks for every stored object within Query.Eps.
+	Range
+)
+
+// Query is one similarity query: a query vector set, its form (k-nn or
+// ε-range), and two field-valued modes. The zero Approx and the zero
+// Match are the exact engine under the minimal matching distance — modes
+// are values of one query, not separate entry points (DESIGN.md §15).
+type Query struct {
+	// Set is the query vector set.
+	Set [][]float64
+	// Kind selects k-nn (K applies) or ε-range (Eps applies).
+	Kind Kind
+	K    int
+	Eps  float64
+	// Approx proposes base candidates through the sketch tier (DESIGN.md
+	// §12) instead of the X-tree ranking: every returned distance is still
+	// exact, the approximation is recall. On a database opened without
+	// Config.Approx it is ignored — the exact engine answers, result for
+	// result — so callers can set it unconditionally. Ignored under
+	// Match.Partial, which has no candidate tier at all.
+	Approx bool
+	// Match selects the set distance (see SetQuery).
+	Match SetQuery
 }
 
-// knnView answers one k-nn against a pinned view. Single and batch
-// queries share it, which is what makes KNNBatch results identical to
-// sequential KNN calls at the same epoch.
-func (db *DB) knnView(v *view, query vectorset.Flat, k int) []Neighbor {
-	if k > len(v.ids) {
-		k = len(v.ids)
+// Search answers every query of the batch against ONE pinned epoch view:
+// the batch is atomic (every entry sees the same epoch even while
+// mutators run) and out[i] is exactly what Search of qs[i] alone would
+// return at that epoch, because single and batched entries run the same
+// per-entry function against the same immutable view. Entries fan out
+// over the query worker pool, each refining with its own pooled
+// workspace; a batch of one runs inline on the caller's goroutine.
+//
+// Results are exact (up to Query.Approx), (dist, id)-ordered, and
+// identical at any worker count and any epoch representation (compacted
+// or not).
+func (db *DB) Search(qs []Query) [][]Neighbor {
+	v := db.cur.Load()
+	out := make([][]Neighbor, len(qs))
+	parallel.ForEach(len(qs), db.queryWorkers(), func(i int) {
+		out[i] = db.searchView(v, &qs[i])
+	})
+	return out
+}
+
+// KNN returns the k nearest stored objects to the query set under the
+// minimal matching distance: Search of one exact KNN query.
+func (db *DB) KNN(query [][]float64, k int) []Neighbor {
+	return db.Search([]Query{{Set: query, Kind: KNN, K: k}})[0]
+}
+
+// Range returns all stored objects within eps of the query set: Search
+// of one exact Range query.
+func (db *DB) Range(query [][]float64, eps float64) []Neighbor {
+	return db.Search([]Query{{Set: query, Kind: Range, Eps: eps}})[0]
+}
+
+// KNNBatch answers queries[i] exactly as KNN(queries[i], k) would, in
+// one Search (one pinned epoch view for the whole batch).
+func (db *DB) KNNBatch(queries [][][]float64, k int) [][]Neighbor {
+	qs := make([]Query, len(queries))
+	for i, q := range queries {
+		qs[i] = Query{Set: q, Kind: KNN, K: k}
 	}
+	return db.Search(qs)
+}
+
+// searchView answers one query against a pinned view. It only picks the
+// candidate source; what follows the candidates is shared.
+func (db *DB) searchView(v *view, q *Query) []Neighbor {
+	if q.Match.Partial {
+		return db.partialView(v, q)
+	}
+	approx := db.cfg.Approx
+	if !q.Approx {
+		approx = nil
+	}
+	query := vectorset.FlatFromRows(q.Set)
+	if q.Kind == Range {
+		var cands []index.Neighbor
+		if approx != nil {
+			cands = v.base.RangeApproxFlat(query, q.Eps, approx.rangeBudget()+len(v.tomb))
+		} else {
+			cands = v.base.RangeFlat(query, q.Eps)
+		}
+		return db.mergeLive(v, query, cands, q.Eps)
+	}
+	k := min(q.K, len(v.ids))
 	if k <= 0 {
 		return nil
 	}
-	out := make([]Neighbor, 0, k+len(v.deltaIDs))
-	for _, nb := range v.base.KNNFlat(query, k+len(v.tomb)) {
-		if _, dead := v.tomb[uint64(nb.ID)]; dead {
-			continue
-		}
-		out = append(out, Neighbor{ID: uint64(nb.ID), Dist: nb.Dist})
+	// Tombstones widen both the fetch and the approximate budget: a
+	// tombstoned object occupying a candidate slot must not evict a live
+	// one.
+	var cands []index.Neighbor
+	if approx != nil {
+		cands = v.base.KNNApproxFlat(query, k+len(v.tomb), approx.knnBudget(k)+len(v.tomb))
+	} else {
+		cands = v.base.KNNFlat(query, k+len(v.tomb))
 	}
-	out = append(out, db.deltaScan(v, query, -1)...)
-	sortNeighbors(out)
+	out := db.mergeLive(v, query, cands, -1)
 	if len(out) > k {
 		out = out[:k]
 	}
 	return out
 }
 
-// Range returns all stored objects within eps of the query set.
-func (db *DB) Range(query [][]float64, eps float64) []Neighbor {
-	return db.rangeView(db.cur.Load(), vectorset.FlatFromRows(query), eps)
-}
-
-// rangeView answers one ε-range query against a pinned view.
-func (db *DB) rangeView(v *view, query vectorset.Flat, eps float64) []Neighbor {
-	out := make([]Neighbor, 0, 16)
-	for _, nb := range v.base.RangeFlat(query, eps) {
+// mergeLive turns base candidates into the view's answer: tombstoned
+// candidates are dropped, the delta memtable is exact-scanned (eps as in
+// deltaScan) — so a freshly inserted object is never missed, whichever
+// source proposed the base candidates — and the union is (dist, id)-
+// ordered.
+func (db *DB) mergeLive(v *view, query vectorset.Flat, cands []index.Neighbor, eps float64) []Neighbor {
+	out := make([]Neighbor, 0, len(cands)+len(v.deltaIDs))
+	for _, nb := range cands {
 		if _, dead := v.tomb[uint64(nb.ID)]; dead {
 			continue
 		}
@@ -418,60 +518,6 @@ func (db *DB) rangeView(v *view, query vectorset.Flat, eps float64) []Neighbor {
 	out = append(out, db.deltaScan(v, query, eps)...)
 	sortNeighbors(out)
 	return out
-}
-
-// KNNBatch answers queries[i] exactly as KNN(queries[i], k) would —
-// the per-query results are identical entry for entry — but pins one
-// epoch view for the whole batch and fans the queries out over the
-// worker pool, each worker refining with its own pooled workspace. One
-// view load per batch also means the batch is atomic: every entry sees
-// the same epoch even while mutators run.
-func (db *DB) KNNBatch(queries [][][]float64, k int) [][]Neighbor {
-	v := db.cur.Load()
-	flats := flattenQueries(queries)
-	out := make([][]Neighbor, len(queries))
-	db.runBatch(len(queries), func(i int) {
-		out[i] = db.knnView(v, flats[i], k)
-	})
-	return out
-}
-
-// RangeBatch answers queries[i] exactly as Range(queries[i], eps)
-// would, against one pinned epoch view (see KNNBatch).
-func (db *DB) RangeBatch(queries [][][]float64, eps float64) [][]Neighbor {
-	v := db.cur.Load()
-	flats := flattenQueries(queries)
-	out := make([][]Neighbor, len(queries))
-	db.runBatch(len(queries), func(i int) {
-		out[i] = db.rangeView(v, flats[i], eps)
-	})
-	return out
-}
-
-func flattenQueries(queries [][][]float64) []vectorset.Flat {
-	flats := make([]vectorset.Flat, len(queries))
-	for i, q := range queries {
-		flats[i] = vectorset.FlatFromRows(q)
-	}
-	return flats
-}
-
-// runBatch executes fn(0..n-1) on the query worker pool, contiguous
-// chunks per worker.
-func (db *DB) runBatch(n int, fn func(i int)) {
-	if n == 0 {
-		return
-	}
-	workers := db.queryWorkers()
-	if workers > n {
-		workers = n
-	}
-	parallel.Run(workers, func(worker int) {
-		lo, hi := parallel.Chunk(n, workers, worker)
-		for i := lo; i < hi; i++ {
-			fn(i)
-		}
-	})
 }
 
 // deltaScan computes the exact distance from query to every delta
