@@ -54,9 +54,14 @@ fuzz-smoke:
 # parallel-vs-sequential scaling pairs, and a reduced end-to-end
 # bench-json pass (ingest, KNN latency, allocation counters, batch
 # speedup, and the mmap serving path: VXSNAP02 cold open + aliasing
-# reads + mapped k-nn) whose JSON goes to a scratch path.
+# reads + mapped k-nn) whose JSON goes to a scratch path. The vsdb pair
+# puts a mutated view (128 delta entries, 32 tombstones) beside the same
+# state compacted — refined/op and ns/op must stay close; a regression to
+# over-fetch + full delta scan doubles the first row — and reports the
+# allocation footprint of one compaction.
 bench-smoke:
 	$(GO) test -run xxx -bench 'Ablation_Matching(Hungarian|Pooled)K7' -benchtime 200x .
+	$(GO) test -run xxx -bench 'SearchMutatedView|Compact$$' -benchtime 100x -benchmem ./internal/vsdb/
 	$(GO) run ./cmd/benchjson -quick -out /tmp/voxset-bench-smoke.json
 
 # Full end-to-end benchmark harness: writes the committed BENCH_<pr>.json

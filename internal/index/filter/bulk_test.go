@@ -7,9 +7,11 @@ import (
 	"github.com/voxset/voxset/internal/vectorset"
 )
 
-// NewBulk (STR bulk load from precomputed centroids, the snapshot-open
-// path) must answer every query identically to an index built by
-// sequential Add calls.
+// NewBulkStore (STR bulk load from a store's centroids, the snapshot-open
+// and compaction path) must answer every query identically to an index
+// built by sequential Add calls — with centroids computed for the store
+// and with the ones the incremental index holds (what a snapshot
+// persists).
 func TestNewBulkMatchesAdd(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	const n, dim, k = 120, 4, 5
@@ -32,22 +34,20 @@ func TestNewBulkMatchesAdd(t *testing.T) {
 	for i, set := range sets {
 		inc.Add(set, ids[i])
 	}
-	// Precomputed centroids taken from the incremental index — exactly
-	// what a snapshot persists.
+	flats := make([]vectorset.Flat, n)
 	cents := make([][]float64, n)
-	for i := range cents {
+	for i, set := range sets {
+		flats[i] = vectorset.FlatFromRows(set)
 		cents[i] = inc.Centroid(i)
 	}
 	for _, withCents := range []bool{false, true} {
-		var c [][]float64
+		bulk := bulkFromFlats(t, cfg, flats, ids)
 		if withCents {
-			c = cents
+			var err error
+			if bulk, err = NewBulkStore(cfg, &memStore{sets: flats, cents: cents}, ids, StoreBuildOptions{}); err != nil {
+				t.Fatal(err)
+			}
 		}
-		flats := make([]vectorset.Flat, n)
-		for i, set := range sets {
-			flats[i] = vectorset.FlatFromRows(set)
-		}
-		bulk := NewBulk(cfg, flats, ids, c)
 		for qi := 0; qi < 10; qi++ {
 			q := sets[rng.Intn(n)]
 			a, b := inc.KNN(q, 9), bulk.KNN(q, 9)
@@ -74,7 +74,7 @@ func TestNewBulkMatchesAdd(t *testing.T) {
 }
 
 func TestNewBulkEmpty(t *testing.T) {
-	ix := NewBulk(Config{K: 3, Dim: 2}, nil, nil, nil)
+	ix := bulkFromFlats(t, Config{K: 3, Dim: 2}, nil, nil)
 	if ix.Len() != 0 {
 		t.Fatalf("Len = %d", ix.Len())
 	}

@@ -11,7 +11,8 @@
 //     the current k-th exact distance.
 //
 // Refinement fetches the vector set from a simulated paged file, charging
-// the shared storage tracker, exactly like the paper's Table 2 setup.
+// the shared storage tracker, exactly like the paper's Table 2 setup — or,
+// for a NewBulkStore index, reads it in place from the caller's SetStore.
 //
 // With Config.Workers > 1 (or VOXSET_WORKERS set) the refinement step
 // runs on a bounded worker pool: range queries split the candidate list,
@@ -90,10 +91,9 @@ type Index struct {
 	recs  []int       // record id per object insertion order
 	ids   []int       // object id per insertion order
 	cents [][]float64 // extended centroid per insertion order
-	byID  map[int]int
 
 	fastL2 bool
-	encBuf []byte // reused serialization buffer (Add/NewBulk are caller-serialized)
+	encBuf []byte // reused serialization buffer (Add is caller-serialized)
 
 	workers     int
 	refinements atomic.Int64
@@ -137,7 +137,6 @@ func New(cfg Config) *Index {
 		omega:   omega,
 		tree:    xtree.New(cfg.Dim, xtree.Config{Tracker: cfg.Tracker, PageSize: cfg.PageSize}),
 		file:    storage.NewPagedFile(cfg.PageSize, cfg.Tracker),
-		byID:    map[int]int{},
 		fastL2:  cfg.FastL2,
 		workers: parallel.Workers(cfg.Workers, 1),
 	}
@@ -156,74 +155,25 @@ func (ix *Index) Refinements() int64 { return ix.refinements.Load() }
 // ResetRefinements zeroes the refinement counter.
 func (ix *Index) ResetRefinements() { ix.refinements.Store(0) }
 
-// Add indexes the vector set under the given object id.
+// Add indexes the vector set under the given object id, appending its
+// record to the paged file. The serialization buffer is reused across
+// calls — the paged file copies the record.
 func (ix *Index) Add(set [][]float64, id int) {
 	if ix.store != nil {
 		panic("filter: a store-backed index is immutable")
 	}
 	f := vectorset.FlatFromRows(set)
-	c := f.Centroid(ix.cfg.K, ix.omega)
+	c := f.Centroid(ix.cfg.K, ix.omega) // panics on cardinality > K
 	ix.tree.Insert(c, len(ix.ids))
-	ix.register(f, id, c)
-}
-
-// register appends the set's paged-file record and bookkeeping shared by
-// Add and NewBulk (which inserts into the X-tree differently). The
-// serialization buffer is reused across calls — the paged file copies
-// the record — so a bulk build allocates no per-object encode buffers.
-func (ix *Index) register(set vectorset.Flat, id int, centroid []float64) {
-	if set.Card > ix.cfg.K {
-		panic(fmt.Sprintf("filter: set cardinality %d exceeds K = %d", set.Card, ix.cfg.K))
-	}
-	ix.encBuf = set.AppendEncode(ix.encBuf[:0])
+	ix.encBuf = f.AppendEncode(ix.encBuf[:0])
 	ix.recs = append(ix.recs, ix.file.Append(ix.encBuf))
 	ix.ids = append(ix.ids, id)
-	ix.cents = append(ix.cents, centroid)
-	ix.byID[id] = len(ix.ids) - 1
+	ix.cents = append(ix.cents, c)
 }
 
 // Centroid returns the extended centroid of the i-th indexed set in
 // insertion order. The returned slice is owned by the index.
 func (ix *Index) Centroid(i int) []float64 { return ix.cents[i] }
-
-// NewBulk builds the index over sets[i] ↦ ids[i] in one pass, STR
-// bulk-loading the X-tree instead of inserting iteratively — the static
-// build used when opening a persisted snapshot. cents[i], when non-nil,
-// supplies precomputed extended centroids (they must match the
-// configuration's K and ω; snapshot decoding guarantees this because the
-// snapshot stores the centroids the index was saved with). A nil cents
-// recomputes them. The result answers queries identically to an index
-// built by sequential Add calls.
-func NewBulk(cfg Config, sets []vectorset.Flat, ids []int, cents [][]float64) *Index {
-	if len(sets) != len(ids) {
-		panic(fmt.Sprintf("filter: %d sets but %d ids", len(sets), len(ids)))
-	}
-	if cents != nil && len(cents) != len(sets) {
-		panic(fmt.Sprintf("filter: %d sets but %d centroids", len(sets), len(cents)))
-	}
-	ix := New(cfg)
-	if len(sets) == 0 {
-		return ix
-	}
-	if cents == nil {
-		cents = make([][]float64, len(sets))
-		for i, set := range sets {
-			cents[i] = set.Centroid(ix.cfg.K, ix.omega)
-		}
-	}
-	for i, set := range sets {
-		ix.register(set, ids[i], cents[i])
-	}
-	internal := make([]int, len(sets))
-	for i := range internal {
-		internal[i] = i
-	}
-	ix.tree = xtree.BulkLoad(cents, internal, xtree.Config{
-		Tracker:  ix.cfg.Tracker,
-		PageSize: ix.cfg.PageSize,
-	})
-	return ix
-}
 
 // fetch reads the vector set of the object with internal index i from the
 // paged file (charging the tracker) and returns its vectors.
@@ -301,19 +251,35 @@ func (ix *Index) exact(ws *dist.Workspace, q qview, i int) float64 {
 // most eps, in (distance, id) order.
 func (ix *Index) Range(q [][]float64, eps float64) []index.Neighbor {
 	qv, cq := ix.newQuery(q)
-	return ix.rangeQuery(qv, cq, eps)
+	return ix.rangeQuery(qv, cq, eps, nil)
 }
 
 // RangeFlat is Range for a query already in the flat layout, skipping
 // the per-call conversion (the vsdb query path).
 func (ix *Index) RangeFlat(q vectorset.Flat, eps float64) []index.Neighbor {
-	qv, cq := ix.newQueryFlat(q)
-	return ix.rangeQuery(qv, cq, eps)
+	return ix.RangeFlatLive(q, eps, nil)
 }
 
-func (ix *Index) rangeQuery(q qview, cq []float64, eps float64) []index.Neighbor {
+// RangeFlatLive is RangeFlat over the objects whose id satisfies live
+// (all of them when live is nil): a dead candidate is dropped before
+// refinement, so it costs no exact evaluation.
+func (ix *Index) RangeFlatLive(q vectorset.Flat, eps float64, live func(id int) bool) []index.Neighbor {
+	qv, cq := ix.newQueryFlat(q)
+	return ix.rangeQuery(qv, cq, eps, live)
+}
+
+func (ix *Index) rangeQuery(q qview, cq []float64, eps float64, live func(id int) bool) []index.Neighbor {
 	// Lemma 2: dist_mm ≤ eps requires ‖C(X)−C(q)‖ ≤ eps/k.
 	cands := ix.tree.Range(cq, eps/float64(ix.cfg.K))
+	if live != nil {
+		kept := cands[:0]
+		for _, c := range cands {
+			if live(ix.ids[c.ID]) {
+				kept = append(kept, c)
+			}
+		}
+		cands = kept
+	}
 	dists := make([]float64, len(cands))
 	workers := min(ix.workers, len(cands))
 	parallel.Run(workers, func(w int) {
@@ -382,25 +348,35 @@ func (ix *Index) KNN(q [][]float64, k int) []index.Neighbor {
 		return nil
 	}
 	qv, cq := ix.newQuery(q)
-	return ix.knn(qv, cq, k)
+	return ix.knn(qv, cq, k, nil)
 }
 
 // KNNFlat is KNN for a query already in the flat layout, skipping the
 // per-call conversion (the vsdb query path).
 func (ix *Index) KNNFlat(q vectorset.Flat, k int) []index.Neighbor {
+	return ix.KNNFlatLive(q, k, nil)
+}
+
+// KNNFlatLive is KNNFlat over the objects whose id satisfies live (all
+// of them when live is nil): the ranking skips a dead candidate before
+// refining it, so it costs no exact evaluation and takes no place among
+// the k. The stop test is KNNFlat's, hence the answer is exactly the k
+// nearest live objects — what an index built without the dead ones
+// would return.
+func (ix *Index) KNNFlatLive(q vectorset.Flat, k int, live func(id int) bool) []index.Neighbor {
 	if k <= 0 || ix.Len() == 0 {
 		return nil
 	}
 	qv, cq := ix.newQueryFlat(q)
-	return ix.knn(qv, cq, k)
+	return ix.knn(qv, cq, k, live)
 }
 
-func (ix *Index) knn(q qview, cq []float64, k int) []index.Neighbor {
+func (ix *Index) knn(q qview, cq []float64, k int, live func(id int) bool) []index.Neighbor {
 	var results resultHeap
 	if ix.workers > 1 {
-		results = ix.knnParallel(cq, q, k)
+		results = ix.knnParallel(cq, q, k, live)
 	} else {
-		results = ix.knnSequential(cq, q, k)
+		results = ix.knnSequential(cq, q, k, live)
 	}
 	out := make([]index.Neighbor, len(results))
 	copy(out, results)
@@ -408,7 +384,7 @@ func (ix *Index) knn(q qview, cq []float64, k int) []index.Neighbor {
 	return out
 }
 
-func (ix *Index) knnSequential(cq []float64, q qview, k int) resultHeap {
+func (ix *Index) knnSequential(cq []float64, q qview, k int, live func(id int) bool) resultHeap {
 	ws := dist.GetWorkspace()
 	defer dist.PutWorkspace(ws)
 	ranking := ix.tree.NewRanking(cq)
@@ -421,6 +397,9 @@ func (ix *Index) knnSequential(cq []float64, q qview, k int) resultHeap {
 		filterDist := cand.Dist * float64(ix.cfg.K)
 		if len(results) == k && filterDist > results[0].Dist {
 			break // no unseen object can beat the current k-th distance
+		}
+		if live != nil && !live(ix.ids[cand.ID]) {
+			continue
 		}
 		d := ix.exact(ws, q, cand.ID)
 		results.offer(index.Neighbor{ID: ix.ids[cand.ID], Dist: d}, k)
@@ -448,7 +427,7 @@ const knnBatchPerWorker = 4
 // threshold — the k-th exact distance after the last merged batch — and
 // mark skipped candidates +Inf, which is likewise sound because a filter
 // distance above the current k-th exact distance can never be a result.
-func (ix *Index) knnParallel(cq []float64, q qview, k int) resultHeap {
+func (ix *Index) knnParallel(cq []float64, q qview, k int, live func(id int) bool) resultHeap {
 	ranking := ix.tree.NewRanking(cq)
 	var results resultHeap
 
@@ -471,6 +450,9 @@ func (ix *Index) knnParallel(cq []float64, q qview, k int) resultHeap {
 			if len(results) == k && filterDist > results[0].Dist {
 				done = true // the ranking is sorted: every later candidate fails too
 				break
+			}
+			if live != nil && !live(ix.ids[cand.ID]) {
+				continue
 			}
 			cands = append(cands, cand)
 		}

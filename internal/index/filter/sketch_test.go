@@ -19,7 +19,7 @@ func buildSketchIndex(t *testing.T, workers int) *Index {
 		ids[i] = i + 1
 	}
 	p := sketch.DefaultParams()
-	return NewBulk(Config{K: 5, Dim: 6, Workers: workers, Sketch: &p}, flats, ids, nil)
+	return bulkFromFlats(t, Config{K: 5, Dim: 6, Workers: workers, Sketch: &p}, flats, ids)
 }
 
 // TestSketchBuildDeterministicAcrossWorkers pins the satellite
@@ -119,7 +119,7 @@ func TestApproxDisabledFallsBack(t *testing.T) {
 		flats[i] = vectorset.FlatFromRows(s)
 		ids[i] = i
 	}
-	ix := NewBulk(Config{K: 5, Dim: 6}, flats, ids, nil)
+	ix := bulkFromFlats(t, Config{K: 5, Dim: 6}, flats, ids)
 	if ix.SketchEnabled() {
 		t.Fatal("sketch tier enabled without config")
 	}

@@ -9,11 +9,12 @@ import (
 
 // SetStore is a read-only source of vector sets that the index refines
 // against in place, instead of copying every set into its simulated
-// paged file — the contract a memory-mapped snapshot satisfies
-// (snapshot.PagedReader). Implementations must be safe for concurrent
-// At/Centroid calls and are responsible for their own integrity checks
-// and I/O cost accounting (the mmap store charges the tracker per page
-// actually touched, replacing the paged file's simulated charges).
+// paged file — the contract a memory-mapped snapshot
+// (snapshot.PagedReader) and vsdb's heap base satisfy. Implementations
+// must be safe for concurrent At/Centroid calls and are responsible for
+// their own integrity checks and I/O cost accounting (the mmap store
+// charges the tracker per page actually touched, replacing the paged
+// file's simulated charges).
 type SetStore interface {
 	// Len returns the number of stored sets.
 	Len() int
@@ -40,9 +41,11 @@ type StoreBuildOptions struct {
 // NewBulkStore builds a filter index whose refinement step reads
 // straight from store: no per-object re-encoding, no second copy of the
 // database in the paged file. ids[i] is the external object id of
-// store.At(i). The returned index answers queries identically to
-// NewBulk over the same sets (same exact refinement, same (distance,
-// id) order); it is immutable — Add panics.
+// store.At(i). The X-tree is STR-bulk-loaded from the store's centroids
+// instead of grown by insertion; the returned index answers queries
+// identically to one built by sequential Add calls over the same sets
+// (same exact refinement, same (distance, id) order). It is immutable —
+// Add panics.
 func NewBulkStore(cfg Config, store SetStore, ids []int, opt StoreBuildOptions) (*Index, error) {
 	n := store.Len()
 	if n != len(ids) {
@@ -51,10 +54,6 @@ func NewBulkStore(cfg Config, store SetStore, ids []int, opt StoreBuildOptions) 
 	ix := New(cfg)
 	ix.store = store
 	ix.ids = ids
-	ix.byID = make(map[int]int, n)
-	for i, id := range ids {
-		ix.byID[id] = i
-	}
 	ix.cents = make([][]float64, n)
 	for i := range ix.cents {
 		ix.cents[i] = store.Centroid(i)

@@ -17,6 +17,25 @@ func (s *memStore) Len() int                 { return len(s.sets) }
 func (s *memStore) At(i int) vectorset.Flat  { return s.sets[i] }
 func (s *memStore) Centroid(i int) []float64 { return s.cents[i] }
 
+// bulkFromFlats is NewBulkStore over a heap store of the given sets,
+// with centroids computed under cfg (zero ω unless cfg.Omega is set).
+func bulkFromFlats(t testing.TB, cfg Config, flats []vectorset.Flat, ids []int) *Index {
+	t.Helper()
+	omega := cfg.Omega
+	if omega == nil {
+		omega = make([]float64, cfg.Dim)
+	}
+	st := &memStore{sets: flats}
+	for _, f := range flats {
+		st.cents = append(st.cents, f.Centroid(cfg.K, omega))
+	}
+	ix, err := NewBulkStore(cfg, st, ids, StoreBuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ix
+}
+
 func storeCorpus(t *testing.T, n int, cfg Config) (*memStore, []int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(0xbead))
@@ -42,12 +61,16 @@ func storeCorpus(t *testing.T, n int, cfg Config) (*memStore, []int) {
 
 // TestNewBulkStoreParity asserts that a store-backed index — in-memory
 // STR and external STR alike — answers KNN and range queries exactly
-// like NewBulk over the same sets, at one worker and several.
+// like an index grown by sequential Add calls over the same sets, at one
+// worker and several.
 func TestNewBulkStoreParity(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		cfg := Config{K: 8, Dim: 4, Workers: workers}
 		st, ids := storeCorpus(t, 600, cfg)
-		ref := NewBulk(cfg, st.sets, ids, st.cents)
+		ref := New(cfg)
+		for i, set := range st.sets {
+			ref.Add(set.Rows(), ids[i])
+		}
 
 		variants := map[string]StoreBuildOptions{
 			"in-memory": {},

@@ -3,7 +3,6 @@ package vsdb
 import (
 	"fmt"
 
-	"github.com/voxset/voxset/internal/index/filter"
 	"github.com/voxset/voxset/internal/parallel"
 	"github.com/voxset/voxset/internal/vectorset"
 	"github.com/voxset/voxset/internal/wal"
@@ -87,7 +86,7 @@ func (db *DB) Insert(id uint64, set [][]float64) error {
 	if err := db.logRecords([]wal.Record{{Op: wal.OpInsert, ID: id, Set: cp.Rows()}}); err != nil {
 		return err
 	}
-	db.publish(v.withInsert(id, cp))
+	db.publish(v.withInsert(id, db.newDeltaEntry(cp)))
 	return nil
 }
 
@@ -200,32 +199,22 @@ func (db *DB) maybeCompactLocked() {
 
 // rebuildView builds a compacted view over v's live objects plus the
 // additional (addIDs[i], addSets[i]) pairs, advancing the epoch by
-// seqDelta. Extended centroids are recomputed on the worker pool and the
-// X-tree is STR-bulk-loaded from them — the same build path a snapshot
-// load uses. Must be called with db.mu held.
+// seqDelta. Live objects keep the extended centroids the view already
+// holds (the delta entries', the retiring base's by id); only the added
+// sets' are computed. The new base is built once, in place over the
+// collected sets (newHeapBase). Must be called with db.mu held.
 func (db *DB) rebuildView(v *view, addIDs []uint64, addSets []vectorset.Flat, seqDelta uint64) *view {
 	n := len(v.ids) + len(addIDs)
 	ids := make([]uint64, 0, n)
 	sets := make([]vectorset.Flat, 0, n)
-	for _, id := range v.ids {
+	cents := make([][]float64, n) // the added sets' stay nil: newHeapBase computes them
+	for i, id := range v.ids {
 		ids = append(ids, id)
 		sets = append(sets, v.get(id))
+		cents[i] = v.centroid(id)
 	}
-	for i, id := range addIDs {
-		ids = append(ids, id)
-		sets = append(sets, addSets[i])
-	}
-	cents := make([][]float64, len(sets))
-	w := parallel.Workers(db.cfg.Workers, parallel.Auto())
-	parallel.ForEach(len(sets), w, func(i int) {
-		cents[i] = sets[i].Centroid(db.cfg.MaxCard, db.omega)
-	})
-	intIDs := make([]int, len(ids))
-	baseSets := make(mapStore, len(ids))
-	for i, id := range ids {
-		intIDs[i] = int(id)
-		baseSets[id] = sets[i]
-	}
+	ids = append(ids, addIDs...)
+	sets = append(sets, addSets...)
 	// The retiring base's evaluations move into refExtra (and its sketch
 	// candidates into skExtra) so the DB-wide counters survive the rebuild.
 	db.refExtra.Add(v.base.Refinements())
@@ -233,23 +222,19 @@ func (db *DB) rebuildView(v *view, addIDs []uint64, addSets []vectorset.Flat, se
 	if !v.compacted() {
 		db.compactions.Add(1)
 	}
-	return &view{
-		seq:      v.seq + seqDelta,
-		base:     filter.NewBulk(db.filterConfig(), sets, intIDs, cents),
-		baseSets: baseSets,
-		ids:      ids,
-	}
+	base, baseSets := db.newHeapBase(ids, sets, cents)
+	return &view{seq: v.seq + seqDelta, base: base, baseSets: baseSets, ids: ids}
 }
 
 // withInsert derives the view after inserting id. The ids slice is
 // extended in place (append): older views never read past their own
 // length, so the shared prefix is safe.
-func (v *view) withInsert(id uint64, set vectorset.Flat) *view {
-	delta := make(map[uint64]vectorset.Flat, len(v.delta)+1)
+func (v *view) withInsert(id uint64, e deltaEntry) *view {
+	delta := make(map[uint64]deltaEntry, len(v.delta)+1)
 	for k, s := range v.delta {
 		delta[k] = s
 	}
-	delta[id] = set
+	delta[id] = e
 	nv := &view{
 		seq:      v.seq + 1,
 		base:     v.base,
@@ -277,7 +262,7 @@ func (v *view) withDelete(id uint64) *view {
 		ids:      without(v.ids, id),
 	}
 	if _, inDelta := v.delta[id]; inDelta {
-		delta := make(map[uint64]vectorset.Flat, len(v.delta))
+		delta := make(map[uint64]deltaEntry, len(v.delta))
 		for k, s := range v.delta {
 			if k != id {
 				delta[k] = s
@@ -386,7 +371,7 @@ func (db *DB) replayLocked(v *view, recs []wal.Record) (*view, error) {
 	}
 	// One mutable scratch state, O(total) instead of a view copy per
 	// record; the result is published as a single new view.
-	delta := make(map[uint64]vectorset.Flat, len(v.delta)+applied)
+	delta := make(map[uint64]deltaEntry, len(v.delta)+applied)
 	for k, s := range v.delta {
 		delta[k] = s
 	}
@@ -418,7 +403,7 @@ func (db *DB) replayLocked(v *view, recs []wal.Record) (*view, error) {
 			if err := db.checkSet(rec.ID, rec.Set); err != nil {
 				return nil, err
 			}
-			delta[rec.ID] = vectorset.FlatFromRows(rec.Set)
+			delta[rec.ID] = db.newDeltaEntry(vectorset.FlatFromRows(rec.Set))
 			deltaIDs = append(deltaIDs, rec.ID)
 			ids = append(ids, rec.ID)
 		case wal.OpDelete:

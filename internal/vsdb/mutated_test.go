@@ -1,0 +1,315 @@
+package vsdb
+
+import (
+	"fmt"
+	"math/rand"
+	"path/filepath"
+	"reflect"
+	"sort"
+	"testing"
+
+	"github.com/voxset/voxset/internal/dist"
+	"github.com/voxset/voxset/internal/snapshot"
+)
+
+// A mutated view (base + tombstones + delta memtable) must answer every
+// exact query byte for byte like a brute-force scan of the live set, and
+// must run about the exact evaluations its compacted form runs: the
+// tombstone-aware ranking and the centroid-bounded delta (DESIGN.md §8)
+// prune work, never answers.
+
+// No automatic compaction: the tests place delta entries and tombstones
+// deliberately, beyond both thresholds.
+const noAutoCompact = -1
+
+// mutDim/mutCard: a power-of-two MaxCard and the small integer
+// coordinates of latticeSet keep centroids, bounds and distances exact
+// in floating point, so equal sets tie exactly and a card-1 set's
+// centroid bound equals its distance to a card-1 query bit for bit.
+const mutDim, mutCard = 3, 4
+
+func latticeSet(rng *rand.Rand, card int) [][]float64 {
+	s := make([][]float64, card)
+	for i := range s {
+		s[i] = make([]float64, mutDim)
+		for j := range s[i] {
+			s[i][j] = float64(rng.Intn(7) - 3)
+		}
+	}
+	return s
+}
+
+// bruteModel is the reference: the live sets by id, scanned exhaustively
+// with the generic matching distance.
+type bruteModel map[uint64][][]float64
+
+func (m bruteModel) scan(q [][]float64) []Neighbor {
+	out := make([]Neighbor, 0, len(m))
+	for id, set := range m {
+		out = append(out, Neighbor{ID: id, Dist: dist.MatchingDistance(q, set, dist.L2, dist.WeightNorm)})
+	}
+	sortNeighbors(out)
+	return out
+}
+
+// checkAgainstBrute compares k-nn at k ∈ {1, 10, 50, live+3} and range
+// queries — at ε equal to the 1st, 10th and last brute distance, so the
+// boundary always carries an exact tie — with the model.
+func checkAgainstBrute(t *testing.T, db *DB, m bruteModel, q [][]float64, ctx string) {
+	t.Helper()
+	all := m.scan(q)
+	for _, k := range []int{1, 10, 50, len(m) + 3} {
+		want := all[:min(k, len(all))]
+		got := one(db, Query{Set: q, Kind: KNN, K: k})
+		if len(want) == 0 {
+			if len(got) != 0 {
+				t.Fatalf("%s: knn k=%d on an empty live set = %v", ctx, k, got)
+			}
+			continue
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: knn k=%d\n got %v\nwant %v", ctx, k, got, want)
+		}
+	}
+	for _, at := range []int{0, 9, len(all) - 1} {
+		if at < 0 || at >= len(all) {
+			continue
+		}
+		eps := all[at].Dist
+		n := sort.Search(len(all), func(i int) bool { return all[i].Dist > eps })
+		got := one(db, Query{Set: q, Kind: Range, Eps: eps})
+		if !reflect.DeepEqual(got, all[:n]) {
+			t.Fatalf("%s: range eps=%v\n got %v\nwant %v", ctx, eps, got, all[:n])
+		}
+	}
+}
+
+func TestMutatedViewDifferential(t *testing.T) {
+	for _, backing := range []string{"heap", "mmap"} {
+		for _, workers := range []int{1, 4} {
+			for seed := int64(1); seed <= 3; seed++ {
+				t.Run(fmt.Sprintf("%s/workers=%d/seed=%d", backing, workers, seed), func(t *testing.T) {
+					mutatedDifferential(t, backing == "mmap", workers, seed)
+				})
+			}
+		}
+	}
+}
+
+func mutatedDifferential(t *testing.T, mapped bool, workers int, seed int64) {
+	rng := rand.New(rand.NewSource(seed))
+	// A small pool sampled with replacement: the same set sits in the base,
+	// in the delta and under tombstones at once, at distance 0 from the
+	// queries drawn from the pool. The first entries are card-1 sets.
+	pool := make([][][]float64, 40)
+	for i := range pool {
+		pool[i] = latticeSet(rng, 1+min(i/4, mutCard-1))
+	}
+	draw := func() [][]float64 { return pool[rng.Intn(len(pool))] }
+
+	cfg := Config{Dim: mutDim, MaxCard: mutCard, Workers: workers, MaxDelta: noAutoCompact, CompactRatio: noAutoCompact}
+	db, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := bruteModel{}
+	var live []uint64
+	next := uint64(1)
+	insert := func() {
+		set := draw()
+		if err := db.Insert(next, set); err != nil {
+			t.Fatal(err)
+		}
+		model[next] = set
+		live = append(live, next)
+		next++
+	}
+	remove := func() {
+		if len(live) == 0 {
+			return
+		}
+		i := rng.Intn(len(live))
+		if err := db.Delete(live[i]); err != nil {
+			t.Fatal(err)
+		}
+		delete(model, live[i])
+		live = append(live[:i], live[i+1:]...)
+	}
+	for i := 0; i < 120; i++ {
+		insert()
+	}
+	db.Compact()
+	if mapped {
+		dir := t.TempDir()
+		v1, v2 := filepath.Join(dir, "v1.snap"), filepath.Join(dir, "v2.snap")
+		if err := db.SaveFile(v1); err != nil {
+			t.Fatal(err)
+		}
+		if err := snapshot.ConvertFile(v1, v2, 0); err != nil {
+			t.Fatal(err)
+		}
+		db, err = OpenFile(v2, LoadOptions{Workers: workers, MaxDelta: noAutoCompact, CompactRatio: noAutoCompact})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !db.Mapped() {
+			t.Skip("snapshot not memory-mapped on this platform")
+		}
+	}
+	defer db.Close()
+
+	check := func(ctx string) {
+		t.Helper()
+		for i := 0; i < 4; i++ {
+			checkAgainstBrute(t, db, model, draw(), ctx)
+		}
+		// Card-1 query against card-1 sets: bound == distance exactly.
+		checkAgainstBrute(t, db, model, pool[rng.Intn(4)], ctx+" (card-1 query)")
+	}
+	check("compacted")
+	for step := 0; step < 150; step++ {
+		switch r := rng.Intn(20); {
+		case r < 10:
+			insert()
+		case r < 19:
+			remove()
+		default:
+			db.Compact()
+		}
+		if step%10 == 9 {
+			st := db.Stats()
+			check(fmt.Sprintf("step %d (delta %d, tombstones %d)", step, st.DeltaLen, st.Tombstones))
+		}
+	}
+
+	// Every base object tombstoned: answers come from the delta alone,
+	// then from nothing.
+	db.Compact()
+	for len(live) > 0 {
+		remove()
+	}
+	for i := 0; i < 12; i++ {
+		insert()
+	}
+	if st := db.Stats(); st.DeltaLen != 12 || st.Tombstones == 0 || db.Len() != 12 {
+		t.Fatalf("all-tombstoned setup: %+v", st)
+	}
+	check("all-tombstoned base")
+	for len(live) > 0 {
+		remove()
+	}
+	check("empty live set")
+}
+
+// mutatedFixture builds a compacted base of n clustered sets (the
+// centroid bound is selective, as on the CAD corpora), then tombstones
+// `tombs` base objects and inserts `delta` new ones without compacting.
+// It returns the database and query sets drawn from the same clusters.
+func mutatedFixture(tb testing.TB, n, delta, tombs, queries int) (*DB, [][][]float64) {
+	tb.Helper()
+	const dim, card = 6, 7
+	rng := rand.New(rand.NewSource(19))
+	clustered := func() [][]float64 {
+		center := rng.NormFloat64() * 4
+		s := make([][]float64, 3+rng.Intn(card-2))
+		for i := range s {
+			s[i] = make([]float64, dim)
+			for j := range s[i] {
+				s[i][j] = center + float64(i) + rng.NormFloat64()*0.3
+			}
+		}
+		return s
+	}
+	db, err := Open(Config{Dim: dim, MaxCard: card, MaxDelta: noAutoCompact, CompactRatio: noAutoCompact})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ids := make([]uint64, n)
+	sets := make([][][]float64, n)
+	for i := range ids {
+		ids[i], sets[i] = uint64(i+1), clustered()
+	}
+	if err := db.BulkInsert(ids, sets); err != nil {
+		tb.Fatal(err)
+	}
+	for i := 0; i < tombs; i++ {
+		if err := db.Delete(uint64(1 + i*(n/tombs))); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	for i := 0; i < delta; i++ {
+		if err := db.Insert(uint64(n+1+i), clustered()); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if st := db.Stats(); st.DeltaLen != delta || st.Tombstones != tombs {
+		tb.Fatalf("fixture: %+v", st)
+	}
+	qs := make([][][]float64, queries)
+	for i := range qs {
+		qs[i] = clustered()
+	}
+	return db, qs
+}
+
+// TestMutatedViewRefinementCount is the deterministic cost guard: with 64
+// tombstones and 128 delta entries a query batch runs at most 1.25× the
+// exact evaluations it runs after Compact(). (Over-fetching k+tombstones
+// base neighbours and matching every delta entry ran more than 2×.)
+func TestMutatedViewRefinementCount(t *testing.T) {
+	db, sets := mutatedFixture(t, 3000, 128, 64, 40)
+	defer db.Close()
+	batch := append(batchOf(sets, Query{Kind: KNN, K: 10}), batchOf(sets[:10], Query{Kind: Range, Eps: 6})...)
+
+	db.ResetRefinements()
+	before := db.Search(batch)
+	mutated := db.Stats().Refinements
+	db.Compact()
+	db.ResetRefinements()
+	after := db.Search(batch)
+	compacted := db.Stats().Refinements
+
+	if !reflect.DeepEqual(before, after) {
+		t.Fatal("answers changed across Compact()")
+	}
+	t.Logf("refinements: mutated %d, compacted %d (%.2f×)", mutated, compacted, float64(mutated)/float64(compacted))
+	if compacted == 0 || float64(mutated) > 1.25*float64(compacted) {
+		t.Fatalf("mutated view ran %d exact evaluations, compacted %d: more than 1.25×", mutated, compacted)
+	}
+}
+
+var benchSink any
+
+// BenchmarkSearchMutatedView: one exact 10-nn on a 5 000-object base with
+// 128 delta entries and 32 tombstones, beside the same state compacted.
+// The two must stay within a few percent of each other; a regression to
+// over-fetch + full delta scan shows as mutated ≫ compacted.
+func BenchmarkSearchMutatedView(b *testing.B) {
+	db, sets := mutatedFixture(b, 5000, 128, 32, 64)
+	defer db.Close()
+	run := func(b *testing.B) {
+		db.ResetRefinements()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			benchSink = db.KNN(sets[i%len(sets)], 10)
+		}
+		b.ReportMetric(float64(db.Stats().Refinements)/float64(b.N), "refined/op")
+	}
+	b.Run("mutated", run)
+	db.Compact()
+	b.Run("compacted", run)
+}
+
+// BenchmarkCompact rebuilds the same mutated view (5 000-object base, 128
+// delta entries, 32 tombstones) every iteration; B/op is the footprint of
+// one new base.
+func BenchmarkCompact(b *testing.B) {
+	db, _ := mutatedFixture(b, 5000, 128, 32, 0)
+	defer db.Close()
+	v := db.cur.Load()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink = db.rebuildView(v, nil, nil, 0)
+	}
+}

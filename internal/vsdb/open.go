@@ -6,7 +6,9 @@ import (
 	"sync"
 
 	"github.com/voxset/voxset/internal/index/filter"
+	"github.com/voxset/voxset/internal/parallel"
 	"github.com/voxset/voxset/internal/snapshot"
+	"github.com/voxset/voxset/internal/storage"
 	"github.com/voxset/voxset/internal/vectorset"
 )
 
@@ -21,25 +23,85 @@ import (
 // the sort's copies) starts to rival the mapped file.
 const externalSTRThreshold = 1 << 18
 
-// baseStore resolves base-resident sets by id. Heap-resident databases
-// use mapStore; mmap-backed ones use snapStore.
+// baseStore resolves base-resident sets and their extended centroids by
+// id. Heap-resident databases use heapStore; mmap-backed ones use
+// snapStore.
 type baseStore interface {
 	baseHas(id uint64) bool
 	baseGet(id uint64) (vectorset.Flat, bool)
+	// baseCentroid returns the stored extended centroid of a resident id.
+	baseCentroid(id uint64) []float64
 }
 
-// mapStore is the heap-resident base: one contiguous flat buffer per
-// object, keyed by id.
-type mapStore map[uint64]vectorset.Flat
+// heapStore is the heap-resident base: one contiguous flat buffer and one
+// extended centroid per object in base insertion order, resolved by id
+// through idx. It is also the filter index's SetStore — refinement reads
+// sets[i] in place — so the base exists once, not a second time encoded
+// into the filter's simulated paged file.
+type heapStore struct {
+	sets    []vectorset.Flat
+	cents   [][]float64
+	idx     map[uint64]int
+	tracker *storage.Tracker
+}
 
-func (m mapStore) baseHas(id uint64) bool {
-	_, ok := m[id]
+func (s *heapStore) Len() int { return len(s.sets) }
+
+// At charges the tracker what reading the set's record from the
+// simulated paged file would: the pages the record spans and its bytes.
+func (s *heapStore) At(i int) vectorset.Flat {
+	if s.tracker != nil {
+		size := s.sets[i].EncodedSize()
+		s.tracker.AddPageAccess((size + storage.DefaultPageSize - 1) / storage.DefaultPageSize)
+		s.tracker.AddBytes(size)
+	}
+	return s.sets[i]
+}
+
+func (s *heapStore) Centroid(i int) []float64 { return s.cents[i] }
+
+func (s *heapStore) baseHas(id uint64) bool {
+	_, ok := s.idx[id]
 	return ok
 }
 
-func (m mapStore) baseGet(id uint64) (vectorset.Flat, bool) {
-	s, ok := m[id]
-	return s, ok
+func (s *heapStore) baseGet(id uint64) (vectorset.Flat, bool) {
+	i, ok := s.idx[id]
+	if !ok {
+		return vectorset.Flat{}, false
+	}
+	return s.sets[i], true
+}
+
+func (s *heapStore) baseCentroid(id uint64) []float64 { return s.cents[s.idx[id]] }
+
+// newHeapBase builds a compacted heap base over sets[i] ↦ ids[i]: the
+// store and the filter index that refines against it in place, its X-tree
+// STR-bulk-loaded from the centroids. A nil cents[i] (or a nil cents) is
+// computed on the worker pool; a non-nil one must be the set's extended
+// centroid under the database's MaxCard and ω.
+func (db *DB) newHeapBase(ids []uint64, sets []vectorset.Flat, cents [][]float64) (*filter.Index, *heapStore) {
+	if cents == nil {
+		cents = make([][]float64, len(sets))
+	}
+	w := parallel.Workers(db.cfg.Workers, parallel.Auto())
+	parallel.ForEach(len(sets), w, func(i int) {
+		if cents[i] == nil {
+			cents[i] = sets[i].Centroid(db.cfg.MaxCard, db.omega)
+		}
+	})
+	st := &heapStore{sets: sets, cents: cents, idx: make(map[uint64]int, len(ids)), tracker: db.cfg.Tracker}
+	intIDs := make([]int, len(ids))
+	for i, id := range ids {
+		st.idx[id] = i
+		intIDs[i] = int(id)
+	}
+	ix, err := filter.NewBulkStore(db.filterConfig(), st, intIDs, filter.StoreBuildOptions{})
+	if err != nil {
+		// The in-memory build fails only on a length mismatch.
+		panic(fmt.Sprintf("vsdb: heap base over %d ids, %d sets, %d centroids: %v", len(ids), len(sets), len(cents), err))
+	}
+	return ix, st
 }
 
 // snapStore serves base sets straight from a mapped paged snapshot.
@@ -76,6 +138,8 @@ func (s *snapStore) baseGet(id uint64) (vectorset.Flat, bool) {
 	}
 	return s.r.At(i), true
 }
+
+func (s *snapStore) baseCentroid(id uint64) []float64 { return s.r.Centroid(s.index()[id]) }
 
 // OpenFile opens a snapshot file in whichever format it carries. A
 // version-1 stream is loaded to heap exactly like LoadFile; a paged

@@ -5,8 +5,6 @@ import (
 	"io"
 	"os"
 
-	"github.com/voxset/voxset/internal/index/filter"
-	"github.com/voxset/voxset/internal/parallel"
 	"github.com/voxset/voxset/internal/snapshot"
 	"github.com/voxset/voxset/internal/storage"
 	"github.com/voxset/voxset/internal/vectorset"
@@ -48,20 +46,18 @@ func (db *DB) saveView(v *view, w io.Writer) error {
 
 // viewCentroids returns the extended centroids of the live objects in
 // insertion order. A compacted view's base stores them aligned with ids;
-// otherwise they are recomputed per live set on the worker pool
-// (bit-identical — the centroid is deterministic).
+// otherwise each comes from where the view keeps it (the delta entry, or
+// the base by id).
 func (db *DB) viewCentroids(v *view) [][]float64 {
 	out := make([][]float64, len(v.ids))
-	if v.compacted() {
-		for i := range v.ids {
+	compacted := v.compacted()
+	for i, id := range v.ids {
+		if compacted {
 			out[i] = v.base.Centroid(i)
+		} else {
+			out[i] = v.centroid(id)
 		}
-		return out
 	}
-	w := parallel.Workers(db.cfg.Workers, parallel.Auto())
-	parallel.ForEach(len(v.ids), w, func(i int) {
-		out[i] = v.get(v.ids[i]).Centroid(db.cfg.MaxCard, db.omega)
-	})
 	return out
 }
 
@@ -129,7 +125,7 @@ func LoadWith(r io.Reader, opt LoadOptions) (*DB, error) {
 		return nil, err
 	}
 	db := &DB{cfg: cfg, omega: hdr.Omega}
-	baseSets := mapStore{}
+	seen := map[uint64]struct{}{}
 	var (
 		ids  []uint64
 		sets []vectorset.Flat
@@ -144,21 +140,17 @@ func LoadWith(r io.Reader, opt LoadOptions) (*DB, error) {
 		if err != nil {
 			return nil, fmt.Errorf("vsdb: %w", err)
 		}
-		if _, dup := baseSets[id]; dup {
+		if _, dup := seen[id]; dup {
 			return nil, fmt.Errorf("vsdb: snapshot repeats id %d", id)
 		}
 		if err := db.checkFlat(id, set); err != nil {
 			return nil, err
 		}
-		baseSets[id] = set
+		seen[id] = struct{}{}
 		ids = append(ids, id)
 		sets = append(sets, set)
 	}
-	intIDs := make([]int, len(ids))
-	for i, id := range ids {
-		intIDs[i] = int(id)
-	}
-	base := filter.NewBulk(db.filterConfig(), sets, intIDs, dec.Centroids())
+	base, baseSets := db.newHeapBase(ids, sets, dec.Centroids())
 	if blk := dec.Sketches(); blk != nil && cfg.Approx != nil && blk.Params == cfg.Approx.params() {
 		// Adoption failure (a count mismatch cannot happen here; belt and
 		// suspenders) just means the lazy rebuild runs instead.

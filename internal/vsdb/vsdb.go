@@ -18,16 +18,21 @@
 //
 //   - base: the bulk-loaded filter/X-tree index over objects as of the
 //     last compaction;
-//   - delta: a small exact-scanned memtable of objects inserted since
-//     (scanning ≤ MaxDelta sets is cheaper than any index walk, and
-//     every delta hit is an exact distance — filter-vs-scan parity
-//     holds at every epoch);
-//   - tomb: tombstones for deleted base-resident objects, subtracted
-//     from base query results.
+//   - delta: a small memtable of objects inserted since, each stored
+//     with its extended centroid. It has no index, but it is filtered
+//     like the base: a query visits entries in ascending centroid lower
+//     bound and refines only those that can still qualify (running the
+//     matching on all ≤ MaxDelta sets measured 4× the base's own
+//     refinements), so filter-vs-scan parity holds at every epoch;
+//   - tomb: tombstones for deleted base-resident objects, which the
+//     base's candidate ranking skips before refining them.
 //
-// Compaction folds delta and tomb back into a fresh STR-bulk-loaded
-// base; it triggers automatically on the MaxDelta / CompactRatio
-// thresholds or explicitly via Compact. Every view carries the mutation
+// A mutated view therefore runs the exact evaluations its compacted
+// form would, give or take the delta entries whose bound ties the k-th
+// distance. Compaction folds delta and tomb back into a fresh
+// STR-bulk-loaded base that keeps the centroids already computed; it
+// triggers automatically on the MaxDelta / CompactRatio thresholds or
+// explicitly via Compact. Every view carries the mutation
 // sequence number (Epoch) used for cache invalidation, snapshot
 // alignment, and write-ahead-log replay.
 //
@@ -44,6 +49,7 @@ package vsdb
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -61,8 +67,8 @@ import (
 // Default live-update thresholds (DESIGN.md §8).
 const (
 	// DefaultMaxDelta is the delta-memtable size that triggers a
-	// compaction: beyond it the exact scan of unindexed objects starts
-	// to rival the filter walk it bypasses.
+	// compaction: beyond it the linear pass over unindexed centroids
+	// starts to rival the filter walk it bypasses.
 	DefaultMaxDelta = 256
 	// DefaultCompactRatio is the tombstone ratio (deleted base objects
 	// over live+deleted) that triggers a compaction.
@@ -157,21 +163,35 @@ type view struct {
 	seq uint64
 	// base is the filter/X-tree index as of the last compaction, with
 	// baseSets resolving its sets by id (including tombstoned ones).
-	// Heap-resident databases use a mapStore of contiguous
+	// Heap-resident databases use a heapStore of contiguous
 	// vectorset.Flat buffers (DESIGN.md §10), owned exclusively by the
-	// view history and never written after publication; mmap-backed
-	// databases (OpenFile on a paged snapshot) use a snapStore whose
-	// sets alias the mapping (DESIGN.md §11).
+	// view history and never written after publication, which base
+	// refines against in place; mmap-backed databases (OpenFile on a
+	// paged snapshot) use a snapStore whose sets alias the mapping
+	// (DESIGN.md §11).
 	base     *filter.Index
 	baseSets baseStore
 	// tomb marks base-resident ids that have been deleted.
 	tomb map[uint64]struct{}
-	// delta holds objects inserted since the last compaction, exact-
-	// scanned by every query; deltaIDs is its insertion order.
-	delta    map[uint64]vectorset.Flat
+	// delta holds objects inserted since the last compaction, visited
+	// by every query in centroid-bound order; deltaIDs is its insertion
+	// order.
+	delta    map[uint64]deltaEntry
 	deltaIDs []uint64
 	// ids is the live object ids in insertion order.
 	ids []uint64
+}
+
+// deltaEntry is one memtable object: its set and the extended centroid
+// that lower-bounds its distance to any query (Lemma 2), computed once
+// when the entry is created.
+type deltaEntry struct {
+	set  vectorset.Flat
+	cent []float64
+}
+
+func (db *DB) newDeltaEntry(set vectorset.Flat) deltaEntry {
+	return deltaEntry{set: set, cent: set.Centroid(db.cfg.MaxCard, db.omega)}
 }
 
 // live reports whether id is visible in this view.
@@ -187,14 +207,34 @@ func (v *view) live(id uint64) bool {
 
 // get returns the flat set of a live id (the zero Flat otherwise).
 func (v *view) get(id uint64) vectorset.Flat {
-	if set, ok := v.delta[id]; ok {
-		return set
+	if e, ok := v.delta[id]; ok {
+		return e.set
 	}
 	if _, dead := v.tomb[id]; dead {
 		return vectorset.Flat{}
 	}
 	set, _ := v.baseSets.baseGet(id)
 	return set
+}
+
+// centroid returns the stored extended centroid of a live id.
+func (v *view) centroid(id uint64) []float64 {
+	if e, ok := v.delta[id]; ok {
+		return e.cent
+	}
+	return v.baseSets.baseCentroid(id)
+}
+
+// baseLive is the liveness predicate the base's candidate ranking skips
+// tombstoned objects with; nil (everything is live) without tombstones.
+func (v *view) baseLive() func(id int) bool {
+	if len(v.tomb) == 0 {
+		return nil
+	}
+	return func(id int) bool {
+		_, dead := v.tomb[uint64(id)]
+		return !dead
+	}
 }
 
 // compacted reports whether the view is exactly its base (no delta, no
@@ -242,10 +282,8 @@ func Open(cfg Config) (*DB, error) {
 		omega = make([]float64, cfg.Dim)
 	}
 	db := &DB{cfg: cfg, omega: omega}
-	db.cur.Store(&view{
-		base:     db.newFilter(),
-		baseSets: mapStore{},
-	})
+	base, baseSets := db.newHeapBase(nil, nil, nil)
+	db.cur.Store(&view{base: base, baseSets: baseSets})
 	if cfg.WALPath != "" {
 		if err := db.AttachWAL(cfg.WALPath, WALOptions{NoSync: cfg.WALNoSync}); err != nil {
 			return nil, err
@@ -278,10 +316,8 @@ func (db *DB) filterConfig() filter.Config {
 	}
 }
 
-func (db *DB) newFilter() *filter.Index { return filter.New(db.filterConfig()) }
-
-// queryWorkers is the worker count for delta scans (same resolution as
-// the filter pipeline's).
+// queryWorkers is the worker count for batches and partial scans (same
+// resolution as the filter pipeline's).
 func (db *DB) queryWorkers() int { return parallel.Workers(db.cfg.Workers, 1) }
 
 // Len returns the number of live objects.
@@ -313,11 +349,12 @@ func (db *DB) Epoch() uint64 { return db.cur.Load().seq }
 // Stats is a point-in-time reading of the database's serving gauges.
 type Stats struct {
 	// Refinements is the cumulative number of exact matching-distance
-	// evaluations performed by queries since the last reset — the filter
-	// pipeline's selectivity measure. Delta memtable scans count too: each
-	// scanned set is an exact evaluation. (In-flight queries racing a
-	// compaction may lose their evaluations to the retiring base's
-	// counter; the gauge is monotone, not exact.)
+	// evaluations actually run by queries since the last reset — the
+	// filter pipeline's selectivity measure. Delta memtable entries count
+	// when they are refined, not when their centroid bound prunes them,
+	// and tombstoned base objects are skipped unrefined. (In-flight
+	// queries racing a compaction may lose their evaluations to the
+	// retiring base's counter; the gauge is monotone, not exact.)
 	Refinements int64
 	// ApproxEnabled reports whether the approximate tier is configured;
 	// when false, Query.Approx runs the exact engine.
@@ -462,8 +499,10 @@ func (db *DB) KNNBatch(queries [][][]float64, k int) [][]Neighbor {
 	return db.Search(qs)
 }
 
-// searchView answers one query against a pinned view. It only picks the
-// candidate source; what follows the candidates is shared.
+// searchView answers one query against a pinned view: the base proposes
+// its live neighbours (tombstones are skipped inside the exact ranking,
+// dropped after it on the approximate tier), then the delta memtable is
+// folded in under its centroid bounds.
 func (db *DB) searchView(v *view, q *Query) []Neighbor {
 	if q.Match.Partial {
 		return db.partialView(v, q)
@@ -478,88 +517,145 @@ func (db *DB) searchView(v *view, q *Query) []Neighbor {
 		if approx != nil {
 			cands = v.base.RangeApproxFlat(query, q.Eps, approx.rangeBudget()+len(v.tomb))
 		} else {
-			cands = v.base.RangeFlat(query, q.Eps)
+			cands = v.base.RangeFlatLive(query, q.Eps, v.baseLive())
 		}
-		return db.mergeLive(v, query, cands, q.Eps)
+		return db.deltaRange(v, query, q.Eps, v.liveNeighbors(cands))
 	}
 	k := min(q.K, len(v.ids))
 	if k <= 0 {
 		return nil
 	}
-	// Tombstones widen both the fetch and the approximate budget: a
-	// tombstoned object occupying a candidate slot must not evict a live
-	// one.
 	var cands []index.Neighbor
 	if approx != nil {
+		// Tombstones widen both the fetch and the approximate budget: a
+		// tombstoned object occupying a candidate slot must not evict a
+		// live one.
 		cands = v.base.KNNApproxFlat(query, k+len(v.tomb), approx.knnBudget(k)+len(v.tomb))
 	} else {
-		cands = v.base.KNNFlat(query, k+len(v.tomb))
+		cands = v.base.KNNFlatLive(query, k, v.baseLive())
 	}
-	out := db.mergeLive(v, query, cands, -1)
+	out := v.liveNeighbors(cands)
 	if len(out) > k {
 		out = out[:k]
+	}
+	return db.deltaKNN(v, query, k, out)
+}
+
+// liveNeighbors converts base candidates, dropping tombstoned ones (the
+// exact ranking has none left; the approximate tier proposes them). The
+// (dist, id) order is kept.
+func (v *view) liveNeighbors(cands []index.Neighbor) []Neighbor {
+	out := make([]Neighbor, 0, len(cands))
+	for _, nb := range cands {
+		if _, dead := v.tomb[uint64(nb.ID)]; !dead {
+			out = append(out, Neighbor{ID: uint64(nb.ID), Dist: nb.Dist})
+		}
 	}
 	return out
 }
 
-// mergeLive turns base candidates into the view's answer: tombstoned
-// candidates are dropped, the delta memtable is exact-scanned (eps as in
-// deltaScan) — so a freshly inserted object is never missed, whichever
-// source proposed the base candidates — and the union is (dist, id)-
-// ordered.
-func (db *DB) mergeLive(v *view, query vectorset.Flat, cands []index.Neighbor, eps float64) []Neighbor {
-	out := make([]Neighbor, 0, len(cands)+len(v.deltaIDs))
-	for _, nb := range cands {
-		if _, dead := v.tomb[uint64(nb.ID)]; dead {
+// deltaBound is the Lemma 2 lower bound MaxCard·‖C(X)−C(q)‖₂ of a delta
+// entry's distance to the query with extended centroid cq — the very
+// expression the filter ranks base objects by, so a delta entry is pruned
+// exactly when it would be after compaction.
+func (db *DB) deltaBound(cq []float64, e deltaEntry) float64 {
+	return vectorset.CentroidLowerBound(cq, e.cent, db.cfg.MaxCard)
+}
+
+// deltaRange appends to out, the base's answer, every delta object
+// within eps of the query — refining only entries whose centroid bound
+// does not already exceed eps — and returns the union (dist, id)-ordered.
+func (db *DB) deltaRange(v *view, query vectorset.Flat, eps float64, out []Neighbor) []Neighbor {
+	if len(v.deltaIDs) == 0 {
+		return out
+	}
+	cq := query.Centroid(db.cfg.MaxCard, db.omega)
+	ws := dist.GetWorkspace()
+	defer dist.PutWorkspace(ws)
+	refined := 0
+	for _, id := range v.deltaIDs {
+		e := v.delta[id]
+		if db.deltaBound(cq, e) > eps {
 			continue
 		}
-		out = append(out, Neighbor{ID: uint64(nb.ID), Dist: nb.Dist})
+		refined++
+		if d := ws.MatchingDistanceFlat(query, e.set, db.omega); d <= eps {
+			out = append(out, Neighbor{ID: id, Dist: d})
+		}
 	}
-	out = append(out, db.deltaScan(v, query, eps)...)
+	db.refExtra.Add(int64(refined))
 	sortNeighbors(out)
 	return out
 }
 
-// deltaScan computes the exact distance from query to every delta
-// object, in parallel on the configured worker pool; eps ≥ 0 filters to
-// the range predicate (dist ≤ eps), eps < 0 keeps everything (k-nn).
-// Results are deterministic: one slot per delta index, merged in order.
-// Distances run through the flat kernel — bit-identical to the generic
-// MatchingDistance with L2 ground and w_ω weights.
-func (db *DB) deltaScan(v *view, query vectorset.Flat, eps float64) []Neighbor {
-	n := len(v.deltaIDs)
-	if n == 0 {
-		return nil
+// deltaKNN merges the delta memtable into out, the base's at most k
+// nearest live neighbours in (dist, id) order, with the multi-step stop
+// rule of the filter's own k-nn: entries are refined in ascending
+// centroid bound until the first bound strictly greater than the current
+// k-th distance, so every entry that ties or beats the k-th place is
+// refined and the answer is the exact top k of base ∪ delta. Typically a
+// handful of entries survive the bound, so the pass is sequential at any
+// worker count.
+func (db *DB) deltaKNN(v *view, query vectorset.Flat, k int, out []Neighbor) []Neighbor {
+	if len(v.deltaIDs) == 0 {
+		return out
 	}
-	dists := make([]float64, n)
-	workers := db.queryWorkers()
-	parallel.Run(workers, func(worker int) {
-		lo, hi := parallel.Chunk(n, workers, worker)
-		if lo >= hi {
-			return
+	kth := func() float64 {
+		if len(out) < k {
+			return math.Inf(1)
 		}
-		ws := dist.GetWorkspace()
-		defer dist.PutWorkspace(ws)
-		for i := lo; i < hi; i++ {
-			dists[i] = ws.MatchingDistanceFlat(query, v.delta[v.deltaIDs[i]], db.omega)
+		return out[k-1].Dist
+	}
+	type cand struct {
+		bound float64
+		id    uint64
+		set   vectorset.Flat
+	}
+	cq := query.Centroid(db.cfg.MaxCard, db.omega)
+	var cands []cand
+	limit := kth()
+	for _, id := range v.deltaIDs {
+		e := v.delta[id]
+		if b := db.deltaBound(cq, e); b <= limit {
+			cands = append(cands, cand{b, id, e.set})
 		}
+	}
+	sort.Slice(cands, func(i, j int) bool {
+		if cands[i].bound != cands[j].bound {
+			return cands[i].bound < cands[j].bound
+		}
+		return cands[i].id < cands[j].id
 	})
-	db.refExtra.Add(int64(n))
-	out := make([]Neighbor, 0, n)
-	for i, id := range v.deltaIDs {
-		if eps >= 0 && dists[i] > eps {
+	ws := dist.GetWorkspace()
+	defer dist.PutWorkspace(ws)
+	refined := 0
+	for _, c := range cands {
+		if c.bound > kth() {
+			break
+		}
+		refined++
+		nb := Neighbor{ID: c.id, Dist: ws.MatchingDistanceFlat(query, c.set, db.omega)}
+		at := sort.Search(len(out), func(i int) bool { return neighborLess(nb, out[i]) })
+		if at == k {
 			continue
 		}
-		out = append(out, Neighbor{ID: id, Dist: dists[i]})
+		if len(out) < k {
+			out = append(out, Neighbor{})
+		}
+		copy(out[at+1:], out[at:])
+		out[at] = nb
 	}
+	db.refExtra.Add(int64(refined))
 	return out
 }
 
+func neighborLess(a, b Neighbor) bool {
+	if a.Dist != b.Dist {
+		return a.Dist < b.Dist
+	}
+	return a.ID < b.ID
+}
+
 func sortNeighbors(out []Neighbor) {
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Dist != out[j].Dist {
-			return out[i].Dist < out[j].Dist
-		}
-		return out[i].ID < out[j].ID
-	})
+	sort.Slice(out, func(i, j int) bool { return neighborLess(out[i], out[j]) })
 }
