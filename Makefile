@@ -39,8 +39,10 @@ check-bench:
 # Fuzz smoke: every decoder fuzzer for a few seconds each, on top of
 # the checked-in seed corpora. Catches framing/CRC regressions in the
 # snapshot, WAL, STL and vector-set codecs without a long fuzz session —
-# plus the scatter-gather merge's identity with sort-and-truncate.
+# plus the scatter-gather merge's identity with sort-and-truncate and the
+# threshold-aware matching kernel's contract against the unbounded one.
 fuzz-smoke:
+	$(GO) test -run xxx -fuzz FuzzMatchingWithin -fuzztime 5s ./internal/dist/
 	$(GO) test -run xxx -fuzz FuzzSTLParse -fuzztime 5s ./internal/mesh/
 	$(GO) test -run xxx -fuzz FuzzQueryMesh -fuzztime 5s ./internal/server/
 	$(GO) test -run xxx -fuzz FuzzReadFrom -fuzztime 5s ./internal/vectorset/
@@ -58,9 +60,14 @@ fuzz-smoke:
 # puts a mutated view (128 delta entries, 32 tombstones) beside the same
 # state compacted — refined/op and ns/op must stay close; a regression to
 # over-fetch + full delta scan doubles the first row — and reports the
-# allocation footprint of one compaction.
+# allocation footprint of one compaction. The kernel rows price the three
+# exits of the threshold-aware matching (pruned ≪ survivor ≈ unbounded),
+# and FilterKNN reports refined/op beside solves/op over 10 k sets: a
+# regression to always-solve makes the two equal.
 bench-smoke:
 	$(GO) test -run xxx -bench 'Ablation_Matching(Hungarian|Pooled)K7' -benchtime 200x .
+	$(GO) test -run xxx -bench 'MatchingWithin' -benchtime 20000x -benchmem ./internal/dist/
+	$(GO) test -run xxx -bench 'FilterKNN' -benchtime 20x ./internal/index/filter/
 	$(GO) test -run xxx -bench 'SearchMutatedView|Compact$$' -benchtime 100x -benchmem ./internal/vsdb/
 	$(GO) run ./cmd/benchjson -quick -out /tmp/voxset-bench-smoke.json
 

@@ -416,6 +416,7 @@ func (c *DB) Stats() vsdb.Stats {
 		}
 		s := db.Stats()
 		st.Refinements += s.Refinements
+		st.Matchings += s.Matchings
 		st.SketchCandidates += s.SketchCandidates
 		st.WALRecords += s.WALRecords
 		st.DeltaLen += s.DeltaLen

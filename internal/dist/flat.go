@@ -11,6 +11,12 @@
 //	ws.MatchingDistance(x.Rows(), y.Rows(), L2, WeightNormTo(omega))
 //
 // — TestFlatMatchingParity pins that equality on randomized inputs.
+//
+// There is one kernel, and it takes the threshold its caller holds
+// (MatchingDistanceFlatWithin): a refinement loop asks "is this candidate
+// within the k-th distance (or ε)?", and an O(k²) assignment lower bound
+// answers "no" for all but a few percent of the candidates before the
+// O(k³) solve. MatchingDistanceFlat is the bound = +Inf case.
 package dist
 
 import (
@@ -21,47 +27,99 @@ import (
 
 // MatchingDistanceFlat computes dist_mm(X, Y) (Definition 6) for flat
 // sets under the L2 ground distance and WeightNormTo(omega) weights,
-// allocation-free. Both sets must share omega's dimension.
+// allocation-free. Both sets must share omega's dimension. It is the
+// unbounded case of MatchingDistanceFlatWithin.
 func (ws *Workspace) MatchingDistanceFlat(x, y vectorset.Flat, omega []float64) float64 {
+	d, _ := ws.MatchingDistanceFlatWithin(x, y, omega, math.Inf(1))
+	return d
+}
+
+// boundSlack widens the bound the two assignment lower bounds are held
+// against. Each row minimum is ≤ that row's matched cell exactly, but the
+// bounds sum up to MaxCard non-negative terms in row (or column) order
+// while solve sums the matched cells in column order, and each sum
+// carries up to (n−1)·2⁻⁵³ relative rounding error. With the slack,
+// "lower bound > bound" implies "the distance solve would return > bound"
+// for any realistic cardinality.
+const boundSlack = 1 + 1e-12
+
+// MatchingDistanceFlatWithin is MatchingDistanceFlat for a caller that
+// will only keep the distance if it is at most bound (the current k-th
+// distance, ε). within == false means dist_mm(X, Y) > bound was proven
+// in O(k²) and no matching was run; d is then +Inf. Otherwise d is the
+// distance, bit-identical to MatchingDistanceFlat's — which may still
+// exceed bound: callers keep their own comparison. A +Inf or NaN bound
+// never prunes.
+//
+// The padded cost matrix fills row by row. Every row is matched to
+// exactly one column, so Σ row minima never exceeds the matching cost:
+// the running sum stops the fill the moment it passes the bound. Every
+// column of the padded square matrix is matched exactly once too, which
+// gives Σ column minima as a second bound over the finished matrix.
+// Only what survives both goes to solve.
+func (ws *Workspace) MatchingDistanceFlatWithin(x, y vectorset.Flat, omega []float64, bound float64) (d float64, within bool) {
 	if x.Card < y.Card {
 		x, y = y, x
 	}
-	big, small := x.Card, y.Card
+	big, small, dim := x.Card, y.Card, x.Dim
 	switch {
 	case big == 0:
-		return 0
+		return 0, true
 	case small == 0:
 		total := 0.0
 		for i := 0; i < big; i++ {
 			total += math.Sqrt(l2SquaredStride(x.Row(i), omega))
 		}
-		return total
+		return total, true
 	}
-	rows := ws.fillCostFlat(x, y, omega)
-	return ws.solve(rows, big, big)
-}
-
-// fillCostFlat builds the padded square matching cost matrix for
-// |x| ≥ |y| in workspace memory, streaming both flat buffers: row i
-// holds L2(x_i, y_j) for y's columns followed by the unmatched weight
-// ‖x_i−ω‖₂ in the dummy columns.
-func (ws *Workspace) fillCostFlat(x, y vectorset.Flat, omega []float64) [][]float64 {
-	big, small, d := x.Card, y.Card, x.Dim
+	limit := bound * boundSlack // no sum compares greater than +Inf or NaN
 	rows := ws.growCost(big)
-	for i := 0; i < big; i++ {
-		row := rows[i]
-		xi := x.Data[i*d : (i+1)*d]
+	sum := 0.0
+	for i, row := range rows {
+		xi := x.Data[i*dim : (i+1)*dim]
+		// The row minimum goes through the branch-free min builtin: a
+		// compare-and-branch mispredicts afresh on every new candidate
+		// (+25 % on the unbounded call over varying pairs).
+		lo := math.Inf(1)
 		for j := 0; j < small; j++ {
-			row[j] = math.Sqrt(l2SquaredStride(xi, y.Data[j*d:(j+1)*d]))
+			c := math.Sqrt(l2SquaredStride(xi, y.Data[j*dim:(j+1)*dim]))
+			row[j] = c
+			lo = min(lo, c)
 		}
 		if big > small {
+			// Dummy columns charge the unmatched weight ‖x_i−ω‖₂.
 			w := math.Sqrt(l2SquaredStride(xi, omega))
 			for j := small; j < big; j++ {
 				row[j] = w
 			}
+			lo = min(lo, w)
+		}
+		if sum += lo; sum > limit {
+			return math.Inf(1), false
 		}
 	}
-	return rows
+	if limit < math.Inf(1) && ws.columnMinima(rows) > limit {
+		return math.Inf(1), false
+	}
+	return ws.solve(rows, big, big), true
+}
+
+// columnMinima returns Σ_j min_i cost[i][j] of a square cost matrix,
+// in solver scratch that solve re-initializes.
+func (ws *Workspace) columnMinima(rows [][]float64) float64 {
+	ws.growSolve(len(rows))
+	lo := ws.minv[:len(rows)]
+	copy(lo, rows[0])
+	for _, row := range rows[1:] {
+		for j, c := range row {
+			lo[j] = min(lo[j], c)
+		}
+	}
+	sum := 0.0
+	for _, c := range lo {
+		sum += c
+	}
+	return sum
 }
 
 // CentroidLowerBoundFlat computes the Lemma 2 filter bound

@@ -66,7 +66,8 @@ func TestCentroidLowerBoundFlatParity(t *testing.T) {
 
 // TestMatchingDistanceFlatAllocs pins the flat kernel (including the
 // record-decode staging through Floats) at zero steady-state
-// allocations.
+// allocations, on every exit of the bounded entry point: the row bound,
+// the column bound and the solve.
 func TestMatchingDistanceFlatAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	const d = 6
@@ -75,7 +76,7 @@ func TestMatchingDistanceFlatAllocs(t *testing.T) {
 	omega := make([]float64, d)
 	rec := y.AppendEncode(nil)
 	var ws Workspace
-	ws.MatchingDistanceFlat(x, y, omega) // warm the scratch
+	want := ws.MatchingDistanceFlat(x, y, omega) // warm the scratch
 	ws.Floats(len(y.Data))
 	allocs := testing.AllocsPerRun(100, func() {
 		card, dim, err := vectorset.FlatHeader(rec)
@@ -87,6 +88,9 @@ func TestMatchingDistanceFlatAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		ws.MatchingDistanceFlat(x, f, omega)
+		for _, b := range [...]float64{0, want / 2, want * 0.99, want} {
+			ws.MatchingDistanceFlatWithin(x, f, omega, b)
+		}
 	})
 	if allocs != 0 {
 		t.Fatalf("decode+matching allocates %v per run, want 0", allocs)

@@ -20,6 +20,11 @@
 // pruning threshold. Results are identical to the sequential engine at
 // any worker count; a parallel k-nn may perform slightly more exact
 // evaluations than the sequential optimum (see DESIGN.md §6).
+//
+// Every refinement loop hands the threshold it holds (the current k-th
+// exact distance, ε) down to the matching kernel, whose O(k²) assignment
+// lower bound settles most candidates without the O(k³) solve:
+// Refinements counts the candidates fetched, Matchings the solves run.
 package filter
 
 import (
@@ -96,7 +101,8 @@ type Index struct {
 	encBuf []byte // reused serialization buffer (Add is caller-serialized)
 
 	workers     int
-	refinements atomic.Int64
+	refinements atomic.Int64 // candidates fetched and handed to the kernel
+	matchings   atomic.Int64 // of those, distances computed in full
 
 	// Approximate tier state (sketch.go): the signature table is built
 	// lazily on the first approximate query, or adopted from a snapshot
@@ -148,12 +154,22 @@ func (ix *Index) Len() int { return len(ix.ids) }
 // Workers returns the resolved refinement worker count.
 func (ix *Index) Workers() int { return ix.workers }
 
-// Refinements returns the cumulative number of exact distance
-// evaluations performed by queries (the filter's selectivity measure).
+// Refinements returns the cumulative number of candidates queries
+// fetched and handed to the matching kernel (the filter's selectivity
+// measure, the paper's Table 2 quantity: the set's page is read whether
+// or not the kernel then runs the matching to completion).
 func (ix *Index) Refinements() int64 { return ix.refinements.Load() }
 
-// ResetRefinements zeroes the refinement counter.
-func (ix *Index) ResetRefinements() { ix.refinements.Store(0) }
+// Matchings returns how many of those refinements computed the matching
+// distance in full — the Hungarian solves run; the rest were settled by
+// the kernel's assignment lower bound against the loop's threshold.
+func (ix *Index) Matchings() int64 { return ix.matchings.Load() }
+
+// ResetRefinements zeroes the refinement and matching counters.
+func (ix *Index) ResetRefinements() {
+	ix.refinements.Store(0)
+	ix.matchings.Store(0)
+}
 
 // Add indexes the vector set under the given object id, appending its
 // record to the paged file. The serialization buffer is reused across
@@ -236,15 +252,34 @@ func (ix *Index) newQueryFlat(f vectorset.Flat) (qview, []float64) {
 	return qview{rows: f.Rows()}, f.Centroid(ix.cfg.K, ix.omega)
 }
 
-// exact refines candidate i through the caller's matching workspace. The
-// paged file and the refinement counter are safe for concurrent exact
-// calls; each worker must hold its own workspace.
-func (ix *Index) exact(ws *dist.Workspace, q qview, i int) float64 {
-	ix.refinements.Add(1)
-	if q.fast {
-		return ws.MatchingDistanceFlat(q.flat, ix.fetchFlat(ws, i), ix.omega)
+// tally counts one loop's refinements and full matchings; the loop
+// publishes it to the index's shared counters once, not per candidate.
+type tally struct{ refined, solved int64 }
+
+func (ix *Index) publish(t tally) {
+	ix.refinements.Add(t.refined)
+	ix.matchings.Add(t.solved)
+}
+
+// exact refines candidate i through the caller's matching workspace
+// against bound, the threshold the caller will compare the distance with:
+// the result is +Inf when the kernel proved the distance greater than
+// bound without running the matching (dist.MatchingDistanceFlatWithin).
+// The generic Ground/Weight path (an index without FastL2: tests, the
+// root voxset.Database) stays unbounded and always solves. The paged file
+// is safe for concurrent exact calls; each worker must hold its own
+// workspace and tally.
+func (ix *Index) exact(ws *dist.Workspace, q qview, i int, bound float64, t *tally) float64 {
+	t.refined++
+	if !q.fast {
+		t.solved++
+		return ws.MatchingDistance(q.rows, ix.fetch(i), ix.cfg.Ground, ix.cfg.Weight)
 	}
-	return ws.MatchingDistance(q.rows, ix.fetch(i), ix.cfg.Ground, ix.cfg.Weight)
+	d, within := ws.MatchingDistanceFlatWithin(q.flat, ix.fetchFlat(ws, i), ix.omega, bound)
+	if within {
+		t.solved++
+	}
+	return d
 }
 
 // Range returns all objects whose minimal matching distance to q is at
@@ -285,10 +320,12 @@ func (ix *Index) rangeQuery(q qview, cq []float64, eps float64, live func(id int
 	parallel.Run(workers, func(w int) {
 		ws := dist.GetWorkspace()
 		defer dist.PutWorkspace(ws)
+		var t tally
 		lo, hi := parallel.Chunk(len(cands), max(workers, 1), w)
 		for i := lo; i < hi; i++ {
-			dists[i] = ix.exact(ws, q, cands[i].ID)
+			dists[i] = ix.exact(ws, q, cands[i].ID, eps, &t)
 		}
+		ix.publish(t)
 	})
 	var out []index.Neighbor
 	for i, c := range cands {
@@ -389,21 +426,28 @@ func (ix *Index) knnSequential(cq []float64, q qview, k int, live func(id int) b
 	defer dist.PutWorkspace(ws)
 	ranking := ix.tree.NewRanking(cq)
 	var results resultHeap
+	var t tally
+	kth := math.Inf(1) // the k-th exact distance once k candidates are in
 	for {
 		cand, ok := ranking.Next()
 		if !ok {
 			break
 		}
-		filterDist := cand.Dist * float64(ix.cfg.K)
-		if len(results) == k && filterDist > results[0].Dist {
+		if cand.Dist*float64(ix.cfg.K) > kth {
 			break // no unseen object can beat the current k-th distance
 		}
 		if live != nil && !live(ix.ids[cand.ID]) {
 			continue
 		}
-		d := ix.exact(ws, q, cand.ID)
+		// A distance above kth comes back +Inf, which offer turns down
+		// exactly as it would the distance itself.
+		d := ix.exact(ws, q, cand.ID, kth, &t)
 		results.offer(index.Neighbor{ID: ix.ids[cand.ID], Dist: d}, k)
+		if len(results) == k {
+			kth = results[0].Dist
+		}
 	}
+	ix.publish(t)
 	return results
 }
 
@@ -426,7 +470,9 @@ const knnBatchPerWorker = 4
 // enter the heap. Workers prune individually against a shared atomic
 // threshold — the k-th exact distance after the last merged batch — and
 // mark skipped candidates +Inf, which is likewise sound because a filter
-// distance above the current k-th exact distance can never be a result.
+// distance above the current k-th exact distance can never be a result;
+// they pass the same threshold down to the kernel, whose assignment bound
+// prunes under the same rule with the same mark.
 func (ix *Index) knnParallel(cq []float64, q qview, k int, live func(id int) bool) resultHeap {
 	ranking := ix.tree.NewRanking(cq)
 	var results resultHeap
@@ -437,6 +483,7 @@ func (ix *Index) knnParallel(cq []float64, q qview, k int, live func(id int) boo
 	batchCap := ix.workers * knnBatchPerWorker
 	cands := make([]index.Neighbor, 0, batchCap)
 	dists := make([]float64, batchCap)
+	tallies := make([]tally, ix.workers) // one per worker, published once
 	for {
 		cands = cands[:0]
 		done := false
@@ -461,15 +508,19 @@ func (ix *Index) knnParallel(cq []float64, q qview, k int, live func(id int) boo
 			parallel.Run(workers, func(w int) {
 				ws := dist.GetWorkspace()
 				defer dist.PutWorkspace(ws)
+				t := tallies[w]
 				lo, hi := parallel.Chunk(len(cands), workers, w)
 				for i := lo; i < hi; i++ {
-					fd := cands[i].Dist * float64(ix.cfg.K)
-					if fd > math.Float64frombits(threshold.Load()) {
+					kth := math.Float64frombits(threshold.Load())
+					if cands[i].Dist*float64(ix.cfg.K) > kth {
 						dists[i] = math.Inf(1) // pruned: cannot beat the k-th distance
 						continue
 					}
-					dists[i] = ix.exact(ws, q, cands[i].ID)
+					// The kernel prunes against the same threshold, with
+					// the same +Inf mark.
+					dists[i] = ix.exact(ws, q, cands[i].ID, kth, &t)
 				}
+				tallies[w] = t
 			})
 			for i, cand := range cands {
 				if math.IsInf(dists[i], 1) {
@@ -484,6 +535,9 @@ func (ix *Index) knnParallel(cq []float64, q qview, k int, live func(id int) boo
 		if done {
 			break
 		}
+	}
+	for _, t := range tallies {
+		ix.publish(t)
 	}
 	return results
 }

@@ -19,6 +19,7 @@ package filter
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/voxset/voxset/internal/dist"
 	"github.com/voxset/voxset/internal/index"
@@ -118,17 +119,20 @@ func (ix *Index) sketchCandidates(q vectorset.Flat, budget int) []sketch.Candida
 }
 
 // refineCandidates evaluates the exact matching distance of every
-// candidate on the worker pool, into per-candidate slots.
-func (ix *Index) refineCandidates(q qview, cands []sketch.Candidate) []float64 {
+// candidate on the worker pool, into per-candidate slots; a distance the
+// kernel proves greater than bound comes back +Inf.
+func (ix *Index) refineCandidates(q qview, cands []sketch.Candidate, bound float64) []float64 {
 	dists := make([]float64, len(cands))
 	workers := min(ix.workers, len(cands))
 	parallel.Run(max(workers, 1), func(w int) {
 		ws := dist.GetWorkspace()
 		defer dist.PutWorkspace(ws)
+		var t tally
 		lo, hi := parallel.Chunk(len(cands), max(workers, 1), w)
 		for i := lo; i < hi; i++ {
-			dists[i] = ix.exact(ws, q, cands[i].Index)
+			dists[i] = ix.exact(ws, q, cands[i].Index, bound, &t)
 		}
+		ix.publish(t)
 	})
 	return dists
 }
@@ -148,7 +152,7 @@ func (ix *Index) KNNApproxFlat(q vectorset.Flat, k, budget int) []index.Neighbor
 		budget = k
 	}
 	cands := ix.sketchCandidates(q, budget)
-	dists := ix.refineCandidates(ix.approxQuery(q), cands)
+	dists := ix.refineCandidates(ix.approxQuery(q), cands, math.Inf(1))
 	var results resultHeap
 	for i, c := range cands {
 		results.offer(index.Neighbor{ID: ix.ids[c.Index], Dist: dists[i]}, k)
@@ -173,7 +177,7 @@ func (ix *Index) RangeApproxFlat(q vectorset.Flat, eps float64, budget int) []in
 		return nil
 	}
 	cands := ix.sketchCandidates(q, budget)
-	dists := ix.refineCandidates(ix.approxQuery(q), cands)
+	dists := ix.refineCandidates(ix.approxQuery(q), cands, eps)
 	var out []index.Neighbor
 	for i, c := range cands {
 		if dists[i] <= eps {

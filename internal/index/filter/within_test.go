@@ -1,0 +1,144 @@
+package filter
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
+	"testing"
+
+	"github.com/voxset/voxset/internal/dist"
+	"github.com/voxset/voxset/internal/index"
+	"github.com/voxset/voxset/internal/vectorset"
+)
+
+// latticeCorpus draws n sets with replacement from a small pool of
+// integer-coordinate sets: distances are sums of square roots of small
+// integers, so equal sets tie exactly — at the k-th place and at ε —
+// which is where a bounded kernel that dropped "equal" instead of only
+// "strictly greater" would change an answer. Callers index it under a
+// power-of-two K: the extended centroids and the Lemma 2 bound are then
+// exact too, so the centroid stage cannot round a tie away before the
+// kernel sees it (at K = 7 the bound of a card-1 pair can exceed its
+// distance by an ulp, on the parent commit as well).
+func latticeCorpus(seed int64, n, maxCard, dim int) [][][]float64 {
+	rng := rand.New(rand.NewSource(seed))
+	pool := make([][][]float64, 60)
+	for i := range pool {
+		pool[i] = make([][]float64, 1+rng.Intn(maxCard))
+		for j := range pool[i] {
+			v := make([]float64, dim)
+			for c := range v {
+				v[c] = float64(rng.Intn(5) - 2)
+			}
+			pool[i][j] = v
+		}
+	}
+	sets := make([][][]float64, n)
+	for i := range sets {
+		sets[i] = pool[rng.Intn(len(pool))]
+	}
+	return sets
+}
+
+// TestBoundedRefinementDifferential: KNNFlatLive and RangeFlatLive, whose
+// loops now hand their threshold to the matching kernel, answer byte for
+// byte like a brute-force scan with the unbounded distance — sequential
+// and parallel, with and without a liveness predicate, at k and ε chosen
+// on exact ties.
+func TestBoundedRefinementDifferential(t *testing.T) {
+	const K, D = 8, 6
+	sets := latticeCorpus(41, 400, K, D)
+	dead := func(id int) bool { return id%5 == 0 }
+	for _, workers := range []int{1, 4} {
+		ix := New(Config{K: K, Dim: D, Workers: workers})
+		for i, s := range sets {
+			ix.Add(s, i)
+		}
+		for _, live := range []func(int) bool{nil, func(id int) bool { return !dead(id) }} {
+			for qi := 0; qi < 25; qi++ {
+				q := sets[qi*7%len(sets)]
+				var all []index.Neighbor
+				for i, s := range sets {
+					if live == nil || live(i) {
+						all = append(all, index.Neighbor{ID: i, Dist: dist.MatchingDistance(q, s, dist.L2, dist.WeightNorm)})
+					}
+				}
+				index.SortNeighbors(all)
+				ctx := fmt.Sprintf("workers=%d live=%v query=%d", workers, live != nil, qi)
+				qf := vectorset.FlatFromRows(q)
+				for _, k := range []int{1, 5, 10, 50} {
+					if got := ix.KNNFlatLive(qf, k, live); !reflect.DeepEqual(got, all[:k]) {
+						t.Fatalf("%s: knn k=%d\n got %v\nwant %v", ctx, k, got, all[:k])
+					}
+				}
+				for _, at := range []int{0, 9, 49} {
+					eps := all[at].Dist
+					n := sort.Search(len(all), func(i int) bool { return all[i].Dist > eps })
+					if got := ix.RangeFlatLive(qf, eps, live); !reflect.DeepEqual(got, all[:n]) {
+						t.Fatalf("%s: range eps=%v\n got %v\nwant %v", ctx, eps, got, all[:n])
+					}
+				}
+			}
+		}
+		if ix.Matchings() >= ix.Refinements() {
+			t.Fatalf("workers=%d: %d matchings for %d refinements: the kernel bound never fired", workers, ix.Matchings(), ix.Refinements())
+		}
+	}
+}
+
+// TestGenericPathStaysUnbounded: an index without FastL2 (explicit
+// Ground/Weight) solves every candidate it refines, as documented on
+// exact.
+func TestGenericPathStaysUnbounded(t *testing.T) {
+	const K, D = 5, 6
+	sets := randSets(5, 200, K, D)
+	ix := New(Config{K: K, Dim: D, Ground: dist.L2, Weight: dist.WeightNorm})
+	for i, s := range sets {
+		ix.Add(s, i)
+	}
+	ix.KNN(sets[3], 10)
+	if ix.Refinements() == 0 || ix.Matchings() != ix.Refinements() {
+		t.Fatalf("generic path: %d matchings for %d refinements, want equal", ix.Matchings(), ix.Refinements())
+	}
+}
+
+// BenchmarkFilterKNN is the engine-level price of one k = 10 query over
+// 10 000 sets (1 250 parts × 8 jittered copies, the shape of the served
+// corpus), with the two counters that explain it: refined/op, the
+// candidates the centroid filter let through, and solves/op, the
+// Hungarian solves left after the kernel's assignment bound. A
+// regression to always-solve shows as solves/op == refined/op.
+func BenchmarkFilterKNN(b *testing.B) {
+	const K, D, parts, copies = 7, 6, 1250, 8
+	rng := rand.New(rand.NewSource(7))
+	ix := New(Config{K: K, Dim: D})
+	var queries []vectorset.Flat
+	jitter := func(set [][]float64) [][]float64 {
+		out := make([][]float64, len(set))
+		for i, v := range set {
+			out[i] = make([]float64, D)
+			for c := range v {
+				out[i][c] = v[c] + rng.NormFloat64()*0.5
+			}
+		}
+		return out
+	}
+	for p, part := range randSets(8, parts, K, D) {
+		for c := 0; c < copies; c++ {
+			ix.Add(jitter(part), p*copies+c)
+		}
+		if p%25 == 0 {
+			queries = append(queries, vectorset.FlatFromRows(jitter(part)))
+		}
+	}
+	ix.ResetRefinements()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if got := ix.KNNFlat(queries[i%len(queries)], 10); len(got) != 10 {
+			b.Fatalf("%d neighbors", len(got))
+		}
+	}
+	b.ReportMetric(float64(ix.Refinements())/float64(b.N), "refined/op")
+	b.ReportMetric(float64(ix.Matchings())/float64(b.N), "solves/op")
+}

@@ -37,13 +37,29 @@ type Mesh struct {
 	Triangles []Triangle
 }
 
-// Bounds returns the AABB of the whole mesh (empty for no triangles).
+// Bounds returns the AABB of the whole mesh (empty for no triangles), in
+// one pass of plain comparisons: vertices are finite (the STL parsers
+// reject the rest), so no NaN has to be propagated.
 func (m *Mesh) Bounds() geom.AABB {
 	b := geom.EmptyAABB()
-	for _, t := range m.Triangles {
-		b = b.Union(t.Bounds())
+	for i := range m.Triangles {
+		t := &m.Triangles[i]
+		for _, v := range [...]*geom.Vec3{&t.A, &t.B, &t.C} {
+			extend(&b.Min.X, &b.Max.X, v.X)
+			extend(&b.Min.Y, &b.Max.Y, v.Y)
+			extend(&b.Min.Z, &b.Max.Z, v.Z)
+		}
 	}
 	return b
+}
+
+func extend(lo, hi *float64, v float64) {
+	if v < *lo {
+		*lo = v
+	}
+	if v > *hi {
+		*hi = v
+	}
 }
 
 // SurfaceArea returns the total triangle area.

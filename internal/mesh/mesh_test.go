@@ -2,6 +2,8 @@ package mesh
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"math"
 	"testing"
 
@@ -164,5 +166,81 @@ func TestTriangleNormalAndArea(t *testing.T) {
 	}
 	if tr.Area() != 0.5 {
 		t.Errorf("area = %v", tr.Area())
+	}
+}
+
+// binarySTLWithVertex returns a one-triangle binary STL whose first
+// vertex has the given float32 x coordinate.
+func binarySTLWithVertex(x float32) []byte {
+	var buf bytes.Buffer
+	_ = WriteSTL(&buf, &Mesh{Triangles: []Triangle{{geom.V(0, 0, 0), geom.V(1, 0, 0), geom.V(0, 1, 0)}}})
+	data := buf.Bytes()
+	binary.LittleEndian.PutUint32(data[84+12:], math.Float32bits(x))
+	return data
+}
+
+// TestSTLNonFiniteVertices: a NaN, infinite or beyond-float32 vertex is
+// rejected by both parsers with the explicit error (it used to surface
+// only as an "empty grid" after NaN had propagated through Bounds); a
+// huge but finite one is the parser's to accept.
+func TestSTLNonFiniteVertices(t *testing.T) {
+	ascii := func(x string) []byte {
+		return []byte("solid s\nfacet normal 0 0 1\nouter loop\nvertex " + x +
+			" 0 0\nvertex 1 0 0\nvertex 0 1 0\nendloop\nendfacet\nendsolid s\n")
+	}
+	inf := float32(math.Inf(1))
+	for _, tc := range []struct {
+		name string
+		data []byte
+		ok   bool
+	}{
+		{"binary NaN", binarySTLWithVertex(float32(math.NaN())), false},
+		{"binary +Inf", binarySTLWithVertex(inf), false},
+		{"binary -Inf", binarySTLWithVertex(-inf), false},
+		{"binary 1e30", binarySTLWithVertex(1e30), true},
+		{"ascii NaN", ascii("NaN"), false},
+		{"ascii Inf", ascii("Inf"), false},
+		{"ascii -inf", ascii("-inf"), false},
+		{"ascii 1e39 (beyond float32)", ascii("1e39"), false},
+		{"ascii 1e30", ascii("1e30"), true},
+	} {
+		m, err := ParseSTL(tc.data)
+		switch {
+		case tc.ok && err != nil:
+			t.Errorf("%s: rejected: %v", tc.name, err)
+		case tc.ok:
+			if b := m.Bounds(); math.Abs(b.Max.X-1e30) > 1e23 { // float32 precision
+				t.Errorf("%s: bounds %v", tc.name, b)
+			}
+		case !errors.Is(err, errNonFinite) || m != nil:
+			t.Errorf("%s: err = %v (mesh %v), want %v", tc.name, err, m, errNonFinite)
+		}
+	}
+}
+
+// TestSTLForgedCount: the triangle slice is sized from the header only
+// after the header has been checked against the bytes present.
+func TestSTLForgedCount(t *testing.T) {
+	data := binarySTLWithVertex(0)
+	binary.LittleEndian.PutUint32(data[80:], math.MaxUint32)
+	if _, err := ParseSTL(data); err == nil {
+		t.Fatal("a header declaring 4 Gi triangles over 50 bytes was accepted")
+	}
+}
+
+// TestMeshBoundsMatchesUnion holds the one-pass Bounds to the union of
+// the per-triangle boxes it replaced.
+func TestMeshBoundsMatchesUnion(t *testing.T) {
+	m := NewTorus(geom.V(3, -2, 0.5), 2, 0.7, 24, 12)
+	m.Merge(NewBox(geom.V(-9, 0, 0), geom.V(-8, 1, 7)))
+	want := geom.EmptyAABB()
+	for _, tr := range m.Triangles {
+		want = want.Union(tr.Bounds())
+	}
+	if got := m.Bounds(); got != want {
+		t.Fatalf("Bounds() = %v, union of triangle bounds %v", got, want)
+	}
+	if !(&Mesh{}).Bounds().IsEmpty() {
+		t.Fatal("an empty mesh has non-empty bounds")
 	}
 }

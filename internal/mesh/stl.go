@@ -3,6 +3,7 @@ package mesh
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -73,11 +74,26 @@ func ReadSTL(r io.Reader) (*Mesh, error) {
 	if err != nil {
 		return nil, err
 	}
+	return ParseSTL(data)
+}
+
+// ParseSTL is ReadSTL for a caller that already holds the whole file
+// (an upload body): nothing is copied. A vertex that is NaN, infinite or
+// beyond the binary format's float32 range is an error.
+func ParseSTL(data []byte) (*Mesh, error) {
 	if isASCIISTL(data) {
 		return parseASCIISTL(data)
 	}
 	return parseBinarySTL(data)
 }
+
+// finite reports whether every coordinate of v is a finite float32, the
+// range WriteSTL can write back.
+func finite(v geom.Vec3) bool {
+	return math.Abs(v.X) <= math.MaxFloat32 && math.Abs(v.Y) <= math.MaxFloat32 && math.Abs(v.Z) <= math.MaxFloat32
+}
+
+var errNonFinite = errors.New("non-finite vertex")
 
 func isASCIISTL(data []byte) bool {
 	head := strings.TrimSpace(string(data[:min(len(data), 512)]))
@@ -106,7 +122,9 @@ func parseBinarySTL(data []byte) (*Mesh, error) {
 		return nil, fmt.Errorf("stl: truncated binary file: %d triangles declared, %d bytes available",
 			n, len(data)-84)
 	}
-	m := &Mesh{Name: strings.TrimRight(string(data[:80]), "\x00 ")}
+	// The declared count is covered by the bytes present (checked above),
+	// so a forged header cannot size this allocation.
+	m := &Mesh{Name: strings.TrimRight(string(data[:80]), "\x00 "), Triangles: make([]Triangle, n)}
 	off := 84
 	readVec := func(b []byte) geom.Vec3 {
 		return geom.V(
@@ -115,13 +133,13 @@ func parseBinarySTL(data []byte) (*Mesh, error) {
 			float64(math.Float32frombits(binary.LittleEndian.Uint32(b[8:12]))),
 		)
 	}
-	for i := uint32(0); i < n; i++ {
+	for i := range m.Triangles {
 		b := data[off : off+rec]
-		m.Triangles = append(m.Triangles, Triangle{
-			A: readVec(b[12:24]),
-			B: readVec(b[24:36]),
-			C: readVec(b[36:48]),
-		})
+		t := Triangle{A: readVec(b[12:24]), B: readVec(b[24:36]), C: readVec(b[36:48])}
+		if !finite(t.A) || !finite(t.B) || !finite(t.C) {
+			return nil, fmt.Errorf("stl: triangle %d: %w", i, errNonFinite)
+		}
+		m.Triangles[i] = t
 		off += rec
 	}
 	return m, nil
@@ -156,7 +174,11 @@ func parseASCIISTL(data []byte) (*Mesh, error) {
 				}
 				c[i] = v
 			}
-			verts = append(verts, geom.V(c[0], c[1], c[2]))
+			v := geom.V(c[0], c[1], c[2])
+			if !finite(v) {
+				return nil, fmt.Errorf("stl: line %d: %w", line, errNonFinite)
+			}
+			verts = append(verts, v)
 		case "endfacet":
 			if len(verts) != 3 {
 				return nil, fmt.Errorf("stl: line %d: facet has %d vertices, want 3", line, len(verts))

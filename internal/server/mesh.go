@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
 	"net/url"
@@ -175,7 +174,7 @@ type meshExtraction struct {
 func (s *Server) extractMesh(data []byte, cfg meshquery.Config) (meshExtraction, error) {
 	var ex meshExtraction
 	t := time.Now()
-	m, err := mesh.ReadSTL(bytes.NewReader(data))
+	m, err := mesh.ParseSTL(data)
 	ex.stages.ParseMS = msSince(t)
 	if err != nil {
 		return ex, fmt.Errorf("invalid STL: %v", err)
@@ -217,7 +216,15 @@ func (s *Server) handleQueryMesh(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 		return
 	}
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.maxMeshBytes))
+	// A declared Content-Length sizes the buffer once (plus the spare room
+	// ReadFrom wants for the read that meets EOF) instead of growing it by
+	// doubling; the limit is enforced on the bytes read either way.
+	var body bytes.Buffer
+	if n := r.ContentLength; n > 0 && n <= s.maxMeshBytes {
+		body.Grow(int(n) + bytes.MinRead)
+	}
+	_, err = body.ReadFrom(http.MaxBytesReader(w, r.Body, s.maxMeshBytes))
+	data := body.Bytes()
 	if err != nil {
 		m.errors.Add(1)
 		var mbe *http.MaxBytesError

@@ -2,8 +2,11 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"io"
+	"math"
 	"net/http"
 	"reflect"
 	"strings"
@@ -187,6 +190,11 @@ func TestQueryMeshMalformedBothModes(t *testing.T) {
 	_, single := newTestServer(t, Config{DB: buildMeshDB(t, sets)})
 	_, sharded := newTestServer(t, Config{Cluster: buildMeshCluster(t, 2, sets)})
 	truncated := stlBytes(t, testMeshes(1)[0])[:97] // mid-triangle-record cut
+	withVertex := func(x float32) string {          // the first vertex's x, overwritten
+		data := stlBytes(t, testMeshes(1)[0])
+		binary.LittleEndian.PutUint32(data[84+12:], math.Float32bits(x))
+		return string(data)
+	}
 	cases := []struct {
 		name, path, raw string
 		want            int
@@ -194,6 +202,9 @@ func TestQueryMeshMalformedBothModes(t *testing.T) {
 		{"empty body", "/query/mesh?k=3", "", http.StatusBadRequest},
 		{"non-stl bytes", "/query/mesh?k=3", "not a mesh at all, just prose", http.StatusBadRequest},
 		{"truncated binary", "/query/mesh?k=3", string(truncated), http.StatusBadRequest},
+		{"NaN vertex", "/query/mesh?k=3", withVertex(float32(math.NaN())), http.StatusBadRequest},
+		{"Inf vertex", "/query/mesh?k=3", withVertex(float32(math.Inf(-1))), http.StatusBadRequest},
+		{"ascii NaN vertex", "/query/mesh?k=3", "solid s\nfacet normal 0 0 1\nouter loop\nvertex NaN 0 0\nvertex 1 0 0\nvertex 0 1 0\nendloop\nendfacet\nendsolid s\n", http.StatusBadRequest},
 		{"no params", "/query/mesh", "x", http.StatusBadRequest},
 		{"k and eps", "/query/mesh?k=3&eps=1", "x", http.StatusBadRequest},
 		{"k=0", "/query/mesh?k=0", "x", http.StatusBadRequest},
@@ -225,7 +236,44 @@ func TestQueryMeshMalformedBothModes(t *testing.T) {
 			if er.Error == "" {
 				t.Errorf("%s %s: empty error body", mode.name, tc.name)
 			}
+			if strings.HasSuffix(tc.name, "vertex") && !strings.Contains(er.Error, "non-finite vertex") {
+				t.Errorf("%s %s: error %q does not name the non-finite vertex", mode.name, tc.name, er.Error)
+			}
 		}
+	}
+}
+
+// TestQueryMeshUploadFraming: the body buffer is sized from
+// Content-Length when there is one and grown when there is not (a
+// chunked upload); a mesh with one far-away but finite vertex is the
+// pipeline's to answer or to refuse as degenerate, never a 5xx. All
+// framings of one mesh answer identically.
+func TestQueryMeshUploadFraming(t *testing.T) {
+	sets := extractAll(t, testMeshes(6))
+	_, ts := newTestServer(t, Config{DB: buildMeshDB(t, sets), CacheSize: -1})
+	body := stlBytes(t, testMeshes(3)[2])
+	_, want, _ := postMesh(t, ts.URL+"/query/mesh?k=3", body)
+	if len(want.Neighbors) != 3 {
+		t.Fatalf("sized upload: %d neighbors, want 3", len(want.Neighbors))
+	}
+	// io.MultiReader hides the length: net/http sends it chunked.
+	resp, err := http.Post(ts.URL+"/query/mesh?k=3", "application/octet-stream", io.MultiReader(bytes.NewReader(body)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var got MeshQueryResponse
+	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || !reflect.DeepEqual(got.Neighbors, want.Neighbors) || !reflect.DeepEqual(got.Set, want.Set) {
+		t.Fatalf("chunked upload: status %d, neighbors %v; sized upload gave %v", resp.StatusCode, got.Neighbors, want.Neighbors)
+	}
+
+	far := append([]byte(nil), body...)
+	binary.LittleEndian.PutUint32(far[84+12:], math.Float32bits(1e30))
+	if resp, _, raw := postMesh(t, ts.URL+"/query/mesh?k=3", far); resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("1e30 vertex: status %d (%s), want 200 or 400", resp.StatusCode, raw)
 	}
 }
 

@@ -246,11 +246,14 @@ type MetricsSnapshot struct {
 	Workers       int                         `json:"workers"`
 	CacheEntries  int                         `json:"cache_entries"`
 	Endpoints     map[string]EndpointSnapshot `json:"endpoints"`
-	// Refinements is the cumulative number of exact matching-distance
-	// evaluations; RefinedPerQuery and CandidateRatio relate it to the
-	// query count and the database size (the filter's selectivity: a
-	// ratio of 1 would mean the filter prunes nothing).
+	// Refinements is the cumulative number of candidates fetched and
+	// handed to the matching kernel; RefinedPerQuery and CandidateRatio
+	// relate it to the query count and the database size (the filter's
+	// selectivity: a ratio of 1 would mean the filter prunes nothing).
+	// Matchings is how many of them ran the Hungarian solve to completion
+	// rather than being settled by the kernel's O(k²) lower bound.
 	Refinements     int64      `json:"refinements"`
+	Matchings       int64      `json:"matchings"`
 	RefinedPerQuery float64    `json:"refined_per_query"`
 	CandidateRatio  float64    `json:"candidate_ratio"`
 	IO              IOSnapshot `json:"io"`

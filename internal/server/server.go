@@ -890,6 +890,7 @@ func (s *Server) MetricsSnapshot() MetricsSnapshot {
 		BatchSizes:     s.batchSizes.snapshot(),
 		BatchQueries:   s.batchQueries.Load(),
 		Refinements:    st.Refinements,
+		Matchings:      st.Matchings,
 		Epoch:          s.db.Epoch(),
 		WALRecords:     st.WALRecords,
 		DeltaObjects:   st.DeltaLen,

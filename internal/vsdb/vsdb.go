@@ -262,11 +262,13 @@ type DB struct {
 	// for heap-resident ones). Views alias it, so it lives until Close.
 	reader *snapshot.PagedReader
 
-	// refExtra accumulates exact-distance evaluations that the current
-	// base's counter does not cover: delta scans, plus the harvested
-	// counters of bases retired by compaction. skExtra does the same for
-	// the sketch-candidate counter of approximate queries.
+	// refExtra accumulates the refinements that the current base's counter
+	// does not cover: delta scans, plus the harvested counters of bases
+	// retired by compaction. matchExtra does the same for the matchings
+	// run to completion, skExtra for the sketch-candidate counter of
+	// approximate queries.
 	refExtra    atomic.Int64
+	matchExtra  atomic.Int64
 	skExtra     atomic.Int64
 	compactions atomic.Int64
 }
@@ -348,14 +350,21 @@ func (db *DB) Epoch() uint64 { return db.cur.Load().seq }
 
 // Stats is a point-in-time reading of the database's serving gauges.
 type Stats struct {
-	// Refinements is the cumulative number of exact matching-distance
-	// evaluations actually run by queries since the last reset — the
-	// filter pipeline's selectivity measure. Delta memtable entries count
-	// when they are refined, not when their centroid bound prunes them,
-	// and tombstoned base objects are skipped unrefined. (In-flight
-	// queries racing a compaction may lose their evaluations to the
-	// retiring base's counter; the gauge is monotone, not exact.)
+	// Refinements is the cumulative number of candidates queries fetched
+	// and handed to the matching kernel since the last reset — the filter
+	// pipeline's selectivity measure (the paper's Table 2 quantity: the
+	// set's page is read either way). Delta memtable entries count when
+	// they are refined, not when their centroid bound prunes them, and
+	// tombstoned base objects are skipped unrefined. (In-flight queries
+	// racing a compaction may lose their evaluations to the retiring
+	// base's counter; the gauge is monotone, not exact.)
 	Refinements int64
+	// Matchings is how many of those refinements ran the O(k³) matching
+	// to completion — the Hungarian solves run. The rest were settled in
+	// O(k²) by the kernel's assignment lower bound against the threshold
+	// the loop held (the k-th distance, ε), so Matchings ÷ Refinements is
+	// the share of candidates the second filter stage let through.
+	Matchings int64
 	// ApproxEnabled reports whether the approximate tier is configured;
 	// when false, Query.Approx runs the exact engine.
 	ApproxEnabled bool
@@ -385,6 +394,7 @@ func (db *DB) Stats() Stats {
 	v := db.cur.Load()
 	return Stats{
 		Refinements:      db.refExtra.Load() + v.base.Refinements(),
+		Matchings:        db.matchExtra.Load() + v.base.Matchings(),
 		ApproxEnabled:    db.cfg.Approx != nil,
 		SketchCandidates: db.skExtra.Load() + v.base.SketchCandidates(),
 		WALRecords:       db.WALRecords(),
@@ -395,9 +405,10 @@ func (db *DB) Stats() Stats {
 	}
 }
 
-// ResetRefinements zeroes the refinement counter.
+// ResetRefinements zeroes the refinement and matching counters.
 func (db *DB) ResetRefinements() {
 	db.refExtra.Store(0)
+	db.matchExtra.Store(0)
 	db.cur.Load().base.ResetRefinements()
 }
 
@@ -564,7 +575,9 @@ func (db *DB) deltaBound(cq []float64, e deltaEntry) float64 {
 
 // deltaRange appends to out, the base's answer, every delta object
 // within eps of the query — refining only entries whose centroid bound
-// does not already exceed eps — and returns the union (dist, id)-ordered.
+// does not already exceed eps, and solving only those the kernel's
+// assignment bound does not put beyond eps either — and returns the union
+// (dist, id)-ordered.
 func (db *DB) deltaRange(v *view, query vectorset.Flat, eps float64, out []Neighbor) []Neighbor {
 	if len(v.deltaIDs) == 0 {
 		return out
@@ -572,18 +585,24 @@ func (db *DB) deltaRange(v *view, query vectorset.Flat, eps float64, out []Neigh
 	cq := query.Centroid(db.cfg.MaxCard, db.omega)
 	ws := dist.GetWorkspace()
 	defer dist.PutWorkspace(ws)
-	refined := 0
+	var refined, solved int64
 	for _, id := range v.deltaIDs {
 		e := v.delta[id]
 		if db.deltaBound(cq, e) > eps {
 			continue
 		}
 		refined++
-		if d := ws.MatchingDistanceFlat(query, e.set, db.omega); d <= eps {
+		d, within := ws.MatchingDistanceFlatWithin(query, e.set, db.omega, eps)
+		if !within {
+			continue
+		}
+		solved++
+		if d <= eps {
 			out = append(out, Neighbor{ID: id, Dist: d})
 		}
 	}
-	db.refExtra.Add(int64(refined))
+	db.refExtra.Add(refined)
+	db.matchExtra.Add(solved)
 	sortNeighbors(out)
 	return out
 }
@@ -593,7 +612,9 @@ func (db *DB) deltaRange(v *view, query vectorset.Flat, eps float64, out []Neigh
 // rule of the filter's own k-nn: entries are refined in ascending
 // centroid bound until the first bound strictly greater than the current
 // k-th distance, so every entry that ties or beats the k-th place is
-// refined and the answer is the exact top k of base ∪ delta. Typically a
+// refined and the answer is the exact top k of base ∪ delta; the kernel
+// gets the same k-th distance and drops an entry only when strictly
+// farther, so the tie rule at the k-th place is untouched. Typically a
 // handful of entries survive the bound, so the pass is sequential at any
 // worker count.
 func (db *DB) deltaKNN(v *view, query vectorset.Flat, k int, out []Neighbor) []Neighbor {
@@ -628,13 +649,18 @@ func (db *DB) deltaKNN(v *view, query vectorset.Flat, k int, out []Neighbor) []N
 	})
 	ws := dist.GetWorkspace()
 	defer dist.PutWorkspace(ws)
-	refined := 0
+	var refined, solved int64
 	for _, c := range cands {
 		if c.bound > kth() {
 			break
 		}
 		refined++
-		nb := Neighbor{ID: c.id, Dist: ws.MatchingDistanceFlat(query, c.set, db.omega)}
+		d, within := ws.MatchingDistanceFlatWithin(query, c.set, db.omega, kth())
+		if !within {
+			continue // farther than the k-th place: it would land at == k below
+		}
+		solved++
+		nb := Neighbor{ID: c.id, Dist: d}
 		at := sort.Search(len(out), func(i int) bool { return neighborLess(nb, out[i]) })
 		if at == k {
 			continue
@@ -645,7 +671,8 @@ func (db *DB) deltaKNN(v *view, query vectorset.Flat, k int, out []Neighbor) []N
 		copy(out[at+1:], out[at:])
 		out[at] = nb
 	}
-	db.refExtra.Add(int64(refined))
+	db.refExtra.Add(refined)
+	db.matchExtra.Add(solved)
 	return out
 }
 
