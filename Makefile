@@ -63,11 +63,15 @@ fuzz-smoke:
 # allocation footprint of one compaction. The kernel rows price the three
 # exits of the threshold-aware matching (pruned ≪ survivor ≈ unbounded),
 # and FilterKNN reports refined/op beside solves/op over 10 k sets: a
-# regression to always-solve makes the two equal.
+# regression to always-solve makes the two equal (/store is the served
+# shape, NewBulkStore ranking the centroid column; /dynamic the paper's
+# X-tree path). CentroidRanking prices the ranking seam alone, column pass
+# against bulk-loaded tree at 10 k and 100 k centroids, with allocs/op
+# (0 for the column) and the tracker's pages/op.
 bench-smoke:
 	$(GO) test -run xxx -bench 'Ablation_Matching(Hungarian|Pooled)K7' -benchtime 200x .
 	$(GO) test -run xxx -bench 'MatchingWithin' -benchtime 20000x -benchmem ./internal/dist/
-	$(GO) test -run xxx -bench 'FilterKNN' -benchtime 20x ./internal/index/filter/
+	$(GO) test -run xxx -bench 'FilterKNN|CentroidRanking' -benchtime 200x -benchmem ./internal/index/filter/
 	$(GO) test -run xxx -bench 'SearchMutatedView|Compact$$' -benchtime 100x -benchmem ./internal/vsdb/
 	$(GO) run ./cmd/benchjson -quick -out /tmp/voxset-bench-smoke.json
 

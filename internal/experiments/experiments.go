@@ -242,6 +242,27 @@ func Table2(e *core.Engine, tc Table2Config) []Table2Row {
 		label := fmt.Sprintf("Vect. Set w. filter x%d (ext.)", ix.Workers())
 		rows = append(rows, finishRow(label, start, &tr, ix.Refinements()))
 	}
+
+	// (f) Extension: the filter as the server runs it — the same multi-step
+	// loop, ranking one sequential pass over the contiguous centroid column
+	// (filter.NewBulkStore inside vsdb) instead of walking the X-tree. The
+	// pass is charged as the ⌈n·48/4096⌉ pages it reads, so this row shows
+	// the trade against (b): less CPU, and under the §5.4 disk model more
+	// I/O once the column outgrows the part of the tree a query visits.
+	{
+		var tr storage.Tracker
+		db, err := BuildVectorSetDBWith(e, 1, &tr)
+		if err != nil {
+			panic(fmt.Sprintf("experiments: Table 2 column row: %v", err))
+		}
+		tr.Reset()
+		db.ResetRefinements()
+		start := time.Now()
+		for _, q := range queries {
+			db.KNN(q.VSet, tc.K)
+		}
+		rows = append(rows, finishRow("Vect. Set w. filter, column (ext.)", start, &tr, db.Stats().Refinements))
+	}
 	return rows
 }
 

@@ -77,8 +77,9 @@ func TestTable2ShapeMatchesPaper(t *testing.T) {
 		t.Fatal(err)
 	}
 	rows := Table2(e, Table2Config{Queries: 20, K: 10})
-	// Paper's three methods + the M-tree and parallel-filter extensions.
-	if len(rows) != 5 {
+	// Paper's three methods + the M-tree, parallel-filter and
+	// centroid-column extensions.
+	if len(rows) != 6 {
 		t.Fatalf("rows = %d", len(rows))
 	}
 	byLabel := map[string]Table2Row{}
@@ -87,6 +88,9 @@ func TestTable2ShapeMatchesPaper(t *testing.T) {
 	}
 	fil := byLabel["Vect. Set w. filter"]
 	sc := byLabel["Vect. Set seq. scan"]
+	if col := byLabel["Vect. Set w. filter, column (ext.)"]; col.Refined != fil.Refined {
+		t.Errorf("column ranking refined %d, tree ranking %d: both feed the same multi-step loop", col.Refined, fil.Refined)
+	}
 	if fil.Refined >= sc.Refined {
 		t.Errorf("filter refined %d ≥ scan %d", fil.Refined, sc.Refined)
 	}

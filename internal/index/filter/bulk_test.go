@@ -1,17 +1,20 @@
 package filter
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"github.com/voxset/voxset/internal/vectorset"
 )
 
-// NewBulkStore (STR bulk load from a store's centroids, the snapshot-open
-// and compaction path) must answer every query identically to an index
-// built by sequential Add calls — with centroids computed for the store
-// and with the ones the incremental index holds (what a snapshot
-// persists).
+// NewBulkStore (the snapshot-open and compaction path: rank the store's
+// centroid column, refine in place) must answer every query byte for byte
+// like an index built by sequential Add calls — with centroids computed
+// for the store and with the ones the incremental index holds (what a
+// snapshot persists), sequential and parallel, over every object and
+// under a liveness predicate.
 func TestNewBulkMatchesAdd(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	const n, dim, k = 120, 4, 5
@@ -29,44 +32,39 @@ func TestNewBulkMatchesAdd(t *testing.T) {
 		sets[i] = set
 		ids[i] = i * 2
 	}
-	cfg := Config{K: k, Dim: dim}
-	inc := New(cfg)
-	for i, set := range sets {
-		inc.Add(set, ids[i])
-	}
-	flats := make([]vectorset.Flat, n)
-	cents := make([][]float64, n)
-	for i, set := range sets {
-		flats[i] = vectorset.FlatFromRows(set)
-		cents[i] = inc.Centroid(i)
-	}
-	for _, withCents := range []bool{false, true} {
-		bulk := bulkFromFlats(t, cfg, flats, ids)
-		if withCents {
-			var err error
-			if bulk, err = NewBulkStore(cfg, &memStore{sets: flats, cents: cents}, ids, StoreBuildOptions{}); err != nil {
-				t.Fatal(err)
-			}
+	lives := map[string]func(int) bool{"all": nil, "live": func(id int) bool { return id%6 != 0 }}
+	for _, workers := range []int{1, 4} {
+		cfg := Config{K: k, Dim: dim, Workers: workers}
+		inc := New(cfg)
+		for i, set := range sets {
+			inc.Add(set, ids[i])
 		}
-		for qi := 0; qi < 10; qi++ {
-			q := sets[rng.Intn(n)]
-			a, b := inc.KNN(q, 9), bulk.KNN(q, 9)
-			if len(a) != len(b) {
-				t.Fatalf("withCents=%v: KNN sizes %d vs %d", withCents, len(a), len(b))
-			}
-			for i := range a {
-				if a[i] != b[i] {
-					t.Fatalf("withCents=%v: KNN[%d] = %+v vs %+v", withCents, i, a[i], b[i])
+		flats := make([]vectorset.Flat, n)
+		var cents []float64
+		for i, set := range sets {
+			flats[i] = vectorset.FlatFromRows(set)
+			cents = append(cents, inc.Centroid(i)...)
+		}
+		for _, withCents := range []bool{false, true} {
+			bulk := bulkFromFlats(t, cfg, flats, ids)
+			if withCents {
+				var err error
+				if bulk, err = NewBulkStore(cfg, &memStore{sets: flats, cents: cents}, ids, StoreBuildOptions{}); err != nil {
+					t.Fatal(err)
 				}
 			}
-			eps := a[len(a)/2].Dist
-			ra, rb := inc.Range(q, eps), bulk.Range(q, eps)
-			if len(ra) != len(rb) {
-				t.Fatalf("withCents=%v: Range sizes %d vs %d", withCents, len(ra), len(rb))
-			}
-			for i := range ra {
-				if ra[i] != rb[i] {
-					t.Fatalf("withCents=%v: Range[%d] = %+v vs %+v", withCents, i, ra[i], rb[i])
+			for qi := 0; qi < 10; qi++ {
+				q := flats[rng.Intn(n)]
+				for name, live := range lives {
+					ctx := fmt.Sprintf("workers=%d withCents=%v %s query %d", workers, withCents, name, qi)
+					a, b := inc.KNNFlatLive(q, 9, live), bulk.KNNFlatLive(q, 9, live)
+					if !reflect.DeepEqual(a, b) {
+						t.Fatalf("%s: KNN\n add  %+v\n bulk %+v", ctx, a, b)
+					}
+					eps := a[len(a)/2].Dist
+					if ra, rb := inc.RangeFlatLive(q, eps, live), bulk.RangeFlatLive(q, eps, live); !reflect.DeepEqual(ra, rb) {
+						t.Fatalf("%s: Range(%v)\n add  %+v\n bulk %+v", ctx, eps, ra, rb)
+					}
 				}
 			}
 		}

@@ -1,7 +1,7 @@
 // Package filter implements the paper's filter/refinement query pipeline
-// for vector-set data (§4.3): the 6-dimensional extended centroids of all
-// vector sets are indexed in an X-tree; k·‖C(X)−C(q)‖₂ lower-bounds the
-// minimal matching distance (Lemma 2), so
+// for vector-set data (§4.3): k·‖C(X)−C(q)‖₂ over the 6-dimensional
+// extended centroids lower-bounds the minimal matching distance (Lemma
+// 2), so
 //
 //   - ε-range queries refine only objects whose centroid lies within
 //     ε/k of the query centroid (Korn et al. [19]), and
@@ -10,9 +10,28 @@
 //     exact matching distance, stop when the next filter distance exceeds
 //     the current k-th exact distance.
 //
-// Refinement fetches the vector set from a simulated paged file, charging
-// the shared storage tracker, exactly like the paper's Table 2 setup — or,
-// for a NewBulkStore index, reads it in place from the caller's SetStore.
+// An index has one of two shapes, fixed by its constructor, and each shape
+// has its own way of ranking centroids behind one seam (rank.go):
+//
+//   - New + Add is the paper's structure: centroids in a dynamic X-tree,
+//     ranked best-first; sets in a simulated paged file whose reads charge
+//     the storage tracker exactly like the paper's Table 2 setup. Under
+//     §5.4's disk model (8 ms per page) the tree wins, because a query
+//     reads only the node pages its frontier reaches. Tests, the root
+//     voxset.Database and the Table 2 reproduction use it.
+//   - NewBulkStore is what every server runs: an immutable index over a
+//     caller-owned SetStore (a memory-mapped snapshot, vsdb's heap base).
+//     Sets are refined in place and centroids are ranked by one sequential
+//     pass over the store's contiguous centroid column — no tree is built.
+//     In memory the pass is several times cheaper than walking the tree,
+//     at any size measured; the tracker is still charged for every page of
+//     the column, so the paper's accounting shows what that costs on disk.
+//
+// Both rankers emit the same distances bit for bit, so the loops refine
+// the same candidates and return the same answers. The loops pull
+// candidates with the largest centroid distance that can still matter
+// (the k-th exact distance ÷ k), which is what lets the column ranker
+// order only the few hundred positions within it instead of all n.
 //
 // With Config.Workers > 1 (or VOXSET_WORKERS set) the refinement step
 // runs on a bounded worker pool: range queries split the candidate list,
@@ -29,7 +48,6 @@ package filter
 
 import (
 	"bytes"
-	"container/heap"
 	"fmt"
 	"math"
 	"sync"
@@ -62,7 +80,8 @@ type Config struct {
 	// PageSize for the simulated vector-set file (storage.DefaultPageSize
 	// if zero).
 	PageSize int
-	// Tracker is charged for X-tree node accesses and vector-set record
+	// Tracker is charged for centroid ranking — X-tree node accesses, or the
+	// pages of the centroid column per pass — and for vector-set record
 	// reads (optional).
 	Tracker *storage.Tracker
 	// Workers is the number of refinement workers per query. 0 consults
@@ -71,7 +90,7 @@ type Config struct {
 	Workers int
 	// Sketch enables the approximate candidate tier (DESIGN.md §12):
 	// per-object sparse binary signatures scanned by Hamming distance
-	// instead of the X-tree ranking. nil keeps the index exact-only;
+	// instead of the centroid ranking. nil keeps the index exact-only;
 	// KNNApproxFlat/RangeApproxFlat then fall back to the exact engine,
 	// which is what makes "approx off" byte-identical by construction.
 	Sketch *sketch.Params
@@ -88,14 +107,23 @@ type Config struct {
 
 // Index is a filter/refinement index over vector sets.
 type Index struct {
-	cfg   Config
-	omega []float64
+	cfg    Config
+	omega  []float64
+	ranker ranker // treeRanker{tree} after New, a flatRanker after NewBulkStore
+	ids    []int  // object id per insertion order
+
+	// A New index grows by Add: centroids go into the dynamic X-tree, sets
+	// into the simulated paged file.
 	tree  *xtree.Tree
 	file  *storage.PagedFile
-	store SetStore    // non-nil for a NewBulkStore index: refine in place
-	recs  []int       // record id per object insertion order
-	ids   []int       // object id per insertion order
+	recs  []int       // record id per insertion order
 	cents [][]float64 // extended centroid per insertion order
+
+	// A NewBulkStore index is immutable and owns no copy of anything: sets
+	// are refined in place from store, centroids ranked in place from its
+	// column.
+	store SetStore
+	col   []float64
 
 	fastL2 bool
 	encBuf []byte // reused serialization buffer (Add is caller-serialized)
@@ -114,8 +142,19 @@ type Index struct {
 	skCands    atomic.Int64
 }
 
-// New returns an empty filter index.
+// New returns an empty filter index that grows by Add and ranks through
+// a dynamic X-tree — the paper's access path (Table 2, the root
+// voxset.Database, tests). Serving layers build with NewBulkStore.
 func New(cfg Config) *Index {
+	ix := newIndex(cfg)
+	ix.tree = xtree.New(ix.cfg.Dim, xtree.Config{Tracker: ix.cfg.Tracker, PageSize: ix.cfg.PageSize})
+	ix.ranker = treeRanker{ix.tree}
+	ix.file = storage.NewPagedFile(ix.cfg.PageSize, ix.cfg.Tracker)
+	return ix
+}
+
+// newIndex resolves cfg's defaults into an index with no ranker yet.
+func newIndex(cfg Config) *Index {
 	if cfg.K <= 0 || cfg.Dim <= 0 {
 		panic(fmt.Sprintf("filter: K (%d) and Dim (%d) must be positive", cfg.K, cfg.Dim))
 	}
@@ -141,8 +180,6 @@ func New(cfg Config) *Index {
 	return &Index{
 		cfg:     cfg,
 		omega:   omega,
-		tree:    xtree.New(cfg.Dim, xtree.Config{Tracker: cfg.Tracker, PageSize: cfg.PageSize}),
-		file:    storage.NewPagedFile(cfg.PageSize, cfg.Tracker),
 		fastL2:  cfg.FastL2,
 		workers: parallel.Workers(cfg.Workers, 1),
 	}
@@ -188,8 +225,15 @@ func (ix *Index) Add(set [][]float64, id int) {
 }
 
 // Centroid returns the extended centroid of the i-th indexed set in
-// insertion order. The returned slice is owned by the index.
-func (ix *Index) Centroid(i int) []float64 { return ix.cents[i] }
+// insertion order. The returned slice is owned by the index (for a
+// store-backed one it is a window of the store's column).
+func (ix *Index) Centroid(i int) []float64 {
+	if ix.store != nil {
+		d := ix.cfg.Dim
+		return ix.col[i*d : (i+1)*d : (i+1)*d]
+	}
+	return ix.cents[i]
+}
 
 // fetch reads the vector set of the object with internal index i from the
 // paged file (charging the tracker) and returns its vectors.
@@ -303,18 +347,36 @@ func (ix *Index) RangeFlatLive(q vectorset.Flat, eps float64, live func(id int) 
 	return ix.rangeQuery(qv, cq, eps, live)
 }
 
+// beyond reports whether a centroid distance proves its object farther
+// than threshold (Lemma 2: dist_mm ≥ K·‖C(X)−C(q)‖) — the one stop and
+// prune test of every loop below. reach is its inverse, the centroid
+// distance up to which a ranking must not skip anything.
+func (ix *Index) beyond(centroidDist, threshold float64) bool {
+	return vectorset.BoundExceeds(centroidDist*float64(ix.cfg.K), threshold)
+}
+
+func (ix *Index) reach(threshold float64) float64 {
+	return threshold / float64(ix.cfg.K) * reachSlack
+}
+
+// reachSlack widens reach so that no rounding — in the division above, in
+// a ranker's reach², in beyond's own product — can make a ranking leave
+// out a position that beyond would still accept. A ranking that hands out
+// a few positions more costs an ordering step, never a refinement: beyond
+// decides.
+const reachSlack = 1 + 0x1p-40
+
 func (ix *Index) rangeQuery(q qview, cq []float64, eps float64, live func(id int) bool) []index.Neighbor {
-	// Lemma 2: dist_mm ≤ eps requires ‖C(X)−C(q)‖ ≤ eps/k.
-	cands := ix.tree.Range(cq, eps/float64(ix.cfg.K))
-	if live != nil {
-		kept := cands[:0]
-		for _, c := range cands {
-			if live(ix.ids[c.ID]) {
-				kept = append(kept, c)
-			}
+	// dist_mm ≤ eps requires ‖C(X)−C(q)‖ ≤ eps/K (Korn et al. [19]); the
+	// ranker over-collects by a rounding margin and beyond decides.
+	cands := ix.ranker.within(cq, ix.reach(eps))
+	kept := cands[:0]
+	for _, c := range cands {
+		if !ix.beyond(c.Dist, eps) && (live == nil || live(ix.ids[c.ID])) {
+			kept = append(kept, c)
 		}
-		cands = kept
 	}
+	cands = kept
 	dists := make([]float64, len(cands))
 	workers := min(ix.workers, len(cands))
 	parallel.Run(workers, func(w int) {
@@ -349,28 +411,43 @@ func worseNeighbor(a, b index.Neighbor) bool {
 }
 
 // resultHeap is a max-heap of the current k best exact neighbors: the
-// root is the worst retained neighbor under the (distance, id) order.
+// root is the worst retained neighbor under the (distance, id) order. It
+// sifts its own slice — container/heap would box every neighbor pushed.
 type resultHeap []index.Neighbor
-
-func (h resultHeap) Len() int            { return len(h) }
-func (h resultHeap) Less(i, j int) bool  { return worseNeighbor(h[i], h[j]) }
-func (h resultHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *resultHeap) Push(x interface{}) { *h = append(*h, x.(index.Neighbor)) }
-func (h *resultHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
-}
 
 // offer merges one refined neighbor into the heap under the k budget.
 func (h *resultHeap) offer(nb index.Neighbor, k int) {
-	if len(*h) < k {
-		heap.Push(h, nb)
-	} else if worseNeighbor((*h)[0], nb) {
-		(*h)[0] = nb
-		heap.Fix(h, 0)
+	s := *h
+	if len(s) < k {
+		s = append(s, nb)
+		*h = s
+		for j := len(s) - 1; j > 0; {
+			p := (j - 1) / 2
+			if !worseNeighbor(s[j], s[p]) {
+				break
+			}
+			s[p], s[j] = s[j], s[p]
+			j = p
+		}
+		return
+	}
+	if !worseNeighbor(s[0], nb) {
+		return
+	}
+	s[0] = nb
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= len(s) {
+			break
+		}
+		if c+1 < len(s) && worseNeighbor(s[c+1], s[c]) {
+			c++
+		}
+		if !worseNeighbor(s[c], s[i]) {
+			break
+		}
+		s[i], s[c] = s[c], s[i]
+		i = c
 	}
 }
 
@@ -415,25 +492,21 @@ func (ix *Index) knn(q qview, cq []float64, k int, live func(id int) bool) []ind
 	} else {
 		results = ix.knnSequential(cq, q, k, live)
 	}
-	out := make([]index.Neighbor, len(results))
-	copy(out, results)
-	index.SortNeighbors(out)
-	return out
+	index.SortNeighbors(results) // the heap's one allocation is the answer
+	return results
 }
 
 func (ix *Index) knnSequential(cq []float64, q qview, k int, live func(id int) bool) resultHeap {
 	ws := dist.GetWorkspace()
 	defer dist.PutWorkspace(ws)
-	ranking := ix.tree.NewRanking(cq)
-	var results resultHeap
+	ranking := ix.ranker.rank(cq, k)
+	defer ranking.release()
+	results := make(resultHeap, 0, min(k, ix.Len()))
 	var t tally
 	kth := math.Inf(1) // the k-th exact distance once k candidates are in
 	for {
-		cand, ok := ranking.Next()
-		if !ok {
-			break
-		}
-		if cand.Dist*float64(ix.cfg.K) > kth {
+		cand, ok := ranking.next(ix.reach(kth))
+		if !ok || ix.beyond(cand.Dist, kth) {
 			break // no unseen object can beat the current k-th distance
 		}
 		if live != nil && !live(ix.ids[cand.ID]) {
@@ -474,8 +547,9 @@ const knnBatchPerWorker = 4
 // they pass the same threshold down to the kernel, whose assignment bound
 // prunes under the same rule with the same mark.
 func (ix *Index) knnParallel(cq []float64, q qview, k int, live func(id int) bool) resultHeap {
-	ranking := ix.tree.NewRanking(cq)
-	var results resultHeap
+	ranking := ix.ranker.rank(cq, k)
+	defer ranking.release()
+	results := make(resultHeap, 0, min(k, ix.Len()))
 
 	var threshold atomic.Uint64 // Float64bits of the current k-th distance
 	threshold.Store(math.Float64bits(math.Inf(1)))
@@ -487,14 +561,10 @@ func (ix *Index) knnParallel(cq []float64, q qview, k int, live func(id int) boo
 	for {
 		cands = cands[:0]
 		done := false
+		kth := math.Float64frombits(threshold.Load())
 		for len(cands) < batchCap {
-			cand, ok := ranking.Next()
-			if !ok {
-				done = true
-				break
-			}
-			filterDist := cand.Dist * float64(ix.cfg.K)
-			if len(results) == k && filterDist > results[0].Dist {
+			cand, ok := ranking.next(ix.reach(kth))
+			if !ok || ix.beyond(cand.Dist, kth) {
 				done = true // the ranking is sorted: every later candidate fails too
 				break
 			}
@@ -512,7 +582,7 @@ func (ix *Index) knnParallel(cq []float64, q qview, k int, live func(id int) boo
 				lo, hi := parallel.Chunk(len(cands), workers, w)
 				for i := lo; i < hi; i++ {
 					kth := math.Float64frombits(threshold.Load())
-					if cands[i].Dist*float64(ix.cfg.K) > kth {
+					if ix.beyond(cands[i].Dist, kth) {
 						dists[i] = math.Inf(1) // pruned: cannot beat the k-th distance
 						continue
 					}

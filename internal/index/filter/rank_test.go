@@ -1,0 +1,375 @@
+package filter
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"sort"
+	"testing"
+
+	"github.com/voxset/voxset/internal/index"
+	"github.com/voxset/voxset/internal/index/xtree"
+	"github.com/voxset/voxset/internal/storage"
+	"github.com/voxset/voxset/internal/vectorset"
+)
+
+// jitteredCentroids is the centroid column of parts × copies jittered
+// random sets (the shape of the served corpus: a part and its near
+// copies), plus the centroids of queries further jittered parts.
+func jitteredCentroids(seed int64, parts, copies, queries int) (col []float64, qs [][]float64) {
+	const K, D = 7, 6
+	rng := rand.New(rand.NewSource(seed))
+	omega := make([]float64, D)
+	centroid := func(part [][]float64) []float64 {
+		f := vectorset.Flat{Data: make([]float64, 0, len(part)*D), Card: len(part), Dim: D}
+		for _, v := range part {
+			for _, x := range v {
+				f.Data = append(f.Data, x+rng.NormFloat64()*0.5)
+			}
+		}
+		return f.Centroid(K, omega)
+	}
+	sets := randSets(seed+1, parts, K, D)
+	for _, part := range sets {
+		for c := 0; c < copies; c++ {
+			col = append(col, centroid(part)...)
+		}
+	}
+	for i := 0; i < queries; i++ {
+		qs = append(qs, centroid(sets[rng.Intn(parts)]))
+	}
+	return col, qs
+}
+
+// rankingCorpora are centroid columns that stress different parts of the
+// flat ranking: continuous values (no ties), tight clusters (crowded
+// buckets), and an exact-arithmetic lattice drawn with replacement (many
+// exact d² ties and duplicate centroids).
+func rankingCorpora(n, dim int) map[string][]float64 {
+	rng := rand.New(rand.NewSource(int64(n)*31 + int64(dim)))
+	random := make([]float64, n*dim)
+	for i := range random {
+		random[i] = rng.NormFloat64() * 5
+	}
+	clustered := make([]float64, n*dim)
+	centers := make([]float64, 8*dim)
+	for i := range centers {
+		centers[i] = rng.NormFloat64() * 20
+	}
+	for i := 0; i < n; i++ {
+		c := rng.Intn(8)
+		for j := 0; j < dim; j++ {
+			clustered[i*dim+j] = centers[c*dim+j] + rng.NormFloat64()*0.01
+		}
+	}
+	lattice := make([]float64, n*dim)
+	for i := range lattice {
+		lattice[i] = float64(rng.Intn(3)) / 4
+	}
+	return map[string][]float64{"random": random, "clustered": clustered, "lattice": lattice}
+}
+
+func columnRows(col []float64, dim int) ([][]float64, []int) {
+	rows := make([][]float64, len(col)/dim)
+	pos := make([]int, len(rows))
+	for i := range rows {
+		rows[i], pos[i] = col[i*dim:(i+1)*dim], i
+	}
+	return rows, pos
+}
+
+// TestFlatRankingMatchesTree pulls the flat ranking to exhaustion under a
+// random non-increasing reach — held at +Inf for the first `blind` pulls,
+// as a loop does whose nearest candidates are all dead — and checks it
+// against an STR-bulk-loaded X-tree's ranking pulled as far: the same
+// Dist bits at every rank, the same positions per distinct Dist (the
+// X-tree breaks exact ties in heap order, the flat ranking by position),
+// strictly ascending (d², position), and nothing within the final reach
+// left out. The range form must return the tree's set.
+func TestFlatRankingMatchesTree(t *testing.T) {
+	const k = 10
+	for _, dim := range []int{6, 3} { // the unrolled kernel and the generic one
+		for _, n := range []int{0, 1, k - 1, k, 10_000} {
+			for name, col := range rankingCorpora(n, dim) {
+				flat := newFlatRanker(col, n, storage.DefaultPageSize, nil)
+				rows, pos := columnRows(col, dim)
+				rng := rand.New(rand.NewSource(int64(n + dim)))
+				for qi := 0; qi < 6; qi++ {
+					ctx := fmt.Sprintf("dim=%d n=%d %s query %d", dim, n, name, qi)
+					q := make([]float64, dim)
+					for j := range q {
+						q[j] = rng.NormFloat64() * 5
+						if name == "lattice" {
+							q[j] = float64(rng.Intn(3)) / 4
+						}
+					}
+					blind := []int{0, k, 3 * minChunk}[qi%3]
+
+					// Flat, to exhaustion.
+					rk := flat.rank(q, k)
+					reach := math.Inf(1)
+					var got []ranked
+					for {
+						if len(got) == blind && n > 0 {
+							reach = math.Sqrt(squaredDistance(col, dim, rng.Intn(n), q))
+						} else if len(got) > blind {
+							reach *= 1 - rng.Float64()*0.02
+						}
+						nb, ok := rk.next(reach)
+						if !ok {
+							break
+						}
+						it := ranked{nb.Dist * nb.Dist, int32(nb.ID)}
+						if nb.Dist != math.Sqrt(squaredDistance(col, dim, nb.ID, q)) {
+							t.Fatalf("%s: rank %d: position %d at %v, want %v", ctx, len(got), nb.ID, nb.Dist, math.Sqrt(squaredDistance(col, dim, nb.ID, q)))
+						}
+						it.d2 = squaredDistance(col, dim, nb.ID, q)
+						if len(got) > 0 && !got[len(got)-1].less(it) {
+							t.Fatalf("%s: rank %d: %+v does not follow %+v", ctx, len(got), it, got[len(got)-1])
+						}
+						got = append(got, it)
+					}
+					rk.release()
+					if n == 0 {
+						if len(got) != 0 {
+							t.Fatalf("%s: %d candidates from an empty column", ctx, len(got))
+						}
+						continue
+					}
+					within := 0
+					for i := 0; i < n; i++ {
+						if math.Sqrt(squaredDistance(col, dim, i, q)) <= reach {
+							within++
+						}
+					}
+					if len(got) < within {
+						t.Fatalf("%s: ranking ended after %d candidates, %d lie within the final reach %v", ctx, len(got), within, reach)
+					}
+
+					// The tree, as far.
+					tree := xtree.BulkLoad(rows, pos, xtree.Config{})
+					tr := tree.NewRanking(q)
+					want := make(map[float64][]int)
+					for i := range got {
+						nb, ok := tr.Next()
+						if !ok {
+							t.Fatalf("%s: the tree ranks %d points, flat emitted %d", ctx, i, len(got))
+						}
+						if math.Float64bits(nb.Dist) != math.Float64bits(math.Sqrt(got[i].d2)) {
+							t.Fatalf("%s: rank %d: flat %v, tree %v", ctx, i, math.Sqrt(got[i].d2), nb.Dist)
+						}
+						want[nb.Dist] = append(want[nb.Dist], nb.ID)
+					}
+					last := math.Sqrt(got[len(got)-1].d2)
+					for { // the rest of the last tie group, which flat may have cut by position
+						nb, ok := tr.Next()
+						if !ok || nb.Dist != last {
+							break
+						}
+						want[last] = append(want[last], nb.ID)
+					}
+					have := make(map[float64][]int)
+					for _, it := range got {
+						have[math.Sqrt(it.d2)] = append(have[math.Sqrt(it.d2)], int(it.pos))
+					}
+					for d, ids := range have {
+						w := want[d]
+						sort.Ints(w)
+						if d == last {
+							w = w[:len(ids)] // flat takes a tie group in position order
+						}
+						if !reflect.DeepEqual(ids, w) {
+							t.Fatalf("%s: positions at distance %v\n flat %v\n tree %v", ctx, d, ids, w)
+						}
+					}
+
+					// Range.
+					eps := math.Sqrt(squaredDistance(col, dim, rng.Intn(n), q))
+					a, b := flat.within(q, eps*reachSlack), treeRanker{tree}.within(q, eps*reachSlack)
+					index.SortNeighbors(a)
+					index.SortNeighbors(b)
+					if !reflect.DeepEqual(a, b) {
+						t.Fatalf("%s: within(%v): flat %d positions, tree %d", ctx, eps, len(a), len(b))
+					}
+				}
+			}
+		}
+	}
+}
+
+func squaredDistance(col []float64, dim, i int, q []float64) float64 {
+	s := 0.0
+	for j, c := range col[i*dim : (i+1)*dim] {
+		e := c - q[j]
+		s += e * e
+	}
+	return s
+}
+
+// TestFlatRankingAllocatesNothing: a steady-state ranking — pass, first
+// chunk, collect, buckets — runs entirely in the index's pooled scratch,
+// and a whole KNNFlat on a store-backed index allocates only what it
+// hands back or must outlive the call: the answer and the query centroid.
+func TestFlatRankingAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool allocates under the race detector")
+	}
+	col, qs := jitteredCentroids(3, 250, 8, 16)
+	flat := newFlatRanker(col, len(col)/6, storage.DefaultPageSize, nil)
+	pull := func(q []float64) {
+		rk := flat.rank(q, 10)
+		reach := math.Inf(1)
+		for i := 0; i < 300; i++ {
+			nb, ok := rk.next(reach)
+			if !ok {
+				break
+			}
+			if i == 40 {
+				reach = 3 * nb.Dist
+			}
+		}
+		rk.release()
+	}
+	i := 0
+	pull(qs[0])
+	if a := testing.AllocsPerRun(50, func() { i++; pull(qs[i%len(qs)]) }); a != 0 {
+		t.Errorf("a flat ranking allocates %v times per query, want 0", a)
+	}
+
+	const K, D = 7, 6
+	cfg := Config{K: K, Dim: D}
+	var flats []vectorset.Flat
+	var ids []int
+	for i, s := range randSets(9, 2000, K, D) {
+		flats = append(flats, vectorset.FlatFromRows(s))
+		ids = append(ids, i)
+	}
+	ix := bulkFromFlats(t, cfg, flats, ids)
+	ix.KNNFlat(flats[0], 10)
+	if a := testing.AllocsPerRun(50, func() { i++; ix.KNNFlat(flats[i%len(flats)], 10) }); a > 2 {
+		t.Errorf("KNNFlat on a store-backed index allocates %v times per query, want ≤ 2 (answer, query centroid)", a)
+	}
+}
+
+// TestFlatRankingNonFinite: a NaN stored centroid is never a candidate, a
+// ±Inf one ranks last, and a NaN query centroid ranks nothing — each a
+// defined, terminating result (CheckCentroids verifies CRCs, not
+// finiteness, so a well-formed file can carry them).
+func TestFlatRankingNonFinite(t *testing.T) {
+	const K, D, n = 4, 3, 200
+	cfg := Config{K: K, Dim: D}
+	st, ids := storeCorpus(t, n, cfg)
+	const nan, inf = 17, 101
+	st.cents[nan*D+1] = math.NaN()
+	st.cents[inf*D] = math.Inf(-1)
+	ix, err := NewBulkStore(cfg, st, ids, StoreBuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := st.sets[3]
+	for _, workers := range []int{1, 4} {
+		ix.workers = workers
+		all := ix.KNNFlat(q, n)
+		if len(all) != n-1 {
+			t.Fatalf("workers=%d: k = n returns %d objects, want all but the NaN-centroid one (%d)", workers, len(all), n-1)
+		}
+		// The −Inf-centroid object's bound is +Inf: k = n reaches it last (no
+		// k-th distance ever excludes it), a finite threshold never does.
+		var finite []index.Neighbor
+		for _, nb := range all {
+			if nb.ID == ids[nan] {
+				t.Fatalf("workers=%d: the NaN-centroid object %d was ranked", workers, nb.ID)
+			}
+			if nb.ID != ids[inf] {
+				finite = append(finite, nb)
+			}
+		}
+		if len(finite) != n-2 {
+			t.Fatalf("workers=%d: k = n misses the −Inf-centroid object", workers)
+		}
+		if got := ix.KNNFlat(q, 5); !reflect.DeepEqual(got, finite[:5]) {
+			t.Fatalf("workers=%d: k = 5\n got %v\nwant %v", workers, got, finite[:5])
+		}
+		if got := ix.RangeFlat(q, finite[20].Dist); !reflect.DeepEqual(got, finite[:21]) {
+			t.Fatalf("workers=%d: range to the 21st distance\n got %v\nwant %v", workers, got, finite[:21])
+		}
+		bad := vectorset.Flat{Data: append([]float64(nil), q.Data...), Card: q.Card, Dim: q.Dim}
+		bad.Data[0] = math.NaN()
+		if got := ix.KNNFlat(bad, 5); len(got) != 0 {
+			t.Fatalf("workers=%d: a NaN query centroid ranked %v", workers, got)
+		}
+		if got := ix.RangeFlat(bad, 1e9); len(got) != 0 {
+			t.Fatalf("workers=%d: a NaN query centroid ranged over %v", workers, got)
+		}
+	}
+}
+
+// BenchmarkCentroidRanking prices the ranking seam alone, the way the
+// k-nn loop drives it: per query (1 024 distinct ones — one repeated
+// query lets the branch predictor learn the heap), pull the first 10
+// candidates with no bound, then keep pulling under a reach that shrinks
+// from the distance of the 2·pull-th nearest centroid to that of the
+// pull-th, until pull candidates are out — 400 of 10 k, 1 300 of 100 k,
+// what the served corpus refines per query at those sizes. flat is what
+// NewBulkStore ranks with, xtree an STR-bulk-loaded tree — what it ranked
+// with before and what the paper's disk model favours: pages/op is the
+// tracker's charge per query.
+func BenchmarkCentroidRanking(b *testing.B) {
+	const D, queries = 6, 1024
+	for _, size := range []struct {
+		name        string
+		parts, pull int
+	}{{"10k", 1250, 400}, {"100k", 12500, 1300}} {
+		col, qs := jitteredCentroids(11, size.parts, 8, queries)
+		n := len(col) / D
+		rows, pos := columnRows(col, D)
+		var tr storage.Tracker
+		rankers := []struct {
+			name string
+			r    ranker
+		}{
+			{"flat", newFlatRanker(col, n, storage.DefaultPageSize, &tr)},
+			{"xtree", treeRanker{xtree.BulkLoad(rows, pos, xtree.Config{Tracker: &tr})}},
+		}
+		// The reach schedule of each query, from the tree's own order.
+		type schedule struct{ from, to float64 }
+		sched := make([]schedule, queries)
+		for i, q := range qs {
+			rk := rankers[1].r.rank(q, 10)
+			for j := 1; j <= 2*size.pull; j++ {
+				nb, _ := rk.next(math.Inf(1))
+				if j == size.pull {
+					sched[i].to = nb.Dist
+				}
+				sched[i].from = nb.Dist
+			}
+		}
+		for _, rr := range rankers {
+			b.Run(rr.name+"/"+size.name, func(b *testing.B) {
+				b.ReportAllocs()
+				tr.Reset()
+				for i := 0; i < b.N; i++ {
+					s := sched[i%queries]
+					shrink := math.Pow(s.to/s.from, 1/float64(size.pull))
+					rk := rr.r.rank(qs[i%queries], 10)
+					reach, pulled := math.Inf(1), 0
+					for ; pulled < size.pull; pulled++ {
+						if pulled == 10 {
+							reach = s.from
+						}
+						if _, ok := rk.next(reach); !ok {
+							break
+						}
+						reach *= shrink
+					}
+					rk.release()
+					if pulled < size.pull-1 { // the last reach may round below the pull-th distance
+						b.Fatalf("query %d: ranking ended after %d of %d candidates", i%queries, pulled, size.pull)
+					}
+				}
+				b.ReportMetric(float64(tr.PageAccesses())/float64(b.N), "pages/op")
+			})
+		}
+	}
+}

@@ -1,7 +1,7 @@
 package filter
 
 // The approximate candidate tier (DESIGN.md §12): instead of walking
-// the X-tree ranking with the Lemma-2 lower bound, an approximate query
+// the centroid ranking with the Lemma-2 lower bound, an approximate query
 // scans the per-object sparse binary signatures (internal/index/sketch)
 // by Hamming distance, takes the `budget` closest objects as the
 // candidate set, and hands that set to the SAME exact Hungarian
@@ -96,7 +96,7 @@ func (ix *Index) ensureSketches() {
 }
 
 // approxQuery prepares the query view without the centroid computation
-// the exact pipeline needs (the sketch scan replaces the X-tree).
+// the exact pipeline needs (the sketch scan replaces the centroid ranking).
 func (ix *Index) approxQuery(q vectorset.Flat) qview {
 	if ix.fastL2 {
 		return qview{flat: q, fast: true}

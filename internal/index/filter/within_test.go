@@ -16,11 +16,12 @@ import (
 // integer-coordinate sets: distances are sums of square roots of small
 // integers, so equal sets tie exactly — at the k-th place and at ε —
 // which is where a bounded kernel that dropped "equal" instead of only
-// "strictly greater" would change an answer. Callers index it under a
-// power-of-two K: the extended centroids and the Lemma 2 bound are then
-// exact too, so the centroid stage cannot round a tie away before the
-// kernel sees it (at K = 7 the bound of a card-1 pair can exceed its
-// distance by an ulp, on the parent commit as well).
+// "strictly greater" would change an answer. Under a power-of-two K the
+// extended centroids and the Lemma 2 bound are exact too; under K = 7 the
+// centroid divides by 7 and the computed bound of a card-1 pair can land
+// an ulp above its distance, so a bare bound > threshold in the centroid
+// stage would round a tie away before the kernel sees it — what
+// vectorset.BoundExceeds is for.
 func latticeCorpus(seed int64, n, maxCard, dim int) [][][]float64 {
 	rng := rand.New(rand.NewSource(seed))
 	pool := make([][][]float64, 60)
@@ -42,47 +43,58 @@ func latticeCorpus(seed int64, n, maxCard, dim int) [][][]float64 {
 }
 
 // TestBoundedRefinementDifferential: KNNFlatLive and RangeFlatLive, whose
-// loops now hand their threshold to the matching kernel, answer byte for
-// byte like a brute-force scan with the unbounded distance — sequential
-// and parallel, with and without a liveness predicate, at k and ε chosen
-// on exact ties.
+// loops hand their threshold to the ranking and to the matching kernel,
+// answer byte for byte like a brute-force scan with the unbounded
+// distance — through the X-tree and through the centroid column,
+// sequential and parallel, with and without a liveness predicate, at k and
+// ε chosen on exact ties, under a power-of-two K and under K = 7.
 func TestBoundedRefinementDifferential(t *testing.T) {
-	const K, D = 8, 6
-	sets := latticeCorpus(41, 400, K, D)
+	const D = 6
 	dead := func(id int) bool { return id%5 == 0 }
-	for _, workers := range []int{1, 4} {
-		ix := New(Config{K: K, Dim: D, Workers: workers})
+	for _, K := range []int{8, 7} {
+		sets := latticeCorpus(41, 400, K, D)
+		flats := make([]vectorset.Flat, len(sets))
+		ids := make([]int, len(sets))
 		for i, s := range sets {
-			ix.Add(s, i)
+			flats[i], ids[i] = vectorset.FlatFromRows(s), i
 		}
-		for _, live := range []func(int) bool{nil, func(id int) bool { return !dead(id) }} {
-			for qi := 0; qi < 25; qi++ {
-				q := sets[qi*7%len(sets)]
-				var all []index.Neighbor
-				for i, s := range sets {
-					if live == nil || live(i) {
-						all = append(all, index.Neighbor{ID: i, Dist: dist.MatchingDistance(q, s, dist.L2, dist.WeightNorm)})
+		for _, workers := range []int{1, 4} {
+			cfg := Config{K: K, Dim: D, Workers: workers}
+			tree := New(cfg)
+			for i, s := range sets {
+				tree.Add(s, i)
+			}
+			for name, ix := range map[string]*Index{"tree": tree, "column": bulkFromFlats(t, cfg, flats, ids)} {
+				for _, live := range []func(int) bool{nil, func(id int) bool { return !dead(id) }} {
+					for qi := 0; qi < 25; qi++ {
+						q := sets[qi*7%len(sets)]
+						var all []index.Neighbor
+						for i, s := range sets {
+							if live == nil || live(i) {
+								all = append(all, index.Neighbor{ID: i, Dist: dist.MatchingDistance(q, s, dist.L2, dist.WeightNorm)})
+							}
+						}
+						index.SortNeighbors(all)
+						ctx := fmt.Sprintf("K=%d %s workers=%d live=%v query=%d", K, name, workers, live != nil, qi)
+						qf := vectorset.FlatFromRows(q)
+						for _, k := range []int{1, 5, 10, 50} {
+							if got := ix.KNNFlatLive(qf, k, live); !reflect.DeepEqual(got, all[:k]) {
+								t.Fatalf("%s: knn k=%d\n got %v\nwant %v", ctx, k, got, all[:k])
+							}
+						}
+						for _, at := range []int{0, 9, 49} {
+							eps := all[at].Dist
+							n := sort.Search(len(all), func(i int) bool { return all[i].Dist > eps })
+							if got := ix.RangeFlatLive(qf, eps, live); !reflect.DeepEqual(got, all[:n]) {
+								t.Fatalf("%s: range eps=%v\n got %v\nwant %v", ctx, eps, got, all[:n])
+							}
+						}
 					}
 				}
-				index.SortNeighbors(all)
-				ctx := fmt.Sprintf("workers=%d live=%v query=%d", workers, live != nil, qi)
-				qf := vectorset.FlatFromRows(q)
-				for _, k := range []int{1, 5, 10, 50} {
-					if got := ix.KNNFlatLive(qf, k, live); !reflect.DeepEqual(got, all[:k]) {
-						t.Fatalf("%s: knn k=%d\n got %v\nwant %v", ctx, k, got, all[:k])
-					}
-				}
-				for _, at := range []int{0, 9, 49} {
-					eps := all[at].Dist
-					n := sort.Search(len(all), func(i int) bool { return all[i].Dist > eps })
-					if got := ix.RangeFlatLive(qf, eps, live); !reflect.DeepEqual(got, all[:n]) {
-						t.Fatalf("%s: range eps=%v\n got %v\nwant %v", ctx, eps, got, all[:n])
-					}
+				if ix.Matchings() >= ix.Refinements() {
+					t.Fatalf("K=%d %s workers=%d: %d matchings for %d refinements: the kernel bound never fired", K, name, workers, ix.Matchings(), ix.Refinements())
 				}
 			}
-		}
-		if ix.Matchings() >= ix.Refinements() {
-			t.Fatalf("workers=%d: %d matchings for %d refinements: the kernel bound never fired", workers, ix.Matchings(), ix.Refinements())
 		}
 	}
 }
@@ -108,13 +120,17 @@ func TestGenericPathStaysUnbounded(t *testing.T) {
 // corpus), with the two counters that explain it: refined/op, the
 // candidates the centroid filter let through, and solves/op, the
 // Hungarian solves left after the kernel's assignment bound. A
-// regression to always-solve shows as solves/op == refined/op.
+// regression to always-solve shows as solves/op == refined/op. /store is
+// what every server runs — NewBulkStore, ranking the centroid column;
+// /dynamic is the paper's path — New + Add, ranking through the X-tree.
+// Both refine the same candidates.
 func BenchmarkFilterKNN(b *testing.B) {
 	const K, D, parts, copies = 7, 6, 1250, 8
 	rng := rand.New(rand.NewSource(7))
-	ix := New(Config{K: K, Dim: D})
-	var queries []vectorset.Flat
-	jitter := func(set [][]float64) [][]float64 {
+	cfg := Config{K: K, Dim: D}
+	var flats, queries []vectorset.Flat
+	var ids []int
+	jitter := func(set [][]float64) vectorset.Flat {
 		out := make([][]float64, len(set))
 		for i, v := range set {
 			out[i] = make([]float64, D)
@@ -122,23 +138,34 @@ func BenchmarkFilterKNN(b *testing.B) {
 				out[i][c] = v[c] + rng.NormFloat64()*0.5
 			}
 		}
-		return out
+		return vectorset.FlatFromRows(out)
 	}
 	for p, part := range randSets(8, parts, K, D) {
 		for c := 0; c < copies; c++ {
-			ix.Add(jitter(part), p*copies+c)
+			flats = append(flats, jitter(part))
+			ids = append(ids, p*copies+c)
 		}
-		if p%25 == 0 {
-			queries = append(queries, vectorset.FlatFromRows(jitter(part)))
-		}
+		queries = append(queries, jitter(part)) // 1 250 distinct queries
 	}
-	ix.ResetRefinements()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if got := ix.KNNFlat(queries[i%len(queries)], 10); len(got) != 10 {
-			b.Fatalf("%d neighbors", len(got))
-		}
+	dynamic := New(cfg)
+	for i, f := range flats {
+		dynamic.Add(f.Rows(), ids[i])
 	}
-	b.ReportMetric(float64(ix.Refinements())/float64(b.N), "refined/op")
-	b.ReportMetric(float64(ix.Matchings())/float64(b.N), "solves/op")
+	for _, bc := range []struct {
+		name string
+		ix   *Index
+	}{{"store", bulkFromFlats(b, cfg, flats, ids)}, {"dynamic", dynamic}} {
+		b.Run(bc.name, func(b *testing.B) {
+			ix := bc.ix
+			ix.ResetRefinements()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if got := ix.KNNFlat(queries[i%len(queries)], 10); len(got) != 10 {
+					b.Fatalf("%d neighbors", len(got))
+				}
+			}
+			b.ReportMetric(float64(ix.Refinements())/float64(b.N), "refined/op")
+			b.ReportMetric(float64(ix.Matchings())/float64(b.N), "solves/op")
+		})
+	}
 }

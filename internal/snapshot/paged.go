@@ -689,7 +689,7 @@ func (r *PagedReader) Sketches() (*sketch.Block, error) {
 
 // CheckCentroids eagerly verifies the centroid region, returning
 // ErrCorrupt instead of the panic a lazy first touch would raise. Load
-// paths call it before bulk-loading the X-tree from the region.
+// paths call it before handing the region to a filter index.
 func (r *PagedReader) CheckCentroids() error {
 	return r.checkRange(r.ctrStart, int64(r.count*r.dim)*8)
 }
@@ -740,6 +740,16 @@ func (r *PagedReader) At(i int) vectorset.Flat {
 func (r *PagedReader) Centroid(i int) []float64 {
 	r.touchRange(r.ctrStart+int64(i*r.dim)*8, int64(r.dim)*8)
 	return r.cents[i*r.dim : (i+1)*r.dim : (i+1)*r.dim]
+}
+
+// CentroidColumn returns the whole centroid region — Len()·Dim float64s,
+// object i at [i·Dim, (i+1)·Dim) — aliasing the mapping: the column a
+// filter index ranks in place (filter.SetStore). The region's pages are
+// CRC-verified on first use, with a panic on damage like every lazy
+// touch; call CheckCentroids first to get ErrCorrupt instead.
+func (r *PagedReader) CentroidColumn() []float64 {
+	r.touchRange(r.ctrStart, int64(r.count*r.dim)*8)
+	return r.cents
 }
 
 // Centroids returns every extended centroid, aliased into the mapping

@@ -80,7 +80,10 @@ func TestPagedRoundTrip(t *testing.T) {
 			t.Fatalf("ω[%d] = %v, want %v", i, r.Omega()[i], w)
 		}
 	}
-	cents := r.Centroids()
+	cents, col := r.Centroids(), r.CentroidColumn()
+	if len(col) != len(fx.ids)*fx.dim {
+		t.Fatalf("CentroidColumn holds %d values, want %d × %d", len(col), len(fx.ids), fx.dim)
+	}
 	for i, id := range fx.ids {
 		if r.ID(i) != id {
 			t.Fatalf("ID(%d) = %d, want %d", i, r.ID(i), id)
@@ -97,7 +100,7 @@ func TestPagedRoundTrip(t *testing.T) {
 		}
 		wc := want.Centroid(fx.maxCard, fx.omega)
 		for j := range wc {
-			if cents[i][j] != wc[j] || r.Centroid(i)[j] != wc[j] {
+			if cents[i][j] != wc[j] || r.Centroid(i)[j] != wc[j] || col[i*fx.dim+j] != wc[j] {
 				t.Fatalf("centroid %d component %d mismatch", i, j)
 			}
 		}

@@ -93,6 +93,25 @@ func CentroidLowerBound(cx, cy []float64, k int) float64 {
 	return float64(k) * math.Sqrt(sum)
 }
 
+// boundSlack is 1 − 4·2⁻⁵², the one-sided tolerance of BoundExceeds.
+const boundSlack = 1 - 0x1p-50
+
+// BoundExceeds reports whether a computed Lemma 2 bound proves its object
+// farther than threshold (the current k-th distance, ε). The bound is a
+// lower bound in exact arithmetic only: the centroid divides by k and the
+// norm takes a root, so when k is not a power of two the computed bound
+// of a pair can land an ulp or two above the pair's computed distance,
+// and a bare bound > threshold would then prune an object that ties the
+// threshold exactly. Every filter-stage comparison goes through this one
+// test; the slack only ever makes pruning less eager, never wrong. (It
+// covers the rounding of the division, the squares and the root — not
+// the cancellation between two centroids far from the origin and close
+// to each other, which no fixed relative slack could.) A NaN or +Inf
+// threshold prunes nothing.
+func BoundExceeds(bound, threshold float64) bool {
+	return bound*boundSlack > threshold
+}
+
 // ---------------------------------------------------------------------------
 // Serialization (little-endian): uint32 cardinality, uint32 dimension,
 // then cardinality·dimension float64 values.

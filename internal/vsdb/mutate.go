@@ -158,8 +158,8 @@ func (db *DB) BulkInsert(ids []uint64, sets [][][]float64) error {
 	return nil
 }
 
-// Compact folds the delta memtable and the tombstones into a fresh
-// STR-bulk-loaded base index. The logical state — and therefore the
+// Compact folds the delta memtable and the tombstones into a fresh base
+// index. The logical state — and therefore the
 // epoch — is unchanged: every query answers identically before and
 // after, so caches keyed on the epoch stay valid.
 func (db *DB) Compact() {
@@ -207,11 +207,9 @@ func (db *DB) rebuildView(v *view, addIDs []uint64, addSets []vectorset.Flat, se
 	n := len(v.ids) + len(addIDs)
 	ids := make([]uint64, 0, n)
 	sets := make([]vectorset.Flat, 0, n)
-	cents := make([][]float64, n) // the added sets' stay nil: newHeapBase computes them
-	for i, id := range v.ids {
+	for _, id := range v.ids {
 		ids = append(ids, id)
 		sets = append(sets, v.get(id))
-		cents[i] = v.centroid(id)
 	}
 	ids = append(ids, addIDs...)
 	sets = append(sets, addSets...)
@@ -224,7 +222,12 @@ func (db *DB) rebuildView(v *view, addIDs []uint64, addSets []vectorset.Flat, se
 	if !v.compacted() {
 		db.compactions.Add(1)
 	}
-	base, baseSets := db.newHeapBase(ids, sets, cents)
+	base, baseSets := db.newHeapBase(ids, sets, func(i int) []float64 {
+		if i < len(v.ids) {
+			return v.centroid(ids[i])
+		}
+		return nil // an added set: newHeapBase computes it
+	})
 	return &view{seq: v.seq + seqDelta, base: base, baseSets: baseSets, ids: ids}
 }
 

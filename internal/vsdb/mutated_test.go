@@ -26,7 +26,10 @@ const noAutoCompact = -1
 // coordinates of latticeSet keep centroids, bounds and distances exact
 // in floating point, so equal sets tie exactly and a card-1 set's
 // centroid bound equals its distance to a card-1 query bit for bit.
-const mutDim, mutCard = 3, 4
+// Under mutOddCard the centroid divides by 7 and that bound can land an
+// ulp above the distance: ties at the k-th place and at ε then hold only
+// because every bound comparison goes through vectorset.BoundExceeds.
+const mutDim, mutCard, mutOddCard = 3, 4, 7
 
 func latticeSet(rng *rand.Rand, card int) [][]float64 {
 	s := make([][]float64, card)
@@ -85,29 +88,31 @@ func checkAgainstBrute(t *testing.T, db *DB, m bruteModel, q [][]float64, ctx st
 }
 
 func TestMutatedViewDifferential(t *testing.T) {
-	for _, backing := range []string{"heap", "mmap"} {
-		for _, workers := range []int{1, 4} {
-			for seed := int64(1); seed <= 3; seed++ {
-				t.Run(fmt.Sprintf("%s/workers=%d/seed=%d", backing, workers, seed), func(t *testing.T) {
-					mutatedDifferential(t, backing == "mmap", workers, seed)
-				})
+	for card, prefix := range map[int]string{mutCard: "", mutOddCard: "card=7/"} {
+		for _, backing := range []string{"heap", "mmap"} {
+			for _, workers := range []int{1, 4} {
+				for seed := int64(1); seed <= 3; seed++ {
+					t.Run(fmt.Sprintf("%s%s/workers=%d/seed=%d", prefix, backing, workers, seed), func(t *testing.T) {
+						mutatedDifferential(t, card, backing == "mmap", workers, seed)
+					})
+				}
 			}
 		}
 	}
 }
 
-func mutatedDifferential(t *testing.T, mapped bool, workers int, seed int64) {
+func mutatedDifferential(t *testing.T, maxCard int, mapped bool, workers int, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	// A small pool sampled with replacement: the same set sits in the base,
 	// in the delta and under tombstones at once, at distance 0 from the
 	// queries drawn from the pool. The first entries are card-1 sets.
 	pool := make([][][]float64, 40)
 	for i := range pool {
-		pool[i] = latticeSet(rng, 1+min(i/4, mutCard-1))
+		pool[i] = latticeSet(rng, 1+min(i/4, maxCard-1))
 	}
 	draw := func() [][]float64 { return pool[rng.Intn(len(pool))] }
 
-	cfg := Config{Dim: mutDim, MaxCard: mutCard, Workers: workers, MaxDelta: noAutoCompact, CompactRatio: noAutoCompact}
+	cfg := Config{Dim: mutDim, MaxCard: maxCard, Workers: workers, MaxDelta: noAutoCompact, CompactRatio: noAutoCompact}
 	db, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)

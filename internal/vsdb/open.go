@@ -13,15 +13,9 @@ import (
 )
 
 // Million-object serving (DESIGN.md §11): a paged VXSNAP02 snapshot is
-// opened by mmap and served in place — base sets alias the mapping, the
-// X-tree is bulk-loaded from the centroid region (out of core past
-// externalSTRThreshold objects), and nothing is decoded per object.
-
-// externalSTRThreshold is the object count at which OpenFile switches
-// from the in-memory STR build to the external-memory one. At the
-// threshold the centroid working set alone (count·dim·8 bytes, times
-// the sort's copies) starts to rival the mapped file.
-const externalSTRThreshold = 1 << 18
+// opened by mmap and served in place — base sets and the centroid column
+// the filter ranks alias the mapping, nothing is decoded per object and
+// nothing is built, so open cost does not grow with the object count.
 
 // baseStore resolves base-resident sets and their extended centroids by
 // id. Heap-resident databases use heapStore; mmap-backed ones use
@@ -33,14 +27,16 @@ type baseStore interface {
 	baseCentroid(id uint64) []float64
 }
 
-// heapStore is the heap-resident base: one contiguous flat buffer and one
-// extended centroid per object in base insertion order, resolved by id
-// through idx. It is also the filter index's SetStore — refinement reads
-// sets[i] in place — so the base exists once, not a second time encoded
-// into the filter's simulated paged file.
+// heapStore is the heap-resident base: one contiguous flat buffer per
+// object and one block of extended centroids (dim floats each), both in
+// base insertion order, resolved by id through idx. It is also the filter
+// index's SetStore — refinement reads sets[i] and ranking scans cents in
+// place — so the base exists once, not a second time encoded into the
+// filter's simulated paged file or copied into a tree.
 type heapStore struct {
 	sets    []vectorset.Flat
-	cents   [][]float64
+	cents   []float64
+	dim     int
 	idx     map[uint64]int
 	tracker *storage.Tracker
 }
@@ -58,7 +54,11 @@ func (s *heapStore) At(i int) vectorset.Flat {
 	return s.sets[i]
 }
 
-func (s *heapStore) Centroid(i int) []float64 { return s.cents[i] }
+func (s *heapStore) CentroidColumn() []float64 { return s.cents }
+
+func (s *heapStore) centroid(i int) []float64 {
+	return s.cents[i*s.dim : (i+1)*s.dim : (i+1)*s.dim]
+}
 
 func (s *heapStore) baseHas(id uint64) bool {
 	_, ok := s.idx[id]
@@ -73,24 +73,31 @@ func (s *heapStore) baseGet(id uint64) (vectorset.Flat, bool) {
 	return s.sets[i], true
 }
 
-func (s *heapStore) baseCentroid(id uint64) []float64 { return s.cents[s.idx[id]] }
+func (s *heapStore) baseCentroid(id uint64) []float64 { return s.centroid(s.idx[id]) }
 
 // newHeapBase builds a compacted heap base over sets[i] ↦ ids[i]: the
-// store and the filter index that refines against it in place, its X-tree
-// STR-bulk-loaded from the centroids. A nil cents[i] (or a nil cents) is
-// computed on the worker pool; a non-nil one must be the set's extended
-// centroid under the database's MaxCard and ω.
-func (db *DB) newHeapBase(ids []uint64, sets []vectorset.Flat, cents [][]float64) (*filter.Index, *heapStore) {
-	if cents == nil {
-		cents = make([][]float64, len(sets))
+// store and the filter index that refines and ranks against it in place.
+// stored(i) is the i-th set's extended centroid under the database's
+// MaxCard and ω where one is already held (it is copied into the store's
+// block), nil where it must be computed; both happen on the worker pool,
+// so stored must be safe for concurrent calls.
+func (db *DB) newHeapBase(ids []uint64, sets []vectorset.Flat, stored func(i int) []float64) (*filter.Index, *heapStore) {
+	dim := db.cfg.Dim
+	st := &heapStore{
+		sets:    sets,
+		cents:   make([]float64, len(sets)*dim),
+		dim:     dim,
+		idx:     make(map[uint64]int, len(ids)),
+		tracker: db.cfg.Tracker,
 	}
 	w := parallel.Workers(db.cfg.Workers, parallel.Auto())
 	parallel.ForEach(len(sets), w, func(i int) {
-		if cents[i] == nil {
-			cents[i] = sets[i].Centroid(db.cfg.MaxCard, db.omega)
+		if c := stored(i); c != nil {
+			copy(st.centroid(i), c)
+		} else {
+			sets[i].CentroidInto(st.centroid(i), db.cfg.MaxCard, db.omega)
 		}
 	})
-	st := &heapStore{sets: sets, cents: cents, idx: make(map[uint64]int, len(ids)), tracker: db.cfg.Tracker}
 	intIDs := make([]int, len(ids))
 	for i, id := range ids {
 		st.idx[id] = i
@@ -98,8 +105,8 @@ func (db *DB) newHeapBase(ids []uint64, sets []vectorset.Flat, cents [][]float64
 	}
 	ix, err := filter.NewBulkStore(db.filterConfig(), st, intIDs, filter.StoreBuildOptions{})
 	if err != nil {
-		// The in-memory build fails only on a length mismatch.
-		panic(fmt.Sprintf("vsdb: heap base over %d ids, %d sets, %d centroids: %v", len(ids), len(sets), len(cents), err))
+		// Only a length mismatch fails the build.
+		panic(fmt.Sprintf("vsdb: heap base over %d ids, %d sets: %v", len(ids), len(sets), err))
 	}
 	return ix, st
 }
@@ -144,10 +151,9 @@ func (s *snapStore) baseCentroid(id uint64) []float64 { return s.r.Centroid(s.in
 // OpenFile opens a snapshot file in whichever format it carries. A
 // version-1 stream is loaded to heap exactly like LoadFile; a paged
 // version-2 snapshot is memory-mapped and served in place: base sets
-// and centroids alias the mapping (verified lazily, one CRC per page on
-// first touch), so open cost is independent of object count except for
-// the STR build over the centroid region — which goes out of core past
-// externalSTRThreshold objects (or when opt.ExternalSTR is set).
+// alias the mapping (verified lazily, one CRC per page on first touch)
+// and so does the centroid column the filter ranks (verified here, once),
+// so nothing is decoded or built per object.
 //
 // The returned database is fully mutable; mutations land in the delta
 // memtable and the first compaction materializes the base to heap.
@@ -187,9 +193,9 @@ func openPaged(r *snapshot.PagedReader, opt LoadOptions) (*DB, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	// The STR build walks the centroid region through the lazy-CRC
-	// accessors, which panic on damage; verifying the region up front
-	// turns a corrupt file into an ErrCorrupt return instead.
+	// Every query scans the whole centroid region, and the lazy-CRC
+	// accessors panic on damage: verifying it up front turns a corrupt
+	// file into an ErrCorrupt return instead of a fault mid-query.
 	if err := r.CheckCentroids(); err != nil {
 		return nil, fmt.Errorf("vsdb: %w", err)
 	}
@@ -199,11 +205,7 @@ func openPaged(r *snapshot.PagedReader, opt LoadOptions) (*DB, error) {
 	for i, id := range ids {
 		intIDs[i] = int(id)
 	}
-	ix, err := filter.NewBulkStore(db.filterConfig(), r, intIDs, filter.StoreBuildOptions{
-		External: opt.ExternalSTR || r.Len() >= externalSTRThreshold,
-		TmpDir:   opt.STRTmpDir,
-		RunSize:  opt.STRRunSize,
-	})
+	ix, err := filter.NewBulkStore(db.filterConfig(), r, intIDs, filter.StoreBuildOptions{})
 	if err != nil {
 		return nil, fmt.Errorf("vsdb: %w", err)
 	}
@@ -241,8 +243,9 @@ func (db *DB) Mapped() bool {
 // returns io.EOF; each call yields one object, validated against cfg
 // (cfg.Tracker/Workers/MaxDelta/CompactRatio carry into the opened
 // database via opt, not cfg). Objects stream straight to disk — peak
-// memory is bounded by the external sort's run size, not the dataset —
-// so this is the ingest path for datasets that never fit in heap. The
+// memory is the id set and the writer's centroid column, never the
+// vectors — so this is the ingest path for datasets that do not fit in
+// heap. The
 // write is atomic (temporary sibling file + rename); on error nothing
 // is left at path.
 func BulkBuildFromStream(path string, cfg Config, seq uint64, next func() (uint64, vectorset.Flat, error), opt LoadOptions) (*DB, error) {

@@ -57,8 +57,8 @@ func transcript(db *DB, seed int64, queries int) string {
 // TestOpenFileMigrationParity is the VXSNAP01 → VXSNAP02 migration
 // suite: a randomized v1 snapshot, converted to the paged layout, must
 // answer an identical query workload byte-for-byte whether it is served
-// heap-decoded (v1), mmap-aliased (v2), or mmap with the external STR
-// build — at one refinement worker and at several.
+// heap-decoded (v1) or mmap-aliased (v2) — at one refinement worker and
+// at several.
 func TestOpenFileMigrationParity(t *testing.T) {
 	v1, ids := buildV1Snapshot(t, 0xfeed, 400)
 	v2 := filepath.Join(t.TempDir(), "v2.snap")
@@ -71,35 +71,29 @@ func TestOpenFileMigrationParity(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := transcript(ref, 42, 25)
-		variants := map[string]LoadOptions{
-			"mmap":         {Workers: workers},
-			"mmap-ext-str": {Workers: workers, ExternalSTR: true, STRRunSize: 64},
+		db, err := OpenFile(v2, LoadOptions{Workers: workers})
+		if err != nil {
+			t.Fatalf("mmap/w=%d: %v", workers, err)
 		}
-		for name, opt := range variants {
-			db, err := OpenFile(v2, opt)
-			if err != nil {
-				t.Fatalf("%s/w=%d: %v", name, workers, err)
+		if db.Len() != len(ids) || db.Epoch() != ref.Epoch() {
+			t.Fatalf("mmap/w=%d: Len/Epoch = %d/%d, want %d/%d",
+				workers, db.Len(), db.Epoch(), len(ids), ref.Epoch())
+		}
+		if got := transcript(db, 42, 25); got != want {
+			t.Fatalf("mmap/w=%d: query transcript diverges from the v1 heap path", workers)
+		}
+		// Point lookups exercise snapStore's lazy id index.
+		for _, id := range ids[:10] {
+			if !db.cur.Load().live(id) {
+				t.Fatalf("mmap/w=%d: id %d not live", workers, id)
 			}
-			if db.Len() != len(ids) || db.Epoch() != ref.Epoch() {
-				t.Fatalf("%s/w=%d: Len/Epoch = %d/%d, want %d/%d",
-					name, workers, db.Len(), db.Epoch(), len(ids), ref.Epoch())
+			a, b := ref.Get(id), db.Get(id)
+			if len(a) != len(b) {
+				t.Fatalf("mmap/w=%d: Get(%d) cardinality %d vs %d", workers, id, len(b), len(a))
 			}
-			if got := transcript(db, 42, 25); got != want {
-				t.Fatalf("%s/w=%d: query transcript diverges from the v1 heap path", name, workers)
-			}
-			// Point lookups exercise snapStore's lazy id index.
-			for _, id := range ids[:10] {
-				if !db.cur.Load().live(id) {
-					t.Fatalf("%s/w=%d: id %d not live", name, workers, id)
-				}
-				a, b := ref.Get(id), db.Get(id)
-				if len(a) != len(b) {
-					t.Fatalf("%s/w=%d: Get(%d) cardinality %d vs %d", name, workers, id, len(b), len(a))
-				}
-			}
-			if err := db.Close(); err != nil {
-				t.Fatal(err)
-			}
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

@@ -12,11 +12,11 @@ import (
 
 // Persistence (DESIGN.md §7/§8): the versioned, checksummed binary
 // format of internal/snapshot, carrying the objects in insertion order,
-// the extended centroids of the filter index so Load can STR-bulk-load
-// the X-tree without re-deriving the access structure, and the mutation
-// epoch so a write-ahead log can be replayed against the snapshot.
+// the extended centroids of the filter index so Load can lay out the
+// column it ranks without re-deriving them, and the mutation epoch so a
+// write-ahead log can be replayed against the snapshot.
 
-// Save writes the database and its filter/X-tree index as a version-1
+// Save writes the database and its filter centroids as a version-1
 // snapshot stream. The encoding is deterministic: two databases with
 // identical logical contents (same configuration, ids, sets, insertion
 // order and epoch) produce byte-identical snapshots regardless of their
@@ -80,14 +80,6 @@ type LoadOptions struct {
 	// (Config.MaxDelta / Config.CompactRatio semantics).
 	MaxDelta     int
 	CompactRatio float64
-	// ExternalSTR forces the out-of-core STR build when OpenFile opens a
-	// paged snapshot. By default it is chosen automatically once the
-	// object count reaches externalSTRThreshold.
-	ExternalSTR bool
-	// STRTmpDir / STRRunSize tune the external build (defaults: the OS
-	// temp dir, and xtree's default run size).
-	STRTmpDir  string
-	STRRunSize int
 	// Approx enables the approximate candidate tier on the loaded
 	// database (Config.Approx semantics). When the snapshot carries a
 	// sketch table under matching parameters it is adopted directly;
@@ -101,10 +93,10 @@ type LoadOptions struct {
 // snapshot.ErrCorrupt; it never panics.
 func Load(r io.Reader) (*DB, error) { return LoadWith(r, LoadOptions{}) }
 
-// LoadWith is Load with serving options. The filter index is rebuilt by
-// STR bulk load from the persisted centroids, so opening a snapshot does
-// no matching-distance work and no centroid recomputation; the loaded
-// view's epoch is the snapshot's.
+// LoadWith is Load with serving options. The filter index ranks the
+// persisted centroids as they are, so opening a snapshot does no
+// matching-distance work and no centroid recomputation; the loaded view's
+// epoch is the snapshot's.
 func LoadWith(r io.Reader, opt LoadOptions) (*DB, error) {
 	dec, err := snapshot.NewDecoder(r, snapshot.DecodeOptions{Tracker: opt.Tracker})
 	if err != nil {
@@ -150,7 +142,8 @@ func LoadWith(r io.Reader, opt LoadOptions) (*DB, error) {
 		ids = append(ids, id)
 		sets = append(sets, set)
 	}
-	base, baseSets := db.newHeapBase(ids, sets, dec.Centroids())
+	cents := dec.Centroids()
+	base, baseSets := db.newHeapBase(ids, sets, func(i int) []float64 { return cents[i] })
 	if blk := dec.Sketches(); blk != nil && cfg.Approx != nil && blk.Params == cfg.Approx.params() {
 		// Adoption failure (a count mismatch cannot happen here; belt and
 		// suspenders) just means the lazy rebuild runs instead.

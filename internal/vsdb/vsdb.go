@@ -16,8 +16,9 @@
 // writers install the next view. Mutators are serialized by an internal
 // mutex. A view is three layers:
 //
-//   - base: the bulk-loaded filter/X-tree index over objects as of the
-//     last compaction;
+//   - base: the filter index over objects as of the last compaction — it
+//     ranks their contiguous centroid column and refines their sets in
+//     place, and owns no tree;
 //   - delta: a small memtable of objects inserted since, each stored
 //     with its extended centroid. It has no index, but it is filtered
 //     like the base: a query visits entries in ascending centroid lower
@@ -29,8 +30,8 @@
 //
 // A mutated view therefore runs the exact evaluations its compacted
 // form would, give or take the delta entries whose bound ties the k-th
-// distance. Compaction folds delta and tomb back into a fresh
-// STR-bulk-loaded base that keeps the centroids already computed; it
+// distance. Compaction folds delta and tomb back into a fresh base that
+// keeps the centroids already computed (one block, copied, not a tree); it
 // triggers automatically on the MaxDelta / CompactRatio thresholds or
 // explicitly via Compact. Every view carries the mutation
 // sequence number (Epoch) used for cache invalidation, snapshot
@@ -161,7 +162,7 @@ type view struct {
 	// counts Insert/Delete records, never compactions (a compaction
 	// changes the representation, not the logical state).
 	seq uint64
-	// base is the filter/X-tree index as of the last compaction, with
+	// base is the filter index as of the last compaction, with
 	// baseSets resolving its sets by id (including tombstoned ones).
 	// Heap-resident databases use a heapStore of contiguous
 	// vectorset.Flat buffers (DESIGN.md §10), owned exclusively by the
@@ -284,7 +285,7 @@ func Open(cfg Config) (*DB, error) {
 		omega = make([]float64, cfg.Dim)
 	}
 	db := &DB{cfg: cfg, omega: omega}
-	base, baseSets := db.newHeapBase(nil, nil, nil)
+	base, baseSets := db.newHeapBase(nil, nil, nil) // no sets: stored is never called
 	db.cur.Store(&view{base: base, baseSets: baseSets})
 	if cfg.WALPath != "" {
 		if err := db.AttachWAL(cfg.WALPath, WALOptions{NoSync: cfg.WALNoSync}); err != nil {
@@ -458,7 +459,7 @@ type Query struct {
 	K    int
 	Eps  float64
 	// Approx proposes base candidates through the sketch tier (DESIGN.md
-	// §12) instead of the X-tree ranking: every returned distance is still
+	// §12) instead of the centroid ranking: every returned distance is still
 	// exact, the approximation is recall. On a database opened without
 	// Config.Approx it is ignored — the exact engine answers, result for
 	// result — so callers can set it unconditionally. Ignored under
@@ -568,7 +569,8 @@ func (v *view) liveNeighbors(cands []index.Neighbor) []Neighbor {
 // deltaBound is the Lemma 2 lower bound MaxCard·‖C(X)−C(q)‖₂ of a delta
 // entry's distance to the query with extended centroid cq — the very
 // expression the filter ranks base objects by, so a delta entry is pruned
-// exactly when it would be after compaction.
+// exactly when it would be after compaction (both sides hold the bound
+// against their threshold with vectorset.BoundExceeds).
 func (db *DB) deltaBound(cq []float64, e deltaEntry) float64 {
 	return vectorset.CentroidLowerBound(cq, e.cent, db.cfg.MaxCard)
 }
@@ -588,7 +590,7 @@ func (db *DB) deltaRange(v *view, query vectorset.Flat, eps float64, out []Neigh
 	var refined, solved int64
 	for _, id := range v.deltaIDs {
 		e := v.delta[id]
-		if db.deltaBound(cq, e) > eps {
+		if vectorset.BoundExceeds(db.deltaBound(cq, e), eps) {
 			continue
 		}
 		refined++
@@ -637,7 +639,7 @@ func (db *DB) deltaKNN(v *view, query vectorset.Flat, k int, out []Neighbor) []N
 	limit := kth()
 	for _, id := range v.deltaIDs {
 		e := v.delta[id]
-		if b := db.deltaBound(cq, e); b <= limit {
+		if b := db.deltaBound(cq, e); !vectorset.BoundExceeds(b, limit) {
 			cands = append(cands, cand{b, id, e.set})
 		}
 	}
@@ -651,7 +653,7 @@ func (db *DB) deltaKNN(v *view, query vectorset.Flat, k int, out []Neighbor) []N
 	defer dist.PutWorkspace(ws)
 	var refined, solved int64
 	for _, c := range cands {
-		if c.bound > kth() {
+		if vectorset.BoundExceeds(c.bound, kth()) {
 			break
 		}
 		refined++
