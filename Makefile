@@ -2,7 +2,7 @@
 # vet, build, race-enabled tests, and a short benchmark smoke run.
 GO ?= go
 
-.PHONY: check vet build test race check-race check-bench bench bench-smoke bench-voxel bench-cluster bench-json bench-compare fuzz-smoke
+.PHONY: check vet build test race check-race check-bench bench bench-smoke bench-voxel bench-cluster fuzz-smoke
 
 check: vet build check-race check-bench fuzz-smoke bench-smoke bench-voxel
 
@@ -53,10 +53,11 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzReplicaStreamDecode -fuzztime 5s ./internal/replica/
 
 # Quick benchmark smoke: the zero-allocation matching kernel, the
-# parallel-vs-sequential scaling pairs, and a reduced end-to-end
-# bench-json pass (ingest, KNN latency, allocation counters, batch
-# speedup, and the mmap serving path: VXSNAP02 cold open + aliasing
-# reads + mapped k-nn) whose JSON goes to a scratch path. The vsdb pair
+# parallel-vs-sequential scaling pairs, and one pass of each measurement
+# EXPERIMENTS.md records from a benchmark table rather than from voxload:
+# the approximate tier's speed-vs-recall curve at 10 k objects, the
+# scan-to-CAD degraded-recall sweep, and the replication gauges
+# (follower-read latency, shipping lag, promotion time). The vsdb pair
 # puts a mutated view (128 delta entries, 32 tombstones) beside the same
 # state compacted — refined/op and ns/op must stay close; a regression to
 # over-fetch + full delta scan doubles the first row — and reports the
@@ -73,20 +74,9 @@ bench-smoke:
 	$(GO) test -run xxx -bench 'MatchingWithin' -benchtime 20000x -benchmem ./internal/dist/
 	$(GO) test -run xxx -bench 'FilterKNN|CentroidRanking' -benchtime 200x -benchmem ./internal/index/filter/
 	$(GO) test -run xxx -bench 'SearchMutatedView|Compact$$' -benchtime 100x -benchmem ./internal/vsdb/
-	$(GO) run ./cmd/benchjson -quick -out /tmp/voxset-bench-smoke.json
-
-# Full end-to-end benchmark harness: writes the committed BENCH_<pr>.json
-# (ingest ms/object, KNN p50/p99, allocs/op, batch-vs-sequential
-# throughput). Usage: make bench-json PR=6 [BASELINE=old.json]
-PR ?= 10
-bench-json:
-	$(GO) run ./cmd/benchjson -pr $(PR) $(if $(BASELINE),-baseline $(BASELINE)) -out BENCH_$(PR).json
-
-# Perf-trajectory gate: diff the committed BENCH_$(PR).json against the
-# latest prior BENCH_*.json and fail on a >20% k-nn p50 regression.
-# Usage: make bench-compare [PR=7] [OLD=BENCH_5.json]
-bench-compare:
-	$(GO) run ./cmd/benchcompare -new BENCH_$(PR).json $(if $(OLD),-old $(OLD))
+	$(GO) test -run xxx -bench 'ApproxCurve/10k' -benchtime 1x ./internal/recall/
+	$(GO) test -run xxx -bench 'DegradedRecall' -benchtime 1x ./internal/recall/
+	$(GO) test -run xxx -bench 'Replication' -benchtime 1x ./internal/cluster/
 
 # Voxel-kernel and ingest smoke: word-parallel morphology vs the
 # per-voxel references, voxelization, and one object extraction pass.

@@ -187,8 +187,8 @@ func TestRecallFloorAcrossTopologies(t *testing.T) {
 				if rep.CandidatesPerQuery <= 0 {
 					t.Fatalf("tier proposed no candidates (%.1f/query)", rep.CandidatesPerQuery)
 				}
-				t.Logf("recall@%d mean %.3f min %.3f, %.0f candidates/query, approx p50 %v vs exact %v",
-					k, rep.MeanRecall, rep.MinRecall, rep.CandidatesPerQuery, rep.ApproxP50, rep.ExactP50)
+				t.Logf("recall@%d mean %.3f min %.3f, %.0f candidates/query, approx mean %v vs exact %v",
+					k, rep.MeanRecall, rep.MinRecall, rep.CandidatesPerQuery, rep.Approx, rep.Exact)
 			})
 		}
 	}
@@ -303,7 +303,7 @@ func TestEpsRecall(t *testing.T) {
 }
 
 // TestEvalKNNReportShape: the harness numbers themselves — query count,
-// perfect recall against itself, a sane p50.
+// perfect recall against itself, sane mean latencies.
 func TestEvalKNNReportShape(t *testing.T) {
 	ids, sets, qs := oracleData(5, 300, 10)
 	c := buildCluster(t, ids, sets, 1, 1, oracleApprox())
@@ -315,7 +315,7 @@ func TestEvalKNNReportShape(t *testing.T) {
 	if rep.MeanRecall != 1 || rep.MinRecall != 1 {
 		t.Fatalf("engine against itself: recall %v/%v, want 1/1", rep.MeanRecall, rep.MinRecall)
 	}
-	if rep.ExactP50 <= 0 || rep.ApproxP50 <= 0 {
-		t.Fatalf("non-positive p50s: %+v", rep)
+	if rep.Exact <= 0 || rep.Approx <= 0 {
+		t.Fatalf("non-positive mean latencies: %+v", rep)
 	}
 }

@@ -1,10 +1,12 @@
 // Package recall measures the approximate sketch candidate tier
-// (DESIGN.md §12) against the exact engine it approximates. It is the
-// oracle harness behind `make check-approx` and the speed-vs-recall
-// tables in EXPERIMENTS.md: the same queries run through both engines
-// side by side, and the harness reports recall@k, ε-recall and latency
-// quantiles — plus byte-exact transcripts for pinning the contract that
-// an unconfigured approximate path IS the exact engine.
+// (DESIGN.md §12) against the exact engine it approximates, and
+// scan-to-CAD retrieval from damaged rescans (DESIGN.md §14). The same
+// queries run through both engines side by side, and the harness
+// reports recall@k, ε-recall and mean latency per query — plus
+// byte-exact transcripts for pinning the contract that an unconfigured
+// approximate path IS the exact engine. The recall floors run as tests;
+// BenchmarkApproxCurve and BenchmarkDegradedRecall produce the
+// EXPERIMENTS.md tables.
 //
 // The harness is engine-agnostic: it sees a k-nn engine as a KNNFunc and
 // a range engine as a RangeFunc, so a vsdb database, a sharded cluster
@@ -14,7 +16,6 @@ package recall
 import (
 	"encoding/binary"
 	"math"
-	"sort"
 	"time"
 
 	"github.com/voxset/voxset/internal/vsdb"
@@ -52,11 +53,9 @@ type Report struct {
 	K          int
 	MeanRecall float64 // mean per-query recall@k
 	MinRecall  float64 // worst per-query recall@k
-	ExactP50   time.Duration
-	ApproxP50  time.Duration
-	// Speedup is ExactP50/ApproxP50 — how much faster the median
-	// approximate query answered than the median exact one.
-	Speedup float64
+	// Exact and Approx are the mean latencies per query — on one worker,
+	// the CPU a query costs.
+	Exact, Approx time.Duration
 	// CandidatesPerQuery is the mean number of candidates the sketch
 	// tier proposed per query, when EvalKNN was given a candidate
 	// counter; 0 otherwise.
@@ -64,40 +63,36 @@ type Report struct {
 }
 
 // EvalKNN runs every query through both engines and reports recall@k
-// and median latencies. candidates, if non-nil, is read before and
-// after the approximate pass (e.g. (*vsdb.DB).Stats().SketchCandidates) to
+// and mean latencies. candidates, if non-nil, is read before and after
+// the approximate pass (e.g. (*vsdb.DB).Stats().SketchCandidates) to
 // price the tier's candidate volume.
 func EvalKNN(queries [][][]float64, k int, approx, exact KNNFunc, candidates func() int64) Report {
 	r := Report{Queries: len(queries), K: k, MinRecall: 1}
 	if len(queries) == 0 {
 		return r
 	}
-	approxNS := make([]time.Duration, len(queries))
-	exactNS := make([]time.Duration, len(queries))
 	var before int64
 	if candidates != nil {
 		before = candidates()
 	}
 	sum := 0.0
-	for i, q := range queries {
+	for _, q := range queries {
 		t0 := time.Now()
 		a := approx(q, k)
-		approxNS[i] = time.Since(t0)
-		t0 = time.Now()
+		t1 := time.Now()
 		e := exact(q, k)
-		exactNS[i] = time.Since(t0)
+		r.Approx += t1.Sub(t0)
+		r.Exact += time.Since(t1)
 		rec := RecallAtK(a, e)
 		sum += rec
 		if rec < r.MinRecall {
 			r.MinRecall = rec
 		}
 	}
-	r.MeanRecall = sum / float64(len(queries))
-	r.ApproxP50 = p50(approxNS)
-	r.ExactP50 = p50(exactNS)
-	if r.ApproxP50 > 0 {
-		r.Speedup = float64(r.ExactP50) / float64(r.ApproxP50)
-	}
+	n := len(queries)
+	r.MeanRecall = sum / float64(n)
+	r.Approx /= time.Duration(n)
+	r.Exact /= time.Duration(n)
 	if candidates != nil {
 		r.CandidatesPerQuery = float64(candidates()-before) / float64(len(queries))
 	}
@@ -113,9 +108,12 @@ type RangeReport struct {
 	Eps           float64
 	MeanEpsRecall float64
 	MinEpsRecall  float64
+	// Exact and Approx are the mean latencies per query, as in Report.
+	Exact, Approx time.Duration
 }
 
-// EvalRange runs every query through both engines and reports ε-recall.
+// EvalRange runs every query through both engines and reports ε-recall
+// and mean latencies.
 func EvalRange(queries [][][]float64, eps float64, approx, exact RangeFunc) RangeReport {
 	r := RangeReport{Queries: len(queries), Eps: eps, MinEpsRecall: 1}
 	if len(queries) == 0 {
@@ -123,13 +121,22 @@ func EvalRange(queries [][][]float64, eps float64, approx, exact RangeFunc) Rang
 	}
 	sum := 0.0
 	for _, q := range queries {
-		rec := RecallAtK(approx(q, eps), exact(q, eps))
+		t0 := time.Now()
+		a := approx(q, eps)
+		t1 := time.Now()
+		e := exact(q, eps)
+		r.Approx += t1.Sub(t0)
+		r.Exact += time.Since(t1)
+		rec := RecallAtK(a, e)
 		sum += rec
 		if rec < r.MinEpsRecall {
 			r.MinEpsRecall = rec
 		}
 	}
-	r.MeanEpsRecall = sum / float64(len(queries))
+	n := len(queries)
+	r.MeanEpsRecall = sum / float64(n)
+	r.Approx /= time.Duration(n)
+	r.Exact /= time.Duration(n)
 	return r
 }
 
@@ -158,10 +165,4 @@ func Transcript(queries [][][]float64, k int, fn KNNFunc) []byte {
 // RangeTranscript is Transcript for ε-range engines.
 func RangeTranscript(queries [][][]float64, eps float64, fn RangeFunc) []byte {
 	return Transcript(queries, 0, func(q [][]float64, _ int) []vsdb.Neighbor { return fn(q, eps) })
-}
-
-func p50(ds []time.Duration) time.Duration {
-	s := append([]time.Duration(nil), ds...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	return s[len(s)/2]
 }

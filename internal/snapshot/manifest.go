@@ -3,8 +3,11 @@ package snapshot
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+
+	"github.com/voxset/voxset/internal/atomicfile"
 )
 
 // Sharded snapshot directories (DESIGN.md §9). A cluster persists one
@@ -58,8 +61,8 @@ func (m *Manifest) validate() error {
 	return nil
 }
 
-// WriteManifest writes the manifest into dir (atomically, via a sibling
-// temporary file).
+// WriteManifest writes the manifest into dir, atomically and durably
+// (see atomicfile).
 func WriteManifest(dir string, m *Manifest) error {
 	if err := m.validate(); err != nil {
 		return err
@@ -68,16 +71,10 @@ func WriteManifest(dir string, m *Manifest) error {
 	if err != nil {
 		return err
 	}
-	path := filepath.Join(dir, ManifestName)
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
+	return atomicfile.WriteFile(filepath.Join(dir, ManifestName), func(w io.Writer) error {
+		_, err := w.Write(append(data, '\n'))
 		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
+	})
 }
 
 // ReadManifest reads and validates the manifest in dir. Malformed or

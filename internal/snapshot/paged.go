@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"unsafe"
 
+	"github.com/voxset/voxset/internal/atomicfile"
 	"github.com/voxset/voxset/internal/index/sketch"
 	"github.com/voxset/voxset/internal/mmapfile"
 	"github.com/voxset/voxset/internal/storage"
@@ -32,8 +33,9 @@ import (
 //	offsets     starts[count+1] — cumulative float64 counts delimiting
 //	  region    each object's rows — then ids[count], both uint64.
 //	centroid    the extended centroid of every object (count·dim
-//	  region    float64), aligned with ids; the X-tree is bulk-loaded
-//	            from this region without touching a single vector page.
+//	  region    float64), aligned with ids; the served filter ranks this
+//	            region in place as one column, without touching a single
+//	            vector page.
 //	CRC table   one IEEE CRC32 per page of everything above it.
 //	sketch      optional trailer (present iff the producer carried an
 //	  tail      approximate tier, DESIGN.md §12): 8-aligned after the CRC
@@ -132,13 +134,11 @@ type PagedWriterOptions struct {
 // and only the per-object bookkeeping — offsets, ids, centroids, page
 // CRCs — is buffered until Finish (O(count·dim), independent of the
 // vector payload, which dominates any real database). The file is
-// written as a sibling temporary and renamed into place on Finish, so a
-// crashed build never leaves a half-written snapshot behind.
+// written as an atomicfile replacement committed on Finish, so a crashed
+// build never leaves a half-written snapshot behind.
 type PagedWriter struct {
-	f    *os.File
+	f    *atomicfile.File
 	w    *writeCounter
-	path string
-	tmp  string
 	opts PagedWriterOptions
 
 	starts []uint64 // cumulative float64 counts, len = count+1
@@ -219,16 +219,13 @@ func CreatePaged(path string, opts PagedWriterOptions) (*PagedWriter, error) {
 			return nil, fmt.Errorf("snapshot: %w", err)
 		}
 	}
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
+	f, err := atomicfile.Create(path)
 	if err != nil {
 		return nil, err
 	}
 	pw := &PagedWriter{
 		f:      f,
 		w:      &writeCounter{w: f, pageSize: opts.PageSize},
-		path:   path,
-		tmp:    tmp,
 		opts:   opts,
 		starts: []uint64{0},
 	}
@@ -311,8 +308,8 @@ func (pw *PagedWriter) Append(id uint64, set vectorset.Flat) error {
 }
 
 // Finish pads the vector region, writes the offsets, centroid, and CRC
-// regions, patches the header page, syncs, and renames the temporary
-// into place. The writer is unusable afterwards.
+// regions, patches the header page, and commits the file into place.
+// The writer is unusable afterwards.
 func (pw *PagedWriter) Finish() error {
 	if pw.err != nil {
 		return pw.err
@@ -420,25 +417,21 @@ func (pw *PagedWriter) Finish() error {
 	if _, err := pw.f.WriteAt(hp, 0); err != nil {
 		return pw.fail(err)
 	}
-	if err := pw.f.Sync(); err != nil {
+	f := pw.f
+	pw.f = nil
+	if err := f.Commit(); err != nil {
 		return pw.fail(err)
 	}
-	if err := pw.f.Close(); err != nil {
-		pw.err = err
-		os.Remove(pw.tmp)
-		return err
-	}
 	pw.err = fmt.Errorf("snapshot: paged writer already finished")
-	return os.Rename(pw.tmp, pw.path)
+	return nil
 }
 
 // Abort discards the temporary file. Safe to call after a failed Append
-// or Finish; a no-op after a successful Finish.
+// or Finish; a no-op once Finish reaches its commit.
 func (pw *PagedWriter) Abort() {
 	if pw.f != nil {
-		pw.f.Close()
+		pw.f.Abort()
 		pw.f = nil
-		os.Remove(pw.tmp)
 	}
 }
 

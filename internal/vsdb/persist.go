@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 
+	"github.com/voxset/voxset/internal/atomicfile"
 	"github.com/voxset/voxset/internal/snapshot"
 	"github.com/voxset/voxset/internal/storage"
 	"github.com/voxset/voxset/internal/vectorset"
@@ -163,28 +164,15 @@ func LoadWith(r io.Reader, opt LoadOptions) (*DB, error) {
 	return db, nil
 }
 
-// SaveFile writes the snapshot to path (atomically via a sibling
-// temporary file).
+// SaveFile writes the snapshot to path, atomically and durably (see
+// atomicfile): Checkpoint truncates the WAL behind it, so the snapshot
+// must be on disk before the rename that publishes it.
 func (db *DB) SaveFile(path string) error {
 	return db.saveViewFile(db.cur.Load(), path)
 }
 
 func (db *DB) saveViewFile(v *view, path string) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := db.saveView(v, f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
+	return atomicfile.WriteFile(path, func(w io.Writer) error { return db.saveView(v, w) })
 }
 
 // LoadFile reads a snapshot file written by SaveFile.

@@ -6,8 +6,9 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"sync/atomic"
+
+	"github.com/voxset/voxset/internal/atomicfile"
 )
 
 // FileOptions tune a file-backed log.
@@ -170,35 +171,24 @@ func (fl *File) AppendBatch(recs []Record) (uint64, error) {
 }
 
 // Reset truncates the log against a checkpoint: a fresh header with
-// BaseSeq=baseSeq is written to a temporary file, synced, and renamed
-// over the log, so the swap is atomic — a crash leaves either the old
-// log or the new empty one. Reset also clears a sticky append error
-// (the torn tail is discarded with the rest of the log).
+// BaseSeq=baseSeq replaces the log through atomicfile, so the swap is
+// atomic and durable — a crash leaves either the old log or the new
+// empty one. Reset also clears a sticky append error (the torn tail is
+// discarded with the rest of the log).
 func (fl *File) Reset(baseSeq uint64) error {
 	cfg := fl.wr.Config()
 	cfg.BaseSeq = baseSeq
-	tmp := fl.path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	f, err := atomicfile.Create(fl.path)
 	if err != nil {
-		return fmt.Errorf("wal: creating %s: %w", tmp, err)
+		return fmt.Errorf("wal: creating reset log for %s: %w", fl.path, err)
 	}
 	wr, err := NewWriter(f, cfg)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
 	if err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("wal: writing %s: %w", tmp, err)
+		f.Abort()
+		return fmt.Errorf("wal: writing reset log for %s: %w", fl.path, err)
 	}
-	if err := os.Rename(tmp, fl.path); err != nil {
-		os.Remove(tmp)
+	if err := f.Commit(); err != nil {
 		return fmt.Errorf("wal: installing reset log: %w", err)
-	}
-	if err := syncDir(fl.path); err != nil {
-		return err
 	}
 	nf, err := os.OpenFile(fl.path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
@@ -211,21 +201,6 @@ func (fl *File) Reset(baseSeq uint64) error {
 	fl.err = nil
 	fl.records.Store(0)
 	fl.seq.Store(baseSeq)
-	return nil
-}
-
-// syncDir fsyncs the directory containing path so a rename survives a
-// host crash. Failure to open the directory is ignored (not all
-// filesystems support it); a failed sync on an open directory is not.
-func syncDir(path string) error {
-	d, err := os.Open(filepath.Dir(path))
-	if err != nil {
-		return nil
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil && !errors.Is(err, os.ErrInvalid) {
-		return fmt.Errorf("wal: syncing directory of %s: %w", path, err)
-	}
 	return nil
 }
 
