@@ -39,8 +39,9 @@ check-bench:
 # Fuzz smoke: every decoder fuzzer for a few seconds each, on top of
 # the checked-in seed corpora. Catches framing/CRC regressions in the
 # snapshot, WAL, STL and vector-set codecs without a long fuzz session —
-# plus the scatter-gather merge's identity with sort-and-truncate and the
-# threshold-aware matching kernel's contract against the unbounded one.
+# plus the scatter-gather merge's identity with sort-and-truncate, the
+# threshold-aware matching kernel's contract against the unbounded one and
+# the pruned cover search's against the unpruned scan.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzMatchingWithin -fuzztime 5s ./internal/dist/
 	$(GO) test -run xxx -fuzz FuzzSTLParse -fuzztime 5s ./internal/mesh/
@@ -51,6 +52,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzClusterMerge -fuzztime 5s ./internal/cluster/
 	$(GO) test -run xxx -fuzz FuzzSketchDecode -fuzztime 5s ./internal/index/sketch/
 	$(GO) test -run xxx -fuzz FuzzReplicaStreamDecode -fuzztime 5s ./internal/replica/
+	$(GO) test -run xxx -fuzz FuzzMaxSubCuboid -fuzztime 5s ./internal/cover/
 
 # Quick benchmark smoke: the zero-allocation matching kernel, the
 # parallel-vs-sequential scaling pairs, and one pass of each measurement
@@ -68,7 +70,10 @@ fuzz-smoke:
 # shape, NewBulkStore ranking the centroid column; /dynamic the paper's
 # X-tree path). CentroidRanking prices the ranking seam alone, column pass
 # against bulk-loaded tree at 10 k and 100 k centroids, with allocs/op
-# (0 for the column) and the tracker's pages/op.
+# (0 for the column) and the tracker's pages/op. MeshExtract prices a mesh
+# upload's parse, voxelize and cover stages over the 256 STL bodies the
+# mesh-upload workload sends, GreedyR15K7 the cover extraction over 64
+# corpus-built grids; both cycle inputs so no branch pattern is learned.
 bench-smoke:
 	$(GO) test -run xxx -bench 'Ablation_Matching(Hungarian|Pooled)K7' -benchtime 200x .
 	$(GO) test -run xxx -bench 'MatchingWithin' -benchtime 20000x -benchmem ./internal/dist/
@@ -77,6 +82,8 @@ bench-smoke:
 	$(GO) test -run xxx -bench 'ApproxCurve/10k' -benchtime 1x ./internal/recall/
 	$(GO) test -run xxx -bench 'DegradedRecall' -benchtime 1x ./internal/recall/
 	$(GO) test -run xxx -bench 'Replication' -benchtime 1x ./internal/cluster/
+	$(GO) test -run xxx -bench 'MeshExtract' -benchtime 1024x -benchmem ./internal/meshquery/
+	$(GO) test -run xxx -bench 'GreedyR15K7' -benchtime 256x -benchmem ./internal/cover/
 
 # Voxel-kernel and ingest smoke: word-parallel morphology vs the
 # per-voxel references, voxelization, and one object extraction pass.

@@ -7,7 +7,11 @@
 //
 // The greedy step — find the cover with the largest error reduction — is
 // a maximum-sum sub-cuboid problem over a ±1 gain field and is solved
-// exactly per step with a 3-D Kadane reduction in O(r⁵).
+// exactly per step with a 3-D Kadane reduction in O(r⁵). Exact upper
+// bounds (row bounds of z-slabs, positive mass of z-layers) skip the
+// ranges that cannot beat the best sum found so far; since only a
+// strictly greater sum replaces it, the chosen cuboid is the unpruned
+// scan's, ties included.
 //
 // The package also converts cover sequences into the paper's two feature
 // representations: the 6k-dimensional one-vector form (§3.3.3, with
@@ -74,37 +78,20 @@ func Greedy(g *voxel.Grid, k int) Sequence {
 	r := g.Nx
 	seq := Sequence{R: r}
 
-	// gainPlus[v] for σ=+ : +1 where O∧¬S (fixes error), -1 where ¬O∧¬S.
-	// gainMinus[v] for σ=− : +1 where ¬O∧S, -1 where O∧S.
-	n := r * r * r
-	gainPlus := make([]int32, n)
-	gainMinus := make([]int32, n)
-	s := voxel.NewCube(r)
-	err := g.Count()
+	// gainPlus[v] for σ=+ : +1 where O∧¬S (fixes error), -1 where ¬O∧¬S,
+	// 0 inside S. gainMinus[v] for σ=− : +1 where ¬O∧S, -1 where O∧S, 0
+	// outside S. S starts empty, and a placed cover rewrites only its own
+	// cells, so the two fields also hold S and need no grid of their own.
+	gainPlus := make([]int32, r*r*r)
+	gainMinus := make([]int32, r*r*r)
+	for i := range gainPlus {
+		gainPlus[i] = -1
+	}
+	g.ForEach(func(x, y, z int) { gainPlus[x+r*(y+r*z)] = 1 })
+	missing, spurious := g.Count(), 0 // |O\S| and |S\O|: positives of the two fields
+	err := missing
 
 	for step := 0; step < k && err > 0; step++ {
-		idx := 0
-		var missing, spurious int // |O\S| and |S\O|: positives of the two fields
-		for z := 0; z < r; z++ {
-			for y := 0; y < r; y++ {
-				for x := 0; x < r; x++ {
-					o, sv := g.Get(x, y, z), s.Get(x, y, z)
-					switch {
-					case o && !sv:
-						gainPlus[idx], gainMinus[idx] = 1, 0
-						missing++
-					case !o && !sv:
-						gainPlus[idx], gainMinus[idx] = -1, 0
-					case !o && sv:
-						gainPlus[idx], gainMinus[idx] = 0, 1
-						spurious++
-					default: // o && sv
-						gainPlus[idx], gainMinus[idx] = 0, -1
-					}
-					idx++
-				}
-			}
-		}
 		// A field without positive cells has maximum sub-cuboid sum 0 (an
 		// all-covered approximation still leaves zero cells somewhere while
 		// the error is positive), and a zero gain never beats the other
@@ -130,7 +117,32 @@ func Greedy(g *voxel.Grid, k int) Sequence {
 		if gain <= 0 {
 			break // no cover strictly reduces the error
 		}
-		s.SetCuboid(best.X0, best.Y0, best.Z0, best.X1, best.Y1, best.Z1, best.Sign > 0)
+		// Place the cover: a cell changing sides of S carries its gain,
+		// negated, into the other field.
+		for z := best.Z0; z <= best.Z1; z++ {
+			for y := best.Y0; y <= best.Y1; y++ {
+				row := r * (y + r*z)
+				for i := row + best.X0; i <= row+best.X1; i++ {
+					p, m := gainPlus[i], gainMinus[i]
+					switch {
+					case best.Sign > 0 && m == 0: // joins S
+						gainPlus[i], gainMinus[i] = 0, -p
+						if p > 0 {
+							missing--
+						} else {
+							spurious++
+						}
+					case best.Sign < 0 && p == 0: // leaves S
+						gainPlus[i], gainMinus[i] = -m, 0
+						if m > 0 {
+							spurious--
+						} else {
+							missing++
+						}
+					}
+				}
+			}
+		}
 		err -= int(gain)
 		seq.Covers = append(seq.Covers, best)
 		seq.Errs = append(seq.Errs, err)
@@ -150,75 +162,100 @@ func (s Sequence) Render() *voxel.Grid {
 
 // maxSubCuboid finds the contiguous axis-parallel sub-cuboid of the r³
 // field with maximal element sum, returning the sum and the cuboid
-// (Sign unset). 3-D Kadane reduction: O(r⁵), with exact upper-bound
-// pruning: the positive mass of a z-slab (and of its y-suffixes) bounds
-// every sub-cuboid inside it, and the incumbent only ever improves on a
-// strictly greater sum, so ranges whose bound does not exceed the
-// incumbent cannot contain the reported cuboid and are skipped without
-// changing the result (maxSubCuboidRef is the unpruned reference).
+// (Sign unset): the 3-D Kadane reduction, O(r⁵), scanning z0, z1, y0, y1,
+// x in that order. Exact upper bounds end a loop once nothing left in it
+// can beat the incumbent: a z-slab's row bound (Σ over its rows ≥ y0 of
+// max(0, the row's best x-run)) ends the y0 loop; the best x-run of rows
+// y0..y1 plus the row bound past y1 ends the y1 loop; the slab's largest
+// rectangle (or the bound that skipped part of it) plus the positive mass
+// of the layers past z1 ends the z1 loop; the positive mass from z0 on
+// ends the z0 loop. Kadane runs branch-free, tracking a row range's best
+// run only; the branchy form is replayed when that run beats the
+// incumbent, to take its updates in scan order. The incumbent is replaced
+// only by a strictly greater sum and nothing skipped can exceed it, so
+// the result — scan-order tie-breaking included — is maxSubCuboidRef's.
 func maxSubCuboid(f []int32, r int) (int32, Cover) {
 	best := int32(-1 << 30)
 	var bc Cover
-	slab := make([]int32, r*r)   // column sums over z ∈ [z0..z1], indexed y*r+x
-	colsum := make([]int32, r)   // row sums over y ∈ [y0..y1], indexed x
-	suffix := make([]int32, r+1) // suffix[y] = positive mass of slab rows ≥ y
-	for z0 := 0; z0 < r; z0++ {
-		for i := range slab {
-			slab[i] = 0
+	slab := make([]int32, r*r)     // column sums over z ∈ [z0..z1], indexed y*r+x
+	colsum := make([]int32, r)     // row sums over y ∈ [y0..y1], indexed x
+	rowBound := make([]int32, r+1) // Σ over slab rows ≥ y of max(0, best x-run)
+	layerPos := make([]int32, r+1) // positive mass of the layers ≥ z
+	for z := r - 1; z >= 0; z-- {
+		var pos int32
+		for _, v := range f[z*r*r : (z+1)*r*r] {
+			pos += max(v, 0)
 		}
+		layerPos[z] = layerPos[z+1] + pos
+	}
+	for z0 := 0; z0 < r && layerPos[z0] > best; z0++ {
+		clear(slab)
 		for z1 := z0; z1 < r; z1++ {
-			base := z1 * r * r
+			layer := f[z1*r*r : (z1+1)*r*r]
 			for y := 0; y < r; y++ {
-				row := y * r
-				var pos int32
-				for x := 0; x < r; x++ {
-					v := slab[row+x] + f[base+row+x]
-					slab[row+x] = v
-					if v > 0 {
-						pos += v
-					}
+				row := slab[y*r : (y+1)*r]
+				var run, top int32
+				for x, v := range layer[y*r : (y+1)*r] {
+					s := row[x] + v
+					row[x] = s
+					run = max(run, 0) + s
+					top = max(top, run)
 				}
-				suffix[y] = pos // per-row positive mass, suffix-summed below
+				rowBound[y] = top
 			}
-			suffix[r] = 0
 			for y := r - 1; y >= 0; y-- {
-				suffix[y] += suffix[y+1]
+				rowBound[y] += rowBound[y+1]
 			}
-			if suffix[0] <= best {
-				continue // whole z-range bounded by incumbent
-			}
+			slabTop := int32(-1 << 30) // bound on this slab's largest rectangle
 			for y0 := 0; y0 < r; y0++ {
-				if suffix[y0] <= best {
-					break // suffix mass is non-increasing in y0
+				if rowBound[y0] <= best {
+					slabTop = max(slabTop, rowBound[y0])
+					break
 				}
-				for i := range colsum {
-					colsum[i] = 0
-				}
+				clear(colsum)
 				for y1 := y0; y1 < r; y1++ {
-					row := y1 * r
-					// Fused column-sum update + 1-D Kadane over x.
-					var run int32
-					runStart := 0
-					for x := 0; x < r; x++ {
-						c := colsum[x] + slab[row+x]
+					run, top := int32(0), int32(-1<<30)
+					for x, v := range slab[y1*r : (y1+1)*r] {
+						c := colsum[x] + v
 						colsum[x] = c
-						if run <= 0 {
-							run = c
-							runStart = x
-						} else {
-							run += c
-						}
-						if run > best {
-							best = run
-							bc = Cover{
-								X0: runStart, X1: x,
-								Y0: y0, Y1: y1,
-								Z0: z0, Z1: z1,
-							}
-						}
+						run = max(run, 0) + c
+						top = max(top, run)
 					}
+					if top > best {
+						best, bc = replayKadane(colsum, best, bc, Cover{Y0: y0, Y1: y1, Z0: z0, Z1: z1})
+					}
+					if reach := top + rowBound[y1+1]; reach <= best {
+						slabTop = max(slabTop, reach)
+						break
+					}
+					slabTop = max(slabTop, top)
 				}
 			}
+			if slabTop+layerPos[z1+1] <= best {
+				break
+			}
+		}
+	}
+	return best, bc
+}
+
+// replayKadane runs the reference's branchy 1-D Kadane over one row
+// range's column sums, replacing the incumbent (best, bc) wherever the
+// reference scan would; at carries the range's y and z bounds.
+func replayKadane(colsum []int32, best int32, bc, at Cover) (int32, Cover) {
+	var run int32
+	runStart := 0
+	for x, c := range colsum {
+		if run <= 0 {
+			run = c
+			runStart = x
+		} else {
+			run += c
+		}
+		if run > best {
+			best = run
+			bc = at
+			bc.X0, bc.X1 = runStart, x
 		}
 	}
 	return best, bc

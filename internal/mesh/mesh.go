@@ -21,14 +21,6 @@ func (t Triangle) Normal() geom.Vec3 {
 // Area returns the triangle area.
 func (t Triangle) Area() float64 { return t.Normal().Norm() / 2 }
 
-// Bounds returns the AABB of the triangle.
-func (t Triangle) Bounds() geom.AABB {
-	return geom.AABB{
-		Min: t.A.Min(t.B).Min(t.C),
-		Max: t.A.Max(t.B).Max(t.C),
-	}
-}
-
 // Mesh is a triangle soup. For voxelization it must be watertight
 // (every ray in general position crosses the surface an even number of
 // times).
@@ -52,6 +44,23 @@ func (m *Mesh) Bounds() geom.AABB {
 	}
 	return b
 }
+
+// Finite reports whether every vertex coordinate is a finite number, the
+// precondition of Bounds and of voxelization. The STL parsers guarantee
+// it; a mesh built in memory need not hold it.
+func (m *Mesh) Finite() bool {
+	for i := range m.Triangles {
+		t := &m.Triangles[i]
+		if nanUnlessFinite(t.A)+nanUnlessFinite(t.B)+nanUnlessFinite(t.C) != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// nanUnlessFinite is 0 for a finite vector and NaN otherwise: x − x is NaN
+// for x = NaN or ±Inf.
+func nanUnlessFinite(v geom.Vec3) float64 { return (v.X - v.X) + (v.Y - v.Y) + (v.Z - v.Z) }
 
 func extend(lo, hi *float64, v float64) {
 	if v < *lo {

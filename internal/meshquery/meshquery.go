@@ -34,6 +34,9 @@ var (
 	// ErrDegenerate reports a mesh that rasterizes to zero voxels (a
 	// flat or vanishingly thin surface at the configured resolution).
 	ErrDegenerate = errors.New("meshquery: mesh voxelizes to an empty grid")
+	// ErrNonFinite reports a NaN or infinite vertex coordinate, which has
+	// no place on a grid.
+	ErrNonFinite = errors.New("meshquery: mesh has a non-finite vertex")
 )
 
 // Config parameterizes the extraction.
@@ -74,13 +77,17 @@ type Result struct {
 	Voxels int
 }
 
-// Voxelize rasterizes the mesh into its normalized cover grid.
+// Voxelize rasterizes the mesh into its normalized cover grid. A NaN or
+// infinite vertex is ErrNonFinite: it would make the grid placement NaN.
 func Voxelize(m *mesh.Mesh, cfg Config) (*voxel.Grid, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	if m == nil || len(m.Triangles) == 0 {
 		return nil, ErrEmptyMesh
+	}
+	if !m.Finite() {
+		return nil, ErrNonFinite
 	}
 	g := voxel.VoxelizeMeshWorkers(m, m.Bounds(), cfg.RCover, cfg.Workers)
 	if g.Empty() {

@@ -2,6 +2,7 @@ package meshquery
 
 import (
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 
@@ -71,6 +72,45 @@ func TestExtractNormalization(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a.Set, b.Set) {
 		t.Fatalf("translation+scale changed the set:\n%v\nvs\n%v", a.Set, b.Set)
+	}
+}
+
+// TestExtractNonFinite: a NaN or infinite coordinate in any vertex of a
+// triangle is ErrNonFinite from Voxelize and Extract alike, where it used
+// to reach the voxelizer as a NaN cell size; a finite mesh extracts.
+func TestExtractNonFinite(t *testing.T) {
+	type row struct {
+		name   string
+		vertex int // 0, 1, 2: A, B, C
+		value  float64
+	}
+	rows := []row{{name: "valid", vertex: -1}}
+	for vi, v := range []string{"A", "B", "C"} {
+		for _, bad := range []struct {
+			name  string
+			value float64
+		}{{"NaN", math.NaN()}, {"+Inf", math.Inf(1)}, {"-Inf", math.Inf(-1)}} {
+			rows = append(rows, row{v + "=" + bad.name, vi, bad.value})
+		}
+	}
+	for i, tc := range rows {
+		m := mesh.NewBox(geom.Vec3{}, geom.Vec3{X: 1, Y: 0.5, Z: 0.25})
+		if tc.vertex >= 0 {
+			tr := &m.Triangles[3]
+			v := [...]*geom.Vec3{&tr.A, &tr.B, &tr.C}[tc.vertex]
+			*v = v.SetComponent(i%3, tc.value) // cycle the coordinate too
+		}
+		_, verr := Voxelize(m, DefaultConfig())
+		_, eerr := Extract(m, DefaultConfig())
+		if tc.vertex < 0 {
+			if verr != nil || eerr != nil {
+				t.Fatalf("%s: Voxelize %v, Extract %v, want no error", tc.name, verr, eerr)
+			}
+			continue
+		}
+		if !errors.Is(verr, ErrNonFinite) || !errors.Is(eerr, ErrNonFinite) {
+			t.Fatalf("%s: Voxelize %v, Extract %v, want ErrNonFinite", tc.name, verr, eerr)
+		}
 	}
 }
 

@@ -172,43 +172,23 @@ func VoxelizeMesh(m *mesh.Mesh, bounds geom.AABB, r int) *Grid {
 	return VoxelizeMeshWorkers(m, bounds, r, 0)
 }
 
-// VoxelizeMeshWorkers is VoxelizeMesh on a bounded worker pool: columns
-// are bucketed into a flat y·r+x slice, workers sweep disjoint y-ranges
-// with per-worker depth scratch and word buffers, and buffers merge by
-// OR. Per-column ray casts are independent of scheduling, so the result
-// is bit-identical at any worker count.
+// VoxelizeMeshWorkers is VoxelizeMesh on a bounded worker pool: the
+// crossings of every column ray are collected in one pass over the
+// triangles (columnCrossings), workers sweep disjoint y-ranges of columns
+// with private word buffers, and buffers merge by OR. A column's
+// crossings do not depend on scheduling, so the result is bit-identical
+// at any worker count.
 func VoxelizeMeshWorkers(m *mesh.Mesh, bounds geom.AABB, r, workers int) *Grid {
 	g := NewCube(r)
 	fitGridToBounds(g, bounds, r)
-
-	// Bucket triangles by the x/y cells their projection overlaps to avoid
-	// testing every triangle against every column.
-	cols := make([][]int32, r*r)
-	for ti, tr := range m.Triangles {
-		b := tr.Bounds()
-		x0 := clampIdx(int(math.Floor((b.Min.X-g.Origin.X)/g.CellSize-0.5)), 0, r-1)
-		x1 := clampIdx(int(math.Ceil((b.Max.X-g.Origin.X)/g.CellSize)), 0, r-1)
-		y0 := clampIdx(int(math.Floor((b.Min.Y-g.Origin.Y)/g.CellSize-0.5)), 0, r-1)
-		y1 := clampIdx(int(math.Ceil((b.Max.Y-g.Origin.Y)/g.CellSize)), 0, r-1)
-		for y := y0; y <= y1; y++ {
-			row := y * r
-			for x := x0; x <= x1; x++ {
-				cols[row+x] = append(cols[row+x], int32(ti))
-			}
-		}
-	}
+	start, depths := columnCrossings(m, g)
 
 	w := parallel.Workers(workers, 1)
 	if w > r {
 		w = r
 	}
 	if w <= 1 {
-		depths := make([]float64, 0, 64)
-		for y := 0; y < r; y++ {
-			for x := 0; x < r; x++ {
-				depths = scanColumn(m, g, cols[y*r+x], x, y, depths, g.words)
-			}
-		}
+		fillColumns(g, start, depths, 0, r, g.words)
 		return g
 	}
 	var mu sync.Mutex
@@ -218,12 +198,7 @@ func VoxelizeMeshWorkers(m *mesh.Mesh, bounds geom.AABB, r, workers int) *Grid {
 			return
 		}
 		buf := make([]uint64, len(g.words))
-		depths := make([]float64, 0, 64)
-		for y := y0; y < y1; y++ {
-			for x := 0; x < r; x++ {
-				depths = scanColumn(m, g, cols[y*r+x], x, y, depths, buf)
-			}
-		}
+		fillColumns(g, start, depths, y0, y1, buf)
 		mu.Lock()
 		orWords(g.words, buf)
 		mu.Unlock()
@@ -231,65 +206,95 @@ func VoxelizeMeshWorkers(m *mesh.Mesh, bounds geom.AABB, r, workers int) *Grid {
 	return g
 }
 
-// scanColumn casts the parity ray for column (x, y) and sets the inside
-// cells in dst, a word buffer shaped like g.words. depths is reusable
-// scratch returned for the next call.
-func scanColumn(m *mesh.Mesh, g *Grid, tris []int32, x, y int, depths []float64, dst []uint64) []float64 {
-	if len(tris) == 0 {
-		return depths
-	}
+// columnCrossings intersects the vertical ray of every (x, y) column with
+// the triangles whose projected bounds reach it, and returns the crossing
+// depths in one CSR index: column c = y·r+x owns depths[start[c]:start[c+1]],
+// unordered. Rays are nudged off the cell centers so faces through the
+// center lattice are not hit exactly. Triangles of zero projected area
+// (walls parallel to the rays) cross no ray and are skipped; the rest have
+// their ray-independent barycentric terms computed once, with the per-ray
+// expressions' operands and order, so each depth is the same float64.
+func columnCrossings(m *mesh.Mesh, g *Grid) (start []int32, depths []float64) {
 	const nudge = 1e-7
 	r := g.Nx
-	c := g.CellCenter(x, y, 0)
-	rx := c.X + nudge*g.CellSize
-	ry := c.Y + nudge*2.3*g.CellSize
-	depths = depths[:0]
-	for _, ti := range tris {
-		if t, hit := rayZTriangle(rx, ry, m.Triangles[ti]); hit {
-			depths = append(depths, t)
+	rays := make([]float64, 2*r) // rx per x, then ry per y
+	for i := 0; i < r; i++ {
+		c := g.CellCenter(i, i, 0)
+		rays[i] = c.X + nudge*g.CellSize
+		rays[r+i] = c.Y + nudge*2.3*g.CellSize
+	}
+	type crossing struct {
+		col int32
+		z   float64
+	}
+	hits := make([]crossing, 0, 4*r*r)
+	start = make([]int32, r*r+1)
+	for i := range m.Triangles {
+		t := &m.Triangles[i]
+		ax, ay, bx, by, cx, cy := t.A.X, t.A.Y, t.B.X, t.B.Y, t.C.X, t.C.Y
+		d := (by-cy)*(ax-cx) + (cx-bx)*(ay-cy)
+		if d == 0 {
+			continue
+		}
+		x0 := clampIdx(int(math.Floor((min(ax, bx, cx)-g.Origin.X)/g.CellSize-0.5)), 0, r-1)
+		x1 := clampIdx(int(math.Ceil((max(ax, bx, cx)-g.Origin.X)/g.CellSize)), 0, r-1)
+		y0 := clampIdx(int(math.Floor((min(ay, by, cy)-g.Origin.Y)/g.CellSize-0.5)), 0, r-1)
+		y1 := clampIdx(int(math.Ceil((max(ay, by, cy)-g.Origin.Y)/g.CellSize)), 0, r-1)
+		byCy, cxBx, cyAy, axCx := by-cy, cx-bx, cy-ay, ax-cx
+		for y := y0; y <= y1; y++ {
+			ryCy := rays[r+y] - cy
+			for x := x0; x <= x1; x++ {
+				rxCx := rays[x] - cx
+				l1 := (byCy*rxCx + cxBx*ryCy) / d
+				l2 := (cyAy*rxCx + axCx*ryCy) / d
+				l3 := 1 - l1 - l2
+				if l1 < 0 || l2 < 0 || l3 < 0 {
+					continue
+				}
+				col := int32(y*r + x)
+				hits = append(hits, crossing{col, l1*t.A.Z + l2*t.B.Z + l3*t.C.Z})
+				start[col]++
+			}
 		}
 	}
-	if len(depths) == 0 {
-		return depths
+	// Counting sort by column: start[c] holds c's count, then (prefix sums)
+	// the end of c's run, and after the fill counts it back down, its start.
+	for c := 1; c < len(start); c++ {
+		start[c] += start[c-1]
 	}
-	sort.Float64s(depths)
-	depths = dedupClose(depths, 1e-9*g.CellSize)
-	// Walk the column: cell center z-coordinate is
-	// Origin.Z + (z+0.5)·CellSize; inside iff an odd number of
-	// crossings lie below it.
-	ci := 0
-	colBase := x + r*y
-	for z := 0; z < r; z++ {
-		zc := g.Origin.Z + (float64(z)+0.5)*g.CellSize
-		for ci < len(depths) && depths[ci] < zc {
-			ci++
-		}
-		if ci%2 == 1 {
-			i := colBase + r*r*z
-			dst[i>>6] |= 1 << (uint(i) & 63)
-		}
+	depths = make([]float64, len(hits))
+	for _, h := range hits {
+		start[h.col]--
+		depths[start[h.col]] = h.z
 	}
-	return depths
+	return start, depths
 }
 
-// rayZTriangle intersects the vertical line (rx, ry, ·) with the triangle
-// and returns the z coordinate of the crossing.
-func rayZTriangle(rx, ry float64, tr mesh.Triangle) (float64, bool) {
-	// 2-D barycentric test in the xy-plane.
-	ax, ay := tr.A.X, tr.A.Y
-	bx, by := tr.B.X, tr.B.Y
-	cx, cy := tr.C.X, tr.C.Y
-	d := (by-cy)*(ax-cx) + (cx-bx)*(ay-cy)
-	if d == 0 {
-		return 0, false // degenerate in projection
+// fillColumns sets in dst (shaped like g.words) the inside cells of the
+// columns with y ∈ [y0, y1): those with an odd number of their column's
+// crossings below the center Origin.Z + (z+0.5)·CellSize. Each column's
+// run of depths is sorted and pair-deduplicated in place.
+func fillColumns(g *Grid, start []int32, depths []float64, y0, y1 int, dst []uint64) {
+	r := g.Nx
+	for c := y0 * r; c < y1*r; c++ {
+		col := depths[start[c]:start[c+1]]
+		if len(col) == 0 {
+			continue
+		}
+		sort.Float64s(col)
+		col = dedupClose(col, 1e-9*g.CellSize)
+		ci := 0
+		for z := 0; z < r; z++ {
+			zc := g.Origin.Z + (float64(z)+0.5)*g.CellSize
+			for ci < len(col) && col[ci] < zc {
+				ci++
+			}
+			if ci%2 == 1 {
+				i := c + r*r*z
+				dst[i>>6] |= 1 << (uint(i) & 63)
+			}
+		}
 	}
-	l1 := ((by-cy)*(rx-cx) + (cx-bx)*(ry-cy)) / d
-	l2 := ((cy-ay)*(rx-cx) + (ax-cx)*(ry-cy)) / d
-	l3 := 1 - l1 - l2
-	if l1 < 0 || l2 < 0 || l3 < 0 {
-		return 0, false
-	}
-	return l1*tr.A.Z + l2*tr.B.Z + l3*tr.C.Z, true
 }
 
 func dedupClose(xs []float64, eps float64) []float64 {
