@@ -38,7 +38,8 @@ check-bench:
 
 # Fuzz smoke: every decoder fuzzer for a few seconds each, on top of
 # the checked-in seed corpora. Catches framing/CRC regressions in the
-# snapshot, WAL, STL and vector-set codecs without a long fuzz session —
+# paged and legacy snapshot readers, the WAL Reader, and the STL and
+# vector-set codecs without a long fuzz session —
 # plus the scatter-gather merge's identity with sort-and-truncate, the
 # threshold-aware matching kernel's contract against the unbounded one and
 # the pruned cover search's against the unpruned scan.
@@ -48,6 +49,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzQueryMesh -fuzztime 5s ./internal/server/
 	$(GO) test -run xxx -fuzz FuzzReadFrom -fuzztime 5s ./internal/vectorset/
 	$(GO) test -run xxx -fuzz FuzzSnapshotDecode -fuzztime 5s ./internal/snapshot/
+	$(GO) test -run xxx -fuzz FuzzPagedOpen -fuzztime 5s ./internal/snapshot/
 	$(GO) test -run xxx -fuzz FuzzWALReplay -fuzztime 5s ./internal/wal/
 	$(GO) test -run xxx -fuzz FuzzClusterMerge -fuzztime 5s ./internal/cluster/
 	$(GO) test -run xxx -fuzz FuzzSketchDecode -fuzztime 5s ./internal/index/sketch/

@@ -578,7 +578,7 @@ func benchmarkIngestDataset(b *testing.B, workers int) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := experiments.BuildVectorSetDB(e, workers); err != nil {
+		if _, err := experiments.BuildVectorSetDB(e, workers, nil, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -6,7 +6,7 @@
 //
 //	voxgen -dataset car -out ./data
 //	voxgen -dataset aircraft -n 5000 -seed 7 -out ./data -stl -vox
-//	voxgen -dataset car -snapshot ./data/car.vsnap   # build a voxserve database
+//	voxgen -dataset car -snapshot ./data/car.vsnap   # build a paged voxserve database
 //
 // Streaming mode builds arbitrarily large sharded snapshot directories
 // with memory bounded by the batch size — parts are generated, voxelized
@@ -51,7 +51,7 @@ func main() {
 		gridbin = flag.Bool("gridbin", false, "write binary voxel grids (.voxg)")
 		limit   = flag.Int("limit", 50, "max parts to write artifacts for (0 = all)")
 		workers = flag.Int("workers", 0, "voxelization workers (0 = VOXSET_WORKERS, else one per CPU)")
-		snap    = flag.String("snapshot", "", "also run the full feature-extraction pipeline and write a vsdb snapshot (serve it with voxserve -snapshot)")
+		snap    = flag.String("snapshot", "", "also run the full feature-extraction pipeline and write a paged vsdb snapshot (voxserve -snapshot serves it memory-mapped)")
 		stream  = flag.Bool("stream", false, "streaming ingest: write sharded paged snapshots to -out with bounded memory (skips manifest/artifacts)")
 		count   = flag.Int("count", 0, "part count for -stream (aircraft; default 5000, car is fixed-size)")
 		shards  = flag.Int("shards", 8, "shard count for -stream (routing identity of the output directory)")
@@ -139,7 +139,7 @@ func main() {
 		cfg := core.DefaultConfig()
 		cfg.Covers = *covers
 		cfg.Workers = *workers
-		db, err := experiments.BuildSnapshotDB(d, *seed, *n, cfg, *workers, nil)
+		db, err := experiments.BuildSnapshotDB(d, *seed, *n, cfg, *workers, nil, nil)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -68,9 +68,10 @@
 //	voxserve -snapshot db.vsnap -approx -approx-sample 100
 //	curl -s localhost:8080/knn -d '{"id": 3, "k": 5, "approx": false}'
 //
-// Paged (VXSNAP02) snapshots — written by voxgen -stream or
-// snapshot.ConvertFile — are memory-mapped and served in place rather
-// than decoded to heap. The listener comes up immediately in every
+// Every snapshot is a paged VXSNAP02 file — written by voxgen -snapshot
+// or -stream, -save, -checkpoint, or snapshot.ConvertFile — memory-mapped
+// and served in place; a legacy VXSNAP01 file is upgraded in place the
+// first time it is opened. The listener comes up immediately in every
 // mode; until the database (or every shard) has opened and the first
 // epoch view is published, GET /healthz answers 503 with status
 // "warming" and the data endpoints refuse, so orchestrators can
@@ -100,12 +101,12 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("voxserve: ")
 	var (
-		snap    = flag.String("snapshot", "", "snapshot file to serve (written by voxgen -snapshot, voxserve -save, or vsdb.SaveFile)")
+		snap    = flag.String("snapshot", "", "paged snapshot file to serve memory-mapped (written by voxgen -snapshot, voxserve -save, or vsdb.SaveFile; a legacy version-1 file is upgraded in place)")
 		dataset = flag.String("dataset", "", "build the database from a generated dataset instead: car | aircraft")
 		n       = flag.Int("n", 0, "aircraft dataset size (default 5000; ignored for car)")
 		seed    = flag.Int64("seed", 42, "generator seed for -dataset")
 		covers  = flag.Int("covers", 7, "cover budget k for -dataset extraction")
-		save    = flag.String("save", "", "write the built database to this snapshot file before serving")
+		save    = flag.String("save", "", "write the built database to this paged snapshot file before serving")
 		addr    = flag.String("addr", ":8080", "listen address")
 		workers = flag.Int("workers", 0, "query slots and refinement workers (0 = VOXSET_WORKERS, else one per CPU)")
 		timeout = flag.Duration("timeout", 10*time.Second, "per-request timeout")
@@ -354,7 +355,7 @@ func openDB(snap, dataset string, seed int64, n, covers, workers int, approx *vs
 		if err != nil {
 			return nil, err
 		}
-		how := "decoded to heap"
+		how := "read into memory, no mmap on this platform"
 		if db.Mapped() {
 			how = "memory-mapped, served in place"
 		}
@@ -373,7 +374,7 @@ func openDB(snap, dataset string, seed int64, n, covers, workers int, approx *vs
 	cfg := core.DefaultConfig()
 	cfg.Covers = covers
 	cfg.Workers = workers
-	db, err := experiments.BuildSnapshotDBApprox(d, seed, n, cfg, workers, tr, approx)
+	db, err := experiments.BuildSnapshotDB(d, seed, n, cfg, workers, tr, approx)
 	if err != nil {
 		return nil, err
 	}

@@ -135,11 +135,7 @@ func TestChaosKillPartial(t *testing.T) {
 // shardFingerprint is the byte-exact durable state of one shard.
 func shardFingerprint(t *testing.T, db *vsdb.DB) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := db.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	return vsdbtest.Fingerprint(t, db)
 }
 
 // Crash-reopen: a WAL-backed shard killed mid-life replays its log on

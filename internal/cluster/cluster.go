@@ -301,9 +301,8 @@ func (c *DB) openShardAs(i int, walPath string) (*vsdb.DB, error) {
 	if c.snapDir != "" {
 		snapPath := filepath.Join(c.snapDir, snapshotShardFile(i))
 		if _, err := os.Stat(snapPath); err == nil {
-			// OpenFile sniffs the format: a paged (VXSNAP02) shard is
-			// memory-mapped and served in place, a version-1 stream is
-			// decoded to heap.
+			// The shard's paged snapshot is memory-mapped and served in
+			// place (a legacy version-1 file is upgraded first).
 			db, err := vsdb.OpenFile(snapPath, vsdb.LoadOptions{
 				Tracker:      c.cfg.Tracker,
 				Workers:      c.cfg.Workers,

@@ -10,25 +10,8 @@ import (
 	"github.com/voxset/voxset/internal/snapshot"
 )
 
-// convertShardsToPaged rewrites every shard snapshot in dir to the
-// paged VXSNAP02 layout in place (same names, so the manifest still
-// applies).
-func convertShardsToPaged(t *testing.T, dir string, shards int) {
-	t.Helper()
-	for i := 0; i < shards; i++ {
-		src := filepath.Join(dir, snapshot.ShardSnapshotName(i))
-		tmp := src + ".paged"
-		if err := snapshot.ConvertFile(src, tmp, 0); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.Rename(tmp, src); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-// TestLoadDirPagedShards converts a saved cluster directory to paged
-// shards and reloads it: every shard must come up memory-mapped with
+// TestLoadDirPagedShards reloads a saved cluster directory, whose shard
+// files SaveDir writes paged: every shard must come up memory-mapped with
 // byte-identical durable state, and the cluster must keep serving
 // mutations (which layer over the mapped bases).
 func TestLoadDirPagedShards(t *testing.T) {
@@ -40,7 +23,6 @@ func TestLoadDirPagedShards(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := shardFingerprints(t, c)
-	convertShardsToPaged(t, dir, shards)
 
 	re, err := cluster.LoadDir(dir, cluster.Config{})
 	if err != nil {
@@ -76,7 +58,6 @@ func TestLoadDirCorruptShardPropagates(t *testing.T) {
 	if err := c.SaveDir(dir); err != nil {
 		t.Fatal(err)
 	}
-	convertShardsToPaged(t, dir, shards)
 	victim := filepath.Join(dir, snapshot.ShardSnapshotName(2))
 	raw, err := os.ReadFile(victim)
 	if err != nil {

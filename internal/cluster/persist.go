@@ -108,11 +108,12 @@ func LoadDir(dir string, cfg Config) (*DB, error) {
 	return open(cfg, dir)
 }
 
-// FromSnapshotFile scatters a monolithic (unsharded) vsdb snapshot — in
-// either format, vsdb.OpenFile sniffs it — into a fresh cluster: every
-// persisted object routes to its shard, in snapshot order, through
-// BulkInsert. It is how voxserve -shards serves a single-file snapshot
-// built by the unsharded pipeline.
+// FromSnapshotFile scatters a monolithic (unsharded) vsdb snapshot into
+// a fresh cluster: every persisted object routes to its shard, in
+// snapshot order, through BulkInsert. It is how voxserve -shards serves a
+// single-file snapshot built by the unsharded pipeline. The source is
+// opened with vsdb.OpenFile, so a legacy version-1 file is upgraded in
+// place on the way.
 func FromSnapshotFile(path string, cfg Config) (*DB, error) {
 	src, err := vsdb.OpenFile(path, vsdb.LoadOptions{Workers: cfg.Workers})
 	if err != nil {

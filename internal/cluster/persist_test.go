@@ -39,8 +39,8 @@ func TestSaveDirLoadDirRoundTrip(t *testing.T) {
 		if name != snapshot.ShardSnapshotName(i) {
 			t.Fatalf("manifest file %d = %q", i, name)
 		}
-		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
-			t.Fatal(err)
+		if v, err := snapshot.SniffFile(filepath.Join(dir, name)); err != nil || v != 2 {
+			t.Fatalf("shard file %s: SniffFile = (%d, %v), want a paged snapshot", name, v, err)
 		}
 	}
 
@@ -129,6 +129,11 @@ func TestCheckpointTruncatesShardWALs(t *testing.T) {
 	if c.Stats().WALRecords != 0 {
 		t.Fatalf("WAL records after checkpoint = %d, want 0", c.Stats().WALRecords)
 	}
+	for i := 0; i < 3; i++ {
+		if v, err := snapshot.SniffFile(filepath.Join(snapDir, snapshot.ShardSnapshotName(i))); err != nil || v != 2 {
+			t.Fatalf("shard %d checkpoint: SniffFile = (%d, %v), want a paged snapshot", i, v, err)
+		}
+	}
 	// Mutations after the checkpoint land in the truncated logs...
 	rng := rand.New(rand.NewSource(24))
 	for id := uint64(100); id < 110; id++ {
@@ -210,11 +215,46 @@ func TestReopenFromSnapshotDirAndWALSuffix(t *testing.T) {
 	}
 }
 
+// TestReopenFromSaveDirIsMapped: a shard killed after SaveDir comes back
+// from its paged shard file memory-mapped, answering as before the kill.
+func TestReopenFromSaveDirIsMapped(t *testing.T) {
+	c := newCluster(t, testConfig(3))
+	populate(t, c, 30, 29)
+	if err := c.SaveDir(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	want, err := c.KNN(chaosQuery, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < c.N(); i++ {
+		if err := c.Kill(i); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Reopen(i); err != nil {
+			t.Fatal(err)
+		}
+		if !c.Shard(i).Mapped() {
+			t.Fatalf("shard %d reopened from its snapshot is not memory-mapped", i)
+		}
+	}
+	got, err := c.KNN(chaosQuery, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := vsdbtest.Diff(got.Neighbors, want.Neighbors); d != "" {
+		t.Fatalf("reopened shards answer differently: %s", d)
+	}
+}
+
 // FromSnapshotFile scatters a monolithic snapshot across shards with
-// query parity against the unsharded source — in either on-disk format.
-// A paged (VXSNAP02) source is memory-mapped while it is scattered and
-// unmapped before FromSnapshotFile returns, so the reads after it also
-// assert that BulkInsert deep-copied every set out of the mapping.
+// query parity against the unsharded source. The VXSNAP01 row reads
+// testdata/mono-v1.vsnap, written from exactly the source database below
+// by the version-1 writer of an earlier build; FromSnapshotFile upgrades
+// it in place on the way. A paged (VXSNAP02) source is memory-mapped
+// while it is scattered and unmapped before FromSnapshotFile returns, so
+// the reads after it also assert that BulkInsert deep-copied every set
+// out of the mapping.
 func TestFromSnapshotFile(t *testing.T) {
 	src, err := vsdb.Open(vsdb.Config{Dim: 3, MaxCard: 3, Omega: testOmega})
 	if err != nil {
@@ -226,12 +266,19 @@ func TestFromSnapshotFile(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	v1 := filepath.Join(t.TempDir(), "mono.vsnap")
-	if err := src.SaveFile(v1); err != nil {
+	fixture, err := os.ReadFile(filepath.Join("testdata", "mono-v1.vsnap"))
+	if err != nil {
 		t.Fatal(err)
 	}
+	v1 := filepath.Join(t.TempDir(), "mono.vsnap")
+	if err := os.WriteFile(v1, fixture, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := snapshot.SniffFile(v1); err != nil || v != 1 {
+		t.Fatalf("fixture SniffFile = (%d, %v), want a version-1 stream", v, err)
+	}
 	paged := filepath.Join(t.TempDir(), "mono-paged.vsnap")
-	if err := snapshot.ConvertFile(v1, paged, 0); err != nil {
+	if err := src.SaveFile(paged); err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct{ name, path string }{{"VXSNAP01", v1}, {"VXSNAP02", paged}} {
@@ -257,5 +304,8 @@ func TestFromSnapshotFile(t *testing.T) {
 				t.Fatalf("scattered cluster diverges from source: %s", d)
 			}
 		})
+	}
+	if v, err := snapshot.SniffFile(v1); err != nil || v != 2 {
+		t.Fatalf("version-1 source after the scatter: SniffFile = (%d, %v), want upgraded in place", v, err)
 	}
 }

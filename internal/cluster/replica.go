@@ -30,7 +30,6 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"io"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -321,19 +320,11 @@ func (c *DB) promoteLocked(i int, downEpoch uint64) error {
 // catch-up that realigns a survivor with its new primary. Must run with
 // rs.mu held (no concurrent mutations) on a drained follower.
 func (c *DB) shipWALDelta(i int, m *replMember, fol *replica.Follower, term uint64) error {
-	cu, err := wal.OpenCursor(c.walPath(i), fol.Applied())
+	_, recs, err := wal.ReadSuffix(c.walPath(i), fol.Applied())
 	if err != nil {
 		return err
 	}
-	defer cu.Close()
-	for {
-		rec, err := cu.Next()
-		if errors.Is(err, io.EOF) {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
+	for _, rec := range recs {
 		frame, err := replica.EncodeFrame(replica.Ship{Term: term, Rec: rec})
 		if err != nil {
 			return err
@@ -342,6 +333,7 @@ func (c *DB) shipWALDelta(i int, m *replMember, fol *replica.Follower, term uint
 			return err
 		}
 	}
+	return nil
 }
 
 // reopenMembersLocked restarts every down member of shard i (the Reopen

@@ -7,7 +7,7 @@ import (
 )
 
 // BuildClusterDBWith scatters an engine's extracted vector sets into a
-// hash-sharded cluster — the sharded counterpart of BuildVectorSetDBWith,
+// hash-sharded cluster — the sharded counterpart of BuildVectorSetDB,
 // with the same 6-dimensional features and cover budget. ccfg carries
 // the serving knobs (Shards, Partial, WALDir, fault policy…); its Dim,
 // MaxCard, Workers and Tracker are filled in from the engine and the

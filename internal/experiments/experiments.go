@@ -251,7 +251,7 @@ func Table2(e *core.Engine, tc Table2Config) []Table2Row {
 	// I/O once the column outgrows the part of the tree a query visits.
 	{
 		var tr storage.Tracker
-		db, err := BuildVectorSetDBWith(e, 1, &tr)
+		db, err := BuildVectorSetDB(e, 1, &tr, nil)
 		if err != nil {
 			panic(fmt.Sprintf("experiments: Table 2 column row: %v", err))
 		}

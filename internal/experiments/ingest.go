@@ -3,6 +3,7 @@ package experiments
 import (
 	"github.com/voxset/voxset/internal/cadgen"
 	"github.com/voxset/voxset/internal/core"
+	"github.com/voxset/voxset/internal/storage"
 	"github.com/voxset/voxset/internal/vsdb"
 )
 
@@ -24,8 +25,35 @@ func BuildParallel(cfg core.Config, parts []cadgen.Part, workers int) (*core.Eng
 // fresh vsdb database (ids = object ids), completing the paper pipeline
 // voxelize → classify → cover → insert. Objects whose cover extraction
 // produced an empty set (degenerate parts) are skipped. workers bounds
-// the bulk-insert validation pool, with the same fallback chain as
-// BuildParallel.
-func BuildVectorSetDB(e *core.Engine, workers int) (*vsdb.DB, error) {
-	return BuildVectorSetDBWith(e, workers, nil)
+// the bulk-insert validation pool and the database's refinement workers,
+// with the same fallback chain as BuildParallel. tr, if non-nil, is the
+// database's I/O tracker, charged for query-time page accesses; approx,
+// if non-nil, enables the approximate sketch candidate tier (DESIGN.md
+// §12).
+func BuildVectorSetDB(e *core.Engine, workers int, tr *storage.Tracker, approx *vsdb.ApproxOptions) (*vsdb.DB, error) {
+	cfg := e.Config()
+	db, err := vsdb.Open(vsdb.Config{
+		Dim:     6,
+		MaxCard: cfg.Covers,
+		Tracker: tr,
+		Workers: workers,
+		Approx:  approx,
+	})
+	if err != nil {
+		return nil, err
+	}
+	objs := e.Objects()
+	ids := make([]uint64, 0, len(objs))
+	sets := make([][][]float64, 0, len(objs))
+	for _, o := range objs {
+		if len(o.VSet) == 0 {
+			continue
+		}
+		ids = append(ids, uint64(o.ID))
+		sets = append(sets, o.VSet)
+	}
+	if err := db.BulkInsert(ids, sets); err != nil {
+		return nil, err
+	}
+	return db, nil
 }

@@ -20,78 +20,34 @@ func ParseDataset(name string) (Dataset, error) {
 	return 0, fmt.Errorf("experiments: unknown dataset %q (want car or aircraft)", name)
 }
 
-// BuildVectorSetDBWith is BuildVectorSetDB with an I/O tracker attached
-// to the resulting database, so query-time page accesses are charged to
-// the caller's cost-model accounting.
-func BuildVectorSetDBWith(e *core.Engine, workers int, tr *storage.Tracker) (*vsdb.DB, error) {
-	return BuildVectorSetDBApprox(e, workers, tr, nil)
-}
-
-// BuildVectorSetDBApprox is BuildVectorSetDBWith with the approximate
-// sketch candidate tier (DESIGN.md §12) enabled on the resulting
-// database when approx is non-nil.
-func BuildVectorSetDBApprox(e *core.Engine, workers int, tr *storage.Tracker, approx *vsdb.ApproxOptions) (*vsdb.DB, error) {
-	cfg := e.Config()
-	db, err := vsdb.Open(vsdb.Config{
-		Dim:     6,
-		MaxCard: cfg.Covers,
-		Tracker: tr,
-		Workers: workers,
-		Approx:  approx,
-	})
-	if err != nil {
-		return nil, err
-	}
-	objs := e.Objects()
-	ids := make([]uint64, 0, len(objs))
-	sets := make([][][]float64, 0, len(objs))
-	for _, o := range objs {
-		if len(o.VSet) == 0 {
-			continue
-		}
-		ids = append(ids, uint64(o.ID))
-		sets = append(sets, o.VSet)
-	}
-	if err := db.BulkInsert(ids, sets); err != nil {
-		return nil, err
-	}
-	return db, nil
-}
-
 // BuildSnapshotDB runs the full ingest pipeline — dataset generation,
 // parallel feature extraction, bulk insert — and returns a queryable
-// database wired to the tracker. It is the build half of the
-// voxgen-snapshot / voxserve serving flow.
-func BuildSnapshotDB(d Dataset, seed int64, n int, cfg core.Config, workers int, tr *storage.Tracker) (*vsdb.DB, error) {
-	return BuildSnapshotDBApprox(d, seed, n, cfg, workers, tr, nil)
-}
-
-// BuildSnapshotDBApprox is BuildSnapshotDB with the approximate sketch
-// candidate tier enabled on the resulting database when approx is
-// non-nil — the build half of voxserve -approx.
-func BuildSnapshotDBApprox(d Dataset, seed int64, n int, cfg core.Config, workers int, tr *storage.Tracker, approx *vsdb.ApproxOptions) (*vsdb.DB, error) {
+// database wired to the tracker, with the approximate sketch candidate
+// tier enabled when approx is non-nil. It is the build half of the
+// voxgen -snapshot / voxserve -dataset serving flow.
+func BuildSnapshotDB(d Dataset, seed int64, n int, cfg core.Config, workers int, tr *storage.Tracker, approx *vsdb.ApproxOptions) (*vsdb.DB, error) {
 	e, err := BuildParallel(cfg, d.Parts(seed, n), workers)
 	if err != nil {
 		return nil, err
 	}
-	return BuildVectorSetDBApprox(e, workers, tr, approx)
+	return BuildVectorSetDB(e, workers, tr, approx)
 }
 
 // LoadOrBuildSnapshot opens the snapshot at path if it exists; otherwise
 // it builds the dataset, saves the snapshot to path, and returns the
 // freshly built database. The boolean reports whether the snapshot was
-// loaded (true) or rebuilt (false) — the snapshot-backed dataset-build
-// idiom: the first run pays the extraction cost, every later run pays
-// one sequential scan of the snapshot's pages.
+// opened (true) or rebuilt (false) — the snapshot-backed dataset-build
+// idiom: the first run pays the extraction cost, every later run maps
+// the file and pays, under the tracker, only for the pages it touches.
 func LoadOrBuildSnapshot(path string, d Dataset, seed int64, n int, cfg core.Config, workers int, tr *storage.Tracker) (*vsdb.DB, bool, error) {
 	if _, err := os.Stat(path); err == nil {
-		db, err := vsdb.LoadFile(path, vsdb.LoadOptions{Tracker: tr, Workers: workers})
+		db, err := vsdb.OpenFile(path, vsdb.LoadOptions{Tracker: tr, Workers: workers})
 		if err != nil {
-			return nil, false, fmt.Errorf("experiments: loading snapshot %s: %w", path, err)
+			return nil, false, fmt.Errorf("experiments: opening snapshot %s: %w", path, err)
 		}
 		return db, true, nil
 	}
-	db, err := BuildSnapshotDB(d, seed, n, cfg, workers, tr)
+	db, err := BuildSnapshotDB(d, seed, n, cfg, workers, tr, nil)
 	if err != nil {
 		return nil, false, err
 	}

@@ -12,6 +12,7 @@ import (
 	"github.com/voxset/voxset/internal/snapshot"
 	"github.com/voxset/voxset/internal/storage"
 	"github.com/voxset/voxset/internal/vsdb"
+	"github.com/voxset/voxset/internal/vsdb/vsdbtest"
 )
 
 func TestParseDataset(t *testing.T) {
@@ -26,10 +27,27 @@ func TestParseDataset(t *testing.T) {
 	}
 }
 
+// openCorrupt reports how a damaged snapshot file is rejected: by
+// OpenFile, which verifies header, offsets and centroid pages eagerly,
+// or — for a vector page, verified on first touch — by Verify.
+func openCorrupt(path string) error {
+	db, err := vsdb.OpenFile(path, vsdb.LoadOptions{})
+	if err != nil {
+		return err
+	}
+	db.Close()
+	r, err := snapshot.OpenPaged(path, snapshot.PagedReaderOptions{})
+	if err != nil {
+		return err
+	}
+	defer r.Close()
+	return r.Verify()
+}
+
 // TestSnapshotFingerprint212 is the acceptance fingerprint: the full
-// 212-part dataset (car 200 + aircraft 12) is extracted, saved, loaded
+// 212-part dataset (car 200 + aircraft 12) is extracted, saved, opened
 // and saved again — the two snapshots must be bit-identical, and a
-// flipped byte anywhere in the stream must be rejected.
+// flipped byte anywhere in the file must be rejected.
 func TestSnapshotFingerprint212(t *testing.T) {
 	skipIfShort(t)
 	parts := append(Car.Parts(7, 0), Aircraft.Parts(7, 12)...)
@@ -40,34 +58,36 @@ func TestSnapshotFingerprint212(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := BuildVectorSetDB(e, 0)
+	db, err := BuildVectorSetDB(e, 0, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	var first bytes.Buffer
-	if err := db.Save(&first); err != nil {
+	dir := t.TempDir()
+	snapPath := filepath.Join(dir, "fp212.vsnap")
+	if err := db.SaveFile(snapPath); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := vsdb.Load(bytes.NewReader(first.Bytes()))
+	first, err := os.ReadFile(snapPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.Len() != db.Len() {
-		t.Fatalf("loaded %d objects, want %d", loaded.Len(), db.Len())
-	}
-	var second bytes.Buffer
-	if err := loaded.Save(&second); err != nil {
+	loaded, err := vsdb.OpenFile(snapPath, vsdb.LoadOptions{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(first.Bytes(), second.Bytes()) {
-		t.Fatalf("Save → Load → Save changed the snapshot: fingerprints %x vs %x",
-			sha256.Sum256(first.Bytes()), sha256.Sum256(second.Bytes()))
+	defer loaded.Close()
+	if loaded.Len() != db.Len() {
+		t.Fatalf("opened %d objects, want %d", loaded.Len(), db.Len())
+	}
+	if second := vsdbtest.Fingerprint(t, loaded); !bytes.Equal(first, second) {
+		t.Fatalf("SaveFile → OpenFile → SaveFile changed the snapshot: fingerprints %x vs %x",
+			sha256.Sum256(first), sha256.Sum256(second))
 	}
 	t.Logf("212-part snapshot: %d objects, %d bytes, sha256 %x",
-		db.Len(), first.Len(), sha256.Sum256(first.Bytes()))
+		db.Len(), len(first), sha256.Sum256(first))
 
-	// Queries against the loaded database match the original exactly.
+	// Queries against the opened database match the original exactly.
 	for _, id := range loaded.IDs()[:10] {
 		a := db.KNN(db.Get(id), 5)
 		b := loaded.KNN(loaded.Get(id), 5)
@@ -81,32 +101,31 @@ func TestSnapshotFingerprint212(t *testing.T) {
 		}
 	}
 
-	// Corruption detection across the stream: flip one byte at sampled
-	// positions and every load must fail with snapshot.ErrCorrupt.
+	// Corruption detection across the file: flip one byte at sampled
+	// positions and every open must fail with snapshot.ErrCorrupt.
 	rng := rand.New(rand.NewSource(3))
+	corruptPath := filepath.Join(dir, "corrupt.vsnap")
 	for trial := 0; trial < 32; trial++ {
-		pos := rng.Intn(first.Len())
-		corrupt := append([]byte(nil), first.Bytes()...)
+		pos := rng.Intn(len(first))
+		corrupt := append([]byte(nil), first...)
 		corrupt[pos] ^= 0x20
-		if _, err := vsdb.Load(bytes.NewReader(corrupt)); err == nil {
+		if err := os.WriteFile(corruptPath, corrupt, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := openCorrupt(corruptPath); err == nil {
 			t.Fatalf("flipped byte at %d accepted", pos)
 		} else if !errors.Is(err, snapshot.ErrCorrupt) {
 			t.Fatalf("flipped byte at %d: error %v does not wrap ErrCorrupt", pos, err)
 		}
 	}
 
-	// Live-update round trip (DESIGN.md §8): attach a WAL to the loaded
+	// Live-update round trip (DESIGN.md §8): attach a WAL to the opened
 	// snapshot, run a delete + reinsert + insert + compact sequence, and
 	// the re-snapshot of a second database reconstructed from the same
 	// snapshot plus the WAL suffix must be bit-identical to the mutated
 	// live database's snapshot.
-	dir := t.TempDir()
-	snapPath := filepath.Join(dir, "fp212.vsnap")
 	walPath := filepath.Join(dir, "fp212.wal")
-	if err := os.WriteFile(snapPath, first.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	live, err := vsdb.LoadFile(snapPath, vsdb.LoadOptions{WALPath: walPath, WALNoSync: true})
+	live, err := vsdb.OpenFile(snapPath, vsdb.LoadOptions{WALPath: walPath, WALNoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,47 +149,46 @@ func TestSnapshotFingerprint212(t *testing.T) {
 		}
 	}
 	live.Compact()
-	var liveSnap bytes.Buffer
-	if err := live.Save(&liveSnap); err != nil {
-		t.Fatal(err)
+	liveSnap := vsdbtest.Fingerprint(t, live)
+	probes := append([]uint64{victims[0], maxID + 1}, donors...)
+	liveAnswers := make([][]vsdb.Neighbor, len(probes))
+	for i, id := range probes {
+		liveAnswers[i] = live.KNN(live.Get(id), 5)
 	}
-	if err := live.Close(); err != nil {
+	liveEpoch := live.Epoch()
+	if err := live.Close(); err != nil { // unmaps: live answers nothing after this
 		t.Fatal(err)
 	}
 
-	replayed, err := vsdb.LoadFile(snapPath, vsdb.LoadOptions{WALPath: walPath, WALNoSync: true})
+	replayed, err := vsdb.OpenFile(snapPath, vsdb.LoadOptions{WALPath: walPath, WALNoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer replayed.Close()
-	if replayed.Epoch() != live.Epoch() {
-		t.Fatalf("replayed epoch %d, live epoch %d", replayed.Epoch(), live.Epoch())
+	if replayed.Epoch() != liveEpoch {
+		t.Fatalf("replayed epoch %d, live epoch %d", replayed.Epoch(), liveEpoch)
 	}
 	replayed.Compact() // match the live representation before snapshotting
-	var replaySnap bytes.Buffer
-	if err := replayed.Save(&replaySnap); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(liveSnap.Bytes(), replaySnap.Bytes()) {
+	if replaySnap := vsdbtest.Fingerprint(t, replayed); !bytes.Equal(liveSnap, replaySnap) {
 		t.Fatalf("snapshot→WAL-suffix→replay→re-snapshot fingerprints diverge: %x vs %x",
-			sha256.Sum256(liveSnap.Bytes()), sha256.Sum256(replaySnap.Bytes()))
+			sha256.Sum256(liveSnap), sha256.Sum256(replaySnap))
 	}
 	if got := replayed.Get(victims[0]); got == nil {
 		t.Fatal("reinserted victim missing after replay")
 	}
-	for _, id := range append([]uint64{victims[0], maxID + 1}, donors...) {
-		a, b := live.KNN(live.Get(id), 5), replayed.KNN(replayed.Get(id), 5)
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("id %d: neighbor %d differs after WAL replay: %+v vs %+v", id, i, a[i], b[i])
+	for i, id := range probes {
+		a, b := liveAnswers[i], replayed.KNN(replayed.Get(id), 5)
+		for j := range a {
+			if a[j] != b[j] {
+				t.Fatalf("id %d: neighbor %d differs after WAL replay: %+v vs %+v", id, j, a[j], b[j])
 			}
 		}
 	}
 }
 
 // TestLoadOrBuildSnapshot: the first call pays the extraction and writes
-// the snapshot; the second call loads it, charges the tracker for the
-// scan, and answers queries identically.
+// the snapshot; the second call opens it, charges the tracker for the
+// pages it touches, and answers queries identically.
 func TestLoadOrBuildSnapshot(t *testing.T) {
 	skipIfShort(t)
 	path := filepath.Join(t.TempDir(), "aircraft.vsnap")

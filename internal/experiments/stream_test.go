@@ -7,6 +7,7 @@ import (
 
 	"github.com/voxset/voxset/internal/cadgen"
 	"github.com/voxset/voxset/internal/cluster"
+	"github.com/voxset/voxset/internal/vsdb/vsdbtest"
 )
 
 // TestStreamShardsMatchesBulkBuild pins the streaming builder to the
@@ -58,14 +59,7 @@ func TestStreamShardsMatchesBulkBuild(t *testing.T) {
 			t.Fatalf("shard %d epoch: streamed %d, reference %d",
 				i, got.Shard(i).Epoch(), ref.Shard(i).Epoch())
 		}
-		var gotBuf, refBuf bytes.Buffer
-		if err := got.Shard(i).Save(&gotBuf); err != nil {
-			t.Fatal(err)
-		}
-		if err := ref.Shard(i).Save(&refBuf); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(gotBuf.Bytes(), refBuf.Bytes()) {
+		if !bytes.Equal(vsdbtest.Fingerprint(t, got.Shard(i)), vsdbtest.Fingerprint(t, ref.Shard(i))) {
 			t.Fatalf("shard %d durable state diverges between streamed and bulk build", i)
 		}
 	}

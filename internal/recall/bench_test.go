@@ -10,7 +10,6 @@ import (
 
 	"github.com/voxset/voxset/internal/cadgen"
 	"github.com/voxset/voxset/internal/degrade"
-	"github.com/voxset/voxset/internal/snapshot"
 	"github.com/voxset/voxset/internal/vsdb"
 )
 
@@ -78,8 +77,8 @@ func familyCorpus(objects, queries int) (ids []uint64, sets [][][]float64, qs []
 }
 
 // persistFamilyCorpus writes an n-object familyCorpus the way a server
-// would serve it — SaveFile, then ConvertFile to a paged VXSNAP02 file
-// carrying the sketch table — and returns that file and the queries.
+// would serve it — SaveFile, a paged VXSNAP02 file carrying the sketch
+// table — and returns that file and the queries.
 func persistFamilyCorpus(b *testing.B, n int) (string, [][][]float64) {
 	ids, sets, queries := familyCorpus(n, curveQueries)
 	db, err := vsdb.Open(vsdb.Config{Dim: curveDim, MaxCard: curveMaxCard, Workers: 1, Approx: &vsdb.ApproxOptions{}})
@@ -89,16 +88,12 @@ func persistFamilyCorpus(b *testing.B, n int) (string, [][][]float64) {
 	if err := db.BulkInsert(ids, sets); err != nil {
 		b.Fatal(err)
 	}
-	dir := b.TempDir()
-	v1, v2 := filepath.Join(dir, "family.vsnap"), filepath.Join(dir, "family.v2.vsnap")
-	if err := db.SaveFile(v1); err != nil {
+	path := filepath.Join(b.TempDir(), "family.vsnap")
+	if err := db.SaveFile(path); err != nil {
 		b.Fatal(err)
 	}
 	db.Close()
-	if err := snapshot.ConvertFile(v1, v2, 0); err != nil {
-		b.Fatal(err)
-	}
-	return v2, queries
+	return path, queries
 }
 
 // openCurveDB maps the persisted corpus with the tier configured by opt

@@ -3,17 +3,19 @@ package snapshot
 import (
 	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"github.com/voxset/voxset/internal/index/sketch"
 	"github.com/voxset/voxset/internal/vectorset"
 )
 
-// fuzzSeed returns the encoded bytes of a small valid snapshot used to
-// seed the fuzzer (mutations of valid streams explore the deep decoder
-// states that pure garbage never reaches).
+// fuzzSeed returns the encoded bytes of a small valid version-1 snapshot
+// used to seed the fuzzer (mutations of valid streams explore the deep
+// decoder states that pure garbage never reaches).
 func fuzzSeed(withCentroids, withSketches bool) []byte {
-	db := &DB{
+	db := &v1DB{
 		Dim: 2, MaxCard: 3,
 		Omega: []float64{0.5, -1},
 		IDs:   []uint64{7, 42},
@@ -39,13 +41,13 @@ func fuzzSeed(withCentroids, withSketches bool) []byte {
 		db.Sketches = &sketch.Block{Params: p, Count: len(db.Sets), Words: words}
 	}
 	var buf bytes.Buffer
-	if err := Encode(&buf, db); err != nil {
+	if err := encodeV1(&buf, db); err != nil {
 		panic(err)
 	}
 	return buf.Bytes()
 }
 
-// FuzzSnapshotDecode drives the streaming decoder with arbitrary bytes:
+// FuzzSnapshotDecode drives the version-1 decoder with arbitrary bytes:
 // it must never panic, corrupt input must always yield an error wrapping
 // ErrCorrupt, and anything it accepts must re-encode byte-identically
 // (the decode → encode fixed point of the deterministic format).
@@ -66,15 +68,18 @@ func FuzzSnapshotDecode(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0x00}, 64))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		db, err := Decode(bytes.NewReader(data), DecodeOptions{})
+		db, err := decodeV1(data)
 		if err != nil {
 			if db != nil {
-				t.Fatal("Decode returned both a DB and an error")
+				t.Fatal("decode returned both a DB and an error")
+			}
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("rejection does not wrap ErrCorrupt: %v", err)
 			}
 			return
 		}
 		var buf bytes.Buffer
-		if err := Encode(&buf, db); err != nil {
+		if err := encodeV1(&buf, db); err != nil {
 			t.Fatalf("re-encode of accepted snapshot failed: %v", err)
 		}
 		if !bytes.Equal(buf.Bytes(), data[:buf.Len()]) {
@@ -83,10 +88,98 @@ func FuzzSnapshotDecode(f *testing.F) {
 		// A flipped byte in an accepted stream must be rejected.
 		mut := append([]byte(nil), buf.Bytes()...)
 		mut[len(mut)/2] ^= 0x80
-		if _, err := Decode(bytes.NewReader(mut), DecodeOptions{}); err == nil {
+		if _, err := decodeV1(mut); err == nil {
 			t.Fatal("mutated accepted snapshot still accepted")
 		} else if !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("mutation error does not wrap ErrCorrupt: %v", err)
+		}
+	})
+}
+
+// pagedFuzzSeed writes a small paged snapshot on 512-byte pages and
+// returns its bytes: twelve objects span five pages, an odd count, so the
+// sketched variant carries alignment padding before its tail.
+func pagedFuzzSeed(f *testing.F, sketched bool) []byte {
+	opts := PagedWriterOptions{Dim: 2, MaxCard: 3, Omega: []float64{0.5, -1}, Seq: 3, PageSize: 512}
+	if sketched {
+		opts.Sketch = &sketch.Params{Bits: 64, Active: 3, Seed: 2}
+	}
+	path := filepath.Join(f.TempDir(), "seed.vsnap")
+	w, err := CreatePaged(path, opts)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for i := 0; i < 12; i++ {
+		x := float64(i)
+		set := vectorset.Flat{Data: []float64{x, -x, x / 2, 1, 0.25, x * x}, Card: 3, Dim: 2}
+		if err := w.Append(uint64(10+i), set); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if err := w.Finish(); err != nil {
+		f.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	return raw
+}
+
+// FuzzPagedOpen drives the version-2 reader with arbitrary file
+// contents: OpenPaged, Verify and Sketches never panic and every error
+// they return wraps ErrCorrupt; once Verify has passed, every accessor a
+// server uses — At, IDs, CentroidColumn — is panic-free.
+func FuzzPagedOpen(f *testing.F) {
+	for _, sketched := range []bool{false, true} {
+		seed := pagedFuzzSeed(f, sketched)
+		f.Add(seed)
+		f.Add(seed[:len(seed)/2])
+		for _, off := range []int{20, 600, len(seed) - 3} {
+			flip := append([]byte(nil), seed...)
+			flip[off] ^= 0x10
+			f.Add(flip)
+		}
+	}
+	f.Add([]byte{})
+	f.Add([]byte("VXSNAP02"))
+	f.Add([]byte("VXSNAP01 wrong version"))
+
+	// Inputs run one at a time per process, so one file serves them all.
+	path := filepath.Join(f.TempDir(), "fuzz.vsnap")
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		r, err := OpenPaged(path, PagedReaderOptions{})
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("OpenPaged rejection does not wrap ErrCorrupt: %v", err)
+			}
+			return
+		}
+		defer r.Close()
+		verr := r.Verify()
+		blk, serr := r.Sketches()
+		for _, err := range []error{verr, serr} {
+			if err != nil && !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("error does not wrap ErrCorrupt: %v", err)
+			}
+		}
+		if verr != nil {
+			return
+		}
+		if serr != nil || (blk != nil && blk.Count != r.Len()) {
+			t.Fatalf("verified file: Sketches = (%v, %v)", blk, serr)
+		}
+		if len(r.IDs()) != r.Len() || len(r.CentroidColumn()) != r.Len()*r.Dim() {
+			t.Fatalf("verified file: %d ids, %d centroid values for %d objects",
+				len(r.IDs()), len(r.CentroidColumn()), r.Len())
+		}
+		for i := 0; i < r.Len(); i++ {
+			if s := r.At(i); s.Card < 1 || s.Card > r.MaxCard() || len(s.Data) != s.Card*s.Dim {
+				t.Fatalf("verified file: object %d has card %d and %d floats", i, s.Card, len(s.Data))
+			}
 		}
 	})
 }

@@ -17,12 +17,13 @@ import (
 	"github.com/voxset/voxset/internal/vectorset"
 )
 
-// Version 2 — the paged, mmap-servable snapshot layout (DESIGN.md §11).
+// Version 2 — the paged, mmap-servable snapshot layout (DESIGN.md §11),
+// the one layout every writer produces.
 //
-// Version 1 is a compact chunk stream: cheap to write, but opening it
-// means decoding every object onto the heap, so cold-start cost and RSS
-// both grow linearly with the database. Version 2 trades a little disk
-// space (page padding) for a layout a server can map and serve in place:
+// Opening the version-1 chunk stream meant decoding every object onto
+// the heap, so cold-start cost and RSS both grew linearly with the
+// database. Version 2 trades a little disk space (page padding) for a
+// layout a server can map and serve in place:
 //
 //	page 0      header — magic "VXSNAP02", geometry (page size, dim, max
 //	            cardinality, object count, epoch), the byte offset of
@@ -43,8 +44,9 @@ import (
 //	            over the signature words, a CRC over the tail header
 //	            itself, then one sparse binary signature per object in
 //	            insertion order. The tail lives outside the page CRC
-//	            table (it carries its own checksums) so files without it
-//	            are bit-identical to the pre-tail layout and still open.
+//	            table (it carries its own checksums, and the alignment
+//	            padding before it must be zero) so files without it are
+//	            bit-identical to the pre-tail layout and still open.
 //
 // Every region starts on a page boundary, so when the file is mapped the
 // float64/uint64 views are 8-byte aligned and cost zero decode work. All
@@ -59,8 +61,8 @@ import (
 // actually faulted in, not a simulated full scan. A lazily detected
 // corrupt page panics with an error wrapping ErrCorrupt (the snapshot
 // was validated at rest; mid-serve damage is unrecoverable), while
-// Verify offers an eager, error-returning scan for opening untrusted
-// files.
+// Verify offers an eager, error-returning check of every byte for
+// opening untrusted files.
 
 // magic2 identifies a version-2 paged snapshot file.
 var magic2 = [8]byte{'V', 'X', 'S', 'N', 'A', 'P', '0', '2'}
@@ -99,7 +101,7 @@ func SniffFile(path string) (int, error) {
 		return 0, fmt.Errorf("%w: reading magic: %v", ErrCorrupt, err)
 	}
 	switch m {
-	case magic:
+	case magic1:
 		return 1, nil
 	case magic2:
 		return 2, nil
@@ -607,15 +609,21 @@ func (r *PagedReader) parseHeader() error {
 }
 
 // parseSketchTail validates the sketch trailer claimed by a file longer
-// than its CRC table: magic, header CRC, plausible parameters, an object
-// count matching the snapshot, and an exact file length. The signature
-// words are left unverified (their CRC is checked on first Sketches
-// call, keeping open cost independent of the table size).
+// than its CRC table: zero alignment padding (no checksum covers it),
+// magic, header CRC, plausible parameters, an object count matching the
+// snapshot, and an exact file length. The signature words are left
+// unverified (their CRC is checked on first Sketches call, keeping open
+// cost independent of the table size).
 func (r *PagedReader) parseSketchTail(crcEnd, fileSize int64) error {
 	b := r.data
 	tailStart := (crcEnd + 7) &^ 7
 	if fileSize < tailStart+sketchTailHeader {
 		return fmt.Errorf("%w: %d trailing bytes are no sketch tail", ErrCorrupt, fileSize-crcEnd)
+	}
+	for _, c := range b[crcEnd:tailStart] {
+		if c != 0 {
+			return fmt.Errorf("%w: non-zero padding before the sketch tail", ErrCorrupt)
+		}
 	}
 	th := b[tailStart : tailStart+sketchTailHeader]
 	var m [8]byte
@@ -756,11 +764,18 @@ func (r *PagedReader) Centroids() [][]float64 {
 	return out
 }
 
-// Verify checks every page against the CRC table without panicking,
-// marking clean pages verified (later touches are free). Use it when a
-// file's provenance is doubtful and a serve-time panic is unacceptable.
+// Verify checks every page against the CRC table and the sketch tail's
+// words against their CRC, without panicking, marking clean pages
+// verified (later touches are free). With the checks OpenPaged already
+// made, Verify() == nil means every byte of the file was checked. Use it
+// when a file's provenance is doubtful and a serve-time panic is
+// unacceptable.
 func (r *PagedReader) Verify() error {
-	return r.checkRange(0, int64(len(r.crcs))*int64(r.pageSize))
+	if err := r.checkRange(0, int64(len(r.crcs))*int64(r.pageSize)); err != nil {
+		return err
+	}
+	_, err := r.Sketches()
+	return err
 }
 
 // Close releases the mapping. Every view handed out by the reader —
@@ -870,86 +885,46 @@ func aliasUint32(b []byte) []uint32 {
 // ---------------------------------------------------------------------------
 // Conversion
 
-// ConvertFile rewrites a version-1 chunk-stream snapshot as a version-2
-// paged snapshot (or copies the layout of an already-paged one through a
-// decode/encode cycle). It streams: peak memory is one object plus the
-// paged writer's bookkeeping, never the whole database.
+// ConvertFile rewrites a snapshot as a version-2 paged file at dst: a
+// version-1 stream is upgraded, a paged file is laid out again (pageSize
+// 0 means storage.DefaultPageSize). It streams — peak memory is one
+// object plus the paged writer's bookkeeping, never the whole database —
+// and dst appears atomically, so src and dst may be the same path: the
+// source is replaced only once the conversion has succeeded.
 func ConvertFile(src, dst string, pageSize int) error {
 	ver, err := SniffFile(src)
 	if err != nil {
 		return err
 	}
-	if ver == 2 {
-		r, err := OpenPaged(src, PagedReaderOptions{})
-		if err != nil {
-			return err
-		}
-		defer r.Close()
-		// Verify eagerly: a lazy first touch panics on corruption, and a
-		// conversion of an untrusted file must fail with ErrCorrupt instead.
-		if err := r.Verify(); err != nil {
-			return err
-		}
-		w, err := CreatePaged(dst, PagedWriterOptions{
-			Dim: r.Dim(), MaxCard: r.MaxCard(), Omega: r.Omega(), Seq: r.Seq(), PageSize: pageSize,
-		})
-		if err != nil {
-			return err
-		}
-		if blk, err := r.Sketches(); err != nil {
-			w.Abort()
-			return err
-		} else if blk != nil {
-			if err := w.SetSketches(blk); err != nil {
-				w.Abort()
-				return err
-			}
-		}
-		for i := 0; i < r.Len(); i++ {
-			if err := w.Append(r.ID(i), r.At(i)); err != nil {
-				w.Abort()
-				return err
-			}
-		}
-		return w.Finish()
+	if ver == 1 {
+		return convertV1(src, dst, pageSize)
 	}
-
-	f, err := os.Open(src)
+	r, err := OpenPaged(src, PagedReaderOptions{})
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	dec, err := NewDecoder(f, DecodeOptions{})
-	if err != nil {
+	defer r.Close()
+	// Verify eagerly: a lazy first touch panics on corruption, and a
+	// conversion of an untrusted file must fail with ErrCorrupt instead.
+	if err := r.Verify(); err != nil {
 		return err
 	}
-	hdr := dec.Header()
 	w, err := CreatePaged(dst, PagedWriterOptions{
-		Dim: hdr.Dim, MaxCard: hdr.MaxCard, Omega: hdr.Omega, PageSize: pageSize,
+		Dim: r.Dim(), MaxCard: r.MaxCard(), Omega: r.Omega(), Seq: r.Seq(), PageSize: pageSize,
 	})
 	if err != nil {
 		return err
 	}
-	for {
-		id, set, err := dec.NextFlat()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			w.Abort()
-			return err
-		}
-		if err := w.Append(id, set); err != nil {
-			w.Abort()
+	defer w.Abort() // a no-op once Finish commits
+
+	// Verify has checked the signature words too.
+	if blk, _ := r.Sketches(); blk != nil {
+		if err := w.SetSketches(blk); err != nil {
 			return err
 		}
 	}
-	w.SetSeq(dec.Seq()) // the SEQ chunk is known only once decoding started
-	if blk := dec.Sketches(); blk != nil {
-		// A version-1 SKH chunk (like SEQ, known only after the stream is
-		// drained) carries through to the paged sketch tail.
-		if err := w.SetSketches(blk); err != nil {
-			w.Abort()
+	for i := 0; i < r.Len(); i++ {
+		if err := w.Append(r.ID(i), r.At(i)); err != nil {
 			return err
 		}
 	}

@@ -1,7 +1,6 @@
 package snapshot
 
 import (
-	"bytes"
 	"errors"
 	"math"
 	"math/rand"
@@ -291,18 +290,14 @@ func TestConvertFileV1ToV2(t *testing.T) {
 	v1 := filepath.Join(dir, "v1.vsnap")
 	v2 := filepath.Join(dir, "v2.vsnap")
 
-	db := &DB{Dim: fx.dim, MaxCard: fx.maxCard, Omega: fx.omega, Seq: 31, IDs: fx.ids}
+	db := &v1DB{Dim: fx.dim, MaxCard: fx.maxCard, Omega: fx.omega, Seq: 31, IDs: fx.ids}
 	cents := make([][]float64, len(fx.sets))
 	for i, s := range fx.sets {
 		db.Sets = append(db.Sets, s.Rows())
 		cents[i] = s.Centroid(fx.maxCard, fx.omega)
 	}
 	db.Centroids = cents
-	var buf bytes.Buffer
-	if err := Encode(&buf, db); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(v1, buf.Bytes(), 0o644); err != nil {
+	if err := os.WriteFile(v1, encode(t, db), 0o644); err != nil {
 		t.Fatal(err)
 	}
 

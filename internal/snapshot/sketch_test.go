@@ -58,7 +58,7 @@ func TestV1SketchChunkRoundTrip(t *testing.T) {
 	db.Sketches = &sketch.Block{Params: p, Count: len(db.Sets), Words: words}
 
 	raw := encode(t, db)
-	got, err := Decode(bytes.NewReader(raw), DecodeOptions{})
+	got, err := decodeV1(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestV1SketchChunkRoundTrip(t *testing.T) {
 
 	// A snapshot without the section stays without it.
 	db.Sketches = nil
-	got, err = Decode(bytes.NewReader(encode(t, db)), DecodeOptions{})
+	got, err = decodeV1(encode(t, db))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,6 +193,61 @@ func TestPagedSketchTailCorruption(t *testing.T) {
 	}
 }
 
+// TestPagedEveryByteFlipRejected: on a sketched file with an odd page
+// count — so four bytes of alignment padding sit between the CRC table
+// and the tail, covered by no checksum — flipping any single byte fails
+// OpenPaged or Verify with ErrCorrupt: Verify() == nil vouches for every
+// byte of the file.
+func TestPagedEveryByteFlipRejected(t *testing.T) {
+	fx := makeFixture(t, 3)
+	p := sketch.Params{Bits: 128, Active: 8, Seed: 1}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "sk.vsnap")
+	w, err := CreatePaged(path, PagedWriterOptions{
+		Dim: fx.dim, MaxCard: fx.maxCard, Omega: fx.omega, PageSize: 512, Sketch: &p,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, id := range fx.ids {
+		if err := w.Append(id, fx.sets[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := OpenPaged(path, PagedReaderOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pages := len(r.crcs); pages%2 == 0 {
+		t.Fatalf("fixture spans %d pages; the sweep needs an odd count", pages)
+	}
+	r.Close()
+
+	mut := filepath.Join(dir, "mut.vsnap")
+	for off := range raw {
+		b := append([]byte(nil), raw...)
+		b[off] ^= 0x01
+		if err := os.WriteFile(mut, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		r, err := OpenPaged(mut, PagedReaderOptions{})
+		if err == nil {
+			err = r.Verify()
+			r.Close()
+		}
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("flip at byte %d of %d: open + Verify = %v, want ErrCorrupt", off, len(raw), err)
+		}
+	}
+}
+
 // TestConvertCarriesSketches: ConvertFile preserves the signature table
 // across both directions — a v1 SKH section becomes a paged tail, and a
 // paged tail survives a v2 → v2 relayout — without recomputation.
@@ -203,15 +258,11 @@ func TestConvertCarriesSketches(t *testing.T) {
 	dir := t.TempDir()
 
 	v1 := filepath.Join(dir, "v1.vsnap")
-	db := &DB{Dim: fx.dim, MaxCard: fx.maxCard, Omega: fx.omega, Seq: 4, IDs: fx.ids, Sketches: want}
+	db := &v1DB{Dim: fx.dim, MaxCard: fx.maxCard, Omega: fx.omega, Seq: 4, IDs: fx.ids, Sketches: want}
 	for _, s := range fx.sets {
 		db.Sets = append(db.Sets, s.Rows())
 	}
-	var buf bytes.Buffer
-	if err := Encode(&buf, db); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(v1, buf.Bytes(), 0o644); err != nil {
+	if err := os.WriteFile(v1, encode(t, db), 0o644); err != nil {
 		t.Fatal(err)
 	}
 

@@ -1,67 +1,28 @@
 // Package snapshot defines the persistent on-disk format for a vsdb
-// vector set database together with its centroid filter / X-tree index
-// (DESIGN.md §7). The paper's evaluation (§5.4) assumes the database and
-// its access structures outlive a single process; this package is what
-// makes that true for the reproduction: a voxgen/experiments build is
-// written once and served by cmd/voxserve for arbitrarily many queries.
+// vector set database together with the centroid column its filter ranks
+// (DESIGN.md §7, §11). The paper's evaluation (§5.4) assumes the database
+// and its access structures outlive a single process; this package is
+// what makes that true for the reproduction: a voxgen/experiments build
+// is written once and served by cmd/voxserve for arbitrarily many
+// queries.
 //
-// # Format (version 1, all integers little-endian)
+// Every snapshot is written in one layout, the paged version 2
+// ("VXSNAP02", paged.go): a file a server maps and serves in place, with
+// each object's extended centroid stored beside its vectors and every
+// page checked against a CRC table on first touch, when the
+// storage.Tracker is charged for it. Sharded directories add a JSON
+// manifest (manifest.go).
 //
-//	magic   "VXSNAP01" (8 bytes; the two trailing digits are the version)
-//	chunks  a sequence of self-checking chunks:
-//	          tag     4 bytes ASCII
-//	          length  uint32 — payload byte count
-//	          payload
-//	          crc32   uint32 — IEEE CRC of tag‖length‖payload
-//
-// Chunk order is fixed, which makes encoding deterministic: one "CFG "
-// chunk (dim, max cardinality, ω), an optional "SEQ " chunk carrying the
-// database's mutation sequence number (present iff non-zero; DESIGN.md
-// §8 — WAL replay onto the snapshot skips records at or below it), one
-// "OBJ " chunk per object in insertion order (id, cardinality, vectors),
-// an optional "CTR " chunk
-// holding the extended centroids of all objects in the same order (the
-// payload of the filter step — the X-tree is STR-bulk-loaded from it on
-// open, so the index is persisted without re-deriving it from the sets),
-// and a final "END " chunk carrying the object count and a whole-stream
-// CRC over every chunk byte after the magic. A flipped bit anywhere is
-// caught either by the owning chunk's CRC or by the stream CRC; a
-// truncated stream fails to reach "END ".
-//
-// The decoder is streaming: objects are handed to the caller one at a
-// time without buffering the whole snapshot, and an optional
-// storage.Tracker is charged per page and byte as the stream is consumed,
-// extending the paper's I/O cost model to persistence (loading a snapshot
-// costs exactly one sequential scan of its pages).
+// Version 1 ("VXSNAP01", v1.go) is the chunk stream earlier builds wrote
+// and decoded onto the heap. Nothing writes it any more; ConvertFile
+// still reads it, so an old file upgrades to version 2 — vsdb.OpenFile
+// does that in place, once.
 package snapshot
 
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
-	"hash/crc32"
-	"io"
 	"math"
-
-	"github.com/voxset/voxset/internal/index/sketch"
-	"github.com/voxset/voxset/internal/storage"
-	"github.com/voxset/voxset/internal/vectorset"
-)
-
-// Version is the format version this package reads and writes.
-const Version = 1
-
-// magic identifies a version-1 snapshot stream.
-var magic = [8]byte{'V', 'X', 'S', 'N', 'A', 'P', '0', '1'}
-
-// Chunk tags.
-var (
-	tagCFG = [4]byte{'C', 'F', 'G', ' '}
-	tagSEQ = [4]byte{'S', 'E', 'Q', ' '}
-	tagOBJ = [4]byte{'O', 'B', 'J', ' '}
-	tagCTR = [4]byte{'C', 'T', 'R', ' '}
-	tagSKH = [4]byte{'S', 'K', 'H', ' '}
-	tagEND = [4]byte{'E', 'N', 'D', ' '}
 )
 
 // ErrCorrupt is wrapped by every decoding error caused by damaged or
@@ -71,73 +32,12 @@ var (
 var ErrCorrupt = errors.New("snapshot: corrupt stream")
 
 // Sanity bounds on decoded fields: they reject hostile headers before any
-// large allocation. A chunk never legitimately exceeds maxChunk bytes and
-// dimensions/cardinalities beyond these are no real vsdb configuration.
+// large allocation. Dimensions/cardinalities beyond these are no real
+// vsdb configuration.
 const (
-	maxChunk = 1 << 28 // 256 MiB
-	maxDim   = 1 << 16
-	maxCard  = 1 << 20
+	maxDim  = 1 << 16
+	maxCard = 1 << 20
 )
-
-// DB is a fully decoded snapshot: the configuration, every object in
-// insertion order, and (when the snapshot carries an index section) the
-// extended centroids, aligned with IDs/Sets.
-type DB struct {
-	Dim     int
-	MaxCard int
-	Omega   []float64
-	// Seq is the database mutation sequence number at snapshot time
-	// (0 for a never-mutated or pre-live-update snapshot; the "SEQ "
-	// chunk is present iff non-zero, so old streams re-encode
-	// byte-identically).
-	Seq  uint64
-	IDs  []uint64
-	Sets [][][]float64
-	// Centroids is nil when the snapshot has no "CTR " section; otherwise
-	// Centroids[i] is the extended centroid of Sets[i].
-	Centroids [][]float64
-	// Sketches is the optional approximate-tier section ("SKH ", present
-	// iff non-nil, like SEQ — absent sections re-encode byte-identically):
-	// one sparse binary signature per object in insertion order, plus the
-	// sketch parameters they were built with (DESIGN.md §12). A snapshot
-	// without it still opens; the tier rebuilds signatures lazily.
-	Sketches *sketch.Block
-}
-
-// ---------------------------------------------------------------------------
-// Encoding
-
-// crcWriter tracks the running whole-stream CRC of everything written
-// after the magic.
-type crcWriter struct {
-	w   io.Writer
-	crc uint32
-}
-
-func (cw *crcWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.crc = crc32.Update(cw.crc, crc32.IEEETable, p[:n])
-	return n, err
-}
-
-// writeChunk emits one tag‖length‖payload‖crc chunk.
-func writeChunk(w io.Writer, tag [4]byte, payload []byte) error {
-	var hdr [8]byte
-	copy(hdr[:4], tag[:])
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(len(payload)))
-	crc := crc32.ChecksumIEEE(hdr[:])
-	crc = crc32.Update(crc, crc32.IEEETable, payload)
-	var tail [4]byte
-	binary.LittleEndian.PutUint32(tail[:], crc)
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := w.Write(payload); err != nil {
-		return err
-	}
-	_, err := w.Write(tail[:])
-	return err
-}
 
 func putFloats(buf []byte, vals []float64) []byte {
 	for _, v := range vals {
@@ -146,464 +46,10 @@ func putFloats(buf []byte, vals []float64) []byte {
 	return buf
 }
 
-// Encode writes db as a version-1 snapshot. The encoding is a pure
-// function of db's contents: identical databases produce identical bytes.
-func Encode(w io.Writer, db *DB) error {
-	if db.Dim <= 0 || db.Dim > maxDim {
-		return fmt.Errorf("snapshot: Dim %d out of range", db.Dim)
-	}
-	if db.MaxCard <= 0 || db.MaxCard > maxCard {
-		return fmt.Errorf("snapshot: MaxCard %d out of range", db.MaxCard)
-	}
-	if len(db.Omega) != db.Dim {
-		return fmt.Errorf("snapshot: ω has dim %d, want %d", len(db.Omega), db.Dim)
-	}
-	if len(db.IDs) != len(db.Sets) {
-		return fmt.Errorf("snapshot: %d ids but %d sets", len(db.IDs), len(db.Sets))
-	}
-	if db.Centroids != nil && len(db.Centroids) != len(db.Sets) {
-		return fmt.Errorf("snapshot: %d centroids but %d sets", len(db.Centroids), len(db.Sets))
-	}
-	if _, err := w.Write(magic[:]); err != nil {
-		return err
-	}
-	cw := &crcWriter{w: w}
-
-	// CFG: dim, maxCard, ω.
-	cfg := make([]byte, 0, 12+db.Dim*8)
-	cfg = binary.LittleEndian.AppendUint32(cfg, uint32(db.Dim))
-	cfg = binary.LittleEndian.AppendUint32(cfg, uint32(db.MaxCard))
-	cfg = binary.LittleEndian.AppendUint32(cfg, uint32(len(db.Omega)))
-	cfg = putFloats(cfg, db.Omega)
-	if err := writeChunk(cw, tagCFG, cfg); err != nil {
-		return err
-	}
-
-	// SEQ: mutation sequence number, present iff non-zero.
-	if db.Seq != 0 {
-		var seq [8]byte
-		binary.LittleEndian.PutUint64(seq[:], db.Seq)
-		if err := writeChunk(cw, tagSEQ, seq[:]); err != nil {
-			return err
-		}
-	}
-
-	// OBJ: one chunk per object, insertion order.
-	var obj []byte
-	for i, set := range db.Sets {
-		if len(set) == 0 || len(set) > db.MaxCard {
-			return fmt.Errorf("snapshot: set %d has cardinality %d (MaxCard %d)", i, len(set), db.MaxCard)
-		}
-		obj = obj[:0]
-		obj = binary.LittleEndian.AppendUint64(obj, db.IDs[i])
-		obj = binary.LittleEndian.AppendUint32(obj, uint32(len(set)))
-		for _, v := range set {
-			if len(v) != db.Dim {
-				return fmt.Errorf("snapshot: set %d has a vector of dim %d, want %d", i, len(v), db.Dim)
-			}
-			obj = putFloats(obj, v)
-		}
-		if err := writeChunk(cw, tagOBJ, obj); err != nil {
-			return err
-		}
-	}
-
-	// CTR: all centroids, same order as OBJ.
-	if db.Centroids != nil {
-		ctr := make([]byte, 0, 4+len(db.Centroids)*db.Dim*8)
-		ctr = binary.LittleEndian.AppendUint32(ctr, uint32(len(db.Centroids)))
-		for i, c := range db.Centroids {
-			if len(c) != db.Dim {
-				return fmt.Errorf("snapshot: centroid %d has dim %d, want %d", i, len(c), db.Dim)
-			}
-			ctr = putFloats(ctr, c)
-		}
-		if err := writeChunk(cw, tagCTR, ctr); err != nil {
-			return err
-		}
-	}
-
-	// SKH: the sketch signatures, same order as OBJ.
-	if db.Sketches != nil {
-		if db.Sketches.Count != len(db.Sets) {
-			return fmt.Errorf("snapshot: %d sketches but %d sets", db.Sketches.Count, len(db.Sets))
-		}
-		if err := db.Sketches.Validate(); err != nil {
-			return fmt.Errorf("snapshot: %w", err)
-		}
-		if err := writeChunk(cw, tagSKH, db.Sketches.AppendEncode(nil)); err != nil {
-			return err
-		}
-	}
-
-	// END: object count + whole-stream CRC of every chunk byte so far.
-	end := make([]byte, 0, 12)
-	end = binary.LittleEndian.AppendUint64(end, uint64(len(db.Sets)))
-	end = binary.LittleEndian.AppendUint32(end, cw.crc)
-	return writeChunk(cw, tagEND, end)
-}
-
-// ---------------------------------------------------------------------------
-// Decoding
-
-// DecodeOptions tunes a Decoder.
-type DecodeOptions struct {
-	// Tracker, if non-nil, is charged one page access per PageSize bytes
-	// consumed plus every byte read — the sequential-scan accounting of
-	// the §5.4 cost model applied to snapshot loading.
-	Tracker *storage.Tracker
-	// PageSize for tracker charging (storage.DefaultPageSize if zero).
-	PageSize int
-}
-
-// Decoder reads a snapshot stream incrementally.
-type Decoder struct {
-	r    io.Reader
-	opts DecodeOptions
-
-	hdr       DB // Dim/MaxCard/Omega populated by NewDecoder
-	crc       uint32
-	read      int64 // bytes consumed, including the magic
-	pages     int64 // pages already charged to the tracker
-	objects   uint64
-	seq       uint64
-	centroids [][]float64
-	sketches  *sketch.Block
-	done      bool
-	err       error
-
-	// Chunk-framing scratch, reused across readChunk calls so the steady
-	// state of a decode is one allocation per object (the flat vector
-	// buffer). Every consumer of a chunk payload copies what it keeps.
-	buf     []byte
-	hdrBuf  [8]byte
-	tailBuf [4]byte
-}
-
-// NewDecoder consumes the magic and the configuration chunk. The returned
-// decoder streams objects via Next.
-func NewDecoder(r io.Reader, opts DecodeOptions) (*Decoder, error) {
-	if opts.PageSize <= 0 {
-		opts.PageSize = storage.DefaultPageSize
-	}
-	d := &Decoder{r: r, opts: opts}
-	var m [8]byte
-	if err := d.readFull(m[:]); err != nil {
-		return nil, d.corrupt("reading magic: %v", err)
-	}
-	if m != magic {
-		return nil, d.corrupt("bad magic %q (want %q)", m[:], magic[:])
-	}
-	tag, payload, err := d.readChunk()
-	if err != nil {
-		return nil, err
-	}
-	if tag != tagCFG {
-		return nil, d.corrupt("first chunk is %q, want CFG", tag[:])
-	}
-	if len(payload) < 12 {
-		return nil, d.corrupt("CFG payload %d bytes", len(payload))
-	}
-	dim := int(binary.LittleEndian.Uint32(payload[0:4]))
-	mc := int(binary.LittleEndian.Uint32(payload[4:8]))
-	od := int(binary.LittleEndian.Uint32(payload[8:12]))
-	if dim <= 0 || dim > maxDim || mc <= 0 || mc > maxCard || od != dim {
-		return nil, d.corrupt("implausible CFG dim=%d maxCard=%d ωdim=%d", dim, mc, od)
-	}
-	if len(payload) != 12+dim*8 {
-		return nil, d.corrupt("CFG payload %d bytes, want %d", len(payload), 12+dim*8)
-	}
-	d.hdr = DB{Dim: dim, MaxCard: mc, Omega: getFloats(payload[12:], dim)}
-	return d, nil
-}
-
-// Header returns the decoded configuration (Dim, MaxCard, Omega only).
-func (d *Decoder) Header() DB { return d.hdr }
-
-// BytesRead reports the bytes consumed from the underlying reader so far.
-func (d *Decoder) BytesRead() int64 { return d.read }
-
-// Centroids returns the index section, aligned with the objects streamed
-// by Next (nil if the snapshot has none). Valid only after Next returned
-// io.EOF.
-func (d *Decoder) Centroids() [][]float64 { return d.centroids }
-
-// Seq returns the snapshot's mutation sequence number (0 when the
-// stream has no "SEQ " chunk). Valid once Next has been called.
-func (d *Decoder) Seq() uint64 { return d.seq }
-
-// Sketches returns the approximate-tier section, aligned with the
-// objects streamed by Next (nil if the snapshot has none). Valid only
-// after Next returned io.EOF.
-func (d *Decoder) Sketches() *sketch.Block { return d.sketches }
-
-// Next returns the next object. After the last object it verifies the
-// optional centroid section and the END trailer (count and whole-stream
-// CRC) and returns io.EOF; any damage surfaces as an error wrapping
-// ErrCorrupt. The returned rows alias one flat buffer (see NextFlat).
-func (d *Decoder) Next() (uint64, [][]float64, error) {
-	id, set, err := d.NextFlat()
-	if err != nil {
-		return id, nil, err
-	}
-	return id, set.Rows(), nil
-}
-
-// NextFlat is Next returning the object in the contiguous
-// vectorset.Flat layout — the single-allocation decode path (one flat
-// buffer per object, no per-vector allocation) that vsdb stores
-// directly in its epoch views.
-func (d *Decoder) NextFlat() (uint64, vectorset.Flat, error) {
-	var none vectorset.Flat
-	if d.err != nil {
-		return 0, none, d.err
-	}
-	if d.done {
-		return 0, none, io.EOF
-	}
-	// The stream CRC covers every chunk byte before END, so it must be
-	// latched before readChunk folds the END chunk in.
-	streamCRC := d.crc
-	tag, payload, err := d.readChunk()
-	if err != nil {
-		return 0, none, err
-	}
-	switch tag {
-	case tagSEQ:
-		// SEQ is legal only directly after CFG, and only once; a zero
-		// value is never encoded, so decode→encode stays a fixed point.
-		if d.objects > 0 || d.centroids != nil || d.seq != 0 {
-			return 0, none, d.corrupt("misplaced or duplicate SEQ chunk")
-		}
-		if len(payload) != 8 {
-			return 0, none, d.corrupt("SEQ payload %d bytes, want 8", len(payload))
-		}
-		d.seq = binary.LittleEndian.Uint64(payload)
-		if d.seq == 0 {
-			return 0, none, d.corrupt("SEQ chunk with zero sequence")
-		}
-		return d.NextFlat()
-	case tagOBJ:
-		id, set, err := d.parseObject(payload)
-		if err != nil {
-			return 0, none, err
-		}
-		d.objects++
-		return id, set, nil
-	case tagCTR:
-		if err := d.parseCentroids(payload); err != nil {
-			return 0, none, err
-		}
-		streamCRC = d.crc
-		tag, payload, err = d.readChunk()
-		if err != nil {
-			return 0, none, err
-		}
-		if tag == tagSKH {
-			if err := d.parseSketches(payload); err != nil {
-				return 0, none, err
-			}
-			streamCRC = d.crc
-			tag, payload, err = d.readChunk()
-			if err != nil {
-				return 0, none, err
-			}
-		}
-		if tag != tagEND {
-			tg := tag
-			return 0, none, d.corrupt("chunk %q after index sections, want END", tg[:])
-		}
-		return d.finish(payload, streamCRC)
-	case tagSKH:
-		// Sketches without a centroid section: legal, END must follow.
-		if err := d.parseSketches(payload); err != nil {
-			return 0, none, err
-		}
-		streamCRC = d.crc
-		tag, payload, err = d.readChunk()
-		if err != nil {
-			return 0, none, err
-		}
-		if tag != tagEND {
-			tg := tag
-			return 0, none, d.corrupt("chunk %q after SKH, want END", tg[:])
-		}
-		return d.finish(payload, streamCRC)
-	case tagEND:
-		return d.finish(payload, streamCRC)
-	default:
-		tg := tag
-		return 0, none, d.corrupt("unknown chunk tag %q", tg[:])
-	}
-}
-
-// parseObject decodes one OBJ chunk into a single flat buffer: one
-// allocation per object regardless of cardinality.
-func (d *Decoder) parseObject(payload []byte) (uint64, vectorset.Flat, error) {
-	var none vectorset.Flat
-	if len(payload) < 12 {
-		return 0, none, d.corrupt("OBJ payload %d bytes", len(payload))
-	}
-	id := binary.LittleEndian.Uint64(payload[0:8])
-	card := int(binary.LittleEndian.Uint32(payload[8:12]))
-	if card <= 0 || card > d.hdr.MaxCard {
-		return 0, none, d.corrupt("object %d cardinality %d (MaxCard %d)", id, card, d.hdr.MaxCard)
-	}
-	if len(payload) != 12+card*d.hdr.Dim*8 {
-		return 0, none, d.corrupt("OBJ payload %d bytes, want %d", len(payload), 12+card*d.hdr.Dim*8)
-	}
-	return id, vectorset.Flat{
-		Data: getFloats(payload[12:], card*d.hdr.Dim),
-		Card: card,
-		Dim:  d.hdr.Dim,
-	}, nil
-}
-
-func (d *Decoder) parseCentroids(payload []byte) error {
-	if len(payload) < 4 {
-		return d.corrupt("CTR payload %d bytes", len(payload))
-	}
-	n := int(binary.LittleEndian.Uint32(payload[0:4]))
-	if uint64(n) != d.objects {
-		return d.corrupt("CTR count %d, want %d objects", n, d.objects)
-	}
-	if len(payload) != 4+n*d.hdr.Dim*8 {
-		return d.corrupt("CTR payload %d bytes, want %d", len(payload), 4+n*d.hdr.Dim*8)
-	}
-	d.centroids = make([][]float64, n)
-	body := payload[4:]
-	for i := range d.centroids {
-		d.centroids[i] = getFloats(body[i*d.hdr.Dim*8:], d.hdr.Dim)
-	}
-	return nil
-}
-
-// finish verifies the END trailer and latches the terminal state.
-func (d *Decoder) finish(payload []byte, streamCRC uint32) (uint64, vectorset.Flat, error) {
-	var none vectorset.Flat
-	if err := d.parseEnd(payload, streamCRC); err != nil {
-		return 0, none, err
-	}
-	d.done = true
-	return 0, none, io.EOF
-}
-
-// parseSketches decodes the SKH chunk through the sketch codec (which
-// copies the signatures out of the chunk scratch) and checks alignment
-// with the object stream.
-func (d *Decoder) parseSketches(payload []byte) error {
-	b, err := sketch.DecodeBlock(payload)
-	if err != nil {
-		return d.corrupt("SKH chunk: %v", err)
-	}
-	if uint64(b.Count) != d.objects {
-		return d.corrupt("SKH count %d, want %d objects", b.Count, d.objects)
-	}
-	d.sketches = b
-	return nil
-}
-
-func (d *Decoder) parseEnd(payload []byte, streamCRC uint32) error {
-	if len(payload) != 12 {
-		return d.corrupt("END payload %d bytes, want 12", len(payload))
-	}
-	count := binary.LittleEndian.Uint64(payload[0:8])
-	if count != d.objects {
-		return d.corrupt("END count %d, want %d objects", count, d.objects)
-	}
-	if got := binary.LittleEndian.Uint32(payload[8:12]); got != streamCRC {
-		return d.corrupt("stream CRC 0x%08x, want 0x%08x", streamCRC, got)
-	}
-	return nil
-}
-
-// readChunk consumes one chunk, verifying its CRC and folding its bytes
-// into the running stream CRC. The returned payload aliases decoder
-// scratch: it is valid until the next readChunk call. (Error messages
-// format branch-local copies of the framing arrays so the hot path
-// keeps them off the heap.)
-func (d *Decoder) readChunk() (tag [4]byte, payload []byte, err error) {
-	if err := d.readFull(d.hdrBuf[:]); err != nil {
-		return tag, nil, d.corrupt("truncated chunk header: %v", err)
-	}
-	copy(tag[:], d.hdrBuf[:4])
-	n := binary.LittleEndian.Uint32(d.hdrBuf[4:])
-	if n > maxChunk {
-		tg := tag
-		return tag, nil, d.corrupt("chunk %q length %d exceeds limit", tg[:], n)
-	}
-	if cap(d.buf) < int(n) {
-		d.buf = make([]byte, n)
-	}
-	payload = d.buf[:n]
-	if err := d.readFull(payload); err != nil {
-		tg := tag
-		return tag, nil, d.corrupt("truncated chunk %q payload: %v", tg[:], err)
-	}
-	if err := d.readFull(d.tailBuf[:]); err != nil {
-		tg := tag
-		return tag, nil, d.corrupt("truncated chunk %q CRC: %v", tg[:], err)
-	}
-	want := crc32.ChecksumIEEE(d.hdrBuf[:])
-	want = crc32.Update(want, crc32.IEEETable, payload)
-	if got := binary.LittleEndian.Uint32(d.tailBuf[:]); got != want {
-		tg := tag
-		return tag, nil, d.corrupt("chunk %q CRC 0x%08x, want 0x%08x", tg[:], got, want)
-	}
-	d.crc = crc32.Update(d.crc, crc32.IEEETable, d.hdrBuf[:])
-	d.crc = crc32.Update(d.crc, crc32.IEEETable, payload)
-	d.crc = crc32.Update(d.crc, crc32.IEEETable, d.tailBuf[:])
-	return tag, payload, nil
-}
-
-// readFull reads len(p) bytes and charges the tracker for them.
-func (d *Decoder) readFull(p []byte) error {
-	n, err := io.ReadFull(d.r, p)
-	d.read += int64(n)
-	if t := d.opts.Tracker; t != nil {
-		t.AddBytes(n)
-		if pages := (d.read + int64(d.opts.PageSize) - 1) / int64(d.opts.PageSize); pages > d.pages {
-			t.AddPageAccess(int(pages - d.pages))
-			d.pages = pages
-		}
-	}
-	return err
-}
-
-func (d *Decoder) corrupt(format string, args ...interface{}) error {
-	err := fmt.Errorf("%w: "+format, append([]interface{}{ErrCorrupt}, args...)...)
-	d.err = err
-	return err
-}
-
 func getFloats(b []byte, n int) []float64 {
 	out := make([]float64, n)
 	for i := range out {
 		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
 	}
 	return out
-}
-
-// Decode reads a whole snapshot through a streaming Decoder.
-func Decode(r io.Reader, opts DecodeOptions) (*DB, error) {
-	d, err := NewDecoder(r, opts)
-	if err != nil {
-		return nil, err
-	}
-	db := d.Header()
-	for {
-		id, set, err := d.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		db.IDs = append(db.IDs, id)
-		db.Sets = append(db.Sets, set)
-	}
-	db.Centroids = d.Centroids()
-	db.Seq = d.Seq()
-	db.Sketches = d.Sketches()
-	return &db, nil
 }

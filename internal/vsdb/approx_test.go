@@ -177,51 +177,51 @@ func TestApproxSketchCandidatesCounter(t *testing.T) {
 	}
 }
 
-// TestApproxPersistenceRoundTrip: Save with the tier enabled persists
-// the sketch section; a Load under matching parameters adopts it and
-// answers identically; Save → Load → Save stays a byte-level fixed
-// point.
+// TestApproxPersistenceRoundTrip: SaveFile with the tier enabled
+// persists the sketch tail; an OpenFile under matching parameters adopts
+// it and answers identically; SaveFile → OpenFile → SaveFile stays a
+// byte-level fixed point.
 func TestApproxPersistenceRoundTrip(t *testing.T) {
 	db := randomApproxDB(t, 71, 180, 2)
-	var buf bytes.Buffer
-	if err := db.Save(&buf); err != nil {
+	path := filepath.Join(t.TempDir(), "approx.vsnap")
+	if err := db.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := snapshot.Decode(bytes.NewReader(buf.Bytes()), snapshot.DecodeOptions{})
+	r, err := snapshot.OpenPaged(path, snapshot.PagedReaderOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.Sketches == nil || snap.Sketches.Count != db.Len() {
-		t.Fatalf("snapshot sketch section: %+v", snap.Sketches)
+	blk, err := r.Sketches()
+	r.Close()
+	if err != nil || blk == nil || blk.Count != db.Len() {
+		t.Fatalf("snapshot sketch tail: %+v, %v", blk, err)
 	}
 
-	back, err := LoadWith(bytes.NewReader(buf.Bytes()), LoadOptions{Approx: testApprox()})
+	back, err := OpenFile(path, LoadOptions{Approx: testApprox()})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer back.Close()
 	rng := rand.New(rand.NewSource(4))
 	for i := 0; i < 5; i++ {
 		q := randomQuery(rng)
 		if got, want := one(back, Query{Set: q, Kind: KNN, K: 8, Approx: true}), one(db, Query{Set: q, Kind: KNN, K: 8, Approx: true}); !reflect.DeepEqual(got, want) {
-			t.Fatalf("query %d: loaded database disagrees:\n%v\n%v", i, got, want)
+			t.Fatalf("query %d: opened database disagrees:\n%v\n%v", i, got, want)
 		}
 	}
-	var again bytes.Buffer
-	if err := back.Save(&again); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), again.Bytes()) {
-		t.Fatal("Save → Load → Save is not a fixed point with sketches")
+	if !bytes.Equal(fingerprint(t, db), fingerprint(t, back)) {
+		t.Fatal("SaveFile → OpenFile → SaveFile is not a fixed point with sketches")
 	}
 
-	// A load under different parameters must ignore the persisted table
+	// An open under different parameters must ignore the persisted table
 	// (lazy rebuild) and still answer with exact distances.
 	other := testApprox()
 	other.Seed = 12345
-	reb, err := LoadWith(bytes.NewReader(buf.Bytes()), LoadOptions{Approx: other})
+	reb, err := OpenFile(path, LoadOptions{Approx: other})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer reb.Close()
 	q := randomQuery(rng)
 	for _, nb := range one(reb, Query{Set: q, Kind: KNN, K: 5, Approx: true}) {
 		if want := reb.Distance(q, reb.Get(nb.ID)); nb.Dist != want {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -189,7 +190,7 @@ func TestCheckpointTruncatesWAL(t *testing.T) {
 		t.Fatalf("WALRecords = %d after suffix, want 40", n)
 	}
 
-	re, err := LoadFile(snap, LoadOptions{WALPath: cfg.WALPath, WALNoSync: true, MaxDelta: cfg.MaxDelta})
+	re, err := OpenFile(snap, LoadOptions{WALPath: cfg.WALPath, WALNoSync: true, MaxDelta: cfg.MaxDelta})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,6 +199,26 @@ func TestCheckpointTruncatesWAL(t *testing.T) {
 		t.Fatalf("snapshot+suffix epoch %d, want %d", re.Epoch(), db.Epoch())
 	}
 	checkState(t, re, applyMuts(muts, len(muts)), "snapshot+suffix")
+}
+
+// strictReplay decodes a whole in-memory log through wal.Reader: any
+// damage, a torn tail included, is an error wrapping wal.ErrCorrupt.
+func strictReplay(data []byte) ([]wal.Record, error) {
+	rd, err := wal.NewReader(bytes.NewReader(data))
+	if err != nil {
+		return nil, err
+	}
+	var recs []wal.Record
+	for {
+		rec, err := rd.Next()
+		if err == io.EOF {
+			return recs, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		recs = append(recs, rec)
+	}
 }
 
 // TestWALPrefixRecovery is the crash matrix: for EVERY byte offset of a
@@ -235,7 +256,7 @@ func TestWALPrefixRecovery(t *testing.T) {
 		// Strict replay accepts only fully-framed logs (a cut exactly on a
 		// frame boundary is indistinguishable from a complete log); any
 		// other cut must wrap ErrCorrupt.
-		_, recs, strictErr := wal.ReplayBytes(prefix)
+		recs, strictErr := strictReplay(prefix)
 		if strictErr != nil && !errors.Is(strictErr, wal.ErrCorrupt) {
 			t.Fatalf("cut %d: strict replay error %v does not wrap ErrCorrupt", cut, strictErr)
 		}
@@ -313,23 +334,16 @@ func TestFingerprintLiveVsReplayed(t *testing.T) {
 	}
 	db.Compact()
 
-	var liveBuf bytes.Buffer
-	if err := db.Save(&liveBuf); err != nil {
-		t.Fatal(err)
-	}
+	live := fingerprint(t, db)
 
-	re, err := LoadFile(snap, LoadOptions{WALPath: cfg.WALPath, WALNoSync: true, MaxDelta: cfg.MaxDelta})
+	re, err := OpenFile(snap, LoadOptions{WALPath: cfg.WALPath, WALNoSync: true, MaxDelta: cfg.MaxDelta})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer re.Close()
 	re.Compact() // same representation as the live side
-	var replayBuf bytes.Buffer
-	if err := re.Save(&replayBuf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(liveBuf.Bytes(), replayBuf.Bytes()) {
-		t.Fatalf("snapshot fingerprints diverge: live %d bytes, replayed %d bytes", liveBuf.Len(), replayBuf.Len())
+	if replayed := fingerprint(t, re); !bytes.Equal(live, replayed) {
+		t.Fatalf("snapshot fingerprints diverge: live %d bytes, replayed %d bytes", len(live), len(replayed))
 	}
 	if got := re.Get(777777); fmt.Sprint(got) != fmt.Sprint([][]float64{{2, 2, 2}, {3, 3, 3}}) {
 		t.Fatalf("reinserted object after replay = %v", got)
@@ -377,10 +391,7 @@ func TestUncompactedSnapshotFingerprint(t *testing.T) {
 		t.Fatalf("precondition: want outstanding delta and tombstones, got %d / %v",
 			db.Stats().DeltaLen, db.Stats().TombstoneRatio)
 	}
-	var liveBuf bytes.Buffer
-	if err := db.Save(&liveBuf); err != nil {
-		t.Fatal(err)
-	}
+	live := fingerprint(t, db)
 	re, err := Open(Config{
 		Dim: cfg.Dim, MaxCard: cfg.MaxCard, Omega: cfg.Omega,
 		MaxDelta: -1, WALPath: cfg.WALPath, WALNoSync: true,
@@ -389,11 +400,7 @@ func TestUncompactedSnapshotFingerprint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	var replayBuf bytes.Buffer
-	if err := re.Save(&replayBuf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(liveBuf.Bytes(), replayBuf.Bytes()) {
+	if !bytes.Equal(live, fingerprint(t, re)) {
 		t.Fatal("uncompacted live snapshot differs from WAL-replayed snapshot")
 	}
 }
@@ -424,7 +431,7 @@ func TestAttachWALRejectsGap(t *testing.T) {
 		t.Fatal("open with a gapped WAL succeeded")
 	}
 	// The checkpoint snapshot CAN adopt it.
-	re, err := LoadFile(snap, LoadOptions{WALPath: cfg.WALPath, WALNoSync: true})
+	re, err := OpenFile(snap, LoadOptions{WALPath: cfg.WALPath, WALNoSync: true})
 	if err != nil {
 		t.Fatalf("snapshot + matching WAL: %v", err)
 	}

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"github.com/voxset/voxset/internal/dist"
-	"github.com/voxset/voxset/internal/snapshot"
 )
 
 // A mutated view (base + tombstones + delta memtable) must answer every
@@ -145,15 +144,11 @@ func mutatedDifferential(t *testing.T, maxCard int, mapped bool, workers int, se
 	}
 	db.Compact()
 	if mapped {
-		dir := t.TempDir()
-		v1, v2 := filepath.Join(dir, "v1.snap"), filepath.Join(dir, "v2.snap")
-		if err := db.SaveFile(v1); err != nil {
+		path := filepath.Join(t.TempDir(), "db.snap")
+		if err := db.SaveFile(path); err != nil {
 			t.Fatal(err)
 		}
-		if err := snapshot.ConvertFile(v1, v2, 0); err != nil {
-			t.Fatal(err)
-		}
-		db, err = OpenFile(v2, LoadOptions{Workers: workers, MaxDelta: noAutoCompact, CompactRatio: noAutoCompact})
+		db, err = OpenFile(path, LoadOptions{Workers: workers, MaxDelta: noAutoCompact, CompactRatio: noAutoCompact})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -148,12 +148,14 @@ func (s *snapStore) baseGet(id uint64) (vectorset.Flat, bool) {
 
 func (s *snapStore) baseCentroid(id uint64) []float64 { return s.r.Centroid(s.index()[id]) }
 
-// OpenFile opens a snapshot file in whichever format it carries. A
-// version-1 stream is loaded to heap exactly like LoadFile; a paged
-// version-2 snapshot is memory-mapped and served in place: base sets
-// alias the mapping (verified lazily, one CRC per page on first touch)
-// and so does the centroid column the filter ranks (verified here, once),
-// so nothing is decoded or built per object.
+// OpenFile opens a paged (VXSNAP02) snapshot file — written by SaveFile,
+// Checkpoint, BulkBuildFromStream or snapshot.ConvertFile — by
+// memory-mapping it and serving it in place: base sets alias the mapping
+// (verified lazily, one CRC per page on first touch) and so does the
+// centroid column the filter ranks (verified here, once), so nothing is
+// decoded or built per object. A legacy version-1 file is first upgraded
+// in place, once (snapshot.ConvertFile replaces it atomically; a corrupt
+// one fails with snapshot.ErrCorrupt and is left untouched).
 //
 // The returned database is fully mutable; mutations land in the delta
 // memtable and the first compaction materializes the base to heap.
@@ -165,7 +167,9 @@ func OpenFile(path string, opt LoadOptions) (*DB, error) {
 		return nil, fmt.Errorf("vsdb: %w", err)
 	}
 	if ver == 1 {
-		return LoadFile(path, opt)
+		if err := snapshot.ConvertFile(path, path, 0); err != nil {
+			return nil, fmt.Errorf("vsdb: upgrading %s: %w", path, err)
+		}
 	}
 	r, err := snapshot.OpenPaged(path, snapshot.PagedReaderOptions{Tracker: opt.Tracker})
 	if err != nil {

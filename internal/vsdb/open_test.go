@@ -1,20 +1,24 @@
 package vsdb
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"io"
 	"math/rand"
+	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"github.com/voxset/voxset/internal/snapshot"
 	"github.com/voxset/voxset/internal/vectorset"
 )
 
-// buildV1Snapshot saves a randomized database as a version-1 snapshot
-// file and returns the path plus the ids it holds.
-func buildV1Snapshot(t *testing.T, seed int64, n int) (string, []uint64) {
+// buildSnapshot saves a randomized database as a snapshot file and
+// returns the path plus the ids it holds.
+func buildSnapshot(t *testing.T, seed int64, n int) (string, []uint64) {
 	t.Helper()
 	db, err := Open(Config{Dim: 4, MaxCard: 5})
 	if err != nil {
@@ -28,7 +32,7 @@ func buildV1Snapshot(t *testing.T, seed int64, n int) (string, []uint64) {
 			t.Fatal(err)
 		}
 	}
-	path := filepath.Join(t.TempDir(), "v1.snap")
+	path := filepath.Join(t.TempDir(), "db.snap")
 	if err := db.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
@@ -54,47 +58,191 @@ func transcript(db *DB, seed int64, queries int) string {
 	return out
 }
 
+// v1FixtureAnswers is the SHA-256 of transcript(db, 42, 40) over
+// testdata/v1.vsnap — a version-1 file an earlier build wrote from 300
+// inserts, 10 deletes and 5 re-inserts (295 live objects, epoch 315) —
+// as that build's heap-decoding loader answered it, at one refinement
+// worker and at four.
+const v1FixtureAnswers = "d44a5906c8dd470f968f7ec920061122cce7a1b33408e8bc438cfedada0d22a0"
+
 // TestOpenFileMigrationParity is the VXSNAP01 → VXSNAP02 migration
-// suite: a randomized v1 snapshot, converted to the paged layout, must
-// answer an identical query workload byte-for-byte whether it is served
-// heap-decoded (v1) or mmap-aliased (v2) — at one refinement worker and
-// at several.
+// suite: OpenFile on a version-1 file upgrades it in place, once, and the
+// mapped result answers byte-for-byte what the heap decoder answered for
+// the same file — at one refinement worker and at several.
 func TestOpenFileMigrationParity(t *testing.T) {
-	v1, ids := buildV1Snapshot(t, 0xfeed, 400)
-	v2 := filepath.Join(t.TempDir(), "v2.snap")
-	if err := snapshot.ConvertFile(v1, v2, 0); err != nil {
+	fixture, err := os.ReadFile(filepath.Join("testdata", "v1.vsnap"))
+	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 4} {
-		ref, err := OpenFile(v1, LoadOptions{Workers: workers})
+		path := filepath.Join(t.TempDir(), "v1.vsnap")
+		if err := os.WriteFile(path, fixture, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		db, err := OpenFile(path, LoadOptions{Workers: workers})
+		if err != nil {
+			t.Fatalf("w=%d: %v", workers, err)
+		}
+		if v, err := snapshot.SniffFile(path); err != nil || v != 2 {
+			t.Fatalf("w=%d: SniffFile after open = (%d, %v), want upgraded in place", workers, v, err)
+		}
+		if db.Len() != 295 || db.Epoch() != 315 || !db.Mapped() {
+			t.Fatalf("w=%d: Len/Epoch/Mapped = %d/%d/%v, want 295/315/true", workers, db.Len(), db.Epoch(), db.Mapped())
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(transcript(db, 42, 40)))); got != v1FixtureAnswers {
+			t.Fatalf("w=%d: query transcript sha256 %s, want the heap decoder's %s", workers, got, v1FixtureAnswers)
+		}
+		// Point lookups exercise snapStore's lazy id index.
+		for _, id := range db.IDs()[:10] {
+			if !db.cur.Load().live(id) || db.Get(id) == nil {
+				t.Fatalf("w=%d: id %d not live", workers, id)
+			}
+		}
+		upgraded, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := transcript(ref, 42, 25)
-		db, err := OpenFile(v2, LoadOptions{Workers: workers})
-		if err != nil {
-			t.Fatalf("mmap/w=%d: %v", workers, err)
-		}
-		if db.Len() != len(ids) || db.Epoch() != ref.Epoch() {
-			t.Fatalf("mmap/w=%d: Len/Epoch = %d/%d, want %d/%d",
-				workers, db.Len(), db.Epoch(), len(ids), ref.Epoch())
-		}
-		if got := transcript(db, 42, 25); got != want {
-			t.Fatalf("mmap/w=%d: query transcript diverges from the v1 heap path", workers)
-		}
-		// Point lookups exercise snapStore's lazy id index.
-		for _, id := range ids[:10] {
-			if !db.cur.Load().live(id) {
-				t.Fatalf("mmap/w=%d: id %d not live", workers, id)
-			}
-			a, b := ref.Get(id), db.Get(id)
-			if len(a) != len(b) {
-				t.Fatalf("mmap/w=%d: Get(%d) cardinality %d vs %d", workers, id, len(b), len(a))
-			}
+		if !bytes.Equal(upgraded, fingerprint(t, db)) {
+			t.Fatalf("w=%d: the upgraded file differs from the database's own SaveFile bytes", workers)
 		}
 		if err := db.Close(); err != nil {
 			t.Fatal(err)
 		}
+		// The upgrade happens once: a second open maps the file as it is.
+		db, err = OpenFile(path, LoadOptions{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again, _ := os.ReadFile(path); !bytes.Equal(again, upgraded) {
+			t.Fatalf("w=%d: a second open rewrote the upgraded file", workers)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(transcript(db, 42, 40)))); got != v1FixtureAnswers {
+			t.Fatalf("w=%d: reopened transcript sha256 %s, want %s", workers, got, v1FixtureAnswers)
+		}
+		db.Close()
+	}
+}
+
+// A corrupt version-1 file fails OpenFile with ErrCorrupt and is left
+// exactly as it was, with no temporary file beside it.
+func TestOpenFileV1CorruptLeftUntouched(t *testing.T) {
+	fixture, err := os.ReadFile(filepath.Join("testdata", "v1.vsnap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "v1.vsnap")
+	for _, off := range []int{20, len(fixture) / 2, len(fixture) - 3} {
+		mut := append([]byte(nil), fixture...)
+		mut[off] ^= 0x10
+		if err := os.WriteFile(path, mut, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if db, err := OpenFile(path, LoadOptions{}); !errors.Is(err, snapshot.ErrCorrupt) {
+			if db != nil {
+				db.Close()
+			}
+			t.Fatalf("flip at %d: OpenFile = %v, want ErrCorrupt", off, err)
+		}
+		if got, _ := os.ReadFile(path); !bytes.Equal(got, mut) {
+			t.Fatalf("flip at %d: the corrupt file was modified", off)
+		}
+		if ents, _ := os.ReadDir(dir); len(ents) != 1 {
+			t.Fatalf("flip at %d: %d files left in the directory, want 1", off, len(ents))
+		}
+	}
+}
+
+// TestCheckpointOverMappedFile: Checkpoint onto the very file a database
+// is mapped from, while readers query, installs a new file under the
+// path; the mapping keeps the old one until Close. Reopening the path
+// with the WAL restores the exact state.
+func TestCheckpointOverMappedFile(t *testing.T) {
+	path, ids := buildSnapshot(t, 0xbeef, 150)
+	walPath := filepath.Join(t.TempDir(), "db.wal")
+	opt := LoadOptions{WALPath: walPath, WALNoSync: true}
+	db, err := OpenFile(path, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !db.Mapped() {
+		db.Close()
+		t.Skip("snapshot not memory-mapped on this platform")
+	}
+	rng := rand.New(rand.NewSource(5))
+	for i := uint64(0); i < 20; i++ {
+		if err := db.Insert(90000+i, randSet(rng, 1+rng.Intn(5), 4)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, id := range ids[:15] {
+		if err := db.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db.Compact() // the new heap base still aliases the mapped sets
+	for i := uint64(20); i < 30; i++ {
+		if err := db.Insert(90000+i, randSet(rng, 1+rng.Intn(5), 4)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Delete(ids[20]); err != nil {
+		t.Fatal(err)
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			qrng := rand.New(rand.NewSource(seed))
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				q := randSet(qrng, 1+qrng.Intn(5), 4)
+				db.KNN(q, 5)
+				db.Range(q, 8)
+			}
+		}(int64(r))
+	}
+	err = db.Checkpoint(path)
+	close(stop)
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := db.WALRecords(); n != 0 {
+		t.Fatalf("WALRecords = %d after checkpoint, want 0", n)
+	}
+	// A suffix past the checkpoint, for the reopen to replay.
+	if err := db.Insert(95000, randSet(rng, 2, 4)); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Delete(ids[30]); err != nil {
+		t.Fatal(err)
+	}
+	want, wantBytes, epoch := transcript(db, 11, 20), fingerprint(t, db), db.Epoch()
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	re, err := OpenFile(path, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if re.Epoch() != epoch {
+		t.Fatalf("reopened epoch %d, want %d", re.Epoch(), epoch)
+	}
+	if !bytes.Equal(fingerprint(t, re), wantBytes) {
+		t.Fatal("reopened SaveFile bytes differ from the live database's")
+	}
+	if got := transcript(re, 11, 20); got != want {
+		t.Fatal("reopened database answers KNN/range differently")
 	}
 }
 
@@ -103,13 +251,8 @@ func TestOpenFileMigrationParity(t *testing.T) {
 // the mapped base exactly as over a heap base, and a crash-recovery
 // open (same snapshot + WAL replay) must restore the state.
 func TestOpenFileMutationsAndWAL(t *testing.T) {
-	v1, ids := buildV1Snapshot(t, 0xcafe, 120)
-	dir := t.TempDir()
-	v2 := filepath.Join(dir, "v2.snap")
-	if err := snapshot.ConvertFile(v1, v2, 0); err != nil {
-		t.Fatal(err)
-	}
-	wal := filepath.Join(dir, "wal")
+	v2, ids := buildSnapshot(t, 0xcafe, 120)
+	wal := filepath.Join(t.TempDir(), "wal")
 	db, err := OpenFile(v2, LoadOptions{WALPath: wal})
 	if err != nil {
 		t.Fatal(err)

@@ -87,7 +87,7 @@ func runOracleTrace(t *testing.T, ops []vsdbtest.Op, workers int, dir string) (i
 				return i, fmt.Sprintf("close: %v", err)
 			}
 			if haveSnap {
-				db, err = vsdb.LoadFile(snapPath, vsdb.LoadOptions{
+				db, err = vsdb.OpenFile(snapPath, vsdb.LoadOptions{
 					Workers: workers, MaxDelta: cfg.MaxDelta,
 					WALPath: cfg.WALPath, WALNoSync: true,
 				})

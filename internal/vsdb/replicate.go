@@ -9,7 +9,6 @@ package vsdb
 import (
 	"errors"
 	"fmt"
-	"io"
 	"os"
 
 	"github.com/voxset/voxset/internal/wal"
@@ -56,32 +55,19 @@ func (db *DB) ReplayWALFile(path string) error {
 		return fmt.Errorf("vsdb: ReplayWALFile on a database with an attached WAL (%s)", db.log.file.Path())
 	}
 	v := db.cur.Load()
-	cu, err := wal.OpenCursor(path, v.seq)
+	cfg, recs, err := wal.ReadSuffix(path, v.seq)
 	if errors.Is(err, os.ErrNotExist) {
 		return nil
 	}
 	if err != nil {
 		return fmt.Errorf("vsdb: %w", err)
 	}
-	defer cu.Close()
-	cfg := cu.Config()
 	if !cfg.Matches(wal.Config{Dim: db.cfg.Dim, MaxCard: db.cfg.MaxCard, Omega: db.omega}) {
 		return fmt.Errorf("vsdb: WAL %s header (dim=%d maxCard=%d) does not match database (dim=%d maxCard=%d) or ω differs",
 			path, cfg.Dim, cfg.MaxCard, db.cfg.Dim, db.cfg.MaxCard)
 	}
 	if cfg.BaseSeq > v.seq {
 		return fmt.Errorf("vsdb: WAL %s starts at sequence %d but the database is at epoch %d: mutations are missing", path, cfg.BaseSeq, v.seq)
-	}
-	var recs []wal.Record
-	for {
-		rec, err := cu.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return fmt.Errorf("vsdb: %w", err)
-		}
-		recs = append(recs, rec)
 	}
 	nv, err := db.replayLocked(v, recs)
 	if err != nil {

@@ -126,10 +126,11 @@ func TestReplayWALFileRejectsGapAndMismatch(t *testing.T) {
 
 	// A standby bootstrapped from the checkpoint snapshot adopts the
 	// truncated log's suffix cleanly.
-	fromSnap, err := LoadFile(snap, LoadOptions{})
+	fromSnap, err := OpenFile(snap, LoadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer fromSnap.Close()
 	if err := fromSnap.ReplayWALFile(walPath); err != nil {
 		t.Fatalf("ReplayWALFile after snapshot bootstrap: %v", err)
 	}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"github.com/voxset/voxset/internal/snapshot"
@@ -48,38 +50,49 @@ func randomQuery(rng *rand.Rand) [][]float64 {
 	return q
 }
 
-// TestSnapshotSaveIsDeterministic: Save → Load → Save is a byte-level
-// fixed point, the losslessness contract of DESIGN.md §7.
-func TestSnapshotSaveIsDeterministic(t *testing.T) {
-	db := randomDB(t, 1, 60)
-	var a bytes.Buffer
-	if err := db.Save(&a); err != nil {
+// fingerprint returns db's durable state: the bytes SaveFile writes.
+func fingerprint(t *testing.T, db *DB) []byte {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "fingerprint.vsnap")
+	if err := db.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	back, err := Load(bytes.NewReader(a.Bytes()))
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var b bytes.Buffer
-	if err := back.Save(&b); err != nil {
+	return raw
+}
+
+// reopen saves db with SaveFile and opens the file with opt; the opened
+// database is closed when the test ends.
+func reopen(t *testing.T, db *DB, opt LoadOptions) *DB {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "db.vsnap")
+	if err := db.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatal("Save → Load → Save changed the snapshot bytes")
+	back, err := OpenFile(path, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { back.Close() })
+	return back
+}
+
+// TestSnapshotSaveIsDeterministic: SaveFile → OpenFile → SaveFile is a
+// byte-level fixed point, the losslessness contract of DESIGN.md §7.
+func TestSnapshotSaveIsDeterministic(t *testing.T) {
+	db := randomDB(t, 1, 60)
+	if !bytes.Equal(fingerprint(t, db), fingerprint(t, reopen(t, db, LoadOptions{}))) {
+		t.Fatal("SaveFile → OpenFile → SaveFile changed the snapshot bytes")
 	}
 }
 
-// A loaded database preserves every stored set exactly.
+// An opened database preserves every stored set exactly.
 func TestSnapshotRoundTripLossless(t *testing.T) {
 	db := randomDB(t, 2, 40)
-	var buf bytes.Buffer
-	if err := db.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	back := reopen(t, db, LoadOptions{})
 	if back.Len() != db.Len() {
 		t.Fatalf("Len = %d, want %d", back.Len(), db.Len())
 	}
@@ -98,8 +111,8 @@ func TestSnapshotRoundTripLossless(t *testing.T) {
 	}
 }
 
-// Deleting before saving exercises the tombstone-aware centroid path; the
-// loaded database must contain exactly the live objects.
+// Deleting before saving exercises the tombstone-aware save path; the
+// opened database must contain exactly the live objects.
 func TestSnapshotAfterDelete(t *testing.T) {
 	db := randomDB(t, 3, 30)
 	for id := uint64(0); id < 30; id += 3 {
@@ -107,14 +120,7 @@ func TestSnapshotAfterDelete(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var buf bytes.Buffer
-	if err := db.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	back := reopen(t, db, LoadOptions{})
 	if back.Len() != db.Len() {
 		t.Fatalf("Len = %d, want %d", back.Len(), db.Len())
 	}
@@ -131,53 +137,61 @@ func TestSnapshotAfterDelete(t *testing.T) {
 	}
 }
 
-// A flipped byte anywhere in the snapshot is rejected via checksum.
+// A flipped byte in the snapshot is rejected via checksum: by OpenFile,
+// which verifies the header, offsets and centroid pages eagerly, or —
+// for a vector page, verified on first touch — by Verify.
 func TestSnapshotFlippedByteRejected(t *testing.T) {
-	db := randomDB(t, 4, 10)
-	var buf bytes.Buffer
-	if err := db.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-	// Sample positions across the stream (the exhaustive sweep lives in
+	raw := fingerprint(t, randomDB(t, 4, 10))
+	path := filepath.Join(t.TempDir(), "flipped.vsnap")
+	// Sample positions across the file (the exhaustive sweep lives in
 	// internal/snapshot; this guards the vsdb wrapping).
-	for _, i := range []int{0, 7, 8, 20, len(raw) / 2, len(raw) - 5, len(raw) - 1} {
+	for _, i := range []int{0, 7, 8, 20, storage.DefaultPageSize + 10, len(raw) / 2, len(raw) - 5, len(raw) - 1} {
 		mut := append([]byte(nil), raw...)
 		mut[i] ^= 0x01
-		if _, err := Load(bytes.NewReader(mut)); err == nil {
-			t.Fatalf("flip at byte %d accepted", i)
-		} else if !errors.Is(err, snapshot.ErrCorrupt) {
+		if err := os.WriteFile(path, mut, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		db, err := OpenFile(path, LoadOptions{})
+		if err == nil {
+			db.Close()
+			r, rerr := snapshot.OpenPaged(path, snapshot.PagedReaderOptions{})
+			if rerr != nil {
+				t.Fatal(rerr)
+			}
+			err = r.Verify()
+			r.Close()
+		}
+		if !errors.Is(err, snapshot.ErrCorrupt) {
 			t.Fatalf("flip at byte %d: %v does not wrap snapshot.ErrCorrupt", i, err)
 		}
 	}
 }
 
-// Loading charges the configured tracker for the snapshot scan, extending
-// the §5.4 cost model to persistence.
+// Opening charges the configured tracker for exactly the pages it
+// verifies — header, offsets and the centroid column, not a scan of the
+// file — and the tracker stays attached for queries.
 func TestLoadChargesTracker(t *testing.T) {
-	db := randomDB(t, 5, 50)
-	var buf bytes.Buffer
-	if err := db.Save(&buf); err != nil {
+	raw := fingerprint(t, randomDB(t, 5, 50)) // 50 objects: one offsets page, one centroid page
+	path := filepath.Join(t.TempDir(), "db.vsnap")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	size := int64(buf.Len())
 	var tr storage.Tracker
-	back, err := LoadWith(&buf, LoadOptions{Tracker: &tr})
+	back, err := OpenFile(path, LoadOptions{Tracker: &tr})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := tr.BytesRead(); got != size {
-		t.Errorf("bytes charged for load = %d, want %d", got, size)
+	defer back.Close()
+	if got := tr.PageAccesses(); got != 3 {
+		t.Errorf("pages charged for open = %d, want 3 (header, offsets, centroids)", got)
 	}
-	wantPages := (size + storage.DefaultPageSize - 1) / storage.DefaultPageSize
-	if got := tr.PageAccesses(); got != wantPages {
-		t.Errorf("pages charged for load = %d, want %d", got, wantPages)
+	if got := tr.BytesRead(); got != 3*storage.DefaultPageSize {
+		t.Errorf("bytes charged for open = %d, want %d", got, 3*storage.DefaultPageSize)
 	}
-	// The tracker stays attached: queries keep charging it.
 	before := tr.PageAccesses()
 	back.KNN(randomQuery(rand.New(rand.NewSource(6))), 3)
 	if tr.PageAccesses() <= before {
-		t.Error("query after load did not charge the tracker")
+		t.Error("query after open did not charge the tracker")
 	}
 }
 
@@ -206,16 +220,8 @@ func scanNeighbors(db *DB, q [][]float64) []Neighbor {
 // exhaustive scan, for every query, at worker counts 1, 4 and 8.
 func TestKNNRangeParityAcrossWorkers(t *testing.T) {
 	src := randomDB(t, 7, 80)
-	var buf bytes.Buffer
-	if err := src.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
 	for _, workers := range []int{1, 4, 8} {
-		db, err := LoadWith(bytes.NewReader(raw), LoadOptions{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
+		db := reopen(t, src, LoadOptions{Workers: workers})
 		rng := rand.New(rand.NewSource(100))
 		for qi := 0; qi < 12; qi++ {
 			q := randomQuery(rng)
@@ -261,14 +267,18 @@ func TestSaveLoadFile(t *testing.T) {
 	if err := db.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	back, err := LoadFile(path, LoadOptions{})
+	if v, err := snapshot.SniffFile(path); err != nil || v != 2 {
+		t.Fatalf("SniffFile = (%d, %v), want a paged snapshot", v, err)
+	}
+	back, err := OpenFile(path, LoadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Len() != db.Len() {
-		t.Fatalf("Len = %d, want %d", back.Len(), db.Len())
+	defer back.Close()
+	if back.Len() != db.Len() || !back.Mapped() {
+		t.Fatalf("Len = %d (want %d), Mapped = %v", back.Len(), db.Len(), back.Mapped())
 	}
-	if _, err := LoadFile(path+".missing", LoadOptions{}); err == nil {
+	if _, err := OpenFile(path+".missing", LoadOptions{}); err == nil {
 		t.Fatal("missing file accepted")
 	}
 }

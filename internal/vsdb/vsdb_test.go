@@ -1,11 +1,15 @@
 package vsdb
 
 import (
-	"bytes"
+	"errors"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"sort"
 	"testing"
+
+	"github.com/voxset/voxset/internal/snapshot"
 )
 
 func openTestDB(t *testing.T) *DB {
@@ -248,14 +252,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var buf bytes.Buffer
-	if err := db.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	back := reopen(t, db, LoadOptions{})
 	if back.Len() != db.Len() {
 		t.Fatalf("loaded %d, want %d", back.Len(), db.Len())
 	}
@@ -270,7 +267,11 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 }
 
 func TestLoadRejectsGarbage(t *testing.T) {
-	if _, err := Load(bytes.NewReader([]byte("junk"))); err == nil {
-		t.Error("expected error")
+	path := filepath.Join(t.TempDir(), "junk.vsnap")
+	if err := os.WriteFile(path, []byte("junk"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenFile(path, LoadOptions{}); !errors.Is(err, snapshot.ErrCorrupt) {
+		t.Errorf("OpenFile on garbage = %v, want snapshot.ErrCorrupt", err)
 	}
 }

@@ -2,11 +2,11 @@
 // vsdb live-update tests and the cluster cross-shard parity tests: a
 // seeded trace generator producing valid interleavings of mutations and
 // queries, a brute-force reference model queried by exhaustive exact
-// scan, a bit-exact result differ, and a bounded ddmin-style trace
-// shrinker. Keeping it in a separate package lets internal/cluster
-// demand the same "bit-identical to the model at every step" contract
-// the unsharded engine is held to, with the same readable
-// counterexamples on failure.
+// scan, a bit-exact result differ, a bounded ddmin-style trace
+// shrinker, and a byte fingerprint of a database's durable state.
+// Keeping it in a separate package lets internal/cluster demand the same
+// "bit-identical to the model at every step" contract the unsharded
+// engine is held to, with the same readable counterexamples on failure.
 package vsdbtest
 
 import (

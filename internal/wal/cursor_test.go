@@ -2,107 +2,58 @@ package wal
 
 import (
 	"errors"
-	"io"
 	"os"
 	"path/filepath"
 	"testing"
 )
 
-// cursorNextAll drains the cursor until io.EOF, failing on any other
-// error.
-func cursorNextAll(t *testing.T, cu *Cursor) []Record {
-	t.Helper()
-	var out []Record
-	for {
-		rec, err := cu.Next()
-		if errors.Is(err, io.EOF) {
-			return out
-		}
-		if err != nil {
-			t.Fatalf("Cursor.Next: %v", err)
-		}
-		out = append(out, rec)
-	}
-}
+// These tests pin ReadSuffix, the cursor read the replication paths use:
+// the records of a log beyond a given sequence number, read through the
+// one Reader.
 
-func TestCursorTailsGrowingLog(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "shard.wal")
+// writeLog writes recs to a fresh log at path.
+func writeLog(t *testing.T, path string, recs []Record) {
+	t.Helper()
 	f, _, err := OpenFile(path, testConfig(), FileOptions{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	if _, err := f.AppendBatch(testRecords()[:2]); err != nil {
+	if _, err := f.AppendBatch(recs); err != nil {
 		t.Fatal(err)
 	}
-
-	cu, err := OpenCursor(path, 0)
-	if err != nil {
+	if err := f.Close(); err != nil {
 		t.Fatal(err)
-	}
-	defer cu.Close()
-	got := cursorNextAll(t, cu)
-	if len(got) != 2 || got[0].Seq != 1 || got[1].Seq != 2 {
-		t.Fatalf("first poll returned %d records, want seqs [1 2]", len(got))
-	}
-
-	// The log grows; the same cursor picks up the new records on the
-	// next poll — the re-pollable tailing contract.
-	if _, err := f.AppendBatch(testRecords()[2:]); err != nil {
-		t.Fatal(err)
-	}
-	more := cursorNextAll(t, cu)
-	if len(more) != len(testRecords())-2 {
-		t.Fatalf("second poll returned %d records, want %d", len(more), len(testRecords())-2)
-	}
-	if more[0].Seq != 3 {
-		t.Fatalf("second poll starts at seq %d, want 3", more[0].Seq)
-	}
-	if rest := cursorNextAll(t, cu); len(rest) != 0 {
-		t.Fatalf("third poll returned %d records, want none", len(rest))
 	}
 }
 
 func TestCursorAfterSeqSkips(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "shard.wal")
-	f, _, err := OpenFile(path, testConfig(), FileOptions{NoSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.AppendBatch(testRecords()); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+	writeLog(t, path, testRecords())
 
-	cu, err := OpenCursor(path, 2)
+	cfg, got, err := ReadSuffix(path, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cu.Close()
-	got := cursorNextAll(t, cu)
+	if !cfg.Matches(testConfig()) {
+		t.Fatalf("header %+v, want %+v", cfg, testConfig())
+	}
 	if len(got) == 0 || got[0].Seq != 3 {
-		t.Fatalf("cursor after seq 2 starts at %v, want seq 3", got)
+		t.Fatalf("suffix after seq 2 starts at %v, want seq 3", got)
 	}
 	if len(got) != len(testRecords())-2 {
-		t.Fatalf("cursor returned %d records, want %d", len(got), len(testRecords())-2)
+		t.Fatalf("suffix holds %d records, want %d", len(got), len(testRecords())-2)
+	}
+	if _, all, err := ReadSuffix(path, 0); err != nil || len(all) != len(testRecords()) {
+		t.Fatalf("suffix after seq 0: %d records, %v; want all %d", len(all), err, len(testRecords()))
 	}
 }
 
+// A torn final frame — an append in progress, or a crash — ends the read
+// like a clean end of log; once the frame is complete, it is read.
 func TestCursorTornTailIsEOFUntilComplete(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "shard.wal")
-	f, _, err := OpenFile(path, testConfig(), FileOptions{NoSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.AppendBatch(testRecords()[:1]); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	// Simulate an in-progress append: a torn copy holds a truncated
-	// final frame. The cursor must treat it as not-yet-written (io.EOF),
-	// not corruption — the writer may still be mid-write.
+	writeLog(t, path, testRecords()[:2])
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -111,34 +62,25 @@ func TestCursorTornTailIsEOFUntilComplete(t *testing.T) {
 	if err := os.WriteFile(torn, data[:len(data)-5], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cu, err := OpenCursor(torn, 0)
+	_, got, err := ReadSuffix(torn, 0)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("torn tail: %v, want the intact prefix", err)
 	}
-	if got := cursorNextAll(t, cu); len(got) != 0 {
-		t.Fatalf("torn tail yielded %d records, want none yet", len(got))
+	if len(got) != 1 || got[0].Seq != 1 {
+		t.Fatalf("torn tail yielded %v, want seq 1 only", got)
 	}
-	// The "write" completes; the same cursor now returns the record.
 	if err := os.WriteFile(torn, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if got := cursorNextAll(t, cu); len(got) != 1 || got[0].Seq != 1 {
-		t.Fatalf("completed tail yielded %v, want seq 1", got)
+	if _, got, err := ReadSuffix(torn, 1); err != nil || len(got) != 1 || got[0].Seq != 2 {
+		t.Fatalf("completed tail yielded %v, %v; want seq 2", got, err)
 	}
-	cu.Close()
 }
 
 func TestCursorCorruptFrame(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "shard.wal")
-	f, _, err := OpenFile(path, testConfig(), FileOptions{NoSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.AppendBatch(testRecords()[:2]); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+	writeLog(t, path, testRecords()[:2])
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -148,22 +90,17 @@ func TestCursorCorruptFrame(t *testing.T) {
 	if err := os.WriteFile(bad, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cu, err := OpenCursor(bad, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cu.Close()
-	if _, err := cu.Next(); err != nil {
-		t.Fatalf("first (intact) record: %v", err)
-	}
-	if _, err := cu.Next(); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("damaged complete frame: err = %v, want ErrCorrupt", err)
+	// Damage is an error even past the records the caller skips.
+	for _, after := range []uint64{0, 1, 2} {
+		if _, _, err := ReadSuffix(bad, after); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("after %d: damaged complete frame: err = %v, want ErrCorrupt", after, err)
+		}
 	}
 }
 
 func TestCursorMissingFile(t *testing.T) {
-	_, err := OpenCursor(filepath.Join(t.TempDir(), "absent.wal"), 0)
+	_, _, err := ReadSuffix(filepath.Join(t.TempDir(), "absent.wal"), 0)
 	if !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("OpenCursor on a missing file: err = %v, want os.ErrNotExist", err)
+		t.Fatalf("ReadSuffix on a missing file: err = %v, want os.ErrNotExist", err)
 	}
 }

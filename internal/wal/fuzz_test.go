@@ -34,7 +34,7 @@ func corpusSeeds(t testing.TB) [][]byte {
 	return seeds
 }
 
-// FuzzWALReplay is the decoder's safety contract: arbitrary bytes must
+// FuzzWALReplay is the Reader's safety contract: arbitrary bytes must
 // never panic; any accepted log must re-encode byte-identically (no
 // silently altered or shortened state); any rejected log must fail with
 // an error wrapping ErrCorrupt — except genuine I/O errors, which a
@@ -44,7 +44,7 @@ func FuzzWALReplay(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		cfg, recs, err := ReplayBytes(data)
+		cfg, recs, err := replayBytes(data)
 		if err != nil {
 			if !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("rejection %v does not wrap ErrCorrupt", err)

@@ -1,8 +1,8 @@
 // Package wal implements the write-ahead log that makes vsdb mutations
 // durable (DESIGN.md §8): every Insert/Delete is framed, checksummed and
 // written to the log before it becomes visible to queries, so a crash
-// loses at most the in-flight record. The framing is the snapshot
-// format's chunk discipline (VXSNAP01 style) applied to a log:
+// loses at most the in-flight record. The framing is the chunk
+// discipline of the legacy VXSNAP01 snapshot stream applied to a log:
 //
 //	magic   "VXWAL001" (8 bytes; trailing digits are the version)
 //	header  one "CFG " frame: dim, max cardinality k, base sequence
@@ -19,11 +19,14 @@
 // Records carry no explicit sequence number on the wire: the i-th record
 // (1-based) has sequence BaseSeq+i by construction, so a log can only
 // ever describe a contiguous suffix of the database's mutation history.
-// Replaying onto a snapshot that persists its own sequence number
-// (snapshot "SEQ " chunk) skips records the snapshot already contains,
-// which is what makes the checkpoint crash-recovery matrix close: every
-// interleaving of "snapshot renamed" × "log truncated" replays to the
-// same state.
+// Replaying onto a snapshot that persists its own sequence number (the
+// paged snapshot header's epoch) skips records the snapshot already
+// contains, which is what makes the checkpoint crash-recovery matrix
+// close: every interleaving of "snapshot renamed" × "log truncated"
+// replays to the same state.
+//
+// Reader is the one decoder of a log. Recovery (OpenFile) and the
+// replication paths (ReadSuffix) both read through it.
 //
 // Damage is never silent: a bit flip anywhere is caught by the owning
 // frame's CRC (ErrCorrupt), and a log that ends mid-frame — the expected
@@ -34,13 +37,14 @@
 package wal
 
 import (
-	"bytes"
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
+	"os"
 )
 
 // Version is the log format version this package reads and writes.
@@ -362,9 +366,8 @@ func (rd *Reader) Next() (Record, error) {
 	return rec, nil
 }
 
-// decodeRecordBody decodes one INS or DEL frame payload against cfg.
-// Sequence assignment is the caller's (a Reader counts from the header's
-// BaseSeq, a Cursor from its own scan position); errors wrap ErrCorrupt.
+// decodeRecordBody decodes one INS or DEL frame payload against cfg;
+// Next assigns the sequence number. Errors wrap ErrCorrupt.
 func decodeRecordBody(cfg Config, tag [4]byte, payload []byte) (Record, error) {
 	switch tag {
 	case tagINS:
@@ -454,29 +457,32 @@ func (rd *Reader) corrupt(format string, args ...interface{}) error {
 	return rd.err
 }
 
-// Replay strictly decodes a whole log: header plus every record. Any
-// damage — a bit flip, a truncation, a torn tail — yields an error
-// wrapping ErrCorrupt (use a Reader directly to recover the fully framed
-// prefix of a torn log).
-func Replay(r io.Reader) (Config, []Record, error) {
-	rd, err := NewReader(r)
+// ReadSuffix reads the log at path through a Reader and returns its
+// header and every fully framed record with a sequence number beyond
+// after, in order. A torn tail ends the read like a clean end of log: it
+// is where an append in progress, or a crash, left the file, and the
+// log's owner truncates it when it next opens the log. Any other damage
+// is an error wrapping ErrCorrupt; a missing file is os.ErrNotExist.
+func ReadSuffix(path string, after uint64) (Config, []Record, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return Config{}, nil, err
+	}
+	defer f.Close()
+	rd, err := NewReader(bufio.NewReader(f))
 	if err != nil {
 		return Config{}, nil, err
 	}
 	var recs []Record
 	for {
 		rec, err := rd.Next()
-		if err == io.EOF {
+		switch {
+		case err == io.EOF || errors.Is(err, ErrTorn):
 			return rd.Config(), recs, nil
+		case err != nil:
+			return Config{}, nil, err
+		case rec.Seq > after:
+			recs = append(recs, rec)
 		}
-		if err != nil {
-			return rd.Config(), nil, err
-		}
-		recs = append(recs, rec)
 	}
-}
-
-// ReplayBytes is Replay over an in-memory log.
-func ReplayBytes(data []byte) (Config, []Record, error) {
-	return Replay(bytes.NewReader(data))
 }

@@ -46,13 +46,34 @@ func encodeLog(t testing.TB, cfg Config, recs []Record) []byte {
 	return buf.Bytes()
 }
 
+// replayBytes strictly decodes a whole in-memory log through a Reader:
+// any damage — a bit flip, a truncation, a torn tail — is an error
+// wrapping ErrCorrupt.
+func replayBytes(data []byte) (Config, []Record, error) {
+	rd, err := NewReader(bytes.NewReader(data))
+	if err != nil {
+		return Config{}, nil, err
+	}
+	var recs []Record
+	for {
+		rec, err := rd.Next()
+		if err == io.EOF {
+			return rd.Config(), recs, nil
+		}
+		if err != nil {
+			return rd.Config(), nil, err
+		}
+		recs = append(recs, rec)
+	}
+}
+
 func TestRoundTrip(t *testing.T) {
 	cfg := testConfig()
 	cfg.BaseSeq = 41
 	recs := testRecords()
 	data := encodeLog(t, cfg, recs)
 
-	got, gotRecs, err := ReplayBytes(data)
+	got, gotRecs, err := replayBytes(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +128,7 @@ func TestBitFlipSweep(t *testing.T) {
 	for pos := range data {
 		corrupt := append([]byte(nil), data...)
 		corrupt[pos] ^= 0x01
-		_, _, err := ReplayBytes(corrupt)
+		_, _, err := replayBytes(corrupt)
 		if err == nil {
 			t.Fatalf("flipped byte at %d accepted", pos)
 		}
