@@ -41,10 +41,14 @@ check-bench:
 # paged and legacy snapshot readers, the WAL Reader, and the STL and
 # vector-set codecs without a long fuzz session —
 # plus the scatter-gather merge's identity with sort-and-truncate, the
-# threshold-aware matching kernel's contract against the unbounded one and
-# the pruned cover search's against the unpruned scan.
+# threshold-aware matching kernel's contract against the unbounded one, the
+# signature bound's chain (encoded ≤ exact ≤ matching distance), the
+# engine's refusal of non-finite sets and the pruned cover search's
+# contract against the unpruned scan.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzMatchingWithin -fuzztime 5s ./internal/dist/
+	$(GO) test -run xxx -fuzz FuzzSignatureBound -fuzztime 5s ./internal/dist/
+	$(GO) test -run xxx -fuzz FuzzInsertFinite -fuzztime 5s ./internal/vsdb/
 	$(GO) test -run xxx -fuzz FuzzSTLParse -fuzztime 5s ./internal/mesh/
 	$(GO) test -run xxx -fuzz FuzzQueryMesh -fuzztime 5s ./internal/server/
 	$(GO) test -run xxx -fuzz FuzzReadFrom -fuzztime 5s ./internal/vectorset/
@@ -66,11 +70,13 @@ fuzz-smoke:
 # state compacted — refined/op and ns/op must stay close; a regression to
 # over-fetch + full delta scan doubles the first row — and reports the
 # allocation footprint of one compaction. The kernel rows price the three
-# exits of the threshold-aware matching (pruned ≪ survivor ≈ unbounded),
-# and FilterKNN reports refined/op beside solves/op over 10 k sets: a
-# regression to always-solve makes the two equal (/store is the served
-# shape, NewBulkStore ranking the centroid column; /dynamic the paper's
-# X-tree path). CentroidRanking prices the ranking seam alone, column pass
+# exits of the threshold-aware matching (pruned ≪ survivor ≈ unbounded)
+# beside SignatureBound, the per-candidate price of the signature stage
+# that settles most candidates before the kernel; FilterKNN reports
+# signature-pruned/op and refined/op beside solves/op over 10 k sets: a
+# regression to always-solve makes the last two equal (/store is the
+# served shape, NewBulkStore ranking the centroid column with the
+# signature stage; /dynamic the paper's X-tree path). CentroidRanking prices the ranking seam alone, column pass
 # against bulk-loaded tree at 10 k and 100 k centroids, with allocs/op
 # (0 for the column) and the tracker's pages/op. MeshExtract prices a mesh
 # upload's parse, voxelize and cover stages over the 256 STL bodies the
@@ -78,7 +84,7 @@ fuzz-smoke:
 # corpus-built grids; both cycle inputs so no branch pattern is learned.
 bench-smoke:
 	$(GO) test -run xxx -bench 'Ablation_Matching(Hungarian|Pooled)K7' -benchtime 200x .
-	$(GO) test -run xxx -bench 'MatchingWithin' -benchtime 20000x -benchmem ./internal/dist/
+	$(GO) test -run xxx -bench 'MatchingWithin|SignatureBound' -benchtime 20000x -benchmem ./internal/dist/
 	$(GO) test -run xxx -bench 'FilterKNN|CentroidRanking' -benchtime 200x -benchmem ./internal/index/filter/
 	$(GO) test -run xxx -bench 'SearchMutatedView|Compact$$' -benchtime 100x -benchmem ./internal/vsdb/
 	$(GO) test -run xxx -bench 'ApproxCurve/10k' -benchtime 1x ./internal/recall/

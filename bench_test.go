@@ -153,9 +153,12 @@ func BenchmarkTable2_VectorSetFilter(b *testing.B) {
 // per component (the voxload corpus, bench/README.md "Corpus"); queries
 // are corpus members with N(0, 0.3) jitter. ns/op is CPU per 10-nn query;
 // pages/query and sim-io-ms/query are the tracker under §5.4's 8 ms/page
-// + 200 ns/byte. Both refine the same candidates (refined/query): the
-// column costs fewer CPU µs and, past ≈ 7 000 objects, more simulated
-// pages — the paper's argument for the tree, kept on the page. (1 M
+// + 200 ns/byte. The centroid bound lets the same candidates through to
+// both; the column's signature stage settles most of them before their
+// set is read, so its refined/query (what reaches the kernel) is the
+// tree's minus its signature-pruned/query. The ranking pass alone costs
+// fewer CPU µs and, past ≈ 7 000 objects, more simulated pages — the
+// paper's argument for the tree, kept on the page. (1 M
 // objects would need ≈ 500 MB for the sets alone and a 1 M-insert dynamic
 // tree; it does not fit this box's shared memory budget.)
 func BenchmarkTable2_JitteredFilter(b *testing.B) {
@@ -193,8 +196,9 @@ func BenchmarkTable2_JitteredFilter(b *testing.B) {
 				sets = append(sets, jitter(s, 0.5))
 			}
 		}
-		report := func(b *testing.B, tr *storage.Tracker, refined int64) {
+		report := func(b *testing.B, tr *storage.Tracker, sigPruned, refined int64) {
 			b.ReportMetric(float64(tr.PageAccesses())/float64(b.N), "pages/query")
+			b.ReportMetric(float64(sigPruned)/float64(b.N), "signature-pruned/query")
 			b.ReportMetric(float64(tr.IOTime(storage.PaperCostModel).Microseconds())/1e3/float64(b.N), "sim-io-ms/query")
 			b.ReportMetric(float64(refined)/float64(b.N), "refined/query")
 		}
@@ -209,7 +213,7 @@ func BenchmarkTable2_JitteredFilter(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				ix.KNN(queries[i%len(queries)], k)
 			}
-			report(b, &tr, ix.Refinements())
+			report(b, &tr, ix.SignaturePruned(), ix.Refinements())
 		})
 		b.Run("column/"+size.name, func(b *testing.B) {
 			var tr storage.Tracker
@@ -230,7 +234,8 @@ func BenchmarkTable2_JitteredFilter(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				db.KNN(queries[i%len(queries)], k)
 			}
-			report(b, &tr, db.Stats().Refinements)
+			st := db.Stats()
+			report(b, &tr, st.SignaturePruned, st.Refinements)
 		})
 	}
 }

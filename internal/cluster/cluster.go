@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -415,6 +416,7 @@ func (c *DB) Stats() vsdb.Stats {
 		}
 		s := db.Stats()
 		st.Refinements += s.Refinements
+		st.SignaturePruned += s.SignaturePruned
 		st.Matchings += s.Matchings
 		st.SketchCandidates += s.SketchCandidates
 		st.WALRecords += s.WALRecords
@@ -534,8 +536,9 @@ func (c *DB) BulkInsert(ids []uint64, sets [][][]float64) error {
 	return nil
 }
 
-// checkSet mirrors vsdb's cardinality/dimension validation so a bad set
-// is rejected before any shard of a batch is mutated.
+// checkSet mirrors vsdb's cardinality, dimension and finiteness
+// validation so a bad set is rejected before any shard of a batch is
+// mutated.
 func (c *DB) checkSet(id uint64, set [][]float64) error {
 	if len(set) == 0 {
 		return fmt.Errorf("cluster: empty vector set for id %d", id)
@@ -546,6 +549,11 @@ func (c *DB) checkSet(id uint64, set [][]float64) error {
 	for i, v := range set {
 		if len(v) != c.cfg.Dim {
 			return fmt.Errorf("cluster: vector %d has dim %d, want %d", i, len(v), c.cfg.Dim)
+		}
+		for j, x := range v {
+			if math.IsNaN(x) || math.IsInf(x, 0) {
+				return fmt.Errorf("cluster: id %d vector %d component %d is %v: %w", id, i, j, x, vsdb.ErrNonFinite)
+			}
 		}
 	}
 	return nil

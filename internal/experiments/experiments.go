@@ -5,7 +5,9 @@
 package experiments
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"sort"
 	"time"
@@ -25,6 +27,7 @@ import (
 	"github.com/voxset/voxset/internal/storage"
 	"github.com/voxset/voxset/internal/vectorset"
 	"github.com/voxset/voxset/internal/voxel"
+	"github.com/voxset/voxset/internal/vsdb"
 )
 
 // Dataset identifies one of the paper's two evaluation datasets.
@@ -124,6 +127,35 @@ type Table2Row struct {
 	Pages   int64
 	Bytes   int64
 	Refined int64 // exact distance computations (filter/scan paths)
+	Queries int   // queries the row ran
+	// Answers digests every query's (id, distance) answer list on the
+	// paper's filter row and the served one (0 elsewhere): equal digests,
+	// equal answers.
+	Answers uint64
+}
+
+// RefinedPer100 is Refined per 100 queries — the filter's selectivity,
+// the quantity the paper's Table 2 headlines.
+func (r Table2Row) RefinedPer100() float64 {
+	return 100 * float64(r.Refined) / float64(r.Queries)
+}
+
+// answerDigest folds k-nn answer lists into one FNV-1a digest.
+func answerDigest(lists [][]index.Neighbor) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	word := func(x uint64) {
+		binary.LittleEndian.PutUint64(b[:], x)
+		h.Write(b[:])
+	}
+	for _, l := range lists {
+		word(uint64(len(l)))
+		for _, nb := range l {
+			word(uint64(nb.ID))
+			word(math.Float64bits(nb.Dist))
+		}
+	}
+	return h.Sum64()
 }
 
 // Table2Config parameterizes the efficiency experiment.
@@ -155,6 +187,7 @@ func Table2(e *core.Engine, tc Table2Config) []Table2Row {
 	}
 
 	var rows []Table2Row
+	answers := make([][]index.Neighbor, len(queries))
 
 	// (a) One-vector model in an X-tree.
 	{
@@ -180,10 +213,12 @@ func Table2(e *core.Engine, tc Table2Config) []Table2Row {
 		}
 		tr.Reset()
 		start := time.Now()
-		for _, q := range queries {
-			ix.KNN(q.VSet, tc.K)
+		for i, q := range queries {
+			answers[i] = ix.KNN(q.VSet, tc.K)
 		}
-		rows = append(rows, finishRow("Vect. Set w. filter", start, &tr, ix.Refinements()))
+		row := finishRow("Vect. Set w. filter", start, &tr, ix.Refinements())
+		row.Answers = answerDigest(answers)
+		rows = append(rows, row)
 	}
 
 	// (c) Vector set model by sequential scan over the paged file.
@@ -245,10 +280,13 @@ func Table2(e *core.Engine, tc Table2Config) []Table2Row {
 
 	// (f) Extension: the filter as the server runs it — the same multi-step
 	// loop, ranking one sequential pass over the contiguous centroid column
-	// (filter.NewBulkStore inside vsdb) instead of walking the X-tree. The
-	// pass is charged as the ⌈n·48/4096⌉ pages it reads, so this row shows
-	// the trade against (b): less CPU, and under the §5.4 disk model more
-	// I/O once the column outgrows the part of the tree a query visits.
+	// (filter.NewBulkStore inside vsdb) instead of walking the X-tree, and
+	// testing every candidate the centroid bound lets through against the
+	// stored sorted per-axis signatures before fetching its set. The pass
+	// is charged as the ⌈n·48/4096⌉ pages it reads, so this row shows the
+	// trade against (b): less CPU and fewer refinements, and under the §5.4
+	// disk model more I/O once the column outgrows the part of the tree a
+	// query visits (a signature chunk's first touch also reads its 64 sets).
 	{
 		var tr storage.Tracker
 		db, err := BuildVectorSetDB(e, 1, &tr, nil)
@@ -257,11 +295,23 @@ func Table2(e *core.Engine, tc Table2Config) []Table2Row {
 		}
 		tr.Reset()
 		db.ResetRefinements()
+		dbAnswers := make([][]vsdb.Neighbor, len(queries))
 		start := time.Now()
-		for _, q := range queries {
-			db.KNN(q.VSet, tc.K)
+		for i, q := range queries {
+			dbAnswers[i] = db.KNN(q.VSet, tc.K)
 		}
-		rows = append(rows, finishRow("Vect. Set w. filter, column (ext.)", start, &tr, db.Stats().Refinements))
+		row := finishRow("Vect. Set w. filter, column + signature (ext.)", start, &tr, db.Stats().Refinements)
+		for i, l := range dbAnswers {
+			answers[i] = answers[i][:0]
+			for _, nb := range l {
+				answers[i] = append(answers[i], index.Neighbor{ID: int(nb.ID), Dist: nb.Dist})
+			}
+		}
+		row.Answers = answerDigest(answers)
+		rows = append(rows, row)
+	}
+	for i := range rows {
+		rows[i].Queries = len(queries)
 	}
 	return rows
 }
@@ -637,12 +687,12 @@ func FormatTable1(rows []Table1Row) string {
 
 // FormatTable2 renders Table 2 rows as text.
 func FormatTable2(rows []Table2Row) string {
-	s := fmt.Sprintf("%-22s %-12s %-12s %-12s %-10s %s\n",
-		"model", "CPU", "I/O", "total", "pages", "refined")
+	s := fmt.Sprintf("%-22s %-12s %-12s %-12s %-10s %-10s %s\n",
+		"model", "CPU", "I/O", "total", "pages", "refined", "refined/100 q")
 	for _, r := range rows {
-		s += fmt.Sprintf("%-22s %-12s %-12s %-12s %-10d %d\n",
+		s += fmt.Sprintf("%-22s %-12s %-12s %-12s %-10d %-10d %.0f\n",
 			r.Label, r.CPUTime.Round(time.Millisecond), r.IOTime.Round(time.Millisecond),
-			r.Total.Round(time.Millisecond), r.Pages, r.Refined)
+			r.Total.Round(time.Millisecond), r.Pages, r.Refined, r.RefinedPer100())
 	}
 	return s
 }

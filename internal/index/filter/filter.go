@@ -40,10 +40,15 @@
 // any worker count; a parallel k-nn may perform slightly more exact
 // evaluations than the sequential optimum (see DESIGN.md §6).
 //
-// Every refinement loop hands the threshold it holds (the current k-th
-// exact distance, ε) down to the matching kernel, whose O(k²) assignment
-// lower bound settles most candidates without the O(k³) solve:
-// Refinements counts the candidates fetched, Matchings the solves run.
+// Every refinement loop holds a threshold (the current k-th exact
+// distance, ε), and each candidate the centroid ranking lets through meets
+// two more exact tests against it before a solve (DESIGN.md §6): on a
+// store-backed FastL2 index, the sorted per-axis projection bound over
+// stored 16-bit signatures (signature.go), which settles most candidates
+// without fetching the set; then the matching kernel's O(k²) assignment
+// lower bound, which settles most of the rest without the O(k³) solve.
+// SignaturePruned counts the first, Refinements the candidates handed to
+// the kernel, Matchings the solves run.
 package filter
 
 import (
@@ -124,11 +129,13 @@ type Index struct {
 	// column.
 	store SetStore
 	col   []float64
+	sigs  []sigChunk // signature chunks of a store-backed FastL2 index, else nil
 
 	fastL2 bool
 	encBuf []byte // reused serialization buffer (Add is caller-serialized)
 
 	workers     int
+	sigPruned   atomic.Int64 // candidates the signature bound settled unfetched
 	refinements atomic.Int64 // candidates fetched and handed to the kernel
 	matchings   atomic.Int64 // of those, distances computed in full
 
@@ -194,16 +201,24 @@ func (ix *Index) Workers() int { return ix.workers }
 // Refinements returns the cumulative number of candidates queries
 // fetched and handed to the matching kernel (the filter's selectivity
 // measure, the paper's Table 2 quantity: the set's page is read whether
-// or not the kernel then runs the matching to completion).
+// or not the kernel then runs the matching to completion). Candidates the
+// signature bound settled are not among them.
 func (ix *Index) Refinements() int64 { return ix.refinements.Load() }
+
+// SignaturePruned returns the cumulative number of candidates that passed
+// the centroid bound but were proven beyond the threshold by the sorted
+// per-axis projection bound, without fetching their set.
+func (ix *Index) SignaturePruned() int64 { return ix.sigPruned.Load() }
 
 // Matchings returns how many of those refinements computed the matching
 // distance in full — the Hungarian solves run; the rest were settled by
 // the kernel's assignment lower bound against the loop's threshold.
 func (ix *Index) Matchings() int64 { return ix.matchings.Load() }
 
-// ResetRefinements zeroes the refinement and matching counters.
+// ResetRefinements zeroes the signature-pruned, refinement and matching
+// counters.
 func (ix *Index) ResetRefinements() {
+	ix.sigPruned.Store(0)
 	ix.refinements.Store(0)
 	ix.matchings.Store(0)
 }
@@ -274,46 +289,71 @@ func (ix *Index) fetchFlat(ws *dist.Workspace, i int) vectorset.Flat {
 
 // qview is a query prepared once per query call: the flat face feeds the
 // specialized kernel when the index runs FastL2, the row face feeds the
-// generic Ground/Weight path otherwise.
+// generic Ground/Weight path otherwise; sig, the query's exact signature
+// in pooled scratch, feeds the signature stage of an index that has one.
+// The loop that prepared it releases it.
 type qview struct {
 	rows [][]float64
 	flat vectorset.Flat
 	fast bool
+	sig  *dist.Signature
 }
 
 func (ix *Index) newQuery(rows [][]float64) (qview, []float64) {
 	if ix.fastL2 {
-		f := vectorset.FlatFromRows(rows)
-		return qview{flat: f, fast: true}, f.Centroid(ix.cfg.K, ix.omega)
+		return ix.newQueryFlat(vectorset.FlatFromRows(rows))
 	}
 	return qview{rows: rows}, vectorset.New(rows).Centroid(ix.cfg.K, ix.omega)
 }
 
 func (ix *Index) newQueryFlat(f vectorset.Flat) (qview, []float64) {
-	if ix.fastL2 {
-		return qview{flat: f, fast: true}, f.Centroid(ix.cfg.K, ix.omega)
+	if !ix.fastL2 {
+		return qview{rows: f.Rows()}, f.Centroid(ix.cfg.K, ix.omega)
 	}
-	return qview{rows: f.Rows()}, f.Centroid(ix.cfg.K, ix.omega)
+	q := qview{flat: f, fast: true}
+	if ix.sigs != nil {
+		q.sig = dist.GetSignature(f, ix.cfg.K, ix.omega)
+	}
+	return q, f.Centroid(ix.cfg.K, ix.omega)
 }
 
-// tally counts one loop's refinements and full matchings; the loop
-// publishes it to the index's shared counters once, not per candidate.
-type tally struct{ refined, solved int64 }
+func (q qview) release() {
+	if q.sig != nil {
+		dist.PutSignature(q.sig)
+	}
+}
+
+// tally counts one loop's signature prunes, refinements and full
+// matchings; the loop publishes it to the index's shared counters once,
+// not per candidate.
+type tally struct{ sigPruned, refined, solved int64 }
 
 func (ix *Index) publish(t tally) {
+	ix.sigPruned.Add(t.sigPruned)
 	ix.refinements.Add(t.refined)
 	ix.matchings.Add(t.solved)
 }
 
 // exact refines candidate i through the caller's matching workspace
 // against bound, the threshold the caller will compare the distance with:
-// the result is +Inf when the kernel proved the distance greater than
-// bound without running the matching (dist.MatchingDistanceFlatWithin).
-// The generic Ground/Weight path (an index without FastL2: tests, the
-// root voxset.Database) stays unbounded and always solves. The paged file
-// is safe for concurrent exact calls; each worker must hold its own
+// the result is +Inf when the signature stage or the kernel proved the
+// distance greater than bound without running the matching — the first
+// before the set is even fetched (signature.go), the second on the
+// cost matrix (dist.MatchingDistanceFlatWithin). The generic Ground/Weight
+// path (an index without FastL2: tests, the root voxset.Database) stays
+// unbounded and always solves. The paged file and the signature chunks
+// are safe for concurrent exact calls; each worker must hold its own
 // workspace and tally.
 func (ix *Index) exact(ws *dist.Workspace, q qview, i int, bound float64, t *tally) float64 {
+	// Until the loop holds a finite threshold nothing can be pruned, and
+	// the chunk need not be built yet.
+	if q.sig != nil && bound < math.Inf(1) {
+		codes, at := ix.signature(i)
+		if dist.SignatureExceeds(codes.Bound(q.sig, at), bound) {
+			t.sigPruned++
+			return math.Inf(1)
+		}
+	}
 	t.refined++
 	if !q.fast {
 		t.solved++
@@ -367,6 +407,7 @@ func (ix *Index) reach(threshold float64) float64 {
 const reachSlack = 1 + 0x1p-40
 
 func (ix *Index) rangeQuery(q qview, cq []float64, eps float64, live func(id int) bool) []index.Neighbor {
+	defer q.release()
 	// dist_mm ≤ eps requires ‖C(X)−C(q)‖ ≤ eps/K (Korn et al. [19]); the
 	// ranker over-collects by a rounding margin and beyond decides.
 	cands := ix.ranker.within(cq, ix.reach(eps))
@@ -486,6 +527,7 @@ func (ix *Index) KNNFlatLive(q vectorset.Flat, k int, live func(id int) bool) []
 }
 
 func (ix *Index) knn(q qview, cq []float64, k int, live func(id int) bool) []index.Neighbor {
+	defer q.release()
 	var results resultHeap
 	if ix.workers > 1 {
 		results = ix.knnParallel(cq, q, k, live)

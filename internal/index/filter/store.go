@@ -36,11 +36,13 @@ type StoreBuildOptions struct{}
 // NewBulkStore returns a filter index over store: refinement reads sets
 // straight from it and ranking scans its centroid column (flatRanker), so
 // there is no per-object re-encoding, no second copy of the database and
-// no tree to build — construction is O(1) in the object count. ids[i] is
-// the external object id of store.At(i). The index answers queries
-// identically to one built by sequential Add calls over the same sets
-// (same exact refinement, same (distance, id) order). It is immutable —
-// Add panics.
+// no tree to build — construction reads no set and computes nothing per
+// object (the signature chunks are encoded when a query first touches
+// them, signature.go). ids[i] is the external object id of store.At(i).
+// The index answers queries identically to one built by sequential Add
+// calls over the same sets (same (distance, id) order), refining fewer
+// candidates thanks to its signature stage. It is immutable — Add
+// panics.
 func NewBulkStore(cfg Config, store SetStore, ids []int, _ StoreBuildOptions) (*Index, error) {
 	n := store.Len()
 	if n != len(ids) {
@@ -53,5 +55,10 @@ func NewBulkStore(cfg Config, store SetStore, ids []int, _ StoreBuildOptions) (*
 	}
 	ix.store, ix.col, ix.ids = store, col, ids
 	ix.ranker = newFlatRanker(col, n, ix.cfg.PageSize, ix.cfg.Tracker)
+	if ix.fastL2 {
+		// The signature bound holds for L2 ground distance and w_ω weights
+		// only. Its chunks are encoded on first touch, not here.
+		ix.sigs = make([]sigChunk, (n+sigChunkLen-1)/sigChunkLen)
+	}
 	return ix, nil
 }

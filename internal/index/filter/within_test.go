@@ -117,13 +117,15 @@ func TestGenericPathStaysUnbounded(t *testing.T) {
 
 // BenchmarkFilterKNN is the engine-level price of one k = 10 query over
 // 10 000 sets (1 250 parts × 8 jittered copies, the shape of the served
-// corpus), with the two counters that explain it: refined/op, the
-// candidates the centroid filter let through, and solves/op, the
-// Hungarian solves left after the kernel's assignment bound. A
-// regression to always-solve shows as solves/op == refined/op. /store is
-// what every server runs — NewBulkStore, ranking the centroid column;
-// /dynamic is the paper's path — New + Add, ranking through the X-tree.
-// Both refine the same candidates.
+// corpus), with the three counters that explain it: signature-pruned/op,
+// the candidates past the centroid filter that the signature bound
+// settled unfetched; refined/op, the candidates handed to the kernel; and
+// solves/op, the Hungarian solves left after the kernel's assignment
+// bound. A regression to always-solve shows as solves/op == refined/op.
+// /store is what every server runs — NewBulkStore, ranking the centroid
+// column, with the signature stage; /dynamic is the paper's path — New +
+// Add, ranking through the X-tree, without it. The centroid filter lets
+// the same candidates through to both.
 func BenchmarkFilterKNN(b *testing.B) {
 	const K, D, parts, copies = 7, 6, 1250, 8
 	rng := rand.New(rand.NewSource(7))
@@ -164,6 +166,7 @@ func BenchmarkFilterKNN(b *testing.B) {
 					b.Fatalf("%d neighbors", len(got))
 				}
 			}
+			b.ReportMetric(float64(ix.SignaturePruned())/float64(b.N), "signature-pruned/op")
 			b.ReportMetric(float64(ix.Refinements())/float64(b.N), "refined/op")
 			b.ReportMetric(float64(ix.Matchings())/float64(b.N), "solves/op")
 		})

@@ -413,3 +413,100 @@ func TestQueryMeshMetrics(t *testing.T) {
 		t.Fatalf("dim-3 backend accepted a mesh query: %d", resp.StatusCode)
 	}
 }
+
+// TestRefinedPerQueryCountsExecutedQueries: /metrics relates refinements
+// to the queries every query endpoint executed — one per single request,
+// one per batch entry, cache hits included — and never to a request
+// rejected before it ran.
+func TestRefinedPerQueryCountsExecutedQueries(t *testing.T) {
+	meshes := testMeshes(8)
+	sets := extractAll(t, meshes)
+	db := buildMeshDB(t, sets)
+	s, ts := newTestServer(t, Config{DB: db})
+	ok := func(resp *http.Response, raw string) {
+		t.Helper()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d: %s", resp.StatusCode, raw)
+		}
+	}
+	rejected := func(resp *http.Response, raw string) {
+		t.Helper()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("status %d, want 400: %s", resp.StatusCode, raw)
+		}
+	}
+	post := func(path string, body interface{}) (*http.Response, string) {
+		resp, raw := postJSON(t, ts.URL+path, body)
+		return resp, string(raw)
+	}
+	mesh := func(path string, m int) (*http.Response, string) {
+		resp, _, raw := postMesh(t, ts.URL+path, stlBytes(t, meshes[m]))
+		return resp, raw
+	}
+	ok(mesh("/query/mesh?k=3", 5))                 // 1
+	ok(mesh("/query/mesh?k=3", 5))                 // 2, a cache hit
+	ok(mesh("/query/mesh?eps=2", 1))               // 3
+	ok(post("/query/mesh/batch", MeshBatchRequest{ // 4, 5, 6
+		Queries: []MeshBatchQuery{{STL: stlBytes(t, meshes[2]), K: 2}, {STL: stlBytes(t, meshes[3]), K: 4}, {STL: stlBytes(t, meshes[4]), K: 1}}}))
+	ok(post("/knn", QueryRequest{Set: sets[6], K: 3})) // 7
+	ok(post("/knn/batch", BatchRequest{                // 8, 9
+		Queries: []QueryRequest{{Set: sets[1], K: 2}, {Set: sets[7], K: 5}}}))
+	ok(post("/range", QueryRequest{Set: sets[0], Eps: 1})) // 10
+	rejected(mesh("/query/mesh", 5))
+	rejected(post("/knn", QueryRequest{Set: sets[6], K: 0}))
+	rejected(post("/knn", QueryRequest{Set: [][]float64{{1, 2, 3}}, K: 3}))
+	rejected(post("/range", QueryRequest{Set: sets[0], Eps: -1}))
+	rejected(post("/knn/batch", BatchRequest{Queries: []QueryRequest{{Set: sets[1], K: 2}, {K: 2}}}))
+
+	snap := s.MetricsSnapshot()
+	if snap.Refinements == 0 {
+		t.Fatal("no refinements counted")
+	}
+	if want := float64(snap.Refinements) / 10; snap.RefinedPerQuery != want {
+		t.Fatalf("refined_per_query = %v, want %d refinements / 10 executed queries = %v", snap.RefinedPerQuery, snap.Refinements, want)
+	}
+	if want := snap.RefinedPerQuery / float64(len(sets)); snap.CandidateRatio != want {
+		t.Fatalf("candidate_ratio = %v, want %v", snap.CandidateRatio, want)
+	}
+}
+
+// TestNonFiniteBodiesAreInvalidJSON: NaN, ±Infinity and an out-of-range
+// literal such as 1e999 cannot reach the engine through the HTTP API —
+// encoding/json refuses to decode them into a float64 — so every write
+// and query endpoint answers 400 "invalid JSON" for them, in single and
+// cluster mode, and nothing is stored. (The engine's own check,
+// vsdb.ErrNonFinite, guards the callers that bypass HTTP.)
+func TestNonFiniteBodiesAreInvalidJSON(t *testing.T) {
+	sets := extractAll(t, testMeshes(4))
+	for _, mode := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"single", Config{DB: buildMeshDB(t, sets)}},
+		{"cluster", Config{Cluster: buildMeshCluster(t, 3, sets)}},
+	} {
+		s, ts := newTestServer(t, mode.cfg)
+		for _, lit := range []string{"NaN", "Infinity", "-Infinity", "1e999", "-1e999"} {
+			vec := fmt.Sprintf("[[%s,0,0,0,0,0]]", lit)
+			for path, body := range map[string]string{
+				"/insert":    fmt.Sprintf(`{"id": 5000, "set": %s}`, vec),
+				"/knn":       fmt.Sprintf(`{"set": %s, "k": 3}`, vec),
+				"/range":     fmt.Sprintf(`{"set": %s, "eps": 1}`, vec),
+				"/knn/batch": fmt.Sprintf(`{"queries": [{"set": %s, "k": 3}]}`, vec),
+			} {
+				resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+				if err != nil {
+					t.Fatal(err)
+				}
+				raw, _ := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(raw), "invalid JSON") {
+					t.Fatalf("%s %s with %s: %d %s, want 400 invalid JSON", mode.name, path, lit, resp.StatusCode, raw)
+				}
+			}
+		}
+		if n := s.MetricsSnapshot().Objects; n != len(sets) {
+			t.Fatalf("%s: %d objects after the rejected inserts, want %d", mode.name, n, len(sets))
+		}
+	}
+}

@@ -248,12 +248,17 @@ type MetricsSnapshot struct {
 	Endpoints     map[string]EndpointSnapshot `json:"endpoints"`
 	// Refinements is the cumulative number of candidates fetched and
 	// handed to the matching kernel; RefinedPerQuery and CandidateRatio
-	// relate it to the query count and the database size (the filter's
+	// relate it to the queries executed — by every query endpoint, one per
+	// single request and one per batch entry, cache hits included,
+	// rejected requests not — and to the database size (the filter's
 	// selectivity: a ratio of 1 would mean the filter prunes nothing).
 	// Matchings is how many of them ran the Hungarian solve to completion
 	// rather than being settled by the kernel's O(k²) lower bound.
+	// SignaturePruned counts the candidates past the centroid bound that
+	// the signature bound settled before they were fetched (DESIGN.md §6).
 	Refinements     int64      `json:"refinements"`
 	Matchings       int64      `json:"matchings"`
+	SignaturePruned int64      `json:"signature_pruned"`
 	RefinedPerQuery float64    `json:"refined_per_query"`
 	CandidateRatio  float64    `json:"candidate_ratio"`
 	IO              IOSnapshot `json:"io"`

@@ -205,6 +205,7 @@ type Server struct {
 
 	batchSizes   sizeHistogram // /knn/batch batch-size distribution
 	batchQueries atomic.Int64  // total /knn/batch entries served
+	queries      atomic.Int64  // queries executed by every query endpoint, cache hits included
 }
 
 // New validates the configuration and returns a ready Server.
@@ -439,6 +440,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, m *endpoint
 // timeout, 502 for a strict-mode shard failure: the coordinator could not
 // gather a complete answer) and counted it in m, and returns false.
 func (s *Server) execute(w http.ResponseWriter, r *http.Request, m *endpointMetrics, start time.Time, qs []vsdb.Query) ([]QueryResponse, bool) {
+	s.queries.Add(int64(len(qs)))
 	epoch := s.db.Epoch()
 	out := make([]QueryResponse, len(qs))
 	keys := make([]uint64, len(qs))
@@ -578,14 +580,11 @@ func (s *Server) resolveQuerySet(req *QueryRequest) ([][]float64, error) {
 	if len(req.Set) > s.db.MaxCard() {
 		return nil, fmt.Errorf("query cardinality %d exceeds database MaxCard %d", len(req.Set), s.db.MaxCard())
 	}
+	// No finiteness check: encoding/json decodes no NaN, ±Inf or
+	// out-of-range literal into a float64, so the body was already refused.
 	for i, v := range req.Set {
 		if len(v) != s.db.Dim() {
 			return nil, fmt.Errorf("query vector %d has dim %d, want %d", i, len(v), s.db.Dim())
-		}
-		for j, x := range v {
-			if math.IsNaN(x) || math.IsInf(x, 0) {
-				return nil, fmt.Errorf("query vector %d component %d is not finite", i, j)
-			}
 		}
 	}
 	return req.Set, nil
@@ -716,14 +715,16 @@ type CompactResponse struct {
 }
 
 // mutateErrCode maps a backend mutation failure to a status code: the
-// expected conflict maps to its code, anything else — a shard down, a
-// shard timeout, an exhausted fault-injection retry — is a coordinator
-// failure (502) in cluster mode and a server failure (500) otherwise.
-// Validation has already happened; 4xx never reaches here except via
-// the conflict error.
+// expected conflict maps to its code, a set the engine refused as
+// non-finite to 400, anything else — a shard down, a shard timeout, an
+// exhausted fault-injection retry — is a coordinator failure (502) in
+// cluster mode and a server failure (500) otherwise.
 func (s *Server) mutateErrCode(err, conflict error, conflictCode int) int {
 	if errors.Is(err, conflict) {
 		return conflictCode
+	}
+	if errors.Is(err, vsdb.ErrNonFinite) {
+		return http.StatusBadRequest
 	}
 	if s.cluster != nil {
 		return http.StatusBadGateway
@@ -761,10 +762,10 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, MutateResponse{ID: req.ID, Epoch: s.db.Epoch(), Objects: s.db.Len()})
 }
 
-// validateInsertSet mirrors resolveQuerySet's checks for stored data:
-// vsdb validates cardinality and dimensions itself, but non-finite
-// components must be rejected at the API boundary (they would poison
-// every distance they participate in).
+// validateInsertSet mirrors resolveQuerySet's checks for stored data,
+// so a malformed set is a 400 with the request's own wording; vsdb checks
+// the same and also refuses non-finite coordinates (ErrNonFinite), which
+// no JSON body can carry.
 func (s *Server) validateInsertSet(set [][]float64) error {
 	if len(set) == 0 {
 		return errors.New("empty vector set")
@@ -775,11 +776,6 @@ func (s *Server) validateInsertSet(set [][]float64) error {
 	for i, v := range set {
 		if len(v) != s.db.Dim() {
 			return fmt.Errorf("vector %d has dim %d, want %d", i, len(v), s.db.Dim())
-		}
-		for j, x := range v {
-			if math.IsNaN(x) || math.IsInf(x, 0) {
-				return fmt.Errorf("vector %d component %d is not finite", i, j)
-			}
 		}
 	}
 	return nil
@@ -887,15 +883,16 @@ func (s *Server) MetricsSnapshot() MetricsSnapshot {
 			"query_mesh":       s.meshM.snapshot(),
 			"query_mesh_batch": s.meshBatchM.snapshot(),
 		},
-		BatchSizes:     s.batchSizes.snapshot(),
-		BatchQueries:   s.batchQueries.Load(),
-		Refinements:    st.Refinements,
-		Matchings:      st.Matchings,
-		Epoch:          s.db.Epoch(),
-		WALRecords:     st.WALRecords,
-		DeltaObjects:   st.DeltaLen,
-		TombstoneRatio: st.TombstoneRatio,
-		Compactions:    st.Compactions,
+		BatchSizes:      s.batchSizes.snapshot(),
+		BatchQueries:    s.batchQueries.Load(),
+		Refinements:     st.Refinements,
+		Matchings:       st.Matchings,
+		SignaturePruned: st.SignaturePruned,
+		Epoch:           s.db.Epoch(),
+		WALRecords:      st.WALRecords,
+		DeltaObjects:    st.DeltaLen,
+		TombstoneRatio:  st.TombstoneRatio,
+		Compactions:     st.Compactions,
 	}
 	if s.cluster != nil {
 		snap.ClusterShards = s.cluster.N()
@@ -917,8 +914,7 @@ func (s *Server) MetricsSnapshot() MetricsSnapshot {
 	if st.ApproxEnabled || s.approxM.queries.Load() > 0 {
 		snap.Approx = s.approxM.snapshot(st.ApproxEnabled, s.approx, st.SketchCandidates)
 	}
-	queries := snap.Endpoints["knn"].Count + snap.Endpoints["range"].Count + snap.BatchQueries
-	if queries > 0 {
+	if queries := s.queries.Load(); queries > 0 {
 		snap.RefinedPerQuery = float64(snap.Refinements) / float64(queries)
 		if s.db.Len() > 0 {
 			snap.CandidateRatio = snap.RefinedPerQuery / float64(s.db.Len())

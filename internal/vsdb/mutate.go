@@ -2,6 +2,7 @@ package vsdb
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/voxset/voxset/internal/parallel"
 	"github.com/voxset/voxset/internal/vectorset"
@@ -15,7 +16,8 @@ type walHandle struct {
 	opt  WALOptions
 }
 
-// checkSet validates cardinality and dimensions against the configuration.
+// checkSet validates cardinality and dimensions against the
+// configuration — all that log replay re-checks of a record.
 func (db *DB) checkSet(id uint64, set [][]float64) error {
 	if len(set) == 0 {
 		return fmt.Errorf("vsdb: empty vector set for id %d", id)
@@ -31,8 +33,8 @@ func (db *DB) checkSet(id uint64, set [][]float64) error {
 	return nil
 }
 
-// checkFlat is checkSet for an already-flat set (the snapshot load
-// path, where the decoder guarantees rectangular data).
+// checkFlat is checkSet plus checkFinite for an already-flat set (the
+// stream build path, where the layout guarantees rectangular data).
 func (db *DB) checkFlat(id uint64, set vectorset.Flat) error {
 	if set.Card == 0 {
 		return fmt.Errorf("vsdb: empty vector set for id %d", id)
@@ -43,17 +45,31 @@ func (db *DB) checkFlat(id uint64, set vectorset.Flat) error {
 	if set.Dim != db.cfg.Dim {
 		return fmt.Errorf("vsdb: vector 0 has dim %d, want %d", set.Dim, db.cfg.Dim)
 	}
+	return checkFinite(id, set)
+}
+
+// checkFinite refuses a set with a NaN or ±Inf coordinate (ErrNonFinite).
+func checkFinite(id uint64, set vectorset.Flat) error {
+	for i, x := range set.Data[:set.Card*set.Dim] {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return fmt.Errorf("vsdb: id %d vector %d component %d is %v: %w", id, i/set.Dim, i%set.Dim, x, ErrNonFinite)
+		}
+	}
 	return nil
 }
 
-// validateSet checks cardinality and dimensions and returns a flat copy
-// of the set, detached from caller storage (one buffer the view history
-// then owns exclusively).
+// validateSet checks cardinality, dimensions and finiteness and returns
+// a flat copy of the set, detached from caller storage (one buffer the
+// view history then owns exclusively).
 func (db *DB) validateSet(id uint64, set [][]float64) (vectorset.Flat, error) {
 	if err := db.checkSet(id, set); err != nil {
 		return vectorset.Flat{}, err
 	}
-	return vectorset.FlatFromRows(set), nil
+	cp := vectorset.FlatFromRows(set)
+	if err := checkFinite(id, cp); err != nil {
+		return vectorset.Flat{}, err
+	}
+	return cp, nil
 }
 
 // logRecords makes recs durable before the mutation becomes visible.
@@ -70,8 +86,9 @@ func (db *DB) logRecords(recs []wal.Record) error {
 
 // Insert stores the vector set under the caller-chosen id. Inserting an
 // existing id is an error wrapping ErrExists (use Delete first to
-// replace). With a WAL attached the record is durable before any query
-// can observe the object.
+// replace), a set with a NaN or ±Inf coordinate one wrapping
+// ErrNonFinite. With a WAL attached the record is durable before any
+// query can observe the object.
 func (db *DB) Insert(id uint64, set [][]float64) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -111,11 +128,12 @@ func (db *DB) Delete(id uint64) error {
 // deep-copying the sets on the Config.Workers pool (default one worker
 // per CPU for this batch path). Any invalid entry — duplicate id against
 // the database or within the batch, empty set, cardinality or dimension
-// mismatch — fails the whole call before the database is touched; the
-// first error in index order is returned. A successful BulkInsert is
-// indistinguishable from sequential Inserts in input order (the epoch
-// advances by len(ids)), except that the batch is folded straight into
-// a compacted base rather than the delta memtable.
+// mismatch, a non-finite coordinate (ErrNonFinite) — fails the whole call
+// before the database is touched; the first error in index order is
+// returned. A successful BulkInsert is indistinguishable from sequential
+// Inserts in input order (the epoch advances by len(ids)), except that
+// the batch is folded straight into a compacted base rather than the
+// delta memtable.
 func (db *DB) BulkInsert(ids []uint64, sets [][][]float64) error {
 	if len(ids) != len(sets) {
 		return fmt.Errorf("vsdb: BulkInsert got %d ids for %d sets", len(ids), len(sets))
@@ -213,10 +231,11 @@ func (db *DB) rebuildView(v *view, addIDs []uint64, addSets []vectorset.Flat, se
 	}
 	ids = append(ids, addIDs...)
 	sets = append(sets, addSets...)
-	// The retiring base's evaluations move into refExtra and matchExtra
-	// (and its sketch candidates into skExtra) so the DB-wide counters
-	// survive the rebuild.
+	// The retiring base's evaluations move into refExtra, sigExtra and
+	// matchExtra (and its sketch candidates into skExtra) so the DB-wide
+	// counters survive the rebuild.
 	db.refExtra.Add(v.base.Refinements())
+	db.sigExtra.Add(v.base.SignaturePruned())
 	db.matchExtra.Add(v.base.Matchings())
 	db.skExtra.Add(v.base.SketchCandidates())
 	if !v.compacted() {

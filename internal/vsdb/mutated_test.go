@@ -313,3 +313,88 @@ func BenchmarkCompact(b *testing.B) {
 		benchSink = db.rebuildView(v, nil, nil, 0)
 	}
 }
+
+// TestMutatedViewSignatureStage: a delta entry meets the signature stage
+// exactly as it does once compaction has moved it into the base. Every
+// set carries the corner vectors (−3, −3, −3) and (3, 3, 3) of the lattice,
+// so every signature block — a base chunk or a delta entry's block of one
+// — spans the same range on every axis and stores a given set with the
+// same codes; and a range query holds one threshold in whatever order it
+// visits candidates. So a range batch must settle the same candidates at
+// each stage — equal SignaturePruned, Refinements and Matchings, equal
+// answers — over an all-delta view, over a base with tombstones plus a
+// delta, and over their compacted forms; and the stage must fire.
+func TestMutatedViewSignatureStage(t *testing.T) {
+	for _, maxCard := range []int{mutCard, mutOddCard} {
+		for _, workers := range []int{1, 4} {
+			ctx := fmt.Sprintf("MaxCard=%d workers=%d", maxCard, workers)
+			rng := rand.New(rand.NewSource(int64(10*maxCard + workers)))
+			cornered := func() [][]float64 {
+				s := latticeSet(rng, 2+rng.Intn(maxCard-1))
+				for j := range s[0] {
+					s[0][j], s[1][j] = -3, 3
+				}
+				return s
+			}
+			db, err := Open(Config{Dim: mutDim, MaxCard: maxCard, Workers: workers, MaxDelta: noAutoCompact, CompactRatio: noAutoCompact})
+			if err != nil {
+				t.Fatal(err)
+			}
+			model := bruteModel{}
+			next := uint64(1)
+			insert := func(n int) {
+				for ; n > 0; n-- {
+					set := cornered()
+					if err := db.Insert(next, set); err != nil {
+						t.Fatal(err)
+					}
+					model[next] = set
+					next++
+				}
+			}
+			queries := make([][][]float64, 12)
+			for i := range queries {
+				queries[i] = latticeSet(rng, 1+rng.Intn(maxCard))
+			}
+			run := func(batch []Query) ([][]Neighbor, Stats) {
+				db.ResetRefinements()
+				out := db.Search(batch)
+				return out, db.Stats()
+			}
+			same := func(what string) {
+				t.Helper()
+				// ε on exact ties: each query's 1st, 10th and 40th brute distance.
+				var batch []Query
+				for _, q := range queries {
+					all := model.scan(q)
+					for _, at := range []int{0, 9, 39} {
+						batch = append(batch, Query{Set: q, Kind: Range, Eps: all[at].Dist})
+					}
+				}
+				mutOut, mutSt := run(batch)
+				db.Compact()
+				cmpOut, cmpSt := run(batch)
+				if !reflect.DeepEqual(mutOut, cmpOut) {
+					t.Fatalf("%s, %s: answers changed across Compact()", ctx, what)
+				}
+				if mutSt.SignaturePruned != cmpSt.SignaturePruned || mutSt.Refinements != cmpSt.Refinements || mutSt.Matchings != cmpSt.Matchings {
+					t.Fatalf("%s, %s: signature-pruned/refined/solved %d/%d/%d, compacted %d/%d/%d",
+						ctx, what, mutSt.SignaturePruned, mutSt.Refinements, mutSt.Matchings, cmpSt.SignaturePruned, cmpSt.Refinements, cmpSt.Matchings)
+				}
+				if mutSt.SignaturePruned == 0 {
+					t.Fatalf("%s, %s: the signature stage never fired", ctx, what)
+				}
+			}
+			insert(150)
+			same("all-delta view")
+			for id := uint64(1); id <= 150; id += 7 {
+				if err := db.Delete(id); err != nil {
+					t.Fatal(err)
+				}
+				delete(model, id)
+			}
+			insert(60)
+			same("base with tombstones + delta")
+		}
+	}
+}

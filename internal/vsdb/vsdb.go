@@ -20,11 +20,12 @@
 //     ranks their contiguous centroid column and refines their sets in
 //     place, and owns no tree;
 //   - delta: a small memtable of objects inserted since, each stored
-//     with its extended centroid. It has no index, but it is filtered
-//     like the base: a query visits entries in ascending centroid lower
-//     bound and refines only those that can still qualify (running the
-//     matching on all ≤ MaxDelta sets measured 4× the base's own
-//     refinements), so filter-vs-scan parity holds at every epoch;
+//     with its extended centroid and its encoded signature. It has no
+//     index, but it is filtered like the base: a query visits entries in
+//     ascending centroid lower bound and refines only those that neither
+//     bound rules out (running the matching on all ≤ MaxDelta sets
+//     measured 4× the base's own refinements), so filter-vs-scan parity
+//     holds at every epoch;
 //   - tomb: tombstones for deleted base-resident objects, which the
 //     base's candidate ranking skips before refining them.
 //
@@ -82,6 +83,12 @@ var (
 	ErrExists = errors.New("already present")
 	// ErrNotFound reports a Delete of an id that is not live.
 	ErrNotFound = errors.New("not found")
+	// ErrNonFinite reports a set with a NaN or ±Inf coordinate, which
+	// would poison every distance it takes part in and with them the
+	// (dist, id) order of every answer. Insert, BulkInsert and
+	// BulkBuildFromStream reject it; replaying a log or a replicated record
+	// does not check again, because a validating primary wrote it.
+	ErrNonFinite = errors.New("non-finite coordinate")
 )
 
 // Config parameterizes a vector set database.
@@ -183,16 +190,22 @@ type view struct {
 	ids []uint64
 }
 
-// deltaEntry is one memtable object: its set and the extended centroid
-// that lower-bounds its distance to any query (Lemma 2), computed once
-// when the entry is created.
+// deltaEntry is one memtable object: its set, the extended centroid
+// that lower-bounds its distance to any query (Lemma 2), and its
+// signature encoded as a block of one (the bound function the base's
+// chunks share), both computed once when the entry is created.
 type deltaEntry struct {
 	set  vectorset.Flat
 	cent []float64
+	sig  *dist.SignatureCodes
 }
 
 func (db *DB) newDeltaEntry(set vectorset.Flat) deltaEntry {
-	return deltaEntry{set: set, cent: set.Centroid(db.cfg.MaxCard, db.omega)}
+	return deltaEntry{
+		set:  set,
+		cent: set.Centroid(db.cfg.MaxCard, db.omega),
+		sig:  dist.EncodeSignatures([]vectorset.Flat{set}, db.cfg.MaxCard, db.omega),
+	}
 }
 
 // live reports whether id is visible in this view.
@@ -265,10 +278,11 @@ type DB struct {
 
 	// refExtra accumulates the refinements that the current base's counter
 	// does not cover: delta scans, plus the harvested counters of bases
-	// retired by compaction. matchExtra does the same for the matchings
-	// run to completion, skExtra for the sketch-candidate counter of
-	// approximate queries.
+	// retired by compaction. sigExtra does the same for the signature
+	// prunes, matchExtra for the matchings run to completion, skExtra for
+	// the sketch-candidate counter of approximate queries.
 	refExtra    atomic.Int64
+	sigExtra    atomic.Int64
 	matchExtra  atomic.Int64
 	skExtra     atomic.Int64
 	compactions atomic.Int64
@@ -355,11 +369,16 @@ type Stats struct {
 	// and handed to the matching kernel since the last reset — the filter
 	// pipeline's selectivity measure (the paper's Table 2 quantity: the
 	// set's page is read either way). Delta memtable entries count when
-	// they are refined, not when their centroid bound prunes them, and
-	// tombstoned base objects are skipped unrefined. (In-flight queries
-	// racing a compaction may lose their evaluations to the retiring
-	// base's counter; the gauge is monotone, not exact.)
+	// they are refined, not when their centroid or signature bound prunes
+	// them, and tombstoned base objects are skipped unrefined. (In-flight
+	// queries racing a compaction may lose their evaluations to the
+	// retiring base's counter; the gauge is monotone, not exact.)
 	Refinements int64
+	// SignaturePruned is the cumulative number of candidates, base and
+	// delta, that passed the centroid bound but that the sorted per-axis
+	// projection bound proved beyond the threshold before their set was
+	// fetched (DESIGN.md §6). They are not among Refinements.
+	SignaturePruned int64
 	// Matchings is how many of those refinements ran the O(k³) matching
 	// to completion — the Hungarian solves run. The rest were settled in
 	// O(k²) by the kernel's assignment lower bound against the threshold
@@ -395,6 +414,7 @@ func (db *DB) Stats() Stats {
 	v := db.cur.Load()
 	return Stats{
 		Refinements:      db.refExtra.Load() + v.base.Refinements(),
+		SignaturePruned:  db.sigExtra.Load() + v.base.SignaturePruned(),
 		Matchings:        db.matchExtra.Load() + v.base.Matchings(),
 		ApproxEnabled:    db.cfg.Approx != nil,
 		SketchCandidates: db.skExtra.Load() + v.base.SketchCandidates(),
@@ -406,9 +426,11 @@ func (db *DB) Stats() Stats {
 	}
 }
 
-// ResetRefinements zeroes the refinement and matching counters.
+// ResetRefinements zeroes the signature-pruned, refinement and matching
+// counters.
 func (db *DB) ResetRefinements() {
 	db.refExtra.Store(0)
+	db.sigExtra.Store(0)
 	db.matchExtra.Store(0)
 	db.cur.Load().base.ResetRefinements()
 }
@@ -576,21 +598,27 @@ func (db *DB) deltaBound(cq []float64, e deltaEntry) float64 {
 }
 
 // deltaRange appends to out, the base's answer, every delta object
-// within eps of the query — refining only entries whose centroid bound
-// does not already exceed eps, and solving only those the kernel's
-// assignment bound does not put beyond eps either — and returns the union
-// (dist, id)-ordered.
+// within eps of the query — refining only entries whose centroid and
+// signature bounds do not already exceed eps, and solving only those the
+// kernel's assignment bound does not put beyond eps either — and returns
+// the union (dist, id)-ordered.
 func (db *DB) deltaRange(v *view, query vectorset.Flat, eps float64, out []Neighbor) []Neighbor {
 	if len(v.deltaIDs) == 0 {
 		return out
 	}
 	cq := query.Centroid(db.cfg.MaxCard, db.omega)
+	qs := dist.GetSignature(query, db.cfg.MaxCard, db.omega)
+	defer dist.PutSignature(qs)
 	ws := dist.GetWorkspace()
 	defer dist.PutWorkspace(ws)
-	var refined, solved int64
+	var sigPruned, refined, solved int64
 	for _, id := range v.deltaIDs {
 		e := v.delta[id]
 		if vectorset.BoundExceeds(db.deltaBound(cq, e), eps) {
+			continue
+		}
+		if dist.SignatureExceeds(e.sig.Bound(qs, 0), eps) {
+			sigPruned++
 			continue
 		}
 		refined++
@@ -603,6 +631,7 @@ func (db *DB) deltaRange(v *view, query vectorset.Flat, eps float64, out []Neigh
 			out = append(out, Neighbor{ID: id, Dist: d})
 		}
 	}
+	db.sigExtra.Add(sigPruned)
 	db.refExtra.Add(refined)
 	db.matchExtra.Add(solved)
 	sortNeighbors(out)
@@ -614,11 +643,11 @@ func (db *DB) deltaRange(v *view, query vectorset.Flat, eps float64, out []Neigh
 // rule of the filter's own k-nn: entries are refined in ascending
 // centroid bound until the first bound strictly greater than the current
 // k-th distance, so every entry that ties or beats the k-th place is
-// refined and the answer is the exact top k of base ∪ delta; the kernel
-// gets the same k-th distance and drops an entry only when strictly
-// farther, so the tie rule at the k-th place is untouched. Typically a
-// handful of entries survive the bound, so the pass is sequential at any
-// worker count.
+// refined and the answer is the exact top k of base ∪ delta; the
+// signature stage and the kernel get the same k-th distance and drop an
+// entry only when strictly farther, so the tie rule at the k-th place is
+// untouched. Typically a handful of entries survive the bounds, so the
+// pass is sequential at any worker count.
 func (db *DB) deltaKNN(v *view, query vectorset.Flat, k int, out []Neighbor) []Neighbor {
 	if len(v.deltaIDs) == 0 {
 		return out
@@ -632,7 +661,7 @@ func (db *DB) deltaKNN(v *view, query vectorset.Flat, k int, out []Neighbor) []N
 	type cand struct {
 		bound float64
 		id    uint64
-		set   vectorset.Flat
+		e     deltaEntry
 	}
 	cq := query.Centroid(db.cfg.MaxCard, db.omega)
 	var cands []cand
@@ -640,7 +669,7 @@ func (db *DB) deltaKNN(v *view, query vectorset.Flat, k int, out []Neighbor) []N
 	for _, id := range v.deltaIDs {
 		e := v.delta[id]
 		if b := db.deltaBound(cq, e); !vectorset.BoundExceeds(b, limit) {
-			cands = append(cands, cand{b, id, e.set})
+			cands = append(cands, cand{b, id, e})
 		}
 	}
 	sort.Slice(cands, func(i, j int) bool {
@@ -649,15 +678,21 @@ func (db *DB) deltaKNN(v *view, query vectorset.Flat, k int, out []Neighbor) []N
 		}
 		return cands[i].id < cands[j].id
 	})
+	qs := dist.GetSignature(query, db.cfg.MaxCard, db.omega)
+	defer dist.PutSignature(qs)
 	ws := dist.GetWorkspace()
 	defer dist.PutWorkspace(ws)
-	var refined, solved int64
+	var sigPruned, refined, solved int64
 	for _, c := range cands {
 		if vectorset.BoundExceeds(c.bound, kth()) {
 			break
 		}
+		if dist.SignatureExceeds(c.e.sig.Bound(qs, 0), kth()) {
+			sigPruned++
+			continue
+		}
 		refined++
-		d, within := ws.MatchingDistanceFlatWithin(query, c.set, db.omega, kth())
+		d, within := ws.MatchingDistanceFlatWithin(query, c.e.set, db.omega, kth())
 		if !within {
 			continue // farther than the k-th place: it would land at == k below
 		}
@@ -673,6 +708,7 @@ func (db *DB) deltaKNN(v *view, query vectorset.Flat, k int, out []Neighbor) []N
 		copy(out[at+1:], out[at:])
 		out[at] = nb
 	}
+	db.sigExtra.Add(sigPruned)
 	db.refExtra.Add(refined)
 	db.matchExtra.Add(solved)
 	return out
