@@ -24,8 +24,8 @@ race:
 # round-trips, the voxserve shutdown hammer and the experiment suites —
 # under the race detector. This is what `check` runs pre-merge, and the
 # only race gate: it selects by package, not by test name, so the
-# cluster parity/chaos, approximate-tier recall, replication failover and
-# degraded-query suites cannot fall out of it by being renamed.
+# cluster parity/chaos, replication failover and degraded-query suites
+# cannot fall out of it by being renamed.
 check-race:
 	$(GO) test -race -timeout 60m ./...
 
@@ -56,15 +56,13 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzPagedOpen -fuzztime 5s ./internal/snapshot/
 	$(GO) test -run xxx -fuzz FuzzWALReplay -fuzztime 5s ./internal/wal/
 	$(GO) test -run xxx -fuzz FuzzClusterMerge -fuzztime 5s ./internal/cluster/
-	$(GO) test -run xxx -fuzz FuzzSketchDecode -fuzztime 5s ./internal/index/sketch/
 	$(GO) test -run xxx -fuzz FuzzReplicaStreamDecode -fuzztime 5s ./internal/replica/
 	$(GO) test -run xxx -fuzz FuzzMaxSubCuboid -fuzztime 5s ./internal/cover/
 
 # Quick benchmark smoke: the zero-allocation matching kernel, the
 # parallel-vs-sequential scaling pairs, and one pass of each measurement
 # EXPERIMENTS.md records from a benchmark table rather than from voxload:
-# the approximate tier's speed-vs-recall curve at 10 k objects, the
-# scan-to-CAD degraded-recall sweep, and the replication gauges
+# the scan-to-CAD degraded-recall sweep and the replication gauges
 # (follower-read latency, shipping lag, promotion time). The vsdb pair
 # puts a mutated view (128 delta entries, 32 tombstones) beside the same
 # state compacted — refined/op and ns/op must stay close; a regression to
@@ -87,7 +85,6 @@ bench-smoke:
 	$(GO) test -run xxx -bench 'MatchingWithin|SignatureBound' -benchtime 20000x -benchmem ./internal/dist/
 	$(GO) test -run xxx -bench 'FilterKNN|CentroidRanking' -benchtime 200x -benchmem ./internal/index/filter/
 	$(GO) test -run xxx -bench 'SearchMutatedView|Compact$$' -benchtime 100x -benchmem ./internal/vsdb/
-	$(GO) test -run xxx -bench 'ApproxCurve/10k' -benchtime 1x ./internal/recall/
 	$(GO) test -run xxx -bench 'DegradedRecall' -benchtime 1x ./internal/recall/
 	$(GO) test -run xxx -bench 'Replication' -benchtime 1x ./internal/cluster/
 	$(GO) test -run xxx -bench 'MeshExtract' -benchtime 1024x -benchmem ./internal/meshquery/

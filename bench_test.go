@@ -648,7 +648,7 @@ func benchmarkIngestDataset(b *testing.B, workers int) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := experiments.BuildVectorSetDB(e, workers, nil, nil); err != nil {
+		if _, err := experiments.BuildVectorSetDB(e, workers, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -139,7 +139,7 @@ func main() {
 		cfg := core.DefaultConfig()
 		cfg.Covers = *covers
 		cfg.Workers = *workers
-		db, err := experiments.BuildSnapshotDB(d, *seed, *n, cfg, *workers, nil, nil)
+		db, err := experiments.BuildSnapshotDB(d, *seed, *n, cfg, *workers, nil)
 		if err != nil {
 			log.Fatal(err)
 		}

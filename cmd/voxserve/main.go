@@ -56,18 +56,6 @@
 //
 //	voxserve -dataset car -shards 4 -wal-dir ./wals -replicas 2 -follower-reads
 //
-// With -approx queries answer through the approximate sketch candidate
-// tier (DESIGN.md §12): a Hamming scan over per-object sparse binary
-// sketches proposes the candidates the exact matcher refines, so results
-// carry exact distances but the candidate set — and therefore the
-// neighbor set — is approximate. Individual requests opt in or out with
-// "approx": true/false in the body; -approx-sample N shadow-runs every
-// Nth approximate k-nn against the exact engine and reports the sampled
-// recall under /metrics "approx":
-//
-//	voxserve -snapshot db.vsnap -approx -approx-sample 100
-//	curl -s localhost:8080/knn -d '{"id": 3, "k": 5, "approx": false}'
-//
 // Every snapshot is a paged VXSNAP02 file — written by voxgen -snapshot
 // or -stream, -save, -checkpoint, or snapshot.ConvertFile — memory-mapped
 // and served in place; a legacy VXSNAP01 file is upgraded in place the
@@ -122,20 +110,14 @@ func main() {
 		folRead = flag.Bool("follower-reads", false, "with -replicas: serve read-only requests from caught-up followers too (round-robin; results are byte-identical)")
 		maxLag  = flag.Uint64("max-lag", 0, "with -follower-reads: staleness bound in records behind the primary for a follower to serve reads (0 = fully caught-up only)")
 		snapDir = flag.String("snapshot-dir", "", "sharded snapshot directory (voxgen -stream or cluster SaveDir) to serve as a cluster")
-		approx  = flag.Bool("approx", false, "enable the approximate sketch candidate tier and make it the default for /knn, /knn/batch and /range (per-request \"approx\" overrides; distances stay exact)")
-		approxN = flag.Int("approx-sample", 0, "with -approx: shadow-run every Nth approximate k-nn against the exact engine and report sampled recall in /metrics (0 disables)")
 		meshMB  = flag.Int64("max-mesh-mb", 8, "cap on /query/mesh STL upload size in MiB (oversized bodies get 413)")
 	)
 	flag.Parse()
-	var approxOpts *vsdb.ApproxOptions
-	if *approx {
-		approxOpts = &vsdb.ApproxOptions{}
-	}
 
 	var tr storage.Tracker
 	if *shards > 0 || *snapDir != "" {
 		serveCluster(*shards, *partial, *walDir, *snap, *snapDir, *dataset, *seed, *n, *covers, *workers,
-			*addr, *timeout, *cache, *grace, *save, *wal, *ckpt, *noSync, approxOpts, *approxN,
+			*addr, *timeout, *cache, *grace, *save, *wal, *ckpt, *noSync,
 			*reps, *folRead, *maxLag, *meshMB<<20, &tr)
 		return
 	}
@@ -160,8 +142,6 @@ func main() {
 		Workers:      *workers,
 		Timeout:      *timeout,
 		CacheSize:    *cache,
-		Approx:       *approx,
-		ApproxSample: *approxN,
 		MaxMeshBytes: *meshMB << 20,
 	})
 	if err != nil {
@@ -171,7 +151,7 @@ func main() {
 	defer stop()
 	dbc := make(chan *vsdb.DB, 1)
 	go func() {
-		db, err := openDB(*snap, *dataset, *seed, *n, *covers, *workers, approxOpts, &tr)
+		db, err := openDB(*snap, *dataset, *seed, *n, *covers, *workers, &tr)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -238,7 +218,6 @@ func main() {
 func serveCluster(shards int, partial bool, walDir, snap, snapDir, dataset string, seed int64, n, covers, workers int,
 	addr string, timeout time.Duration, cacheSize int, grace time.Duration,
 	save, wal string, ckpt time.Duration, noSync bool,
-	approxOpts *vsdb.ApproxOptions, approxSample int,
 	replicas int, followerReads bool, maxLag uint64, maxMeshBytes int64, tr *storage.Tracker) {
 	if save != "" || wal != "" || ckpt > 0 {
 		log.Fatal("-save, -wal and -checkpoint apply to single-database mode; with -shards use -wal-dir (per-shard logs)")
@@ -253,7 +232,6 @@ func serveCluster(shards int, partial bool, walDir, snap, snapDir, dataset strin
 		WALNoSync:     noSync,
 		Workers:       workers,
 		Tracker:       tr,
-		Approx:        approxOpts,
 		Replicas:      replicas,
 		FollowerReads: followerReads,
 		MaxLag:        maxLag,
@@ -262,8 +240,6 @@ func serveCluster(shards int, partial bool, walDir, snap, snapDir, dataset strin
 		Workers:      workers,
 		Timeout:      timeout,
 		CacheSize:    cacheSize,
-		Approx:       approxOpts != nil,
-		ApproxSample: approxSample,
 		MaxMeshBytes: maxMeshBytes,
 	})
 	if err != nil {
@@ -345,13 +321,13 @@ func serveCluster(shards int, partial bool, walDir, snap, snapDir, dataset strin
 }
 
 // openDB loads a snapshot or builds a dataset from the CSG generators.
-func openDB(snap, dataset string, seed int64, n, covers, workers int, approx *vsdb.ApproxOptions, tr *storage.Tracker) (*vsdb.DB, error) {
+func openDB(snap, dataset string, seed int64, n, covers, workers int, tr *storage.Tracker) (*vsdb.DB, error) {
 	switch {
 	case snap != "" && dataset != "":
 		log.Fatal("give -snapshot or -dataset, not both")
 	case snap != "":
 		start := time.Now()
-		db, err := vsdb.OpenFile(snap, vsdb.LoadOptions{Tracker: tr, Workers: workers, Approx: approx})
+		db, err := vsdb.OpenFile(snap, vsdb.LoadOptions{Tracker: tr, Workers: workers})
 		if err != nil {
 			return nil, err
 		}
@@ -374,7 +350,7 @@ func openDB(snap, dataset string, seed int64, n, covers, workers int, approx *vs
 	cfg := core.DefaultConfig()
 	cfg.Covers = covers
 	cfg.Workers = workers
-	db, err := experiments.BuildSnapshotDB(d, seed, n, cfg, workers, tr, approx)
+	db, err := experiments.BuildSnapshotDB(d, seed, n, cfg, workers, tr)
 	if err != nil {
 		return nil, err
 	}

@@ -79,10 +79,6 @@ type Config struct {
 	// Tracker, if non-nil, is shared by every shard (it is safe for
 	// concurrent use), so cost-model accounting stays cluster-wide.
 	Tracker *storage.Tracker
-	// Approx, if non-nil, configures the approximate candidate tier on
-	// every shard (vsdb.Config.Approx semantics); queries with Approx set
-	// then answer through it.
-	Approx *vsdb.ApproxOptions
 
 	// WALDir, if non-empty, gives every shard a write-ahead log named
 	// wal.ShardLogName(i) inside it: mutations are durable before
@@ -315,7 +311,6 @@ func (c *DB) openShardAs(i int, walPath string) (*vsdb.DB, error) {
 				WALNoSync:    c.cfg.WALNoSync,
 				MaxDelta:     c.cfg.MaxDelta,
 				CompactRatio: c.cfg.CompactRatio,
-				Approx:       c.cfg.Approx,
 			})
 			if err != nil {
 				return nil, fmt.Errorf("cluster: shard %d: %w", i, err)
@@ -333,7 +328,6 @@ func (c *DB) openShardAs(i int, walPath string) (*vsdb.DB, error) {
 		WALNoSync:    c.cfg.WALNoSync,
 		MaxDelta:     c.cfg.MaxDelta,
 		CompactRatio: c.cfg.CompactRatio,
-		Approx:       c.cfg.Approx,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("cluster: shard %d: %w", i, err)
@@ -407,12 +401,11 @@ func (c *DB) Epoch() uint64 {
 }
 
 // Stats sums the shards' serving gauges (vsdb.Stats semantics): the
-// counters add up, ApproxEnabled is the cluster-wide configuration, and
-// TombstoneRatio is recomputed from the summed tombstone count — the
+// counters add up, and TombstoneRatio is recomputed from the summed tombstone count — the
 // cluster-wide fraction of base-resident objects deleted but not yet
 // compacted away. Down shards contribute nothing.
 func (c *DB) Stats() vsdb.Stats {
-	st := vsdb.Stats{ApproxEnabled: c.cfg.Approx != nil}
+	var st vsdb.Stats
 	for i := range c.shards {
 		db := c.shards[i].db.Load()
 		if db == nil {
@@ -422,7 +415,6 @@ func (c *DB) Stats() vsdb.Stats {
 		st.Refinements += s.Refinements
 		st.SignaturePruned += s.SignaturePruned
 		st.Matchings += s.Matchings
-		st.SketchCandidates += s.SketchCandidates
 		st.WALRecords += s.WALRecords
 		st.DeltaLen += s.DeltaLen
 		st.Tombstones += s.Tombstones

@@ -2,9 +2,13 @@ package cluster_test
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
+	"strings"
 	"testing"
 
 	"github.com/voxset/voxset/internal/cluster"
+	"github.com/voxset/voxset/internal/vsdb"
 	"github.com/voxset/voxset/internal/vsdb/vsdbtest"
 )
 
@@ -192,6 +196,130 @@ func TestClusterParityTranscripts(t *testing.T) {
 	for ci := 1; ci < len(combos); ci++ {
 		if transcripts[ci] != transcripts[0] {
 			t.Fatalf("query transcript of %+v differs from %+v", combos[ci], combos[0])
+		}
+	}
+}
+
+// familyCorpus draws n objects and the given number of queries from part
+// families, as in the paper's CAD catalogs: each family is a prototype
+// set of nonnegative, counts-like components, and members (and queries)
+// jitter every component, so a query's true neighbours are its family.
+func familyCorpus(seed int64, n, queries int) (ids []uint64, sets, qs [][][]float64) {
+	const (
+		dim     = 4
+		maxCard = 5
+		jitter  = 1.0
+	)
+	rng := rand.New(rand.NewSource(seed))
+	families := make([][][]float64, n/25+1)
+	for f := range families {
+		set := make([][]float64, 1+rng.Intn(maxCard))
+		for i := range set {
+			v := make([]float64, dim)
+			for j := range v {
+				v[j] = math.Abs(rng.NormFloat64()*2 + 4)
+			}
+			set[i] = v
+		}
+		families[f] = set
+	}
+	sample := func() [][]float64 {
+		base := families[rng.Intn(len(families))]
+		set := make([][]float64, len(base))
+		for i, bv := range base {
+			v := make([]float64, dim)
+			for j := range v {
+				v[j] = bv[j] + rng.NormFloat64()*jitter
+			}
+			set[i] = v
+		}
+		return set
+	}
+	ids = make([]uint64, n)
+	sets = make([][][]float64, n)
+	for i := range ids {
+		ids[i], sets[i] = uint64(i+1), sample()
+	}
+	qs = make([][][]float64, queries)
+	for i := range qs {
+		qs[i] = sample()
+	}
+	return ids, sets, qs
+}
+
+// transcript serializes a stream of answers — ids and the exact bit
+// patterns of the distances — so two engines are answer-for-answer
+// identical iff their transcripts are equal.
+func transcript(answers [][]vsdb.Neighbor) string {
+	var b strings.Builder
+	for _, res := range answers {
+		fmt.Fprintf(&b, "%d:", len(res))
+		for _, nb := range res {
+			fmt.Fprintf(&b, " %d/%x", nb.ID, math.Float64bits(nb.Dist))
+		}
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
+// TestClusterTranscriptsMatchSingle: over a bulk-loaded family corpus —
+// every object base-resident, so the centroid ranking, the signature
+// stage and the shards' handed thresholds all run — the coordinator's
+// k-nn and ε-range transcripts equal a single database's byte for byte
+// at every shards × workers combination.
+func TestClusterTranscriptsMatchSingle(t *testing.T) {
+	const (
+		n       = 800
+		queries = 25
+		k       = 12
+		eps     = 2.5
+	)
+	omega := []float64{0.3, -0.1, 0.7, 0.2}
+	ids, sets, qs := familyCorpus(31, n, queries)
+	ref, err := vsdb.Open(vsdb.Config{Dim: 4, MaxCard: 5, Omega: omega})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	if err := ref.BulkInsert(ids, sets); err != nil {
+		t.Fatal(err)
+	}
+	var wantKNN, wantRange [][]vsdb.Neighbor
+	for _, q := range qs {
+		wantKNN = append(wantKNN, ref.KNN(q, k))
+		wantRange = append(wantRange, ref.Range(q, eps))
+	}
+
+	for _, shards := range []int{1, 4} {
+		for _, workers := range []int{1, 4} {
+			t.Run(fmt.Sprintf("shards=%d/workers=%d", shards, workers), func(t *testing.T) {
+				c, err := cluster.New(cluster.Config{Shards: shards, Dim: 4, MaxCard: 5, Omega: omega, Workers: workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer c.Close()
+				if err := c.BulkInsert(ids, sets); err != nil {
+					t.Fatal(err)
+				}
+				var gotKNN, gotRange [][]vsdb.Neighbor
+				for _, q := range qs {
+					nn, err := c.KNN(q, k)
+					if err != nil {
+						t.Fatal(err)
+					}
+					rr, err := c.Range(q, eps)
+					if err != nil {
+						t.Fatal(err)
+					}
+					gotKNN, gotRange = append(gotKNN, nn.Neighbors), append(gotRange, rr.Neighbors)
+				}
+				if transcript(gotKNN) != transcript(wantKNN) {
+					t.Fatal("cluster k-nn transcript differs from the single database")
+				}
+				if transcript(gotRange) != transcript(wantRange) {
+					t.Fatal("cluster range transcript differs from the single database")
+				}
+			})
 		}
 	}
 }

@@ -27,8 +27,8 @@ type Result struct {
 // vsdb.SearchWithin), and merges each shard's lists into the entries
 // under the (dist, id) contract, truncated at that entry's K for a KNN
 // query and complete for a Range query. The result is bit-identical to
-// an unsharded database holding the same objects, for every Kind, Approx
-// and Match:
+// an unsharded database holding the same objects, for every Kind and
+// Match:
 //
 //   - every set distance is scored per (query, object) pair, so each
 //     member of an entry's global top K is inside its own shard's top K,
@@ -38,10 +38,7 @@ type Result struct {
 //     strictly farther could never enter the merged top K, so the shard
 //     answers only with neighbours at most that far — and prunes against
 //     the threshold from its first candidate instead of searching for its
-//     own top K from scratch (DESIGN.md §9);
-//   - distances are exact under Approx too — only the candidate set is
-//     approximate, and it takes no threshold — so the merge semantics do
-//     not change with the mode.
+//     own top K from scratch (DESIGN.md §9).
 //
 // Degradation is per call, not per entry: in strict mode the first shard
 // failure fails the whole Search and the shards after it are not

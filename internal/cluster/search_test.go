@@ -31,15 +31,14 @@ func batchOf(sets [][][]float64, proto vsdb.Query) []vsdb.Query {
 	return qs
 }
 
-var searchApprox = &vsdb.ApproxOptions{Bits: 128, Active: 12, Seed: 5, KNNFactor: 2, MinCandidates: 8, RangeCandidates: 16}
-
 // TestClusterSearchParity: one heterogeneous Search — mixed K, Range,
-// Approx on and off, partial matching at several I — answers every entry
-// byte for byte as the same query issued alone at the same epochs, across
-// shard widths and worker counts, on sketch-configured and unconfigured
-// clusters with base, delta and tombstone layers live. With a shard
+// partial matching at several I — answers every entry byte for byte as
+// the same query issued alone at the same epochs, across shard widths and
+// worker counts, with base, delta and tombstone layers live. With a shard
 // failing in partial mode the degraded batch must equal the degraded
-// singles too, and every entry must share the call's Partial/Errors.
+// singles too, and every entry must share the call's Partial/Errors. The
+// subtests keep the "approx=false" label of the days when an approximate
+// tier ran beside them, so their names stay comparable across history.
 func TestClusterSearchParity(t *testing.T) {
 	var armed atomic.Bool
 	fault := cluster.FaultFunc(func(shard int, op cluster.Op, attempt int) error {
@@ -48,93 +47,81 @@ func TestClusterSearchParity(t *testing.T) {
 		}
 		return nil
 	})
-	for _, approx := range []*vsdb.ApproxOptions{nil, searchApprox} {
-		for _, shards := range []int{1, 4} {
-			for _, workers := range []int{1, 4} {
-				t.Run(fmt.Sprintf("approx=%v/shards=%d/workers=%d", approx != nil, shards, workers), func(t *testing.T) {
-					armed.Store(false)
-					cfg := testConfig(shards)
-					cfg.Workers = workers
-					cfg.Approx = approx
-					cfg.Partial = true
-					cfg.Fault = fault
-					cfg.Retries = -1 // the injected fault is permanent; don't wait it out
-					c := newCluster(t, cfg)
-					rng := rand.New(rand.NewSource(61))
-					ids := make([]uint64, 240)
-					sets := make([][][]float64, len(ids))
-					for i := range ids {
-						ids[i], sets[i] = uint64(i+1), randSet(rng)
-					}
-					if err := c.BulkInsert(ids, sets); err != nil { // base layer
+	for _, shards := range []int{1, 4} {
+		for _, workers := range []int{1, 4} {
+			t.Run(fmt.Sprintf("approx=false/shards=%d/workers=%d", shards, workers), func(t *testing.T) {
+				armed.Store(false)
+				cfg := testConfig(shards)
+				cfg.Workers = workers
+				cfg.Partial = true
+				cfg.Fault = fault
+				cfg.Retries = -1 // the injected fault is permanent; don't wait it out
+				c := newCluster(t, cfg)
+				rng := rand.New(rand.NewSource(61))
+				ids := make([]uint64, 240)
+				sets := make([][][]float64, len(ids))
+				for i := range ids {
+					ids[i], sets[i] = uint64(i+1), randSet(rng)
+				}
+				if err := c.BulkInsert(ids, sets); err != nil { // base layer
+					t.Fatal(err)
+				}
+				for id := uint64(241); id <= 270; id++ { // delta layer
+					if err := c.Insert(id, randSet(rng)); err != nil {
 						t.Fatal(err)
 					}
-					for id := uint64(241); id <= 270; id++ { // delta layer
-						if err := c.Insert(id, randSet(rng)); err != nil {
-							t.Fatal(err)
-						}
+				}
+				for id := uint64(7); id <= 140; id += 7 { // tombstones
+					if err := c.Delete(id); err != nil {
+						t.Fatal(err)
 					}
-					for id := uint64(7); id <= 140; id += 7 { // tombstones
-						if err := c.Delete(id); err != nil {
-							t.Fatal(err)
-						}
-					}
+				}
 
-					var qs []vsdb.Query
-					for i := 0; i < 5; i++ {
-						set := randSet(rng)
-						near, err := c.KNN(set, 15)
-						if err != nil {
-							t.Fatal(err)
-						}
-						eps := near.Neighbors[14].Dist
-						qs = append(qs,
-							vsdb.Query{Set: set, Kind: vsdb.KNN, K: 2 + 5*i},
-							vsdb.Query{Set: set, Kind: vsdb.KNN, K: 2 + 5*i, Approx: true},
-							vsdb.Query{Set: set, Kind: vsdb.Range, Eps: eps},
-							vsdb.Query{Set: set, Kind: vsdb.Range, Eps: eps, Approx: true},
-							vsdb.Query{Set: set, Kind: vsdb.KNN, K: 4 + i, Match: vsdb.SetQuery{Partial: true, I: i % 3}},
-							vsdb.Query{Set: set, Kind: vsdb.Range, Eps: eps / 4, Match: vsdb.SetQuery{Partial: true, I: 1 + i%2}},
-						)
+				var qs []vsdb.Query
+				for i := 0; i < 5; i++ {
+					set := randSet(rng)
+					near, err := c.KNN(set, 15)
+					if err != nil {
+						t.Fatal(err)
 					}
+					eps := near.Neighbors[14].Dist
+					qs = append(qs,
+						vsdb.Query{Set: set, Kind: vsdb.KNN, K: 2 + 5*i},
+						vsdb.Query{Set: set, Kind: vsdb.Range, Eps: eps},
+						vsdb.Query{Set: set, Kind: vsdb.KNN, K: 4 + i, Match: vsdb.SetQuery{Partial: true, I: i % 3}},
+						vsdb.Query{Set: set, Kind: vsdb.Range, Eps: eps / 4, Match: vsdb.SetQuery{Partial: true, I: 1 + i%2}},
+					)
+				}
 
-					check := func(label string, wantPartial bool) {
-						t.Helper()
-						got, err := c.Search(qs)
+				check := func(label string, wantPartial bool) {
+					t.Helper()
+					got, err := c.Search(qs)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					if len(got) != len(qs) {
+						t.Fatalf("%s: %d results for %d queries", label, len(got), len(qs))
+					}
+					for i, q := range qs {
+						want, err := searchOne(c, q)
 						if err != nil {
-							t.Fatalf("%s: %v", label, err)
+							t.Fatalf("%s entry %d: %v", label, i, err)
 						}
-						if len(got) != len(qs) {
-							t.Fatalf("%s: %d results for %d queries", label, len(got), len(qs))
+						if !reflect.DeepEqual(got[i].Neighbors, want.Neighbors) {
+							t.Fatalf("%s entry %d (%+v): batch %v, alone %v", label, i, q, got[i].Neighbors, want.Neighbors)
 						}
-						for i, q := range qs {
-							want, err := searchOne(c, q)
-							if err != nil {
-								t.Fatalf("%s entry %d: %v", label, i, err)
-							}
-							if !reflect.DeepEqual(got[i].Neighbors, want.Neighbors) {
-								t.Fatalf("%s entry %d (%+v): batch %v, alone %v", label, i, q, got[i].Neighbors, want.Neighbors)
-							}
-							if got[i].Partial != wantPartial || (got[i].Errors[0] != nil) != wantPartial || len(got[i].Errors) != len(want.Errors) {
-								t.Fatalf("%s entry %d: Partial=%v Errors=%v, want partial=%v like the single (%v)",
-									label, i, got[i].Partial, got[i].Errors, wantPartial, want.Errors)
-							}
-							if approx == nil && q.Approx {
-								exact := q
-								exact.Approx = false
-								if twin, _ := searchOne(c, exact); !reflect.DeepEqual(got[i].Neighbors, twin.Neighbors) {
-									t.Fatalf("%s entry %d: Approx changed an answer on a cluster without a sketch tier", label, i)
-								}
-							}
+						if got[i].Partial != wantPartial || (got[i].Errors[0] != nil) != wantPartial || len(got[i].Errors) != len(want.Errors) {
+							t.Fatalf("%s entry %d: Partial=%v Errors=%v, want partial=%v like the single (%v)",
+								label, i, got[i].Partial, got[i].Errors, wantPartial, want.Errors)
 						}
 					}
-					check("healthy", false)
-					if shards > 1 { // with one shard, losing it is an all-shards failure
-						armed.Store(true)
-						check("shard 0 failing", true)
-					}
-				})
-			}
+				}
+				check("healthy", false)
+				if shards > 1 { // with one shard, losing it is an all-shards failure
+					armed.Store(true)
+					check("shard 0 failing", true)
+				}
+			})
 		}
 	}
 }

@@ -25,7 +25,7 @@ func TestClusterParity212(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := BuildVectorSetDB(e, 0, nil, nil)
+	ref, err := BuildVectorSetDB(e, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -289,7 +289,7 @@ func Table2(e *core.Engine, tc Table2Config) []Table2Row {
 	// query visits (a signature chunk's first touch also reads its 64 sets).
 	{
 		var tr storage.Tracker
-		db, err := BuildVectorSetDB(e, 1, &tr, nil)
+		db, err := BuildVectorSetDB(e, 1, &tr)
 		if err != nil {
 			panic(fmt.Sprintf("experiments: Table 2 column row: %v", err))
 		}

@@ -27,17 +27,14 @@ func BuildParallel(cfg core.Config, parts []cadgen.Part, workers int) (*core.Eng
 // produced an empty set (degenerate parts) are skipped. workers bounds
 // the bulk-insert validation pool and the database's refinement workers,
 // with the same fallback chain as BuildParallel. tr, if non-nil, is the
-// database's I/O tracker, charged for query-time page accesses; approx,
-// if non-nil, enables the approximate sketch candidate tier (DESIGN.md
-// §12).
-func BuildVectorSetDB(e *core.Engine, workers int, tr *storage.Tracker, approx *vsdb.ApproxOptions) (*vsdb.DB, error) {
+// database's I/O tracker, charged for query-time page accesses.
+func BuildVectorSetDB(e *core.Engine, workers int, tr *storage.Tracker) (*vsdb.DB, error) {
 	cfg := e.Config()
 	db, err := vsdb.Open(vsdb.Config{
 		Dim:     6,
 		MaxCard: cfg.Covers,
 		Tracker: tr,
 		Workers: workers,
-		Approx:  approx,
 	})
 	if err != nil {
 		return nil, err

@@ -22,15 +22,14 @@ func ParseDataset(name string) (Dataset, error) {
 
 // BuildSnapshotDB runs the full ingest pipeline — dataset generation,
 // parallel feature extraction, bulk insert — and returns a queryable
-// database wired to the tracker, with the approximate sketch candidate
-// tier enabled when approx is non-nil. It is the build half of the
-// voxgen -snapshot / voxserve -dataset serving flow.
-func BuildSnapshotDB(d Dataset, seed int64, n int, cfg core.Config, workers int, tr *storage.Tracker, approx *vsdb.ApproxOptions) (*vsdb.DB, error) {
+// database wired to the tracker. It is the build half of the voxgen
+// -snapshot / voxserve -dataset serving flow.
+func BuildSnapshotDB(d Dataset, seed int64, n int, cfg core.Config, workers int, tr *storage.Tracker) (*vsdb.DB, error) {
 	e, err := BuildParallel(cfg, d.Parts(seed, n), workers)
 	if err != nil {
 		return nil, err
 	}
-	return BuildVectorSetDB(e, workers, tr, approx)
+	return BuildVectorSetDB(e, workers, tr)
 }
 
 // LoadOrBuildSnapshot opens the snapshot at path if it exists; otherwise
@@ -47,7 +46,7 @@ func LoadOrBuildSnapshot(path string, d Dataset, seed int64, n int, cfg core.Con
 		}
 		return db, true, nil
 	}
-	db, err := BuildSnapshotDB(d, seed, n, cfg, workers, tr, nil)
+	db, err := BuildSnapshotDB(d, seed, n, cfg, workers, tr)
 	if err != nil {
 		return nil, false, err
 	}

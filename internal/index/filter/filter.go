@@ -55,12 +55,10 @@ import (
 	"bytes"
 	"fmt"
 	"math"
-	"sync"
 	"sync/atomic"
 
 	"github.com/voxset/voxset/internal/dist"
 	"github.com/voxset/voxset/internal/index"
-	"github.com/voxset/voxset/internal/index/sketch"
 	"github.com/voxset/voxset/internal/index/xtree"
 	"github.com/voxset/voxset/internal/parallel"
 	"github.com/voxset/voxset/internal/storage"
@@ -93,12 +91,6 @@ type Config struct {
 	// the VOXSET_WORKERS environment variable and defaults to 1
 	// (sequential). Query results are identical at any setting.
 	Workers int
-	// Sketch enables the approximate candidate tier (DESIGN.md §12):
-	// per-object sparse binary signatures scanned by Hamming distance
-	// instead of the centroid ranking. nil keeps the index exact-only;
-	// KNNApproxFlat/RangeApproxFlat then fall back to the exact engine,
-	// which is what makes "approx off" byte-identical by construction.
-	Sketch *sketch.Params
 	// FastL2 routes refinement through the specialized flat kernel
 	// (dist.MatchingDistanceFlat): candidate records decode into a
 	// per-workspace flat buffer with zero steady-state allocation and the
@@ -138,15 +130,6 @@ type Index struct {
 	sigPruned   atomic.Int64 // candidates the signature bound settled unfetched
 	refinements atomic.Int64 // candidates fetched and handed to the kernel
 	matchings   atomic.Int64 // of those, distances computed in full
-
-	// Approximate tier state (sketch.go): the signature table is built
-	// lazily on the first approximate query, or adopted from a snapshot
-	// via AttachSketches.
-	skOnce     sync.Once
-	skProj     *sketch.Projector
-	skWords    []uint64
-	skAttached *sketch.Block
-	skCands    atomic.Int64
 }
 
 // New returns an empty filter index that grows by Add and ranks through

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"time"
@@ -16,8 +15,7 @@ import (
 const maxBatchSize = 1024
 
 // BatchRequest is the body of /knn/batch: each entry is a complete /knn
-// request body ("set" or "id", plus "k" and optionally "approx"; both may
-// differ per entry).
+// request body ("set" or "id", plus "k", which may differ per entry).
 type BatchRequest struct {
 	Queries []QueryRequest `json:"queries"`
 }
@@ -37,18 +35,14 @@ type BatchResponse struct {
 // any other query: probed against the cache entry by entry under the keys
 // /knn itself uses (so a batch entry hits results cached by single
 // queries and vice versa), the misses in ONE backend Search — whatever
-// mix of k and query mode they carry — so a cluster coordinator fans the
-// batch out to every shard exactly once. Batch entries count as
-// approximate queries but are not shadow-sampled: the recall gauge draws
-// from single-entry requests only.
+// mix of k they carry — so a cluster coordinator visits every shard
+// exactly once for the whole batch.
 func (s *Server) handleKNNBatch(w http.ResponseWriter, r *http.Request) {
 	m := &s.batchM
 	m.count.Add(1)
 	start := time.Now()
 	var req BatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		m.errors.Add(1)
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "invalid JSON: " + err.Error()})
+	if !s.decodeBody(w, r, m, &req, false) {
 		return
 	}
 	n := len(req.Queries)

@@ -322,7 +322,6 @@ func TestMalformedRequests400BothModes(t *testing.T) {
 		{"mesh k=0", "/query/mesh?k=0", `solid x`},
 		{"mesh bad dist", "/query/mesh?k=3&dist=hausdorff", `solid x`},
 		{"mesh i without partial", "/query/mesh?k=3&i=2", `solid x`},
-		{"mesh approx with partial", "/query/mesh?k=3&dist=partial&approx=true", `solid x`},
 		{"mesh batch bad json", "/query/mesh/batch", `{"queries": [`},
 		{"mesh batch empty", "/query/mesh/batch", `{"queries": []}`},
 	}

@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -62,12 +61,11 @@ type MeshQueryResponse struct {
 // MeshBatchQuery is one entry of /query/mesh/batch: a base64-encoded
 // STL body plus the same parameters /query/mesh takes in its URL.
 type MeshBatchQuery struct {
-	STL    []byte   `json:"stl"`
-	K      int      `json:"k,omitempty"`
-	Eps    *float64 `json:"eps,omitempty"`
-	Dist   string   `json:"dist,omitempty"`
-	I      int      `json:"i,omitempty"`
-	Approx *bool    `json:"approx,omitempty"`
+	STL  []byte   `json:"stl"`
+	K    int      `json:"k,omitempty"`
+	Eps  *float64 `json:"eps,omitempty"`
+	Dist string   `json:"dist,omitempty"`
+	I    int      `json:"i,omitempty"`
 }
 
 // MeshBatchRequest is the body of /query/mesh/batch.
@@ -122,21 +120,6 @@ func (s *Server) parseMeshParams(v url.Values) (vsdb.Query, error) {
 			return q, fmt.Errorf("i must be an integer ≥ 0, got %q", iStr)
 		}
 		q.Match.I = i
-	}
-	switch a := v.Get("approx"); a {
-	case "":
-		q.Approx = s.approx
-	case "true":
-		q.Approx = true
-	case "false":
-		q.Approx = false
-	default:
-		return q, fmt.Errorf("approx must be \"true\" or \"false\", got %q", a)
-	}
-	if q.Approx && q.Match.Partial {
-		// Partial matching is not a metric: no filter lower bound, no
-		// sketch tier. There is no approximate partial path to offer.
-		return q, errors.New("dist=partial has no approximate tier; drop approx or use dist=minimal")
 	}
 	return q, nil
 }
@@ -288,9 +271,6 @@ func (s *Server) batchMeshParams(q *MeshBatchQuery) (vsdb.Query, error) {
 	if q.I != 0 {
 		v.Set("i", strconv.Itoa(q.I))
 	}
-	if q.Approx != nil {
-		v.Set("approx", strconv.FormatBool(*q.Approx))
-	}
 	return s.parseMeshParams(v)
 }
 
@@ -304,14 +284,7 @@ func (s *Server) handleQueryMeshBatch(w http.ResponseWriter, r *http.Request) {
 	m.count.Add(1)
 	start := time.Now()
 	var req MeshBatchRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBodyBytes)).Decode(&req); err != nil {
-		m.errors.Add(1)
-		code, msg := http.StatusBadRequest, "invalid JSON: "+err.Error()
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			code, msg = http.StatusRequestEntityTooLarge, fmt.Sprintf("body exceeds %d bytes", s.maxBodyBytes)
-		}
-		writeJSON(w, code, errorResponse{Error: msg})
+	if !s.decodeBody(w, r, m, &req, false) {
 		return
 	}
 	n := len(req.Queries)

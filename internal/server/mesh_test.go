@@ -108,6 +108,10 @@ func postMesh(t *testing.T, url string, body []byte) (*http.Response, MeshQueryR
 	return resp, out, buf.String()
 }
 
+// searchOne answers a single query straight from the engine — the
+// reference the HTTP answers are compared against.
+func searchOne(db *vsdb.DB, q vsdb.Query) []vsdb.Neighbor { return db.Search([]vsdb.Query{q})[0] }
+
 // TestQueryMeshParityBothModes is the acceptance contract: a POST
 // /query/mesh answer must be byte-identical to extracting the same mesh
 // offline (internal/meshquery) and querying by vector set directly — in
@@ -213,8 +217,6 @@ func TestQueryMeshMalformedBothModes(t *testing.T) {
 		{"bad dist", "/query/mesh?k=3&dist=hausdorff", "x", http.StatusBadRequest},
 		{"i without partial", "/query/mesh?k=3&i=2", "x", http.StatusBadRequest},
 		{"negative i", "/query/mesh?k=3&dist=partial&i=-1", "x", http.StatusBadRequest},
-		{"approx with partial", "/query/mesh?k=3&dist=partial&approx=true", "x", http.StatusBadRequest},
-		{"bad approx", "/query/mesh?k=3&approx=yes", "x", http.StatusBadRequest},
 		{"batch bad json", "/query/mesh/batch", `{"queries": [`, http.StatusBadRequest},
 		{"batch empty", "/query/mesh/batch", `{"queries": []}`, http.StatusBadRequest},
 		{"batch bad entry", "/query/mesh/batch", `{"queries": [{"stl": "bm90IGFuIHN0bA==", "k": 3}]}`, http.StatusBadRequest},
@@ -278,8 +280,8 @@ func TestQueryMeshUploadFraming(t *testing.T) {
 }
 
 // TestQueryMeshBodyCaps: uploads beyond MaxMeshBytes get 413 on the
-// raw endpoint, per-entry on the batch endpoint, and oversized /insert
-// bodies get 413 too (the MaxBytesReader satellite).
+// raw endpoint and per entry on the batch endpoint. (The JSON body cap
+// is TestJSONBodyCapsEveryEndpoint's.)
 func TestQueryMeshBodyCaps(t *testing.T) {
 	sets := extractAll(t, testMeshes(6))
 	db := buildMeshDB(t, sets)
@@ -301,16 +303,6 @@ func TestQueryMeshBodyCaps(t *testing.T) {
 		if resp2.StatusCode != http.StatusRequestEntityTooLarge {
 			t.Fatalf("oversized batch entry: status %d, want 413", resp2.StatusCode)
 		}
-	}
-	// /insert beyond MaxBodyBytes: a single huge (valid) JSON body.
-	hugeSet := fmt.Sprintf(`{"id": 9001, "set": [[%s1]]}`, strings.Repeat("1,", 4096))
-	resp3, err := http.Post(ts.URL+"/insert", "application/json", strings.NewReader(hugeSet))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp3.Body.Close()
-	if resp3.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversized insert: status %d, want 413", resp3.StatusCode)
 	}
 }
 

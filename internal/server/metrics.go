@@ -1,12 +1,10 @@
 package server
 
 import (
-	"math"
 	"sync/atomic"
 	"time"
 
 	"github.com/voxset/voxset/internal/cluster"
-	"github.com/voxset/voxset/internal/vsdb"
 )
 
 // latencyBucketsMS are the upper bounds (milliseconds, inclusive) of the
@@ -167,70 +165,6 @@ func (m *meshStageMetrics) snapshot() *MeshStageSnapshot {
 	}
 }
 
-// approxMetrics aggregates the approximate tier's gauges: how many
-// queries ran through it, and the recall estimate accumulated by the
-// sampled shadow-exact queries.
-type approxMetrics struct {
-	queries   atomic.Int64
-	recallSum atomic.Uint64 // float64 bits, CAS-accumulated
-	recallN   atomic.Int64
-}
-
-// observeRecall folds one shadow sample in: the fraction of the exact
-// top-k the approximate answer recovered (1 when the exact answer is
-// empty — there was nothing to miss).
-func (m *approxMetrics) observeRecall(approx, exact []vsdb.Neighbor) {
-	r := 1.0
-	if len(exact) > 0 {
-		ids := make(map[uint64]struct{}, len(exact))
-		for _, nb := range exact {
-			ids[nb.ID] = struct{}{}
-		}
-		hit := 0
-		for _, nb := range approx {
-			if _, ok := ids[nb.ID]; ok {
-				hit++
-			}
-		}
-		r = float64(hit) / float64(len(exact))
-	}
-	for {
-		old := m.recallSum.Load()
-		if m.recallSum.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+r)) {
-			break
-		}
-	}
-	m.recallN.Add(1)
-}
-
-func (m *approxMetrics) snapshot(enabled, def bool, candidates int64) *ApproxSnapshot {
-	s := &ApproxSnapshot{
-		Enabled:          enabled,
-		Default:          def,
-		Queries:          m.queries.Load(),
-		SketchCandidates: candidates,
-		RecallSamples:    m.recallN.Load(),
-	}
-	if s.RecallSamples > 0 {
-		s.SampledRecall = math.Float64frombits(m.recallSum.Load()) / float64(s.RecallSamples)
-	}
-	return s
-}
-
-// ApproxSnapshot is the /metrics "approx" section (DESIGN.md §12):
-// present when the backend carries a sketch tier or approximate queries
-// have been served. SampledRecall is the mean recall@k of the sampled
-// shadow-exact queries (Config.ApproxSample); 0 with RecallSamples == 0
-// means sampling is off or has not fired yet.
-type ApproxSnapshot struct {
-	Enabled          bool    `json:"enabled"`
-	Default          bool    `json:"default"`
-	Queries          int64   `json:"queries"`
-	SketchCandidates int64   `json:"sketch_candidates"`
-	SampledRecall    float64 `json:"sampled_recall"`
-	RecallSamples    int64   `json:"recall_samples"`
-}
-
 // IOSnapshot reports the simulated page I/O charged to the server's
 // tracker, priced under the paper's §5.4 cost model.
 type IOSnapshot struct {
@@ -285,9 +219,6 @@ type MetricsSnapshot struct {
 	// Query-by-upload stage latencies (DESIGN.md §14). Absent until a
 	// mesh query has been served.
 	QueryMeshStages *MeshStageSnapshot `json:"query_mesh_stages,omitempty"`
-	// Approximate-tier gauges (DESIGN.md §12). Absent when the backend
-	// has no sketch tier and no approximate query has been served.
-	Approx *ApproxSnapshot `json:"approx,omitempty"`
 	// Replication gauges (DESIGN.md §13). Absent unless the coordinator
 	// runs with per-shard replica sets.
 	Replication *ReplicationSnapshot `json:"replication,omitempty"`

@@ -20,7 +20,7 @@
 //	                                                Params: k or eps,
 //	                                                dist=minimal|partial,
 //	                                                i (partial matching
-//	                                                size), approx
+//	                                                size)
 //	POST /query/mesh/batch {"queries": [...]}       N mesh queries in one
 //	                                                round trip (STL bodies
 //	                                                base64-encoded)
@@ -108,23 +108,12 @@ type Config struct {
 	CacheSize int
 	// MaxK caps the k accepted by /knn (default 1000).
 	MaxK int
-	// Approx makes the approximate sketch candidate tier (DESIGN.md §12)
-	// the default for /knn, /knn/batch and /range. Each request may
-	// override with "approx": true/false. Distances in approximate
-	// results are exact; only the candidate set is approximate. On a
-	// backend opened without sketch parameters the approximate paths are
-	// the exact engine, so this flag is safe regardless.
-	Approx bool
-	// ApproxSample, when > 0, shadow-runs every ApproxSample-th
-	// approximate /knn query against the exact engine on the same query
-	// slot and reports the sampled recall@k in /metrics. 0 disables
-	// sampling.
-	ApproxSample int
 	// MaxMeshBytes caps the raw STL body accepted by /query/mesh
 	// (default 8 MiB). Oversized uploads get 413.
 	MaxMeshBytes int64
-	// MaxBodyBytes caps JSON request bodies on /insert and
-	// /query/mesh/batch (default 32 MiB). Oversized bodies get 413.
+	// MaxBodyBytes caps every JSON request body — /knn, /range,
+	// /knn/batch, /query/mesh/batch, /insert, /delete and /compact
+	// (default 32 MiB). Oversized bodies get 413.
 	MaxBodyBytes int64
 	// MeshExtract parameterizes the mesh → vector-set extraction behind
 	// /query/mesh. Zero fields default to RCover 15 and Covers =
@@ -183,10 +172,6 @@ type Server struct {
 	cache   *queryCache
 	start   time.Time
 
-	approx       bool          // default query mode (Config.Approx)
-	approxSample int           // shadow-exact sampling period (Config.ApproxSample)
-	approxM      approxMetrics // approximate-tier gauges
-
 	maxMeshBytes int64            // raw STL body cap (Config.MaxMeshBytes)
 	maxBodyBytes int64            // JSON body cap (Config.MaxBodyBytes)
 	meshCfg      meshquery.Config // /query/mesh extraction parameters
@@ -215,8 +200,6 @@ func New(cfg Config) (*Server, error) {
 		Timeout:      cfg.Timeout,
 		CacheSize:    cfg.CacheSize,
 		MaxK:         cfg.MaxK,
-		Approx:       cfg.Approx,
-		ApproxSample: cfg.ApproxSample,
 		MaxMeshBytes: cfg.MaxMeshBytes,
 		MaxBodyBytes: cfg.MaxBodyBytes,
 		MeshExtract:  cfg.MeshExtract,
@@ -248,9 +231,6 @@ func NewWarming(cfg Config) (*Server, error) {
 	if cfg.MaxK <= 0 {
 		cfg.MaxK = 1000
 	}
-	if cfg.ApproxSample < 0 {
-		return nil, errors.New("server: ApproxSample must be ≥ 0")
-	}
 	if cfg.MaxMeshBytes <= 0 {
 		cfg.MaxMeshBytes = 8 << 20
 	}
@@ -264,8 +244,6 @@ func NewWarming(cfg Config) (*Server, error) {
 		sem:          make(chan struct{}, workers),
 		cache:        newQueryCache(cfg.CacheSize),
 		start:        time.Now(),
-		approx:       cfg.Approx,
-		approxSample: cfg.ApproxSample,
 		maxMeshBytes: cfg.MaxMeshBytes,
 		maxBodyBytes: cfg.MaxBodyBytes,
 		meshCfg:      cfg.MeshExtract,
@@ -310,11 +288,6 @@ type QueryRequest struct {
 	ID  *uint64     `json:"id,omitempty"`
 	K   int         `json:"k,omitempty"`
 	Eps float64     `json:"eps,omitempty"`
-	// Approx overrides the server's default query mode (Config.Approx)
-	// for this request: true answers through the approximate sketch
-	// candidate tier (exact distances, approximate candidate set), false
-	// forces the exact engine. Omitted means the server default.
-	Approx *bool `json:"approx,omitempty"`
 }
 
 // Neighbor is one result row.
@@ -399,6 +372,27 @@ func writeJSON(w http.ResponseWriter, code int, body interface{}) {
 	json.NewEncoder(w).Encode(body)
 }
 
+// decodeBody decodes a JSON request body into v, reading at most
+// maxBodyBytes of it: every body is attacker-sized, and a streaming
+// decoder would otherwise read an unbounded one. An empty body is
+// accepted only when emptyOK. On failure it counts the error in m,
+// answers 413 for an oversized body and 400 for anything else, and
+// returns false.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, m *endpointMetrics, v any, emptyOK bool) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBodyBytes)).Decode(v)
+	if err == nil || (emptyOK && err == io.EOF) {
+		return true
+	}
+	m.errors.Add(1)
+	code, msg := http.StatusBadRequest, "invalid JSON: "+err.Error()
+	var mbe *http.MaxBytesError
+	if errors.As(err, &mbe) {
+		code, msg = http.StatusRequestEntityTooLarge, fmt.Sprintf("body exceeds %d bytes", s.maxBodyBytes)
+	}
+	writeJSON(w, code, errorResponse{Error: msg})
+	return false
+}
+
 func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 	s.handleQuery(w, r, &s.knnM, vsdb.KNN)
 }
@@ -413,9 +407,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, m *endpoint
 	m.count.Add(1)
 	start := time.Now()
 	var req QueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		m.errors.Add(1)
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "invalid JSON: " + err.Error()})
+	if !s.decodeBody(w, r, m, &req, false) {
 		return
 	}
 	q, err := s.resolveQuery(&req, kind)
@@ -459,7 +451,7 @@ func (s *Server) execute(w http.ResponseWriter, r *http.Request, m *endpointMetr
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.timeout)
 	defer cancel()
-	res, err := s.run(ctx, func() ([]cluster.Result, error) { return s.search(misses, len(qs) == 1) })
+	res, err := s.run(ctx, func() ([]cluster.Result, error) { return s.db.Search(misses) })
 	if err != nil {
 		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
 			m.timeouts.Add(1)
@@ -503,51 +495,15 @@ func (s *Server) queryResponse(res cluster.Result, key uint64) QueryResponse {
 	return resp
 }
 
-// useApprox resolves a request's query mode: the per-request override if
-// given, the server default otherwise.
-func (s *Server) useApprox(override *bool) bool {
-	if override != nil {
-		return *override
-	}
-	return s.approx
-}
-
-// search runs the backend Search on the caller's query slot, counting
-// approximate entries into /metrics. With sample set (a single-entry
-// request) every approxSample-th approximate k-nn is additionally
-// shadow-run against the exact engine on the same slot, folding a
-// recall@k observation into /metrics. A shadow failure (or a degraded
-// partial answer on either side) drops the sample, never the query.
-func (s *Server) search(qs []vsdb.Query, sample bool) ([]cluster.Result, error) {
-	var approx int64
-	for i := range qs {
-		if qs[i].Approx {
-			approx++
-		}
-	}
-	n := s.approxM.queries.Add(approx)
-	res, err := s.db.Search(qs)
-	if err != nil || !sample || !qs[0].Approx || qs[0].Kind != vsdb.KNN || res[0].Partial ||
-		s.approxSample <= 0 || n%int64(s.approxSample) != 0 {
-		return res, err
-	}
-	shadow := qs[0]
-	shadow.Approx = false
-	if exact, eerr := s.db.Search([]vsdb.Query{shadow}); eerr == nil && !exact[0].Partial {
-		s.approxM.observeRecall(res[0].Neighbors, exact[0].Neighbors)
-	}
-	return res, nil
-}
-
 // resolveQuery validates one /knn, /range or /knn/batch entry and turns
 // it into the query it asks for: the set inline or fetched by stored id,
-// k or eps by kind, the mode from the request or the server default.
+// k or eps by kind.
 func (s *Server) resolveQuery(req *QueryRequest, kind vsdb.Kind) (vsdb.Query, error) {
 	set, err := s.resolveQuerySet(req)
 	if err != nil {
 		return vsdb.Query{}, err
 	}
-	q := vsdb.Query{Set: set, Kind: kind, Approx: s.useApprox(req.Approx)}
+	q := vsdb.Query{Set: set, Kind: kind}
 	if kind == vsdb.KNN {
 		if req.K <= 0 || req.K > s.maxK {
 			return q, fmt.Errorf("k must be in [1, %d], got %d", s.maxK, req.K)
@@ -622,9 +578,9 @@ func (s *Server) run(ctx context.Context, fn func() ([]cluster.Result, error)) (
 // what /knn cached for its extracted set, a /knn/batch entry what /knn
 // did). Kind, mode and matching size lead the digest and the parameter is
 // hashed bit-exactly, so k-nn with different k, range with different ε,
-// approximate and exact, minimal and partial(i) never collide by
-// construction of the prefix: an approximate answer is never served to an
-// exact request, nor the reverse. The database epoch leads everything:
+// minimal and partial(i) never collide by construction of the prefix: a
+// partial-matching answer is never served to a minimal-matching request,
+// nor the reverse. The database epoch leads everything:
 // any mutation advances it, so every entry cached against the previous
 // state simply stops being reachable — the stale-neighbor bug of serving
 // a pre-insert result after the database has changed cannot occur.
@@ -641,9 +597,6 @@ func cacheKey(epoch uint64, q *vsdb.Query) uint64 {
 	}
 	word(epoch)
 	mode := uint64(q.Kind)
-	if q.Approx {
-		mode |= 1 << 8
-	}
 	if q.Match.Partial {
 		mode |= 1 << 9
 	}
@@ -736,16 +689,7 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	s.insertM.count.Add(1)
 	start := time.Now()
 	var req MutateRequest
-	// The body is attacker-sized: a streaming JSON decoder would happily
-	// read an unbounded set. Cap it like the upload endpoints do.
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBodyBytes)).Decode(&req); err != nil {
-		s.insertM.errors.Add(1)
-		code, msg := http.StatusBadRequest, "invalid JSON: "+err.Error()
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			code, msg = http.StatusRequestEntityTooLarge, fmt.Sprintf("body exceeds %d bytes", s.maxBodyBytes)
-		}
-		writeJSON(w, code, errorResponse{Error: msg})
+	if !s.decodeBody(w, r, &s.insertM, &req, false) {
 		return
 	}
 	if err := s.validateInsertSet(req.Set); err != nil {
@@ -785,9 +729,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	s.deleteM.count.Add(1)
 	start := time.Now()
 	var req MutateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.deleteM.errors.Add(1)
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "invalid JSON: " + err.Error()})
+	if !s.decodeBody(w, r, &s.deleteM, &req, false) {
 		return
 	}
 	if err := s.db.Delete(req.ID); err != nil {
@@ -805,9 +747,7 @@ func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 	// The body is an optional empty object; a malformed body is a client
 	// error (400), not something to silently ignore.
 	var body struct{}
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil && err != io.EOF {
-		s.compactM.errors.Add(1)
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "invalid JSON: " + err.Error()})
+	if !s.decodeBody(w, r, &s.compactM, &body, true) {
 		return
 	}
 	if err := s.db.Compact(); err != nil {
@@ -910,9 +850,6 @@ func (s *Server) MetricsSnapshot() MetricsSnapshot {
 	}
 	if s.meshM.count.Load() > 0 || s.meshBatchM.count.Load() > 0 {
 		snap.QueryMeshStages = s.meshStages.snapshot()
-	}
-	if st.ApproxEnabled || s.approxM.queries.Load() > 0 {
-		snap.Approx = s.approxM.snapshot(st.ApproxEnabled, s.approx, st.SketchCandidates)
 	}
 	if queries := s.queries.Load(); queries > 0 {
 		snap.RefinedPerQuery = float64(snap.Refinements) / float64(queries)

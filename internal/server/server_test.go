@@ -378,3 +378,51 @@ func TestQueryByRawBody(t *testing.T) {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
 }
+
+// TestJSONBodyCapsEveryEndpoint: every endpoint that decodes a JSON body
+// reads at most MaxBodyBytes of it. A body one byte over the cap gets 413
+// — never a 500 and never a decoded request — in single-database and
+// cluster mode; a body exactly at the cap is decoded as usual. The
+// padding sits inside the JSON object, so the decoder has to read every
+// byte to finish the value.
+func TestJSONBodyCapsEveryEndpoint(t *testing.T) {
+	const capBytes = 2048
+	body := func(tail string, size int) string {
+		return "{" + strings.Repeat(" ", size-1-len(tail)) + tail
+	}
+	cases := []struct{ path, tail string }{
+		{"/knn", `"set": [[1,2,3]], "k": 3}`},
+		{"/range", `"set": [[1,2,3]], "eps": 1}`},
+		{"/knn/batch", `"queries": [{"id": 1, "k": 3}]}`},
+		{"/query/mesh/batch", `"queries": [{"stl": "eA==", "k": 3}]}`},
+		{"/insert", `"id": 9001, "set": [[1,2,3]]}`},
+		{"/delete", `"id": 1}`},
+		{"/compact", `}`},
+	}
+	db, _ := buildDB(t, 30)
+	_, single := newTestServer(t, Config{DB: db, MaxBodyBytes: capBytes})
+	_, sharded := newTestServer(t, Config{Cluster: buildCluster(t, 30, 3, false), MaxBodyBytes: capBytes})
+	for _, mode := range []struct{ name, url string }{{"single", single.URL}, {"cluster", sharded.URL}} {
+		for _, tc := range cases {
+			for _, size := range []int{capBytes + 1, capBytes} {
+				resp, err := http.Post(mode.url+tc.path, "application/json", strings.NewReader(body(tc.tail, size)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				var er errorResponse
+				json.NewDecoder(resp.Body).Decode(&er)
+				resp.Body.Close()
+				switch {
+				case resp.StatusCode >= 500:
+					t.Errorf("%s %s, %d-byte body: status %d (%s)", mode.name, tc.path, size, resp.StatusCode, er.Error)
+				case size > capBytes && resp.StatusCode != http.StatusRequestEntityTooLarge:
+					t.Errorf("%s %s, %d-byte body: status %d, want 413", mode.name, tc.path, size, resp.StatusCode)
+				case size > capBytes && !strings.Contains(er.Error, "body exceeds"):
+					t.Errorf("%s %s: 413 error %q does not name the cap", mode.name, tc.path, er.Error)
+				case size == capBytes && resp.StatusCode == http.StatusRequestEntityTooLarge:
+					t.Errorf("%s %s: a body exactly at the cap got 413", mode.name, tc.path)
+				}
+			}
+		}
+	}
+}

@@ -40,13 +40,6 @@ func scrubTranscript(body []byte) string {
 	return strings.TrimSpace(string(body))
 }
 
-// transcriptApprox is a deliberately starved tier (tiny budgets), so the
-// approximate modes answer differently from the exact ones and a mix-up
-// between the two shows in the golden.
-func transcriptApprox() *vsdb.ApproxOptions {
-	return &vsdb.ApproxOptions{Bits: 128, Active: 12, Seed: 7, KNNFactor: 2, MinCandidates: 8, RangeCandidates: 16}
-}
-
 // transcriptCorpus is the fixed object set every mode serves: ten
 // extracted meshes (ids 0-9, so mesh uploads have true matches) plus 150
 // seeded random 6-d cover-like sets (ids 100-249).
@@ -85,9 +78,8 @@ func jitter(rng *rand.Rand, set [][]float64) [][]float64 {
 // TestHTTPTranscript replays one fixed request script — every query
 // endpoint in every mode it takes, interleaved with mutations, a
 // compaction, cache hits and the malformed-request rows — against a
-// single database and a 3-shard cluster, with and without the
-// approximate tier, and compares status + body (timings zeroed) with the
-// committed golden.
+// single database and a 3-shard cluster, and compares status + body
+// (timings zeroed) with the committed golden.
 func TestHTTPTranscript(t *testing.T) {
 	ids, sets := transcriptCorpus(t)
 	meshes := testMeshes(10)
@@ -95,20 +87,13 @@ func TestHTTPTranscript(t *testing.T) {
 	for _, mode := range []struct {
 		name   string
 		shards int
-		approx bool
 	}{
-		{"single/exact", 0, false},
-		{"single/approx", 0, true},
-		{"3-shard/exact", 3, false},
-		{"3-shard/approx", 3, true},
+		{"single/exact", 0},
+		{"3-shard/exact", 3},
 	} {
-		var opts *vsdb.ApproxOptions
-		if mode.approx {
-			opts = transcriptApprox()
-		}
-		cfg := Config{Approx: mode.approx}
+		var cfg Config
 		if mode.shards == 0 {
-			db, err := vsdb.Open(vsdb.Config{Dim: 6, MaxCard: 7, Approx: opts})
+			db, err := vsdb.Open(vsdb.Config{Dim: 6, MaxCard: 7})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -118,7 +103,7 @@ func TestHTTPTranscript(t *testing.T) {
 			}
 			cfg.DB = db
 		} else {
-			c, err := cluster.New(cluster.Config{Shards: mode.shards, Dim: 6, MaxCard: 7, Approx: opts})
+			c, err := cluster.New(cluster.Config{Shards: mode.shards, Dim: 6, MaxCard: 7})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -186,7 +171,6 @@ func runTranscript(t *testing.T, out *strings.Builder, h http.Handler, sets [][]
 	}
 	raw := func(label, path, body string) { do(label, http.MethodPost, path, []byte(body)) }
 	get := func(label, path string) { do(label, http.MethodGet, path, nil) }
-	yes, no := true, false
 	id := func(v uint64) *uint64 { return &v }
 	f := func(v float64) *float64 { return &v }
 
@@ -194,30 +178,41 @@ func runTranscript(t *testing.T, out *strings.Builder, h http.Handler, sets [][]
 	q0, q1, q2 := jitter(rng, sets[20]), jitter(rng, sets[77]), jitter(rng, sets[4])
 	extra := jitter(rng, sets[31])
 
-	// k-nn and ε-range, by set and by id, default and overridden mode.
+	// A body field the server does not read — "approx", which once chose
+	// an approximate tier — is ignored: the query is the exact one.
+	withApprox, err := json.Marshal(struct {
+		QueryRequest
+		Approx bool `json:"approx"`
+	}{QueryRequest{Set: q0, K: 5}, true})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// k-nn and ε-range, by set and by id.
 	post("q0 k=5", "/knn", QueryRequest{Set: q0, K: 5})
 	post("q0 k=5 again (cache hit)", "/knn", QueryRequest{Set: q0, K: 5})
 	post("id=103 k=7", "/knn", QueryRequest{ID: id(103), K: 7})
-	post("q0 k=5 approx=true", "/knn", QueryRequest{Set: q0, K: 5, Approx: &yes})
-	post("q0 k=5 approx=false", "/knn", QueryRequest{Set: q0, K: 5, Approx: &no})
+	do(`q0 k=5 "approx": true (ignored: cache hit)`, http.MethodPost, "/knn", withApprox)
+	post("q0 k=5 once more (cache hit)", "/knn", QueryRequest{Set: q0, K: 5})
 	post("q1 k=200 (beyond corpus)", "/knn", QueryRequest{Set: q1, K: 200})
 	post("q1 eps=42", "/range", QueryRequest{Set: q1, Eps: 42})
 	post("id=4 eps=6", "/range", QueryRequest{ID: id(4), Eps: 6})
-	post("q1 eps=42 approx=true", "/range", QueryRequest{Set: q1, Eps: 42, Approx: &yes})
-	post("q1 eps=42 approx=false", "/range", QueryRequest{Set: q1, Eps: 42, Approx: &no})
+	post("q1 eps=42 again (cache hit)", "/range", QueryRequest{Set: q1, Eps: 42})
+	post("q1 eps=42 once more (cache hit)", "/range", QueryRequest{Set: q1, Eps: 42})
 	post("q2 eps=0 (empty)", "/range", QueryRequest{Set: q2, Eps: 0})
 
-	// One batch mixing k, mode overrides, by-id entries and a cached entry.
+	// One batch mixing k, by-id entries, repeated entries and a cached
+	// entry.
 	mixed := BatchRequest{Queries: []QueryRequest{
 		{Set: q0, K: 5}, // cached by the single query above
 		{Set: q1, K: 3},
-		{Set: q2, K: 10, Approx: &yes},
-		{ID: id(150), K: 3, Approx: &no},
-		{Set: q1, K: 3, Approx: &yes},
+		{Set: q2, K: 10},
+		{ID: id(150), K: 3},
+		{Set: q1, K: 3},
 		{ID: id(7), K: 1},
 		{Set: q2, K: 10},
 	}}
-	post("mixed k, mixed approx", "/knn/batch", mixed)
+	post("mixed k, repeated entries", "/knn/batch", mixed)
 	post("same batch again (all cached)", "/knn/batch", mixed)
 	post("q1 k=3 after batch (cache hit)", "/knn", QueryRequest{Set: q1, K: 3})
 
@@ -229,14 +224,14 @@ func runTranscript(t *testing.T, out *strings.Builder, h http.Handler, sets [][]
 	do("mesh3 k=4 partial auto", http.MethodPost, "/query/mesh?k=4&dist=partial", stl(3))
 	do("mesh6 eps=3", http.MethodPost, "/query/mesh?eps=3", stl(6))
 	do("mesh6 eps=1.5 partial i=2", http.MethodPost, "/query/mesh?eps=1.5&dist=partial&i=2", stl(6))
-	do("mesh5 k=6 approx=true", http.MethodPost, "/query/mesh?k=6&approx=true", stl(5))
-	do("mesh5 k=6 approx=false", http.MethodPost, "/query/mesh?k=6&approx=false", stl(5))
+	do("mesh5 k=6", http.MethodPost, "/query/mesh?k=6", stl(5))
+	do("mesh5 k=6 again (cache hit)", http.MethodPost, "/query/mesh?k=6", stl(5))
 	meshBatch := MeshBatchRequest{Queries: []MeshBatchQuery{
 		{STL: stl(3), K: 4}, // cached by the single upload above
 		{STL: stl(8), K: 3, Dist: "partial", I: 2},
 		{STL: stl(1), Eps: f(2.5)},
-		{STL: stl(8), K: 6, Approx: &no},
-		{STL: stl(2), K: 2, Approx: &yes},
+		{STL: stl(8), K: 6},
+		{STL: stl(2), K: 2},
 		{STL: stl(1), Eps: f(1), Dist: "partial"},
 	}}
 	post("mixed kinds and distances", "/query/mesh/batch", meshBatch)
@@ -261,7 +256,7 @@ func runTranscript(t *testing.T, out *strings.Builder, h http.Handler, sets [][]
 	raw("", "/compact", "{}")
 	post("q1 eps=42 after compact (cache hit)", "/range", QueryRequest{Set: q1, Eps: 42})
 	post("q1 eps=43 after compact (miss)", "/range", QueryRequest{Set: q1, Eps: 43})
-	post("id=901 k=5 approx=true after compact", "/knn", QueryRequest{ID: id(901), K: 5, Approx: &yes})
+	post("id=901 k=5 after compact", "/knn", QueryRequest{ID: id(901), K: 5})
 	raw("empty body", "/compact", "")
 	get("", "/object/900")
 	get("(deleted)", "/object/103")
@@ -283,8 +278,8 @@ func runTranscript(t *testing.T, out *strings.Builder, h http.Handler, sets [][]
 	do("k and eps", http.MethodPost, "/query/mesh?k=3&eps=1", stl(0))
 	do("dist=bogus", http.MethodPost, "/query/mesh?k=3&dist=bogus", stl(0))
 	do("i without partial", http.MethodPost, "/query/mesh?k=3&i=2", stl(0))
-	do("approx=maybe", http.MethodPost, "/query/mesh?k=3&approx=maybe", stl(0))
-	do("approx with partial", http.MethodPost, "/query/mesh?k=3&dist=partial&approx=true", stl(0))
+	do("k not a number", http.MethodPost, "/query/mesh?k=abc", stl(0))
+	do("negative i", http.MethodPost, "/query/mesh?k=3&dist=partial&i=-1", stl(0))
 	do("garbage STL", http.MethodPost, "/query/mesh?k=3", []byte("solid nothing here"))
 	do("empty body", http.MethodPost, "/query/mesh?k=3", nil)
 	raw("empty batch", "/query/mesh/batch", `{"queries": []}`)

@@ -7,14 +7,13 @@ import (
 	"path/filepath"
 	"testing"
 
-	"github.com/voxset/voxset/internal/index/sketch"
 	"github.com/voxset/voxset/internal/vectorset"
 )
 
 // fuzzSeed returns the encoded bytes of a small valid version-1 snapshot
 // used to seed the fuzzer (mutations of valid streams explore the deep
 // decoder states that pure garbage never reaches).
-func fuzzSeed(withCentroids, withSketches bool) []byte {
+func fuzzSeed(withCentroids bool) []byte {
 	db := &v1DB{
 		Dim: 2, MaxCard: 3,
 		Omega: []float64{0.5, -1},
@@ -30,21 +29,39 @@ func fuzzSeed(withCentroids, withSketches bool) []byte {
 			{(-1 + 2*0.5) / 3, (0.25 - 2) / 3},
 		}
 	}
-	if withSketches {
-		p := sketch.Params{Bits: 64, Active: 3, Seed: 2}
-		proj := sketch.NewProjector(p, db.Dim)
-		sc := proj.NewScratch()
-		words := make([]uint64, len(db.Sets))
-		for i, set := range db.Sets {
-			proj.SketchInto(words[i:i+1], vectorset.FlatFromRows(set), sc)
-		}
-		db.Sketches = &sketch.Block{Params: p, Count: len(db.Sets), Words: words}
-	}
 	var buf bytes.Buffer
 	if err := encodeV1(&buf, db); err != nil {
 		panic(err)
 	}
 	return buf.Bytes()
+}
+
+// addSeedVariants seeds f with seed, its first half, and copies with one
+// byte flipped at each of offs (negative offsets count from the end).
+func addSeedVariants(f *testing.F, seed []byte, offs ...int) {
+	f.Add(seed)
+	f.Add(seed[:len(seed)/2])
+	for _, off := range offs {
+		if off < 0 {
+			off += len(seed)
+		}
+		flip := append([]byte(nil), seed...)
+		flip[off] ^= 0x10
+		f.Add(flip)
+	}
+}
+
+// addLegacyFixtures seeds f with both legacy-sketch fixtures (see
+// compat_test.go) and their variants: each fuzz target sees the other
+// version's file too, which its reader must reject as ErrCorrupt.
+func addLegacyFixtures(f *testing.F) {
+	for _, name := range []string{legacyTailFixture, legacyChunkFixture} {
+		raw, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		addSeedVariants(f, raw, 20, len(raw)/3, -3)
+	}
 }
 
 // FuzzSnapshotDecode drives the version-1 decoder with arbitrary bytes:
@@ -53,15 +70,10 @@ func fuzzSeed(withCentroids, withSketches bool) []byte {
 // (the decode → encode fixed point of the deterministic format).
 func FuzzSnapshotDecode(f *testing.F) {
 	for _, withC := range []bool{false, true} {
-		for _, withS := range []bool{false, true} {
-			seed := fuzzSeed(withC, withS)
-			f.Add(seed)
-			f.Add(seed[:len(seed)/2])
-			flip := append([]byte(nil), seed...)
-			flip[len(flip)/3] ^= 0x10
-			f.Add(flip)
-		}
+		seed := fuzzSeed(withC)
+		addSeedVariants(f, seed, len(seed)/3)
 	}
+	addLegacyFixtures(f)
 	f.Add([]byte{})
 	f.Add([]byte("VXSNAP01"))
 	f.Add([]byte("VXSNAP02 wrong version"))
@@ -97,15 +109,10 @@ func FuzzSnapshotDecode(f *testing.F) {
 }
 
 // pagedFuzzSeed writes a small paged snapshot on 512-byte pages and
-// returns its bytes: twelve objects span five pages, an odd count, so the
-// sketched variant carries alignment padding before its tail.
-func pagedFuzzSeed(f *testing.F, sketched bool) []byte {
-	opts := PagedWriterOptions{Dim: 2, MaxCard: 3, Omega: []float64{0.5, -1}, Seq: 3, PageSize: 512}
-	if sketched {
-		opts.Sketch = &sketch.Params{Bits: 64, Active: 3, Seed: 2}
-	}
+// returns its bytes: twelve objects span five pages.
+func pagedFuzzSeed(f *testing.F) []byte {
 	path := filepath.Join(f.TempDir(), "seed.vsnap")
-	w, err := CreatePaged(path, opts)
+	w, err := CreatePaged(path, PagedWriterOptions{Dim: 2, MaxCard: 3, Omega: []float64{0.5, -1}, Seq: 3, PageSize: 512})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -127,20 +134,12 @@ func pagedFuzzSeed(f *testing.F, sketched bool) []byte {
 }
 
 // FuzzPagedOpen drives the version-2 reader with arbitrary file
-// contents: OpenPaged, Verify and Sketches never panic and every error
-// they return wraps ErrCorrupt; once Verify has passed, every accessor a
-// server uses — At, IDs, CentroidColumn — is panic-free.
+// contents: OpenPaged and Verify never panic and every error they return
+// wraps ErrCorrupt; once Verify has passed, every accessor a server uses —
+// At, IDs, CentroidColumn — is panic-free.
 func FuzzPagedOpen(f *testing.F) {
-	for _, sketched := range []bool{false, true} {
-		seed := pagedFuzzSeed(f, sketched)
-		f.Add(seed)
-		f.Add(seed[:len(seed)/2])
-		for _, off := range []int{20, 600, len(seed) - 3} {
-			flip := append([]byte(nil), seed...)
-			flip[off] ^= 0x10
-			f.Add(flip)
-		}
-	}
+	addSeedVariants(f, pagedFuzzSeed(f), 20, 600, -3)
+	addLegacyFixtures(f)
 	f.Add([]byte{})
 	f.Add([]byte("VXSNAP02"))
 	f.Add([]byte("VXSNAP01 wrong version"))
@@ -159,18 +158,11 @@ func FuzzPagedOpen(f *testing.F) {
 			return
 		}
 		defer r.Close()
-		verr := r.Verify()
-		blk, serr := r.Sketches()
-		for _, err := range []error{verr, serr} {
-			if err != nil && !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("error does not wrap ErrCorrupt: %v", err)
+		if err := r.Verify(); err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("Verify error does not wrap ErrCorrupt: %v", err)
 			}
-		}
-		if verr != nil {
 			return
-		}
-		if serr != nil || (blk != nil && blk.Count != r.Len()) {
-			t.Fatalf("verified file: Sketches = (%v, %v)", blk, serr)
 		}
 		if len(r.IDs()) != r.Len() || len(r.CentroidColumn()) != r.Len()*r.Dim() {
 			t.Fatalf("verified file: %d ids, %d centroid values for %d objects",

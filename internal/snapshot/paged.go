@@ -6,12 +6,10 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"sync"
 	"sync/atomic"
 	"unsafe"
 
 	"github.com/voxset/voxset/internal/atomicfile"
-	"github.com/voxset/voxset/internal/index/sketch"
 	"github.com/voxset/voxset/internal/mmapfile"
 	"github.com/voxset/voxset/internal/storage"
 	"github.com/voxset/voxset/internal/vectorset"
@@ -38,15 +36,15 @@ import (
 //	            region in place as one column, without touching a single
 //	            vector page.
 //	CRC table   one IEEE CRC32 per page of everything above it.
-//	sketch      optional trailer (present iff the producer carried an
-//	  tail      approximate tier, DESIGN.md §12): 8-aligned after the CRC
-//	            table — magic "VXSKCH01", the sketch parameters, a CRC
-//	            over the signature words, a CRC over the tail header
-//	            itself, then one sparse binary signature per object in
-//	            insertion order. The tail lives outside the page CRC
-//	            table (it carries its own checksums, and the alignment
-//	            padding before it must be zero) so files without it are
-//	            bit-identical to the pre-tail layout and still open.
+//	sketch      optional trailer, written only by builds that carried
+//	  tail      the since-removed approximate tier (DESIGN.md §12):
+//	            8-aligned after the CRC table — magic "VXSKCH01", the
+//	            sketch parameters, a CRC over the signature words, a CRC
+//	            over the tail header itself, then one signature per
+//	            object. No writer emits it and nothing reads the
+//	            signatures; the reader still checks it (checkSketchTail)
+//	            so that Verify() == nil keeps vouching for every byte of
+//	            such a file, and ConvertFile drops it.
 //
 // Every region starts on a page boundary, so when the file is mapped the
 // float64/uint64 views are 8-byte aligned and cost zero decode work. All
@@ -71,12 +69,16 @@ var magic2 = [8]byte{'V', 'X', 'S', 'N', 'A', 'P', '0', '2'}
 // the inline ω vector.
 const pagedHeaderFixed = 88
 
-// sketchTailMagic identifies the optional sketch trailer after the CRC
+// sketchTailMagic identifies the legacy sketch trailer after the CRC
 // table, and sketchTailHeader is its fixed header size: magic (8), bits
 // u32, active u32, seed u64, count u64, words CRC u32, header CRC u32.
 var sketchTailMagic = [8]byte{'V', 'X', 'S', 'K', 'C', 'H', '0', '1'}
 
 const sketchTailHeader = 40
+
+// maxSketchBits bounds a legacy tail's signature width, so the length it
+// implies cannot overflow.
+const maxSketchBits = 4096
 
 // maxObjects bounds the object count a paged header may claim.
 const maxObjects = 1 << 31
@@ -124,11 +126,6 @@ type PagedWriterOptions struct {
 	// zero). It must be a multiple of 8 and large enough to hold the
 	// header with ω inline.
 	PageSize int
-	// Sketch, when non-nil, makes the writer compute one sparse binary
-	// signature per appended object and persist the table as the sketch
-	// tail, so an approx-enabled open skips the lazy rebuild. Mutually
-	// exclusive with SetSketches.
-	Sketch *sketch.Params
 }
 
 // PagedWriter streams objects into a version-2 paged snapshot with
@@ -148,11 +145,6 @@ type PagedWriter struct {
 	cents  []float64 // count·dim, appended per object
 	buf    []byte    // vector encode scratch, reused per Append
 	err    error
-
-	skProj  *sketch.Projector // lazily built when opts.Sketch is set
-	skSc    *sketch.Scratch
-	skWords []uint64      // per-object signatures, opts.Sketch path
-	skSet   *sketch.Block // adopted table, SetSketches path
 }
 
 // writeCounter folds every written byte into per-page CRCs as it passes
@@ -216,11 +208,6 @@ func CreatePaged(path string, opts PagedWriterOptions) (*PagedWriter, error) {
 	if pagedHeaderFixed+opts.Dim*8+4 > opts.PageSize {
 		return nil, fmt.Errorf("snapshot: page size %d too small for a dim-%d header", opts.PageSize, opts.Dim)
 	}
-	if opts.Sketch != nil {
-		if err := opts.Sketch.Validate(); err != nil {
-			return nil, fmt.Errorf("snapshot: %w", err)
-		}
-	}
 	f, err := atomicfile.Create(path)
 	if err != nil {
 		return nil, err
@@ -244,22 +231,6 @@ func CreatePaged(path string, opts PagedWriterOptions) (*PagedWriter, error) {
 // version-1 stream learn the epoch only while decoding, so this may be
 // called any time before Finish.
 func (pw *PagedWriter) SetSeq(seq uint64) { pw.opts.Seq = seq }
-
-// SetSketches adopts a ready-made signature table to persist as the
-// sketch tail — the conversion path, where the source snapshot already
-// carries one. Finish checks the table covers exactly the appended
-// objects. A writer configured with opts.Sketch computes its own table
-// and rejects an adopted one.
-func (pw *PagedWriter) SetSketches(b *sketch.Block) error {
-	if pw.opts.Sketch != nil {
-		return fmt.Errorf("snapshot: writer computes its own sketches (opts.Sketch is set)")
-	}
-	if err := b.Validate(); err != nil {
-		return fmt.Errorf("snapshot: %w", err)
-	}
-	pw.skSet = b
-	return nil
-}
 
 // Count returns the number of objects appended so far.
 func (pw *PagedWriter) Count() int { return len(pw.ids) }
@@ -296,16 +267,6 @@ func (pw *PagedWriter) Append(id uint64, set vectorset.Flat) error {
 	pw.starts = append(pw.starts, pw.starts[len(pw.starts)-1]+uint64(len(set.Data)))
 	pw.ids = append(pw.ids, id)
 	pw.cents = append(pw.cents, set.Centroid(pw.opts.MaxCard, pw.opts.Omega)...)
-	if pw.opts.Sketch != nil {
-		if pw.skProj == nil {
-			pw.skProj = sketch.NewProjector(*pw.opts.Sketch, pw.opts.Dim)
-			pw.skSc = pw.skProj.NewScratch()
-		}
-		wordsPer := pw.opts.Sketch.Words()
-		off := len(pw.skWords)
-		pw.skWords = append(pw.skWords, make([]uint64, wordsPer)...)
-		pw.skProj.SketchInto(pw.skWords[off:off+wordsPer], set, pw.skSc)
-	}
 	return nil
 }
 
@@ -347,26 +308,7 @@ func (pw *PagedWriter) Finish() error {
 
 	crcStart := pw.w.off
 	numPages := int(crcStart) / ps
-	crcEnd := crcStart + int64(numPages)*4
-	fileSize := crcEnd
-
-	// Resolve the sketch table to persist: computed per Append
-	// (opts.Sketch) or adopted whole (SetSketches).
-	var skParams *sketch.Params
-	var skWords []uint64
-	switch {
-	case pw.opts.Sketch != nil:
-		skParams, skWords = pw.opts.Sketch, pw.skWords
-	case pw.skSet != nil:
-		if pw.skSet.Count != len(pw.ids) {
-			return pw.fail(fmt.Errorf("snapshot: sketch table covers %d objects, snapshot has %d", pw.skSet.Count, len(pw.ids)))
-		}
-		skParams, skWords = &pw.skSet.Params, pw.skSet.Words
-	}
-	tailStart := (crcEnd + 7) &^ 7 // 8-align the tail so readers can alias the words
-	if skParams != nil {
-		fileSize = tailStart + sketchTailHeader + int64(len(skWords))*8
-	}
+	fileSize := crcStart + int64(numPages)*4
 
 	hp := make([]byte, ps)
 	copy(hp, magic2[:])
@@ -392,29 +334,6 @@ func (pw *PagedWriter) Finish() error {
 	}
 	if _, err := pw.f.Write(tbl); err != nil { // not pageWrite: the table is not self-covered
 		return pw.fail(err)
-	}
-	if skParams != nil {
-		// The tail bytes are outside the page CRC table and carry their
-		// own checksums: one over the signature words, one over the tail
-		// header. Both are verified before any signature is served.
-		tail := make([]byte, tailStart-crcEnd, (tailStart-crcEnd)+sketchTailHeader+int64(len(skWords))*8)
-		th := make([]byte, 0, sketchTailHeader)
-		th = append(th, sketchTailMagic[:]...)
-		th = binary.LittleEndian.AppendUint32(th, uint32(skParams.Bits))
-		th = binary.LittleEndian.AppendUint32(th, uint32(skParams.Active))
-		th = binary.LittleEndian.AppendUint64(th, skParams.Seed)
-		th = binary.LittleEndian.AppendUint64(th, uint64(len(pw.ids)))
-		words := make([]byte, 0, len(skWords)*8)
-		for _, w := range skWords {
-			words = binary.LittleEndian.AppendUint64(words, w)
-		}
-		th = binary.LittleEndian.AppendUint32(th, crc32.ChecksumIEEE(words))
-		th = binary.LittleEndian.AppendUint32(th, crc32.ChecksumIEEE(th))
-		tail = append(tail, th...)
-		tail = append(tail, words...)
-		if _, err := pw.f.Write(tail); err != nil {
-			return pw.fail(err)
-		}
 	}
 	if _, err := pw.f.WriteAt(hp, 0); err != nil {
 		return pw.fail(err)
@@ -481,16 +400,10 @@ type PagedReader struct {
 	verified []uint32 // atomic bitmap, one bit per page
 	tracker  *storage.Tracker
 
-	// Sketch tail state: the parameters and word region are parsed (and
-	// the tail header verified) at open; the words themselves are
-	// CRC-verified once, on first Sketches call.
-	skParams   sketch.Params
-	skWordsRaw []byte
-	skWordsCRC uint32
-	hasSketch  bool
-	skOnce     sync.Once
-	skBlock    *sketch.Block
-	skErr      error
+	// A legacy sketch tail's signature words and their CRC, which Verify
+	// checks (nil without a tail).
+	tailWords    []byte
+	tailWordsCRC uint32
 }
 
 // OpenPaged opens a version-2 paged snapshot. The header and offsets
@@ -569,8 +482,8 @@ func (r *PagedReader) parseHeader() error {
 	case vecStart != pg,
 		offStart%pg != 0 || ctrStart%pg != 0 || crcStart%pg != 0,
 		offStart < vecStart+vecBytes || ctrStart < offStart+offBytes || crcStart < ctrStart+ctrBytes,
-		// Pre-tail files end exactly at the CRC table; anything longer
-		// must be a well-formed sketch tail, parsed below.
+		// Tail-less files end exactly at the CRC table; anything longer
+		// must be a well-formed legacy sketch tail, checked below.
 		fileSize < crcEnd:
 		return fmt.Errorf("%w: inconsistent region offsets", ErrCorrupt)
 	}
@@ -578,7 +491,7 @@ func (r *PagedReader) parseHeader() error {
 	r.crcs = aliasUint32(b[crcStart:crcEnd])
 	r.verified = make([]uint32, (numPages+31)/32)
 	if fileSize > crcEnd {
-		if err := r.parseSketchTail(crcEnd, fileSize); err != nil {
+		if err := r.checkSketchTail(crcEnd, fileSize); err != nil {
 			return err
 		}
 	}
@@ -608,13 +521,12 @@ func (r *PagedReader) parseHeader() error {
 	return nil
 }
 
-// parseSketchTail validates the sketch trailer claimed by a file longer
-// than its CRC table: zero alignment padding (no checksum covers it),
-// magic, header CRC, plausible parameters, an object count matching the
-// snapshot, and an exact file length. The signature words are left
-// unverified (their CRC is checked on first Sketches call, keeping open
-// cost independent of the table size).
-func (r *PagedReader) parseSketchTail(crcEnd, fileSize int64) error {
+// checkSketchTail validates the legacy sketch trailer claimed by a file
+// longer than its CRC table: zero alignment padding (no checksum covers
+// it), magic, header CRC, an object count matching the snapshot, and an
+// exact file length. Nothing reads the signatures; Verify checks their
+// CRC, so that an intact file stays distinguishable from a damaged one.
+func (r *PagedReader) checkSketchTail(crcEnd, fileSize int64) error {
 	b := r.data
 	tailStart := (crcEnd + 7) &^ 7
 	if fileSize < tailStart+sketchTailHeader {
@@ -635,57 +547,20 @@ func (r *PagedReader) parseSketchTail(crcEnd, fileSize int64) error {
 		binary.LittleEndian.Uint32(th[sketchTailHeader-4:]); got != want {
 		return fmt.Errorf("%w: sketch tail header CRC 0x%08x, want 0x%08x", ErrCorrupt, got, want)
 	}
-	p := sketch.Params{
-		Bits:   int(binary.LittleEndian.Uint32(th[8:])),
-		Active: int(binary.LittleEndian.Uint32(th[12:])),
-		Seed:   binary.LittleEndian.Uint64(th[16:]),
+	bits := int64(binary.LittleEndian.Uint32(th[8:]))
+	if bits <= 0 || bits > maxSketchBits || bits%64 != 0 {
+		return fmt.Errorf("%w: sketch tail of %d-bit signatures", ErrCorrupt, bits)
 	}
-	if err := p.Validate(); err != nil {
-		return fmt.Errorf("%w: sketch tail: %v", ErrCorrupt, err)
-	}
-	count := binary.LittleEndian.Uint64(th[24:])
-	if count != uint64(r.count) {
+	if count := binary.LittleEndian.Uint64(th[24:]); count != uint64(r.count) {
 		return fmt.Errorf("%w: sketch tail covers %d objects, snapshot has %d", ErrCorrupt, count, r.count)
 	}
-	wordsBytes := int64(count) * int64(p.Words()) * 8
-	if fileSize != tailStart+sketchTailHeader+wordsBytes {
-		return fmt.Errorf("%w: sketch tail wants %d bytes, file ends at %d", ErrCorrupt, tailStart+sketchTailHeader+wordsBytes, fileSize)
+	end := tailStart + sketchTailHeader + int64(r.count)*bits/8
+	if fileSize != end {
+		return fmt.Errorf("%w: sketch tail wants %d bytes, file ends at %d", ErrCorrupt, end, fileSize)
 	}
-	r.skParams = p
-	r.skWordsRaw = b[tailStart+sketchTailHeader : fileSize]
-	r.skWordsCRC = binary.LittleEndian.Uint32(th[32:])
-	r.hasSketch = true
+	r.tailWords = b[tailStart+sketchTailHeader : fileSize]
+	r.tailWordsCRC = binary.LittleEndian.Uint32(th[32:])
 	return nil
-}
-
-// HasSketches reports whether the file carries a persisted signature
-// table.
-func (r *PagedReader) HasSketches() bool { return r.hasSketch }
-
-// Sketches returns the persisted signature table, or (nil, nil) when the
-// file carries none. The words are CRC-verified on the first call —
-// corruption surfaces as ErrCorrupt, not a panic — and alias the mapping
-// (valid until Close). The tracker is charged for the table bytes once.
-func (r *PagedReader) Sketches() (*sketch.Block, error) {
-	if !r.hasSketch {
-		return nil, nil
-	}
-	r.skOnce.Do(func() {
-		if got := crc32.ChecksumIEEE(r.skWordsRaw); got != r.skWordsCRC {
-			r.skErr = fmt.Errorf("%w: sketch words CRC 0x%08x, want 0x%08x", ErrCorrupt, got, r.skWordsCRC)
-			return
-		}
-		if r.tracker != nil {
-			r.tracker.AddPageAccess(1)
-			r.tracker.AddBytes(len(r.skWordsRaw))
-		}
-		r.skBlock = &sketch.Block{
-			Params: r.skParams,
-			Count:  r.count,
-			Words:  aliasUint64(r.skWordsRaw),
-		}
-	})
-	return r.skBlock, r.skErr
 }
 
 // CheckCentroids eagerly verifies the centroid region, returning
@@ -764,8 +639,8 @@ func (r *PagedReader) Centroids() [][]float64 {
 	return out
 }
 
-// Verify checks every page against the CRC table and the sketch tail's
-// words against their CRC, without panicking, marking clean pages
+// Verify checks every page against the CRC table and a legacy sketch
+// tail's words against their CRC, without panicking, marking clean pages
 // verified (later touches are free). With the checks OpenPaged already
 // made, Verify() == nil means every byte of the file was checked. Use it
 // when a file's provenance is doubtful and a serve-time panic is
@@ -774,15 +649,19 @@ func (r *PagedReader) Verify() error {
 	if err := r.checkRange(0, int64(len(r.crcs))*int64(r.pageSize)); err != nil {
 		return err
 	}
-	_, err := r.Sketches()
-	return err
+	if r.tailWords != nil {
+		if got := crc32.ChecksumIEEE(r.tailWords); got != r.tailWordsCRC {
+			return fmt.Errorf("%w: sketch words CRC 0x%08x, want 0x%08x", ErrCorrupt, got, r.tailWordsCRC)
+		}
+	}
+	return nil
 }
 
 // Close releases the mapping. Every view handed out by the reader —
 // sets, centroids, ids, ω — is invalid afterwards.
 func (r *PagedReader) Close() error {
 	r.data, r.floats, r.starts, r.ids, r.cents, r.crcs, r.omega = nil, nil, nil, nil, nil, nil, nil
-	r.skWordsRaw, r.skBlock = nil, nil
+	r.tailWords = nil
 	return r.f.Close()
 }
 
@@ -887,7 +766,8 @@ func aliasUint32(b []byte) []uint32 {
 
 // ConvertFile rewrites a snapshot as a version-2 paged file at dst: a
 // version-1 stream is upgraded, a paged file is laid out again (pageSize
-// 0 means storage.DefaultPageSize). It streams — peak memory is one
+// 0 means storage.DefaultPageSize); either way a legacy sketch section is
+// checked and dropped. It streams — peak memory is one
 // object plus the paged writer's bookkeeping, never the whole database —
 // and dst appears atomically, so src and dst may be the same path: the
 // source is replaced only once the conversion has succeeded.
@@ -916,13 +796,6 @@ func ConvertFile(src, dst string, pageSize int) error {
 		return err
 	}
 	defer w.Abort() // a no-op once Finish commits
-
-	// Verify has checked the signature words too.
-	if blk, _ := r.Sketches(); blk != nil {
-		if err := w.SetSketches(blk); err != nil {
-			return err
-		}
-	}
 	for i := 0; i < r.Len(); i++ {
 		if err := w.Append(r.ID(i), r.At(i)); err != nil {
 			return err

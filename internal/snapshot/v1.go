@@ -8,7 +8,6 @@ import (
 	"io"
 	"os"
 
-	"github.com/voxset/voxset/internal/index/sketch"
 	"github.com/voxset/voxset/internal/vectorset"
 )
 
@@ -26,13 +25,15 @@ import (
 // optional "SEQ " chunk carrying the mutation epoch (present iff
 // non-zero), one "OBJ " chunk per object in insertion order (id,
 // cardinality, vectors), an optional "CTR " chunk holding every extended
-// centroid, an optional "SKH " chunk holding the approximate tier's
-// signatures, and a final "END " chunk carrying the object count and a
-// whole-stream CRC over every chunk byte after the magic. A flipped bit
-// anywhere is caught either by the owning chunk's CRC or by the stream
-// CRC; a truncated stream fails to reach "END ". The decoder verifies
-// every chunk — CTR included, although version 2 recomputes centroids
-// rather than adopting them.
+// centroid, an optional "SKH " chunk holding the signatures of the
+// since-removed approximate tier (DESIGN.md §12), and a final "END "
+// chunk carrying the object count and a whole-stream CRC over every
+// chunk byte after the magic. A flipped bit anywhere is caught either by
+// the owning chunk's CRC or by the stream CRC; a truncated stream fails
+// to reach "END ". The decoder verifies every chunk — CTR included,
+// although version 2 recomputes centroids rather than adopting them. An
+// SKH chunk is checked by its CRCs and skipped: nothing reads its
+// payload.
 
 // magic1 identifies a version-1 snapshot stream.
 var magic1 = [8]byte{'V', 'X', 'S', 'N', 'A', 'P', '0', '1'}
@@ -78,13 +79,12 @@ type v1Decoder struct {
 	maxCard int
 	omega   []float64
 
-	crc      uint32 // running CRC of every chunk byte read so far
-	rank     int    // v1Rank of the last chunk read
-	objects  uint64
-	seq      uint64
-	sketches *sketch.Block
-	done     bool
-	err      error
+	crc     uint32 // running CRC of every chunk byte read so far
+	rank    int    // v1Rank of the last chunk read
+	objects uint64
+	seq     uint64
+	done    bool
+	err     error
 
 	// Chunk-framing scratch, reused across readChunk calls so the steady
 	// state of a decode is one allocation per object (the flat vector
@@ -125,14 +125,8 @@ func convertV1(src, dst string, pageSize int) error {
 			return err
 		}
 	}
-	// The epoch and the signature table are final only once the stream
-	// is drained.
+	// The epoch is final only once the stream is drained.
 	w.SetSeq(dec.seq)
-	if dec.sketches != nil {
-		if err := w.SetSketches(dec.sketches); err != nil {
-			return err
-		}
-	}
 	return w.Finish()
 }
 
@@ -172,8 +166,7 @@ func newV1Decoder(r io.Reader) (*v1Decoder, error) {
 // next returns the next object in the contiguous vectorset.Flat layout:
 // one allocation per object regardless of cardinality. After the last
 // object it verifies the trailing sections and the END trailer (count and
-// whole-stream CRC) and returns io.EOF; seq and sketches are final from
-// then on. Any damage surfaces as an error wrapping ErrCorrupt.
+// whole-stream CRC) and returns io.EOF; seq is final from then on. Any damage surfaces as an error wrapping ErrCorrupt.
 func (d *v1Decoder) next() (uint64, vectorset.Flat, error) {
 	var none vectorset.Flat
 	if d.err != nil {
@@ -221,9 +214,8 @@ func (d *v1Decoder) next() (uint64, vectorset.Flat, error) {
 				return 0, none, err
 			}
 		case tagSKH:
-			if err := d.parseSketches(payload); err != nil {
-				return 0, none, err
-			}
+			// Skipped by its length: readChunk has checked its CRC and
+			// folded it into the stream CRC.
 		case tagEND:
 			if err := d.parseEnd(payload, streamCRC); err != nil {
 				return 0, none, err
@@ -267,21 +259,6 @@ func (d *v1Decoder) checkCentroids(payload []byte) error {
 	if len(payload) != 4+n*d.dim*8 {
 		return d.corrupt("CTR payload %d bytes, want %d", len(payload), 4+n*d.dim*8)
 	}
-	return nil
-}
-
-// parseSketches decodes the SKH chunk through the sketch codec (which
-// copies the signatures out of the chunk scratch) and checks alignment
-// with the object stream.
-func (d *v1Decoder) parseSketches(payload []byte) error {
-	b, err := sketch.DecodeBlock(payload)
-	if err != nil {
-		return d.corrupt("SKH chunk: %v", err)
-	}
-	if uint64(b.Count) != d.objects {
-		return d.corrupt("SKH count %d, want %d objects", b.Count, d.objects)
-	}
-	d.sketches = b
 	return nil
 }
 

@@ -9,14 +9,12 @@ import (
 	"io"
 	"math/rand"
 	"testing"
-
-	"github.com/voxset/voxset/internal/index/sketch"
 )
 
 // v1DB is a whole version-1 snapshot: the configuration, every object in
 // insertion order, and the optional sections. Absent sections (Seq 0,
-// nil Centroids, nil Sketches) are not encoded, so decode → encode is a
-// fixed point.
+// nil Centroids, nil SKH) are not encoded, so decode → encode is a fixed
+// point.
 type v1DB struct {
 	Dim     int
 	MaxCard int
@@ -26,7 +24,9 @@ type v1DB struct {
 	Sets    [][][]float64
 	// Centroids[i] is the extended centroid of Sets[i].
 	Centroids [][]float64
-	Sketches  *sketch.Block
+	// SKH is the opaque payload of a legacy sketch chunk, which the
+	// decoder skips.
+	SKH []byte
 }
 
 // crcWriter tracks the running whole-stream CRC of everything written
@@ -130,14 +130,8 @@ func encodeV1(w io.Writer, db *v1DB) error {
 			return err
 		}
 	}
-	if db.Sketches != nil {
-		if db.Sketches.Count != len(db.Sets) {
-			return fmt.Errorf("snapshot: %d sketches but %d sets", db.Sketches.Count, len(db.Sets))
-		}
-		if err := db.Sketches.Validate(); err != nil {
-			return fmt.Errorf("snapshot: %w", err)
-		}
-		if err := writeChunk(cw, tagSKH, db.Sketches.AppendEncode(nil)); err != nil {
+	if db.SKH != nil {
+		if err := writeChunk(cw, tagSKH, db.SKH); err != nil {
 			return err
 		}
 	}
@@ -148,9 +142,9 @@ func encodeV1(w io.Writer, db *v1DB) error {
 }
 
 // decodeV1 decodes a whole version-1 stream through the legacy decoder.
-// The decoder verifies the CTR chunk without keeping it, so the
-// centroids are read back from raw, whose chunks up to END are intact
-// once the decoder has accepted it.
+// The decoder verifies the CTR and SKH chunks without keeping them, so
+// they are read back from raw, whose chunks up to END are intact once the
+// decoder has accepted it.
 func decodeV1(raw []byte) (*v1DB, error) {
 	d, err := newV1Decoder(bytes.NewReader(raw))
 	if err != nil {
@@ -168,19 +162,22 @@ func decodeV1(raw []byte) (*v1DB, error) {
 		db.IDs = append(db.IDs, id)
 		db.Sets = append(db.Sets, set.Rows())
 	}
-	db.Seq, db.Sketches = d.seq, d.sketches
+	db.Seq = d.seq
 	for off := len(magic1); ; {
 		tag := [4]byte(raw[off : off+4])
 		n := int(binary.LittleEndian.Uint32(raw[off+4:]))
 		if tag == tagEND {
 			return db, nil
 		}
-		if tag == tagCTR {
-			body := raw[off+12 : off+8+n]
+		body := raw[off+8 : off+8+n]
+		switch tag {
+		case tagCTR:
 			db.Centroids = make([][]float64, len(db.IDs))
 			for i := range db.Centroids {
-				db.Centroids[i] = getFloats(body[i*db.Dim*8:], db.Dim)
+				db.Centroids[i] = getFloats(body[4+i*db.Dim*8:], db.Dim)
 			}
+		case tagSKH:
+			db.SKH = append([]byte{}, body...)
 		}
 		off += 12 + n
 	}
@@ -259,6 +256,9 @@ func equalDB(a, b *v1DB) bool {
 				return false
 			}
 		}
+	}
+	if (a.SKH == nil) != (b.SKH == nil) || !bytes.Equal(a.SKH, b.SKH) {
+		return false
 	}
 	if (a.Centroids == nil) != (b.Centroids == nil) || len(a.Centroids) != len(b.Centroids) {
 		return false

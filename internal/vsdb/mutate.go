@@ -232,12 +232,10 @@ func (db *DB) rebuildView(v *view, addIDs []uint64, addSets []vectorset.Flat, se
 	ids = append(ids, addIDs...)
 	sets = append(sets, addSets...)
 	// The retiring base's evaluations move into refExtra, sigExtra and
-	// matchExtra (and its sketch candidates into skExtra) so the DB-wide
-	// counters survive the rebuild.
+	// matchExtra so the DB-wide counters survive the rebuild.
 	db.refExtra.Add(v.base.Refinements())
 	db.sigExtra.Add(v.base.SignaturePruned())
 	db.matchExtra.Add(v.base.Matchings())
-	db.skExtra.Add(v.base.SketchCandidates())
 	if !v.compacted() {
 		db.compactions.Add(1)
 	}

@@ -192,7 +192,6 @@ func openPaged(r *snapshot.PagedReader, opt LoadOptions) (*DB, error) {
 		Workers:      opt.Workers,
 		MaxDelta:     opt.MaxDelta,
 		CompactRatio: opt.CompactRatio,
-		Approx:       opt.Approx,
 	}
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -212,15 +211,6 @@ func openPaged(r *snapshot.PagedReader, opt LoadOptions) (*DB, error) {
 	ix, err := filter.NewBulkStore(db.filterConfig(), r, intIDs, filter.StoreBuildOptions{})
 	if err != nil {
 		return nil, fmt.Errorf("vsdb: %w", err)
-	}
-	if cfg.Approx != nil && r.HasSketches() {
-		blk, err := r.Sketches()
-		if err != nil {
-			return nil, fmt.Errorf("vsdb: %w", err)
-		}
-		if blk.Params == cfg.Approx.params() {
-			_ = ix.AttachSketches(blk) // mismatch → lazy rebuild
-		}
 	}
 	db.cur.Store(&view{
 		seq:      r.Seq(),
@@ -261,19 +251,12 @@ func BulkBuildFromStream(path string, cfg Config, seq uint64, next func() (uint6
 		omega = make([]float64, cfg.Dim)
 	}
 	chk := &DB{cfg: cfg, omega: omega}
-	wopts := snapshot.PagedWriterOptions{
+	w, err := snapshot.CreatePaged(path, snapshot.PagedWriterOptions{
 		Dim:     cfg.Dim,
 		MaxCard: cfg.MaxCard,
 		Omega:   omega,
 		Seq:     seq,
-	}
-	if opt.Approx != nil {
-		// Sketch the stream as it passes: the built file carries the
-		// signature tail and the open below adopts it directly.
-		p := opt.Approx.params()
-		wopts.Sketch = &p
-	}
-	w, err := snapshot.CreatePaged(path, wopts)
+	})
 	if err != nil {
 		return nil, fmt.Errorf("vsdb: %w", err)
 	}

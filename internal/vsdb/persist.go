@@ -10,8 +10,7 @@ import (
 // Persistence (DESIGN.md §7/§8/§11): a database is saved as a paged
 // VXSNAP02 snapshot — the objects in insertion order, the extended
 // centroids the filter ranks, the mutation epoch a write-ahead log is
-// replayed against, and the approximate tier's signatures when the tier
-// is on — and reopened by mapping that file (OpenFile).
+// replayed against — and reopened by mapping that file (OpenFile).
 
 // LoadOptions tunes OpenFile beyond the persisted configuration.
 type LoadOptions struct {
@@ -31,12 +30,6 @@ type LoadOptions struct {
 	// (Config.MaxDelta / Config.CompactRatio semantics).
 	MaxDelta     int
 	CompactRatio float64
-	// Approx enables the approximate candidate tier on the opened
-	// database (Config.Approx semantics). When the snapshot carries a
-	// sketch table under matching parameters it is adopted directly;
-	// otherwise the table is rebuilt lazily on the first approximate
-	// query.
-	Approx *ApproxOptions
 }
 
 // SaveFile writes the database to path as a paged snapshot, atomically
@@ -65,11 +58,6 @@ func (db *DB) saveViewFile(v *view, path string) error {
 		return fmt.Errorf("vsdb: %w", err)
 	}
 	defer w.Abort() // a no-op once Finish commits
-	if blk := db.viewSketches(v); blk != nil {
-		if err := w.SetSketches(blk); err != nil {
-			return fmt.Errorf("vsdb: %w", err)
-		}
-	}
 	for _, id := range v.ids {
 		if err := w.Append(id, v.get(id)); err != nil {
 			return fmt.Errorf("vsdb: %w", err)

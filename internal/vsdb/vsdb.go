@@ -59,7 +59,6 @@ import (
 	"github.com/voxset/voxset/internal/dist"
 	"github.com/voxset/voxset/internal/index"
 	"github.com/voxset/voxset/internal/index/filter"
-	"github.com/voxset/voxset/internal/index/sketch"
 	"github.com/voxset/voxset/internal/parallel"
 	"github.com/voxset/voxset/internal/snapshot"
 	"github.com/voxset/voxset/internal/storage"
@@ -120,11 +119,6 @@ type Config struct {
 	// CompactRatio is the tombstone ratio that triggers auto-compaction.
 	// 0 means DefaultCompactRatio; negative disables the threshold.
 	CompactRatio float64
-
-	// Approx, if non-nil, configures the approximate candidate tier
-	// (DESIGN.md §12) that queries with Query.Approx set answer through.
-	// Exact queries are unaffected.
-	Approx *ApproxOptions
 }
 
 func (c Config) validate() error {
@@ -136,11 +130,6 @@ func (c Config) validate() error {
 	}
 	if c.Omega != nil && len(c.Omega) != c.Dim {
 		return fmt.Errorf("vsdb: Omega has dim %d, want %d", len(c.Omega), c.Dim)
-	}
-	if c.Approx != nil {
-		if err := c.Approx.params().Validate(); err != nil {
-			return fmt.Errorf("vsdb: %w", err)
-		}
 	}
 	return nil
 }
@@ -279,12 +268,10 @@ type DB struct {
 	// refExtra accumulates the refinements that the current base's counter
 	// does not cover: delta scans, plus the harvested counters of bases
 	// retired by compaction. sigExtra does the same for the signature
-	// prunes, matchExtra for the matchings run to completion, skExtra for
-	// the sketch-candidate counter of approximate queries.
+	// prunes, matchExtra for the matchings run to completion.
 	refExtra    atomic.Int64
 	sigExtra    atomic.Int64
 	matchExtra  atomic.Int64
-	skExtra     atomic.Int64
 	compactions atomic.Int64
 }
 
@@ -312,13 +299,7 @@ func Open(cfg Config) (*DB, error) {
 func (db *DB) weight() dist.WeightFunc { return dist.WeightNormTo(db.omega) }
 
 func (db *DB) filterConfig() filter.Config {
-	var sk *sketch.Params
-	if db.cfg.Approx != nil {
-		p := db.cfg.Approx.params()
-		sk = &p
-	}
 	return filter.Config{
-		Sketch:  sk,
 		K:       db.cfg.MaxCard,
 		Dim:     db.cfg.Dim,
 		Ground:  dist.L2,
@@ -385,12 +366,6 @@ type Stats struct {
 	// the loop held (the k-th distance, ε), so Matchings ÷ Refinements is
 	// the share of candidates the second filter stage let through.
 	Matchings int64
-	// ApproxEnabled reports whether the approximate tier is configured;
-	// when false, Query.Approx runs the exact engine.
-	ApproxEnabled bool
-	// SketchCandidates is the cumulative number of candidates proposed by
-	// approximate scans — the tier's analogue of Refinements.
-	SketchCandidates int64
 	// WALRecords is the number of records in the attached log (0 without
 	// one).
 	WALRecords int64
@@ -413,16 +388,14 @@ type Stats struct {
 func (db *DB) Stats() Stats {
 	v := db.cur.Load()
 	return Stats{
-		Refinements:      db.refExtra.Load() + v.base.Refinements(),
-		SignaturePruned:  db.sigExtra.Load() + v.base.SignaturePruned(),
-		Matchings:        db.matchExtra.Load() + v.base.Matchings(),
-		ApproxEnabled:    db.cfg.Approx != nil,
-		SketchCandidates: db.skExtra.Load() + v.base.SketchCandidates(),
-		WALRecords:       db.WALRecords(),
-		DeltaLen:         len(v.delta),
-		Tombstones:       len(v.tomb),
-		TombstoneRatio:   v.tombRatio(),
-		Compactions:      db.compactions.Load(),
+		Refinements:     db.refExtra.Load() + v.base.Refinements(),
+		SignaturePruned: db.sigExtra.Load() + v.base.SignaturePruned(),
+		Matchings:       db.matchExtra.Load() + v.base.Matchings(),
+		WALRecords:      db.WALRecords(),
+		DeltaLen:        len(v.delta),
+		Tombstones:      len(v.tomb),
+		TombstoneRatio:  v.tombRatio(),
+		Compactions:     db.compactions.Load(),
 	}
 }
 
@@ -470,9 +443,9 @@ const (
 )
 
 // Query is one similarity query: a query vector set, its form (k-nn or
-// ε-range), and two field-valued modes. The zero Approx and the zero
-// Match are the exact engine under the minimal matching distance — modes
-// are values of one query, not separate entry points (DESIGN.md §15).
+// ε-range), and a field-valued mode. The zero Match is the exact engine
+// under the minimal matching distance — modes are values of one query,
+// not separate entry points (DESIGN.md §15).
 type Query struct {
 	// Set is the query vector set.
 	Set [][]float64
@@ -480,13 +453,6 @@ type Query struct {
 	Kind Kind
 	K    int
 	Eps  float64
-	// Approx proposes base candidates through the sketch tier (DESIGN.md
-	// §12) instead of the centroid ranking: every returned distance is still
-	// exact, the approximation is recall. On a database opened without
-	// Config.Approx it is ignored — the exact engine answers, result for
-	// result — so callers can set it unconditionally. Ignored under
-	// Match.Partial, which has no candidate tier at all.
-	Approx bool
 	// Match selects the set distance (see SetQuery).
 	Match SetQuery
 }
@@ -499,7 +465,7 @@ type Query struct {
 // over the query worker pool, each refining with its own pooled
 // workspace; a batch of one runs inline on the caller's goroutine.
 //
-// Results are exact (up to Query.Approx), (dist, id)-ordered, and
+// Results are exact, (dist, id)-ordered, and
 // identical at any worker count and any epoch representation (compacted
 // or not).
 func (db *DB) Search(qs []Query) [][]Neighbor {
@@ -513,8 +479,8 @@ func (db *DB) Search(qs []Query) [][]Neighbor {
 // K — and its multi-step loop, signature stage and kernel prune against
 // the bound from the first candidate instead of waiting for K exact
 // distances of their own. A neighbour at exactly within[i] is kept. The
-// bound does not apply to Range, Approx or Match.Partial entries, which
-// answer as Search does.
+// bound does not apply to Range or Match.Partial entries, which answer
+// as Search does.
 //
 // The sharded coordinator visits its shards in turn and hands each one
 // the k-th distance it has merged so far (cluster.DB.Search): a neighbour
@@ -556,58 +522,32 @@ func (db *DB) KNNBatch(queries [][][]float64, k int) [][]Neighbor {
 }
 
 // searchView answers one query against a pinned view: the base proposes
-// its live neighbours (tombstones are skipped inside the exact ranking,
-// dropped after it on the approximate tier), then the delta memtable is
-// folded in under its centroid bounds. bound caps an exact k-nn answer
-// (SearchWithin).
+// its live neighbours (the exact ranking skips tombstones), then the delta
+// memtable is folded in under its centroid bounds. bound caps a k-nn
+// answer (SearchWithin).
 func (db *DB) searchView(v *view, q *Query, bound float64) []Neighbor {
 	if q.Match.Partial {
 		return db.partialView(v, q)
 	}
-	approx := db.cfg.Approx
-	if !q.Approx {
-		approx = nil
-	}
 	query := vectorset.FlatFromRows(q.Set)
 	if q.Kind == Range {
-		var cands []index.Neighbor
-		if approx != nil {
-			cands = v.base.RangeApproxFlat(query, q.Eps, approx.rangeBudget()+len(v.tomb))
-		} else {
-			cands = v.base.RangeFlatLive(query, q.Eps, v.baseLive())
-		}
-		return db.deltaRange(v, query, q.Eps, v.liveNeighbors(cands))
+		cands := v.base.RangeFlatLive(query, q.Eps, v.baseLive())
+		return db.deltaRange(v, query, q.Eps, liveNeighbors(cands))
 	}
 	k := min(q.K, len(v.ids))
 	if k <= 0 {
 		return nil
 	}
-	var cands []index.Neighbor
-	if approx != nil {
-		// Tombstones widen both the fetch and the approximate budget: a
-		// tombstoned object occupying a candidate slot must not evict a
-		// live one.
-		cands = v.base.KNNApproxFlat(query, k+len(v.tomb), approx.knnBudget(k)+len(v.tomb))
-		bound = math.Inf(1)
-	} else {
-		cands = v.base.KNNFlatWithin(query, k, v.baseLive(), bound)
-	}
-	out := v.liveNeighbors(cands)
-	if len(out) > k {
-		out = out[:k]
-	}
-	return db.deltaKNN(v, query, k, bound, out)
+	cands := v.base.KNNFlatWithin(query, k, v.baseLive(), bound)
+	return db.deltaKNN(v, query, k, bound, liveNeighbors(cands))
 }
 
-// liveNeighbors converts base candidates, dropping tombstoned ones (the
-// exact ranking has none left; the approximate tier proposes them). The
-// (dist, id) order is kept.
-func (v *view) liveNeighbors(cands []index.Neighbor) []Neighbor {
-	out := make([]Neighbor, 0, len(cands))
-	for _, nb := range cands {
-		if _, dead := v.tomb[uint64(nb.ID)]; !dead {
-			out = append(out, Neighbor{ID: uint64(nb.ID), Dist: nb.Dist})
-		}
+// liveNeighbors converts base candidates — all live, since the exact
+// ranking never proposes a tombstoned id — keeping their (dist, id) order.
+func liveNeighbors(cands []index.Neighbor) []Neighbor {
+	out := make([]Neighbor, len(cands))
+	for i, nb := range cands {
+		out[i] = Neighbor{ID: uint64(nb.ID), Dist: nb.Dist}
 	}
 	return out
 }
