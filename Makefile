@@ -2,9 +2,9 @@
 # vet, build, race-enabled tests, and a short benchmark smoke run.
 GO ?= go
 
-.PHONY: check vet build test race check-race check-bench bench bench-smoke bench-voxel bench-cluster fuzz-smoke
+.PHONY: check vet build test race check-race check-env check-bench bench bench-smoke bench-voxel bench-cluster fuzz-smoke
 
-check: vet build check-race check-bench fuzz-smoke bench-smoke bench-voxel
+check: vet build check-race check-env check-bench fuzz-smoke bench-smoke bench-voxel
 
 vet:
 	$(GO) vet ./...
@@ -28,6 +28,15 @@ race:
 # cannot fall out of it by being renamed.
 check-race:
 	$(GO) test -race -timeout 60m ./...
+
+# Environment gate: every query runs on its caller's goroutine, so the
+# engine's answers and counters must not depend on VOXSET_WORKERS, which
+# sizes only the batch pools (extraction, OPTICS, bulk-insert validation,
+# compaction) and the server's query slots. Running the engine packages
+# under a width other than the default keeps a parallel query path from
+# quietly coming back.
+check-env:
+	VOXSET_WORKERS=4 $(GO) test ./internal/index/... ./internal/vsdb/... ./internal/cluster/... ./internal/server/... ./internal/meshquery/ ./internal/recall/ .
 
 # Benchmark build gate: bench/ is a module of its own (it links against
 # internal/... through a replace), so `go test ./...` here never compiles
@@ -60,7 +69,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzMaxSubCuboid -fuzztime 5s ./internal/cover/
 
 # Quick benchmark smoke: the zero-allocation matching kernel, the
-# parallel-vs-sequential scaling pairs, and one pass of each measurement
+# sharded k-nn pair, and one pass of each measurement
 # EXPERIMENTS.md records from a benchmark table rather than from voxload:
 # the scan-to-CAD degraded-recall sweep and the replication gauges
 # (follower-read latency, shipping lag, promotion time). The vsdb pair

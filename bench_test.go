@@ -192,7 +192,7 @@ func BenchmarkTable2_JitteredFilter(b *testing.B) {
 		})
 		b.Run("column/"+size.name, func(b *testing.B) {
 			var tr storage.Tracker
-			db, err := vsdb.Open(vsdb.Config{Dim: dim, MaxCard: covers, Tracker: &tr, Workers: 1})
+			db, err := vsdb.Open(vsdb.Config{Dim: dim, MaxCard: covers, Tracker: &tr})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -263,9 +263,9 @@ func (c *jitteredCorpus) sets(variants int) [][][]float64 {
 }
 
 // BenchmarkShardedKNN prices a 10-nn over the 10 k-object voxload corpus
-// (see jitteredCorpus) through the cluster coordinator at 1 and 4 shards,
-// Workers = 1: ns/op is the coordinator's wall time per query on one
-// goroutine, and the funnel counters are summed over the shards —
+// (see jitteredCorpus) through the cluster coordinator at 1 and 4 shards:
+// ns/op is the coordinator's wall time per query on one goroutine, and
+// the funnel counters are summed over the shards —
 // signature-pruned/query, refined/query (handed to the kernel) and
 // solved/query (Hungarian solves). At 4 shards the coordinator visits the
 // shards in turn and hands each the k-th distance it has merged, so only
@@ -279,7 +279,7 @@ func BenchmarkShardedKNN(b *testing.B) {
 	}
 	for _, shards := range []int{1, 4} {
 		b.Run("shards="+strconv.Itoa(shards), func(b *testing.B) {
-			c, err := cluster.New(cluster.Config{Shards: shards, Dim: 6, MaxCard: 7, Workers: 1})
+			c, err := cluster.New(cluster.Config{Shards: shards, Dim: 6, MaxCard: 7})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -569,27 +569,9 @@ func BenchmarkAblation_ExactCoverR4K2(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Scaling: the parallel query/OPTICS engine vs the sequential baseline.
-// One iteration = one 10-nn query (k-nn pair) or one full OPTICS run
-// (OPTICS pair); results are identical between the two engines by
-// construction, so the pairs measure pure speedup.
-
-func benchmarkScalingKNN(b *testing.B, workers int) {
-	benchSetup(b)
-	objs := airEngine.Objects()
-	ix := filter.New(filter.Config{K: 7, Dim: 6, Workers: workers})
-	for _, o := range objs {
-		ix.Add(o.VSet, o.ID)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ix.KNN(objs[(i*37)%len(objs)].VSet, 10)
-	}
-}
-
-func BenchmarkScaling_KNNSequential(b *testing.B) { benchmarkScalingKNN(b, 1) }
-func BenchmarkScaling_KNNParallel(b *testing.B)   { benchmarkScalingKNN(b, runtime.GOMAXPROCS(0)) }
+// Scaling: the parallel OPTICS engine vs the sequential baseline. One
+// iteration = one full OPTICS run; results are identical between the two
+// engines by construction, so the pair measures pure speedup.
 
 func benchmarkScalingOPTICS(b *testing.B, workers int) {
 	benchSetup(b)
@@ -648,7 +630,7 @@ func benchmarkIngestDataset(b *testing.B, workers int) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := experiments.BuildVectorSetDB(e, workers, nil); err != nil {
+		if _, err := experiments.BuildVectorSetDB(e, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,9 +1,10 @@
 // Command voxserve serves a vector set database over HTTP (DESIGN.md §7):
 // k-nn and ε-range queries under the minimal matching distance, answered
-// by the extended-centroid filter pipeline on a bounded worker pool, with
-// an LRU cache for repeated query objects and a /metrics endpoint
-// exposing latency histograms, filter selectivity and the simulated page
-// I/O of the paper's §5.4 cost model.
+// by the extended-centroid filter pipeline — each query on one goroutine,
+// at most -workers of them at a time (the query slots) — with an LRU
+// cache for repeated query objects and a /metrics endpoint exposing
+// latency histograms, filter selectivity and the simulated page I/O of
+// the paper's §5.4 cost model.
 //
 // Usage:
 //
@@ -96,7 +97,7 @@ func main() {
 		covers  = flag.Int("covers", 7, "cover budget k for -dataset extraction")
 		save    = flag.String("save", "", "write the built database to this paged snapshot file before serving")
 		addr    = flag.String("addr", ":8080", "listen address")
-		workers = flag.Int("workers", 0, "query slots and refinement workers (0 = VOXSET_WORKERS, else one per CPU)")
+		workers = flag.Int("workers", 0, "query slots: queries executing at once, each on one goroutine (0 = VOXSET_WORKERS, else one per CPU)")
 		timeout = flag.Duration("timeout", 10*time.Second, "per-request timeout")
 		cache   = flag.Int("cache", 256, "LRU query cache entries (negative disables)")
 		grace   = flag.Duration("grace", 10*time.Second, "graceful shutdown drain budget")
@@ -151,7 +152,7 @@ func main() {
 	defer stop()
 	dbc := make(chan *vsdb.DB, 1)
 	go func() {
-		db, err := openDB(*snap, *dataset, *seed, *n, *covers, *workers, &tr)
+		db, err := openDB(*snap, *dataset, *seed, *n, *covers, &tr)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -230,7 +231,6 @@ func serveCluster(shards int, partial bool, walDir, snap, snapDir, dataset strin
 		Partial:       partial,
 		WALDir:        walDir,
 		WALNoSync:     noSync,
-		Workers:       workers,
 		Tracker:       tr,
 		Replicas:      replicas,
 		FollowerReads: followerReads,
@@ -282,8 +282,7 @@ func serveCluster(shards int, partial bool, walDir, snap, snapDir, dataset strin
 			}
 			cfg := core.DefaultConfig()
 			cfg.Covers = covers
-			cfg.Workers = workers
-			c, err = experiments.BuildClusterDB(d, seed, n, cfg, ccfg, workers, tr)
+			c, err = experiments.BuildClusterDB(d, seed, n, cfg, ccfg, 0, tr)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -321,13 +320,13 @@ func serveCluster(shards int, partial bool, walDir, snap, snapDir, dataset strin
 }
 
 // openDB loads a snapshot or builds a dataset from the CSG generators.
-func openDB(snap, dataset string, seed int64, n, covers, workers int, tr *storage.Tracker) (*vsdb.DB, error) {
+func openDB(snap, dataset string, seed int64, n, covers int, tr *storage.Tracker) (*vsdb.DB, error) {
 	switch {
 	case snap != "" && dataset != "":
 		log.Fatal("give -snapshot or -dataset, not both")
 	case snap != "":
 		start := time.Now()
-		db, err := vsdb.OpenFile(snap, vsdb.LoadOptions{Tracker: tr, Workers: workers})
+		db, err := vsdb.OpenFile(snap, vsdb.LoadOptions{Tracker: tr})
 		if err != nil {
 			return nil, err
 		}
@@ -349,8 +348,7 @@ func openDB(snap, dataset string, seed int64, n, covers, workers int, tr *storag
 	start := time.Now()
 	cfg := core.DefaultConfig()
 	cfg.Covers = covers
-	cfg.Workers = workers
-	db, err := experiments.BuildSnapshotDB(d, seed, n, cfg, workers, tr)
+	db, err := experiments.BuildSnapshotDB(d, seed, n, cfg, 0, tr)
 	if err != nil {
 		return nil, err
 	}

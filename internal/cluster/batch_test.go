@@ -13,15 +13,14 @@ import (
 
 // Batch-vs-sequential oracle at the coordinator: a k-nn or range batch
 // must answer entry i byte-identically to KNN/Range with queries[i],
-// across shard widths and worker counts — the single fan-out is a
-// transport optimization, never a semantic one.
+// across shard widths — the single fan-out is a transport optimization,
+// never a semantic one — and workers=N concurrent callers issuing the same
+// batches must get the same lists.
 func TestClusterBatchParity(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		for _, workers := range []int{1, 4, 8} {
 			t.Run(fmt.Sprintf("shards=%d/workers=%d", shards, workers), func(t *testing.T) {
-				cfg := testConfig(shards)
-				cfg.Workers = workers
-				c := newCluster(t, cfg)
+				c := newCluster(t, testConfig(shards))
 				populate(t, c, 80, 31)
 				for id := uint64(5); id <= 40; id += 5 {
 					if err := c.Delete(id); err != nil {
@@ -56,7 +55,8 @@ func TestClusterBatchParity(t *testing.T) {
 					assertSameResult(t, fmt.Sprintf("KNN query %d", i), batch[i], single)
 				}
 
-				rBatch, err := c.Search(batchOf(queries, vsdb.Query{Kind: vsdb.Range, Eps: eps}))
+				ranges := batchOf(queries, vsdb.Query{Kind: vsdb.Range, Eps: eps})
+				rBatch, err := c.Search(ranges)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -66,6 +66,12 @@ func TestClusterBatchParity(t *testing.T) {
 						t.Fatal(err)
 					}
 					assertSameResult(t, fmt.Sprintf("Range query %d", i), rBatch[i], single)
+				}
+				if msg := concurrentSearch(c, batchOf(queries, vsdb.Query{Kind: vsdb.KNN, K: k}), batch, workers); msg != "" {
+					t.Fatalf("KNN batch: %s", msg)
+				}
+				if msg := concurrentSearch(c, ranges, rBatch, workers); msg != "" {
+					t.Fatalf("Range batch: %s", msg)
 				}
 
 				empty, err := c.KNNBatch(nil, k)

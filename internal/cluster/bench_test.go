@@ -12,9 +12,10 @@ import (
 // BenchmarkClusterKNN measures k-nn as the shard count grows over a fixed
 // corpus — the `make bench-cluster` shard-scaling experiment recorded in
 // EXPERIMENTS.md: 4 096 jittered objects (512 parts × 8 copies), 1 024
-// queries cycled, k = 10. Workers is pinned to 1 so the only variable is
-// the sharding itself (coordination overhead and the threshold each shard
-// is handed, against smaller per-shard scans). refined/op and solved/op
+// queries cycled, k = 10. Each query runs on one goroutine per shard
+// visit, so the only variable is the sharding itself (coordination
+// overhead and the threshold each shard is handed, against smaller
+// per-shard scans). refined/op and solved/op
 // are the shards' summed Refinements and Matchings per query: at one
 // shard they are the unsharded engine's, and the coordinator's handed
 // threshold keeps the wider rows from growing with the shard count.
@@ -22,7 +23,7 @@ func BenchmarkClusterKNN(b *testing.B) {
 	ids, sets, queries := jitteredCorpus(99, 512, 8, 1024, 7)
 	for _, shards := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			c, err := cluster.New(cluster.Config{Shards: shards, Dim: 6, MaxCard: 7, Workers: 1})
+			c, err := cluster.New(cluster.Config{Shards: shards, Dim: 6, MaxCard: 7})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -93,7 +94,7 @@ func uniformCorpus(seed int64, n, q int) (ids []uint64, sets, queries [][][]floa
 func BenchmarkReplication(b *testing.B) {
 	ids, sets, queries := uniformCorpus(0x5eed6, 4096, 1024)
 	c, err := cluster.New(cluster.Config{
-		Shards: 2, Dim: 6, MaxCard: 7, Workers: 1,
+		Shards: 2, Dim: 6, MaxCard: 7,
 		WALDir: b.TempDir(), WALNoSync: true,
 		Replicas: 2, FollowerReads: true,
 	})

@@ -61,9 +61,8 @@ var (
 	ErrShardTimeout = errors.New("shard timed out")
 )
 
-// Config parameterizes a sharded cluster. Dim, MaxCard, Omega, Workers,
-// MaxDelta and CompactRatio have vsdb.Config semantics and apply to
-// every shard.
+// Config parameterizes a sharded cluster. Dim, MaxCard, Omega, MaxDelta
+// and CompactRatio have vsdb.Config semantics and apply to every shard.
 type Config struct {
 	// Shards is the number of shards N (≥ 1). The routing function is
 	// fnv(id) mod N, so N is part of the data's identity: a persisted
@@ -73,7 +72,6 @@ type Config struct {
 	Dim          int
 	MaxCard      int
 	Omega        []float64
-	Workers      int
 	MaxDelta     int
 	CompactRatio float64
 	// Tracker, if non-nil, is shared by every shard (it is safe for
@@ -306,7 +304,6 @@ func (c *DB) openShardAs(i int, walPath string) (*vsdb.DB, error) {
 			// place (a legacy version-1 file is upgraded first).
 			db, err := vsdb.OpenFile(snapPath, vsdb.LoadOptions{
 				Tracker:      c.cfg.Tracker,
-				Workers:      c.cfg.Workers,
 				WALPath:      walPath,
 				WALNoSync:    c.cfg.WALNoSync,
 				MaxDelta:     c.cfg.MaxDelta,
@@ -323,7 +320,6 @@ func (c *DB) openShardAs(i int, walPath string) (*vsdb.DB, error) {
 		MaxCard:      c.cfg.MaxCard,
 		Omega:        c.cfg.Omega,
 		Tracker:      c.cfg.Tracker,
-		Workers:      c.cfg.Workers,
 		WALPath:      walPath,
 		WALNoSync:    c.cfg.WALNoSync,
 		MaxDelta:     c.cfg.MaxDelta,

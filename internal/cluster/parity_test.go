@@ -14,11 +14,13 @@ import (
 
 // Cross-shard parity oracle: the sharded coordinator must be
 // bit-identical — every query result, every step of the way — to the
-// brute-force reference model, for every shard width and worker count.
-// The model is the same one the unsharded vsdb oracle is held to
-// (internal/vsdb/oracle_test.go), so parity against it is transitively
-// parity against the unsharded engine: shards {1,2,4} × workers {1,4}
-// all produce the same bytes.
+// brute-force reference model, for every shard width, with every query
+// issued by one caller and by several at once. The model is the same one
+// the unsharded vsdb oracle is held to (internal/vsdb/oracle_test.go), so
+// parity against it is transitively parity against the unsharded engine:
+// shards {1,2,4} × callers {1,4} all produce the same bytes. The subtests
+// label the caller count "workers", the name it had when it counted
+// refinement workers, so their names stay comparable across history.
 
 func parityTraceOptions(nOps int) vsdbtest.TraceOptions {
 	// Persist is false: checkpoint/reopen interleavings are exercised by
@@ -28,12 +30,11 @@ func parityTraceOptions(nOps int) vsdbtest.TraceOptions {
 }
 
 // runParityTrace replays ops against a fresh cluster and the reference
-// model in lockstep, failing on the first divergence. It returns an
-// error instead of failing t so the shrinker can re-execute candidates.
-func runParityTrace(ops []vsdbtest.Op, shards, workers int) error {
-	cfg := testConfig(shards)
-	cfg.Workers = workers
-	c, err := cluster.New(cfg)
+// model in lockstep, every query issued by callers concurrent callers at
+// once, failing on the first divergence. It returns an error instead of
+// failing t so the shrinker can re-execute candidates.
+func runParityTrace(ops []vsdbtest.Op, shards, callers int) error {
+	c, err := cluster.New(testConfig(shards))
 	if err != nil {
 		return fmt.Errorf("open: %w", err)
 	}
@@ -58,23 +59,8 @@ func runParityTrace(ops []vsdbtest.Op, shards, workers int) error {
 				return fmt.Errorf("step %d %s: %w", step, op, err)
 			}
 			model.Delete(op.ID)
-		case vsdbtest.OpKNN:
-			res, err := c.KNN(op.Set, op.K)
-			if err != nil {
-				return fmt.Errorf("step %d %s: %w", step, op, err)
-			}
-			if res.Partial || res.Errors != nil {
-				return fmt.Errorf("step %d %s: fault-free query reported partial", step, op)
-			}
-			if d := vsdbtest.Diff(res.Neighbors, model.KNN(op.Set, op.K)); d != "" {
-				return fmt.Errorf("step %d %s: %s", step, op, d)
-			}
-		case vsdbtest.OpRange:
-			res, err := c.Range(op.Set, op.Eps)
-			if err != nil {
-				return fmt.Errorf("step %d %s: %w", step, op, err)
-			}
-			if d := vsdbtest.Diff(res.Neighbors, model.Range(op.Set, op.Eps)); d != "" {
+		case vsdbtest.OpKNN, vsdbtest.OpRange:
+			if d := checkTraceQuery(c, model, op, callers); d != "" {
 				return fmt.Errorf("step %d %s: %s", step, op, d)
 			}
 		case vsdbtest.OpCompact:
@@ -95,15 +81,39 @@ func runParityTrace(ops []vsdbtest.Op, shards, workers int) error {
 	return nil
 }
 
+// checkTraceQuery issues a KNN or Range trace op from callers concurrent
+// callers of c and returns the first caller's departure from the model's
+// answer, or "".
+func checkTraceQuery(c *cluster.DB, model *vsdbtest.Model, op vsdbtest.Op, callers int) string {
+	knn := op.Kind == vsdbtest.OpKNN
+	want := model.Range(op.Set, op.Eps)
+	if knn {
+		want = model.KNN(op.Set, op.K)
+	}
+	return vsdbtest.Concurrently(callers, func() string {
+		res, err := c.Range(op.Set, op.Eps)
+		if knn {
+			res, err = c.KNN(op.Set, op.K)
+		}
+		if err != nil {
+			return err.Error()
+		}
+		if res.Partial || res.Errors != nil {
+			return "fault-free query reported partial"
+		}
+		return vsdbtest.Diff(res.Neighbors, want)
+	})
+}
+
 // failParityTrace reports a shrunk counterexample.
-func failParityTrace(t *testing.T, ops []vsdbtest.Op, shards, workers int, err error) {
+func failParityTrace(t *testing.T, ops []vsdbtest.Op, shards, callers int, err error) {
 	t.Helper()
 	small := vsdbtest.Shrink(ops, func(cand []vsdbtest.Op) bool {
-		return runParityTrace(cand, shards, workers) != nil
+		return runParityTrace(cand, shards, callers) != nil
 	}, 200)
-	serr := runParityTrace(small, shards, workers)
-	t.Fatalf("parity violated (shards=%d workers=%d): %v\nshrunk to %d ops (err: %v):\n%v",
-		shards, workers, err, len(small), serr, small)
+	serr := runParityTrace(small, shards, callers)
+	t.Fatalf("parity violated (shards=%d callers=%d): %v\nshrunk to %d ops (err: %v):\n%v",
+		shards, callers, err, len(small), serr, small)
 }
 
 func TestClusterParity(t *testing.T) {
@@ -138,31 +148,27 @@ func TestClusterParitySeeds(t *testing.T) {
 			t.Parallel()
 			ops := vsdbtest.GenTrace(seed, parityTraceOptions(nOps))
 			for _, shards := range []int{2, 4} {
-				if err := runParityTrace(ops, shards, 4); err != nil {
-					failParityTrace(t, ops, shards, 4, err)
+				if err := runParityTrace(ops, shards, 1); err != nil {
+					failParityTrace(t, ops, shards, 1, err)
 				}
 			}
 		})
 	}
 }
 
-// The same trace replayed at every (shards, workers) combination must
-// not only match the model — the query transcripts must be identical to
-// each other byte for byte. This is the direct statement of the
-// acceptance criterion.
+// The same trace replayed at every shard width must not only match the
+// model — the query transcripts must be identical to each other byte for
+// byte. This is the direct statement of the acceptance criterion.
 func TestClusterParityTranscripts(t *testing.T) {
 	nOps := 1200
 	if testing.Short() {
 		nOps = 300
 	}
 	ops := vsdbtest.GenTrace(424242, parityTraceOptions(nOps))
-	type combo struct{ shards, workers int }
-	combos := []combo{{1, 1}, {1, 4}, {2, 1}, {2, 4}, {4, 1}, {4, 4}}
-	transcripts := make([]string, len(combos))
-	for ci, cb := range combos {
-		cfg := testConfig(cb.shards)
-		cfg.Workers = cb.workers
-		c, err := cluster.New(cfg)
+	widths := []int{1, 2, 4}
+	transcripts := make([]string, len(widths))
+	for wi, shards := range widths {
+		c, err := cluster.New(testConfig(shards))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,15 +193,15 @@ func TestClusterParityTranscripts(t *testing.T) {
 				buf = append(buf, fmt.Sprintf("%d:%v\n", step, res.Neighbors)...)
 			}
 			if err != nil {
-				t.Fatalf("combo %+v step %d %s: %v", cb, step, op, err)
+				t.Fatalf("shards=%d step %d %s: %v", shards, step, op, err)
 			}
 		}
 		c.Close()
-		transcripts[ci] = string(buf)
+		transcripts[wi] = string(buf)
 	}
-	for ci := 1; ci < len(combos); ci++ {
-		if transcripts[ci] != transcripts[0] {
-			t.Fatalf("query transcript of %+v differs from %+v", combos[ci], combos[0])
+	for wi := 1; wi < len(widths); wi++ {
+		if transcripts[wi] != transcripts[0] {
+			t.Fatalf("query transcript at %d shards differs from %d", widths[wi], widths[0])
 		}
 	}
 }
@@ -266,7 +272,7 @@ func transcript(answers [][]vsdb.Neighbor) string {
 // every object base-resident, so the centroid ranking, the signature
 // stage and the shards' handed thresholds all run — the coordinator's
 // k-nn and ε-range transcripts equal a single database's byte for byte
-// at every shards × workers combination.
+// at every shard width, for each of workers=N concurrent callers.
 func TestClusterTranscriptsMatchSingle(t *testing.T) {
 	const (
 		n       = 800
@@ -293,7 +299,7 @@ func TestClusterTranscriptsMatchSingle(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		for _, workers := range []int{1, 4} {
 			t.Run(fmt.Sprintf("shards=%d/workers=%d", shards, workers), func(t *testing.T) {
-				c, err := cluster.New(cluster.Config{Shards: shards, Dim: 4, MaxCard: 5, Omega: omega, Workers: workers})
+				c, err := cluster.New(cluster.Config{Shards: shards, Dim: 4, MaxCard: 5, Omega: omega})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -301,23 +307,28 @@ func TestClusterTranscriptsMatchSingle(t *testing.T) {
 				if err := c.BulkInsert(ids, sets); err != nil {
 					t.Fatal(err)
 				}
-				var gotKNN, gotRange [][]vsdb.Neighbor
-				for _, q := range qs {
-					nn, err := c.KNN(q, k)
-					if err != nil {
-						t.Fatal(err)
+				if msg := vsdbtest.Concurrently(workers, func() string {
+					var gotKNN, gotRange [][]vsdb.Neighbor
+					for _, q := range qs {
+						nn, err := c.KNN(q, k)
+						if err != nil {
+							return err.Error()
+						}
+						rr, err := c.Range(q, eps)
+						if err != nil {
+							return err.Error()
+						}
+						gotKNN, gotRange = append(gotKNN, nn.Neighbors), append(gotRange, rr.Neighbors)
 					}
-					rr, err := c.Range(q, eps)
-					if err != nil {
-						t.Fatal(err)
+					if transcript(gotKNN) != transcript(wantKNN) {
+						return "cluster k-nn transcript differs from the single database"
 					}
-					gotKNN, gotRange = append(gotKNN, nn.Neighbors), append(gotRange, rr.Neighbors)
-				}
-				if transcript(gotKNN) != transcript(wantKNN) {
-					t.Fatal("cluster k-nn transcript differs from the single database")
-				}
-				if transcript(gotRange) != transcript(wantRange) {
-					t.Fatal("cluster range transcript differs from the single database")
+					if transcript(gotRange) != transcript(wantRange) {
+						return "cluster range transcript differs from the single database"
+					}
+					return ""
+				}); msg != "" {
+					t.Fatal(msg)
 				}
 			})
 		}

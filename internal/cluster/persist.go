@@ -115,7 +115,7 @@ func LoadDir(dir string, cfg Config) (*DB, error) {
 // opened with vsdb.OpenFile, so a legacy version-1 file is upgraded in
 // place on the way.
 func FromSnapshotFile(path string, cfg Config) (*DB, error) {
-	src, err := vsdb.OpenFile(path, vsdb.LoadOptions{Workers: cfg.Workers})
+	src, err := vsdb.OpenFile(path, vsdb.LoadOptions{})
 	if err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
 	}

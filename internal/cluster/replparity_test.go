@@ -14,7 +14,8 @@ import (
 // Replica-parity oracle: a replicated cluster — follower reads on, every
 // query free to land on any caught-up replica — must stay bit-identical
 // to the brute-force reference model across the full generated workload,
-// for every shard width × replica count × worker count; and once
+// for every shard width × replica count, with every query issued by one
+// caller and by several at once (the subtests' "workers" label); and once
 // shipping drains, every follower must answer byte-identically to its
 // primary. Counterexamples shrink through the same ddmin machinery as
 // the other oracles.
@@ -22,14 +23,13 @@ import (
 // runReplParityTrace replays ops against a replicated cluster and the
 // reference model in lockstep. It creates (and removes) its own WAL
 // directory so the shrinker can re-execute candidates hermetically.
-func runReplParityTrace(ops []vsdbtest.Op, shards, replicas, workers int) error {
+func runReplParityTrace(ops []vsdbtest.Op, shards, replicas, callers int) error {
 	walDir, err := os.MkdirTemp("", "voxset-replparity-*")
 	if err != nil {
 		return fmt.Errorf("mkdtemp: %w", err)
 	}
 	defer os.RemoveAll(walDir)
 	cfg := testConfig(shards)
-	cfg.Workers = workers
 	cfg.WALDir = walDir
 	cfg.WALNoSync = true
 	cfg.Replicas = replicas
@@ -59,23 +59,8 @@ func runReplParityTrace(ops []vsdbtest.Op, shards, replicas, workers int) error 
 				return fmt.Errorf("step %d %s: %w", step, op, err)
 			}
 			model.Delete(op.ID)
-		case vsdbtest.OpKNN:
-			res, err := c.KNN(op.Set, op.K)
-			if err != nil {
-				return fmt.Errorf("step %d %s: %w", step, op, err)
-			}
-			if res.Partial || res.Errors != nil {
-				return fmt.Errorf("step %d %s: fault-free query reported partial", step, op)
-			}
-			if d := vsdbtest.Diff(res.Neighbors, model.KNN(op.Set, op.K)); d != "" {
-				return fmt.Errorf("step %d %s: %s", step, op, d)
-			}
-		case vsdbtest.OpRange:
-			res, err := c.Range(op.Set, op.Eps)
-			if err != nil {
-				return fmt.Errorf("step %d %s: %w", step, op, err)
-			}
-			if d := vsdbtest.Diff(res.Neighbors, model.Range(op.Set, op.Eps)); d != "" {
+		case vsdbtest.OpKNN, vsdbtest.OpRange:
+			if d := checkTraceQuery(c, model, op, callers); d != "" {
 				return fmt.Errorf("step %d %s: %s", step, op, d)
 			}
 		case vsdbtest.OpCompact:
@@ -130,14 +115,14 @@ func randSetFrom(rng *rand.Rand) [][]float64 {
 	return set
 }
 
-func failReplParityTrace(t *testing.T, ops []vsdbtest.Op, shards, replicas, workers int, err error) {
+func failReplParityTrace(t *testing.T, ops []vsdbtest.Op, shards, replicas, callers int, err error) {
 	t.Helper()
 	small := vsdbtest.Shrink(ops, func(cand []vsdbtest.Op) bool {
-		return runReplParityTrace(cand, shards, replicas, workers) != nil
+		return runReplParityTrace(cand, shards, replicas, callers) != nil
 	}, 200)
-	serr := runReplParityTrace(small, shards, replicas, workers)
-	t.Fatalf("replica parity violated (shards=%d replicas=%d workers=%d): %v\nshrunk to %d ops (err: %v):\n%v",
-		shards, replicas, workers, err, len(small), serr, small)
+	serr := runReplParityTrace(small, shards, replicas, callers)
+	t.Fatalf("replica parity violated (shards=%d replicas=%d callers=%d): %v\nshrunk to %d ops (err: %v):\n%v",
+		shards, replicas, callers, err, len(small), serr, small)
 }
 
 func TestReplicaParity(t *testing.T) {

@@ -10,6 +10,7 @@ import (
 
 	"github.com/voxset/voxset/internal/cluster"
 	"github.com/voxset/voxset/internal/vsdb"
+	"github.com/voxset/voxset/internal/vsdb/vsdbtest"
 )
 
 // searchOne answers a single query through the coordinator's Search.
@@ -19,6 +20,25 @@ func searchOne(c *cluster.DB, q vsdb.Query) (cluster.Result, error) {
 		return cluster.Result{}, err
 	}
 	return rs[0], nil
+}
+
+// concurrentSearch issues qs from callers concurrent callers of c at once
+// and returns the first caller's mismatch against want — lists and
+// Partial flags — or "".
+func concurrentSearch(c *cluster.DB, qs []vsdb.Query, want []cluster.Result, callers int) string {
+	return vsdbtest.Concurrently(callers, func() string {
+		got, err := c.Search(qs)
+		if err != nil {
+			return err.Error()
+		}
+		for i := range got {
+			if !reflect.DeepEqual(got[i].Neighbors, want[i].Neighbors) || got[i].Partial != want[i].Partial {
+				return fmt.Sprintf("entry %d: a concurrent caller got %v (partial %v), want %v (partial %v)",
+					i, got[i].Neighbors, got[i].Partial, want[i].Neighbors, want[i].Partial)
+			}
+		}
+		return ""
+	})
 }
 
 // batchOf stamps proto onto every set: a homogeneous batch.
@@ -33,12 +53,14 @@ func batchOf(sets [][][]float64, proto vsdb.Query) []vsdb.Query {
 
 // TestClusterSearchParity: one heterogeneous Search — mixed K, Range,
 // partial matching at several I — answers every entry byte for byte as
-// the same query issued alone at the same epochs, across shard widths and
-// worker counts, with base, delta and tombstone layers live. With a shard
-// failing in partial mode the degraded batch must equal the degraded
-// singles too, and every entry must share the call's Partial/Errors. The
-// subtests keep the "approx=false" label of the days when an approximate
-// tier ran beside them, so their names stay comparable across history.
+// the same query issued alone at the same epochs, across shard widths,
+// with base, delta and tombstone layers live, and workers=N concurrent
+// callers issuing the same batch get the same lists. With a shard failing
+// in partial mode the degraded batch must equal the degraded singles too,
+// and every entry must share the call's Partial/Errors. The subtests keep
+// the "approx=false" label of the days when an approximate tier ran beside
+// them, and "workers" of the days when it counted refinement workers, so
+// their names stay comparable across history.
 func TestClusterSearchParity(t *testing.T) {
 	var armed atomic.Bool
 	fault := cluster.FaultFunc(func(shard int, op cluster.Op, attempt int) error {
@@ -52,7 +74,6 @@ func TestClusterSearchParity(t *testing.T) {
 			t.Run(fmt.Sprintf("approx=false/shards=%d/workers=%d", shards, workers), func(t *testing.T) {
 				armed.Store(false)
 				cfg := testConfig(shards)
-				cfg.Workers = workers
 				cfg.Partial = true
 				cfg.Fault = fault
 				cfg.Retries = -1 // the injected fault is permanent; don't wait it out
@@ -114,6 +135,9 @@ func TestClusterSearchParity(t *testing.T) {
 							t.Fatalf("%s entry %d: Partial=%v Errors=%v, want partial=%v like the single (%v)",
 								label, i, got[i].Partial, got[i].Errors, wantPartial, want.Errors)
 						}
+					}
+					if msg := concurrentSearch(c, qs, got, workers); msg != "" {
+						t.Fatalf("%s: %s", label, msg)
 					}
 				}
 				check("healthy", false)

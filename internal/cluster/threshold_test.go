@@ -92,12 +92,12 @@ func TestShardedKNNRefinesLikeUnsharded(t *testing.T) {
 		"scatter":   {87441, 70636, 11739},
 	}
 	ids, sets, qsets := jitteredCorpus(41, 250, 8, 64, 7)
-	cfg := cluster.Config{Shards: shards, Dim: 6, MaxCard: 7, Workers: 1}
+	cfg := cluster.Config{Shards: shards, Dim: 6, MaxCard: 7}
 	c := newCluster(t, cfg)
 	if err := c.BulkInsert(ids, sets); err != nil {
 		t.Fatal(err)
 	}
-	one, err := vsdb.Open(vsdb.Config{Dim: 6, MaxCard: 7, Workers: 1})
+	one, err := vsdb.Open(vsdb.Config{Dim: 6, MaxCard: 7})
 	if err != nil {
 		t.Fatal(err)
 	}

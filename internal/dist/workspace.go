@@ -35,7 +35,7 @@ type Workspace struct {
 }
 
 // wsPool recycles workspaces across the package-level convenience
-// functions (Assign, MatchingDistance, …) and across query workers. In
+// functions (Assign, MatchingDistance, …) and across concurrent queries. In
 // steady state Get/Put allocate nothing.
 var wsPool = sync.Pool{New: func() interface{} { return new(Workspace) }}
 

@@ -10,15 +10,14 @@ import (
 // hash-sharded cluster — the sharded counterpart of BuildVectorSetDB,
 // with the same 6-dimensional features and cover budget. ccfg carries
 // the serving knobs (Shards, Partial, WALDir, fault policy…); its Dim,
-// MaxCard, Workers and Tracker are filled in from the engine and the
-// arguments. The shard count is part of the resulting data's identity
-// (routing is fnv(id) mod shards); queries against the cluster are
-// bit-identical to the unsharded database built from the same engine.
-func BuildClusterDBWith(e *core.Engine, ccfg cluster.Config, workers int, tr *storage.Tracker) (*cluster.DB, error) {
+// MaxCard and Tracker are filled in from the engine and the argument.
+// The shard count is part of the resulting data's identity (routing is
+// fnv(id) mod shards); queries against the cluster are bit-identical to
+// the unsharded database built from the same engine.
+func BuildClusterDBWith(e *core.Engine, ccfg cluster.Config, tr *storage.Tracker) (*cluster.DB, error) {
 	cfg := e.Config()
 	ccfg.Dim = 6
 	ccfg.MaxCard = cfg.Covers
-	ccfg.Workers = workers
 	ccfg.Tracker = tr
 	c, err := cluster.New(ccfg)
 	if err != nil {
@@ -43,12 +42,13 @@ func BuildClusterDBWith(e *core.Engine, ccfg cluster.Config, workers int, tr *st
 
 // BuildClusterDB runs the full ingest pipeline — dataset generation,
 // parallel feature extraction, bulk insert partitioned across shards —
-// and returns a queryable sharded cluster. It is the build half of the
-// voxserve -shards serving flow.
+// and returns a queryable sharded cluster. workers bounds the extraction
+// pool (BuildParallel). It is the build half of the voxserve -shards
+// serving flow.
 func BuildClusterDB(d Dataset, seed int64, n int, cfg core.Config, ccfg cluster.Config, workers int, tr *storage.Tracker) (*cluster.DB, error) {
 	e, err := BuildParallel(cfg, d.Parts(seed, n), workers)
 	if err != nil {
 		return nil, err
 	}
-	return BuildClusterDBWith(e, ccfg, workers, tr)
+	return BuildClusterDBWith(e, ccfg, tr)
 }

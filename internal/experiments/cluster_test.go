@@ -6,13 +6,15 @@ import (
 
 	"github.com/voxset/voxset/internal/cluster"
 	"github.com/voxset/voxset/internal/vsdb"
+	"github.com/voxset/voxset/internal/vsdb/vsdbtest"
 )
 
 // TestClusterParity212 is the sharded acceptance criterion: over the
-// full 212-part dataset (car 200 + aircraft 12), every (shards ∈ {1,2,4}
-// × workers ∈ {1,4}) cluster answers k-nn and ε-range queries
-// bit-identically to the unsharded database built from the same
-// extraction.
+// full 212-part dataset (car 200 + aircraft 12), every shards ∈ {1,2,4}
+// cluster answers k-nn and ε-range queries bit-identically to the
+// unsharded database built from the same extraction — to each of
+// workers=N concurrent callers (the label the caller count kept from the
+// days when it counted refinement workers).
 func TestClusterParity212(t *testing.T) {
 	skipIfShort(t)
 	parts := append(Car.Parts(7, 0), Aircraft.Parts(7, 12)...)
@@ -25,16 +27,21 @@ func TestClusterParity212(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := BuildVectorSetDB(e, 0, nil)
+	ref, err := BuildVectorSetDB(e, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	queries := ref.IDs()[:16]
+	var wantKNN, wantRange [][]vsdb.Neighbor
+	for _, id := range queries {
+		wantKNN = append(wantKNN, ref.KNN(ref.Get(id), 10))
+		wantRange = append(wantRange, ref.Range(ref.Get(id), 1.5))
+	}
 
 	for _, shards := range []int{1, 2, 4} {
 		for _, workers := range []int{1, 4} {
 			t.Run(fmt.Sprintf("shards=%d/workers=%d", shards, workers), func(t *testing.T) {
-				c, err := BuildClusterDBWith(e, cluster.Config{Shards: shards}, workers, nil)
+				c, err := BuildClusterDBWith(e, cluster.Config{Shards: shards}, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -42,38 +49,35 @@ func TestClusterParity212(t *testing.T) {
 				if c.Len() != ref.Len() {
 					t.Fatalf("cluster holds %d objects, reference %d", c.Len(), ref.Len())
 				}
-				for _, id := range queries {
-					q := ref.Get(id)
-					knn, err := c.KNN(q, 10)
-					assertSameNeighbors(t, id, "knn", mustQuery(t, knn, err), ref.KNN(q, 10))
-					rng, err := c.Range(q, 1.5)
-					assertSameNeighbors(t, id, "range", mustQuery(t, rng, err), ref.Range(q, 1.5))
+				if msg := vsdbtest.Concurrently(workers, func() string {
+					for qi, id := range queries {
+						q := ref.Get(id)
+						knn, err := c.KNN(q, 10)
+						if d := resultDiff(knn, err, wantKNN[qi]); d != "" {
+							return fmt.Sprintf("id %d knn: %s", id, d)
+						}
+						rng, err := c.Range(q, 1.5)
+						if d := resultDiff(rng, err, wantRange[qi]); d != "" {
+							return fmt.Sprintf("id %d range: %s", id, d)
+						}
+					}
+					return ""
+				}); msg != "" {
+					t.Fatal(msg)
 				}
 			})
 		}
 	}
 }
 
-func mustQuery(t *testing.T, res cluster.Result, err error) cluster.Result {
-	t.Helper()
+// resultDiff describes how a fault-free cluster answer departs from the
+// reference list, bit for bit, or returns "".
+func resultDiff(res cluster.Result, err error, want []vsdb.Neighbor) string {
 	if err != nil {
-		t.Fatal(err)
+		return err.Error()
 	}
 	if res.Partial {
-		t.Fatal("fault-free query reported partial")
+		return "fault-free query reported partial"
 	}
-	return res
-}
-
-func assertSameNeighbors(t *testing.T, id uint64, kind string, got cluster.Result, want []vsdb.Neighbor) {
-	t.Helper()
-	if len(got.Neighbors) != len(want) {
-		t.Fatalf("id %d %s: %d neighbors, reference %d", id, kind, len(got.Neighbors), len(want))
-	}
-	for i := range want {
-		if got.Neighbors[i] != want[i] {
-			t.Fatalf("id %d %s: neighbor %d = %+v, reference %+v (not bit-identical)",
-				id, kind, i, got.Neighbors[i], want[i])
-		}
-	}
+	return vsdbtest.Diff(res.Neighbors, want)
 }

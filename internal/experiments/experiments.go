@@ -23,7 +23,6 @@ import (
 	"github.com/voxset/voxset/internal/index/xtree"
 	"github.com/voxset/voxset/internal/normalize"
 	"github.com/voxset/voxset/internal/optics"
-	"github.com/voxset/voxset/internal/parallel"
 	"github.com/voxset/voxset/internal/storage"
 	"github.com/voxset/voxset/internal/vectorset"
 	"github.com/voxset/voxset/internal/voxel"
@@ -259,26 +258,7 @@ func Table2(e *core.Engine, tc Table2Config) []Table2Row {
 		rows = append(rows, finishRow("Vect. Set M-tree (ext.)", start, &tr, mt.DistanceCalls()))
 	}
 
-	// (e) Extension: the centroid filter with parallel refinement — same
-	// results and I/O as (b), CPU time divided across the worker pool.
-	{
-		var tr storage.Tracker
-		ix := filter.New(filter.Config{
-			K: cfg.Covers, Dim: 6, Tracker: &tr, Workers: parallel.Auto(),
-		})
-		for _, o := range objs {
-			ix.Add(o.VSet, o.ID)
-		}
-		tr.Reset()
-		start := time.Now()
-		for _, q := range queries {
-			ix.KNN(q.VSet, tc.K)
-		}
-		label := fmt.Sprintf("Vect. Set w. filter x%d (ext.)", ix.Workers())
-		rows = append(rows, finishRow(label, start, &tr, ix.Refinements()))
-	}
-
-	// (f) Extension: the filter as the server runs it — the same multi-step
+	// (e) Extension: the filter as the server runs it — the same multi-step
 	// loop, ranking one sequential pass over the contiguous centroid column
 	// (filter.NewBulkStore inside vsdb) instead of walking the X-tree, and
 	// testing every candidate the centroid bound lets through against the
@@ -289,7 +269,7 @@ func Table2(e *core.Engine, tc Table2Config) []Table2Row {
 	// query visits (a signature chunk's first touch also reads its 64 sets).
 	{
 		var tr storage.Tracker
-		db, err := BuildVectorSetDB(e, 1, &tr)
+		db, err := BuildVectorSetDB(e, &tr)
 		if err != nil {
 			panic(fmt.Sprintf("experiments: Table 2 column row: %v", err))
 		}

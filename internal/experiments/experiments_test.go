@@ -77,9 +77,8 @@ func TestTable2ShapeMatchesPaper(t *testing.T) {
 		t.Fatal(err)
 	}
 	rows := Table2(e, Table2Config{Queries: 20, K: 10})
-	// Paper's three methods + the M-tree, parallel-filter and
-	// centroid-column extensions.
-	if len(rows) != 6 {
+	// Paper's three methods + the M-tree and centroid-column extensions.
+	if len(rows) != 5 {
 		t.Fatalf("rows = %d", len(rows))
 	}
 	byLabel := map[string]Table2Row{}

@@ -24,17 +24,14 @@ func BuildParallel(cfg core.Config, parts []cadgen.Part, workers int) (*core.Eng
 // BuildVectorSetDB loads the engine's vector set representations into a
 // fresh vsdb database (ids = object ids), completing the paper pipeline
 // voxelize → classify → cover → insert. Objects whose cover extraction
-// produced an empty set (degenerate parts) are skipped. workers bounds
-// the bulk-insert validation pool and the database's refinement workers,
-// with the same fallback chain as BuildParallel. tr, if non-nil, is the
-// database's I/O tracker, charged for query-time page accesses.
-func BuildVectorSetDB(e *core.Engine, workers int, tr *storage.Tracker) (*vsdb.DB, error) {
+// produced an empty set (degenerate parts) are skipped. tr, if non-nil,
+// is the database's I/O tracker, charged for query-time page accesses.
+func BuildVectorSetDB(e *core.Engine, tr *storage.Tracker) (*vsdb.DB, error) {
 	cfg := e.Config()
 	db, err := vsdb.Open(vsdb.Config{
 		Dim:     6,
 		MaxCard: cfg.Covers,
 		Tracker: tr,
-		Workers: workers,
 	})
 	if err != nil {
 		return nil, err

@@ -22,14 +22,15 @@ func ParseDataset(name string) (Dataset, error) {
 
 // BuildSnapshotDB runs the full ingest pipeline — dataset generation,
 // parallel feature extraction, bulk insert — and returns a queryable
-// database wired to the tracker. It is the build half of the voxgen
-// -snapshot / voxserve -dataset serving flow.
+// database wired to the tracker. workers bounds the extraction pool
+// (BuildParallel). It is the build half of the voxgen -snapshot /
+// voxserve -dataset serving flow.
 func BuildSnapshotDB(d Dataset, seed int64, n int, cfg core.Config, workers int, tr *storage.Tracker) (*vsdb.DB, error) {
 	e, err := BuildParallel(cfg, d.Parts(seed, n), workers)
 	if err != nil {
 		return nil, err
 	}
-	return BuildVectorSetDB(e, workers, tr)
+	return BuildVectorSetDB(e, tr)
 }
 
 // LoadOrBuildSnapshot opens the snapshot at path if it exists; otherwise
@@ -40,7 +41,7 @@ func BuildSnapshotDB(d Dataset, seed int64, n int, cfg core.Config, workers int,
 // the file and pays, under the tracker, only for the pages it touches.
 func LoadOrBuildSnapshot(path string, d Dataset, seed int64, n int, cfg core.Config, workers int, tr *storage.Tracker) (*vsdb.DB, bool, error) {
 	if _, err := os.Stat(path); err == nil {
-		db, err := vsdb.OpenFile(path, vsdb.LoadOptions{Tracker: tr, Workers: workers})
+		db, err := vsdb.OpenFile(path, vsdb.LoadOptions{Tracker: tr})
 		if err != nil {
 			return nil, false, fmt.Errorf("experiments: opening snapshot %s: %w", path, err)
 		}

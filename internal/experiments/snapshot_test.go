@@ -58,7 +58,7 @@ func TestSnapshotFingerprint212(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := BuildVectorSetDB(e, 0, nil)
+	db, err := BuildVectorSetDB(e, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

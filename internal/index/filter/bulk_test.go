@@ -14,8 +14,7 @@ import (
 // centroid column, refine in place) must answer every query byte for byte
 // like an index built by sequential Add calls — with centroids computed
 // for the store and with the ones the incremental index holds (what a
-// snapshot persists), sequential and parallel, over every object and
-// under a liveness predicate.
+// snapshot persists), over every object and under a liveness predicate.
 func TestNewBulkMatchesAdd(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	const n, dim, k = 120, 4, 5
@@ -34,38 +33,36 @@ func TestNewBulkMatchesAdd(t *testing.T) {
 		ids[i] = i * 2
 	}
 	lives := map[string]func(int) bool{"all": nil, "live": func(id int) bool { return id%6 != 0 }}
-	for _, workers := range []int{1, 4} {
-		cfg := Config{K: k, Dim: dim, Workers: workers}
-		inc := New(cfg)
-		for i, set := range sets {
-			inc.Add(set, ids[i])
-		}
-		flats := make([]vectorset.Flat, n)
-		var cents []float64
-		for i, set := range sets {
-			flats[i] = vectorset.FlatFromRows(set)
-			cents = append(cents, inc.Centroid(i)...)
-		}
-		for _, withCents := range []bool{false, true} {
-			bulk := bulkFromFlats(t, cfg, flats, ids)
-			if withCents {
-				var err error
-				if bulk, err = NewBulkStore(cfg, &memStore{sets: flats, cents: cents}, ids, StoreBuildOptions{}); err != nil {
-					t.Fatal(err)
-				}
+	cfg := Config{K: k, Dim: dim}
+	inc := New(cfg)
+	for i, set := range sets {
+		inc.Add(set, ids[i])
+	}
+	flats := make([]vectorset.Flat, n)
+	var cents []float64
+	for i, set := range sets {
+		flats[i] = vectorset.FlatFromRows(set)
+		cents = append(cents, inc.Centroid(i)...)
+	}
+	for _, withCents := range []bool{false, true} {
+		bulk := bulkFromFlats(t, cfg, flats, ids)
+		if withCents {
+			var err error
+			if bulk, err = NewBulkStore(cfg, &memStore{sets: flats, cents: cents}, ids, StoreBuildOptions{}); err != nil {
+				t.Fatal(err)
 			}
-			for qi := 0; qi < 10; qi++ {
-				q := flats[rng.Intn(n)]
-				for name, live := range lives {
-					ctx := fmt.Sprintf("workers=%d withCents=%v %s query %d", workers, withCents, name, qi)
-					a, b := inc.KNNFlatWithin(q, 9, live, math.Inf(1)), bulk.KNNFlatWithin(q, 9, live, math.Inf(1))
-					if !reflect.DeepEqual(a, b) {
-						t.Fatalf("%s: KNN\n add  %+v\n bulk %+v", ctx, a, b)
-					}
-					eps := a[len(a)/2].Dist
-					if ra, rb := inc.RangeFlatLive(q, eps, live), bulk.RangeFlatLive(q, eps, live); !reflect.DeepEqual(ra, rb) {
-						t.Fatalf("%s: Range(%v)\n add  %+v\n bulk %+v", ctx, eps, ra, rb)
-					}
+		}
+		for qi := 0; qi < 10; qi++ {
+			q := flats[rng.Intn(n)]
+			for name, live := range lives {
+				ctx := fmt.Sprintf("withCents=%v %s query %d", withCents, name, qi)
+				a, b := inc.KNNFlatWithin(q, 9, live, math.Inf(1)), bulk.KNNFlatWithin(q, 9, live, math.Inf(1))
+				if !reflect.DeepEqual(a, b) {
+					t.Fatalf("%s: KNN\n add  %+v\n bulk %+v", ctx, a, b)
+				}
+				eps := a[len(a)/2].Dist
+				if ra, rb := inc.RangeFlatLive(q, eps, live), bulk.RangeFlatLive(q, eps, live); !reflect.DeepEqual(ra, rb) {
+					t.Fatalf("%s: Range(%v)\n add  %+v\n bulk %+v", ctx, eps, ra, rb)
 				}
 			}
 		}

@@ -33,12 +33,10 @@
 // (the k-th exact distance ÷ k), which is what lets the column ranker
 // order only the few hundred positions within it instead of all n.
 //
-// With Config.Workers > 1 (or VOXSET_WORKERS set) the refinement step
-// runs on a bounded worker pool: range queries split the candidate list,
-// k-nn queries refine ranking batches concurrently with a shared atomic
-// pruning threshold. Results are identical to the sequential engine at
-// any worker count; a parallel k-nn may perform slightly more exact
-// evaluations than the sequential optimum (see DESIGN.md §6).
+// Every query runs on the caller's goroutine: the k-nn loop is sequential
+// by construction (it refines in ranking order and stops at the first
+// bound past the k-th distance), and concurrency comes from concurrent
+// callers, which an index serves safely (DESIGN.md §6).
 //
 // Every refinement loop holds a threshold (the current k-th exact
 // distance, ε), and each candidate the centroid ranking lets through meets
@@ -60,7 +58,6 @@ import (
 	"github.com/voxset/voxset/internal/dist"
 	"github.com/voxset/voxset/internal/index"
 	"github.com/voxset/voxset/internal/index/xtree"
-	"github.com/voxset/voxset/internal/parallel"
 	"github.com/voxset/voxset/internal/storage"
 	"github.com/voxset/voxset/internal/vectorset"
 )
@@ -87,10 +84,6 @@ type Config struct {
 	// pages of the centroid column per pass — and for vector-set record
 	// reads (optional).
 	Tracker *storage.Tracker
-	// Workers is the number of refinement workers per query. 0 consults
-	// the VOXSET_WORKERS environment variable and defaults to 1
-	// (sequential). Query results are identical at any setting.
-	Workers int
 	// FastL2 routes refinement through the specialized flat kernel
 	// (dist.MatchingDistanceFlat): candidate records decode into a
 	// per-workspace flat buffer with zero steady-state allocation and the
@@ -126,7 +119,6 @@ type Index struct {
 	fastL2 bool
 	encBuf []byte // reused serialization buffer (Add is caller-serialized)
 
-	workers     int
 	sigPruned   atomic.Int64 // candidates the signature bound settled unfetched
 	refinements atomic.Int64 // candidates fetched and handed to the kernel
 	matchings   atomic.Int64 // of those, distances computed in full
@@ -168,18 +160,14 @@ func newIndex(cfg Config) *Index {
 		cfg.PageSize = storage.DefaultPageSize
 	}
 	return &Index{
-		cfg:     cfg,
-		omega:   omega,
-		fastL2:  cfg.FastL2,
-		workers: parallel.Workers(cfg.Workers, 1),
+		cfg:    cfg,
+		omega:  omega,
+		fastL2: cfg.FastL2,
 	}
 }
 
 // Len returns the number of indexed vector sets.
 func (ix *Index) Len() int { return len(ix.ids) }
-
-// Workers returns the resolved refinement worker count.
-func (ix *Index) Workers() int { return ix.workers }
 
 // Refinements returns the cumulative number of candidates queries
 // fetched and handed to the matching kernel (the filter's selectivity
@@ -325,7 +313,7 @@ func (ix *Index) publish(t tally) {
 // cost matrix (dist.MatchingDistanceFlatWithin). The generic Ground/Weight
 // path (an index without FastL2: tests, the root voxset.Database) stays
 // unbounded and always solves. The paged file and the signature chunks
-// are safe for concurrent exact calls; each worker must hold its own
+// are safe for concurrent exact calls; each caller must hold its own
 // workspace and tally.
 func (ix *Index) exact(ws *dist.Workspace, q qview, i int, bound float64, t *tally) float64 {
 	// Until the loop holds a finite threshold nothing can be pruned, and
@@ -391,42 +379,27 @@ const reachSlack = 1 + 0x1p-40
 
 func (ix *Index) rangeQuery(q qview, cq []float64, eps float64, live func(id int) bool) []index.Neighbor {
 	defer q.release()
+	ws := dist.GetWorkspace()
+	defer dist.PutWorkspace(ws)
+	var t tally
+	var out []index.Neighbor
 	// dist_mm ≤ eps requires ‖C(X)−C(q)‖ ≤ eps/K (Korn et al. [19]); the
 	// ranker over-collects by a rounding margin and beyond decides.
-	cands := ix.ranker.within(cq, ix.reach(eps))
-	kept := cands[:0]
-	for _, c := range cands {
-		if !ix.beyond(c.Dist, eps) && (live == nil || live(ix.ids[c.ID])) {
-			kept = append(kept, c)
+	for _, c := range ix.ranker.within(cq, ix.reach(eps)) {
+		if ix.beyond(c.Dist, eps) || (live != nil && !live(ix.ids[c.ID])) {
+			continue
+		}
+		if d := ix.exact(ws, q, c.ID, eps, &t); d <= eps {
+			out = append(out, index.Neighbor{ID: ix.ids[c.ID], Dist: d})
 		}
 	}
-	cands = kept
-	dists := make([]float64, len(cands))
-	workers := min(ix.workers, len(cands))
-	parallel.Run(workers, func(w int) {
-		ws := dist.GetWorkspace()
-		defer dist.PutWorkspace(ws)
-		var t tally
-		lo, hi := parallel.Chunk(len(cands), max(workers, 1), w)
-		for i := lo; i < hi; i++ {
-			dists[i] = ix.exact(ws, q, cands[i].ID, eps, &t)
-		}
-		ix.publish(t)
-	})
-	var out []index.Neighbor
-	for i, c := range cands {
-		if dists[i] <= eps {
-			out = append(out, index.Neighbor{ID: ix.ids[c.ID], Dist: dists[i]})
-		}
-	}
+	ix.publish(t)
 	index.SortNeighbors(out)
 	return out
 }
 
 // worseNeighbor reports whether a ranks strictly after b under the
-// deterministic (distance, id) result order. It is the single comparison
-// used by both the sequential and the parallel k-nn merge, which is what
-// makes their outputs identical.
+// deterministic (distance, id) result order.
 func worseNeighbor(a, b index.Neighbor) bool {
 	if a.Dist != b.Dist {
 		return a.Dist > b.Dist
@@ -479,8 +452,7 @@ func (h *resultHeap) offer(nb index.Neighbor, k int) {
 // distance using the optimal multi-step algorithm (Seidl & Kriegel):
 // candidates are refined in filter-distance order and the walk stops as
 // soon as the next filter distance exceeds the current k-th exact
-// distance. With more than one worker, ranking batches are refined
-// concurrently (see knnParallel); results are identical either way.
+// distance.
 func (ix *Index) KNN(q [][]float64, k int) []index.Neighbor {
 	if k <= 0 || ix.Len() == 0 {
 		return nil
@@ -521,17 +493,6 @@ func (ix *Index) KNNFlatWithin(q vectorset.Flat, k int, live func(id int) bool, 
 
 func (ix *Index) knn(q qview, cq []float64, k int, live func(id int) bool, bound float64) []index.Neighbor {
 	defer q.release()
-	var results resultHeap
-	if ix.workers > 1 {
-		results = ix.knnParallel(cq, q, k, live, bound)
-	} else {
-		results = ix.knnSequential(cq, q, k, live, bound)
-	}
-	index.SortNeighbors(results) // the heap's one allocation is the answer
-	return results
-}
-
-func (ix *Index) knnSequential(cq []float64, q qview, k int, live func(id int) bool, bound float64) resultHeap {
 	ws := dist.GetWorkspace()
 	defer dist.PutWorkspace(ws)
 	ranking := ix.ranker.rank(cq, k, ix.reach(bound))
@@ -558,93 +519,6 @@ func (ix *Index) knnSequential(cq []float64, q qview, k int, live func(id int) b
 		}
 	}
 	ix.publish(t)
-	return results
-}
-
-// knnBatchPerWorker sizes the ranking batches handed to the worker pool:
-// workers × this many candidates per round. Larger batches amortize the
-// fork/join cost but can overshoot the sequential stopping point by more.
-const knnBatchPerWorker = 4
-
-// knnParallel is the concurrent variant of the optimal multi-step k-nn.
-// It gathers candidates from the ranking in batches, refines each batch
-// on the worker pool, and merges refined distances into the result heap
-// in ranking order with the same (distance, id) rule as the sequential
-// walk.
-//
-// Correctness: the batch boundary only ever extends the candidate prefix
-// the sequential algorithm would refine (the k-th distance used in the
-// stop test monotonically decreases, and the filter distance lower-bounds
-// the exact distance), so the refined set is a superset of the sequential
-// one; surplus candidates lose against the final k-th distance and cannot
-// enter the heap. Workers prune individually against a shared atomic
-// threshold — the k-th exact distance after the last merged batch — and
-// mark skipped candidates +Inf, which is likewise sound because a filter
-// distance above the current k-th exact distance can never be a result;
-// they pass the same threshold down to the kernel, whose assignment bound
-// prunes under the same rule with the same mark.
-func (ix *Index) knnParallel(cq []float64, q qview, k int, live func(id int) bool, bound float64) resultHeap {
-	ranking := ix.ranker.rank(cq, k, ix.reach(bound))
-	defer ranking.release()
-	results := make(resultHeap, 0, min(k, ix.Len()))
-
-	var threshold atomic.Uint64 // Float64bits of the current k-th distance, or bound before
-	threshold.Store(math.Float64bits(bound))
-
-	batchCap := ix.workers * knnBatchPerWorker
-	cands := make([]index.Neighbor, 0, batchCap)
-	dists := make([]float64, batchCap)
-	tallies := make([]tally, ix.workers) // one per worker, published once
-	for {
-		cands = cands[:0]
-		done := false
-		kth := math.Float64frombits(threshold.Load())
-		for len(cands) < batchCap {
-			cand, ok := ranking.next(ix.reach(kth))
-			if !ok || ix.beyond(cand.Dist, kth) {
-				done = true // the ranking is sorted: every later candidate fails too
-				break
-			}
-			if live != nil && !live(ix.ids[cand.ID]) {
-				continue
-			}
-			cands = append(cands, cand)
-		}
-		if len(cands) > 0 {
-			workers := min(ix.workers, len(cands))
-			parallel.Run(workers, func(w int) {
-				ws := dist.GetWorkspace()
-				defer dist.PutWorkspace(ws)
-				t := tallies[w]
-				lo, hi := parallel.Chunk(len(cands), workers, w)
-				for i := lo; i < hi; i++ {
-					kth := math.Float64frombits(threshold.Load())
-					if ix.beyond(cands[i].Dist, kth) {
-						dists[i] = math.Inf(1) // pruned: cannot beat the k-th distance
-						continue
-					}
-					// The kernel prunes against the same threshold, with
-					// the same +Inf mark.
-					dists[i] = ix.exact(ws, q, cands[i].ID, kth, &t)
-				}
-				tallies[w] = t
-			})
-			for i, cand := range cands {
-				if d := dists[i]; math.IsInf(d, 1) || d > bound { // pruned, or beyond the caller's bound
-					continue
-				}
-				results.offer(index.Neighbor{ID: ix.ids[cand.ID], Dist: dists[i]}, k)
-			}
-			if len(results) == k {
-				threshold.Store(math.Float64bits(results[0].Dist))
-			}
-		}
-		if done {
-			break
-		}
-	}
-	for _, t := range tallies {
-		ix.publish(t)
-	}
+	index.SortNeighbors(results) // the heap's one allocation is the answer
 	return results
 }

@@ -274,40 +274,37 @@ func TestFlatRankingNonFinite(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := st.sets[3]
-	for _, workers := range []int{1, 4} {
-		ix.workers = workers
-		all := ix.KNNFlat(q, n)
-		if len(all) != n-1 {
-			t.Fatalf("workers=%d: k = n returns %d objects, want all but the NaN-centroid one (%d)", workers, len(all), n-1)
+	all := ix.KNNFlat(q, n)
+	if len(all) != n-1 {
+		t.Fatalf("k = n returns %d objects, want all but the NaN-centroid one (%d)", len(all), n-1)
+	}
+	// The −Inf-centroid object's bound is +Inf: k = n reaches it last (no
+	// k-th distance ever excludes it), a finite threshold never does.
+	var finite []index.Neighbor
+	for _, nb := range all {
+		if nb.ID == ids[nan] {
+			t.Fatalf("the NaN-centroid object %d was ranked", nb.ID)
 		}
-		// The −Inf-centroid object's bound is +Inf: k = n reaches it last (no
-		// k-th distance ever excludes it), a finite threshold never does.
-		var finite []index.Neighbor
-		for _, nb := range all {
-			if nb.ID == ids[nan] {
-				t.Fatalf("workers=%d: the NaN-centroid object %d was ranked", workers, nb.ID)
-			}
-			if nb.ID != ids[inf] {
-				finite = append(finite, nb)
-			}
+		if nb.ID != ids[inf] {
+			finite = append(finite, nb)
 		}
-		if len(finite) != n-2 {
-			t.Fatalf("workers=%d: k = n misses the −Inf-centroid object", workers)
-		}
-		if got := ix.KNNFlat(q, 5); !reflect.DeepEqual(got, finite[:5]) {
-			t.Fatalf("workers=%d: k = 5\n got %v\nwant %v", workers, got, finite[:5])
-		}
-		if got := ix.RangeFlat(q, finite[20].Dist); !reflect.DeepEqual(got, finite[:21]) {
-			t.Fatalf("workers=%d: range to the 21st distance\n got %v\nwant %v", workers, got, finite[:21])
-		}
-		bad := vectorset.Flat{Data: append([]float64(nil), q.Data...), Card: q.Card, Dim: q.Dim}
-		bad.Data[0] = math.NaN()
-		if got := ix.KNNFlat(bad, 5); len(got) != 0 {
-			t.Fatalf("workers=%d: a NaN query centroid ranked %v", workers, got)
-		}
-		if got := ix.RangeFlat(bad, 1e9); len(got) != 0 {
-			t.Fatalf("workers=%d: a NaN query centroid ranged over %v", workers, got)
-		}
+	}
+	if len(finite) != n-2 {
+		t.Fatal("k = n misses the −Inf-centroid object")
+	}
+	if got := ix.KNNFlat(q, 5); !reflect.DeepEqual(got, finite[:5]) {
+		t.Fatalf("k = 5\n got %v\nwant %v", got, finite[:5])
+	}
+	if got := ix.RangeFlat(q, finite[20].Dist); !reflect.DeepEqual(got, finite[:21]) {
+		t.Fatalf("range to the 21st distance\n got %v\nwant %v", got, finite[:21])
+	}
+	bad := vectorset.Flat{Data: append([]float64(nil), q.Data...), Card: q.Card, Dim: q.Dim}
+	bad.Data[0] = math.NaN()
+	if got := ix.KNNFlat(bad, 5); len(got) != 0 {
+		t.Fatalf("a NaN query centroid ranked %v", got)
+	}
+	if got := ix.RangeFlat(bad, 1e9); len(got) != 0 {
+		t.Fatalf("a NaN query centroid ranged over %v", got)
 	}
 }
 

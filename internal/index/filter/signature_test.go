@@ -42,10 +42,9 @@ func sigCorpus(seed int64, n, maxCard, dim int) (pool, sets [][][]float64) {
 // TestSignatureStageDifferential: with the signature stage in the loop,
 // KNNFlatWithin (bound +Inf) and RangeFlatLive on a store-backed index
 // still answer byte for byte like a brute-force scan with the unbounded
-// distance —
-// sequential and parallel, K = 7 and 8, with and without a liveness
-// predicate, at k and ε chosen on exact ties — at sizes around the chunk
-// boundary (0, 1, 63, 64, 65) and at 10 000 objects; and the stage fires.
+// distance — K = 7 and 8, with and without a liveness predicate, at k
+// and ε chosen on exact ties — at sizes around the chunk boundary (0, 1,
+// 63, 64, 65) and at 10 000 objects; and the stage fires.
 func TestSignatureStageDifferential(t *testing.T) {
 	const D = 6
 	dead := func(id int) bool { return id%5 == 0 }
@@ -65,39 +64,37 @@ func TestSignatureStageDifferential(t *testing.T) {
 				}
 				index.SortNeighbors(brute[qi])
 			}
-			for _, workers := range []int{1, 4} {
-				ix := bulkFromFlats(t, Config{K: K, Dim: D, Workers: workers}, flats, ids)
-				for _, live := range []func(int) bool{nil, func(id int) bool { return !dead(id) }} {
-					ctx := fmt.Sprintf("K=%d n=%d workers=%d live=%v", K, n, workers, live != nil)
-					for qi, q := range queries {
-						var all []index.Neighbor
-						for _, nb := range brute[qi] {
-							if live == nil || live(nb.ID) {
-								all = append(all, nb)
-							}
+			ix := bulkFromFlats(t, Config{K: K, Dim: D}, flats, ids)
+			for _, live := range []func(int) bool{nil, func(id int) bool { return !dead(id) }} {
+				ctx := fmt.Sprintf("K=%d n=%d live=%v", K, n, live != nil)
+				for qi, q := range queries {
+					var all []index.Neighbor
+					for _, nb := range brute[qi] {
+						if live == nil || live(nb.ID) {
+							all = append(all, nb)
 						}
-						qf := vectorset.FlatFromRows(q)
-						for _, k := range []int{1, 10, 50} {
-							want := all[:min(k, len(all))]
-							if got := ix.KNNFlatWithin(qf, k, live, math.Inf(1)); !reflect.DeepEqual(got, want) && len(want)+len(got) > 0 {
-								t.Fatalf("%s query %d: knn k=%d\n got %v\nwant %v", ctx, qi, k, got, want)
-							}
+					}
+					qf := vectorset.FlatFromRows(q)
+					for _, k := range []int{1, 10, 50} {
+						want := all[:min(k, len(all))]
+						if got := ix.KNNFlatWithin(qf, k, live, math.Inf(1)); !reflect.DeepEqual(got, want) && len(want)+len(got) > 0 {
+							t.Fatalf("%s query %d: knn k=%d\n got %v\nwant %v", ctx, qi, k, got, want)
 						}
-						for _, at := range []int{0, 9, 49} {
-							if at >= len(all) {
-								continue
-							}
-							eps := all[at].Dist
-							m := sort.Search(len(all), func(i int) bool { return all[i].Dist > eps })
-							if got := ix.RangeFlatLive(qf, eps, live); !reflect.DeepEqual(got, all[:m]) {
-								t.Fatalf("%s query %d: range eps=%v\n got %v\nwant %v", ctx, qi, eps, got, all[:m])
-							}
+					}
+					for _, at := range []int{0, 9, 49} {
+						if at >= len(all) {
+							continue
+						}
+						eps := all[at].Dist
+						m := sort.Search(len(all), func(i int) bool { return all[i].Dist > eps })
+						if got := ix.RangeFlatLive(qf, eps, live); !reflect.DeepEqual(got, all[:m]) {
+							t.Fatalf("%s query %d: range eps=%v\n got %v\nwant %v", ctx, qi, eps, got, all[:m])
 						}
 					}
 				}
-				if n == 10_000 && ix.SignaturePruned() == 0 {
-					t.Fatalf("K=%d n=%d workers=%d: the signature stage never fired", K, n, workers)
-				}
+			}
+			if n == 10_000 && ix.SignaturePruned() == 0 {
+				t.Fatalf("K=%d n=%d: the signature stage never fired", K, n)
 			}
 		}
 	}
@@ -116,7 +113,7 @@ func TestSignatureFirstTouchConcurrent(t *testing.T) {
 	for i, s := range sets {
 		flats[i], ids[i] = vectorset.FlatFromRows(s), i
 	}
-	cfg := Config{K: K, Dim: D, Workers: 2}
+	cfg := Config{K: K, Dim: D}
 	ref := bulkFromFlats(t, cfg, flats, ids)
 	want := make([][]index.Neighbor, queries)
 	for i := range want {

@@ -63,38 +63,36 @@ func storeCorpus(t *testing.T, n int, cfg Config) (*memStore, []int) {
 
 // TestNewBulkStoreParity asserts that a store-backed index answers KNN
 // and range queries exactly like an index grown by sequential Add calls
-// over the same sets, at one worker and several.
+// over the same sets.
 func TestNewBulkStoreParity(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		cfg := Config{K: 8, Dim: 4, Workers: workers}
-		st, ids := storeCorpus(t, 600, cfg)
-		ref := New(cfg)
-		for i, set := range st.sets {
-			ref.Add(set.Rows(), ids[i])
-		}
+	cfg := Config{K: 8, Dim: 4}
+	st, ids := storeCorpus(t, 600, cfg)
+	ref := New(cfg)
+	for i, set := range st.sets {
+		ref.Add(set.Rows(), ids[i])
+	}
 
-		ix, err := NewBulkStore(cfg, st, ids, StoreBuildOptions{})
-		if err != nil {
-			t.Fatal(err)
+	ix, err := NewBulkStore(cfg, st, ids, StoreBuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ix.Len() != ref.Len() {
+		t.Fatalf("Len = %d, want %d", ix.Len(), ref.Len())
+	}
+	rng := rand.New(rand.NewSource(77))
+	for qi := 0; qi < 20; qi++ {
+		q := make([][]float64, 1+rng.Intn(cfg.K))
+		for i := range q {
+			q[i] = make([]float64, cfg.Dim)
+			for j := range q[i] {
+				q[i][j] = rng.NormFloat64()
+			}
 		}
-		if ix.Len() != ref.Len() {
-			t.Fatalf("w=%d: Len = %d, want %d", workers, ix.Len(), ref.Len())
+		if a, b := ref.KNN(q, 7), ix.KNN(q, 7); !reflect.DeepEqual(a, b) {
+			t.Fatalf("query %d knn:\n add  %+v\n bulk %+v", qi, a, b)
 		}
-		rng := rand.New(rand.NewSource(77))
-		for qi := 0; qi < 20; qi++ {
-			q := make([][]float64, 1+rng.Intn(cfg.K))
-			for i := range q {
-				q[i] = make([]float64, cfg.Dim)
-				for j := range q[i] {
-					q[i][j] = rng.NormFloat64()
-				}
-			}
-			if a, b := ref.KNN(q, 7), ix.KNN(q, 7); !reflect.DeepEqual(a, b) {
-				t.Fatalf("w=%d query %d knn:\n add  %+v\n bulk %+v", workers, qi, a, b)
-			}
-			if a, b := ref.Range(q, 3.0), ix.Range(q, 3.0); !reflect.DeepEqual(a, b) {
-				t.Fatalf("w=%d query %d range:\n add  %+v\n bulk %+v", workers, qi, a, b)
-			}
+		if a, b := ref.Range(q, 3.0), ix.Range(q, 3.0); !reflect.DeepEqual(a, b) {
+			t.Fatalf("query %d range:\n add  %+v\n bulk %+v", qi, a, b)
 		}
 	}
 }

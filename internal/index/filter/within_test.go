@@ -46,8 +46,8 @@ func latticeCorpus(seed int64, n, maxCard, dim int) [][][]float64 {
 // TestBoundedRefinementDifferential: KNNFlatWithin and RangeFlatLive, whose
 // loops hand their threshold to the ranking and to the matching kernel,
 // answer byte for byte like a brute-force scan with the unbounded
-// distance — through the X-tree and through the centroid column,
-// sequential and parallel, with and without a liveness predicate, at k and
+// distance — through the X-tree and through the centroid column, with
+// and without a liveness predicate, at k and
 // ε chosen on exact ties, under a power-of-two K and under K = 7. A k-nn
 // that starts from a handed bound (KNNFlatWithin) answers the scan's top
 // k cut at the bound.
@@ -61,50 +61,48 @@ func TestBoundedRefinementDifferential(t *testing.T) {
 		for i, s := range sets {
 			flats[i], ids[i] = vectorset.FlatFromRows(s), i
 		}
-		for _, workers := range []int{1, 4} {
-			cfg := Config{K: K, Dim: D, Workers: workers}
-			tree := New(cfg)
-			for i, s := range sets {
-				tree.Add(s, i)
-			}
-			for name, ix := range map[string]*Index{"tree": tree, "column": bulkFromFlats(t, cfg, flats, ids)} {
-				for _, live := range []func(int) bool{nil, func(id int) bool { return !dead(id) }} {
-					for qi := 0; qi < 25; qi++ {
-						q := sets[qi*7%len(sets)]
-						var all []index.Neighbor
-						for i, s := range sets {
-							if live == nil || live(i) {
-								all = append(all, index.Neighbor{ID: i, Dist: dist.MatchingDistance(q, s, dist.L2, dist.WeightNorm)})
-							}
+		cfg := Config{K: K, Dim: D}
+		tree := New(cfg)
+		for i, s := range sets {
+			tree.Add(s, i)
+		}
+		for name, ix := range map[string]*Index{"tree": tree, "column": bulkFromFlats(t, cfg, flats, ids)} {
+			for _, live := range []func(int) bool{nil, func(id int) bool { return !dead(id) }} {
+				for qi := 0; qi < 25; qi++ {
+					q := sets[qi*7%len(sets)]
+					var all []index.Neighbor
+					for i, s := range sets {
+						if live == nil || live(i) {
+							all = append(all, index.Neighbor{ID: i, Dist: dist.MatchingDistance(q, s, dist.L2, dist.WeightNorm)})
 						}
-						index.SortNeighbors(all)
-						ctx := fmt.Sprintf("K=%d %s workers=%d live=%v query=%d", K, name, workers, live != nil, qi)
-						qf := vectorset.FlatFromRows(q)
-						for _, k := range []int{1, 5, 10, 50} {
-							if got := ix.KNNFlatWithin(qf, k, live, math.Inf(1)); !reflect.DeepEqual(got, all[:k]) {
-								t.Fatalf("%s: knn k=%d\n got %v\nwant %v", ctx, k, got, all[:k])
-							}
-							// Handed a bound on a tie, an ulp under it, and at
-							// the middle of the top k: the top k cut at it.
-							for _, bound := range []float64{all[k-1].Dist, math.Nextafter(all[k-1].Dist, 0), all[k/2].Dist} {
-								n := sort.Search(k, func(i int) bool { return all[i].Dist > bound })
-								if got := ix.KNNFlatWithin(qf, k, live, bound); len(got)+n > 0 && !reflect.DeepEqual(got, all[:n]) {
-									t.Fatalf("%s: knn k=%d within %v\n got %v\nwant %v", ctx, k, bound, got, all[:n])
-								}
-							}
+					}
+					index.SortNeighbors(all)
+					ctx := fmt.Sprintf("K=%d %s live=%v query=%d", K, name, live != nil, qi)
+					qf := vectorset.FlatFromRows(q)
+					for _, k := range []int{1, 5, 10, 50} {
+						if got := ix.KNNFlatWithin(qf, k, live, math.Inf(1)); !reflect.DeepEqual(got, all[:k]) {
+							t.Fatalf("%s: knn k=%d\n got %v\nwant %v", ctx, k, got, all[:k])
 						}
-						for _, at := range []int{0, 9, 49} {
-							eps := all[at].Dist
-							n := sort.Search(len(all), func(i int) bool { return all[i].Dist > eps })
-							if got := ix.RangeFlatLive(qf, eps, live); !reflect.DeepEqual(got, all[:n]) {
-								t.Fatalf("%s: range eps=%v\n got %v\nwant %v", ctx, eps, got, all[:n])
+						// Handed a bound on a tie, an ulp under it, and at
+						// the middle of the top k: the top k cut at it.
+						for _, bound := range []float64{all[k-1].Dist, math.Nextafter(all[k-1].Dist, 0), all[k/2].Dist} {
+							n := sort.Search(k, func(i int) bool { return all[i].Dist > bound })
+							if got := ix.KNNFlatWithin(qf, k, live, bound); len(got)+n > 0 && !reflect.DeepEqual(got, all[:n]) {
+								t.Fatalf("%s: knn k=%d within %v\n got %v\nwant %v", ctx, k, bound, got, all[:n])
 							}
 						}
 					}
+					for _, at := range []int{0, 9, 49} {
+						eps := all[at].Dist
+						n := sort.Search(len(all), func(i int) bool { return all[i].Dist > eps })
+						if got := ix.RangeFlatLive(qf, eps, live); !reflect.DeepEqual(got, all[:n]) {
+							t.Fatalf("%s: range eps=%v\n got %v\nwant %v", ctx, eps, got, all[:n])
+						}
+					}
 				}
-				if ix.Matchings() >= ix.Refinements() {
-					t.Fatalf("K=%d %s workers=%d: %d matchings for %d refinements: the kernel bound never fired", K, name, workers, ix.Matchings(), ix.Refinements())
-				}
+			}
+			if ix.Matchings() >= ix.Refinements() {
+				t.Fatalf("K=%d %s: %d matchings for %d refinements: the kernel bound never fired", K, name, ix.Matchings(), ix.Refinements())
 			}
 		}
 	}

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"github.com/voxset/voxset/internal/index"
-	"github.com/voxset/voxset/internal/parallel"
 	"github.com/voxset/voxset/internal/storage"
 )
 
@@ -18,22 +17,13 @@ type Scanner[T any] struct {
 	objects []T
 	ids     []int
 	file    *storage.PagedFile // optional: charged once per scan
-	workers int
 	calls   atomic.Int64
 }
 
 // New returns an empty scanner with the given distance function. If file
 // is non-nil, each query charges a full sequential read of it.
 func New[T any](dist func(T, T) float64, file *storage.PagedFile) *Scanner[T] {
-	return &Scanner[T]{dist: dist, file: file, workers: 1}
-}
-
-// SetWorkers sets the number of workers evaluating distances per query
-// (n ≤ 0 consults VOXSET_WORKERS, defaulting to 1). With more than one
-// worker the distance function must be safe for concurrent calls.
-// Results are identical at any setting.
-func (s *Scanner[T]) SetWorkers(n int) {
-	s.workers = parallel.Workers(n, 1)
+	return &Scanner[T]{dist: dist, file: file}
 }
 
 // Add registers an object under the given id.
@@ -57,14 +47,13 @@ func (s *Scanner[T]) chargeScan() {
 	}
 }
 
-// distances evaluates the distance from q to every object, in parallel
-// when configured.
+// distances evaluates the distance from q to every object.
 func (s *Scanner[T]) distances(q T) []float64 {
 	s.calls.Add(int64(len(s.objects)))
 	out := make([]float64, len(s.objects))
-	parallel.ForEach(len(s.objects), s.workers, func(i int) {
-		out[i] = s.dist(q, s.objects[i])
-	})
+	for i, obj := range s.objects {
+		out[i] = s.dist(q, obj)
+	}
 	return out
 }
 

@@ -11,11 +11,12 @@
 // vector set directly — the acceptance contract holds by construction,
 // not by keeping two copies in sync.
 //
-// Normalization: VoxelizeMeshWorkers centers the mesh's bounding box
-// inside a cube of its maximum extent before rasterizing (the grid
-// placement of voxel.fitGridToBounds), so translation and scale are
-// normalized exactly as the dataset-build pipeline normalizes solids.
-// Voxelization is bit-identical at any worker count.
+// Normalization: the voxelizer centers the mesh's bounding box inside a
+// cube of its maximum extent before rasterizing (the grid placement of
+// voxel.fitGridToBounds), so translation and scale are normalized exactly
+// as the dataset-build pipeline normalizes solids. A mesh query
+// voxelizes on the caller's goroutine; the grid is bit-identical to what
+// the voxelizer's worker pool builds.
 package meshquery
 
 import (
@@ -46,10 +47,6 @@ type Config struct {
 	// Covers is the cover budget k: the extracted set has at most this
 	// many 6-d vectors (> 0).
 	Covers int
-	// Workers is the voxelization worker count; 0 consults
-	// VOXSET_WORKERS and defaults to 1. Results are identical at any
-	// setting.
-	Workers int
 }
 
 // DefaultConfig matches core.DefaultConfig's cover parameters (r'=15,
@@ -89,7 +86,7 @@ func Voxelize(m *mesh.Mesh, cfg Config) (*voxel.Grid, error) {
 	if !m.Finite() {
 		return nil, ErrNonFinite
 	}
-	g := voxel.VoxelizeMeshWorkers(m, m.Bounds(), cfg.RCover, cfg.Workers)
+	g := voxel.VoxelizeMeshWorkers(m, m.Bounds(), cfg.RCover, 1)
 	if g.Empty() {
 		return nil, ErrDegenerate
 	}

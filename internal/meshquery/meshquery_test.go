@@ -8,6 +8,7 @@ import (
 
 	"github.com/voxset/voxset/internal/geom"
 	"github.com/voxset/voxset/internal/mesh"
+	"github.com/voxset/voxset/internal/voxel"
 )
 
 func TestExtractShapeAndDeterminism(t *testing.T) {
@@ -37,22 +38,19 @@ func TestExtractShapeAndDeterminism(t *testing.T) {
 	}
 }
 
-// TestExtractWorkerInvariance: the voxelizer's worker count must not
-// change the extracted set — the served parity contract depends on it.
+// TestExtractWorkerInvariance: Extract voxelizes with one worker, and
+// the set it extracts equals the one a four-worker voxelization of the
+// same mesh gives — the served parity contract depends on it.
 func TestExtractWorkerInvariance(t *testing.T) {
 	m := mesh.NewSphere(geom.Vec3{X: 0.3, Y: -0.2}, 0.8, 20, 12)
-	cfg1, cfg4 := DefaultConfig(), DefaultConfig()
-	cfg1.Workers, cfg4.Workers = 1, 4
-	a, err := Extract(m, cfg1)
+	cfg := DefaultConfig()
+	a, err := Extract(m, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Extract(m, cfg4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a.Set, b.Set) {
-		t.Fatalf("workers=1 set %v != workers=4 set %v", a.Set, b.Set)
+	b := CoverSet(voxel.VoxelizeMeshWorkers(m, m.Bounds(), cfg.RCover, 4), cfg.Covers)
+	if !reflect.DeepEqual(a.Set, b) {
+		t.Fatalf("workers=1 set %v != workers=4 set %v", a.Set, b)
 	}
 }
 

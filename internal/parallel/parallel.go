@@ -1,13 +1,12 @@
-// Package parallel provides the worker-pool primitives shared by the
-// query engine (filter refinement, sequential scan), the OPTICS row
-// evaluator, the feature-extraction pipeline and the live-update engine
-// (delta-memtable scans, centroid recomputation during compaction — see
-// DESIGN.md §8). All of them follow the same shape: a bounded set of
+// Package parallel provides the worker-pool primitives shared by the batch
+// paths: the OPTICS row evaluator, the feature-extraction pipeline and the
+// voxel kernels, the live-update engine's build pools (bulk-insert
+// validation, centroid recomputation during compaction — see DESIGN.md
+// §8) and the server's query-slot count. Queries themselves run on their
+// caller's goroutine. Every pool follows the same shape: a bounded set of
 // workers sweeps a contiguous index range, each worker holding its own
-// matching workspace, with results written into per-index slots so the
-// outcome is independent of scheduling. That determinism is what lets
-// the randomized oracle test demand bit-identical answers at any worker
-// count, even while compactions rebuild the index concurrently.
+// scratch, with results written into per-index slots so the outcome is
+// independent of scheduling and bit-identical at any worker count.
 package parallel
 
 import (
@@ -18,15 +17,15 @@ import (
 )
 
 // EnvWorkers is the environment variable consulted when a worker count is
-// not configured explicitly. Setting VOXSET_WORKERS=1 forces every
-// consumer sequential; a larger value turns on parallel query evaluation
-// everywhere at that width.
+// not configured explicitly. Setting VOXSET_WORKERS=1 makes every pool
+// sequential; a larger value sets every pool (and the server's query
+// slots) to that width.
 const EnvWorkers = "VOXSET_WORKERS"
 
 // Workers resolves a worker count: an explicit configured value > 0 wins,
 // else a positive VOXSET_WORKERS environment value, else fallback
-// (clamped to ≥ 1). Query paths pass fallback 1 (sequential unless asked
-// for), batch paths such as OPTICS rows and extraction pass Auto().
+// (clamped to ≥ 1). Batch paths such as OPTICS rows and extraction pass
+// Auto(); the voxel kernels pass 1 (sequential unless asked for).
 func Workers(configured, fallback int) int {
 	if configured > 0 {
 		return configured

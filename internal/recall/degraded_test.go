@@ -39,9 +39,9 @@ func newDegradedDB(t testing.TB, cat Catalog) *vsdb.DB {
 	return db
 }
 
-func newDegradedCluster(t testing.TB, shards, workers int, cat Catalog) *cluster.DB {
+func newDegradedCluster(t testing.TB, shards int, cat Catalog) *cluster.DB {
 	t.Helper()
-	c, err := cluster.New(cluster.Config{Shards: shards, Dim: 6, MaxCard: degradedCovers, Workers: workers})
+	c, err := cluster.New(cluster.Config{Shards: shards, Dim: 6, MaxCard: degradedCovers})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,8 +54,8 @@ func newDegradedCluster(t testing.TB, shards, workers int, cat Catalog) *cluster
 
 // TestDegradedOracleCroppedTopK is the scan-to-CAD oracle: query each
 // part by a mildly cropped rescan of itself and require the true part
-// in the top-10 under partial matching — at every shard count × worker
-// count, with bit-identical neighbor lists across all of them.
+// in the top-10 under partial matching — at every shard count, with
+// bit-identical neighbor lists across them.
 func TestDegradedOracleCroppedTopK(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a CAD catalog")
@@ -65,8 +65,8 @@ func TestDegradedOracleCroppedTopK(t *testing.T) {
 	sq := vsdb.SetQuery{Partial: true, I: 4}
 
 	var baseline [][]vsdb.Neighbor
-	for _, cc := range []struct{ shards, workers int }{{1, 1}, {1, 4}, {4, 1}, {4, 4}} {
-		c := newDegradedCluster(t, cc.shards, cc.workers, cat)
+	for _, shards := range []int{1, 4} {
+		c := newDegradedCluster(t, shards, cat)
 		answers := make([][]vsdb.Neighbor, len(queries))
 		hits := 0
 		for i, q := range queries {
@@ -75,7 +75,7 @@ func TestDegradedOracleCroppedTopK(t *testing.T) {
 			}
 			res, err := c.Search([]vsdb.Query{{Set: q, Kind: vsdb.KNN, K: 10, Match: sq}})
 			if err != nil {
-				t.Fatalf("shards=%d workers=%d query %d: %v", cc.shards, cc.workers, i, err)
+				t.Fatalf("shards=%d query %d: %v", shards, i, err)
 			}
 			answers[i] = res[0].Neighbors
 			for _, nb := range answers[i] {
@@ -86,14 +86,14 @@ func TestDegradedOracleCroppedTopK(t *testing.T) {
 			}
 		}
 		rec := float64(hits) / float64(len(queries))
-		t.Logf("shards=%d workers=%d: recall@10 = %.3f", cc.shards, cc.workers, rec)
+		t.Logf("shards=%d: recall@10 = %.3f", shards, rec)
 		if rec < 0.9 {
-			t.Errorf("shards=%d workers=%d: recall@10 = %.3f, want ≥ 0.9", cc.shards, cc.workers, rec)
+			t.Errorf("shards=%d: recall@10 = %.3f, want ≥ 0.9", shards, rec)
 		}
 		if baseline == nil {
 			baseline = answers
 		} else if !reflect.DeepEqual(answers, baseline) {
-			t.Errorf("shards=%d workers=%d: neighbor lists differ from the 1×1 baseline", cc.shards, cc.workers)
+			t.Errorf("shards=%d: neighbor lists differ from the one-shard baseline", shards)
 		}
 	}
 }

@@ -33,7 +33,6 @@ func TestServeMutationHammer(t *testing.T) {
 	db, err := vsdb.Open(vsdb.Config{
 		Dim:     3,
 		MaxCard: 4,
-		Workers: 4,
 		// Tiny delta threshold: the storm crosses many auto-compactions.
 		MaxDelta:  32,
 		WALPath:   filepath.Join(dir, "hammer.wal"),
@@ -293,7 +292,7 @@ func TestServeMutationHammer(t *testing.T) {
 		t.Fatal(err)
 	}
 	re, err := vsdb.Open(vsdb.Config{
-		Dim: 3, MaxCard: 4, Workers: 4, MaxDelta: 32,
+		Dim: 3, MaxCard: 4, MaxDelta: 32,
 		WALPath: filepath.Join(dir, "hammer.wal"), WALNoSync: true,
 	})
 	if err != nil {

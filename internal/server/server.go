@@ -40,11 +40,10 @@
 //	                                                and per-shard gauges
 //
 // Query bodies may give "id" instead of "set" to query by a stored
-// object. Queries run on a bounded slot pool (the worker-pool discipline
-// of internal/parallel: the slot count is resolved through
-// parallel.Workers, and each in-database refinement additionally fans out
-// over the database's own refinement workers), under a per-request
-// timeout, with an LRU cache short-circuiting repeated query objects.
+// object. Queries run on a bounded slot pool (the slot count is resolved
+// through parallel.Workers; each query then runs on one goroutine inside
+// the database), under a per-request timeout, with an LRU cache
+// short-circuiting repeated query objects.
 // Mutations go straight to the database (vsdb serializes writers
 // internally and queries are lock-free against immutable views, DESIGN.md
 // §8); cache keys carry the database epoch, so a mutation implicitly
@@ -97,8 +96,9 @@ type Config struct {
 	// the tracker the database charges (vsdb.Config.Tracker /
 	// vsdb.LoadOptions.Tracker) so query-time page reads are visible.
 	Tracker *storage.Tracker
-	// Workers bounds concurrently executing queries. 0 consults
-	// VOXSET_WORKERS and defaults to one slot per CPU.
+	// Workers is the number of query slots: queries executing at once,
+	// each on one goroutine. 0 consults VOXSET_WORKERS and defaults to
+	// one slot per CPU.
 	Workers int
 	// Timeout is the per-request budget (default 10s). Requests that miss
 	// it get 503 and count as timeouts in /metrics.

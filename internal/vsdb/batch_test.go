@@ -3,18 +3,22 @@ package vsdb
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
+
+	"github.com/voxset/voxset/internal/parallel"
 )
 
 // Batch-vs-sequential oracle: KNNBatch and a Range batch must answer every
-// entry byte-identically to the corresponding single query, for every
-// worker count, against a database with all three layers live (compacted
-// base, delta memtable, tombstones).
+// entry byte-identically to the corresponding single query, against a
+// database with all three layers live (compacted base, delta memtable,
+// tombstones) — and so must the same batches issued by workers=N
+// concurrent callers at once.
 func TestBatchMatchesSequential(t *testing.T) {
 	for _, workers := range []int{1, 4, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(21))
-			db, err := Open(Config{Dim: 4, MaxCard: 5, Workers: workers})
+			db, err := Open(Config{Dim: 4, MaxCard: 5})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -53,13 +57,27 @@ func TestBatchMatchesSequential(t *testing.T) {
 				assertSameNeighbors(t, fmt.Sprintf("KNN query %d", i), batch[i], want)
 			}
 
-			rBatch := db.Search(batchOf(queries, Query{Kind: Range, Eps: eps}))
+			ranges := batchOf(queries, Query{Kind: Range, Eps: eps})
+			rBatch := db.Search(ranges)
 			if len(rBatch) != len(queries) {
 				t.Fatalf("Range batch returned %d lists for %d queries", len(rBatch), len(queries))
 			}
 			for i, q := range queries {
 				assertSameNeighbors(t, fmt.Sprintf("Range query %d", i), rBatch[i], db.Range(q, eps))
 			}
+
+			parallel.Run(workers, func(c int) {
+				for i, got := range db.KNNBatch(queries, k) {
+					if !slices.Equal(got, batch[i]) {
+						t.Errorf("caller %d, KNN query %d: %v, want %v", c, i, got, batch[i])
+					}
+				}
+				for i, got := range db.Search(ranges) {
+					if !slices.Equal(got, rBatch[i]) {
+						t.Errorf("caller %d, Range query %d: %v, want %v", c, i, got, rBatch[i])
+					}
+				}
+			})
 
 			if got := db.KNNBatch(nil, k); len(got) != 0 {
 				t.Fatalf("empty batch returned %d lists", len(got))

@@ -55,7 +55,7 @@ func TestColdStart100k(t *testing.T) {
 	best := time.Duration(1<<62 - 1)
 	for r := 0; r < 5; r++ {
 		start := time.Now()
-		db, err := OpenFile(path, LoadOptions{Workers: 1})
+		db, err := OpenFile(path, LoadOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,7 +82,7 @@ func TestColdStart100k(t *testing.T) {
 	}
 
 	// The opened database must actually serve: one k-nn over the mapping.
-	db, err := OpenFile(path, LoadOptions{Workers: 1})
+	db, err := OpenFile(path, LoadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,7 +40,7 @@ func TestOpenFileIgnoresLegacySketches(t *testing.T) {
 
 	open := func(path string) *DB {
 		t.Helper()
-		db, err := OpenFile(path, LoadOptions{Workers: 1})
+		db, err := OpenFile(path, LoadOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", filepath.Base(path), err)
 		}

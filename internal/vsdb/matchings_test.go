@@ -44,7 +44,7 @@ func TestMatchingsGuard(t *testing.T) {
 			}
 		}
 	}
-	db, err := Open(Config{Dim: dim, MaxCard: card, Workers: 1, MaxDelta: noAutoCompact, CompactRatio: noAutoCompact})
+	db, err := Open(Config{Dim: dim, MaxCard: card, MaxDelta: noAutoCompact, CompactRatio: noAutoCompact})
 	if err != nil {
 		t.Fatal(err)
 	}

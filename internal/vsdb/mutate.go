@@ -125,8 +125,8 @@ func (db *DB) Delete(id uint64) error {
 }
 
 // BulkInsert stores sets[i] under ids[i] for every i, validating and
-// deep-copying the sets on the Config.Workers pool (default one worker
-// per CPU for this batch path). Any invalid entry — duplicate id against
+// deep-copying the sets on a pool of one worker per CPU (VOXSET_WORKERS
+// overrides the width). Any invalid entry — duplicate id against
 // the database or within the batch, empty set, cardinality or dimension
 // mismatch, a non-finite coordinate (ErrNonFinite) — fails the whole call
 // before the database is touched; the first error in index order is
@@ -153,8 +153,7 @@ func (db *DB) BulkInsert(ids []uint64, sets [][][]float64) error {
 	}
 	cps := make([]vectorset.Flat, len(sets))
 	errs := make([]error, len(sets))
-	w := parallel.Workers(db.cfg.Workers, parallel.Auto())
-	parallel.ForEach(len(sets), w, func(i int) {
+	parallel.ForEach(len(sets), parallel.Workers(0, parallel.Auto()), func(i int) {
 		cps[i], errs[i] = db.validateSet(ids[i], sets[i])
 	})
 	for _, err := range errs {

@@ -137,7 +137,12 @@ func TestMutatedViewDifferential(t *testing.T) {
 	}
 }
 
-func mutatedDifferential(t *testing.T, maxCard int, mapped bool, workers int, seed int64) {
+// mutatedDifferential runs one differential schedule. Every check also
+// hands a fixed mixed batch of pool queries to callers concurrent callers
+// (checkConcurrentCallers); the subtests label that count "workers", the
+// name it had when it counted refinement workers, so their names stay
+// comparable across history.
+func mutatedDifferential(t *testing.T, maxCard int, mapped bool, callers int, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	// A small pool sampled with replacement: the same set sits in the base,
 	// in the delta and under tombstones at once, at distance 0 from the
@@ -148,7 +153,7 @@ func mutatedDifferential(t *testing.T, maxCard int, mapped bool, workers int, se
 	}
 	draw := func() [][]float64 { return pool[rng.Intn(len(pool))] }
 
-	cfg := Config{Dim: mutDim, MaxCard: maxCard, Workers: workers, MaxDelta: noAutoCompact, CompactRatio: noAutoCompact}
+	cfg := Config{Dim: mutDim, MaxCard: maxCard, MaxDelta: noAutoCompact, CompactRatio: noAutoCompact}
 	db, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -185,7 +190,7 @@ func mutatedDifferential(t *testing.T, maxCard int, mapped bool, workers int, se
 		if err := db.SaveFile(path); err != nil {
 			t.Fatal(err)
 		}
-		db, err = OpenFile(path, LoadOptions{Workers: workers, MaxDelta: noAutoCompact, CompactRatio: noAutoCompact})
+		db, err = OpenFile(path, LoadOptions{MaxDelta: noAutoCompact, CompactRatio: noAutoCompact})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -203,6 +208,14 @@ func mutatedDifferential(t *testing.T, maxCard int, mapped bool, workers int, se
 		checkWithinAgainstBrute(t, db, model, draw(), ctx+" (within)")
 		// Card-1 query against card-1 sets: bound == distance exactly.
 		checkAgainstBrute(t, db, model, pool[rng.Intn(4)], ctx+" (card-1 query)")
+		// Fixed pool entries, so the schedule's rng stream is the same at
+		// every caller count.
+		var qs []Query
+		for i, q := range [][][]float64{pool[1], pool[17], pool[39]} {
+			qs = append(qs, Query{Set: q, Kind: KNN, K: 10}, Query{Set: q, Kind: Range, Eps: 2},
+				Query{Set: q, Kind: KNN, K: 5, Match: SetQuery{Partial: true, I: 1 + i}})
+		}
+		checkConcurrentCallers(t, db, qs, callers)
 	}
 	check("compacted")
 	for step := 0; step < 150; step++ {
@@ -364,75 +377,73 @@ func BenchmarkCompact(b *testing.B) {
 // delta, and over their compacted forms; and the stage must fire.
 func TestMutatedViewSignatureStage(t *testing.T) {
 	for _, maxCard := range []int{mutCard, mutOddCard} {
-		for _, workers := range []int{1, 4} {
-			ctx := fmt.Sprintf("MaxCard=%d workers=%d", maxCard, workers)
-			rng := rand.New(rand.NewSource(int64(10*maxCard + workers)))
-			cornered := func() [][]float64 {
-				s := latticeSet(rng, 2+rng.Intn(maxCard-1))
-				for j := range s[0] {
-					s[0][j], s[1][j] = -3, 3
-				}
-				return s
+		ctx := fmt.Sprintf("MaxCard=%d", maxCard)
+		rng := rand.New(rand.NewSource(int64(10*maxCard + 1)))
+		cornered := func() [][]float64 {
+			s := latticeSet(rng, 2+rng.Intn(maxCard-1))
+			for j := range s[0] {
+				s[0][j], s[1][j] = -3, 3
 			}
-			db, err := Open(Config{Dim: mutDim, MaxCard: maxCard, Workers: workers, MaxDelta: noAutoCompact, CompactRatio: noAutoCompact})
-			if err != nil {
-				t.Fatal(err)
-			}
-			model := bruteModel{}
-			next := uint64(1)
-			insert := func(n int) {
-				for ; n > 0; n-- {
-					set := cornered()
-					if err := db.Insert(next, set); err != nil {
-						t.Fatal(err)
-					}
-					model[next] = set
-					next++
-				}
-			}
-			queries := make([][][]float64, 12)
-			for i := range queries {
-				queries[i] = latticeSet(rng, 1+rng.Intn(maxCard))
-			}
-			run := func(batch []Query) ([][]Neighbor, Stats) {
-				db.ResetRefinements()
-				out := db.Search(batch)
-				return out, db.Stats()
-			}
-			same := func(what string) {
-				t.Helper()
-				// ε on exact ties: each query's 1st, 10th and 40th brute distance.
-				var batch []Query
-				for _, q := range queries {
-					all := model.scan(q)
-					for _, at := range []int{0, 9, 39} {
-						batch = append(batch, Query{Set: q, Kind: Range, Eps: all[at].Dist})
-					}
-				}
-				mutOut, mutSt := run(batch)
-				db.Compact()
-				cmpOut, cmpSt := run(batch)
-				if !reflect.DeepEqual(mutOut, cmpOut) {
-					t.Fatalf("%s, %s: answers changed across Compact()", ctx, what)
-				}
-				if mutSt.SignaturePruned != cmpSt.SignaturePruned || mutSt.Refinements != cmpSt.Refinements || mutSt.Matchings != cmpSt.Matchings {
-					t.Fatalf("%s, %s: signature-pruned/refined/solved %d/%d/%d, compacted %d/%d/%d",
-						ctx, what, mutSt.SignaturePruned, mutSt.Refinements, mutSt.Matchings, cmpSt.SignaturePruned, cmpSt.Refinements, cmpSt.Matchings)
-				}
-				if mutSt.SignaturePruned == 0 {
-					t.Fatalf("%s, %s: the signature stage never fired", ctx, what)
-				}
-			}
-			insert(150)
-			same("all-delta view")
-			for id := uint64(1); id <= 150; id += 7 {
-				if err := db.Delete(id); err != nil {
+			return s
+		}
+		db, err := Open(Config{Dim: mutDim, MaxCard: maxCard, MaxDelta: noAutoCompact, CompactRatio: noAutoCompact})
+		if err != nil {
+			t.Fatal(err)
+		}
+		model := bruteModel{}
+		next := uint64(1)
+		insert := func(n int) {
+			for ; n > 0; n-- {
+				set := cornered()
+				if err := db.Insert(next, set); err != nil {
 					t.Fatal(err)
 				}
-				delete(model, id)
+				model[next] = set
+				next++
 			}
-			insert(60)
-			same("base with tombstones + delta")
 		}
+		queries := make([][][]float64, 12)
+		for i := range queries {
+			queries[i] = latticeSet(rng, 1+rng.Intn(maxCard))
+		}
+		run := func(batch []Query) ([][]Neighbor, Stats) {
+			db.ResetRefinements()
+			out := db.Search(batch)
+			return out, db.Stats()
+		}
+		same := func(what string) {
+			t.Helper()
+			// ε on exact ties: each query's 1st, 10th and 40th brute distance.
+			var batch []Query
+			for _, q := range queries {
+				all := model.scan(q)
+				for _, at := range []int{0, 9, 39} {
+					batch = append(batch, Query{Set: q, Kind: Range, Eps: all[at].Dist})
+				}
+			}
+			mutOut, mutSt := run(batch)
+			db.Compact()
+			cmpOut, cmpSt := run(batch)
+			if !reflect.DeepEqual(mutOut, cmpOut) {
+				t.Fatalf("%s, %s: answers changed across Compact()", ctx, what)
+			}
+			if mutSt.SignaturePruned != cmpSt.SignaturePruned || mutSt.Refinements != cmpSt.Refinements || mutSt.Matchings != cmpSt.Matchings {
+				t.Fatalf("%s, %s: signature-pruned/refined/solved %d/%d/%d, compacted %d/%d/%d",
+					ctx, what, mutSt.SignaturePruned, mutSt.Refinements, mutSt.Matchings, cmpSt.SignaturePruned, cmpSt.Refinements, cmpSt.Matchings)
+			}
+			if mutSt.SignaturePruned == 0 {
+				t.Fatalf("%s, %s: the signature stage never fired", ctx, what)
+			}
+		}
+		insert(150)
+		same("all-delta view")
+		for id := uint64(1); id <= 150; id += 7 {
+			if err := db.Delete(id); err != nil {
+				t.Fatal(err)
+			}
+			delete(model, id)
+		}
+		insert(60)
+		same("base with tombstones + delta")
 	}
 }

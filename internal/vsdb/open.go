@@ -90,8 +90,7 @@ func (db *DB) newHeapBase(ids []uint64, sets []vectorset.Flat, stored func(i int
 		idx:     make(map[uint64]int, len(ids)),
 		tracker: db.cfg.Tracker,
 	}
-	w := parallel.Workers(db.cfg.Workers, parallel.Auto())
-	parallel.ForEach(len(sets), w, func(i int) {
+	parallel.ForEach(len(sets), parallel.Workers(0, parallel.Auto()), func(i int) {
 		if c := stored(i); c != nil {
 			copy(st.centroid(i), c)
 		} else {
@@ -189,7 +188,6 @@ func openPaged(r *snapshot.PagedReader, opt LoadOptions) (*DB, error) {
 		MaxCard:      r.MaxCard(),
 		Omega:        r.Omega(),
 		Tracker:      opt.Tracker,
-		Workers:      opt.Workers,
 		MaxDelta:     opt.MaxDelta,
 		CompactRatio: opt.CompactRatio,
 	}
@@ -235,7 +233,7 @@ func (db *DB) Mapped() bool {
 // BulkBuildFromStream writes a paged (VXSNAP02) snapshot at path from a
 // stream of objects and opens it for serving. next is called until it
 // returns io.EOF; each call yields one object, validated against cfg
-// (cfg.Tracker/Workers/MaxDelta/CompactRatio carry into the opened
+// (cfg.Tracker/MaxDelta/CompactRatio carry into the opened
 // database via opt, not cfg). Objects stream straight to disk — peak
 // memory is the id set and the writer's centroid column, never the
 // vectors — so this is the ingest path for datasets that do not fit in

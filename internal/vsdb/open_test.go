@@ -61,66 +61,63 @@ func transcript(db *DB, seed int64, queries int) string {
 // v1FixtureAnswers is the SHA-256 of transcript(db, 42, 40) over
 // testdata/v1.vsnap — a version-1 file an earlier build wrote from 300
 // inserts, 10 deletes and 5 re-inserts (295 live objects, epoch 315) —
-// as that build's heap-decoding loader answered it, at one refinement
-// worker and at four.
+// as that build's heap-decoding loader answered it.
 const v1FixtureAnswers = "d44a5906c8dd470f968f7ec920061122cce7a1b33408e8bc438cfedada0d22a0"
 
 // TestOpenFileMigrationParity is the VXSNAP01 → VXSNAP02 migration
 // suite: OpenFile on a version-1 file upgrades it in place, once, and the
 // mapped result answers byte-for-byte what the heap decoder answered for
-// the same file — at one refinement worker and at several.
+// the same file.
 func TestOpenFileMigrationParity(t *testing.T) {
 	fixture, err := os.ReadFile(filepath.Join("testdata", "v1.vsnap"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 4} {
-		path := filepath.Join(t.TempDir(), "v1.vsnap")
-		if err := os.WriteFile(path, fixture, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		db, err := OpenFile(path, LoadOptions{Workers: workers})
-		if err != nil {
-			t.Fatalf("w=%d: %v", workers, err)
-		}
-		if v, err := snapshot.SniffFile(path); err != nil || v != 2 {
-			t.Fatalf("w=%d: SniffFile after open = (%d, %v), want upgraded in place", workers, v, err)
-		}
-		if db.Len() != 295 || db.Epoch() != 315 || !db.Mapped() {
-			t.Fatalf("w=%d: Len/Epoch/Mapped = %d/%d/%v, want 295/315/true", workers, db.Len(), db.Epoch(), db.Mapped())
-		}
-		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(transcript(db, 42, 40)))); got != v1FixtureAnswers {
-			t.Fatalf("w=%d: query transcript sha256 %s, want the heap decoder's %s", workers, got, v1FixtureAnswers)
-		}
-		// Point lookups exercise snapStore's lazy id index.
-		for _, id := range db.IDs()[:10] {
-			if !db.cur.Load().live(id) || db.Get(id) == nil {
-				t.Fatalf("w=%d: id %d not live", workers, id)
-			}
-		}
-		upgraded, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(upgraded, fingerprint(t, db)) {
-			t.Fatalf("w=%d: the upgraded file differs from the database's own SaveFile bytes", workers)
-		}
-		if err := db.Close(); err != nil {
-			t.Fatal(err)
-		}
-		// The upgrade happens once: a second open maps the file as it is.
-		db, err = OpenFile(path, LoadOptions{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if again, _ := os.ReadFile(path); !bytes.Equal(again, upgraded) {
-			t.Fatalf("w=%d: a second open rewrote the upgraded file", workers)
-		}
-		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(transcript(db, 42, 40)))); got != v1FixtureAnswers {
-			t.Fatalf("w=%d: reopened transcript sha256 %s, want %s", workers, got, v1FixtureAnswers)
-		}
-		db.Close()
+	path := filepath.Join(t.TempDir(), "v1.vsnap")
+	if err := os.WriteFile(path, fixture, 0o644); err != nil {
+		t.Fatal(err)
 	}
+	db, err := OpenFile(path, LoadOptions{})
+	if err != nil {
+		t.Fatalf("%v", err)
+	}
+	if v, err := snapshot.SniffFile(path); err != nil || v != 2 {
+		t.Fatalf("SniffFile after open = (%d, %v), want upgraded in place", v, err)
+	}
+	if db.Len() != 295 || db.Epoch() != 315 || !db.Mapped() {
+		t.Fatalf("Len/Epoch/Mapped = %d/%d/%v, want 295/315/true", db.Len(), db.Epoch(), db.Mapped())
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(transcript(db, 42, 40)))); got != v1FixtureAnswers {
+		t.Fatalf("query transcript sha256 %s, want the heap decoder's %s", got, v1FixtureAnswers)
+	}
+	// Point lookups exercise snapStore's lazy id index.
+	for _, id := range db.IDs()[:10] {
+		if !db.cur.Load().live(id) || db.Get(id) == nil {
+			t.Fatalf("id %d not live", id)
+		}
+	}
+	upgraded, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(upgraded, fingerprint(t, db)) {
+		t.Fatalf("the upgraded file differs from the database's own SaveFile bytes")
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// The upgrade happens once: a second open maps the file as it is.
+	db, err = OpenFile(path, LoadOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, _ := os.ReadFile(path); !bytes.Equal(again, upgraded) {
+		t.Fatalf("a second open rewrote the upgraded file")
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(transcript(db, 42, 40)))); got != v1FixtureAnswers {
+		t.Fatalf("reopened transcript sha256 %s, want %s", got, v1FixtureAnswers)
+	}
+	db.Close()
 }
 
 // A corrupt version-1 file fails OpenFile with ErrCorrupt and is left

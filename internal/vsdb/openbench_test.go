@@ -42,7 +42,7 @@ func BenchmarkOpen100k(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		db, err := OpenFile(path, LoadOptions{Workers: 1})
+		db, err := OpenFile(path, LoadOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}

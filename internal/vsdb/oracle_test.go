@@ -14,7 +14,7 @@ import (
 // against the live engine and, in lockstep, against a brute-force
 // reference model (a plain map scanned exhaustively per query). Every
 // query must match the model bit for bit — same (dist, id) pairs in the
-// same order — at every worker count, through every compaction, and
+// same order — for every concurrent caller, through every compaction, and
 // across every crash-shaped reopen (snapshot + WAL-suffix replay). On a
 // mismatch the failing schedule is shrunk (ddmin-style, bounded) before
 // it is dumped, so the counterexample is readable. The trace generator,
@@ -22,16 +22,16 @@ import (
 // cross-shard parity oracle.
 
 // runOracleTrace executes ops against a fresh WAL-backed database in
-// dir, verifying every query against the model. It returns the index
-// and description of the first mismatch (-1 if the trace passes).
-func runOracleTrace(t *testing.T, ops []vsdbtest.Op, workers int, dir string) (int, string) {
+// dir, verifying every query — issued by callers concurrent callers at
+// once — against the model. It returns the index and description of the
+// first mismatch (-1 if the trace passes).
+func runOracleTrace(t *testing.T, ops []vsdbtest.Op, callers int, dir string) (int, string) {
 	t.Helper()
 	const dim, maxCard = 3, 3
 	cfg := vsdb.Config{
 		Dim:     dim,
 		MaxCard: maxCard,
 		Omega:   []float64{0.25, -0.5, 1},
-		Workers: workers,
 		// Small delta threshold so long traces cross many compactions.
 		MaxDelta:  64,
 		WALPath:   filepath.Join(dir, "oracle.wal"),
@@ -66,13 +66,17 @@ func runOracleTrace(t *testing.T, ops []vsdbtest.Op, workers int, dir string) (i
 			}
 			model.Delete(op.ID)
 		case vsdbtest.OpKNN:
-			got, want := db.KNN(op.Set, op.K), model.KNN(op.Set, op.K)
-			if msg := vsdbtest.Diff(got, want); msg != "" {
+			want := model.KNN(op.Set, op.K)
+			if msg := vsdbtest.Concurrently(callers, func() string {
+				return vsdbtest.Diff(db.KNN(op.Set, op.K), want)
+			}); msg != "" {
 				return i, fmt.Sprintf("knn(k=%d): %s", op.K, msg)
 			}
 		case vsdbtest.OpRange:
-			got, want := db.Range(op.Set, op.Eps), model.Range(op.Set, op.Eps)
-			if msg := vsdbtest.Diff(got, want); msg != "" {
+			want := model.Range(op.Set, op.Eps)
+			if msg := vsdbtest.Concurrently(callers, func() string {
+				return vsdbtest.Diff(db.Range(op.Set, op.Eps), want)
+			}); msg != "" {
 				return i, fmt.Sprintf("range(eps=%g): %s", op.Eps, msg)
 			}
 		case vsdbtest.OpCompact:
@@ -88,8 +92,7 @@ func runOracleTrace(t *testing.T, ops []vsdbtest.Op, workers int, dir string) (i
 			}
 			if haveSnap {
 				db, err = vsdb.OpenFile(snapPath, vsdb.LoadOptions{
-					Workers: workers, MaxDelta: cfg.MaxDelta,
-					WALPath: cfg.WALPath, WALNoSync: true,
+					MaxDelta: cfg.MaxDelta, WALPath: cfg.WALPath, WALNoSync: true,
 				})
 			} else {
 				db, err = vsdb.Open(cfg)
@@ -117,10 +120,10 @@ func runOracleTrace(t *testing.T, ops []vsdbtest.Op, workers int, dir string) (i
 
 // shrinkOracleTrace wraps vsdbtest.Shrink with a rerun-in-fresh-dir
 // failure predicate.
-func shrinkOracleTrace(t *testing.T, ops []vsdbtest.Op, workers int, budget int) []vsdbtest.Op {
+func shrinkOracleTrace(t *testing.T, ops []vsdbtest.Op, callers int, budget int) []vsdbtest.Op {
 	t.Helper()
 	return vsdbtest.Shrink(ops, func(trace []vsdbtest.Op) bool {
-		idx, _ := runOracleTrace(t, trace, workers, t.TempDir())
+		idx, _ := runOracleTrace(t, trace, callers, t.TempDir())
 		return idx >= 0
 	}, budget)
 }
@@ -131,7 +134,9 @@ func oracleTraceOptions(nOps int) vsdbtest.TraceOptions {
 
 // TestOracleRandomSchedule is the acceptance oracle: a ~10k-op seeded
 // random schedule (≈2k with -short) matches the brute-force model
-// exactly at workers 1, 4 and 8.
+// exactly with every query issued by 1, 4 and 8 concurrent callers (the
+// subtests keep the "workers" label of the days when the count was of
+// refinement workers, so their names stay comparable across history).
 func TestOracleRandomSchedule(t *testing.T) {
 	nOps := 10000
 	if testing.Short() {

@@ -2,9 +2,13 @@ package vsdb
 
 import (
 	"math/rand"
+	"path/filepath"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
+
+	"github.com/voxset/voxset/internal/parallel"
 )
 
 func TestDistanceChecked(t *testing.T) {
@@ -26,35 +30,87 @@ func TestDistanceChecked(t *testing.T) {
 	}
 }
 
-func TestWorkersParity(t *testing.T) {
-	seq, err := Open(Config{Dim: 4, MaxCard: 5, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
+// checkConcurrentCallers issues every query of qs alone against the one
+// shared db, first in turn and then from callers goroutines at once: every
+// concurrent answer must equal the sequential one, and the concurrent pass
+// must add exactly callers times the sequential pass's signature prunes,
+// refinements and matchings — a query runs on its caller's goroutine and
+// settles the same candidates whoever else is querying. db must not be
+// mutated or compacted meanwhile.
+func checkConcurrentCallers(t *testing.T, db *DB, qs []Query, callers int) {
+	t.Helper()
+	counts := func() [3]int64 {
+		st := db.Stats()
+		return [3]int64{st.SignaturePruned, st.Refinements, st.Matchings}
 	}
-	par, err := Open(Config{Dim: 4, MaxCard: 5, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
+	before := counts()
+	want := make([][]Neighbor, len(qs))
+	for i := range qs {
+		want[i] = one(db, qs[i])
 	}
-	rng := rand.New(rand.NewSource(11))
-	sets := make([][][]float64, 200)
-	for i := range sets {
-		sets[i] = randSet(rng, 1+rng.Intn(5), 4)
-		if err := seq.Insert(uint64(i), sets[i]); err != nil {
-			t.Fatal(err)
+	seq := counts()
+	parallel.Run(callers, func(c int) {
+		for j := range qs {
+			i := (j + c) % len(qs) // callers start at different queries
+			if got := one(db, qs[i]); !slices.Equal(got, want[i]) {
+				t.Errorf("caller %d, query %d (%v, K=%d, eps=%v, %+v): %v, want %v",
+					c, i, qs[i].Kind, qs[i].K, qs[i].Eps, qs[i].Match, got, want[i])
+			}
 		}
-		if err := par.Insert(uint64(i), sets[i]); err != nil {
-			t.Fatal(err)
+	})
+	conc := counts()
+	for k, name := range []string{"signature-pruned", "refinements", "matchings"} {
+		if s, c := seq[k]-before[k], conc[k]-seq[k]; c != int64(callers)*s {
+			t.Errorf("%s: %d concurrent callers added %d, want %d× the sequential %d", name, callers, c, callers, s)
 		}
 	}
-	for trial := 0; trial < 8; trial++ {
-		q := sets[rng.Intn(len(sets))]
-		if got, want := par.KNN(q, 7), seq.KNN(q, 7); !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d: parallel knn %v != sequential %v", trial, got, want)
+}
+
+// TestConcurrentCallersParity: four goroutines issue mixed k-nn, range
+// and partial-matching queries against one shared database — a
+// memory-mapped snapshot, and a heap base carrying delta entries and
+// tombstones — and each gets the sequential answer, with the sequential
+// counter totals (run it under -race).
+func TestConcurrentCallersParity(t *testing.T) {
+	const callers = 4
+	mixed := func(db *DB, sets [][][]float64) []Query {
+		var qs []Query
+		for i, set := range sets {
+			knn := one(db, Query{Set: set, Kind: KNN, K: 10})
+			qs = append(qs,
+				Query{Set: set, Kind: KNN, K: 10},
+				Query{Set: set, Kind: Range, Eps: knn[len(knn)-1].Dist},
+				Query{Set: set, Kind: KNN, K: 5, Match: SetQuery{Partial: true, I: 1 + i%3}},
+			)
 		}
-		eps := 10 + rng.Float64()*40
-		if got, want := par.Range(q, eps), seq.Range(q, eps); !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d: parallel range %v != sequential %v", trial, got, want)
-		}
+		return qs
+	}
+	for _, backing := range []string{"mmap", "mutated"} {
+		t.Run(backing, func(t *testing.T) {
+			db, sets := mutatedFixture(t, 1500, 64, 32, 8)
+			defer db.Close()
+			if backing == "mmap" {
+				db.Compact()
+				path := filepath.Join(t.TempDir(), "db.vsnap")
+				if err := db.SaveFile(path); err != nil {
+					t.Fatal(err)
+				}
+				mapped, err := OpenFile(path, LoadOptions{MaxDelta: noAutoCompact, CompactRatio: noAutoCompact})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer mapped.Close()
+				if !mapped.Mapped() {
+					t.Skip("snapshot not memory-mapped on this platform")
+				}
+				db = mapped
+			}
+			db.ResetRefinements()
+			checkConcurrentCallers(t, db, mixed(db, sets), callers)
+			if st := db.Stats(); st.SignaturePruned == 0 || st.Matchings >= st.Refinements {
+				t.Fatalf("the signature stage or the kernel bound never fired: %+v", st)
+			}
+		})
 	}
 }
 
@@ -66,7 +122,7 @@ func TestWorkersParity(t *testing.T) {
 // watches the scratch.
 func TestConcurrentQueriesAcrossCompact(t *testing.T) {
 	const dim, card, n, readers = 6, 5, 800, 8
-	db, err := Open(Config{Dim: dim, MaxCard: card, Workers: 1, MaxDelta: noAutoCompact, CompactRatio: noAutoCompact})
+	db, err := Open(Config{Dim: dim, MaxCard: card, MaxDelta: noAutoCompact, CompactRatio: noAutoCompact})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,9 +17,6 @@ type LoadOptions struct {
 	// Tracker, if non-nil, is installed as the database's I/O tracker; the
 	// snapshot's pages are charged to it as they are first touched.
 	Tracker *storage.Tracker
-	// Workers is the refinement worker count for the opened database
-	// (same semantics as Config.Workers).
-	Workers int
 	// WALPath, if non-empty, attaches a write-ahead log after the
 	// snapshot is opened: records beyond the snapshot's epoch are
 	// replayed, and subsequent mutations are logged (see AttachWAL).

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"github.com/voxset/voxset/internal/parallel"
 )
 
 // one answers a single query through Search.
@@ -22,15 +24,17 @@ func batchOf(sets [][][]float64, proto Query) []Query {
 
 // TestSearchParity: one heterogeneous batch — mixed K, Range, partial
 // matching at several I — answers every entry byte for byte as the same
-// query issued alone at the same epoch, at every worker count, with all
-// three layers live (base, delta memtable, tombstones). The subtests keep
-// the "approx=false" label of the days when an approximate tier ran
-// beside them, so their names stay comparable across history.
+// query issued alone at the same epoch, with all three layers live
+// (base, delta memtable, tombstones), and workers=N concurrent callers
+// issuing the same batch get the same lists. The subtests keep the
+// "approx=false" label of the days when an approximate tier ran beside
+// them, and "workers" of the days when it counted refinement workers, so
+// their names stay comparable across history.
 func TestSearchParity(t *testing.T) {
 	for _, workers := range []int{1, 4, 8} {
 		t.Run(fmt.Sprintf("approx=false/workers=%d", workers), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(33))
-			db, err := Open(Config{Dim: 4, MaxCard: 5, Workers: workers})
+			db, err := Open(Config{Dim: 4, MaxCard: 5})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -79,6 +83,11 @@ func TestSearchParity(t *testing.T) {
 			if len(got[len(got)-2]) != 0 || len(got[len(got)-1]) != db.Len() {
 				t.Fatalf("K=0 gave %d results, K past the corpus %d of %d", len(got[len(got)-2]), len(got[len(got)-1]), db.Len())
 			}
+			parallel.Run(workers, func(c int) {
+				if again := db.Search(qs); !reflect.DeepEqual(again, got) {
+					t.Errorf("caller %d: a concurrent Search of the same batch answered differently", c)
+				}
+			})
 			if got := db.Search(nil); len(got) != 0 {
 				t.Fatalf("empty batch returned %d lists", len(got))
 			}

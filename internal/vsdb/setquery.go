@@ -2,7 +2,6 @@ package vsdb
 
 import (
 	"github.com/voxset/voxset/internal/dist"
-	"github.com/voxset/voxset/internal/parallel"
 )
 
 // SetQuery selects the set distance a Query runs under. The zero value
@@ -14,7 +13,7 @@ import (
 // cheapest pairing of i query vectors with i distinct object vectors,
 // ignoring the rest of both sets. It is not a metric (it violates the
 // triangle inequality), so the centroid filter's lower bound does not
-// apply; partial queries run as an exact parallel scan over every live
+// apply; partial queries run as an exact scan over every live
 // object. That is the right trade for the workload it serves — a
 // damaged or cropped scan whose surviving sub-vectors should match the
 // true part without the missing ones being charged as weight.
@@ -44,8 +43,7 @@ func (q SetQuery) partialI(nq, nobj int) int {
 
 // partialView answers one Match.Partial query against a pinned view by
 // exact scan: every live object within Eps for a Range query, the K
-// nearest for a KNN query. Deterministic and identical at any worker
-// count.
+// nearest for a KNN query.
 func (db *DB) partialView(v *view, q *Query) []Neighbor {
 	if q.Kind == Range {
 		return db.partialScan(v, q.Set, q.Match, q.Eps)
@@ -60,40 +58,26 @@ func (db *DB) partialView(v *view, q *Query) []Neighbor {
 
 // partialScan computes the partial matching distance from query to
 // every live object in the view — base and delta alike, tombstones
-// excluded — in parallel on the query worker pool. eps ≥ 0 filters to
-// the range predicate, eps < 0 keeps everything. One slot per live id
-// keeps the result deterministic at any worker count; the merged list
-// is (dist, id)-ordered like every other query path.
+// excluded — on the caller's goroutine. eps ≥ 0 filters to the range
+// predicate, eps < 0 keeps everything; the list is (dist, id)-ordered
+// like every other query path.
 func (db *DB) partialScan(v *view, query [][]float64, q SetQuery, eps float64) []Neighbor {
 	n := len(v.ids)
 	if n == 0 || len(query) == 0 {
 		return nil
 	}
-	dists := make([]float64, n)
-	workers := db.queryWorkers()
-	if workers > n {
-		workers = n
-	}
-	parallel.Run(workers, func(worker int) {
-		lo, hi := parallel.Chunk(n, workers, worker)
-		if lo >= hi {
-			return
-		}
-		ws := dist.GetWorkspace()
-		defer dist.PutWorkspace(ws)
-		for i := lo; i < hi; i++ {
-			set := v.get(v.ids[i]).Rows()
-			dists[i] = ws.PartialMatching(query, set, dist.L2, q.partialI(len(query), len(set)))
-		}
-	})
-	db.refExtra.Add(int64(n))
+	ws := dist.GetWorkspace()
+	defer dist.PutWorkspace(ws)
 	out := make([]Neighbor, 0, n)
-	for i, id := range v.ids {
-		if eps >= 0 && dists[i] > eps {
+	for _, id := range v.ids {
+		set := v.get(id).Rows()
+		d := ws.PartialMatching(query, set, dist.L2, q.partialI(len(query), len(set)))
+		if eps >= 0 && d > eps {
 			continue
 		}
-		out = append(out, Neighbor{ID: id, Dist: dists[i]})
+		out = append(out, Neighbor{ID: id, Dist: d})
 	}
+	db.refExtra.Add(int64(n))
 	sortNeighbors(out)
 	return out
 }

@@ -22,10 +22,10 @@ func randQuerySet(rng *rand.Rand, card, dim int) [][]float64 {
 // buildSetQueryDB returns a database with n random objects: half bulk-
 // loaded into the base, half inserted live (delta), with a few deletes
 // (tombstones) — every representation layer a partial scan must cover.
-func buildSetQueryDB(t *testing.T, n, workers int) (*DB, *rand.Rand) {
+func buildSetQueryDB(t *testing.T, n int) (*DB, *rand.Rand) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(7))
-	db, err := Open(Config{Dim: 3, MaxCard: 5, Workers: workers})
+	db, err := Open(Config{Dim: 3, MaxCard: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func buildSetQueryDB(t *testing.T, n, workers int) (*DB, *rand.Rand) {
 
 // TestKNNSetMinimalEqualsKNN: the zero SetQuery is the plain engine.
 func TestKNNSetMinimalEqualsKNN(t *testing.T) {
-	db, rng := buildSetQueryDB(t, 60, 1)
+	db, rng := buildSetQueryDB(t, 60)
 	defer db.Close()
 	for trial := 0; trial < 10; trial++ {
 		q := randQuerySet(rng, 1+rng.Intn(5), 3)
@@ -69,7 +69,7 @@ func TestKNNSetMinimalEqualsKNN(t *testing.T) {
 // TestKNNSetPartialAgainstReference: the partial scan must agree with a
 // direct per-object evaluation over IDs() + Get(), sorted (dist, id).
 func TestKNNSetPartialAgainstReference(t *testing.T) {
-	db, rng := buildSetQueryDB(t, 50, 1)
+	db, rng := buildSetQueryDB(t, 50)
 	defer db.Close()
 	for trial := 0; trial < 8; trial++ {
 		q := randQuerySet(rng, 2+rng.Intn(4), 3)
@@ -109,26 +109,10 @@ func TestKNNSetPartialAgainstReference(t *testing.T) {
 	}
 }
 
-// TestKNNSetPartialWorkerInvariance: partial scans are deterministic
-// and identical at any worker count.
-func TestKNNSetPartialWorkerInvariance(t *testing.T) {
-	db1, rng := buildSetQueryDB(t, 60, 1)
-	defer db1.Close()
-	db4, _ := buildSetQueryDB(t, 60, 4)
-	defer db4.Close()
-	for trial := 0; trial < 10; trial++ {
-		q := randQuerySet(rng, 1+rng.Intn(5), 3)
-		sq := SetQuery{Partial: true, I: 1 + trial%3}
-		if got1, got4 := one(db1, Query{Set: q, Kind: KNN, K: 9, Match: sq}), one(db4, Query{Set: q, Kind: KNN, K: 9, Match: sq}); !reflect.DeepEqual(got1, got4) {
-			t.Fatalf("trial %d: workers=1 %v, workers=4 %v", trial, got1, got4)
-		}
-	}
-}
-
 // TestKNNSetPartialEmptyAndEdge: empty queries and k past the database
 // size behave like the other query paths.
 func TestKNNSetPartialEmptyAndEdge(t *testing.T) {
-	db, _ := buildSetQueryDB(t, 10, 2)
+	db, _ := buildSetQueryDB(t, 10)
 	defer db.Close()
 	if got := one(db, Query{Set: nil, Kind: KNN, K: 5, Match: SetQuery{Partial: true}}); got != nil {
 		t.Fatalf("empty query: got %v, want nil", got)

