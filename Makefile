@@ -69,7 +69,10 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzMaxSubCuboid -fuzztime 5s ./internal/cover/
 
 # Quick benchmark smoke: the zero-allocation matching kernel, the
-# sharded k-nn pair, and one pass of each measurement
+# sharded k-nn at 1, 2 and 4 shards (the knn-exact, write-mix and
+# sharded-cached topologies; refined/query and solved/query must match
+# across the rows, because the coordinator walks every shard's candidates
+# in one bound order), and one pass of each measurement
 # EXPERIMENTS.md records from a benchmark table rather than from voxload:
 # the scan-to-CAD degraded-recall sweep and the replication gauges
 # (follower-read latency, shipping lag, promotion time). The vsdb pair

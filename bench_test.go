@@ -263,13 +263,14 @@ func (c *jitteredCorpus) sets(variants int) [][][]float64 {
 }
 
 // BenchmarkShardedKNN prices a 10-nn over the 10 k-object voxload corpus
-// (see jitteredCorpus) through the cluster coordinator at 1 and 4 shards:
-// ns/op is the coordinator's wall time per query on one goroutine, and
-// the funnel counters are summed over the shards —
+// (see jitteredCorpus) through the cluster coordinator at 1, 2 and 4
+// shards — the served topologies of knn-exact, write-mix and
+// sharded-cached: ns/op is the coordinator's wall time per query on one
+// goroutine, and the funnel counters are summed over the shards —
 // signature-pruned/query, refined/query (handed to the kernel) and
-// solved/query (Hungarian solves). At 4 shards the coordinator visits the
-// shards in turn and hands each the k-th distance it has merged, so only
-// the first shard runs a top-10 search from scratch.
+// solved/query (Hungarian solves). The coordinator walks the shards'
+// candidate streams in one global bound order against one k-th distance,
+// so every row should refine and solve what shards=1 does.
 func BenchmarkShardedKNN(b *testing.B) {
 	corpus := newJitteredCorpus()
 	sets := corpus.sets(8)
@@ -277,7 +278,7 @@ func BenchmarkShardedKNN(b *testing.B) {
 	for i := range ids {
 		ids[i] = uint64(i)
 	}
-	for _, shards := range []int{1, 4} {
+	for _, shards := range []int{1, 2, 4} {
 		b.Run("shards="+strconv.Itoa(shards), func(b *testing.B) {
 			c, err := cluster.New(cluster.Config{Shards: shards, Dim: 6, MaxCard: 7})
 			if err != nil {

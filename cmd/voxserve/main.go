@@ -32,9 +32,10 @@
 // the snapshot periodically and truncates the log.
 //
 // With -shards N the same routes serve a hash-sharded cluster (DESIGN.md
-// §9): queries visit N vsdb shards in turn with bit-identical
-// results, mutations route to the owning shard, /cluster reports the
-// shard topology and /metrics gains per-shard gauges. -partial returns
+// §9): queries open N vsdb shards in turn and a k-nn refines their
+// candidates in one bound order, with bit-identical results; mutations
+// route to the owning shard, /cluster reports the shard topology and
+// /metrics gains per-shard gauges. -partial returns
 // degraded (flagged) results when a shard fails instead of erroring;
 // -wal-dir gives every shard its own durable log:
 //

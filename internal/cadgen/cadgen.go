@@ -118,7 +118,11 @@ func Door(rng *rand.Rand) csg.Solid {
 // Fender builds a quarter-cylinder wheel-arch shell.
 func Fender(rng *rand.Rand) csg.Solid {
 	r := jitter(rng, 4, 0.2)
-	thick := jitter(rng, 1.1, 0.2) // ≳ 2 voxels at the working resolution
+	// The shell's largest extent is 2(r+thick), so at the cover resolution
+	// r = 15 it is 7.5·thick/(r+thick) voxels thick: thick ≥ 0.4·r keeps
+	// that above 2 voxels, the least a curved shell needs to voxelize
+	// face-connected.
+	thick := r * jitter(rng, 0.45, 0.1)
 	width := jitter(rng, 3, 0.3)
 	shell := csg.Difference(
 		csg.NewCylinder(geom.V(0, 0, 0), 1, r+thick, width),

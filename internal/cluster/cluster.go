@@ -2,11 +2,12 @@
 // coordinates queries across the shards (DESIGN.md §9) — the first step
 // of the ROADMAP's "heavy traffic" scaling track. Objects route to
 // shards by fnv(id) mod N; each shard is a full vsdb.DB owning its own
-// epoch views, write-ahead log and snapshot. KNN and ε-range queries
-// visit every shard in turn and merge under the (dist, id) contract of
-// index.SortNeighbors; a k-nn query hands each shard the k-th distance
-// merged so far, which the shard prunes against from its first candidate.
-// Results are bit-identical to an unsharded database holding the same
+// epoch views, write-ahead log and snapshot. A query opens every shard in
+// turn; an exact k-nn then runs one multi-step loop over the shards'
+// candidate streams in a single bound order against one k-th distance,
+// so the shards together refine what one database would, and every other
+// query merges the shards' lists under the (dist, id) contract of
+// index.SortNeighbors. Results are bit-identical to an unsharded database holding the same
 // objects — the cross-shard parity oracle asserts exactly that.
 // Mutations route to the owning shard, preserving durable-before-visible
 // per shard.
@@ -180,7 +181,7 @@ type shard struct {
 }
 
 // DB is a hash-sharded cluster of vsdb databases with one query
-// coordinator that visits the shards in turn (Search). Safe for
+// coordinator that opens the shards in turn (Search). Safe for
 // concurrent use; per-shard mutation ordering is vsdb's (single writer
 // per shard), and queries are lock-free against each shard's immutable
 // views.

@@ -270,7 +270,7 @@ func transcript(answers [][]vsdb.Neighbor) string {
 
 // TestClusterTranscriptsMatchSingle: over a bulk-loaded family corpus —
 // every object base-resident, so the centroid ranking, the signature
-// stage and the shards' handed thresholds all run — the coordinator's
+// stage and the merged multi-step loop all run — the coordinator's
 // k-nn and ε-range transcripts equal a single database's byte for byte
 // at every shard width, for each of workers=N concurrent callers.
 func TestClusterTranscriptsMatchSingle(t *testing.T) {

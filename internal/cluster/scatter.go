@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"github.com/voxset/voxset/internal/vsdb"
@@ -22,29 +21,31 @@ type Result struct {
 }
 
 // Search answers every query of the batch in ONE pass over the shards:
-// the coordinator visits them in turn, each receiving the whole batch
-// once (one retry loop, one timeout, one epoch view pinned shard-side by
-// vsdb.SearchWithin), and merges each shard's lists into the entries
-// under the (dist, id) contract, truncated at that entry's K for a KNN
-// query and complete for a Range query. The result is bit-identical to
-// an unsharded database holding the same objects, for every Kind and
-// Match:
+// the coordinator opens them in turn, each receiving the whole batch once
+// (one retry loop, one timeout, one epoch view pinned shard-side by
+// vsdb.DB.Open), and then answers each entry from what the shards opened.
+// The result is bit-identical to an unsharded database holding the same
+// objects, for every Kind and Match:
 //
-//   - every set distance is scored per (query, object) pair, so each
-//     member of an entry's global top K is inside its own shard's top K,
-//     and an ε-range result is the disjoint union of the shards' results;
-//   - a k-nn entry that has merged K neighbours hands the next shard its
-//     K-th distance as the shard's starting threshold. A neighbour
-//     strictly farther could never enter the merged top K, so the shard
-//     answers only with neighbours at most that far — and prunes against
-//     the threshold from its first candidate instead of searching for its
-//     own top K from scratch (DESIGN.md §9).
+//   - an exact k-nn entry opens one candidate stream per shard, and
+//     vsdb.MultiStep refines the streams' candidates in one global
+//     (bound, shard, position) order against one k-th distance, stopping
+//     at the first bound past it — one database's multi-step loop over
+//     the union, so the shards together refine what that database would
+//     (DESIGN.md §9);
+//   - every other entry (ε-range, partial matching) is answered by each
+//     shard in full and merged under the (dist, id) contract: every set
+//     distance is scored per (query, object) pair, so an ε-range result is
+//     the disjoint union of the shards' results and each member of a
+//     global top K is inside its own shard's top K.
 //
-// Degradation is per call, not per entry: in strict mode the first shard
-// failure fails the whole Search and the shards after it are not
-// visited; in partial mode a failed shard is missing from every entry
+// Faults, retries, timeouts and follower reads apply to the opening
+// attempt (callSearch); the streams are walked afterwards on the calling
+// goroutine. Degradation is per call, not per entry: in strict mode the
+// first shard failure fails the whole Search and the shards after it are
+// not opened; in partial mode a failed shard is missing from every entry
 // alike, so all results of one call share one Partial flag and one Errors
-// map. Each visited shard's query counter advances by len(qs) — it counts
+// map. Each opened shard's query counter advances by len(qs) — it counts
 // logical queries, not visits.
 func (c *DB) Search(qs []vsdb.Query) ([]Result, error) {
 	if len(qs) == 0 {
@@ -52,25 +53,24 @@ func (c *DB) Search(qs []vsdb.Query) ([]Result, error) {
 	}
 	n := len(c.shards)
 	partial := c.partial.Load()
-	// lists[q] holds entry q's answer so far: for a k-nn entry one list,
-	// the merged top K; for a range entry one list per shard, merged once
-	// at the end.
+	// Per entry, what each opened shard gave: a stream for an exact k-nn
+	// entry, the complete list for any other.
+	streams := make([][]*vsdb.Stream, len(qs))
 	lists := make([][][]vsdb.Neighbor, len(qs))
+	closeAll := func() {
+		for _, ss := range streams {
+			for _, s := range ss {
+				s.Close()
+			}
+		}
+	}
 	var shardErrs map[int]error
 	var first error
 	for i := 0; i < n; i++ {
-		// A fresh slice per visit: an attempt abandoned on timeout may
-		// still be reading the previous one.
-		within := make([]float64, len(qs))
-		for q := range qs {
-			within[q] = math.Inf(1)
-			if k := qs[q].K; qs[q].Kind == vsdb.KNN && k > 0 && len(lists[q]) > 0 && len(lists[q][0]) >= k {
-				within[q] = lists[q][0][k-1].Dist
-			}
-		}
-		res, err := c.callSearch(i, qs, within)
+		o, err := c.callSearch(i, qs)
 		if err != nil {
 			if !partial {
+				closeAll()
 				return nil, fmt.Errorf("cluster: %w", err)
 			}
 			if first == nil {
@@ -81,12 +81,10 @@ func (c *DB) Search(qs []vsdb.Query) ([]Result, error) {
 			continue
 		}
 		for q := range qs {
-			switch {
-			case len(res[q]) == 0:
-			case qs[q].Kind == vsdb.KNN && len(lists[q]) > 0:
-				lists[q][0] = Merge([][]vsdb.Neighbor{lists[q][0], res[q]}, qs[q].K)
-			default:
-				lists[q] = append(lists[q], res[q])
+			if s := o.streams[q]; s != nil {
+				streams[q] = append(streams[q], s)
+			} else if len(o.lists[q]) > 0 {
+				lists[q] = append(lists[q], o.lists[q])
 			}
 		}
 	}
@@ -95,11 +93,19 @@ func (c *DB) Search(qs []vsdb.Query) ([]Result, error) {
 	}
 	out := make([]Result, len(qs))
 	for q := range qs {
-		k := -1
-		if qs[q].Kind == vsdb.KNN {
-			k = qs[q].K
+		var nbs []vsdb.Neighbor
+		switch {
+		case len(streams[q]) > 0:
+			nbs = vsdb.MultiStep(streams[q], qs[q].K)
+			for _, s := range streams[q] {
+				s.Close()
+			}
+		case qs[q].Kind == vsdb.KNN:
+			nbs = Merge(lists[q], qs[q].K)
+		default:
+			nbs = Merge(lists[q], -1)
 		}
-		out[q] = Result{Neighbors: Merge(lists[q], k), Partial: shardErrs != nil, Errors: shardErrs}
+		out[q] = Result{Neighbors: nbs, Partial: shardErrs != nil, Errors: shardErrs}
 	}
 	return out, nil
 }
@@ -134,23 +140,29 @@ func (c *DB) KNNBatch(queries [][][]float64, k int) ([]Result, error) {
 	return c.Search(qs)
 }
 
-// callSearch runs the batch against shard i under the retry loop, each
-// entry capped at its within bound, recording the shard's serving
-// statistics.
-func (c *DB) callSearch(i int, qs []vsdb.Query, within []float64) ([][]vsdb.Neighbor, error) {
+// opened is what one shard's Open returned for a batch.
+type opened struct {
+	streams []*vsdb.Stream
+	lists   [][]vsdb.Neighbor
+}
+
+// callSearch opens the batch on shard i under the retry loop, recording
+// the shard's serving statistics.
+func (c *DB) callSearch(i int, qs []vsdb.Query) (opened, error) {
 	s := &c.shards[i]
 	s.queries.Add(int64(len(qs)))
 	start := time.Now()
-	res, err := withRetries(c, i, OpSearch, func(db *vsdb.DB) ([][]vsdb.Neighbor, error) {
-		return db.SearchWithin(qs, within), nil
+	o, err := withRetries(c, i, OpSearch, func(db *vsdb.DB) (opened, error) {
+		streams, lists := db.Open(qs)
+		return opened{streams, lists}, nil
 	})
 	if err != nil {
 		s.errors.Add(1)
-		return nil, err
+		return opened{}, err
 	}
 	s.latNS.Add(time.Since(start).Nanoseconds())
 	s.latN.Add(1)
-	return res, nil
+	return o, nil
 }
 
 // callMut runs one shard mutation under the retry loop.

@@ -2,7 +2,6 @@ package filter
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -56,7 +55,7 @@ func TestNewBulkMatchesAdd(t *testing.T) {
 			q := flats[rng.Intn(n)]
 			for name, live := range lives {
 				ctx := fmt.Sprintf("withCents=%v %s query %d", withCents, name, qi)
-				a, b := inc.KNNFlatWithin(q, 9, live, math.Inf(1)), bulk.KNNFlatWithin(q, 9, live, math.Inf(1))
+				a, b := knnStreams(q, 9, live, inc), knnStreams(q, 9, live, bulk)
 				if !reflect.DeepEqual(a, b) {
 					t.Fatalf("%s: KNN\n add  %+v\n bulk %+v", ctx, a, b)
 				}

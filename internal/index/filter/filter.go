@@ -33,6 +33,15 @@
 // (the k-th exact distance ÷ k), which is what lets the column ranker
 // order only the few hundred positions within it instead of all n.
 //
+// The k-nn loop is one function over candidate streams (stream.go): a
+// Cursor is an index's stream — Next pulls the centroid ranking, Refine
+// runs the exact tests below — and MultiStep refines any number of streams
+// in one global (bound, stream, position) order against one k-th
+// distance. KNN is MultiStep over the index's own cursor; vsdb adds its
+// delta memtable as a second stream, and the sharded coordinator one
+// cursor per shard, so every shape refines what one index over the union
+// would.
+//
 // Every query runs on the caller's goroutine: the k-nn loop is sequential
 // by construction (it refines in ranking order and stops at the first
 // bound past the k-th distance), and concurrency comes from concurrent
@@ -359,9 +368,10 @@ func (ix *Index) RangeFlatLive(q vectorset.Flat, eps float64, live func(id int) 
 }
 
 // beyond reports whether a centroid distance proves its object farther
-// than threshold (Lemma 2: dist_mm ≥ K·‖C(X)−C(q)‖) — the one stop and
-// prune test of every loop below. reach is its inverse, the centroid
-// distance up to which a ranking must not skip anything.
+// than threshold (Lemma 2: dist_mm ≥ K·‖C(X)−C(q)‖) — the range loop's
+// prune test, and MultiStep's stop test on a Cursor's bound K·‖C(X)−C(q)‖.
+// reach is its inverse, the centroid distance up to which a ranking must
+// not skip anything.
 func (ix *Index) beyond(centroidDist, threshold float64) bool {
 	return vectorset.BoundExceeds(centroidDist*float64(ix.cfg.K), threshold)
 }
@@ -452,73 +462,25 @@ func (h *resultHeap) offer(nb index.Neighbor, k int) {
 // distance using the optimal multi-step algorithm (Seidl & Kriegel):
 // candidates are refined in filter-distance order and the walk stops as
 // soon as the next filter distance exceeds the current k-th exact
-// distance.
+// distance (MultiStep over the index's one Cursor).
 func (ix *Index) KNN(q [][]float64, k int) []index.Neighbor {
 	if k <= 0 || ix.Len() == 0 {
 		return nil
 	}
 	qv, cq := ix.newQuery(q)
-	return ix.knn(qv, cq, k, nil, math.Inf(1))
+	return ix.knn(ix.cursor(qv, cq, k, nil), k)
 }
 
 // KNNFlat is KNN for a query already in the flat layout, skipping the
-// per-call conversion (the vsdb query path).
+// per-call conversion.
 func (ix *Index) KNNFlat(q vectorset.Flat, k int) []index.Neighbor {
-	return ix.KNNFlatWithin(q, k, nil, math.Inf(1))
-}
-
-// KNNFlatWithin is KNNFlat over the objects whose id satisfies live (all
-// of them when live is nil), cut at bound.
-//
-// A dead candidate is skipped by the ranking before it is refined, so it
-// costs no exact evaluation and takes no place among the k. The stop test
-// is KNNFlat's, hence with bound = +Inf the answer is exactly the k
-// nearest live objects — what an index built without the dead ones would
-// return.
-//
-// bound is an upper bound on the k-th distance the caller will keep (the
-// cluster coordinator's k-th distance over the shards it has merged): the
-// answer is the +Inf answer with the entries beyond bound dropped, so
-// possibly fewer than k. The loop starts from bound instead of +Inf, so
-// the ranking, the signature stage and the kernel prune against it from
-// the first candidate; an object at exactly bound is kept, because the
-// tests are strict.
-func (ix *Index) KNNFlatWithin(q vectorset.Flat, k int, live func(id int) bool, bound float64) []index.Neighbor {
 	if k <= 0 || ix.Len() == 0 {
 		return nil
 	}
-	qv, cq := ix.newQueryFlat(q)
-	return ix.knn(qv, cq, k, live, bound)
+	return ix.knn(ix.Cursor(q, k, nil), k)
 }
 
-func (ix *Index) knn(q qview, cq []float64, k int, live func(id int) bool, bound float64) []index.Neighbor {
-	defer q.release()
-	ws := dist.GetWorkspace()
-	defer dist.PutWorkspace(ws)
-	ranking := ix.ranker.rank(cq, k, ix.reach(bound))
-	defer ranking.release()
-	results := make(resultHeap, 0, min(k, ix.Len()))
-	var t tally
-	kth := bound // the k-th exact distance once k candidates are in, or bound before
-	for {
-		cand, ok := ranking.next(ix.reach(kth))
-		if !ok || ix.beyond(cand.Dist, kth) {
-			break // no unseen object can beat the current k-th distance
-		}
-		if live != nil && !live(ix.ids[cand.ID]) {
-			continue
-		}
-		// A distance above kth may come back as +Inf; either way it is no
-		// result — offer would turn it down once the heap is full, and
-		// before that kth is the bound, which the answer must not cross.
-		if d := ix.exact(ws, q, cand.ID, kth, &t); d <= kth {
-			results.offer(index.Neighbor{ID: ix.ids[cand.ID], Dist: d}, k)
-		}
-		if len(results) == k {
-			kth = results[0].Dist
-		}
-	}
-	ix.publish(t)
-	index.SortNeighbors(results) // the heap's one allocation is the answer
-	return results
+func (ix *Index) knn(c *Cursor, k int) []index.Neighbor {
+	defer c.Close()
+	return MultiStep([]Stream{c}, min(k, ix.Len()))
 }

@@ -18,9 +18,8 @@ import (
 type ranker interface {
 	// rank starts a ranking of every indexed position by its centroid's
 	// distance to cq. first is how many candidates the caller expects to
-	// pull before it holds a bound (its k); reach is the bound it already
-	// holds (+Inf for none), with next's contract.
-	rank(cq []float64, first int, reach float64) ranking
+	// pull before it holds a bound (its k).
+	rank(cq []float64, first int) ranking
 	// within returns, in no particular order, every position whose
 	// centroid lies within reach of cq (same rounding caveat as next).
 	within(cq []float64, reach float64) []index.Neighbor
@@ -46,7 +45,7 @@ type ranking interface {
 // frontier reaches, which is what §5.4's disk cost model rewards.
 type treeRanker struct{ tree *xtree.Tree }
 
-func (t treeRanker) rank(cq []float64, _ int, _ float64) ranking {
+func (t treeRanker) rank(cq []float64, _ int) ranking {
 	return treeRanking{t.tree.NewRanking(cq)}
 }
 
@@ -99,17 +98,10 @@ func (r *flatRanker) pass(cq []float64) *flatRanking {
 	return rk
 }
 
-func (r *flatRanker) rank(cq []float64, first int, reach float64) ranking {
+func (r *flatRanker) rank(cq []float64, first int) ranking {
 	rk := r.pass(cq)
 	rk.last, rk.bucketed = ranked{-1, -1}, false
 	rk.chunk = min(max(minChunk, chunkPerResult*first), len(rk.d2))
-	if reach < math.Inf(1) {
-		// The caller already holds a bound (a k-th distance handed down by
-		// the cluster coordinator): step 1 has nothing to find, so the
-		// first pull goes straight to step 2.
-		rk.run, rk.cur, rk.sorted = rk.run[:0], 0, 0
-		return rk
-	}
 	rk.nearest()
 	return rk
 }
@@ -161,11 +153,14 @@ func squaredDistances(d2, cents, q []float64) {
 
 const (
 	// The first chunk is ordered before any bound exists, so it should be
-	// just large enough to hold the k nearest live objects: whatever it
-	// holds beyond them was heap work for nothing, whatever it lacks costs
-	// a second selection pass. Measured on 10 k jittered cadgen objects at
-	// k = 10, a whole query costs 168 µs at 32–40, 176 at 64, 200 at 128.
-	minChunk       = 32
+	// just large enough to hold the caller's share of the k nearest live
+	// objects (first: k for one index, about k/N for each of N merged
+	// shards): whatever it holds beyond them was heap work for nothing,
+	// whatever it lacks costs a second selection pass. Measured on 10 k
+	// jittered cadgen objects at k = 10, a whole query costs 168 µs at
+	// 32–40, 176 at 64, 200 at 128; over 4 shards of 2 500, a chunk of 12
+	// per shard instead of 40 cut a whole query by 18 %.
+	minChunk       = 8
 	chunkPerResult = 4
 	// Collected candidates are bucketed by squared distance, about this
 	// many to a bucket; a bucket is sorted when the walk reaches it.
@@ -177,8 +172,7 @@ const (
 //
 //  1. a bounded max-heap keeps the chunk nearest positions, which are
 //     emitted sorted — enough for the loop to find its first k exact
-//     distances and hence a finite reach (skipped when the loop starts
-//     with one);
+//     distances and hence a finite reach;
 //  2. the first pull with a finite reach collects, in one compare-only
 //     scan of d2, every un-emitted position within it. reach only
 //     shrinks, so nothing outside that set can ever be asked for;

@@ -81,8 +81,8 @@ func columnRows(col []float64, dim int) ([][]float64, []int) {
 
 // TestFlatRankingMatchesTree pulls the flat ranking to exhaustion under a
 // random non-increasing reach — held at +Inf for the first `blind` pulls,
-// as a loop does whose nearest candidates are all dead, or handed to rank
-// up front when blind is 0 — and checks it
+// as a loop does whose nearest candidates are all dead, or finite from the
+// first pull when blind is 0 — and checks it
 // against an STR-bulk-loaded X-tree's ranking pulled as far: the same
 // Dist bits at every rank, the same positions per distinct Dist (the
 // X-tree breaks exact ties in heap order, the flat ranking by position),
@@ -108,13 +108,13 @@ func TestFlatRankingMatchesTree(t *testing.T) {
 					blind := []int{0, k, 3 * minChunk}[qi%3]
 
 					// Flat, to exhaustion. With no blind pulls the reach is
-					// held from the start, widened as Index.reach widens the
-					// bound a loop is handed.
+					// held from the first pull, widened as Index.reach widens
+					// a loop's threshold.
 					reach := math.Inf(1)
 					if blind == 0 && n > 0 {
 						reach = math.Sqrt(squaredDistance(col, dim, rng.Intn(n), q)) * reachSlack
 					}
-					rk := flat.rank(q, k, reach)
+					rk := flat.rank(q, k)
 					var got []ranked
 					for {
 						if len(got) == blind && blind > 0 && n > 0 {
@@ -224,7 +224,7 @@ func TestFlatRankingAllocatesNothing(t *testing.T) {
 	col, qs := jitteredCentroids(3, 250, 8, 16)
 	flat := newFlatRanker(col, len(col)/6, storage.DefaultPageSize, nil)
 	pull := func(q []float64) {
-		rk := flat.rank(q, 10, math.Inf(1))
+		rk := flat.rank(q, 10)
 		reach := math.Inf(1)
 		for i := 0; i < 300; i++ {
 			nb, ok := rk.next(reach)
@@ -339,7 +339,7 @@ func BenchmarkCentroidRanking(b *testing.B) {
 		type schedule struct{ from, to float64 }
 		sched := make([]schedule, queries)
 		for i, q := range qs {
-			rk := rankers[1].r.rank(q, 10, math.Inf(1))
+			rk := rankers[1].r.rank(q, 10)
 			for j := 1; j <= 2*size.pull; j++ {
 				nb, _ := rk.next(math.Inf(1))
 				if j == size.pull {
@@ -355,7 +355,7 @@ func BenchmarkCentroidRanking(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					s := sched[i%queries]
 					shrink := math.Pow(s.to/s.from, 1/float64(size.pull))
-					rk := rr.r.rank(qs[i%queries], 10, math.Inf(1))
+					rk := rr.r.rank(qs[i%queries], 10)
 					reach, pulled := math.Inf(1), 0
 					for ; pulled < size.pull; pulled++ {
 						if pulled == 10 {

@@ -2,7 +2,6 @@ package filter
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -40,7 +39,7 @@ func sigCorpus(seed int64, n, maxCard, dim int) (pool, sets [][][]float64) {
 }
 
 // TestSignatureStageDifferential: with the signature stage in the loop,
-// KNNFlatWithin (bound +Inf) and RangeFlatLive on a store-backed index
+// a Cursor under MultiStep and RangeFlatLive on a store-backed index
 // still answer byte for byte like a brute-force scan with the unbounded
 // distance — K = 7 and 8, with and without a liveness predicate, at k
 // and ε chosen on exact ties — at sizes around the chunk boundary (0, 1,
@@ -77,7 +76,7 @@ func TestSignatureStageDifferential(t *testing.T) {
 					qf := vectorset.FlatFromRows(q)
 					for _, k := range []int{1, 10, 50} {
 						want := all[:min(k, len(all))]
-						if got := ix.KNNFlatWithin(qf, k, live, math.Inf(1)); !reflect.DeepEqual(got, want) && len(want)+len(got) > 0 {
+						if got := knnStreams(qf, k, live, ix); !reflect.DeepEqual(got, want) && len(want)+len(got) > 0 {
 							t.Fatalf("%s query %d: knn k=%d\n got %v\nwant %v", ctx, qi, k, got, want)
 						}
 					}

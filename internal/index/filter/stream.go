@@ -1,0 +1,158 @@
+package filter
+
+import (
+	"math"
+	"sync"
+
+	"github.com/voxset/voxset/internal/dist"
+	"github.com/voxset/voxset/internal/index"
+	"github.com/voxset/voxset/internal/vectorset"
+)
+
+// Stream is one source of k-nn candidates in ascending Lemma 2 bound: an
+// index's Cursor, or a database's walk over its unindexed memtable.
+// MultiStep runs one multi-step loop over any number of them.
+type Stream interface {
+	// Next returns the next candidate's Lemma 2 bound (K·‖C(X)−C(q)‖) and
+	// the stream's position for it, in ascending (bound, position) order.
+	// threshold is the loop's current k-th distance (+Inf before it has
+	// one) and never grows from one call to the next; ok is false once no
+	// remaining candidate's bound lies within it. A candidate beyond it may
+	// still be returned: MultiStep's stop test decides.
+	Next(threshold float64) (bound float64, pos int, ok bool)
+	// Refine tests the candidate at pos against threshold — liveness, the
+	// signature bound, then the threshold-aware matching kernel — and
+	// returns its object id and exact distance. ok is false when the
+	// candidate is dead or proven farther than threshold; a distance equal
+	// to it is kept, so ties at the k-th place reach the result order.
+	Refine(pos int, threshold float64) (id int, d float64, ok bool)
+}
+
+// MultiStep answers a k-nn query over the union of streams with the
+// optimal multi-step algorithm of Seidl & Kriegel [29]: it refines
+// candidates in global (bound, stream, position) order against one k-th
+// distance and stops at the first bound that exceeds it, so it refines
+// what a single index over the union would, ties in the bound aside. The
+// streams must hold disjoint ids; k must not exceed the number of objects
+// they hold together (it sizes the answer). The answer is (dist, id)-ordered
+// and identical whatever the split into streams, because the result heap
+// breaks ties at the k-th place by id, not by refinement order.
+func MultiStep(streams []Stream, k int) []index.Neighbor {
+	if k <= 0 {
+		return nil
+	}
+	type head struct {
+		bound float64
+		pos   int
+		ok    bool
+	}
+	var buf [8]head
+	heads := buf[:0]
+	kth := math.Inf(1) // the k-th exact distance once k candidates are in
+	for _, s := range streams {
+		b, p, ok := s.Next(kth)
+		heads = append(heads, head{b, p, ok})
+	}
+	results := make(resultHeap, 0, k)
+	for {
+		best := -1
+		for i, h := range heads {
+			if h.ok && (best < 0 || h.bound < heads[best].bound) {
+				best = i
+			}
+		}
+		if best < 0 || vectorset.BoundExceeds(heads[best].bound, kth) {
+			break // no unseen object can beat the current k-th distance
+		}
+		s := streams[best]
+		if id, d, ok := s.Refine(heads[best].pos, kth); ok {
+			results.offer(index.Neighbor{ID: id, Dist: d}, k)
+			if len(results) == k {
+				kth = results[0].Dist
+			}
+		}
+		h := &heads[best]
+		h.bound, h.pos, h.ok = s.Next(kth)
+	}
+	index.SortNeighbors(results) // the heap's one allocation is the answer
+	return results
+}
+
+// Cursor is one k-nn query's walk over an index, the Stream MultiStep
+// pulls from: Next is the centroid ranking, Refine the liveness test, the
+// signature stage and the threshold-aware kernel. Opening one prepares
+// only the query (its centroid and signature); the ranking pass over the
+// index runs on the first Next, so a caller can open cursors on several
+// indexes before it walks any of them. A Cursor is used by one goroutine
+// at a time and must be closed, which publishes its counters.
+type Cursor struct {
+	ix      *Index
+	q       qview
+	cq      []float64
+	first   int
+	live    func(id int) bool
+	ranking ranking // nil until the first Next
+	ws      *dist.Workspace
+	t       tally
+}
+
+var cursors = sync.Pool{New: func() any { return new(Cursor) }}
+
+// Cursor opens a k-nn walk for q over the objects whose id satisfies live
+// (all of them when live is nil): a dead candidate is ranked but never
+// refined and takes no place among the k. first — how many candidates the
+// cursor is expected to supply before the loop holds k results: k when it
+// is the loop's only stream, its share of k beside others — sizes the
+// ranking's first selection; it affects cost, never the answer.
+func (ix *Index) Cursor(q vectorset.Flat, first int, live func(id int) bool) *Cursor {
+	qv, cq := ix.newQueryFlat(q)
+	return ix.cursor(qv, cq, first, live)
+}
+
+func (ix *Index) cursor(q qview, cq []float64, first int, live func(id int) bool) *Cursor {
+	c := cursors.Get().(*Cursor)
+	*c = Cursor{ix: ix, q: q, cq: cq, first: first, live: live}
+	return c
+}
+
+// Next implements Stream.
+func (c *Cursor) Next(threshold float64) (float64, int, bool) {
+	if c.ranking == nil {
+		if c.ix.Len() == 0 {
+			return 0, 0, false
+		}
+		c.ranking = c.ix.ranker.rank(c.cq, c.first)
+	}
+	nb, ok := c.ranking.next(c.ix.reach(threshold))
+	return nb.Dist * float64(c.ix.cfg.K), nb.ID, ok
+}
+
+// Refine implements Stream.
+func (c *Cursor) Refine(pos int, threshold float64) (int, float64, bool) {
+	id := c.ix.ids[pos]
+	if c.live != nil && !c.live(id) {
+		return 0, 0, false
+	}
+	if c.ws == nil {
+		c.ws = dist.GetWorkspace()
+	}
+	// A distance above threshold may come back as +Inf; either way it is
+	// no result.
+	d := c.ix.exact(c.ws, c.q, pos, threshold, &c.t)
+	return id, d, d <= threshold
+}
+
+// Close publishes the cursor's counters to its index and releases its
+// scratch; the cursor is dead after it.
+func (c *Cursor) Close() {
+	c.ix.publish(c.t)
+	c.q.release()
+	if c.ranking != nil {
+		c.ranking.release()
+	}
+	if c.ws != nil {
+		dist.PutWorkspace(c.ws)
+	}
+	*c = Cursor{}
+	cursors.Put(c)
+}

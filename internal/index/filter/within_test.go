@@ -2,7 +2,6 @@ package filter
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -43,16 +42,29 @@ func latticeCorpus(seed int64, n, maxCard, dim int) [][][]float64 {
 	return sets
 }
 
-// TestBoundedRefinementDifferential: KNNFlatWithin and RangeFlatLive, whose
-// loops hand their threshold to the ranking and to the matching kernel,
-// answer byte for byte like a brute-force scan with the unbounded
-// distance — through the X-tree and through the centroid column, with
-// and without a liveness predicate, at k and
-// ε chosen on exact ties, under a power-of-two K and under K = 7. A k-nn
-// that starts from a handed bound (KNNFlatWithin) answers the scan's top
-// k cut at the bound.
+// knnStreams is a k-nn over the union of the indexes: MultiStep over one
+// Cursor per index, each skipping what live rejects.
+func knnStreams(q vectorset.Flat, k int, live func(int) bool, ixs ...*Index) []index.Neighbor {
+	streams := make([]Stream, len(ixs))
+	for i, ix := range ixs {
+		c := ix.Cursor(q, k, live)
+		defer c.Close()
+		streams[i] = c
+	}
+	return MultiStep(streams, k)
+}
+
+// TestBoundedRefinementDifferential: the k-nn loop (MultiStep over
+// cursors) and RangeFlatLive, whose loops hand their threshold to the
+// ranking and to the matching kernel, answer byte for byte like a
+// brute-force scan with the unbounded distance — through the X-tree and
+// through the centroid column, with and without a liveness predicate, at
+// k and ε chosen on exact ties, under a power-of-two K and under K = 7.
+// The same objects split across three indexes (position mod 3), walked by
+// one MultiStep over three cursors, answer the same k-nn: equal distances
+// at the k-th place then sit in different streams.
 func TestBoundedRefinementDifferential(t *testing.T) {
-	const D = 6
+	const D, parts = 6, 3
 	dead := func(id int) bool { return id%5 == 0 }
 	for _, K := range []int{8, 7} {
 		sets := latticeCorpus(41, 400, K, D)
@@ -63,6 +75,18 @@ func TestBoundedRefinementDifferential(t *testing.T) {
 		}
 		cfg := Config{K: K, Dim: D}
 		tree := New(cfg)
+		split := map[string][]*Index{}
+		for p := 0; p < parts; p++ {
+			part := New(cfg)
+			var pf []vectorset.Flat
+			var pids []int
+			for i := p; i < len(sets); i += parts {
+				part.Add(sets[i], i)
+				pf, pids = append(pf, flats[i]), append(pids, i)
+			}
+			split["tree"] = append(split["tree"], part)
+			split["column"] = append(split["column"], bulkFromFlats(t, cfg, pf, pids))
+		}
 		for i, s := range sets {
 			tree.Add(s, i)
 		}
@@ -80,16 +104,11 @@ func TestBoundedRefinementDifferential(t *testing.T) {
 					ctx := fmt.Sprintf("K=%d %s live=%v query=%d", K, name, live != nil, qi)
 					qf := vectorset.FlatFromRows(q)
 					for _, k := range []int{1, 5, 10, 50} {
-						if got := ix.KNNFlatWithin(qf, k, live, math.Inf(1)); !reflect.DeepEqual(got, all[:k]) {
+						if got := knnStreams(qf, k, live, ix); !reflect.DeepEqual(got, all[:k]) {
 							t.Fatalf("%s: knn k=%d\n got %v\nwant %v", ctx, k, got, all[:k])
 						}
-						// Handed a bound on a tie, an ulp under it, and at
-						// the middle of the top k: the top k cut at it.
-						for _, bound := range []float64{all[k-1].Dist, math.Nextafter(all[k-1].Dist, 0), all[k/2].Dist} {
-							n := sort.Search(k, func(i int) bool { return all[i].Dist > bound })
-							if got := ix.KNNFlatWithin(qf, k, live, bound); len(got)+n > 0 && !reflect.DeepEqual(got, all[:n]) {
-								t.Fatalf("%s: knn k=%d within %v\n got %v\nwant %v", ctx, k, bound, got, all[:n])
-							}
+						if got := knnStreams(qf, k, live, split[name]...); !reflect.DeepEqual(got, all[:k]) {
+							t.Fatalf("%s: knn k=%d over %d streams\n got %v\nwant %v", ctx, k, parts, got, all[:k])
 						}
 					}
 					for _, at := range []int{0, 9, 49} {

@@ -51,7 +51,7 @@
 // client concurrency and for graceful shutdown mid-flight.
 //
 // In coordinator mode (Config.Cluster) the same routes serve a sharded
-// cluster: queries visit the shards in turn, a strict-mode shard
+// cluster: queries open the shards in turn, a strict-mode shard
 // failure maps to 502, a partial-mode degraded result carries "partial"
 // and per-shard error detail in the response body (and is never
 // cached), /cluster reports the shard topology, and /metrics gains

@@ -10,19 +10,17 @@ import (
 // tombstones, 40 k = 10 queries in one batch):
 //
 //   - SignaturePruned + Refinements — every candidate the centroid filter
-//     let through — is exactly what the commit before the threshold-aware
-//     kernel counted as Refinements, because neither later stage changes
-//     the k-th distance a sequential loop holds at any step, so neither
+//     let through — does not depend on the later stages, because neither
+//     changes the k-th distance the loop holds at any step, so neither
 //     changes which candidates reach them;
 //   - Refinements — candidates handed to the kernel — is the count the
 //     signature stage leaves (it was all of them);
 //   - Matchings — solves run — is a small share of those.
 func TestMatchingsGuard(t *testing.T) {
 	const dim, card = 6, 7
-	// Measured on this test: 44 158 candidates passed the centroid filter
-	// and all were refined before the signature stage; with it, 32 370
-	// are.
-	const centroidSurvivors, refinements = 44158, 32370
+	// Measured on this test: 42 425 candidates pass the centroid filter and
+	// 31 488 of them are refined.
+	const centroidSurvivors, refinements = 42425, 31488
 	rng := rand.New(rand.NewSource(20))
 	jitter := func(set [][]float64) [][]float64 {
 		out := make([][]float64, len(set))

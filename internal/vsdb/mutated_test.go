@@ -2,7 +2,6 @@ package vsdb
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"path/filepath"
 	"reflect"
@@ -13,8 +12,9 @@ import (
 )
 
 // A mutated view (base + tombstones + delta memtable) must answer every
-// exact query byte for byte like a brute-force scan of the live set — a
-// k-nn handed a bound (SearchWithin) like the scan's top k cut at it — and
+// exact query byte for byte like a brute-force scan of the live set — its
+// k-nn stream merged with another database's like the scan of their union —
+// and
 // must run about the exact evaluations its compacted form runs: the
 // tombstone-aware ranking and the centroid-bounded delta (DESIGN.md §8)
 // prune work, never answers.
@@ -88,37 +88,35 @@ func checkAgainstBrute(t *testing.T, db *DB, m bruteModel, q [][]float64, ctx st
 	}
 }
 
-// checkWithinAgainstBrute compares SearchWithin with the model at k ∈ {1,
-// 10, live+3} under bounds that sit exactly on a brute distance (so the
-// bound carries a tie, and ties at the k-th place too), an ulp below one,
-// 0, below every distance and +Inf: the answer must be the brute top k cut
-// at the bound. A Range entry in the same batch ignores its bound.
-func checkWithinAgainstBrute(t *testing.T, db *DB, m bruteModel, q [][]float64, ctx string) {
+// checkStreamsAgainstBrute compares the merged funnel with the model: one
+// Open on db and one on other (a second database, its ids disjoint from
+// db's, its sets from the same pool so that equal distances at the k-th
+// place fall in both), walked by one MultiStep at k ∈ {1, 10, live+3},
+// must answer the brute top k of their union. A Range entry opened in the
+// same batch answers as Search does.
+func checkStreamsAgainstBrute(t *testing.T, db, other *DB, m, om bruteModel, q [][]float64, ctx string) {
 	t.Helper()
-	all := m.scan(q)
-	for _, k := range []int{1, 10, len(m) + 3} {
-		top := all[:min(k, len(all))]
-		bounds := []float64{0, -1, math.Inf(1)}
-		for _, at := range []int{0, k - 1, k, len(all) / 2} {
-			if at < len(all) {
-				bounds = append(bounds, all[at].Dist, math.Nextafter(all[at].Dist, math.Inf(-1)))
-			}
+	union := bruteModel{}
+	for _, mm := range []bruteModel{m, om} {
+		for id, set := range mm {
+			union[id] = set
 		}
-		for _, bound := range bounds {
-			var want []Neighbor
-			for _, nb := range top {
-				if nb.Dist <= bound {
-					want = append(want, nb)
-				}
-			}
-			rangeQ := Query{Set: q, Kind: Range, Eps: 1}
-			got := db.SearchWithin([]Query{{Set: q, Kind: KNN, K: k}, rangeQ}, []float64{bound, bound})
-			if len(got[0])+len(want) > 0 && !reflect.DeepEqual(got[0], want) {
-				t.Fatalf("%s: knn k=%d within %v\n got %v\nwant %v", ctx, k, bound, got[0], want)
-			}
-			if r := one(db, rangeQ); len(r)+len(got[1]) > 0 && !reflect.DeepEqual(got[1], r) {
-				t.Fatalf("%s: a range entry took the bound %v: %v, want %v", ctx, bound, got[1], r)
-			}
+	}
+	all := union.scan(q)
+	rangeQ := Query{Set: q, Kind: Range, Eps: 1}
+	for _, k := range []int{1, 10, len(union) + 3} {
+		batch := []Query{{Set: q, Kind: KNN, K: k}, rangeQ}
+		s1, l1 := db.Open(batch)
+		s2, _ := other.Open(batch)
+		got := MultiStep([]*Stream{s1[0], s2[0]}, k)
+		s1[0].Close()
+		s2[0].Close()
+		want := all[:min(k, len(all))]
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: knn k=%d over two streams\n got %v\nwant %v", ctx, k, got, want)
+		}
+		if s1[1] != nil || !reflect.DeepEqual(l1[1], one(db, rangeQ)) {
+			t.Fatalf("%s: the range entry opened as %v, want %v", ctx, l1[1], one(db, rangeQ))
 		}
 	}
 }
@@ -200,12 +198,27 @@ func mutatedDifferential(t *testing.T, maxCard int, mapped bool, callers int, se
 	}
 	defer db.Close()
 
+	// A second, compacted database for the merged-funnel check: ids past
+	// every id the schedule inserts, sets from the same pool.
+	other, err := Open(Config{Dim: mutDim, MaxCard: maxCard})
+	if err != nil {
+		t.Fatal(err)
+	}
+	otherModel := bruteModel{}
+	for i := uint64(0); i < 30; i++ {
+		set := pool[(7*i)%uint64(len(pool))]
+		if err := other.Insert(1_000_000+i, set); err != nil {
+			t.Fatal(err)
+		}
+		otherModel[1_000_000+i] = set
+	}
+
 	check := func(ctx string) {
 		t.Helper()
 		for i := 0; i < 4; i++ {
 			checkAgainstBrute(t, db, model, draw(), ctx)
 		}
-		checkWithinAgainstBrute(t, db, model, draw(), ctx+" (within)")
+		checkStreamsAgainstBrute(t, db, other, model, otherModel, draw(), ctx+" (two streams)")
 		// Card-1 query against card-1 sets: bound == distance exactly.
 		checkAgainstBrute(t, db, model, pool[rng.Intn(4)], ctx+" (card-1 query)")
 		// Fixed pool entries, so the schedule's rng stream is the same at

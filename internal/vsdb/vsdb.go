@@ -21,17 +21,19 @@
 //     place, and owns no tree;
 //   - delta: a small memtable of objects inserted since, each stored
 //     with its extended centroid and its encoded signature. It has no
-//     index, but it is filtered like the base: a query visits entries in
-//     ascending centroid lower bound and refines only those that neither
-//     bound rules out (running the matching on all ≤ MaxDelta sets
-//     measured 4× the base's own refinements), so filter-vs-scan parity
-//     holds at every epoch;
+//     index, but it is filtered like the base: a k-nn walks it as a second
+//     candidate stream in ascending centroid lower bound, merged with the
+//     base's in one bound order (Stream, MultiStep), and refines only the
+//     entries that neither bound rules out (running the matching on all
+//     ≤ MaxDelta sets measured 4× the base's own refinements), so
+//     filter-vs-scan parity holds at every epoch;
 //   - tomb: tombstones for deleted base-resident objects, which the
 //     base's candidate ranking skips before refining them.
 //
 // A mutated view therefore runs the exact evaluations its compacted
-// form would, give or take the delta entries whose bound ties the k-th
-// distance. Compaction folds delta and tomb back into a fresh base that
+// form would, give or take ties in the bound. The same streams let a
+// sharded coordinator run one k-nn loop over every shard (Open).
+// Compaction folds delta and tomb back into a fresh base that
 // keeps the centroids already computed (one block, copied, not a tree); it
 // triggers automatically on the MaxDelta / CompactRatio thresholds or
 // explicitly via Compact. Every view carries the mutation
@@ -51,13 +53,11 @@ package vsdb
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
 
 	"github.com/voxset/voxset/internal/dist"
-	"github.com/voxset/voxset/internal/index"
 	"github.com/voxset/voxset/internal/index/filter"
 	"github.com/voxset/voxset/internal/snapshot"
 	"github.com/voxset/voxset/internal/storage"
@@ -451,37 +451,18 @@ type Query struct {
 // return at that epoch, because single and batched entries run the same
 // per-entry function against the same immutable view. Entries run in
 // order on the caller's goroutine; concurrency comes from concurrent
-// callers, which share the view lock-free.
+// callers, which share the view lock-free. An exact k-nn entry is
+// MultiStep over the entry's one Stream (Open).
 //
 // Results are exact, (dist, id)-ordered, and identical at any epoch
 // representation (compacted or not).
 func (db *DB) Search(qs []Query) [][]Neighbor {
-	return db.SearchWithin(qs, nil)
-}
-
-// SearchWithin is Search for a caller that already holds, for each entry,
-// an upper bound on the distances it will keep: within[i] (all +Inf when
-// within is nil). An exact k-nn entry then answers with exactly Search's
-// list minus the neighbours farther than within[i] — possibly fewer than
-// K — and its multi-step loop, signature stage and kernel prune against
-// the bound from the first candidate instead of waiting for K exact
-// distances of their own. A neighbour at exactly within[i] is kept. The
-// bound does not apply to Range or Match.Partial entries, which answer
-// as Search does.
-//
-// The sharded coordinator visits its shards in turn and hands each one
-// the k-th distance it has merged so far (cluster.DB.Search): a neighbour
-// beyond it could never enter the merged top K, so the merge is unchanged
-// while a shard refines only what could still enter it.
-func (db *DB) SearchWithin(qs []Query, within []float64) [][]Neighbor {
-	v := db.cur.Load()
-	out := make([][]Neighbor, len(qs))
-	for i := range qs {
-		bound := math.Inf(1)
-		if within != nil {
-			bound = within[i]
+	streams, out := db.Open(qs)
+	for i, s := range streams {
+		if s != nil {
+			out[i] = MultiStep([]*Stream{s}, qs[i].K)
+			s.Close()
 		}
-		out[i] = db.searchView(v, &qs[i], bound)
 	}
 	return out
 }
@@ -508,35 +489,17 @@ func (db *DB) KNNBatch(queries [][][]float64, k int) [][]Neighbor {
 	return db.Search(qs)
 }
 
-// searchView answers one query against a pinned view: the base proposes
-// its live neighbours (the exact ranking skips tombstones), then the delta
-// memtable is folded in under its centroid bounds. bound caps a k-nn
-// answer (SearchWithin).
-func (db *DB) searchView(v *view, q *Query, bound float64) []Neighbor {
-	if q.Match.Partial {
-		return db.partialView(v, q)
-	}
+// rangeView answers one exact ε-range query against a pinned view: the
+// base proposes its live neighbours (the exact ranking skips tombstones),
+// then the delta memtable is folded in under its centroid bounds.
+func (db *DB) rangeView(v *view, q *Query) []Neighbor {
 	query := vectorset.FlatFromRows(q.Set)
-	if q.Kind == Range {
-		cands := v.base.RangeFlatLive(query, q.Eps, v.baseLive())
-		return db.deltaRange(v, query, q.Eps, liveNeighbors(cands))
-	}
-	k := min(q.K, len(v.ids))
-	if k <= 0 {
-		return nil
-	}
-	cands := v.base.KNNFlatWithin(query, k, v.baseLive(), bound)
-	return db.deltaKNN(v, query, k, bound, liveNeighbors(cands))
-}
-
-// liveNeighbors converts base candidates — all live, since the exact
-// ranking never proposes a tombstoned id — keeping their (dist, id) order.
-func liveNeighbors(cands []index.Neighbor) []Neighbor {
+	cands := v.base.RangeFlatLive(query, q.Eps, v.baseLive())
 	out := make([]Neighbor, len(cands))
 	for i, nb := range cands {
 		out[i] = Neighbor{ID: uint64(nb.ID), Dist: nb.Dist}
 	}
-	return out
+	return db.deltaRange(v, query, q.Eps, out)
 }
 
 // deltaBound is the Lemma 2 lower bound MaxCard·‖C(X)−C(q)‖₂ of a delta
@@ -586,84 +549,6 @@ func (db *DB) deltaRange(v *view, query vectorset.Flat, eps float64, out []Neigh
 	db.refExtra.Add(refined)
 	db.matchExtra.Add(solved)
 	sortNeighbors(out)
-	return out
-}
-
-// deltaKNN merges the delta memtable into out, the base's at most k
-// nearest live neighbours within bound in (dist, id) order, with the
-// multi-step stop rule of the filter's own k-nn: entries are refined in
-// ascending centroid bound until the first bound strictly greater than
-// the current k-th distance (bound until there are k), so every entry
-// that ties or beats the k-th place is refined and the answer is the
-// exact top k of base ∪ delta, cut at bound; the signature stage and the
-// kernel get the same threshold and drop an entry only when strictly
-// farther, so the tie rule at the k-th place is untouched. Typically a
-// handful of entries survive the bounds.
-func (db *DB) deltaKNN(v *view, query vectorset.Flat, k int, bound float64, out []Neighbor) []Neighbor {
-	if len(v.deltaIDs) == 0 {
-		return out
-	}
-	kth := func() float64 {
-		if len(out) < k {
-			return bound
-		}
-		return out[k-1].Dist
-	}
-	type cand struct {
-		bound float64
-		id    uint64
-		e     deltaEntry
-	}
-	cq := query.Centroid(db.cfg.MaxCard, db.omega)
-	var cands []cand
-	limit := kth()
-	for _, id := range v.deltaIDs {
-		e := v.delta[id]
-		if b := db.deltaBound(cq, e); !vectorset.BoundExceeds(b, limit) {
-			cands = append(cands, cand{b, id, e})
-		}
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].bound != cands[j].bound {
-			return cands[i].bound < cands[j].bound
-		}
-		return cands[i].id < cands[j].id
-	})
-	qs := dist.GetSignature(query, db.cfg.MaxCard, db.omega)
-	defer dist.PutSignature(qs)
-	ws := dist.GetWorkspace()
-	defer dist.PutWorkspace(ws)
-	var sigPruned, refined, solved int64
-	for _, c := range cands {
-		if vectorset.BoundExceeds(c.bound, kth()) {
-			break
-		}
-		if dist.SignatureExceeds(c.e.sig.Bound(qs, 0), kth()) {
-			sigPruned++
-			continue
-		}
-		refined++
-		d, within := ws.MatchingDistanceFlatWithin(query, c.e.set, db.omega, kth())
-		if within {
-			solved++
-		}
-		if !within || d > kth() {
-			continue // farther than the k-th place (or the bound, while out is short)
-		}
-		nb := Neighbor{ID: c.id, Dist: d}
-		at := sort.Search(len(out), func(i int) bool { return neighborLess(nb, out[i]) })
-		if at == k {
-			continue
-		}
-		if len(out) < k {
-			out = append(out, Neighbor{})
-		}
-		copy(out[at+1:], out[at:])
-		out[at] = nb
-	}
-	db.sigExtra.Add(sigPruned)
-	db.refExtra.Add(refined)
-	db.matchExtra.Add(solved)
 	return out
 }
 
