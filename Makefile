@@ -52,12 +52,16 @@ check-bench:
 # plus the scatter-gather merge's identity with sort-and-truncate, the
 # threshold-aware matching kernel's contract against the unbounded one, the
 # signature bound's chain (encoded ≤ exact ≤ matching distance), the
-# engine's refusal of non-finite sets and the pruned cover search's
-# contract against the unpruned scan.
+# engine's refusal of non-finite sets — stored (FuzzInsertFinite) and
+# queried (FuzzSearchFinite: NaN, ±Inf and wrong dimensions must fail
+# Search with an error under a 1 s deadline, never panic or run out the
+# clock) — and the pruned cover search's contract against the unpruned
+# scan.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzMatchingWithin -fuzztime 5s ./internal/dist/
 	$(GO) test -run xxx -fuzz FuzzSignatureBound -fuzztime 5s ./internal/dist/
 	$(GO) test -run xxx -fuzz FuzzInsertFinite -fuzztime 5s ./internal/vsdb/
+	$(GO) test -run xxx -fuzz FuzzSearchFinite -fuzztime 5s ./internal/vsdb/
 	$(GO) test -run xxx -fuzz FuzzSTLParse -fuzztime 5s ./internal/mesh/
 	$(GO) test -run xxx -fuzz FuzzQueryMesh -fuzztime 5s ./internal/server/
 	$(GO) test -run xxx -fuzz FuzzReadFrom -fuzztime 5s ./internal/vectorset/

@@ -1,10 +1,13 @@
 // Command voxserve serves a vector set database over HTTP (DESIGN.md §7):
 // k-nn and ε-range queries under the minimal matching distance, answered
-// by the extended-centroid filter pipeline — each query on one goroutine,
-// at most -workers of them at a time (the query slots) — with an LRU
-// cache for repeated query objects and a /metrics endpoint exposing
-// latency histograms, filter selectivity and the simulated page I/O of
-// the paper's §5.4 cost model.
+// by the extended-centroid filter pipeline — each query on its request's
+// goroutine under the -timeout deadline, at most -workers of them at a
+// time (the query slots) — with an LRU cache for repeated query objects
+// and a /metrics endpoint exposing latency histograms, filter selectivity
+// and the simulated page I/O of the paper's §5.4 cost model. Every mode
+// serves through the cluster coordinator: a single database is a 1-shard
+// cluster, so /cluster and the per-shard /metrics gauges answer in every
+// mode.
 //
 // Usage:
 //
@@ -35,7 +38,7 @@
 // §9): queries open N vsdb shards in turn and a k-nn refines their
 // candidates in one bound order, with bit-identical results; mutations
 // route to the owning shard, /cluster reports the shard topology and
-// /metrics gains per-shard gauges. -partial returns
+// /metrics the per-shard gauges. -partial returns
 // degraded (flagged) results when a shard fails instead of erroring;
 // -wal-dir gives every shard its own durable log:
 //
@@ -117,23 +120,21 @@ func main() {
 	flag.Parse()
 
 	var tr storage.Tracker
-	if *shards > 0 || *snapDir != "" {
-		serveCluster(*shards, *partial, *walDir, *snap, *snapDir, *dataset, *seed, *n, *covers, *workers,
-			*addr, *timeout, *cache, *grace, *save, *wal, *ckpt, *noSync,
-			*reps, *folRead, *maxLag, *meshMB<<20, &tr)
-		return
-	}
-	if *partial || *walDir != "" {
-		log.Fatal("-partial and -wal-dir need -shards")
-	}
-	if *reps > 0 || *folRead || *maxLag > 0 {
-		log.Fatal("-replicas, -follower-reads and -max-lag need -shards (and -wal-dir)")
-	}
+	sharded := *shards > 0 || *snapDir != ""
 	ckptPath := *save
 	if ckptPath == "" {
 		ckptPath = *snap
 	}
-	if *ckpt > 0 && (*wal == "" || ckptPath == "") {
+	switch {
+	case sharded && (*save != "" || *wal != "" || *ckpt > 0):
+		log.Fatal("-save, -wal and -checkpoint apply to single-database mode; with -shards use -wal-dir (per-shard logs)")
+	case sharded && *reps > 0 && *walDir == "":
+		log.Fatal("-replicas needs -wal-dir: the per-shard log is the durable copy failover recovers from")
+	case !sharded && (*partial || *walDir != ""):
+		log.Fatal("-partial and -wal-dir need -shards")
+	case !sharded && (*reps > 0 || *folRead || *maxLag > 0):
+		log.Fatal("-replicas, -follower-reads and -max-lag need -shards (and -wal-dir)")
+	case *ckpt > 0 && (*wal == "" || ckptPath == ""):
 		log.Fatal("-checkpoint needs -wal and a snapshot path (-snapshot or -save)")
 	}
 
@@ -151,165 +152,40 @@ func main() {
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
-	dbc := make(chan *vsdb.DB, 1)
-	go func() {
-		db, err := openDB(*snap, *dataset, *seed, *n, *covers, &tr)
-		if err != nil {
-			log.Fatal(err)
-		}
-		dbc <- db
-		if *save != "" {
-			if err := db.SaveFile(*save); err != nil {
-				log.Fatal(err)
-			}
-			log.Printf("saved snapshot to %s", *save)
-		}
-		if *wal != "" {
-			// Attaching after the build/load replays any existing log
-			// suffix, so a restart resumes exactly where the last run
-			// stopped.
-			before := db.Epoch()
-			if err := db.AttachWAL(*wal, vsdb.WALOptions{NoSync: *noSync}); err != nil {
-				log.Fatal(err)
-			}
-			log.Printf("write-ahead log %s attached at epoch %d (%d records replayed)",
-				*wal, db.Epoch(), db.Epoch()-before)
-		}
-		if err := srv.Publish(server.Config{DB: db, Tracker: &tr}); err != nil {
-			log.Fatal(err)
-		}
-		if *ckpt > 0 {
-			go func() {
-				tick := time.NewTicker(*ckpt)
-				defer tick.Stop()
-				for {
-					select {
-					case <-ctx.Done():
-						return
-					case <-tick.C:
-						before := db.WALRecords()
-						if err := db.Checkpoint(ckptPath); err != nil {
-							log.Printf("checkpoint: %v", err)
-							continue
-						}
-						log.Printf("checkpointed %d objects to %s (%d log records truncated)",
-							db.Len(), ckptPath, before)
-					}
-				}
-			}()
-		}
-		log.Printf("serving %d objects (%d query slots, timeout %s)",
-			db.Len(), srv.Workers(), *timeout)
-	}()
-	log.Printf("listening on %s (warming until the snapshot is open)", *addr)
-	if err := srv.ListenAndServe(ctx, *addr, *grace); err != nil {
-		log.Fatal(err)
-	}
-	select {
-	case db := <-dbc:
-		db.Close()
-	default:
-	}
-	log.Print("drained, bye")
-}
-
-// serveCluster is the -shards / -snapshot-dir serving path: build or
-// load a hash-sharded cluster and mount the scatter-gather coordinator
-// behind the same HTTP routes (plus /cluster). Like single-database
-// mode, the listener comes up first and readiness follows the open.
-func serveCluster(shards int, partial bool, walDir, snap, snapDir, dataset string, seed int64, n, covers, workers int,
-	addr string, timeout time.Duration, cacheSize int, grace time.Duration,
-	save, wal string, ckpt time.Duration, noSync bool,
-	replicas int, followerReads bool, maxLag uint64, maxMeshBytes int64, tr *storage.Tracker) {
-	if save != "" || wal != "" || ckpt > 0 {
-		log.Fatal("-save, -wal and -checkpoint apply to single-database mode; with -shards use -wal-dir (per-shard logs)")
-	}
-	if replicas > 0 && walDir == "" {
-		log.Fatal("-replicas needs -wal-dir: the per-shard log is the durable copy failover recovers from")
-	}
-	ccfg := cluster.Config{
-		Shards:        shards,
-		Partial:       partial,
-		WALDir:        walDir,
-		WALNoSync:     noSync,
-		Tracker:       tr,
-		Replicas:      replicas,
-		FollowerReads: followerReads,
-		MaxLag:        maxLag,
-	}
-	srv, err := server.NewWarming(server.Config{
-		Workers:      workers,
-		Timeout:      timeout,
-		CacheSize:    cacheSize,
-		MaxMeshBytes: maxMeshBytes,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
 	cc := make(chan *cluster.DB, 1)
 	go func() {
 		var c *cluster.DB
-		var err error
-		start := time.Now()
-		switch {
-		case snapDir != "" && (snap != "" || dataset != ""):
-			log.Fatal("give -snapshot-dir, -snapshot or -dataset, not a combination")
-		case snap != "" && dataset != "":
-			log.Fatal("give -snapshot or -dataset, not both")
-		case snapDir != "":
-			// Shards open concurrently, paged (VXSNAP02) shard files by
-			// mmap; the manifest supplies the geometry.
-			c, err = cluster.LoadDir(snapDir, ccfg)
-			if err != nil {
-				log.Fatal(err)
+		if sharded {
+			c = openCluster(cluster.Config{
+				Shards:        *shards,
+				Partial:       *partial,
+				WALDir:        *walDir,
+				WALNoSync:     *noSync,
+				Tracker:       &tr,
+				Replicas:      *reps,
+				FollowerReads: *folRead,
+				MaxLag:        *maxLag,
+			}, *snap, *snapDir, *dataset, *seed, *n, *covers)
+		} else {
+			db := openDB(*snap, *dataset, *seed, *n, *covers, *save, *wal, *noSync, &tr)
+			c = cluster.Single(db)
+			if *ckpt > 0 {
+				go checkpoint(ctx, db, ckptPath, *ckpt)
 			}
-			log.Printf("opened %s: %d objects across %d shards in %s",
-				snapDir, c.Len(), c.N(), time.Since(start).Round(time.Millisecond))
-		case snap != "":
-			c, err = cluster.FromSnapshotFile(snap, ccfg)
-			if err != nil {
-				log.Fatal(err)
-			}
-			log.Printf("scattered %s across %d shards: %d objects in %s",
-				snap, shards, c.Len(), time.Since(start).Round(time.Millisecond))
-		case dataset == "":
-			log.Fatal("either -snapshot-dir, -snapshot or -dataset is required")
-		default:
-			d, perr := experiments.ParseDataset(dataset)
-			if perr != nil {
-				log.Fatal(perr)
-			}
-			cfg := core.DefaultConfig()
-			cfg.Covers = covers
-			c, err = experiments.BuildClusterDB(d, seed, n, cfg, ccfg, 0, tr)
-			if err != nil {
-				log.Fatal(err)
-			}
-			log.Printf("built %s dataset across %d shards: %d objects in %s",
-				dataset, shards, c.Len(), time.Since(start).Round(time.Second))
 		}
 		cc <- c
-		if walDir != "" {
-			log.Printf("per-shard write-ahead logs in %s (cluster epoch %d)", walDir, c.Epoch())
-		}
-		if replicas > 0 {
-			log.Printf("replica sets: %d followers per shard (follower reads %v, max lag %d records)",
-				replicas, followerReads, maxLag)
-		}
-		if err := srv.Publish(server.Config{Cluster: c, Tracker: tr}); err != nil {
+		if err := srv.Publish(server.Config{Cluster: c, Tracker: &tr}); err != nil {
 			log.Fatal(err)
 		}
 		mode := "strict"
-		if partial {
+		if *partial {
 			mode = "partial"
 		}
 		log.Printf("serving %d objects (%d shards, %s degradation, %d query slots, timeout %s)",
-			c.Len(), c.N(), mode, srv.Workers(), timeout)
+			c.Len(), c.N(), mode, srv.Workers(), *timeout)
 	}()
-	log.Printf("listening on %s (warming until the shards are open)", addr)
-	if err := srv.ListenAndServe(ctx, addr, grace); err != nil {
+	log.Printf("listening on %s (warming until the database is open)", *addr)
+	if err := srv.ListenAndServe(ctx, *addr, *grace); err != nil {
 		log.Fatal(err)
 	}
 	select {
@@ -320,16 +196,90 @@ func serveCluster(shards int, partial bool, walDir, snap, snapDir, dataset strin
 	log.Print("drained, bye")
 }
 
-// openDB loads a snapshot or builds a dataset from the CSG generators.
-func openDB(snap, dataset string, seed int64, n, covers int, tr *storage.Tracker) (*vsdb.DB, error) {
+// openCluster builds or loads the hash-sharded cluster of -shards /
+// -snapshot-dir mode.
+func openCluster(ccfg cluster.Config, snap, snapDir, dataset string, seed int64, n, covers int) *cluster.DB {
+	var c *cluster.DB
+	var err error
+	start := time.Now()
+	switch {
+	case snapDir != "" && (snap != "" || dataset != ""):
+		log.Fatal("give -snapshot-dir, -snapshot or -dataset, not a combination")
+	case snap != "" && dataset != "":
+		log.Fatal("give -snapshot or -dataset, not both")
+	case snapDir != "":
+		// Shards open concurrently, paged (VXSNAP02) shard files by mmap;
+		// the manifest supplies the geometry.
+		if c, err = cluster.LoadDir(snapDir, ccfg); err != nil {
+			log.Fatal(err)
+		}
+		log.Printf("opened %s: %d objects across %d shards in %s",
+			snapDir, c.Len(), c.N(), time.Since(start).Round(time.Millisecond))
+	case snap != "":
+		if c, err = cluster.FromSnapshotFile(snap, ccfg); err != nil {
+			log.Fatal(err)
+		}
+		log.Printf("scattered %s across %d shards: %d objects in %s",
+			snap, ccfg.Shards, c.Len(), time.Since(start).Round(time.Millisecond))
+	case dataset == "":
+		log.Fatal("either -snapshot-dir, -snapshot or -dataset is required")
+	default:
+		d, perr := experiments.ParseDataset(dataset)
+		if perr != nil {
+			log.Fatal(perr)
+		}
+		cfg := core.DefaultConfig()
+		cfg.Covers = covers
+		if c, err = experiments.BuildClusterDB(d, seed, n, cfg, ccfg, 0, ccfg.Tracker); err != nil {
+			log.Fatal(err)
+		}
+		log.Printf("built %s dataset across %d shards: %d objects in %s",
+			dataset, ccfg.Shards, c.Len(), time.Since(start).Round(time.Second))
+	}
+	if ccfg.WALDir != "" {
+		log.Printf("per-shard write-ahead logs in %s (cluster epoch %d)", ccfg.WALDir, c.Epoch())
+	}
+	if ccfg.Replicas > 0 {
+		log.Printf("replica sets: %d followers per shard (follower reads %v, max lag %d records)",
+			ccfg.Replicas, ccfg.FollowerReads, ccfg.MaxLag)
+	}
+	return c
+}
+
+// checkpoint snapshots db to path every interval, truncating its log,
+// until ctx ends.
+func checkpoint(ctx context.Context, db *vsdb.DB, path string, interval time.Duration) {
+	tick := time.NewTicker(interval)
+	defer tick.Stop()
+	for {
+		select {
+		case <-ctx.Done():
+			return
+		case <-tick.C:
+			before := db.WALRecords()
+			if err := db.Checkpoint(path); err != nil {
+				log.Printf("checkpoint: %v", err)
+				continue
+			}
+			log.Printf("checkpointed %d objects to %s (%d log records truncated)",
+				db.Len(), path, before)
+		}
+	}
+}
+
+// openDB loads a snapshot or builds a dataset from the CSG generators,
+// saves it to save and attaches the write-ahead log at wal when those are
+// given.
+func openDB(snap, dataset string, seed int64, n, covers int, save, wal string, noSync bool, tr *storage.Tracker) *vsdb.DB {
+	var db *vsdb.DB
+	start := time.Now()
 	switch {
 	case snap != "" && dataset != "":
 		log.Fatal("give -snapshot or -dataset, not both")
 	case snap != "":
-		start := time.Now()
-		db, err := vsdb.OpenFile(snap, vsdb.LoadOptions{Tracker: tr})
-		if err != nil {
-			return nil, err
+		var err error
+		if db, err = vsdb.OpenFile(snap, vsdb.LoadOptions{Tracker: tr}); err != nil {
+			log.Fatal(err)
 		}
 		how := "read into memory, no mmap on this platform"
 		if db.Mapped() {
@@ -338,21 +288,35 @@ func openDB(snap, dataset string, seed int64, n, covers int, tr *storage.Tracker
 		log.Printf("opened %s: %d objects in %s (%s; tracked I/O %s)",
 			snap, db.Len(), time.Since(start).Round(time.Millisecond), how,
 			tr.IOTime(storage.PaperCostModel).Round(time.Millisecond))
-		return db, nil
 	case dataset == "":
 		log.Fatal("either -snapshot or -dataset is required")
+	default:
+		d, err := experiments.ParseDataset(dataset)
+		if err != nil {
+			log.Fatal(err)
+		}
+		cfg := core.DefaultConfig()
+		cfg.Covers = covers
+		if db, err = experiments.BuildSnapshotDB(d, seed, n, cfg, 0, tr); err != nil {
+			log.Fatal(err)
+		}
+		log.Printf("built %s dataset: %d objects in %s", dataset, db.Len(), time.Since(start).Round(time.Second))
 	}
-	d, err := experiments.ParseDataset(dataset)
-	if err != nil {
-		return nil, err
+	if save != "" {
+		if err := db.SaveFile(save); err != nil {
+			log.Fatal(err)
+		}
+		log.Printf("saved snapshot to %s", save)
 	}
-	start := time.Now()
-	cfg := core.DefaultConfig()
-	cfg.Covers = covers
-	db, err := experiments.BuildSnapshotDB(d, seed, n, cfg, 0, tr)
-	if err != nil {
-		return nil, err
+	if wal != "" {
+		// Attaching after the build/load replays any existing log suffix,
+		// so a restart resumes exactly where the last run stopped.
+		before := db.Epoch()
+		if err := db.AttachWAL(wal, vsdb.WALOptions{NoSync: noSync}); err != nil {
+			log.Fatal(err)
+		}
+		log.Printf("write-ahead log %s attached at epoch %d (%d records replayed)",
+			wal, db.Epoch(), db.Epoch()-before)
 	}
-	log.Printf("built %s dataset: %d objects in %s", dataset, db.Len(), time.Since(start).Round(time.Second))
-	return db, nil
+	return db
 }

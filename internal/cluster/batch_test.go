@@ -1,6 +1,7 @@
 package cluster_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -56,7 +57,7 @@ func TestClusterBatchParity(t *testing.T) {
 				}
 
 				ranges := batchOf(queries, vsdb.Query{Kind: vsdb.Range, Eps: eps})
-				rBatch, err := c.Search(ranges)
+				rBatch, err := c.Search(context.Background(), ranges)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -88,7 +89,7 @@ func TestClusterBatchParity(t *testing.T) {
 // mode, an error naming the shard in strict mode.
 func TestClusterBatchShardFailure(t *testing.T) {
 	var armed atomic.Bool
-	bad := cluster.FaultFunc(func(shard int, op cluster.Op, attempt int) error {
+	bad := cluster.FaultFunc(func(_ context.Context, shard int, op cluster.Op, attempt int) error {
 		if armed.Load() && shard == 0 {
 			return errors.New("injected")
 		}

@@ -2,6 +2,7 @@ package cluster_test
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -207,9 +208,12 @@ func TestChaosStallTimeout(t *testing.T) {
 	cfg := testConfig(3)
 	cfg.ShardTimeout = 25 * time.Millisecond
 	cfg.Retries = -1 // isolate the timeout path from retry behavior
-	cfg.Fault = cluster.FaultFunc(func(shard int, op cluster.Op, attempt int) error {
+	cfg.Fault = cluster.FaultFunc(func(ctx context.Context, shard int, op cluster.Op, attempt int) error {
 		if stalled.Load() && shard == down {
-			time.Sleep(250 * time.Millisecond)
+			select {
+			case <-ctx.Done():
+			case <-time.After(250 * time.Millisecond):
+			}
 		}
 		return nil
 	})
@@ -240,9 +244,6 @@ func TestChaosStallTimeout(t *testing.T) {
 		t.Fatal("timeout not counted in shard status")
 	}
 	stalled.Store(false)
-	// Let abandoned attempt goroutines drain before the shard serves
-	// again (they finish against immutable views; nothing to assert).
-	time.Sleep(300 * time.Millisecond)
 	if res, err := c.KNN(chaosQuery, 5); err != nil || res.Partial {
 		t.Fatalf("recovered query: %+v, %v", res, err)
 	}
@@ -257,7 +258,7 @@ func TestChaosRetryAfterInjectedFault(t *testing.T) {
 	var remaining atomic.Int64
 	cfg := testConfig(2)
 	cfg.Backoff = time.Millisecond
-	cfg.Fault = cluster.FaultFunc(func(shard int, op cluster.Op, attempt int) error {
+	cfg.Fault = cluster.FaultFunc(func(_ context.Context, shard int, op cluster.Op, attempt int) error {
 		if remaining.Add(-1) >= 0 {
 			return injected
 		}
@@ -298,8 +299,8 @@ func TestChaosRetryAfterInjectedFault(t *testing.T) {
 	}
 }
 
-// A timed-out mutation is NOT retried: the stalled attempt may still
-// apply, so a retry could double-apply. Reads retry freely (re-reading
+// A timed-out mutation is NOT retried: a deadline may fire after the
+// shard applied it, so a retry could double-apply. Reads retry freely (re-reading
 // an immutable view is idempotent).
 func TestChaosMutationTimeoutNotRetried(t *testing.T) {
 	var stallMut atomic.Bool
@@ -308,10 +309,13 @@ func TestChaosMutationTimeoutNotRetried(t *testing.T) {
 	cfg.ShardTimeout = 15 * time.Millisecond
 	cfg.Retries = 3
 	cfg.Backoff = time.Millisecond
-	cfg.Fault = cluster.FaultFunc(func(shard int, op cluster.Op, attempt int) error {
+	cfg.Fault = cluster.FaultFunc(func(ctx context.Context, shard int, op cluster.Op, attempt int) error {
 		if op == cluster.OpInsert && stallMut.Load() {
 			attempts.Add(1)
-			time.Sleep(150 * time.Millisecond)
+			select {
+			case <-ctx.Done():
+			case <-time.After(150 * time.Millisecond):
+			}
 		}
 		return nil
 	})
@@ -324,6 +328,4 @@ func TestChaosMutationTimeoutNotRetried(t *testing.T) {
 	if got := attempts.Load(); got != 1 {
 		t.Fatalf("stalled mutation attempted %d times, want exactly 1 (no retry)", got)
 	}
-	stallMut.Store(false)
-	time.Sleep(200 * time.Millisecond) // drain the abandoned attempt
 }

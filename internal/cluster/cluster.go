@@ -12,12 +12,18 @@
 // Mutations route to the owning shard, preserving durable-before-visible
 // per shard.
 //
-// Failures degrade gracefully: every shard-local operation runs under a
-// per-shard timeout with retry-and-backoff, and an injectable
-// FaultPolicy can stall a shard, fail an attempt, or the shard can be
+// Every operation runs on its caller's goroutine. A query carries the
+// caller's context: each shard attempt runs under a per-shard deadline
+// derived from it, the candidate walk under the caller's alone, and when
+// the caller's context ends Search returns its error. Failures degrade
+// gracefully: shard attempts retry with backoff, and an injectable
+// FaultPolicy can stall a shard or fail an attempt, or the shard can be
 // crash-killed and reopened (replaying its WAL). In strict mode a shard
-// failure fails the whole query; in partial mode the merged survivors
-// are returned with a Partial flag and per-shard error detail.
+// failure fails the whole query; in partial mode the merged survivors are
+// returned with a Partial flag and per-shard error detail.
+//
+// Single serves one already-opened database as a 1-shard cluster, so a
+// server has one backend in every mode.
 package cluster
 
 import (
@@ -25,7 +31,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -57,8 +62,9 @@ var (
 	// ErrShardDown reports an operation against a killed shard that has
 	// not been reopened.
 	ErrShardDown = errors.New("shard down")
-	// ErrShardTimeout reports a shard-local attempt that outran the
-	// configured shard timeout (a stalled shard, under fault injection).
+	// ErrShardTimeout reports a shard-local attempt that outran its
+	// per-shard deadline (Config.ShardTimeout) while the caller's own
+	// context was still live (a stalled shard, under fault injection).
 	ErrShardTimeout = errors.New("shard timed out")
 )
 
@@ -92,8 +98,11 @@ type Config struct {
 	// with Result.Partial set and per-shard error detail. Flippable at
 	// runtime with SetPartial.
 	Partial bool
-	// ShardTimeout bounds one shard-local attempt (0 means
-	// DefaultShardTimeout).
+	// ShardTimeout bounds one shard-local attempt — the fault hook plus
+	// the shard's Open (its range and partial scans) or mutation — as a
+	// deadline under the caller's context (0 means DefaultShardTimeout).
+	// A k-nn's candidate walk runs after every shard is open, under the
+	// caller's deadline alone.
 	ShardTimeout time.Duration
 	// Retries is the number of re-attempts after a retryable failure
 	// (0 means DefaultRetries; negative disables retrying).
@@ -198,6 +207,9 @@ type DB struct {
 	// (set by LoadDir, SaveDir and Checkpoint; empty means WAL-only
 	// recovery).
 	snapDir string
+	// single marks a cluster built by Single over a caller's database: it
+	// knows no durable state to reopen that database from.
+	single bool
 }
 
 // New opens a cluster of cfg.Shards empty shards. With WALDir set,
@@ -205,6 +217,22 @@ type DB struct {
 // holds logs from a previous run, making New double as crash recovery.
 func New(cfg Config) (*DB, error) {
 	return open(cfg, "")
+}
+
+// Single serves one already-opened database as a 1-shard cluster, so a
+// single database and a sharded one answer through the same coordinator
+// (Search, mutations, status, faults). The cluster adopts db — Close
+// closes it — but knows nothing of where it came from: it has no WAL
+// directory and no replicas, and Kill and Reopen refuse. Dim, MaxCard and
+// Omega are db's; every other Config field is its default.
+func Single(db *vsdb.DB) *DB {
+	c := &DB{
+		cfg:    Config{Shards: 1, Dim: db.Dim(), MaxCard: db.MaxCard(), Omega: db.Omega()},
+		shards: make([]shard, 1),
+		single: true,
+	}
+	c.shards[0].db.Store(db)
+	return c
 }
 
 func open(cfg Config, snapDir string) (*DB, error) {
@@ -494,8 +522,8 @@ func (c *DB) BulkInsert(ids []uint64, sets [][][]float64) error {
 		if c.Get(id) != nil {
 			return fmt.Errorf("cluster: id %d %w", id, vsdb.ErrExists)
 		}
-		if err := c.checkSet(id, sets[i]); err != nil {
-			return err
+		if err := vsdb.CheckSet(sets[i], c.cfg.Dim, c.cfg.MaxCard, false); err != nil {
+			return fmt.Errorf("cluster: id %d: %w", id, err)
 		}
 	}
 	partIDs := make([][]uint64, len(c.shards))
@@ -524,29 +552,6 @@ func (c *DB) BulkInsert(ids []uint64, sets [][][]float64) error {
 			})
 		}); err != nil {
 			return err
-		}
-	}
-	return nil
-}
-
-// checkSet mirrors vsdb's cardinality, dimension and finiteness
-// validation so a bad set is rejected before any shard of a batch is
-// mutated.
-func (c *DB) checkSet(id uint64, set [][]float64) error {
-	if len(set) == 0 {
-		return fmt.Errorf("cluster: empty vector set for id %d", id)
-	}
-	if len(set) > c.cfg.MaxCard {
-		return fmt.Errorf("cluster: set cardinality %d exceeds MaxCard %d", len(set), c.cfg.MaxCard)
-	}
-	for i, v := range set {
-		if len(v) != c.cfg.Dim {
-			return fmt.Errorf("cluster: vector %d has dim %d, want %d", i, len(v), c.cfg.Dim)
-		}
-		for j, x := range v {
-			if math.IsNaN(x) || math.IsInf(x, 0) {
-				return fmt.Errorf("cluster: id %d vector %d component %d is %v: %w", id, i, j, x, vsdb.ErrNonFinite)
-			}
 		}
 	}
 	return nil
@@ -599,6 +604,9 @@ func (c *DB) Compact() error {
 // follower can take over does the shard go down. Use KillReplica to
 // address one member — a specific follower, or the primary — by index.
 func (c *DB) Kill(i int) error {
+	if c.single {
+		return errSingle
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	s := &c.shards[i]
@@ -629,6 +637,9 @@ func (c *DB) killShardLocked(i int) error {
 // primary first, and the rest rejoin as followers of the live primary
 // (ReopenReplica restarts a single member instead).
 func (c *DB) Reopen(i int) error {
+	if c.single {
+		return errSingle
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	s := &c.shards[i]
@@ -639,6 +650,8 @@ func (c *DB) Reopen(i int) error {
 	}
 	return c.reopenShardLocked(i)
 }
+
+var errSingle = errors.New("cluster: the shard of a Single cluster is the caller's database; it cannot be killed or reopened")
 
 // reopenShardLocked is the replicaless reopen. c.mu is held.
 func (c *DB) reopenShardLocked(i int) error {

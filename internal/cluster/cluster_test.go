@@ -1,6 +1,7 @@
 package cluster_test
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"strings"
@@ -27,6 +28,16 @@ func newCluster(t *testing.T, cfg cluster.Config) *cluster.DB {
 	}
 	t.Cleanup(func() { c.Close() })
 	return c
+}
+
+// vsearch is vsdb.DB.Search under a context that never ends, for
+// well-formed batches: an error is a test bug.
+func vsearch(db *vsdb.DB, qs []vsdb.Query) [][]vsdb.Neighbor {
+	out, err := db.Search(context.Background(), qs)
+	if err != nil {
+		panic(err)
+	}
+	return out
 }
 
 // randSet draws a valid random vector set for the test configuration.

@@ -1,6 +1,9 @@
 package cluster
 
-import "errors"
+import (
+	"context"
+	"errors"
+)
 
 // Op identifies the shard-local operation a fault hook intercepts.
 type Op string
@@ -17,31 +20,34 @@ const (
 // read reports whether the operation is read-only. Read-only attempts
 // that time out are retried (re-running them is free of side effects);
 // a timed-out mutation is not, because its effect is ambiguous — the
-// stalled attempt may still apply.
+// deadline may fire after the shard applied it.
 func (op Op) read() bool { return op == OpSearch }
 
 // FaultPolicy injects failures into shard-local operations for chaos
 // tests and resilience drills. Fault is consulted at the start of every
-// attempt (attempt 0 is the first try, 1 the first retry, …):
+// attempt (attempt 0 is the first try, 1 the first retry, …), inline on
+// the caller's goroutine:
 //
 //   - return nil to let the attempt proceed;
 //   - return an error to fail the attempt with it (the coordinator
 //     retries with backoff, and surfaces the error — matchable with
 //     errors.Is — when retries are exhausted);
-//   - block inside Fault to stall the shard (the coordinator's
-//     per-shard timeout converts the stall into ErrShardTimeout).
-//
-// Fault runs on the coordinator's per-attempt goroutine, so a blocking
-// policy stalls only the shard it was called for.
+//   - block on ctx.Done() to stall the shard: ctx carries the attempt's
+//     per-shard deadline (Config.ShardTimeout) under the caller's own, and
+//     when the per-shard one fires the coordinator turns the stall into
+//     ErrShardTimeout, whatever Fault returns. A hook that blocks without
+//     watching ctx holds the caller for as long as it blocks.
 type FaultPolicy interface {
-	Fault(shard int, op Op, attempt int) error
+	Fault(ctx context.Context, shard int, op Op, attempt int) error
 }
 
 // FaultFunc adapts a function to FaultPolicy.
-type FaultFunc func(shard int, op Op, attempt int) error
+type FaultFunc func(ctx context.Context, shard int, op Op, attempt int) error
 
 // Fault implements FaultPolicy.
-func (f FaultFunc) Fault(shard int, op Op, attempt int) error { return f(shard, op, attempt) }
+func (f FaultFunc) Fault(ctx context.Context, shard int, op Op, attempt int) error {
+	return f(ctx, shard, op, attempt)
+}
 
 // faultError marks an error as injected by the FaultPolicy. Injected
 // failures happen before the shard-local operation runs, so retrying
@@ -77,4 +83,14 @@ func retryable(op Op, err error) bool {
 		return op.read()
 	}
 	return false
+}
+
+// Unavailable reports whether err says a shard could not serve — it is
+// down (ErrShardDown), it outran its deadline (ErrShardTimeout), an
+// injected fault outlived its retries, or its primary kept moving
+// (ErrPrimaryMoved) — rather than that the operation itself failed. The
+// server answers the first kind 502 and the second 500.
+func Unavailable(err error) bool {
+	return errors.Is(err, ErrShardDown) || errors.Is(err, ErrShardTimeout) ||
+		errors.Is(err, ErrPrimaryMoved) || isInjected(err)
 }

@@ -1,6 +1,7 @@
 package cluster_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -107,9 +108,9 @@ func TestMergedFunnelTiedLattice(t *testing.T) {
 							t.Fatalf("delta state: %+v", st)
 						}
 					}
-					want := one.Search(batch)
+					want := vsearch(one, batch)
 					for i, q := range batch {
-						full := one.Search([]vsdb.Query{{Set: q.Set, Kind: vsdb.KNN, K: one.Len()}})[0]
+						full := vsearch(one, []vsdb.Query{{Set: q.Set, Kind: vsdb.KNN, K: one.Len()}})[0]
 						if tiesAcrossShards(full, q.K, c) && len(want[i]) == q.K {
 							crossShardTie = true
 						}
@@ -142,7 +143,7 @@ func TestMergedFunnelTiedLattice(t *testing.T) {
 							defer callersWG.Done()
 							for round := 0; round < 3; round++ {
 								// The batch, then every entry alone, rotated by caller.
-								res, err := c.Search(batch)
+								res, err := c.Search(context.Background(), batch)
 								if err != nil {
 									errs <- err.Error()
 									return
@@ -155,7 +156,7 @@ func TestMergedFunnelTiedLattice(t *testing.T) {
 								}
 								for j := range batch {
 									i := (j + g*7) % len(batch)
-									got, err := c.Search(batch[i : i+1])
+									got, err := c.Search(context.Background(), batch[i:i+1])
 									if err != nil {
 										errs <- err.Error()
 										return

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -39,17 +40,27 @@ type Result struct {
 //     the disjoint union of the shards' results and each member of a
 //     global top K is inside its own shard's top K.
 //
-// Faults, retries, timeouts and follower reads apply to the opening
-// attempt (callSearch); the streams are walked afterwards on the calling
-// goroutine. Degradation is per call, not per entry: in strict mode the
-// first shard failure fails the whole Search and the shards after it are
-// not opened; in partial mode a failed shard is missing from every entry
-// alike, so all results of one call share one Partial flag and one Errors
-// map. Each opened shard's query counter advances by len(qs) — it counts
-// logical queries, not visits.
-func (c *DB) Search(qs []vsdb.Query) ([]Result, error) {
+// Faults, retries, per-shard timeouts and follower reads apply to the
+// opening attempt (callSearch); the streams are walked afterwards, under
+// ctx alone. Everything runs on the calling goroutine. Degradation is per
+// call, not per entry: in strict mode the first shard failure fails the
+// whole Search and the shards after it are not opened; in partial mode a
+// failed shard is missing from every entry alike, so all results of one
+// call share one Partial flag and one Errors map. Each opened shard's
+// query counter advances by len(qs) — it counts logical queries, not
+// visits.
+//
+// A malformed entry (vsdb.Query.Check) fails the call before any shard is
+// opened. When ctx ends — the caller's deadline, not a shard's — Search
+// returns ctx.Err() without retrying or degrading.
+func (c *DB) Search(ctx context.Context, qs []vsdb.Query) ([]Result, error) {
 	if len(qs) == 0 {
 		return nil, nil
+	}
+	for i := range qs {
+		if err := qs[i].Check(c.cfg.Dim, c.cfg.MaxCard); err != nil {
+			return nil, fmt.Errorf("cluster: query %d: %w", i, err)
+		}
 	}
 	n := len(c.shards)
 	partial := c.partial.Load()
@@ -57,20 +68,26 @@ func (c *DB) Search(qs []vsdb.Query) ([]Result, error) {
 	// entry, the complete list for any other.
 	streams := make([][]*vsdb.Stream, len(qs))
 	lists := make([][][]vsdb.Neighbor, len(qs))
-	closeAll := func() {
-		for _, ss := range streams {
-			for _, s := range ss {
-				s.Close()
-			}
+	closeEntry := func(q int) {
+		for _, s := range streams[q] {
+			s.Close()
 		}
+		streams[q] = nil
 	}
+	defer func() { // what a failure leaves open
+		for q := range streams {
+			closeEntry(q)
+		}
+	}()
 	var shardErrs map[int]error
 	var first error
 	for i := 0; i < n; i++ {
-		o, err := c.callSearch(i, qs)
+		o, err := c.callSearch(ctx, i, qs)
 		if err != nil {
+			if ctx.Err() != nil {
+				return nil, ctx.Err()
+			}
 			if !partial {
-				closeAll()
 				return nil, fmt.Errorf("cluster: %w", err)
 			}
 			if first == nil {
@@ -96,9 +113,13 @@ func (c *DB) Search(qs []vsdb.Query) ([]Result, error) {
 		var nbs []vsdb.Neighbor
 		switch {
 		case len(streams[q]) > 0:
-			nbs = vsdb.MultiStep(streams[q], qs[q].K)
-			for _, s := range streams[q] {
-				s.Close()
+			// Each entry's streams close right after its walk, so a batch
+			// holds one entry's ranking scratch per shard at a time.
+			var err error
+			nbs, err = vsdb.MultiStep(ctx, streams[q], qs[q].K)
+			closeEntry(q)
+			if err != nil {
+				return nil, err
 			}
 		case qs[q].Kind == vsdb.KNN:
 			nbs = Merge(lists[q], qs[q].K)
@@ -123,7 +144,7 @@ func (c *DB) Range(query [][]float64, eps float64) (Result, error) {
 }
 
 func (c *DB) searchOne(q vsdb.Query) (Result, error) {
-	rs, err := c.Search([]vsdb.Query{q})
+	rs, err := c.Search(context.Background(), []vsdb.Query{q})
 	if err != nil {
 		return Result{}, err
 	}
@@ -137,7 +158,7 @@ func (c *DB) KNNBatch(queries [][][]float64, k int) ([]Result, error) {
 	for i, q := range queries {
 		qs[i] = vsdb.Query{Set: q, Kind: vsdb.KNN, K: k}
 	}
-	return c.Search(qs)
+	return c.Search(context.Background(), qs)
 }
 
 // opened is what one shard's Open returned for a batch.
@@ -148,16 +169,18 @@ type opened struct {
 
 // callSearch opens the batch on shard i under the retry loop, recording
 // the shard's serving statistics.
-func (c *DB) callSearch(i int, qs []vsdb.Query) (opened, error) {
+func (c *DB) callSearch(ctx context.Context, i int, qs []vsdb.Query) (opened, error) {
 	s := &c.shards[i]
 	s.queries.Add(int64(len(qs)))
 	start := time.Now()
-	o, err := withRetries(c, i, OpSearch, func(db *vsdb.DB) (opened, error) {
-		streams, lists := db.Open(qs)
-		return opened{streams, lists}, nil
+	o, err := withRetries(ctx, c, i, OpSearch, func(ctx context.Context, db *vsdb.DB) (opened, error) {
+		streams, lists, err := db.Open(ctx, qs)
+		return opened{streams, lists}, err
 	})
 	if err != nil {
-		s.errors.Add(1)
+		if ctx.Err() == nil { // the caller's deadline is not the shard's failure
+			s.errors.Add(1)
+		}
 		return opened{}, err
 	}
 	s.latNS.Add(time.Since(start).Nanoseconds())
@@ -165,10 +188,12 @@ func (c *DB) callSearch(i int, qs []vsdb.Query) (opened, error) {
 	return o, nil
 }
 
-// callMut runs one shard mutation under the retry loop.
+// callMut runs one shard mutation under the retry loop. A mutation is
+// not cancellable once it runs, so it runs under no caller deadline: only
+// the fault hook and the per-shard deadline bound its attempt.
 func (c *DB) callMut(i int, op Op, mut func(*vsdb.DB) error) error {
 	s := &c.shards[i]
-	_, err := withRetries(c, i, op, func(db *vsdb.DB) (struct{}, error) {
+	_, err := withRetries(context.Background(), c, i, op, func(_ context.Context, db *vsdb.DB) (struct{}, error) {
 		return struct{}{}, mut(db)
 	})
 	if err != nil {
@@ -178,38 +203,36 @@ func (c *DB) callMut(i int, op Op, mut func(*vsdb.DB) error) error {
 }
 
 // withRetries attempts fn until it succeeds, the failure is permanent,
-// or the retry budget is spent, backing off exponentially between
-// attempts. (A package-level generic because Go methods cannot carry
-// type parameters; the result type ranges over single and batch
-// neighbor lists.)
-func withRetries[T any](c *DB, i int, op Op, fn func(*vsdb.DB) (T, error)) (T, error) {
+// the retry budget is spent or ctx ends, backing off exponentially
+// between attempts. (A package-level generic because Go methods cannot
+// carry type parameters; the result type ranges over what an attempt
+// returns.)
+func withRetries[T any](ctx context.Context, c *DB, i int, op Op, fn func(context.Context, *vsdb.DB) (T, error)) (T, error) {
 	s := &c.shards[i]
-	var err error
 	for att := 0; ; att++ {
-		var res T
-		res, err = attemptShard(c, i, op, att, fn)
+		res, err := attemptShard(ctx, c, i, op, att, fn)
 		if err == nil {
 			return res, nil
 		}
 		if att >= c.cfg.retries() || !retryable(op, err) {
-			var zero T
-			return zero, err
+			return res, err
 		}
 		s.retries.Add(1)
 		time.Sleep(c.cfg.backoff() << att)
+		if ctx.Err() != nil {
+			return res, ctx.Err()
+		}
 	}
 }
 
-// attemptShard runs fn once against shard i under the per-shard
-// timeout, consulting the fault policy first. The attempt executes on
-// its own goroutine so a stalled shard (a blocking fault, a
-// pathological query) costs the coordinator only the timeout; the
-// abandoned goroutine finishes against the shard's immutable view and
-// is discarded.
-func attemptShard[T any](c *DB, i int, op Op, attempt int, fn func(*vsdb.DB) (T, error)) (T, error) {
+// attemptShard runs fn once against shard i, inline, under a per-shard
+// deadline (Config.ShardTimeout) derived from ctx, consulting the fault
+// policy first. Whichever deadline ends the attempt decides the error:
+// the caller's is returned as ctx.Err(), the shard's as ErrShardTimeout
+// (counted in the shard's status).
+func attemptShard[T any](ctx context.Context, c *DB, i int, op Op, attempt int, fn func(context.Context, *vsdb.DB) (T, error)) (T, error) {
 	var zero T
-	s := &c.shards[i]
-	db := s.db.Load()
+	db := c.shards[i].db.Load()
 	if db == nil {
 		return zero, fmt.Errorf("shard %d: %w", i, ErrShardDown)
 	}
@@ -219,29 +242,28 @@ func attemptShard[T any](c *DB, i int, op Op, attempt int, fn func(*vsdb.DB) (T,
 		// readTarget). Mutations always run against the primary.
 		db = c.readTarget(i, db)
 	}
-	type outcome struct {
-		res T
-		err error
-	}
-	ch := make(chan outcome, 1)
-	go func() {
-		if f := c.cfg.Fault; f != nil {
-			if ferr := f.Fault(i, op, attempt); ferr != nil {
-				ch <- outcome{zero, fmt.Errorf("shard %d: %w", i, &faultError{ferr})}
-				return
-			}
-		}
-		res, err := fn(db)
-		ch <- outcome{res, err}
-	}()
 	timeout := c.cfg.shardTimeout()
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	select {
-	case o := <-ch:
-		return o.res, o.err
-	case <-timer.C:
-		s.timeouts.Add(1)
+	sctx, cancel := context.WithTimeout(ctx, timeout)
+	defer cancel()
+	var err error
+	if f := c.cfg.Fault; f != nil {
+		if ferr := f.Fault(sctx, i, op, attempt); ferr != nil {
+			err = fmt.Errorf("shard %d: %w", i, &faultError{ferr})
+		}
+	}
+	if err == nil && sctx.Err() == nil {
+		var res T
+		if res, err = fn(sctx, db); err == nil {
+			return res, nil
+		}
+	}
+	// The attempt failed or never ran; a deadline that has passed says why.
+	switch {
+	case ctx.Err() != nil:
+		return zero, ctx.Err()
+	case sctx.Err() != nil:
+		c.shards[i].timeouts.Add(1)
 		return zero, fmt.Errorf("shard %d: %w after %s", i, ErrShardTimeout, timeout)
 	}
+	return zero, err
 }

@@ -1,6 +1,7 @@
 package cluster_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -15,7 +16,7 @@ import (
 
 // searchOne answers a single query through the coordinator's Search.
 func searchOne(c *cluster.DB, q vsdb.Query) (cluster.Result, error) {
-	rs, err := c.Search([]vsdb.Query{q})
+	rs, err := c.Search(context.Background(), []vsdb.Query{q})
 	if err != nil {
 		return cluster.Result{}, err
 	}
@@ -27,7 +28,7 @@ func searchOne(c *cluster.DB, q vsdb.Query) (cluster.Result, error) {
 // Partial flags — or "".
 func concurrentSearch(c *cluster.DB, qs []vsdb.Query, want []cluster.Result, callers int) string {
 	return vsdbtest.Concurrently(callers, func() string {
-		got, err := c.Search(qs)
+		got, err := c.Search(context.Background(), qs)
 		if err != nil {
 			return err.Error()
 		}
@@ -63,7 +64,7 @@ func batchOf(sets [][][]float64, proto vsdb.Query) []vsdb.Query {
 // their names stay comparable across history.
 func TestClusterSearchParity(t *testing.T) {
 	var armed atomic.Bool
-	fault := cluster.FaultFunc(func(shard int, op cluster.Op, attempt int) error {
+	fault := cluster.FaultFunc(func(_ context.Context, shard int, op cluster.Op, attempt int) error {
 		if armed.Load() && shard == 0 && op == cluster.OpSearch {
 			return errors.New("injected")
 		}
@@ -116,7 +117,7 @@ func TestClusterSearchParity(t *testing.T) {
 
 				check := func(label string, wantPartial bool) {
 					t.Helper()
-					got, err := c.Search(qs)
+					got, err := c.Search(context.Background(), qs)
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}

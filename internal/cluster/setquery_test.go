@@ -1,6 +1,7 @@
 package cluster_test
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"reflect"
@@ -48,7 +49,7 @@ func TestSetQueryShardedEqualsUnsharded(t *testing.T) {
 		q := randSet(rng)
 		for _, sq := range queries {
 			knn := vsdb.Query{Set: q, Kind: vsdb.KNN, K: 10, Match: sq}
-			want := ref.Search([]vsdb.Query{knn})[0]
+			want := vsearch(ref, []vsdb.Query{knn})[0]
 			for _, c := range []*cluster.DB{one, four} {
 				res, err := searchOne(c, knn)
 				if err != nil {
@@ -59,7 +60,7 @@ func TestSetQueryShardedEqualsUnsharded(t *testing.T) {
 				}
 			}
 			within := vsdb.Query{Set: q, Kind: vsdb.Range, Eps: 1.5, Match: sq}
-			wantR := ref.Search([]vsdb.Query{within})[0]
+			wantR := vsearch(ref, []vsdb.Query{within})[0]
 			for _, c := range []*cluster.DB{one, four} {
 				res, err := searchOne(c, within)
 				if err != nil {
@@ -84,7 +85,7 @@ var errFlakySet = errors.New("transient set-query fault")
 func TestSetQueryFaultRetry(t *testing.T) {
 	cfg := testConfig(2)
 	failures := 0
-	cfg.Fault = cluster.FaultFunc(func(shard int, op cluster.Op, attempt int) error {
+	cfg.Fault = cluster.FaultFunc(func(_ context.Context, shard int, op cluster.Op, attempt int) error {
 		if op == cluster.OpSearch && shard == 0 && attempt == 0 {
 			failures++
 			return errFlakySet

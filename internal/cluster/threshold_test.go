@@ -1,6 +1,7 @@
 package cluster_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -112,11 +113,11 @@ func TestShardedKNNRefinesLikeUnsharded(t *testing.T) {
 
 	got := make(map[string]funnel)
 	resetFunnel(one)
-	want1 := one.Search(qs)
+	want1 := vsearch(one, qs)
 	got["unsharded"] = readFunnel(one)
 
 	resetFunnel(members...)
-	res, err := c.Search(qs)
+	res, err := c.Search(context.Background(), qs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +131,7 @@ func TestShardedKNNRefinesLikeUnsharded(t *testing.T) {
 	resetFunnel(members...)
 	lists := make([][][]vsdb.Neighbor, len(qs))
 	for _, m := range members {
-		for i, l := range m.Search(qs) {
+		for i, l := range vsearch(m, qs) {
 			lists[i] = append(lists[i], l)
 		}
 	}
@@ -162,7 +163,7 @@ func TestSearchVisitsShardsInTurn(t *testing.T) {
 	failing.Store(-1)
 	cfg := testConfig(shards)
 	cfg.Retries = -1
-	cfg.Fault = cluster.FaultFunc(func(shard int, op cluster.Op, _ int) error {
+	cfg.Fault = cluster.FaultFunc(func(_ context.Context, shard int, op cluster.Op, _ int) error {
 		if op == cluster.OpSearch && int32(shard) == failing.Load() {
 			return errors.New("injected")
 		}
@@ -216,7 +217,7 @@ func TestSearchVisitsShardsInTurn(t *testing.T) {
 			var lists [][]vsdb.Neighbor
 			for i := 0; i < shards; i++ {
 				if i != fail {
-					lists = append(lists, c.Shard(i).Search([]vsdb.Query{q})[0])
+					lists = append(lists, vsearch(c.Shard(i), []vsdb.Query{q})[0])
 				}
 			}
 			if want := cluster.Merge(lists, q.K); !reflect.DeepEqual(got.Neighbors, want) {

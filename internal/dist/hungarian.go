@@ -16,8 +16,8 @@ import (
 // should hold a *Workspace and call its Assign to avoid the result copy.
 //
 // Assign panics on malformed matrices (ragged rows, rows > cols) — that
-// is a programmer error in the internal call paths. Use AssignChecked
-// where the matrix shape derives from external input.
+// is a programmer error in the internal call paths; sets from external
+// input are validated before a matrix is built (vsdb.CheckSet).
 func Assign(cost [][]float64) (rowToCol []int, total float64) {
 	ws := GetWorkspace()
 	defer PutWorkspace(ws)
@@ -26,17 +26,6 @@ func Assign(cost [][]float64) (rowToCol []int, total float64) {
 		return nil, total
 	}
 	return append([]int(nil), asg...), total
-}
-
-// AssignChecked is Assign with the shape validation reported as an error
-// instead of a panic, for callers whose matrix dimensions come from user
-// input (e.g. ad-hoc vector sets handed to vsdb).
-func AssignChecked(cost [][]float64) (rowToCol []int, total float64, err error) {
-	if _, _, err := checkAssign(cost); err != nil {
-		return nil, 0, err
-	}
-	rowToCol, total = Assign(cost)
-	return rowToCol, total, nil
 }
 
 // assignBrute solves the assignment problem by enumerating all column

@@ -1,9 +1,6 @@
 package dist
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // WeightFunc assigns the penalty w(x) > 0 paid for leaving the vector x of
 // the larger set unmatched (paper Definition 6).
@@ -93,56 +90,6 @@ func MatchingDistance(x, y [][]float64, ground Func, weight WeightFunc) float64 
 	ws := GetWorkspace()
 	defer PutWorkspace(ws)
 	return ws.MatchingDistance(x, y, ground, weight)
-}
-
-// MatchingDistanceChecked is MatchingDistance with input validation: all
-// vectors of both sets must share one dimension. Malformed sets (ragged
-// vectors, as can arrive from user input in library call paths) are
-// reported as an error instead of a panic. The solve itself runs through
-// AssignChecked on an explicitly built cost matrix.
-func MatchingDistanceChecked(x, y [][]float64, ground Func, weight WeightFunc) (float64, error) {
-	dim := -1
-	for _, set := range [2][][]float64{x, y} {
-		for _, v := range set {
-			if dim == -1 {
-				dim = len(v)
-			} else if len(v) != dim {
-				return 0, fmt.Errorf("dist: ragged vector set: got dims %d and %d", dim, len(v))
-			}
-		}
-	}
-	if len(x) < len(y) {
-		x, y = y, x
-	}
-	big, small := len(x), len(y)
-	switch {
-	case big == 0:
-		return 0, nil
-	case small == 0:
-		total := 0.0
-		for _, v := range x {
-			total += weight(v)
-		}
-		return total, nil
-	}
-	cost := make([][]float64, big)
-	for i := range cost {
-		cost[i] = make([]float64, big)
-		for j := 0; j < small; j++ {
-			cost[i][j] = ground(x[i], y[j])
-		}
-		if big > small {
-			w := weight(x[i])
-			for j := small; j < big; j++ {
-				cost[i][j] = w
-			}
-		}
-	}
-	_, total, err := AssignChecked(cost)
-	if err != nil {
-		return 0, err
-	}
-	return total, nil
 }
 
 // MinEuclideanPerm computes the minimum Euclidean distance under

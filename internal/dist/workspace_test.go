@@ -56,43 +56,6 @@ func TestMatchingDistanceZeroAllocs(t *testing.T) {
 	}
 }
 
-func TestAssignChecked(t *testing.T) {
-	cost := [][]float64{{1, 2}, {3, 0.5}}
-	asg, total, err := AssignChecked(cost)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantAsg, wantTotal := Assign(cost)
-	if total != wantTotal || asg[0] != wantAsg[0] || asg[1] != wantAsg[1] {
-		t.Errorf("AssignChecked = (%v, %v), Assign = (%v, %v)", asg, total, wantAsg, wantTotal)
-	}
-	if _, _, err := AssignChecked([][]float64{{1, 2}, {3, 4}, {5, 6}}); err == nil {
-		t.Error("more rows than columns must error")
-	}
-	if _, _, err := AssignChecked([][]float64{{1, 2}, {3}}); err == nil {
-		t.Error("ragged matrix must error")
-	}
-}
-
-func TestMatchingDistanceChecked(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	x := randVecSet(rng, 4, 3)
-	y := randVecSet(rng, 2, 3)
-	got, err := MatchingDistanceChecked(x, y, L2, WeightNorm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := MatchingDistance(x, y, L2, WeightNorm); math.Abs(got-want) > 1e-9 {
-		t.Errorf("checked %v != unchecked %v", got, want)
-	}
-	if _, err := MatchingDistanceChecked(x, [][]float64{{1, 2}}, L2, WeightNorm); err == nil {
-		t.Error("ragged sets must error")
-	}
-	if d, err := MatchingDistanceChecked(nil, nil, L2, WeightNorm); err != nil || d != 0 {
-		t.Errorf("empty sets: (%v, %v), want (0, nil)", d, err)
-	}
-}
-
 func TestGreedyMatchingUpperBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for trial := 0; trial < 40; trial++ {

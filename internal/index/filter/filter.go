@@ -60,6 +60,7 @@ package filter
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math"
 	"sync/atomic"
@@ -350,21 +351,24 @@ func (ix *Index) exact(ws *dist.Workspace, q qview, i int, bound float64, t *tal
 // most eps, in (distance, id) order.
 func (ix *Index) Range(q [][]float64, eps float64) []index.Neighbor {
 	qv, cq := ix.newQuery(q)
-	return ix.rangeQuery(qv, cq, eps, nil)
+	out, _ := ix.rangeQuery(context.Background(), qv, cq, eps, nil) // a background context never ends
+	return out
 }
 
 // RangeFlat is Range for a query already in the flat layout, skipping
 // the per-call conversion (the vsdb query path).
 func (ix *Index) RangeFlat(q vectorset.Flat, eps float64) []index.Neighbor {
-	return ix.RangeFlatLive(q, eps, nil)
+	out, _ := ix.RangeFlatLive(context.Background(), q, eps, nil) // a background context never ends
+	return out
 }
 
 // RangeFlatLive is RangeFlat over the objects whose id satisfies live
 // (all of them when live is nil): a dead candidate is dropped before
-// refinement, so it costs no exact evaluation.
-func (ix *Index) RangeFlatLive(q vectorset.Flat, eps float64, live func(id int) bool) []index.Neighbor {
+// refinement, so it costs no exact evaluation. ctx is checked once per
+// ctxEvery candidates; once it is done the call returns ctx.Err().
+func (ix *Index) RangeFlatLive(ctx context.Context, q vectorset.Flat, eps float64, live func(id int) bool) ([]index.Neighbor, error) {
 	qv, cq := ix.newQueryFlat(q)
-	return ix.rangeQuery(qv, cq, eps, live)
+	return ix.rangeQuery(ctx, qv, cq, eps, live)
 }
 
 // beyond reports whether a centroid distance proves its object farther
@@ -387,15 +391,21 @@ func (ix *Index) reach(threshold float64) float64 {
 // decides.
 const reachSlack = 1 + 0x1p-40
 
-func (ix *Index) rangeQuery(q qview, cq []float64, eps float64, live func(id int) bool) []index.Neighbor {
+func (ix *Index) rangeQuery(ctx context.Context, q qview, cq []float64, eps float64, live func(id int) bool) ([]index.Neighbor, error) {
 	defer q.release()
 	ws := dist.GetWorkspace()
 	defer dist.PutWorkspace(ws)
 	var t tally
+	defer func() { ix.publish(t) }() // what a cancelled loop refined counts too
 	var out []index.Neighbor
 	// dist_mm ≤ eps requires ‖C(X)−C(q)‖ ≤ eps/K (Korn et al. [19]); the
 	// ranker over-collects by a rounding margin and beyond decides.
-	for _, c := range ix.ranker.within(cq, ix.reach(eps)) {
+	for n, c := range ix.ranker.within(cq, ix.reach(eps)) {
+		if (n+1)%ctxEvery == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+		}
 		if ix.beyond(c.Dist, eps) || (live != nil && !live(ix.ids[c.ID])) {
 			continue
 		}
@@ -403,9 +413,8 @@ func (ix *Index) rangeQuery(q qview, cq []float64, eps float64, live func(id int
 			out = append(out, index.Neighbor{ID: ix.ids[c.ID], Dist: d})
 		}
 	}
-	ix.publish(t)
 	index.SortNeighbors(out)
-	return out
+	return out, nil
 }
 
 // worseNeighbor reports whether a ranks strictly after b under the
@@ -482,5 +491,6 @@ func (ix *Index) KNNFlat(q vectorset.Flat, k int) []index.Neighbor {
 
 func (ix *Index) knn(c *Cursor, k int) []index.Neighbor {
 	defer c.Close()
-	return MultiStep([]Stream{c}, min(k, ix.Len()))
+	out, _ := MultiStep(context.Background(), []Stream{c}, min(k, ix.Len())) // a background context never ends
+	return out
 }

@@ -86,7 +86,7 @@ func TestSignatureStageDifferential(t *testing.T) {
 						}
 						eps := all[at].Dist
 						m := sort.Search(len(all), func(i int) bool { return all[i].Dist > eps })
-						if got := ix.RangeFlatLive(qf, eps, live); !reflect.DeepEqual(got, all[:m]) {
+						if got := rangeLive(ix, qf, eps, live); !reflect.DeepEqual(got, all[:m]) {
 							t.Fatalf("%s query %d: range eps=%v\n got %v\nwant %v", ctx, qi, eps, got, all[:m])
 						}
 					}

@@ -1,6 +1,7 @@
 package filter
 
 import (
+	"context"
 	"math"
 	"sync"
 
@@ -37,9 +38,12 @@ type Stream interface {
 // they hold together (it sizes the answer). The answer is (dist, id)-ordered
 // and identical whatever the split into streams, because the result heap
 // breaks ties at the k-th place by id, not by refinement order.
-func MultiStep(streams []Stream, k int) []index.Neighbor {
+//
+// ctx is checked once per ctxEvery refinements; once it is done MultiStep
+// returns ctx.Err() and no answer.
+func MultiStep(ctx context.Context, streams []Stream, k int) ([]index.Neighbor, error) {
 	if k <= 0 {
-		return nil
+		return nil, nil
 	}
 	type head struct {
 		bound float64
@@ -54,7 +58,12 @@ func MultiStep(streams []Stream, k int) []index.Neighbor {
 		heads = append(heads, head{b, p, ok})
 	}
 	results := make(resultHeap, 0, k)
-	for {
+	for n := 1; ; n++ {
+		if n%ctxEvery == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+		}
 		best := -1
 		for i, h := range heads {
 			if h.ok && (best < 0 || h.bound < heads[best].bound) {
@@ -75,8 +84,14 @@ func MultiStep(streams []Stream, k int) []index.Neighbor {
 		h.bound, h.pos, h.ok = s.Next(kth)
 	}
 	index.SortNeighbors(results) // the heap's one allocation is the answer
-	return results
+	return results, nil
 }
+
+// ctxEvery is how many refinements a loop runs between two checks of its
+// context: a refinement costs microseconds, so a deadline is noticed
+// within well under a millisecond, and the check itself stays out of the
+// profile.
+const ctxEvery = 64
 
 // Cursor is one k-nn query's walk over an index, the Stream MultiStep
 // pulls from: Next is the centroid ranking, Refine the liveness test, the

@@ -1,6 +1,7 @@
 package filter
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -51,7 +52,20 @@ func knnStreams(q vectorset.Flat, k int, live func(int) bool, ixs ...*Index) []i
 		defer c.Close()
 		streams[i] = c
 	}
-	return MultiStep(streams, k)
+	out, err := MultiStep(context.Background(), streams, k)
+	if err != nil {
+		panic(err) // a background context never ends
+	}
+	return out
+}
+
+// rangeLive is RangeFlatLive under a context that never ends.
+func rangeLive(ix *Index, q vectorset.Flat, eps float64, live func(int) bool) []index.Neighbor {
+	out, err := ix.RangeFlatLive(context.Background(), q, eps, live)
+	if err != nil {
+		panic(err)
+	}
+	return out
 }
 
 // TestBoundedRefinementDifferential: the k-nn loop (MultiStep over
@@ -114,7 +128,7 @@ func TestBoundedRefinementDifferential(t *testing.T) {
 					for _, at := range []int{0, 9, 49} {
 						eps := all[at].Dist
 						n := sort.Search(len(all), func(i int) bool { return all[i].Dist > eps })
-						if got := ix.RangeFlatLive(qf, eps, live); !reflect.DeepEqual(got, all[:n]) {
+						if got := rangeLive(ix, qf, eps, live); !reflect.DeepEqual(got, all[:n]) {
 							t.Fatalf("%s: range eps=%v\n got %v\nwant %v", ctx, eps, got, all[:n])
 						}
 					}

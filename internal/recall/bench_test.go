@@ -31,7 +31,7 @@ func BenchmarkDegradedRecall(b *testing.B) {
 	cat := BuildCatalog(cadgen.AircraftDataset(benchSeed, parts), degradedR, degradedCovers)
 	db := newDegradedDB(b, cat)
 	partial := func(q [][]float64, kk int) []vsdb.Neighbor {
-		return db.Search([]vsdb.Query{{Set: q, Kind: vsdb.KNN, K: kk, Match: vsdb.SetQuery{Partial: true, I: partialI}}})[0]
+		return searchOne(db, vsdb.Query{Set: q, Kind: vsdb.KNN, K: kk, Match: vsdb.SetQuery{Partial: true, I: partialI}})
 	}
 	for _, kind := range degrade.Kinds {
 		for _, sev := range []float64{0.1, 0.25} {

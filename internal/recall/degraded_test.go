@@ -1,6 +1,7 @@
 package recall
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -15,6 +16,16 @@ const (
 	degradedR      = 15
 	degradedCovers = 7
 )
+
+// searchOne is vsdb.DB.Search of one well-formed query under a context
+// that never ends.
+func searchOne(db *vsdb.DB, q vsdb.Query) []vsdb.Neighbor {
+	out, err := db.Search(context.Background(), []vsdb.Query{q})
+	if err != nil {
+		panic(err)
+	}
+	return out[0]
+}
 
 func buildDegradedCatalog(t testing.TB) Catalog {
 	t.Helper()
@@ -73,7 +84,7 @@ func TestDegradedOracleCroppedTopK(t *testing.T) {
 			if q == nil {
 				continue
 			}
-			res, err := c.Search([]vsdb.Query{{Set: q, Kind: vsdb.KNN, K: 10, Match: sq}})
+			res, err := c.Search(context.Background(), []vsdb.Query{{Set: q, Kind: vsdb.KNN, K: 10, Match: sq}})
 			if err != nil {
 				t.Fatalf("shards=%d query %d: %v", shards, i, err)
 			}
@@ -113,7 +124,7 @@ func TestDegradedPartialRecallModerateCrops(t *testing.T) {
 	queries := DegradedQueries(cat, degradedCovers, degrade.Params{Kind: degrade.Crop, Severity: 0.25, Seed: 19})
 	full := TruePartRecall(cat, queries, 10, db.KNN)
 	partial := TruePartRecall(cat, queries, 10, func(q [][]float64, k int) []vsdb.Neighbor {
-		return db.Search([]vsdb.Query{{Set: q, Kind: vsdb.KNN, K: k, Match: vsdb.SetQuery{Partial: true, I: 4}}})[0]
+		return searchOne(db, vsdb.Query{Set: q, Kind: vsdb.KNN, K: k, Match: vsdb.SetQuery{Partial: true, I: 4}})
 	})
 	t.Logf("crop severity 0.25: full recall@10 = %.3f, partial(i=4) = %.3f", full, partial)
 	if partial < 0.9 {
@@ -138,7 +149,7 @@ func TestDegradedSeverityZeroDistanceZero(t *testing.T) {
 			if q == nil {
 				t.Fatalf("%s severity 0: query %d extracted empty", kind, i)
 			}
-			res := db.Search([]vsdb.Query{{Set: q, Kind: vsdb.KNN, K: 10, Match: vsdb.SetQuery{Partial: true}}})[0]
+			res := searchOne(db, vsdb.Query{Set: q, Kind: vsdb.KNN, K: 10, Match: vsdb.SetQuery{Partial: true}})
 			found := false
 			for _, nb := range res {
 				if nb.ID == cat.IDs[i] && nb.Dist == 0 {

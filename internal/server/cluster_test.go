@@ -86,16 +86,20 @@ func TestClusterEndpointParity(t *testing.T) {
 }
 
 func TestClusterStatusEndpoint(t *testing.T) {
-	// Single mode: the route exists but reports it has no cluster.
+	// Single mode: a single database is one strict shard.
 	db, _ := buildDB(t, 5)
 	_, single := newTestServer(t, Config{DB: db})
 	resp, err := http.Get(single.URL + "/cluster")
 	if err != nil {
 		t.Fatal(err)
 	}
+	var cr ClusterResponse
+	if err := json.NewDecoder(resp.Body).Decode(&cr); err != nil {
+		t.Fatal(err)
+	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("/cluster in single mode: %d", resp.StatusCode)
+	if resp.StatusCode != http.StatusOK || cr.Shards != 1 || cr.Mode != "strict" || cr.Objects != 5 || len(cr.Status) != 1 || !cr.Status[0].Up {
+		t.Fatalf("/cluster in single mode: %d %+v", resp.StatusCode, cr)
 	}
 
 	c := buildCluster(t, 24, 3, true)
@@ -104,7 +108,7 @@ func TestClusterStatusEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var cr ClusterResponse
+	cr = ClusterResponse{}
 	if err := json.NewDecoder(resp.Body).Decode(&cr); err != nil {
 		t.Fatal(err)
 	}
@@ -138,11 +142,12 @@ func TestClusterMetricsGauges(t *testing.T) {
 	if queries != 4 {
 		t.Fatalf("per-shard query gauges sum to %d, want 4", queries)
 	}
-	// The single-database snapshot must omit them.
+	// A single database reports itself as one shard.
 	db, _ := buildDB(t, 5)
-	s2, _ := newTestServer(t, Config{DB: db})
-	if m2 := s2.MetricsSnapshot(); m2.ClusterShards != 0 || m2.Shards != nil {
-		t.Fatalf("single-mode snapshot carries cluster gauges: %+v", m2.Shards)
+	s2, ts2 := newTestServer(t, Config{DB: db})
+	postJSON(t, ts2.URL+"/knn", QueryRequest{Set: [][]float64{{1, 2, 3}}, K: 5})
+	if m2 := s2.MetricsSnapshot(); m2.ClusterShards != 1 || len(m2.Shards) != 1 || m2.Shards[0].Queries != 1 || m2.Shards[0].Objects != 5 {
+		t.Fatalf("single-mode gauges = %d shards, %+v", m2.ClusterShards, m2.Shards)
 	}
 }
 

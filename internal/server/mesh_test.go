@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -110,7 +111,13 @@ func postMesh(t *testing.T, url string, body []byte) (*http.Response, MeshQueryR
 
 // searchOne answers a single query straight from the engine — the
 // reference the HTTP answers are compared against.
-func searchOne(db *vsdb.DB, q vsdb.Query) []vsdb.Neighbor { return db.Search([]vsdb.Query{q})[0] }
+func searchOne(db *vsdb.DB, q vsdb.Query) []vsdb.Neighbor {
+	out, err := db.Search(context.Background(), []vsdb.Query{q})
+	if err != nil {
+		panic(err)
+	}
+	return out[0]
+}
 
 // TestQueryMeshParityBothModes is the acceptance contract: a POST
 // /query/mesh answer must be byte-identical to extracting the same mesh

@@ -210,10 +210,10 @@ type MetricsSnapshot struct {
 	DeltaObjects   int     `json:"delta_objects"`
 	TombstoneRatio float64 `json:"tombstone_ratio"`
 	Compactions    int64   `json:"compactions"`
-	// Coordinator-mode gauges (DESIGN.md §9): the shard count and each
+	// Coordinator gauges (DESIGN.md §9): the shard count and each
 	// shard's serving state — per-shard latency, errors, timeouts,
-	// retries, epoch, WAL and live-update gauges. Absent for a
-	// single-database server.
+	// retries, epoch, WAL and live-update gauges. A single database
+	// reports itself as one shard.
 	ClusterShards int                   `json:"cluster_shards,omitempty"`
 	Shards        []cluster.ShardStatus `json:"shards,omitempty"`
 	// Query-by-upload stage latencies (DESIGN.md §14). Absent until a

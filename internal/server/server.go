@@ -40,22 +40,25 @@
 //	                                                and per-shard gauges
 //
 // Query bodies may give "id" instead of "set" to query by a stored
-// object. Queries run on a bounded slot pool (the slot count is resolved
-// through parallel.Workers; each query then runs on one goroutine inside
-// the database), under a per-request timeout, with an LRU cache
-// short-circuiting repeated query objects.
+// object. Every request runs on its handler goroutine: a query takes one
+// of a bounded number of slots (the slot count is resolved through
+// parallel.Workers), runs inline under the per-request deadline carried
+// as a context.Context down to the refinement loops, and gives the slot
+// back when it returns — a request that times out frees its slot with
+// its 503. An LRU cache short-circuits repeated query objects.
 // Mutations go straight to the database (vsdb serializes writers
 // internally and queries are lock-free against immutable views, DESIGN.md
 // §8); cache keys carry the database epoch, so a mutation implicitly
 // invalidates every cached result. All handlers are safe for arbitrary
 // client concurrency and for graceful shutdown mid-flight.
 //
-// In coordinator mode (Config.Cluster) the same routes serve a sharded
-// cluster: queries open the shards in turn, a strict-mode shard
-// failure maps to 502, a partial-mode degraded result carries "partial"
-// and per-shard error detail in the response body (and is never
-// cached), /cluster reports the shard topology, and /metrics gains
-// per-shard latency/error/epoch gauges.
+// In every mode the routes serve a cluster coordinator: a single
+// database is a 1-shard cluster (cluster.Single). Queries open the shards
+// in turn; an unavailable shard (down, timed out, failing) maps to 502 in
+// strict mode, a partial-mode degraded result carries "partial" and
+// per-shard error detail in the response body (and is never cached),
+// /cluster reports the shard topology, and /metrics carries per-shard
+// latency/error/epoch gauges.
 package server
 
 import (
@@ -82,9 +85,10 @@ import (
 
 // Config parameterizes a Server.
 type Config struct {
-	// DB is the single database to serve. Exactly one of DB and Cluster
-	// is required. The server mutates it only through /insert, /delete
-	// and /compact; vsdb itself is safe for concurrent mutation and
+	// DB is the single database to serve, as a 1-shard cluster
+	// (cluster.Single). Exactly one of DB and Cluster is required. The
+	// server mutates it only through /insert, /delete and /compact, and
+	// never closes it; vsdb itself is safe for concurrent mutation and
 	// serving, so sharing it with other writers is allowed (their
 	// mutations advance the epoch and invalidate the query cache just
 	// the same).
@@ -97,11 +101,12 @@ type Config struct {
 	// vsdb.LoadOptions.Tracker) so query-time page reads are visible.
 	Tracker *storage.Tracker
 	// Workers is the number of query slots: queries executing at once,
-	// each on one goroutine. 0 consults VOXSET_WORKERS and defaults to
-	// one slot per CPU.
+	// each on its handler goroutine. 0 consults VOXSET_WORKERS and
+	// defaults to one slot per CPU.
 	Workers int
-	// Timeout is the per-request budget (default 10s). Requests that miss
-	// it get 503 and count as timeouts in /metrics.
+	// Timeout is the per-request budget (default 10s), covering the wait
+	// for a slot and the search itself. Requests that miss it get 503,
+	// free their slot, and count as timeouts in /metrics.
 	Timeout time.Duration
 	// CacheSize is the LRU query-cache capacity in entries (default 256;
 	// negative disables caching).
@@ -121,40 +126,6 @@ type Config struct {
 	MeshExtract meshquery.Config
 }
 
-// backend is the serving surface shared by a single vsdb database and a
-// sharded cluster coordinator: one Search for every query form, which
-// returns cluster.Results (always complete and error-free for a single
-// database); mutations report routing or shard failures as errors.
-type backend interface {
-	Len() int
-	Dim() int
-	MaxCard() int
-	Epoch() uint64
-	Get(id uint64) [][]float64
-	Insert(id uint64, set [][]float64) error
-	Delete(id uint64) error
-	Compact() error
-	Search(qs []vsdb.Query) ([]cluster.Result, error)
-	Stats() vsdb.Stats
-}
-
-// singleDB adapts *vsdb.DB to the backend interface. Only the two
-// methods that can fail in a cluster differ in shape: a single database's
-// queries cannot partially fail, so Search always returns complete
-// Results and a nil error.
-type singleDB struct{ *vsdb.DB }
-
-func (b singleDB) Compact() error { b.DB.Compact(); return nil }
-
-func (b singleDB) Search(qs []vsdb.Query) ([]cluster.Result, error) {
-	lists := b.DB.Search(qs)
-	out := make([]cluster.Result, len(lists))
-	for i, l := range lists {
-		out[i] = cluster.Result{Neighbors: l}
-	}
-	return out, nil
-}
-
 // Server serves a vsdb database or cluster over HTTP. Create with New,
 // or with NewWarming + Publish to start listening before the backend
 // has finished opening.
@@ -163,8 +134,7 @@ type Server struct {
 	// or later by Publish. Handlers (other than /healthz) run only after
 	// observing ready, which orders their reads after Publish's writes.
 	ready   atomic.Bool
-	db      backend
-	cluster *cluster.DB // nil in single-database mode
+	db      *cluster.DB
 	tracker *storage.Tracker
 	timeout time.Duration
 	maxK    int
@@ -250,10 +220,11 @@ func NewWarming(cfg Config) (*Server, error) {
 	}, nil
 }
 
-// Publish installs the backend — exactly one of cfg.DB and cfg.Cluster,
-// plus cfg.Tracker for /metrics — and flips the server ready. Call it
-// once, from one goroutine, after the database has opened; from then on
-// /healthz reports "ok" and the data endpoints serve.
+// Publish installs the backend — exactly one of cfg.DB (served as
+// cluster.Single) and cfg.Cluster, plus cfg.Tracker for /metrics — and
+// flips the server ready. Call it once, from one goroutine, after the
+// database has opened; from then on /healthz reports "ok" and the data
+// endpoints serve.
 func (s *Server) Publish(cfg Config) error {
 	if (cfg.DB == nil) == (cfg.Cluster == nil) {
 		return errors.New("server: exactly one of Config.DB and Config.Cluster is required")
@@ -261,12 +232,10 @@ func (s *Server) Publish(cfg Config) error {
 	if s.ready.Load() {
 		return errors.New("server: a backend is already published")
 	}
+	s.db = cfg.Cluster
 	if cfg.DB != nil {
-		s.db = singleDB{cfg.DB}
-	} else {
-		s.db = cfg.Cluster
+		s.db = cluster.Single(cfg.DB)
 	}
-	s.cluster = cfg.Cluster
 	s.tracker = cfg.Tracker
 	s.ready.Store(true)
 	return nil
@@ -319,7 +288,8 @@ type HealthResponse struct {
 	Objects int    `json:"objects"`
 }
 
-// ClusterResponse is the body returned by /cluster in coordinator mode.
+// ClusterResponse is the body returned by /cluster (a single database is
+// one strict shard).
 // With replication enabled, Replicas is the follower count per shard and
 // each ShardStatus carries its replica set's term and member topology.
 type ClusterResponse struct {
@@ -427,10 +397,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, m *endpoint
 // execute is the one path every query endpoint answers through, whatever
 // it decoded its queries from: each entry is probed against the query
 // cache, the misses run as ONE backend Search on ONE query slot under ONE
-// request timeout, and complete answers fill the cache. Singles are
+// request deadline, and complete answers fill the cache. Singles are
 // batches of one. On failure it has written the error response (503 for a
-// timeout, 502 for a strict-mode shard failure: the coordinator could not
-// gather a complete answer) and counted it in m, and returns false.
+// missed deadline, errCode's status otherwise) and counted it in m, and
+// returns false.
 func (s *Server) execute(w http.ResponseWriter, r *http.Request, m *endpointMetrics, start time.Time, qs []vsdb.Query) ([]QueryResponse, bool) {
 	s.queries.Add(int64(len(qs)))
 	epoch := s.db.Epoch()
@@ -451,7 +421,7 @@ func (s *Server) execute(w http.ResponseWriter, r *http.Request, m *endpointMetr
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.timeout)
 	defer cancel()
-	res, err := s.run(ctx, func() ([]cluster.Result, error) { return s.db.Search(misses) })
+	res, err := s.search(ctx, misses)
 	if err != nil {
 		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
 			m.timeouts.Add(1)
@@ -459,7 +429,7 @@ func (s *Server) execute(w http.ResponseWriter, r *http.Request, m *endpointMetr
 			return nil, false
 		}
 		m.errors.Add(1)
-		writeJSON(w, http.StatusBadGateway, errorResponse{Error: err.Error()})
+		writeJSON(w, errCode(err), errorResponse{Error: err.Error()})
 		return nil, false
 	}
 	j := 0 // res[j] answers the j-th miss
@@ -530,46 +500,25 @@ func (s *Server) resolveQuerySet(req *QueryRequest) ([][]float64, error) {
 			return nil, fmt.Errorf("object %d not found", *req.ID)
 		}
 		return set, nil
-	case len(req.Set) == 0:
-		return nil, errors.New("empty query set")
 	}
-	if len(req.Set) > s.db.MaxCard() {
-		return nil, fmt.Errorf("query cardinality %d exceeds database MaxCard %d", len(req.Set), s.db.MaxCard())
-	}
-	// No finiteness check: encoding/json decodes no NaN, ±Inf or
-	// out-of-range literal into a float64, so the body was already refused.
-	for i, v := range req.Set {
-		if len(v) != s.db.Dim() {
-			return nil, fmt.Errorf("query vector %d has dim %d, want %d", i, len(v), s.db.Dim())
-		}
+	if err := vsdb.CheckSet(req.Set, s.db.Dim(), s.db.MaxCard(), true); err != nil {
+		return nil, err
 	}
 	return req.Set, nil
 }
 
-// run executes fn on a bounded query slot, abandoning the wait (but not
-// corrupting anything — the database is read-only) when ctx expires.
-func (s *Server) run(ctx context.Context, fn func() ([]cluster.Result, error)) ([]cluster.Result, error) {
+// search runs qs on the caller's goroutine while it holds a query slot:
+// it waits for a slot under ctx, searches under ctx, and gives the slot
+// back when the search returns — at the deadline at the latest, since the
+// engine checks ctx as it goes.
+func (s *Server) search(ctx context.Context, qs []vsdb.Query) ([]cluster.Result, error) {
 	select {
 	case s.sem <- struct{}{}:
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
-	type outcome struct {
-		res []cluster.Result
-		err error
-	}
-	done := make(chan outcome, 1)
-	go func() {
-		defer func() { <-s.sem }()
-		res, err := fn()
-		done <- outcome{res, err}
-	}()
-	select {
-	case o := <-done:
-		return o.res, o.err
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
+	defer func() { <-s.sem }()
+	return s.db.Search(ctx, qs)
 }
 
 // cacheKey digests (epoch, query) into the LRU key — the one hasher
@@ -641,8 +590,8 @@ func (s *Server) handleObject(w http.ResponseWriter, r *http.Request) {
 // Mutation endpoints (DESIGN.md §8). These run inline rather than on the
 // query slot pool: vsdb serializes writers internally, a single mutation
 // is cheap (the WAL append dominates), and admission-controlling them
-// behind long-running queries would only grow the writer queue. In
-// coordinator mode the mutation routes to the owning shard.
+// behind long-running queries would only grow the writer queue. The
+// mutation routes to the owning shard.
 
 // MutateRequest is the body of /insert (id + set) and /delete (id only).
 type MutateRequest struct {
@@ -667,22 +616,28 @@ type CompactResponse struct {
 	WALRecords     int64   `json:"wal_records"`
 }
 
-// mutateErrCode maps a backend mutation failure to a status code: the
-// expected conflict maps to its code, a set the engine refused as
-// non-finite to 400, anything else — a shard down, a shard timeout, an
-// exhausted fault-injection retry — is a coordinator failure (502) in
-// cluster mode and a server failure (500) otherwise.
-func (s *Server) mutateErrCode(err, conflict error, conflictCode int) int {
-	if errors.Is(err, conflict) {
-		return conflictCode
-	}
-	if errors.Is(err, vsdb.ErrNonFinite) {
+// errCode maps a failed search or mutation to its status: a set the
+// engine refused as non-finite is the client's (400), an unavailable
+// shard — down, timed out, failing under fault injection — is a gateway
+// failure (502: the coordinator could not reach a complete answer), and
+// anything else is the server's (500).
+func errCode(err error) int {
+	switch {
+	case errors.Is(err, vsdb.ErrNonFinite):
 		return http.StatusBadRequest
-	}
-	if s.cluster != nil {
+	case cluster.Unavailable(err):
 		return http.StatusBadGateway
 	}
 	return http.StatusInternalServerError
+}
+
+// mutateErrCode is errCode with the mutation's expected conflict mapped
+// to its own code.
+func mutateErrCode(err, conflict error, conflictCode int) int {
+	if errors.Is(err, conflict) {
+		return conflictCode
+	}
+	return errCode(err)
 }
 
 func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
@@ -692,37 +647,20 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeBody(w, r, &s.insertM, &req, false) {
 		return
 	}
-	if err := s.validateInsertSet(req.Set); err != nil {
+	// The engine checks the same; checking here keeps a malformed set a
+	// 400 in the request's own wording.
+	if err := vsdb.CheckSet(req.Set, s.db.Dim(), s.db.MaxCard(), false); err != nil {
 		s.insertM.errors.Add(1)
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 		return
 	}
 	if err := s.db.Insert(req.ID, req.Set); err != nil {
 		s.insertM.errors.Add(1)
-		writeJSON(w, s.mutateErrCode(err, vsdb.ErrExists, http.StatusConflict), errorResponse{Error: err.Error()})
+		writeJSON(w, mutateErrCode(err, vsdb.ErrExists, http.StatusConflict), errorResponse{Error: err.Error()})
 		return
 	}
 	s.insertM.latency.observe(time.Since(start))
 	writeJSON(w, http.StatusOK, MutateResponse{ID: req.ID, Epoch: s.db.Epoch(), Objects: s.db.Len()})
-}
-
-// validateInsertSet mirrors resolveQuerySet's checks for stored data,
-// so a malformed set is a 400 with the request's own wording; vsdb checks
-// the same and also refuses non-finite coordinates (ErrNonFinite), which
-// no JSON body can carry.
-func (s *Server) validateInsertSet(set [][]float64) error {
-	if len(set) == 0 {
-		return errors.New("empty vector set")
-	}
-	if len(set) > s.db.MaxCard() {
-		return fmt.Errorf("set cardinality %d exceeds database MaxCard %d", len(set), s.db.MaxCard())
-	}
-	for i, v := range set {
-		if len(v) != s.db.Dim() {
-			return fmt.Errorf("vector %d has dim %d, want %d", i, len(v), s.db.Dim())
-		}
-	}
-	return nil
 }
 
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
@@ -734,7 +672,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	}
 	if err := s.db.Delete(req.ID); err != nil {
 		s.deleteM.errors.Add(1)
-		writeJSON(w, s.mutateErrCode(err, vsdb.ErrNotFound, http.StatusNotFound), errorResponse{Error: err.Error()})
+		writeJSON(w, mutateErrCode(err, vsdb.ErrNotFound, http.StatusNotFound), errorResponse{Error: err.Error()})
 		return
 	}
 	s.deleteM.latency.observe(time.Since(start))
@@ -752,7 +690,7 @@ func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 	}
 	if err := s.db.Compact(); err != nil {
 		s.compactM.errors.Add(1)
-		writeJSON(w, s.mutateErrCode(err, errNoConflict, 0), errorResponse{Error: err.Error()})
+		writeJSON(w, mutateErrCode(err, errNoConflict, 0), errorResponse{Error: err.Error()})
 		return
 	}
 	s.compactM.latency.observe(time.Since(start))
@@ -779,21 +717,17 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleCluster(w http.ResponseWriter, _ *http.Request) {
-	if s.cluster == nil {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: "server is not running in cluster mode"})
-		return
-	}
 	mode := "strict"
-	if s.cluster.Partial() {
+	if s.db.Partial() {
 		mode = "partial"
 	}
 	writeJSON(w, http.StatusOK, ClusterResponse{
-		Shards:   s.cluster.N(),
-		Replicas: s.cluster.Replicas(),
+		Shards:   s.db.N(),
+		Replicas: s.db.Replicas(),
 		Mode:     mode,
-		Objects:  s.cluster.Len(),
-		Epoch:    s.cluster.Epoch(),
-		Status:   s.cluster.Status(),
+		Objects:  s.db.Len(),
+		Epoch:    s.db.Epoch(),
+		Status:   s.db.Status(),
 	})
 }
 
@@ -803,8 +737,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 
 // MetricsSnapshot assembles the /metrics body: per-endpoint counters and
 // latency histograms, the filter pipeline's refinement accounting, the
-// simulated page I/O priced under the paper's cost model, and — in
-// coordinator mode — the per-shard gauges.
+// simulated page I/O priced under the paper's cost model, and the
+// per-shard gauges (one shard for a single database).
 func (s *Server) MetricsSnapshot() MetricsSnapshot {
 	st := s.db.Stats()
 	snap := MetricsSnapshot{
@@ -833,19 +767,17 @@ func (s *Server) MetricsSnapshot() MetricsSnapshot {
 		DeltaObjects:    st.DeltaLen,
 		TombstoneRatio:  st.TombstoneRatio,
 		Compactions:     st.Compactions,
+		ClusterShards:   s.db.N(),
+		Shards:          s.db.Status(),
 	}
-	if s.cluster != nil {
-		snap.ClusterShards = s.cluster.N()
-		snap.Shards = s.cluster.Status()
-		if s.cluster.ReplicationEnabled() {
-			snap.Replication = &ReplicationSnapshot{
-				Replicas:          s.cluster.Replicas(),
-				FollowerReads:     s.cluster.FollowerReadsEnabled(),
-				ServedByFollowers: s.cluster.FollowerReadCount(),
-				Promotions:        s.cluster.Promotions(),
-				MaxLag:            s.cluster.MaxReplicaLag(),
-				FencedFrames:      s.cluster.FencedFrames(),
-			}
+	if s.db.ReplicationEnabled() {
+		snap.Replication = &ReplicationSnapshot{
+			Replicas:          s.db.Replicas(),
+			FollowerReads:     s.db.FollowerReadsEnabled(),
+			ServedByFollowers: s.db.FollowerReadCount(),
+			Promotions:        s.db.Promotions(),
+			MaxLag:            s.db.MaxReplicaLag(),
+			FencedFrames:      s.db.FencedFrames(),
 		}
 	}
 	if s.meshM.count.Load() > 0 || s.meshBatchM.count.Load() > 0 {

@@ -2,15 +2,18 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"github.com/voxset/voxset/internal/cluster"
 	"github.com/voxset/voxset/internal/storage"
 	"github.com/voxset/voxset/internal/vsdb"
 )
@@ -335,6 +338,53 @@ func TestRequestTimeout(t *testing.T) {
 	resp, _ := postJSON(t, ts.URL+"/knn", QueryRequest{Set: [][]float64{{1, 2, 3}}, K: 5})
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("status %d, want 503", resp.StatusCode)
+	}
+	if got := s.MetricsSnapshot().Endpoints["knn"].Timeouts; got != 1 {
+		t.Fatalf("timeouts = %d, want 1", got)
+	}
+}
+
+// A request that misses its deadline while it searches frees its slot
+// with its 503: the search runs on the handler goroutine under the
+// request's context, and a shard stalled until that context ends gives
+// up at the request's deadline, not at its own (5 s) one. The next
+// request gets the one slot at once and answers 200.
+func TestTimedOutRequestFreesSlot(t *testing.T) {
+	var stall atomic.Bool
+	c, err := cluster.New(cluster.Config{
+		Shards:       2,
+		Dim:          3,
+		MaxCard:      4,
+		ShardTimeout: 5 * time.Second,
+		Fault: cluster.FaultFunc(func(ctx context.Context, _ int, op cluster.Op, _ int) error {
+			if op == cluster.OpSearch && stall.Load() {
+				<-ctx.Done()
+				return ctx.Err()
+			}
+			return nil
+		}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	for id := uint64(1); id <= 20; id++ {
+		x := float64(id)
+		if err := c.Insert(id, [][]float64{{x, -x, 1}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, ts := newTestServer(t, Config{Cluster: c, Workers: 1, Timeout: 50 * time.Millisecond, CacheSize: -1})
+	stall.Store(true)
+	resp, body := postJSON(t, ts.URL+"/knn", QueryRequest{Set: [][]float64{{1, 2, 3}}, K: 5})
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("stalled request: %d %s, want 503", resp.StatusCode, body)
+	}
+	stall.Store(false)
+	start := time.Now()
+	resp, body = postJSON(t, ts.URL+"/knn", QueryRequest{Set: [][]float64{{3, 2, 1}}, K: 5})
+	if elapsed := time.Since(start); resp.StatusCode != http.StatusOK || elapsed > 200*time.Millisecond {
+		t.Fatalf("request after a timed-out one: %d in %v (%s), want 200 within 200ms", resp.StatusCode, elapsed, body)
 	}
 	if got := s.MetricsSnapshot().Endpoints["knn"].Timeouts; got != 1 {
 		t.Fatalf("timeouts = %d, want 1", got)

@@ -58,7 +58,7 @@ func TestBatchMatchesSequential(t *testing.T) {
 			}
 
 			ranges := batchOf(queries, Query{Kind: Range, Eps: eps})
-			rBatch := db.Search(ranges)
+			rBatch := search(db, ranges)
 			if len(rBatch) != len(queries) {
 				t.Fatalf("Range batch returned %d lists for %d queries", len(rBatch), len(queries))
 			}
@@ -72,7 +72,7 @@ func TestBatchMatchesSequential(t *testing.T) {
 						t.Errorf("caller %d, KNN query %d: %v, want %v", c, i, got, batch[i])
 					}
 				}
-				for i, got := range db.Search(ranges) {
+				for i, got := range search(db, ranges) {
 					if !slices.Equal(got, rBatch[i]) {
 						t.Errorf("caller %d, Range query %d: %v, want %v", c, i, got, rBatch[i])
 					}

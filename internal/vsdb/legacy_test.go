@@ -63,7 +63,7 @@ func TestOpenFileIgnoresLegacySketches(t *testing.T) {
 		)
 	}
 	want.ResetRefinements()
-	wantAnswers := want.Search(qs)
+	wantAnswers := search(want, qs)
 	wantStats := want.Stats()
 	wantSaved := savedBytes(t, want)
 	for name, db := range dbs {
@@ -71,7 +71,7 @@ func TestOpenFileIgnoresLegacySketches(t *testing.T) {
 			t.Fatalf("%s: epoch %d len %d, twin %d / %d", name, db.Epoch(), db.Len(), want.Epoch(), want.Len())
 		}
 		db.ResetRefinements()
-		if got := db.Search(qs); !reflect.DeepEqual(got, wantAnswers) {
+		if got := search(db, qs); !reflect.DeepEqual(got, wantAnswers) {
 			t.Fatalf("%s: answers differ from the tail-less twin", name)
 		}
 		if got := db.Stats(); got != wantStats {

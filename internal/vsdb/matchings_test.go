@@ -72,7 +72,7 @@ func TestMatchingsGuard(t *testing.T) {
 		qs[i] = Query{Set: jitter(parts[i*6]), Kind: KNN, K: 10}
 	}
 	db.ResetRefinements()
-	db.Search(qs)
+	search(db, qs)
 	st := db.Stats()
 	if got := st.SignaturePruned + st.Refinements; got != centroidSurvivors {
 		t.Errorf("SignaturePruned + Refinements = %d, want %d: the later stages must not change which candidates pass the centroid filter", got, centroidSurvivors)

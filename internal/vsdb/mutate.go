@@ -16,60 +16,54 @@ type walHandle struct {
 	opt  WALOptions
 }
 
-// checkSet validates cardinality and dimensions against the
-// configuration — all that log replay re-checks of a record.
-func (db *DB) checkSet(id uint64, set [][]float64) error {
-	if len(set) == 0 {
-		return fmt.Errorf("vsdb: empty vector set for id %d", id)
+// CheckSet is the one vector-set validator — of every write, every log
+// record replayed, every query, and of the server's 400s: set must hold 1
+// to maxCard vectors, each of dimension dim, with finite coordinates (a
+// NaN or ±Inf one is refused with ErrNonFinite). The error names the
+// offending vector and component; query only picks its wording ("empty
+// query set", "query vector 2 has dim 3, want 6") over the stored-set one
+// ("empty vector set", "vector 2 has dim 3, want 6"). Callers prefix what
+// the set belongs to.
+func CheckSet(set [][]float64, dim, maxCard int, query bool) error {
+	whole, card, vec := "vector set", "set", "vector"
+	if query {
+		whole, card, vec = "query set", "query", "query vector"
 	}
-	if len(set) > db.cfg.MaxCard {
-		return fmt.Errorf("vsdb: set cardinality %d exceeds MaxCard %d", len(set), db.cfg.MaxCard)
+	if len(set) == 0 {
+		return fmt.Errorf("empty %s", whole)
+	}
+	if len(set) > maxCard {
+		return fmt.Errorf("%s cardinality %d exceeds database MaxCard %d", card, len(set), maxCard)
 	}
 	for i, v := range set {
-		if len(v) != db.cfg.Dim {
-			return fmt.Errorf("vsdb: vector %d has dim %d, want %d", i, len(v), db.cfg.Dim)
+		if len(v) != dim {
+			return fmt.Errorf("%s %d has dim %d, want %d", vec, i, len(v), dim)
+		}
+		for j, x := range v {
+			if math.IsNaN(x) || math.IsInf(x, 0) {
+				return fmt.Errorf("%s %d component %d is %v: %w", vec, i, j, x, ErrNonFinite)
+			}
 		}
 	}
 	return nil
 }
 
-// checkFlat is checkSet plus checkFinite for an already-flat set (the
-// stream build path, where the layout guarantees rectangular data).
-func (db *DB) checkFlat(id uint64, set vectorset.Flat) error {
-	if set.Card == 0 {
-		return fmt.Errorf("vsdb: empty vector set for id %d", id)
-	}
-	if set.Card > db.cfg.MaxCard {
-		return fmt.Errorf("vsdb: set cardinality %d exceeds MaxCard %d", set.Card, db.cfg.MaxCard)
-	}
-	if set.Dim != db.cfg.Dim {
-		return fmt.Errorf("vsdb: vector 0 has dim %d, want %d", set.Dim, db.cfg.Dim)
-	}
-	return checkFinite(id, set)
-}
-
-// checkFinite refuses a set with a NaN or ±Inf coordinate (ErrNonFinite).
-func checkFinite(id uint64, set vectorset.Flat) error {
-	for i, x := range set.Data[:set.Card*set.Dim] {
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			return fmt.Errorf("vsdb: id %d vector %d component %d is %v: %w", id, i/set.Dim, i%set.Dim, x, ErrNonFinite)
-		}
+// checkSet is CheckSet against the database's configuration, naming id.
+func (db *DB) checkSet(id uint64, set [][]float64) error {
+	if err := CheckSet(set, db.cfg.Dim, db.cfg.MaxCard, false); err != nil {
+		return fmt.Errorf("vsdb: id %d: %w", id, err)
 	}
 	return nil
 }
 
-// validateSet checks cardinality, dimensions and finiteness and returns
-// a flat copy of the set, detached from caller storage (one buffer the
-// view history then owns exclusively).
+// validateSet checks a set (checkSet) and returns a flat copy of it,
+// detached from caller storage (one buffer the view history then owns
+// exclusively).
 func (db *DB) validateSet(id uint64, set [][]float64) (vectorset.Flat, error) {
 	if err := db.checkSet(id, set); err != nil {
 		return vectorset.Flat{}, err
 	}
-	cp := vectorset.FlatFromRows(set)
-	if err := checkFinite(id, cp); err != nil {
-		return vectorset.Flat{}, err
-	}
-	return cp, nil
+	return vectorset.FlatFromRows(set), nil
 }
 
 // logRecords makes recs durable before the mutation becomes visible.
@@ -379,7 +373,9 @@ func (db *DB) AttachWAL(path string, opt WALOptions) error {
 // v.seq and returns the resulting view (v itself when nothing applies).
 // Replay is strict: a record that conflicts with the state it replays
 // onto (inserting a live id, deleting a dead one) means snapshot and log
-// do not belong together.
+// do not belong together, and a set Insert would refuse (CheckSet: a
+// non-finite coordinate included) is refused here too, CRC-valid or not.
+// On error nothing is applied.
 func (db *DB) replayLocked(v *view, recs []wal.Record) (*view, error) {
 	applied := 0
 	for _, rec := range recs {
@@ -422,7 +418,7 @@ func (db *DB) replayLocked(v *view, recs []wal.Record) (*view, error) {
 				return nil, fmt.Errorf("record %d inserts id %d which is already live", rec.Seq, rec.ID)
 			}
 			if err := db.checkSet(rec.ID, rec.Set); err != nil {
-				return nil, err
+				return nil, fmt.Errorf("record %d: %w", rec.Seq, err)
 			}
 			delta[rec.ID] = db.newDeltaEntry(vectorset.FlatFromRows(rec.Set))
 			deltaIDs = append(deltaIDs, rec.ID)

@@ -1,6 +1,7 @@
 package vsdb
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"path/filepath"
@@ -106,9 +107,15 @@ func checkStreamsAgainstBrute(t *testing.T, db, other *DB, m, om bruteModel, q [
 	rangeQ := Query{Set: q, Kind: Range, Eps: 1}
 	for _, k := range []int{1, 10, len(union) + 3} {
 		batch := []Query{{Set: q, Kind: KNN, K: k}, rangeQ}
-		s1, l1 := db.Open(batch)
-		s2, _ := other.Open(batch)
-		got := MultiStep([]*Stream{s1[0], s2[0]}, k)
+		s1, l1, err1 := db.Open(context.Background(), batch)
+		s2, _, err2 := other.Open(context.Background(), batch)
+		if err1 != nil || err2 != nil {
+			t.Fatal(err1, err2)
+		}
+		got, err := MultiStep(context.Background(), []*Stream{s1[0], s2[0]}, k)
+		if err != nil {
+			t.Fatal(err)
+		}
 		s1[0].Close()
 		s2[0].Close()
 		want := all[:min(k, len(all))]
@@ -326,11 +333,11 @@ func TestMutatedViewRefinementCount(t *testing.T) {
 	batch := append(batchOf(sets, Query{Kind: KNN, K: 10}), batchOf(sets[:10], Query{Kind: Range, Eps: 6})...)
 
 	db.ResetRefinements()
-	before := db.Search(batch)
+	before := search(db, batch)
 	mutated := db.Stats().Refinements
 	db.Compact()
 	db.ResetRefinements()
-	after := db.Search(batch)
+	after := search(db, batch)
 	compacted := db.Stats().Refinements
 
 	if !reflect.DeepEqual(before, after) {
@@ -421,7 +428,7 @@ func TestMutatedViewSignatureStage(t *testing.T) {
 		}
 		run := func(batch []Query) ([][]Neighbor, Stats) {
 			db.ResetRefinements()
-			out := db.Search(batch)
+			out := search(db, batch)
 			return out, db.Stats()
 		}
 		same := func(what string) {

@@ -273,7 +273,7 @@ func BulkBuildFromStream(path string, cfg Config, seq uint64, next func() (uint6
 			return nil, fmt.Errorf("vsdb: stream repeats id %d", id)
 		}
 		seen[id] = struct{}{}
-		if err := chk.checkFlat(id, set); err != nil {
+		if err := chk.checkSet(id, set.Rows()); err != nil {
 			w.Abort()
 			return nil, err
 		}

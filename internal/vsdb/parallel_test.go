@@ -142,7 +142,7 @@ func TestConcurrentQueriesAcrossCompact(t *testing.T) {
 			qs[i] = Query{Set: sets[i*7], Kind: Range, Eps: 30}
 		}
 	}
-	want := db.Search(qs)
+	want := search(db, qs)
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup

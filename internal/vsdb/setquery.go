@@ -1,6 +1,8 @@
 package vsdb
 
 import (
+	"context"
+
 	"github.com/voxset/voxset/internal/dist"
 )
 
@@ -44,32 +46,37 @@ func (q SetQuery) partialI(nq, nobj int) int {
 // partialView answers one Match.Partial query against a pinned view by
 // exact scan: every live object within Eps for a Range query, the K
 // nearest for a KNN query.
-func (db *DB) partialView(v *view, q *Query) []Neighbor {
+func (db *DB) partialView(ctx context.Context, v *view, q *Query) ([]Neighbor, error) {
 	if q.Kind == Range {
-		return db.partialScan(v, q.Set, q.Match, q.Eps)
+		return db.partialScan(ctx, v, q.Set, q.Match, q.Eps)
 	}
-	out := db.partialScan(v, q.Set, q.Match, -1)
-	k := min(q.K, len(out))
-	if k <= 0 {
-		return nil
+	out, err := db.partialScan(ctx, v, q.Set, q.Match, -1)
+	if k := min(q.K, len(out)); k < len(out) {
+		out = out[:k:k]
 	}
-	return out[:k:k]
+	return out, err
 }
 
 // partialScan computes the partial matching distance from query to
 // every live object in the view — base and delta alike, tombstones
 // excluded — on the caller's goroutine. eps ≥ 0 filters to the range
 // predicate, eps < 0 keeps everything; the list is (dist, id)-ordered
-// like every other query path.
-func (db *DB) partialScan(v *view, query [][]float64, q SetQuery, eps float64) []Neighbor {
+// like every other query path. ctx is checked once per ctxEvery objects.
+func (db *DB) partialScan(ctx context.Context, v *view, query [][]float64, q SetQuery, eps float64) ([]Neighbor, error) {
 	n := len(v.ids)
-	if n == 0 || len(query) == 0 {
-		return nil
+	if n == 0 {
+		return nil, nil
 	}
 	ws := dist.GetWorkspace()
 	defer dist.PutWorkspace(ws)
 	out := make([]Neighbor, 0, n)
-	for _, id := range v.ids {
+	for i, id := range v.ids {
+		if (i+1)%ctxEvery == 0 {
+			if err := ctx.Err(); err != nil {
+				db.refExtra.Add(int64(i))
+				return nil, err
+			}
+		}
 		set := v.get(id).Rows()
 		d := ws.PartialMatching(query, set, dist.L2, q.partialI(len(query), len(set)))
 		if eps >= 0 && d > eps {
@@ -79,5 +86,5 @@ func (db *DB) partialScan(v *view, query [][]float64, q SetQuery, eps float64) [
 	}
 	db.refExtra.Add(int64(n))
 	sortNeighbors(out)
-	return out
+	return out, nil
 }

@@ -1,6 +1,7 @@
 package vsdb
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -109,20 +110,20 @@ func TestKNNSetPartialAgainstReference(t *testing.T) {
 	}
 }
 
-// TestKNNSetPartialEmptyAndEdge: empty queries and k past the database
-// size behave like the other query paths.
+// TestKNNSetPartialEmptyAndEdge: empty queries and k = 0 are refused and k
+// past the database size answers everything, like the other query paths.
 func TestKNNSetPartialEmptyAndEdge(t *testing.T) {
 	db, _ := buildSetQueryDB(t, 10)
 	defer db.Close()
-	if got := one(db, Query{Set: nil, Kind: KNN, K: 5, Match: SetQuery{Partial: true}}); got != nil {
-		t.Fatalf("empty query: got %v, want nil", got)
+	if _, err := db.Search(context.Background(), []Query{{Set: nil, Kind: KNN, K: 5, Match: SetQuery{Partial: true}}}); err == nil {
+		t.Fatal("empty query accepted")
 	}
 	q := [][]float64{{0, 0, 0}}
 	if got := one(db, Query{Set: q, Kind: KNN, K: 1000, Match: SetQuery{Partial: true}}); len(got) != db.Len() {
 		t.Fatalf("k beyond size: got %d results, want %d", len(got), db.Len())
 	}
-	if got := one(db, Query{Set: q, Kind: KNN, K: 0, Match: SetQuery{Partial: true}}); got != nil {
-		t.Fatalf("k=0: got %v, want nil", got)
+	if _, err := db.Search(context.Background(), []Query{{Set: q, Kind: KNN, K: 0, Match: SetQuery{Partial: true}}}); err == nil {
+		t.Fatal("k=0 accepted")
 	}
 	// I=0 (auto) at i=min cardinality must rank the exact duplicate of a
 	// stored set first at distance 0.

@@ -2,6 +2,8 @@ package vsdb
 
 import (
 	"cmp"
+	"context"
+	"fmt"
 	"math"
 	"slices"
 
@@ -30,7 +32,17 @@ type Stream struct {
 // and nothing more: ranking and refinement run when MultiStep walks it, so
 // a sharded coordinator can open every shard before it walks any. Every
 // stream must be closed.
-func (db *DB) Open(qs []Query) (streams []*Stream, lists [][]Neighbor) {
+//
+// A malformed entry (Query.Check) fails the call before anything is
+// opened, with an error naming the entry; ctx bounds the range and partial
+// entries answered here, and once it is done Open releases what it opened
+// and returns ctx.Err().
+func (db *DB) Open(ctx context.Context, qs []Query) (streams []*Stream, lists [][]Neighbor, err error) {
+	for i := range qs {
+		if err := qs[i].Check(db.cfg.Dim, db.cfg.MaxCard); err != nil {
+			return nil, nil, fmt.Errorf("vsdb: query %d: %w", i, err)
+		}
+	}
 	v := db.cur.Load()
 	streams = make([]*Stream, len(qs))
 	lists = make([][]Neighbor, len(qs))
@@ -38,14 +50,27 @@ func (db *DB) Open(qs []Query) (streams []*Stream, lists [][]Neighbor) {
 		q := &qs[i]
 		switch {
 		case q.Match.Partial:
-			lists[i] = db.partialView(v, q)
+			lists[i], err = db.partialView(ctx, v, q)
 		case q.Kind == Range:
-			lists[i] = db.rangeView(v, q)
-		case q.K > 0:
+			lists[i], err = db.rangeView(ctx, v, q)
+		default:
 			streams[i] = &Stream{db: db, v: v, query: vectorset.FlatFromRows(q.Set)}
 		}
+		if err != nil {
+			closeStreams(streams)
+			return nil, nil, err
+		}
 	}
-	return streams, lists
+	return streams, lists, nil
+}
+
+// closeStreams closes every non-nil stream of an Open.
+func closeStreams(streams []*Stream) {
+	for _, s := range streams {
+		if s != nil {
+			s.Close()
+		}
+	}
 }
 
 // Close publishes the stream's counters to its database and releases its
@@ -65,14 +90,15 @@ func (s *Stream) Close() {
 // global (bound, stream, position) order against one k-th distance. The
 // answer is the K nearest, (dist, id)-ordered — what one database holding
 // every object answers — and the loop refines what that database's would,
-// ties in the bound aside.
-func MultiStep(streams []*Stream, k int) []Neighbor {
+// ties in the bound aside. Once ctx is done it returns ctx.Err() within
+// one block of refinements.
+func MultiStep(ctx context.Context, streams []*Stream, k int) ([]Neighbor, error) {
 	live := 0
 	for _, s := range streams {
 		live += len(s.v.ids)
 	}
 	if k = min(k, live); k <= 0 {
-		return nil
+		return nil, nil
 	}
 	var buf [8]filter.Stream
 	srcs := buf[:0]
@@ -88,12 +114,15 @@ func MultiStep(streams []*Stream, k int) []Neighbor {
 			srcs = append(srcs, s.delta)
 		}
 	}
-	nbs := filter.MultiStep(srcs, k)
+	nbs, err := filter.MultiStep(ctx, srcs, k)
+	if err != nil {
+		return nil, err
+	}
 	out := make([]Neighbor, len(nbs))
 	for i, nb := range nbs {
 		out[i] = Neighbor{ID: uint64(nb.ID), Dist: nb.Dist}
 	}
-	return out
+	return out, nil
 }
 
 // deltaStream walks a view's delta memtable as a filter.Stream: entries in

@@ -51,8 +51,10 @@
 package vsdb
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -83,9 +85,10 @@ var (
 	ErrNotFound = errors.New("not found")
 	// ErrNonFinite reports a set with a NaN or ±Inf coordinate, which
 	// would poison every distance it takes part in and with them the
-	// (dist, id) order of every answer. Insert, BulkInsert and
-	// BulkBuildFromStream reject it; replaying a log or a replicated record
-	// does not check again, because a validating primary wrote it.
+	// (dist, id) order of every answer. CheckSet refuses it wherever a set
+	// enters: Insert, BulkInsert, BulkBuildFromStream, log replay and
+	// replicated records (a CRC guards the bytes, not what they say), and
+	// every query (Search, Open).
 	ErrNonFinite = errors.New("non-finite coordinate")
 )
 
@@ -407,11 +410,16 @@ func (db *DB) Distance(a, b [][]float64) float64 {
 	return dist.MatchingDistance(a, b, dist.L2, db.weight())
 }
 
-// DistanceChecked is Distance with input validation: ragged vector sets
-// (vectors of differing dimension, as can arrive from user input) are
-// reported as an error instead of a panic.
+// DistanceChecked is Distance for sets from untrusted sources: each must
+// pass CheckSet against the database's configuration, else the error
+// says which set and why instead of a panic.
 func (db *DB) DistanceChecked(a, b [][]float64) (float64, error) {
-	return dist.MatchingDistanceChecked(a, b, dist.L2, db.weight())
+	for i, set := range [2][][]float64{a, b} {
+		if err := CheckSet(set, db.cfg.Dim, db.cfg.MaxCard, false); err != nil {
+			return 0, fmt.Errorf("vsdb: set %d: %w", i, err)
+		}
+	}
+	return db.Distance(a, b), nil
 }
 
 // Neighbor is one query result.
@@ -445,6 +453,26 @@ type Query struct {
 	Match SetQuery
 }
 
+// Check validates the query against a database of dimension dim and
+// cardinality bound maxCard: its set (CheckSet, in query wording), k ≥ 1
+// for a k-nn, a finite ε ≥ 0 for a range. A malformed query would panic
+// in the kernel, spin in it (an infinite coordinate) or answer nothing
+// (a NaN one); Open refuses it instead.
+func (q *Query) Check(dim, maxCard int) error {
+	if err := CheckSet(q.Set, dim, maxCard, true); err != nil {
+		return err
+	}
+	switch {
+	case q.Kind > Range:
+		return fmt.Errorf("unknown query kind %d", q.Kind)
+	case q.Kind == KNN && q.K < 1:
+		return fmt.Errorf("k must be ≥ 1, got %d", q.K)
+	case q.Kind == Range && !(q.Eps >= 0 && q.Eps < math.Inf(1)):
+		return fmt.Errorf("eps must be a finite value ≥ 0, got %v", q.Eps)
+	}
+	return nil
+}
+
 // Search answers every query of the batch against ONE pinned epoch view:
 // the batch is atomic (every entry sees the same epoch even while
 // mutators run) and out[i] is exactly what Search of qs[i] alone would
@@ -455,51 +483,76 @@ type Query struct {
 // MultiStep over the entry's one Stream (Open).
 //
 // Results are exact, (dist, id)-ordered, and identical at any epoch
-// representation (compacted or not).
-func (db *DB) Search(qs []Query) [][]Neighbor {
-	streams, out := db.Open(qs)
+// representation (compacted or not). A malformed entry fails the call
+// before any work (Query.Check; the error names the entry), and once ctx
+// is done Search stops within one block of refinements or scanned objects
+// and returns ctx.Err().
+func (db *DB) Search(ctx context.Context, qs []Query) ([][]Neighbor, error) {
+	streams, out, err := db.Open(ctx, qs)
+	if err != nil {
+		return nil, err
+	}
+	defer closeStreams(streams) // what a failure leaves open
 	for i, s := range streams {
 		if s != nil {
-			out[i] = MultiStep([]*Stream{s}, qs[i].K)
+			out[i], err = MultiStep(ctx, []*Stream{s}, qs[i].K)
 			s.Close()
+			streams[i] = nil
+			if err != nil {
+				return nil, err
+			}
 		}
 	}
-	return out
+	return out, nil
 }
 
 // KNN returns the k nearest stored objects to the query set under the
-// minimal matching distance: Search of one exact KNN query.
+// minimal matching distance: Search of one exact KNN query, nil for a
+// malformed one (Search reports why).
 func (db *DB) KNN(query [][]float64, k int) []Neighbor {
-	return db.Search([]Query{{Set: query, Kind: KNN, K: k}})[0]
+	return db.searchOne(Query{Set: query, Kind: KNN, K: k})
 }
 
 // Range returns all stored objects within eps of the query set: Search
-// of one exact Range query.
+// of one exact Range query, nil for a malformed one.
 func (db *DB) Range(query [][]float64, eps float64) []Neighbor {
-	return db.Search([]Query{{Set: query, Kind: Range, Eps: eps}})[0]
+	return db.searchOne(Query{Set: query, Kind: Range, Eps: eps})
+}
+
+func (db *DB) searchOne(q Query) []Neighbor {
+	out, err := db.Search(context.Background(), []Query{q})
+	if err != nil {
+		return nil
+	}
+	return out[0]
 }
 
 // KNNBatch answers queries[i] exactly as KNN(queries[i], k) would, in
-// one Search (one pinned epoch view for the whole batch).
+// one Search (one pinned epoch view for the whole batch); nil when an
+// entry is malformed.
 func (db *DB) KNNBatch(queries [][][]float64, k int) [][]Neighbor {
 	qs := make([]Query, len(queries))
 	for i, q := range queries {
 		qs[i] = Query{Set: q, Kind: KNN, K: k}
 	}
-	return db.Search(qs)
+	out, _ := db.Search(context.Background(), qs)
+	return out
 }
 
 // rangeView answers one exact ε-range query against a pinned view: the
 // base proposes its live neighbours (the exact ranking skips tombstones),
 // then the delta memtable is folded in under its centroid bounds.
-func (db *DB) rangeView(v *view, q *Query) []Neighbor {
+func (db *DB) rangeView(ctx context.Context, v *view, q *Query) ([]Neighbor, error) {
 	query := vectorset.FlatFromRows(q.Set)
-	cands := v.base.RangeFlatLive(query, q.Eps, v.baseLive())
+	cands, err := v.base.RangeFlatLive(ctx, query, q.Eps, v.baseLive())
+	if err != nil {
+		return nil, err
+	}
 	out := make([]Neighbor, len(cands))
 	for i, nb := range cands {
 		out[i] = Neighbor{ID: uint64(nb.ID), Dist: nb.Dist}
 	}
-	return db.deltaRange(v, query, q.Eps, out)
+	return db.deltaRange(ctx, v, query, q.Eps, out)
 }
 
 // deltaBound is the Lemma 2 lower bound MaxCard·‖C(X)−C(q)‖₂ of a delta
@@ -512,45 +565,37 @@ func (db *DB) deltaBound(cq []float64, e deltaEntry) float64 {
 }
 
 // deltaRange appends to out, the base's answer, every delta object
-// within eps of the query — refining only entries whose centroid and
-// signature bounds do not already exceed eps, and solving only those the
-// kernel's assignment bound does not put beyond eps either — and returns
-// the union (dist, id)-ordered.
-func (db *DB) deltaRange(v *view, query vectorset.Flat, eps float64, out []Neighbor) []Neighbor {
+// within eps of the query — the delta stream's candidates up to eps, each
+// refined exactly as a k-nn refines it (signature bound, then the
+// threshold-aware kernel) — and returns the union (dist, id)-ordered. ctx
+// is checked once per ctxEvery candidates.
+func (db *DB) deltaRange(ctx context.Context, v *view, query vectorset.Flat, eps float64, out []Neighbor) ([]Neighbor, error) {
 	if len(v.deltaIDs) == 0 {
-		return out
+		return out, nil
 	}
-	cq := query.Centroid(db.cfg.MaxCard, db.omega)
-	qs := dist.GetSignature(query, db.cfg.MaxCard, db.omega)
-	defer dist.PutSignature(qs)
-	ws := dist.GetWorkspace()
-	defer dist.PutWorkspace(ws)
-	var sigPruned, refined, solved int64
-	for _, id := range v.deltaIDs {
-		e := v.delta[id]
-		if vectorset.BoundExceeds(db.deltaBound(cq, e), eps) {
-			continue
+	s := &deltaStream{db: db, v: v, query: query}
+	defer s.close()
+	for n := 1; ; n++ {
+		if n%ctxEvery == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
 		}
-		if dist.SignatureExceeds(e.sig.Bound(qs, 0), eps) {
-			sigPruned++
-			continue
+		_, pos, ok := s.Next(eps)
+		if !ok {
+			break
 		}
-		refined++
-		d, within := ws.MatchingDistanceFlatWithin(query, e.set, db.omega, eps)
-		if !within {
-			continue
-		}
-		solved++
-		if d <= eps {
-			out = append(out, Neighbor{ID: id, Dist: d})
+		if id, d, ok := s.Refine(pos, eps); ok {
+			out = append(out, Neighbor{ID: uint64(id), Dist: d})
 		}
 	}
-	db.sigExtra.Add(sigPruned)
-	db.refExtra.Add(refined)
-	db.matchExtra.Add(solved)
 	sortNeighbors(out)
-	return out
+	return out, nil
 }
+
+// ctxEvery is how many delta entries or scanned objects a loop visits
+// between two checks of its context (filter's loops use the same block).
+const ctxEvery = 64
 
 func neighborLess(a, b Neighbor) bool {
 	if a.Dist != b.Dist {
