@@ -21,13 +21,16 @@ import (
 	"strconv"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/voxset/voxset/internal/cadgen"
 	"github.com/voxset/voxset/internal/cluster"
 	"github.com/voxset/voxset/internal/core"
 	"github.com/voxset/voxset/internal/cover"
+	"github.com/voxset/voxset/internal/csg"
 	"github.com/voxset/voxset/internal/dist"
 	"github.com/voxset/voxset/internal/experiments"
+	"github.com/voxset/voxset/internal/geom"
 	"github.com/voxset/voxset/internal/index/filter"
 	"github.com/voxset/voxset/internal/normalize"
 	"github.com/voxset/voxset/internal/optics"
@@ -617,6 +620,43 @@ func benchmarkIngestObject(b *testing.B, workers int) {
 func BenchmarkIngestObject_Sequential(b *testing.B) { benchmarkIngestObject(b, 1) }
 func BenchmarkIngestObject_Parallel(b *testing.B) {
 	benchmarkIngestObject(b, runtime.GOMAXPROCS(0))
+}
+
+// countingSolid counts the membership tests a voxelization asks of its
+// solid.
+type countingSolid struct {
+	csg.Solid
+	n *int64
+}
+
+func (c countingSolid) Contains(p geom.Vec3) bool {
+	*c.n++
+	return c.Solid.Contains(p)
+}
+
+// BenchmarkIngestAircraft is the benchmark corpus's extraction path, one
+// part per op: AircraftDataset(1, 1250) (what voxload extracts) →
+// VoxelizeNormalized at r' = 15 (TightBounds' 48³ sweep, then the grid) →
+// Greedy 7-cover sequence, on the calling goroutine. Besides ns/op it
+// reports CSG membership tests per part and each stage's share of the
+// time; -benchtime 1250x visits every part once.
+func BenchmarkIngestAircraft(b *testing.B) {
+	parts := cadgen.AircraftDataset(1, 1250)
+	var tests int64
+	var voxNS, coverNS time.Duration
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t0 := time.Now()
+		g, _ := normalize.VoxelizeNormalized(countingSolid{parts[i%len(parts)].Solid, &tests}, 15)
+		t1 := time.Now()
+		cover.Greedy(g, 7)
+		voxNS += t1.Sub(t0)
+		coverNS += time.Since(t1)
+	}
+	b.ReportMetric(float64(tests)/float64(b.N), "tests/part")
+	b.ReportMetric(float64(voxNS.Nanoseconds())/float64(b.N), "voxelize-ns/part")
+	b.ReportMetric(float64(coverNS.Nanoseconds())/float64(b.N), "cover-ns/part")
 }
 
 // Dataset-scale ingest: cadgen → extraction on the worker pool → bulk

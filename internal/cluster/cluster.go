@@ -477,8 +477,12 @@ func (c *DB) IDs() []uint64 {
 // Mutations: route to the owning shard; durable-before-visible is the
 // shard's own WAL discipline.
 
-// Insert stores the vector set under id on its owning shard.
+// Insert stores the vector set under id on its owning shard. A malformed
+// set fails before any shard is touched, as in BulkInsert.
 func (c *DB) Insert(id uint64, set [][]float64) error {
+	if err := vsdb.CheckSet(set, c.cfg.Dim, c.cfg.MaxCard, false); err != nil {
+		return fmt.Errorf("cluster: id %d: %w", id, err)
+	}
 	i := c.ShardOf(id)
 	return c.callMut(i, OpInsert, func(db *vsdb.DB) error {
 		return c.replMutate(i, db, func() error {

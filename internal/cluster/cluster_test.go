@@ -3,8 +3,10 @@ package cluster_test
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"github.com/voxset/voxset/internal/cluster"
@@ -135,6 +137,55 @@ func TestMutationsRouteToOwningShard(t *testing.T) {
 	}
 	if c.Get(7) != nil || c.Len() != 63 {
 		t.Fatal("delete not visible through the coordinator")
+	}
+}
+
+// TestShardErrorsCountShardFailures: the per-shard error gauge counts
+// failures of the shard, not refusals a healthy shard gives a client — a
+// duplicate insert (409 at the server), a missing delete (404) or a
+// malformed set (400) leave it at 0 — while a mutation that fails on the
+// shard (an injected fault outliving its retries) raises it.
+func TestShardErrorsCountShardFailures(t *testing.T) {
+	failing := atomic.Bool{}
+	cfg := testConfig(2)
+	cfg.Retries = -1
+	cfg.Fault = cluster.FaultFunc(func(_ context.Context, shard int, op cluster.Op, _ int) error {
+		if failing.Load() && op == cluster.OpInsert {
+			return errors.New("injected insert fault")
+		}
+		return nil
+	})
+	c := newCluster(t, cfg)
+	sets := populate(t, c, 8, 1)
+	shardErrors := func() (n int64) {
+		for _, st := range c.Status() {
+			n += st.Errors
+		}
+		return n
+	}
+	if err := c.Insert(3, sets[3]); !errors.Is(err, vsdb.ErrExists) {
+		t.Fatalf("duplicate insert: %v", err)
+	}
+	if err := c.Delete(999); !errors.Is(err, vsdb.ErrNotFound) {
+		t.Fatalf("missing delete: %v", err)
+	}
+	if err := c.Insert(100, [][]float64{{1, math.NaN(), 0}}); !errors.Is(err, vsdb.ErrNonFinite) {
+		t.Fatalf("non-finite insert: %v", err)
+	}
+	if err := c.Insert(101, [][]float64{{1, 2}}); err == nil {
+		t.Fatal("wrong-dimension insert accepted")
+	}
+	if n := shardErrors(); n != 0 {
+		t.Fatalf("client mistakes counted as %d shard errors, want 0", n)
+	}
+	failing.Store(true)
+	const id = 200
+	if err := c.Insert(id, sets[1]); err == nil || !cluster.Unavailable(err) {
+		t.Fatalf("insert under an injected fault: %v", err)
+	}
+	st := c.Status()[c.ShardOf(id)]
+	if st.Errors != 1 || shardErrors() != 1 {
+		t.Fatalf("shard %d errors = %d (total %d) after one failed insert, want 1", c.ShardOf(id), st.Errors, shardErrors())
 	}
 }
 

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
@@ -190,13 +191,17 @@ func (c *DB) callSearch(ctx context.Context, i int, qs []vsdb.Query) (opened, er
 
 // callMut runs one shard mutation under the retry loop. A mutation is
 // not cancellable once it runs, so it runs under no caller deadline: only
-// the fault hook and the per-shard deadline bound its attempt.
+// the fault hook and the per-shard deadline bound its attempt. The shard's
+// error gauge counts failures of the shard, not the caller's mistakes: a
+// duplicate insert (vsdb.ErrExists) or a delete of an absent id
+// (vsdb.ErrNotFound) is a correct refusal by a healthy shard. (Malformed
+// sets are refused before any shard is touched.)
 func (c *DB) callMut(i int, op Op, mut func(*vsdb.DB) error) error {
 	s := &c.shards[i]
 	_, err := withRetries(context.Background(), c, i, op, func(_ context.Context, db *vsdb.DB) (struct{}, error) {
 		return struct{}{}, mut(db)
 	})
-	if err != nil {
+	if err != nil && !errors.Is(err, vsdb.ErrExists) && !errors.Is(err, vsdb.ErrNotFound) {
 		s.errors.Add(1)
 	}
 	return err

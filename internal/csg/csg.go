@@ -15,6 +15,18 @@ import (
 
 // Solid is a closed subset of ℝ³ described by a membership predicate and a
 // bounding box. Bounds must contain the solid entirely but may be loose.
+//
+// The voxelizers rely on that contract: they test only the cell centers
+// that Bounds, widened by a rounding slack of about 1e-9 of the
+// coordinates' magnitude, admits, and count every other cell empty
+// without asking Contains. A Solid whose Contains accepts a point farther
+// outside its Bounds than that loses the point from every voxelization. A
+// box's faces are closed, so points on them must stay in the test set; the
+// slack only ever adds cells. Composite solids keep the contract by
+// construction: a union's box spans its parts', an intersection's is their
+// overlap, a difference keeps its first operand's, and a transformed
+// solid's is its child's box mapped forward, whose rounding (a few ulps)
+// the slack covers.
 type Solid interface {
 	// Contains reports whether the point lies inside the solid.
 	Contains(p geom.Vec3) bool

@@ -208,26 +208,22 @@ func TestForEachSparseSkip(t *testing.T) {
 }
 
 // TestSampleOccupiedBoundsParity pins the sweep-based bounds sampler
-// against full voxelization followed by OccupiedBounds, including the
-// empty case, on solids that are off-center, hollow, and anisotropic.
+// against an unculled full scan followed by OccupiedBounds, including the
+// empty case, on solids that are off-center, hollow, and anisotropic, on
+// solids declaring loose or elongated bounds, and on placements that only
+// partly overlap the solid's declared box (or miss it).
 func TestSampleOccupiedBoundsParity(t *testing.T) {
-	solids := []csg.Solid{
-		csg.NewSphere(geom.V(0, 0, 0), 0.9),
-		csg.NewSphere(geom.V(0.4, -0.3, 0.2), 0.25),
-		csg.Difference(csg.NewSphere(geom.V(0, 0, 0), 0.95), csg.NewSphere(geom.V(0, 0, 0), 0.6)),
-		csg.NewCylinder(geom.V(0.1, 0.1, 0), 2, 0.3, 1.2),
-		csg.NewSphere(geom.V(10, 10, 10), 0.2), // samples empty inside bounds
-	}
 	bounds := geom.Box(geom.V(-1.5, -1.2, -1.3), geom.V(1.1, 1.4, 1.2))
-	for si, s := range solids {
-		for _, r := range []int{8, 17, 48} {
-			ref := VoxelizeSolid(s, bounds, r)
-			wantMn, wantMx, wantOK := ref.OccupiedBounds()
-			g := FitCube(bounds, r)
-			gotMn, gotMx, gotOK := g.SampleOccupiedBounds(s)
-			if wantOK != gotOK || (wantOK && (wantMn != gotMn || wantMx != gotMx)) {
-				t.Fatalf("solid %d r=%d: sweep bounds (%v, %v, %v), reference (%v, %v, %v)",
-					si, r, gotMn, gotMx, gotOK, wantMn, wantMx, wantOK)
+	for si, c := range cullCases() {
+		for _, gb := range []geom.AABB{bounds, c.s.Bounds(), c.partial} {
+			for _, r := range []int{8, 17, 48} {
+				g := FitCube(gb, r)
+				wantMn, wantMx, wantOK := scanSolid(c.s, g).OccupiedBounds()
+				gotMn, gotMx, gotOK := g.SampleOccupiedBounds(c.s)
+				if wantOK != gotOK || (wantOK && (wantMn != gotMn || wantMx != gotMx)) {
+					t.Fatalf("solid %d (%s) grid %v r=%d: sweep bounds (%v, %v, %v), full scan (%v, %v, %v)",
+						si, c.name, gb, r, gotMn, gotMx, gotOK, wantMn, wantMx, wantOK)
+				}
 			}
 		}
 	}

@@ -16,7 +16,9 @@ import (
 // carries Origin/CellSize so centers map back to world space. Cells are
 // cubic: the world box is the cube centered on bounds with edge equal to
 // the largest extent of bounds, so the object is never distorted
-// anisotropically.
+// anisotropically. Only cells whose center the solid's own declared
+// bounds admit are tested (cellRange); the rest are empty without a
+// Contains call, which changes no cell.
 //
 // The worker count follows the package-wide convention: sequential unless
 // VOXSET_WORKERS is set; VoxelizeSolidWorkers takes an explicit count.
@@ -24,22 +26,24 @@ func VoxelizeSolid(s csg.Solid, bounds geom.AABB, r int) *Grid {
 	return VoxelizeSolidWorkers(s, bounds, r, 0)
 }
 
-// VoxelizeSolidWorkers is VoxelizeSolid on a bounded worker pool: the grid
-// is split into z-slabs, each worker fills its slab into a private word
-// buffer, and slabs merge by OR (slab boundaries share a word when r²
-// is not a multiple of 64). Membership tests are per-cell, so the result
-// is bit-identical at any worker count.
+// VoxelizeSolidWorkers is VoxelizeSolid on a bounded worker pool: the
+// z-planes the solid's bounds admit are split into slabs, each worker
+// fills its slab into a private word buffer, and slabs merge by OR (slab
+// boundaries share a word when r² is not a multiple of 64). Membership
+// tests are per-cell, so the result is bit-identical at any worker count.
 func VoxelizeSolidWorkers(s csg.Solid, bounds geom.AABB, r, workers int) *Grid {
 	g := NewCube(r)
 	fitGridToBounds(g, bounds, r)
-	w := parallel.Workers(workers, 1)
-	if w > r {
-		w = r
+	lo, hi, ok := g.cellRange(s.Bounds())
+	if !ok {
+		return g
 	}
+	nz := hi[2] - lo[2] + 1
+	w := min(parallel.Workers(workers, 1), nz)
 	if w <= 1 {
-		for z := 0; z < r; z++ {
-			for y := 0; y < r; y++ {
-				for x := 0; x < r; x++ {
+		for z := lo[2]; z <= hi[2]; z++ {
+			for y := lo[1]; y <= hi[1]; y++ {
+				for x := lo[0]; x <= hi[0]; x++ {
 					if s.Contains(g.CellCenter(x, y, z)) {
 						g.Set(x, y, z, true)
 					}
@@ -51,18 +55,19 @@ func VoxelizeSolidWorkers(s csg.Solid, bounds geom.AABB, r, workers int) *Grid {
 	slab := r * r
 	var mu sync.Mutex
 	parallel.Run(w, func(worker int) {
-		z0, z1 := parallel.Chunk(r, w, worker)
+		z0, z1 := parallel.Chunk(nz, w, worker)
 		if z0 >= z1 {
 			return
 		}
+		z0, z1 = z0+lo[2], z1+lo[2]
 		wLo := (z0 * slab) >> 6
 		wHi := (z1*slab + 63) / 64
 		buf := make([]uint64, wHi-wLo)
 		base := wLo << 6
 		for z := z0; z < z1; z++ {
-			for y := 0; y < r; y++ {
+			for y := lo[1]; y <= hi[1]; y++ {
 				rowBase := slab*z + r*y - base
-				for x := 0; x < r; x++ {
+				for x := lo[0]; x <= hi[0]; x++ {
 					if s.Contains(g.CellCenter(x, y, z)) {
 						i := rowBase + x
 						buf[i>>6] |= 1 << (uint(i) & 63)
@@ -94,9 +99,14 @@ func FitCube(bounds geom.AABB, r int) *Grid {
 // restricting each later sweep to the ranges already established. Every
 // tested cell center uses the same membership rule as VoxelizeSolid, and
 // bounds do not depend on visit order, so the result is identical while
-// the interior of the box is never sampled.
+// the interior of the box is never sampled. Like VoxelizeSolid, the
+// sweeps visit only the cells the solid's declared bounds admit
+// (cellRange): planes and cells outside them are misses.
 func (g *Grid) SampleOccupiedBounds(s csg.Solid) (mn, mx [3]int, ok bool) {
-	r := g.Nx
+	lo, hi, ok := g.cellRange(s.Bounds())
+	if !ok {
+		return mn, mx, false
+	}
 	hit := func(x, y, z int) bool { return s.Contains(g.CellCenter(x, y, z)) }
 	planeHasHit := func(axis, v, lo1, hi1, lo2, hi2 int) bool {
 		for a := lo1; a <= hi1; a++ {
@@ -119,7 +129,7 @@ func (g *Grid) SampleOccupiedBounds(s csg.Solid) (mn, mx [3]int, ok bool) {
 	}
 	sweep := func(axis, lo1, hi1, lo2, hi2 int) (int, int, bool) {
 		first := -1
-		for v := 0; v < r; v++ {
+		for v := lo[axis]; v <= hi[axis]; v++ {
 			if planeHasHit(axis, v, lo1, hi1, lo2, hi2) {
 				first = v
 				break
@@ -129,7 +139,7 @@ func (g *Grid) SampleOccupiedBounds(s csg.Solid) (mn, mx [3]int, ok bool) {
 			return 0, 0, false
 		}
 		last := first
-		for v := r - 1; v > first; v-- {
+		for v := hi[axis]; v > first; v-- {
 			if planeHasHit(axis, v, lo1, hi1, lo2, hi2) {
 				last = v
 				break
@@ -137,14 +147,96 @@ func (g *Grid) SampleOccupiedBounds(s csg.Solid) (mn, mx [3]int, ok bool) {
 		}
 		return first, last, true
 	}
-	if mn[0], mx[0], ok = sweep(0, 0, r-1, 0, r-1); !ok {
+	if mn[0], mx[0], ok = sweep(0, lo[1], hi[1], lo[2], hi[2]); !ok {
 		return mn, mx, false
 	}
 	// Any occupied cell has x ∈ [mn[0], mx[0]], so the remaining sweeps
 	// (which must find at least one hit) can skip the proven-empty ranges.
-	mn[1], mx[1], _ = sweep(1, mn[0], mx[0], 0, r-1)
+	mn[1], mx[1], _ = sweep(1, mn[0], mx[0], lo[2], hi[2])
 	mn[2], mx[2], _ = sweep(2, mn[0], mx[0], mn[1], mx[1])
 	return mn, mx, true
+}
+
+// boundsSlack is how far, relative to the largest coordinate magnitude
+// involved, cellRange widens a solid's declared bounds before it rules
+// cells out. Bounds and Contains reach a point through differently
+// rounded affine maps (a transformed solid's box is its child's box mapped
+// forward; a query point is mapped back), which disagree by a few ulps —
+// ~1e-16 of the magnitude. The slack is far above that and far below a
+// cell, so a point it rules out is outside the solid.
+const boundsSlack = 1e-9
+
+// cellRange returns, per axis, the inclusive range lo..hi of the cells of
+// g whose center lies inside the box b widened by boundsSlack. By the
+// csg.Solid contract a solid declaring b contains no point outside b, so
+// every cell outside the range is empty and need not be tested. The range
+// is conservative: it may keep a cell whose center is just outside b,
+// never drop one whose center is on or inside it (faces are closed). ok is
+// false when no cell remains. A NaN or infinite side of b leaves its axis
+// unrestricted, and a grid placed at non-finite coordinates is not
+// restricted at all.
+func (g *Grid) cellRange(b geom.AABB) (lo, hi [3]int, ok bool) {
+	dims := [3]int{g.Nx, g.Ny, g.Nz}
+	hi = [3]int{g.Nx - 1, g.Ny - 1, g.Nz - 1}
+	var from, to [3]float64
+	mag := 0.0
+	for a := 0; a < 3; a++ {
+		o := g.Origin.Component(a)
+		end := o + float64(dims[a])*g.CellSize
+		if math.IsNaN(end) || math.IsInf(end, 0) || math.IsInf(o, 0) {
+			return [3]int{}, hi, true
+		}
+		from[a], to[a] = b.Min.Component(a), b.Max.Component(a)
+		if math.IsNaN(from[a]) {
+			from[a] = math.Inf(-1)
+		}
+		if math.IsNaN(to[a]) {
+			to[a] = math.Inf(1)
+		}
+		for _, v := range [...]float64{from[a], to[a], o, end} {
+			if !math.IsInf(v, 0) {
+				mag = max(mag, math.Abs(v))
+			}
+		}
+	}
+	slack := boundsSlack * mag
+	for a := 0; a < 3; a++ {
+		n, o, lw, hw := dims[a], g.Origin.Component(a), from[a]-slack, to[a]+slack
+		// The expression CellCenter computes, so the range is decided on
+		// the very coordinates Contains would be asked about.
+		center := func(i int) float64 { return o + (float64(i)+0.5)*g.CellSize }
+		l := clampCell(math.Ceil((lw-o)/g.CellSize-0.5), n)
+		h := clampCell(math.Floor((hw-o)/g.CellSize-0.5)+1, n) - 1
+		for l > 0 && center(l-1) >= lw {
+			l--
+		}
+		for l < n && center(l) < lw {
+			l++
+		}
+		for h < n-1 && center(h+1) <= hw {
+			h++
+		}
+		for h >= 0 && center(h) > hw {
+			h--
+		}
+		if l > h {
+			return lo, hi, false
+		}
+		lo[a], hi[a] = l, h
+	}
+	return lo, hi, true
+}
+
+// clampCell converts an estimated cell index to an int in [0, n]; NaN
+// and anything below 0 map to 0.
+func clampCell(f float64, n int) int {
+	switch {
+	case !(f > 0):
+		return 0
+	case f >= float64(n):
+		return n
+	}
+	return int(f)
 }
 
 // fitGridToBounds sets Origin and CellSize such that the cubified bounds

@@ -3,13 +3,16 @@ package vsdb
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
 	"github.com/voxset/voxset/internal/dist"
+	"github.com/voxset/voxset/internal/vectorset"
 )
 
 // A mutated view (base + tombstones + delta memtable) must answer every
@@ -465,5 +468,66 @@ func TestMutatedViewSignatureStage(t *testing.T) {
 		}
 		insert(60)
 		same("base with tombstones + delta")
+	}
+}
+
+// TestDeltaStreamOrder pins the delta walk to its contract: entries come
+// out in ascending (centroid bound, insertion position) — ties, from
+// entries inserted with the same set, by position — and the walk stops at
+// the first bound past the threshold without consuming it.
+func TestDeltaStreamOrder(t *testing.T) {
+	const dim, card = 3, 4
+	rng := rand.New(rand.NewSource(23))
+	db, err := Open(Config{Dim: dim, MaxCard: card, MaxDelta: noAutoCompact, CompactRatio: noAutoCompact})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sets [][][]float64
+	for i := 0; i < 200; i++ {
+		if i%3 == 2 { // a duplicate of an earlier entry: a tied bound
+			sets = append(sets, sets[rng.Intn(len(sets))])
+			continue
+		}
+		s := make([][]float64, 1+rng.Intn(card))
+		for j := range s {
+			s[j] = []float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
+		}
+		sets = append(sets, s)
+	}
+	for i, s := range sets {
+		if err := db.Insert(uint64(i+1), s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	v := db.cur.Load()
+	query := vectorset.FlatFromRows(sets[0])
+	cq := query.Centroid(card, db.omega)
+	want := make([]deltaCand, len(v.deltaIDs))
+	for i, id := range v.deltaIDs {
+		want[i] = deltaCand{db.deltaBound(cq, v.delta[id]), i}
+	}
+	sort.Slice(want, func(a, b int) bool {
+		return want[a].bound < want[b].bound || (want[a].bound == want[b].bound && want[a].pos < want[b].pos)
+	})
+	threshold := want[len(want)/2].bound
+	s := &deltaStream{db: db, v: v, query: query}
+	defer s.close()
+	var got []deltaCand
+	for {
+		bound, pos, ok := s.Next(threshold)
+		if !ok {
+			break
+		}
+		got = append(got, deltaCand{bound, pos})
+	}
+	for {
+		bound, pos, ok := s.Next(math.Inf(1))
+		if !ok {
+			break
+		}
+		got = append(got, deltaCand{bound, pos})
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("delta walk order differs from the (bound, position) sort:\n got %v\nwant %v", got, want)
 	}
 }

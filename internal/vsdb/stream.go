@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"slices"
 
 	"github.com/voxset/voxset/internal/dist"
 	"github.com/voxset/voxset/internal/index/filter"
@@ -129,14 +128,14 @@ func MultiStep(ctx context.Context, streams []*Stream, k int) ([]Neighbor, error
 // ascending (centroid bound, insertion position), each refined through the
 // signature bound and the threshold-aware kernel exactly as the base's
 // cursor refines a base object, so an entry is pruned exactly when it
-// would be after compaction. Its bounds are computed and sorted on the
-// first Next.
+// would be after compaction. Its bounds are computed and heapified on the
+// first Next, and each Next pops the least: a k-nn pulls only the entries
+// within its k-th distance, so ordering the rest would be wasted.
 type deltaStream struct {
 	db    *DB
 	v     *view
 	query vectorset.Flat
-	cands []deltaCand // nil until the first Next
-	at    int
+	cands []deltaCand // nil until the first Next; then a min-heap of the entries not yet pulled
 	sig   *dist.Signature
 	ws    *dist.Workspace
 
@@ -149,6 +148,30 @@ type deltaCand struct {
 	pos   int
 }
 
+// candLess orders delta candidates by (bound, pos); positions are unique,
+// so the order is total and the heap pops one fixed sequence.
+func candLess(a, b deltaCand) bool {
+	return cmp.Or(cmp.Compare(a.bound, b.bound), cmp.Compare(a.pos, b.pos)) < 0
+}
+
+// siftDown restores the min-heap under candLess below index i.
+func siftDown(h []deltaCand, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && candLess(h[c+1], h[c]) {
+			c++
+		}
+		if !candLess(h[c], h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+}
+
 // Next implements filter.Stream.
 func (s *deltaStream) Next(threshold float64) (float64, int, bool) {
 	if s.cands == nil {
@@ -157,15 +180,18 @@ func (s *deltaStream) Next(threshold float64) (float64, int, bool) {
 		for i, id := range s.v.deltaIDs {
 			s.cands[i] = deltaCand{s.db.deltaBound(cq, s.v.delta[id]), i}
 		}
-		slices.SortFunc(s.cands, func(a, b deltaCand) int {
-			return cmp.Or(cmp.Compare(a.bound, b.bound), cmp.Compare(a.pos, b.pos))
-		})
+		for i := len(s.cands)/2 - 1; i >= 0; i-- {
+			siftDown(s.cands, i)
+		}
 	}
-	if s.at == len(s.cands) || vectorset.BoundExceeds(s.cands[s.at].bound, threshold) {
+	if len(s.cands) == 0 || vectorset.BoundExceeds(s.cands[0].bound, threshold) {
 		return 0, 0, false
 	}
-	s.at++
-	return s.cands[s.at-1].bound, s.cands[s.at-1].pos, true
+	top, last := s.cands[0], len(s.cands)-1
+	s.cands[0] = s.cands[last]
+	s.cands = s.cands[:last]
+	siftDown(s.cands, 0)
+	return top.bound, top.pos, true
 }
 
 // Refine implements filter.Stream. Delta entries are always live.
