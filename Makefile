@@ -51,7 +51,8 @@ check-bench:
 # vector-set codecs without a long fuzz session —
 # plus the scatter-gather merge's identity with sort-and-truncate, the
 # threshold-aware matching kernel's contract against the unbounded one, the
-# signature bound's chain (encoded ≤ exact ≤ matching distance), the
+# signature bound's chain (encoded ≤ exact ≤ matching distance, and the
+# integer test never pruning where the exact bound is within threshold), the
 # engine's refusal of non-finite sets — stored (FuzzInsertFinite) and
 # queried (FuzzSearchFinite: NaN, ±Inf and wrong dimensions must fail
 # Search with an error under a 1 s deadline, never panic or run out the
@@ -86,13 +87,18 @@ fuzz-smoke:
 # allocation footprint of one compaction. The kernel rows price the three
 # exits of the threshold-aware matching (pruned ≪ survivor ≈ unbounded)
 # beside SignatureBound, the per-candidate price of the signature stage
-# that settles most candidates before the kernel; FilterKNN reports
-# signature-pruned/op and refined/op beside solves/op over 10 k sets: a
-# regression to always-solve makes the last two equal (/store is the
-# served shape, NewBulkStore ranking the centroid column with the
-# signature stage; /dynamic the paper's X-tree path). CentroidRanking prices the ranking seam alone, column pass
-# against bulk-loaded tree at 10 k and 100 k centroids, with allocs/op
-# (0 for the column) and the tracker's pages/op. MeshExtract prices a mesh
+# that settles most candidates before the kernel (/int the integer test
+# the engines run, /float its reference, /quantize the per-block query
+# preparation); FilterKNN reports signature-pruned/op and refined/op
+# beside solves/op over 10 k sets: a regression to always-solve makes the
+# last two equal (/store is the served shape, NewBulkStore ranking the
+# blocked centroid column with the signature stage; /dynamic the paper's
+# X-tree path). CentroidRanking prices the ranking seam alone, blocked
+# column against bulk-loaded tree at 10 k and 100 k centroids, on random
+# parts and on voxload-shaped families (clustered-*), with allocs/op (0
+# for the column), the tracker's pages/op and the blocks/op a query read
+# (a regression to whole-column passes reads every block); BlockLayout
+# prices the layout the first ranking builds. MeshExtract prices a mesh
 # upload's parse, voxelize and cover stages over the 256 STL bodies the
 # mesh-upload workload sends, GreedyR15K7 the cover extraction over 64
 # corpus-built grids; both cycle inputs so no branch pattern is learned.
@@ -100,6 +106,7 @@ bench-smoke:
 	$(GO) test -run xxx -bench 'Ablation_Matching(Hungarian|Pooled)K7|ShardedKNN' -benchtime 200x .
 	$(GO) test -run xxx -bench 'MatchingWithin|SignatureBound' -benchtime 20000x -benchmem ./internal/dist/
 	$(GO) test -run xxx -bench 'FilterKNN|CentroidRanking' -benchtime 200x -benchmem ./internal/index/filter/
+	$(GO) test -run xxx -bench 'BlockLayout' -benchtime 5x -benchmem ./internal/index/filter/
 	$(GO) test -run xxx -bench 'SearchMutatedView|Compact$$' -benchtime 100x -benchmem ./internal/vsdb/
 	$(GO) test -run xxx -bench 'DegradedRecall' -benchtime 1x ./internal/recall/
 	$(GO) test -run xxx -bench 'Replication' -benchtime 1x ./internal/cluster/

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -103,7 +104,7 @@ func main() {
 	correctAt5 := 0
 	for _, s := range scenes {
 		q := render(s, rng)
-		res := db.KNN(q, 5)
+		res := knn(db, q, 5)
 		fmt.Printf("query: new %-9s image → nearest: ", s.name)
 		hits := 0
 		for _, nb := range res {
@@ -124,10 +125,20 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	res := db.KNN(render(scenes[0], rng), 3)
+	res := knn(db, render(scenes[0], rng), 3)
 	fmt.Printf("after deleting half the sunsets, top-3 for a sunset query: ")
 	for _, nb := range res {
 		fmt.Printf("%s ", labels[nb.ID])
 	}
 	fmt.Println()
+}
+
+// knn answers one exact k-nn query through Search, which reports a
+// malformed query instead of answering nil.
+func knn(db *vsdb.DB, q [][]float64, k int) []vsdb.Neighbor {
+	res, err := db.Search(context.Background(), []vsdb.Query{{Set: q, Kind: vsdb.KNN, K: k}})
+	if err != nil {
+		log.Fatal(err)
+	}
+	return res[0]
 }

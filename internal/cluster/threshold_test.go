@@ -78,19 +78,23 @@ func resetFunnel(dbs ...*vsdb.DB) {
 // one k-th distance — its shards together refine and solve within 1.10 ×
 // of what the one database does. The counts are measured on this corpus
 // and pinned, beside the reference a scatter gives (each shard answering
-// its own top k from scratch). On this corpus the centroid bound is weak
+// its own top k from scratch). Every shard and the one database encode
+// their signatures in code spaces of their own centroid blocks, so the
+// signature stage may settle a handful of candidates differently across
+// them: merged refines within a few candidates of unsharded, never in
+// which candidates pass Lemma 2 or get solved. On this corpus the centroid bound is weak
 // (over half the objects pass it per query), so the saving shows mostly
 // in the solves.
 func TestShardedKNNRefinesLikeUnsharded(t *testing.T) {
 	const shards, k = 4, 10
 	// Measured on this test (2 000 objects, 64 queries, k = 10):
-	//   one database       78 624 passed Lemma 2, 55 369 refined,  2 870 solved
-	//   4 shards, merged   78 624 passed,         55 369 refined,  2 870 solved
-	//   4 shards, scatter  87 441 passed,         70 636 refined, 11 739 solved
+	//   one database       78 624 passed Lemma 2, 55 379 refined,  2 870 solved
+	//   4 shards, merged   78 624 passed,         55 380 refined,  2 870 solved
+	//   4 shards, scatter  87 441 passed,         70 643 refined, 11 739 solved
 	want := map[string]funnel{
-		"unsharded": {78624, 55369, 2870},
-		"merged":    {78624, 55369, 2870},
-		"scatter":   {87441, 70636, 11739},
+		"unsharded": {78624, 55379, 2870},
+		"merged":    {78624, 55380, 2870},
+		"scatter":   {87441, 70643, 11739},
 	}
 	ids, sets, qsets := jitteredCorpus(41, 250, 8, 64, 7)
 	cfg := cluster.Config{Shards: shards, Dim: 6, MaxCard: 7}

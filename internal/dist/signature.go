@@ -24,11 +24,15 @@ package dist
 // It costs K·Dim subtractions and one square root, no cost matrix. The
 // query side is exact (Signature); the stored side is 16-bit codes
 // (SignatureCodes), whose decode error the bound subtracts before it is
-// held against a threshold (SignatureExceeds).
+// held against a threshold (SignatureExceeds). The engines test it in
+// integers: a query is quantized into a block's code space once
+// (Quantize), and each stored object then costs one integer Σ|q−c| per
+// axis, with an early exit once the partial bound passes the threshold
+// (Exceeds). Bound, the float form over decoded values, is the reference
+// the tests hold the integer form to.
 
 import (
 	"math"
-	"sync"
 
 	"github.com/voxset/voxset/internal/vectorset"
 )
@@ -40,19 +44,6 @@ type Signature struct {
 	K, Dim int
 	V      []float64
 }
-
-var sigPool = sync.Pool{New: func() any { return new(Signature) }}
-
-// GetSignature returns the signature of x padded to k with omega, in
-// pooled scratch; return it with PutSignature.
-func GetSignature(x vectorset.Flat, k int, omega []float64) *Signature {
-	s := sigPool.Get().(*Signature)
-	s.Reset(x, k, omega)
-	return s
-}
-
-// PutSignature returns a signature to the pool; s is dead afterwards.
-func PutSignature(s *Signature) { sigPool.Put(s) }
 
 // Reset makes s the signature of x padded to k with omega, reusing s's
 // buffer. x's cardinality must not exceed k.
@@ -114,8 +105,8 @@ func SignatureExceeds(bound, threshold float64) bool {
 const sigLevels = 65534
 
 // SignatureCodes is a block of signatures stored in 16 bits per value —
-// a filter index keeps one per chunk of consecutive base positions, a
-// vsdb delta entry one of its own. Per axis the block holds lo (the
+// a filter index keeps one per block of its centroid layout, a vsdb delta
+// entry one of its own. Per axis the block holds lo (the
 // minimum over the block's values and ω), step and the decode margin.
 type SignatureCodes struct {
 	k, dim int
@@ -144,8 +135,9 @@ type SignatureCodes struct {
 // sum over decoded values is within K·e of the same sum over the stored
 // ones. The block stores K·e, rounded up by 2⁻⁵⁰ relative, as the axis
 // margin; Bound subtracts it from each S_j and clamps at 0, which keeps
-// it below the exact signature bound. A constant axis (step = 0) decodes
-// exactly; its margin is only the rounding term.
+// it below the exact signature bound. A constant axis (step = 0, which
+// happens only where every value is lo) decodes exactly; its margin is
+// only the rounding term.
 func EncodeSignatures(sets []vectorset.Flat, k int, omega []float64) *SignatureCodes {
 	d := len(omega)
 	c := &SignatureCodes{
@@ -165,6 +157,11 @@ func EncodeSignatures(sets []vectorset.Flat, k int, omega []float64) *SignatureC
 			}
 		}
 		step := (hi - lo) / sigLevels
+		if step == 0 && hi > lo {
+			// The range underflowed the division: give it the least step
+			// there is, so that step 0 means a constant axis exactly.
+			step = math.SmallestNonzeroFloat64
+		}
 		margin := float64(k) * (step*(0.5+0x1p-30) + 0x1p-51*(math.Abs(lo)+math.Abs(hi))) * (1 + 0x1p-50)
 		// min/max propagate a NaN; an infinite value or an overflowing
 		// range leaves step or margin infinite.
@@ -193,7 +190,8 @@ func EncodeSignatures(sets []vectorset.Flat, k int, omega []float64) *SignatureC
 }
 
 // Bound returns the signature bound between the exact query signature q
-// and the block's t-th object: each S_j over the decoded values, lowered
+// and the block's t-th object in floating point, over decoded values — the
+// reference form of Exceeds: each S_j over the decoded values, lowered
 // by its rounding (rel) and by the decode margin, clamped at 0, then
 // √(Σ S_j²) lowered by its rounding allowance (sigLower). It never
 // exceeds the exact signature bound of the two sets, hence never the
@@ -225,4 +223,149 @@ func (c *SignatureCodes) Bound(q *Signature, t int) float64 {
 		tot += s * s
 	}
 	return sigLower(math.Sqrt(tot), k, d)
+}
+
+// QuantizedSignature is an exact query signature quantized into one
+// SignatureCodes block's code space, the query side of Exceeds. Its
+// buffers are reused by the next Quantize into it.
+type QuantizedSignature struct {
+	// codes holds axis j at codes[j·K : (j+1)·K], in the signature's
+	// sorted order.
+	codes []int32
+	// axis[2j:2j+2] = scale, offset: S_j ≥ max(scale·Σ_i|q_i−c_i| +
+	// offset, 0) for every object of the block.
+	axis []float64
+	// prune is false when the block or the query holds a non-finite
+	// value: such a pair never prunes.
+	prune bool
+}
+
+// Quantize quantizes the exact query signature q (same K and dimension as
+// the block) into the block's code space, into qq.
+//
+// Codes. A query value u gets qc = round(t̃), t̃ the computed (u−lo)/step
+// (as (u−lo)·(1/step): three roundings, within 2⁻⁵¹ of the real quotient
+// relative), clamped to the stored codes' range [0, 65534], so that no
+// sum of K of them can overflow an int32 however far u lies outside the
+// block. The part of u beyond the range is not lost: with D(c) = lo +
+// c·step and u above D(65534), |u − D(c)| = (u − D(65534)) + step·|qc − c|
+// for every stored code c (below D(0) likewise), so that distance goes
+// into the axis's offset, lowered by its rounding (2⁻⁴⁹ of the magnitudes
+// involved), instead of into the codes.
+//
+// Margin. On an axis with step > 0, a stored value v has code c with
+// |v − D(c)| ≤ step·(½ + 2⁻³⁰) in real arithmetic (see EncodeSignatures);
+// a query value inside the range, |u − D(qc)| ≤ step·(½ + 2⁻³⁵). So for
+// each of the K pairs |u_i − v_i| ≥ step·|qc_i − c_i| + over_i −
+// step·(1 + 2⁻²⁹), and over an axis S_j ≥ step·Σ|qc_i − c_i| + Σ over_i −
+// K·step·(1 + 2⁻²⁰). Exceeds evaluates that with two multiplies and an
+// add, each rounding within 2⁻⁵³, and the exact float bound's S_j sums K
+// rounded terms: the scale and the over sum carry the block's rel
+// (2K + 2·Dim + 16 ulps below 1), the margin is rounded up by 2⁻⁵⁰ and
+// given an absolute 2⁻¹⁰⁰⁰ per value for subnormal steps, and the result
+// stays at or below the S_j that the float bound over the two exact
+// signatures computes. A constant axis (step = 0: every stored value is
+// lo) contributes its exact Σ|u_i − lo|, lowered by rel, the same way.
+func (c *SignatureCodes) Quantize(q *Signature, qq *QuantizedSignature) {
+	k, d := c.k, c.dim
+	qq.prune = false
+	if c.axis == nil {
+		return
+	}
+	if cap(qq.codes) < k*d {
+		qq.codes = make([]int32, k*d)
+	}
+	if cap(qq.axis) < 2*d {
+		qq.axis = make([]float64, 2*d)
+	}
+	qq.codes, qq.axis = qq.codes[:k*d], qq.axis[:2*d]
+	for j := 0; j < d; j++ {
+		lo, step := c.axis[3*j], c.axis[3*j+1]
+		qa, out := q.V[j*k:(j+1)*k], qq.codes[j*k:(j+1)*k]
+		if step == 0 {
+			s := 0.0
+			for i, v := range qa {
+				s += math.Abs(v - lo)
+				out[i] = 0
+			}
+			if !(s < math.Inf(1)) {
+				return // a NaN or ±Inf query value: never prune
+			}
+			qq.axis[2*j], qq.axis[2*j+1] = 0, s*c.rel
+			continue
+		}
+		inv, top := 1/step, lo+sigLevels*step
+		over := 0.0 // Σ of the query values' distances beyond [lo, top]
+		for i, v := range qa {
+			if v-v != 0 {
+				return // a NaN or ±Inf query value: never prune
+			}
+			t := (v - lo) * inv
+			if inv > math.MaxFloat64 { // a step below 2⁻¹⁰²⁴: divide, as 0·∞ is NaN
+				t = (v - lo) / step
+			}
+			e := 0.0
+			switch {
+			case t > sigLevels:
+				t, e = sigLevels, v-top
+			case t < 0:
+				t, e = 0, lo-v
+			}
+			if e > 0 {
+				over += max(e-0x1p-49*(math.Abs(v)+math.Abs(lo)+math.Abs(top)), 0)
+			}
+			out[i] = int32(math.RoundToEven(t))
+		}
+		margin := float64(k) * (step*(1+0x1p-20) + 0x1p-1000) * (1 + 0x1p-50)
+		qq.axis[2*j], qq.axis[2*j+1] = step*c.rel, over*c.rel-margin
+	}
+	qq.prune = true
+}
+
+// Exceeds reports whether the signature bound between the quantized
+// query qq (Quantize of this block) and the block's t-th object proves
+// the object farther than threshold. It is one-sided: it never prunes
+// where the float signature bound between the two exact signatures is at
+// most threshold, because every partial sum it tests lies at or below
+// that bound's (see Quantize). A NaN or +Inf threshold, and a query or
+// block holding a non-finite value, prune nothing.
+func (c *SignatureCodes) Exceeds(qq *QuantizedSignature, t int, threshold float64) bool {
+	if !qq.prune || !(threshold < math.Inf(1)) {
+		return false
+	}
+	k, d := c.k, c.dim
+	codes := c.codes[t*k*d : (t+1)*k*d]
+	qc, ax := qq.codes[:len(codes)], qq.axis[:2*d]
+	lim := threshold * threshold
+	tot := 0.0
+	for j := 0; j < d; j++ {
+		// Every code is in [0, 65534]: K differences fit an int.
+		s := 0
+		if k == 7 { // the served cover count, unrolled
+			cc, qa := codes[j*7:j*7+7:j*7+7], qc[j*7:j*7+7:j*7+7]
+			s = int(absDiff(qa[0], cc[0]) + absDiff(qa[1], cc[1]) + absDiff(qa[2], cc[2]) +
+				absDiff(qa[3], cc[3]) + absDiff(qa[4], cc[4]) + absDiff(qa[5], cc[5]) + absDiff(qa[6], cc[6]))
+		} else {
+			for i := j * k; i < (j+1)*k; i++ {
+				s += int(absDiff(qc[i], codes[i]))
+			}
+		}
+		x := float64(s)*ax[2*j] + ax[2*j+1]
+		if x < 0 { // a NaN stays NaN, and a NaN sum prunes nothing
+			x = 0
+		}
+		tot += x * x
+		// The partial root only grows with the axes still to come.
+		if tot > lim && SignatureExceeds(sigLower(math.Sqrt(tot), k, d), threshold) {
+			return true
+		}
+	}
+	return false
+}
+
+// absDiff is |q − c| without a branch.
+func absDiff(q int32, c uint16) int32 {
+	e := q - int32(c)
+	m := e >> 31
+	return (e ^ m) - m
 }

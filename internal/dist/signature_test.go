@@ -4,10 +4,18 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/voxset/voxset/internal/vectorset"
 )
+
+// signatureOf is the exact signature of x padded to k with omega.
+func signatureOf(x vectorset.Flat, k int, omega []float64) *Signature {
+	s := new(Signature)
+	s.Reset(x, k, omega)
+	return s
+}
 
 // signatureBound is the reference the encoded bound is held to: √(Σ_j
 // S_j²) between two exact signatures of the same K and dimension, lowered
@@ -29,15 +37,13 @@ func signatureBound(a, b *Signature) float64 {
 
 // checkSignatureChain holds the signature stage to its contract for one
 // query x against one stored set y, encoded inside a block with others
-// (which widen the block's range, as a filter chunk does): the encoded
+// (which widen the block's range, as a filter block does): the encoded
 // bound ≤ the exact signature bound ≤ the computed MatchingDistanceFlat,
 // and the stage never prunes at a threshold equal to the distance. It
 // returns the exact bound, the encoded bound and the distance.
 func checkSignatureChain(t *testing.T, ws *Workspace, x, y vectorset.Flat, others []vectorset.Flat, k int, omega []float64) (exact, encoded, d float64) {
 	t.Helper()
-	qs, ys := GetSignature(x, k, omega), GetSignature(y, k, omega)
-	defer PutSignature(qs)
-	defer PutSignature(ys)
+	qs, ys := signatureOf(x, k, omega), signatureOf(y, k, omega)
 	block := append([]vectorset.Flat{y}, others...)
 	codes := EncodeSignatures(block, k, omega)
 	exact, encoded = signatureBound(qs, ys), codes.Bound(qs, 0)
@@ -50,7 +56,98 @@ func checkSignatureChain(t *testing.T, ws *Workspace, x, y vectorset.Flat, other
 	case SignatureExceeds(encoded, d) || SignatureExceeds(exact, d):
 		t.Fatalf("|x|=%d |y|=%d K=%d: pruned at a threshold equal to the distance %v", x.Card, y.Card, k, d)
 	}
+	var qq QuantizedSignature
+	codes.Quantize(qs, &qq)
+	checkExceedsOneSided(t, codes, &qq, 0, exact, encoded, d, math.Nextafter(exact, 0), exact/2)
 	return exact, encoded, d
+}
+
+// checkExceedsOneSided holds the integer test to its contract for one
+// stored object against the exact float signature bound: at every given
+// threshold, Exceeds prunes only where the exact bound exceeds it.
+func checkExceedsOneSided(t *testing.T, codes *SignatureCodes, qq *QuantizedSignature, obj int, exact float64, thresholds ...float64) {
+	t.Helper()
+	for _, th := range thresholds {
+		if codes.Exceeds(qq, obj, th) && !SignatureExceeds(exact, th) {
+			t.Fatalf("object %d: the integer test pruned at threshold %v, where the exact signature bound is %v", obj, th, exact)
+		}
+	}
+}
+
+// TestSignatureExceedsOneSided: the integer test never prunes where the
+// float signature bound between the two exact signatures is at most the
+// threshold — over random blocks at several scales, with constant axes, with
+// queries far outside a block's range (codes clamped to the range, where
+// unclamped ones would overflow an int32 sum, and the excess carried as a
+// float), at huge and subnormal magnitudes, and with NaN or ±Inf query
+// values (never pruned). At thresholds below the exact bound it must still
+// prune most pairs the float reference prunes.
+func TestSignatureExceedsOneSided(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	const k, dim, block = 7, 6, 64
+	omega := make([]float64, dim)
+	var qq QuantizedSignature
+	pruned, reference := 0, 0
+	for trial := 0; trial < 400; trial++ {
+		scale := []float64{1, 1e-3, 1e150, 1e-310, 5}[trial%5]
+		offset := []float64{0, 0, 0, 0, 1e9}[trial%5] // a block far from the origin: every code is far from the query's
+		sets := make([]vectorset.Flat, block)
+		for i := range sets {
+			rows := randRows(rng, 1+rng.Intn(k), dim)
+			for _, r := range rows {
+				for j := range r {
+					r[j] = r[j]*scale + offset
+					if trial%3 == 0 && j == 2 {
+						r[j] = omega[2] // a constant axis
+					}
+				}
+			}
+			sets[i] = flatOf(rows, dim)
+		}
+		codes := EncodeSignatures(sets, k, omega)
+		qrows := randRows(rng, 1+rng.Intn(k), dim)
+		for _, r := range qrows {
+			for j := range r {
+				r[j] *= scale
+				if trial%7 == 1 {
+					r[j] *= 1e12 // far outside the block's range
+				}
+			}
+		}
+		switch trial % 11 {
+		case 3:
+			qrows[0][1] = math.NaN()
+		case 4:
+			qrows[0][4] = math.Inf(1)
+		case 5:
+			qrows[0][0] = math.Inf(-1)
+		}
+		q := signatureOf(flatOf(qrows, dim), k, omega)
+		codes.Quantize(q, &qq)
+		for i, x := range sets {
+			ys := signatureOf(x, k, omega)
+			exact := signatureBound(q, ys)
+			ths := []float64{exact, math.Nextafter(exact, math.Inf(1)), math.Nextafter(exact, 0), exact * (1 - 1e-9), exact / 2, 0, rng.Float64() * exact}
+			checkExceedsOneSided(t, codes, &qq, i, exact, ths...)
+			if trial%11 >= 3 && trial%11 <= 5 {
+				for _, th := range ths {
+					if codes.Exceeds(&qq, i, th) {
+						t.Fatalf("trial %d: a non-finite query pruned", trial)
+					}
+				}
+				continue
+			}
+			if th := exact * 0.9; SignatureExceeds(codes.Bound(q, i), th) {
+				reference++
+				if codes.Exceeds(&qq, i, th) {
+					pruned++
+				}
+			}
+		}
+	}
+	if reference == 0 || float64(pruned) < 0.9*float64(reference) {
+		t.Fatalf("the integer test pruned %d of the %d pairs the float reference prunes at 0.9 × the exact bound", pruned, reference)
+	}
 }
 
 // TestSignatureBoundRandom runs the chain over random pairs of every
@@ -141,8 +238,7 @@ func TestSignatureBoundTies(t *testing.T) {
 func TestSignatureNonFinite(t *testing.T) {
 	const k, dim = 7, 3
 	omega := make([]float64, dim)
-	q := GetSignature(flatOf([][]float64{{100, 100, 100}}, dim), k, omega)
-	defer PutSignature(q)
+	q := signatureOf(flatOf([][]float64{{100, 100, 100}}, dim), k, omega)
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		block := []vectorset.Flat{flatOf([][]float64{{0, 0, 0}}, dim), flatOf([][]float64{{1, bad, 2}}, dim)}
 		codes := EncodeSignatures(block, k, omega)
@@ -154,11 +250,10 @@ func TestSignatureNonFinite(t *testing.T) {
 		if b := EncodeSignatures(block[:1], k, []float64{0, bad, 0}).Bound(q, 0); SignatureExceeds(b, 0) {
 			t.Fatalf("ω with %v: pruned (bound %v)", bad, b)
 		}
-		qbad := GetSignature(flatOf([][]float64{{1, bad, 2}}, dim), k, omega)
+		qbad := signatureOf(flatOf([][]float64{{1, bad, 2}}, dim), k, omega)
 		if b := EncodeSignatures(block[:1], k, omega).Bound(qbad, 0); SignatureExceeds(b, 0) {
 			t.Fatalf("query with %v: pruned (bound %v)", bad, b)
 		}
-		PutSignature(qbad)
 	}
 	var nilCodes *SignatureCodes
 	if b := nilCodes.Bound(q, 0); SignatureExceeds(b, 0) {
@@ -171,10 +266,8 @@ func TestSignatureNonFinite(t *testing.T) {
 	// the encoded bound is the exact one up to the slack alone.
 	same := flatOf([][]float64{{3, 3, 3}, {3, 3, 3}}, dim)
 	codes := EncodeSignatures([]vectorset.Flat{same}, 2, []float64{3, 3, 3})
-	q2 := GetSignature(flatOf([][]float64{{4, 3, 1}}, dim), 2, []float64{3, 3, 3})
-	defer PutSignature(q2)
-	s2 := GetSignature(same, 2, []float64{3, 3, 3})
-	defer PutSignature(s2)
+	q2 := signatureOf(flatOf([][]float64{{4, 3, 1}}, dim), 2, []float64{3, 3, 3})
+	s2 := signatureOf(same, 2, []float64{3, 3, 3})
 	if got, want := codes.Bound(q2, 0), signatureBound(q2, s2); math.Abs(got-want) > 1e-12*want {
 		t.Fatalf("constant axes: encoded %v, exact %v", got, want)
 	}
@@ -247,29 +340,59 @@ func FuzzSignatureBound(f *testing.F) {
 // served shape (K = 7, 6-d, blocks of 64): one query against 1 024 stored
 // candidates in turn — what a refinement loop does — beside
 // BenchmarkMatchingWithin/pruned, the kernel exit it replaces for most of
-// them.
+// them. /float is Bound, the reference over decoded values; /int is what
+// the engines run, Exceeds against a threshold at the median bound (half
+// the candidates pruned, most of those before the last axis); /quantize is
+// the per-block preparation a query pays the first time it meets a block.
 func BenchmarkSignatureBound(b *testing.B) {
 	rng := rand.New(rand.NewSource(31))
 	const k, d, n, chunk = 7, 6, 1024, 64
 	omega := make([]float64, d)
-	q := GetSignature(vectorset.FlatFromRows(randRows(rng, 7, d)), k, omega)
-	defer PutSignature(q)
+	q := signatureOf(vectorset.FlatFromRows(randRows(rng, 7, d)), k, omega)
 	blocks := make([]*SignatureCodes, n/chunk)
+	qq := make([]QuantizedSignature, len(blocks))
 	for c := range blocks {
 		sets := make([]vectorset.Flat, chunk)
 		for i := range sets {
 			sets[i] = vectorset.FlatFromRows(randRows(rng, 3+rng.Intn(5), d))
 		}
 		blocks[c] = EncodeSignatures(sets, k, omega)
+		blocks[c].Quantize(q, &qq[c])
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	sum := 0.0
-	for i := 0; i < b.N; i++ {
-		c := i % n
-		sum += blocks[c/chunk].Bound(q, c%chunk)
+	bounds := make([]float64, n)
+	for c := range bounds {
+		bounds[c] = blocks[c/chunk].Bound(q, c%chunk)
 	}
-	benchSinkFloat = sum
+	threshold := append([]float64(nil), bounds...)
+	slices.Sort(threshold)
+	median := threshold[n/2]
+	b.Run("float", func(b *testing.B) {
+		b.ReportAllocs()
+		sum := 0.0
+		for i := 0; i < b.N; i++ {
+			c := i % n
+			sum += blocks[c/chunk].Bound(q, c%chunk)
+		}
+		benchSinkFloat = sum
+	})
+	b.Run("int", func(b *testing.B) {
+		b.ReportAllocs()
+		pruned := 0
+		for i := 0; i < b.N; i++ {
+			c := i % n
+			if blocks[c/chunk].Exceeds(&qq[c/chunk], c%chunk, median) {
+				pruned++
+			}
+		}
+		b.ReportMetric(float64(pruned)/float64(b.N), "pruned/op")
+	})
+	b.Run("quantize", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			c := i % len(blocks)
+			blocks[c].Quantize(q, &qq[c])
+		}
+	})
 }
 
 var benchSinkFloat float64

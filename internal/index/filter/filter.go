@@ -21,17 +21,21 @@
 //     voxset.Database and the Table 2 reproduction use it.
 //   - NewBulkStore is what every server runs: an immutable index over a
 //     caller-owned SetStore (a memory-mapped snapshot, vsdb's heap base).
-//     Sets are refined in place and centroids are ranked by one sequential
-//     pass over the store's contiguous centroid column — no tree is built.
-//     In memory the pass is several times cheaper than walking the tree,
-//     at any size measured; the tracker is still charged for every page of
-//     the column, so the paper's accounting shows what that costs on disk.
+//     Sets are refined in place; centroids are ranked from a copy of the
+//     store's column in blocks of 64 near centroids, each with a bounding
+//     box, which the first query lays out — no tree is built. A query
+//     reads the box table and only the blocks whose box can hold one of
+//     its first candidates or lies within its reach; in memory that is
+//     several times cheaper than walking the tree, at any size measured,
+//     and the tracker is charged the pages of the boxes and of the rows
+//     read, so the paper's accounting shows what it costs on disk.
 //
 // Both rankers emit the same distances bit for bit, so the loops refine
 // the same candidates and return the same answers. The loops pull
 // candidates with the largest centroid distance that can still matter
-// (the k-th exact distance ÷ k), which is what lets the column ranker
-// order only the few hundred positions within it instead of all n.
+// (the k-th exact distance ÷ k), which is what lets the blocked ranker
+// read and order only the blocks and positions within it instead of all
+// n.
 //
 // The k-nn loop is one function over candidate streams (stream.go): a
 // Cursor is an index's stream — Next pulls the centroid ranking, Refine
@@ -51,9 +55,10 @@
 // distance, ε), and each candidate the centroid ranking lets through meets
 // two more exact tests against it before a solve (DESIGN.md §6): on a
 // store-backed FastL2 index, the sorted per-axis projection bound over
-// stored 16-bit signatures (signature.go), which settles most candidates
-// without fetching the set; then the matching kernel's O(k²) assignment
-// lower bound, which settles most of the rest without the O(k³) solve.
+// stored 16-bit signatures, one code space per centroid block, tested in
+// integers (signature.go), which settles most candidates without
+// fetching the set; then the matching kernel's O(k²) assignment lower
+// bound, which settles most of the rest without the O(k³) solve.
 // SignaturePruned counts the first, Refinements the candidates handed to
 // the kernel, Matchings the solves run.
 package filter
@@ -63,6 +68,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync"
 	"sync/atomic"
 
 	"github.com/voxset/voxset/internal/dist"
@@ -90,9 +96,9 @@ type Config struct {
 	// PageSize for the simulated vector-set file (storage.DefaultPageSize
 	// if zero).
 	PageSize int
-	// Tracker is charged for centroid ranking — X-tree node accesses, or the
-	// pages of the centroid column per pass — and for vector-set record
-	// reads (optional).
+	// Tracker is charged for centroid ranking — X-tree node accesses, or
+	// the pages of the block boxes and of the centroid rows a query reads —
+	// and for vector-set record reads (optional).
 	Tracker *storage.Tracker
 	// FastL2 routes refinement through the specialized flat kernel
 	// (dist.MatchingDistanceFlat): candidate records decode into a
@@ -109,7 +115,7 @@ type Config struct {
 type Index struct {
 	cfg    Config
 	omega  []float64
-	ranker ranker // treeRanker{tree} after New, a flatRanker after NewBulkStore
+	ranker ranker // treeRanker{tree} after New, blocks after NewBulkStore
 	ids    []int  // object id per insertion order
 
 	// A New index grows by Add: centroids go into the dynamic X-tree, sets
@@ -119,12 +125,14 @@ type Index struct {
 	recs  []int       // record id per insertion order
 	cents [][]float64 // extended centroid per insertion order
 
-	// A NewBulkStore index is immutable and owns no copy of anything: sets
-	// are refined in place from store, centroids ranked in place from its
-	// column.
-	store SetStore
-	col   []float64
-	sigs  []sigChunk // signature chunks of a store-backed FastL2 index, else nil
+	// A NewBulkStore index is immutable: sets are refined in place from
+	// store, centroids ranked from a blocked copy of its column that the
+	// first query builds.
+	store   SetStore
+	col     []float64
+	blocks  *blockRanker
+	sigs    []sigBlock // signature code spaces of a store-backed FastL2 index, one per block, else nil
+	sigPool *sync.Pool // *sigQuery, beside sigs
 
 	fastL2 bool
 	encBuf []byte // reused serialization buffer (Add is caller-serialized)
@@ -271,13 +279,13 @@ func (ix *Index) fetchFlat(ws *dist.Workspace, i int) vectorset.Flat {
 // qview is a query prepared once per query call: the flat face feeds the
 // specialized kernel when the index runs FastL2, the row face feeds the
 // generic Ground/Weight path otherwise; sig, the query's exact signature
-// in pooled scratch, feeds the signature stage of an index that has one.
-// The loop that prepared it releases it.
+// and its quantizations in pooled scratch, feeds the signature stage of an
+// index that has one. The loop that prepared it releases it.
 type qview struct {
 	rows [][]float64
 	flat vectorset.Flat
 	fast bool
-	sig  *dist.Signature
+	sig  *sigQuery
 }
 
 func (ix *Index) newQuery(rows [][]float64) (qview, []float64) {
@@ -293,14 +301,14 @@ func (ix *Index) newQueryFlat(f vectorset.Flat) (qview, []float64) {
 	}
 	q := qview{flat: f, fast: true}
 	if ix.sigs != nil {
-		q.sig = dist.GetSignature(f, ix.cfg.K, ix.omega)
+		q.sig = ix.newSigQuery(f)
 	}
 	return q, f.Centroid(ix.cfg.K, ix.omega)
 }
 
 func (q qview) release() {
 	if q.sig != nil {
-		dist.PutSignature(q.sig)
+		q.sig.release()
 	}
 }
 
@@ -322,18 +330,15 @@ func (ix *Index) publish(t tally) {
 // before the set is even fetched (signature.go), the second on the
 // cost matrix (dist.MatchingDistanceFlatWithin). The generic Ground/Weight
 // path (an index without FastL2: tests, the root voxset.Database) stays
-// unbounded and always solves. The paged file and the signature chunks
+// unbounded and always solves. The paged file and the signature blocks
 // are safe for concurrent exact calls; each caller must hold its own
 // workspace and tally.
 func (ix *Index) exact(ws *dist.Workspace, q qview, i int, bound float64, t *tally) float64 {
 	// Until the loop holds a finite threshold nothing can be pruned, and
-	// the chunk need not be built yet.
-	if q.sig != nil && bound < math.Inf(1) {
-		codes, at := ix.signature(i)
-		if dist.SignatureExceeds(codes.Bound(q.sig, at), bound) {
-			t.sigPruned++
-			return math.Inf(1)
-		}
+	// the block's codes need not be built yet.
+	if q.sig != nil && bound < math.Inf(1) && ix.sigExceeds(q.sig, i, bound) {
+		t.sigPruned++
+		return math.Inf(1)
 	}
 	t.refined++
 	if !q.fast {

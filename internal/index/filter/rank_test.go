@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -43,9 +44,12 @@ func jitteredCentroids(seed int64, parts, copies, queries int) (col []float64, q
 }
 
 // rankingCorpora are centroid columns that stress different parts of the
-// flat ranking: continuous values (no ties), tight clusters (crowded
-// buckets), and an exact-arithmetic lattice drawn with replacement (many
-// exact d² ties and duplicate centroids).
+// blocked ranking: continuous values (no ties), tight clusters (crowded
+// buckets, many blocks with the same box), an exact-arithmetic lattice
+// drawn with replacement (many exact d² ties, across block boundaries
+// too, and duplicate centroids), and the continuous values with NaN and
+// ±Inf coordinates sprinkled in (a NaN must not hide its block's finite
+// members; an infinite one widens a box to ±Inf).
 func rankingCorpora(n, dim int) map[string][]float64 {
 	rng := rand.New(rand.NewSource(int64(n)*31 + int64(dim)))
 	random := make([]float64, n*dim)
@@ -67,7 +71,31 @@ func rankingCorpora(n, dim int) map[string][]float64 {
 	for i := range lattice {
 		lattice[i] = float64(rng.Intn(3)) / 4
 	}
-	return map[string][]float64{"random": random, "clustered": clustered, "lattice": lattice}
+	nonFinite := slices.Clone(random)
+	for i := range nonFinite {
+		switch rng.Intn(40) {
+		case 0:
+			nonFinite[i] = math.NaN()
+		case 1:
+			nonFinite[i] = math.Inf(1)
+		case 2:
+			nonFinite[i] = math.Inf(-1)
+		}
+	}
+	return map[string][]float64{"random": random, "clustered": clustered, "lattice": lattice, "nonfinite": nonFinite}
+}
+
+// bruteRanking is every position with a non-NaN squared distance to q,
+// in (d², position) order: what a ranking pulled to exhaustion emits.
+func bruteRanking(col []float64, dim int, q []float64) []ranked {
+	var all []ranked
+	for i := 0; i < len(col)/dim; i++ {
+		if d := squaredDistance(col, dim, i, q); d == d {
+			all = append(all, ranked{d, int32(i)})
+		}
+	}
+	slices.SortFunc(all, compareRanked)
+	return all
 }
 
 func columnRows(col []float64, dim int) ([][]float64, []int) {
@@ -79,21 +107,24 @@ func columnRows(col []float64, dim int) ([][]float64, []int) {
 	return rows, pos
 }
 
-// TestFlatRankingMatchesTree pulls the flat ranking to exhaustion under a
-// random non-increasing reach — held at +Inf for the first `blind` pulls,
-// as a loop does whose nearest candidates are all dead, or finite from the
-// first pull when blind is 0 — and checks it
-// against an STR-bulk-loaded X-tree's ranking pulled as far: the same
-// Dist bits at every rank, the same positions per distinct Dist (the
-// X-tree breaks exact ties in heap order, the flat ranking by position),
-// strictly ascending (d², position), and nothing within the final reach
-// left out. The range form must return the tree's set.
+// TestFlatRankingMatchesTree pulls the blocked ranking to exhaustion under
+// a random non-increasing reach — held at +Inf for the first `blind` pulls,
+// as a loop does whose nearest candidates are all dead (the first chunk
+// doubles until it holds them), or finite from the first pull when blind
+// is 0 — at sizes around the block length, and checks it against a brute
+// force: exactly the (d², position)-ordered prefix of every non-NaN
+// position, and nothing within the final reach left out. On the finite
+// columns it also checks it against an STR-bulk-loaded X-tree's ranking
+// pulled as far: the same Dist bits at every rank, the same positions per
+// distinct Dist (the X-tree breaks exact ties in heap order, the blocked
+// ranking by position). The range form must return the brute force's set
+// within the reach, and the tree's.
 func TestFlatRankingMatchesTree(t *testing.T) {
 	const k = 10
 	for _, dim := range []int{6, 3} { // the unrolled kernel and the generic one
-		for _, n := range []int{0, 1, k - 1, k, 10_000} {
+		for _, n := range []int{0, 1, k - 1, k, blockLen - 1, blockLen, blockLen + 1, 10_000} {
 			for name, col := range rankingCorpora(n, dim) {
-				flat := newFlatRanker(col, n, storage.DefaultPageSize, nil)
+				flat := newBlockRanker(col, n, dim, storage.DefaultPageSize, nil)
 				rows, pos := columnRows(col, dim)
 				rng := rand.New(rand.NewSource(int64(n + dim)))
 				for qi := 0; qi < 6; qi++ {
@@ -137,20 +168,43 @@ func TestFlatRankingMatchesTree(t *testing.T) {
 						got = append(got, it)
 					}
 					rk.release()
-					if n == 0 {
-						if len(got) != 0 {
-							t.Fatalf("%s: %d candidates from an empty column", ctx, len(got))
-						}
-						continue
+					brute := bruteRanking(col, dim, q)
+					if len(got) > len(brute) || !slices.Equal(got, brute[:len(got)]) {
+						t.Fatalf("%s: %d emitted are not the brute force's first %d of %d", ctx, len(got), len(got), len(brute))
 					}
 					within := 0
-					for i := 0; i < n; i++ {
-						if math.Sqrt(squaredDistance(col, dim, i, q)) <= reach {
+					for _, it := range brute {
+						if math.Sqrt(it.d2) <= reach {
 							within++
 						}
 					}
 					if len(got) < within {
 						t.Fatalf("%s: ranking ended after %d candidates, %d lie within the final reach %v", ctx, len(got), within, reach)
+					}
+					if n == 0 {
+						continue
+					}
+					eps := math.Sqrt(squaredDistance(col, dim, rng.Intn(n), q))
+					if !(eps < math.Inf(1)) {
+						eps = math.Sqrt(brute[len(brute)/2].d2)
+					}
+					var inReach []int
+					for _, it := range brute {
+						if it.d2 <= eps*reachSlack*eps*reachSlack {
+							inReach = append(inReach, int(it.pos))
+						}
+					}
+					var ranged []int
+					for _, nb := range flat.within(q, eps*reachSlack) {
+						ranged = append(ranged, nb.ID)
+					}
+					slices.Sort(ranged)
+					slices.Sort(inReach)
+					if !slices.Equal(ranged, inReach) {
+						t.Fatalf("%s: within(%v): %d positions, brute force %d", ctx, eps, len(ranged), len(inReach))
+					}
+					if name == "nonfinite" {
+						continue // the X-tree is not held to NaN coordinates
 					}
 
 					// The tree, as far.
@@ -191,7 +245,6 @@ func TestFlatRankingMatchesTree(t *testing.T) {
 					}
 
 					// Range.
-					eps := math.Sqrt(squaredDistance(col, dim, rng.Intn(n), q))
 					a, b := flat.within(q, eps*reachSlack), treeRanker{tree}.within(q, eps*reachSlack)
 					index.SortNeighbors(a)
 					index.SortNeighbors(b)
@@ -213,8 +266,9 @@ func squaredDistance(col []float64, dim, i int, q []float64) float64 {
 	return s
 }
 
-// TestFlatRankingAllocatesNothing: a steady-state ranking — pass, first
-// chunk, collect, buckets — runs entirely in the index's pooled scratch,
+// TestFlatRankingAllocatesNothing: a steady-state ranking — block
+// distances, first chunk, collect, buckets — runs entirely in the index's
+// pooled scratch (the query's signature quantizations too),
 // and a whole KNNFlat on a store-backed index allocates only what it
 // hands back or must outlive the call: the answer and the query centroid.
 func TestFlatRankingAllocatesNothing(t *testing.T) {
@@ -222,7 +276,7 @@ func TestFlatRankingAllocatesNothing(t *testing.T) {
 		t.Skip("sync.Pool allocates under the race detector")
 	}
 	col, qs := jitteredCentroids(3, 250, 8, 16)
-	flat := newFlatRanker(col, len(col)/6, storage.DefaultPageSize, nil)
+	flat := newBlockRanker(col, len(col)/6, 6, storage.DefaultPageSize, nil)
 	pull := func(q []float64) {
 		rk := flat.rank(q, 10)
 		reach := math.Inf(1)
@@ -308,31 +362,74 @@ func TestFlatRankingNonFinite(t *testing.T) {
 	}
 }
 
+// clusteredCentroids is a voxload-shaped column: parts drawn around
+// parts/32 family templates (cadgen's families of similar CAD parts), each
+// stored as copies jittered by N(0, 0.5) — the corpus voxload serves —
+// and queries that are stored parts jittered by N(0, 0.3), as voxload's
+// are.
+func clusteredCentroids(seed int64, parts, copies, queries int) (col []float64, qs [][]float64) {
+	const K, D = 7, 6
+	rng := rand.New(rand.NewSource(seed))
+	omega := make([]float64, D)
+	jitter := func(set [][]float64, sigma float64) [][]float64 {
+		out := make([][]float64, len(set))
+		for i, v := range set {
+			out[i] = make([]float64, D)
+			for c := range v {
+				out[i][c] = v[c] + rng.NormFloat64()*sigma
+			}
+		}
+		return out
+	}
+	families := randSets(seed+1, parts/32, K, D)
+	sets := make([][][]float64, parts)
+	for p := range sets {
+		sets[p] = jitter(families[p%len(families)], 1.5)
+		for c := 0; c < copies; c++ {
+			col = append(col, vectorset.FlatFromRows(jitter(sets[p], 0.5)).Centroid(K, omega)...)
+		}
+	}
+	for i := 0; i < queries; i++ {
+		qs = append(qs, vectorset.FlatFromRows(jitter(sets[rng.Intn(parts)], 0.3)).Centroid(K, omega))
+	}
+	return col, qs
+}
+
 // BenchmarkCentroidRanking prices the ranking seam alone, the way the
 // k-nn loop drives it: per query (1 024 distinct ones — one repeated
 // query lets the branch predictor learn the heap), pull the first 10
 // candidates with no bound, then keep pulling under a reach that shrinks
 // from the distance of the 2·pull-th nearest centroid to that of the
 // pull-th, until pull candidates are out — 400 of 10 k, 1 300 of 100 k,
-// what the served corpus refines per query at those sizes. flat is what
-// NewBulkStore ranks with, xtree an STR-bulk-loaded tree — what it ranked
-// with before and what the paper's disk model favours: pages/op is the
-// tracker's charge per query.
+// what the served corpus lets past Lemma 2 per query at those sizes. The
+// columns are jitteredCentroids (10k, 100k: random parts, 8 copies each)
+// and clusteredCentroids (clustered-10k, clustered-100k: parts in
+// families, voxload's shape). flat is what NewBulkStore ranks with, xtree
+// an STR-bulk-loaded tree — what it ranked with before and what the
+// paper's disk model favours: pages/op is the tracker's charge per query,
+// blocks/op the centroid blocks whose rows a flat ranking read.
 func BenchmarkCentroidRanking(b *testing.B) {
 	const D, queries = 6, 1024
 	for _, size := range []struct {
 		name        string
 		parts, pull int
-	}{{"10k", 1250, 400}, {"100k", 12500, 1300}} {
-		col, qs := jitteredCentroids(11, size.parts, 8, queries)
+		column      func(seed int64, parts, copies, queries int) ([]float64, [][]float64)
+	}{
+		{"10k", 1250, 400, jitteredCentroids},
+		{"100k", 12500, 1300, jitteredCentroids},
+		{"clustered-10k", 1250, 400, clusteredCentroids},
+		{"clustered-100k", 12500, 1300, clusteredCentroids},
+	} {
+		col, qs := size.column(11, size.parts, 8, queries)
 		n := len(col) / D
 		rows, pos := columnRows(col, D)
 		var tr storage.Tracker
+		flat := newBlockRanker(col, n, D, storage.DefaultPageSize, &tr)
 		rankers := []struct {
 			name string
 			r    ranker
 		}{
-			{"flat", newFlatRanker(col, n, storage.DefaultPageSize, &tr)},
+			{"flat", flat},
 			{"xtree", treeRanker{xtree.BulkLoad(rows, pos, xtree.Config{Tracker: &tr})}},
 		}
 		// The reach schedule of each query, from the tree's own order.
@@ -348,6 +445,7 @@ func BenchmarkCentroidRanking(b *testing.B) {
 				sched[i].from = nb.Dist
 			}
 		}
+		flat.layout() // built by the first ranking in service; not priced here (BenchmarkBlockLayout)
 		for _, rr := range rankers {
 			b.Run(rr.name+"/"+size.name, func(b *testing.B) {
 				b.ReportAllocs()
@@ -372,7 +470,33 @@ func BenchmarkCentroidRanking(b *testing.B) {
 					}
 				}
 				b.ReportMetric(float64(tr.PageAccesses())/float64(b.N), "pages/op")
+				if rr.r == ranker(flat) {
+					rowBytes := float64(tr.BytesRead())/float64(b.N) - float64(len(flat.lay.box)*8)
+					b.ReportMetric(rowBytes/(blockLen*D*8), "blocks/op")
+				}
 			})
 		}
+	}
+}
+
+// BenchmarkBlockLayout prices what the first ranking of a store-backed
+// index builds: the slot-ordered copy of the column, its permutation and
+// the block boxes, over the jittered 10k and 100k columns.
+func BenchmarkBlockLayout(b *testing.B) {
+	const D = 6
+	for _, size := range []struct {
+		name  string
+		parts int
+	}{{"10k", 1250}, {"100k", 12500}} {
+		col, _ := jitteredCentroids(11, size.parts, 8, 0)
+		n := len(col) / D
+		b.Run(size.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if l := buildLayout(col, n, D); l.blocks() != (n+blockLen-1)/blockLen {
+					b.Fatalf("%d blocks", l.blocks())
+				}
+			}
+		})
 	}
 }

@@ -42,7 +42,7 @@ func sigCorpus(seed int64, n, maxCard, dim int) (pool, sets [][][]float64) {
 // a Cursor under MultiStep and RangeFlatLive on a store-backed index
 // still answer byte for byte like a brute-force scan with the unbounded
 // distance — K = 7 and 8, with and without a liveness predicate, at k
-// and ε chosen on exact ties — at sizes around the chunk boundary (0, 1,
+// and ε chosen on exact ties — at sizes around the block boundary (0, 1,
 // 63, 64, 65) and at 10 000 objects; and the stage fires.
 func TestSignatureStageDifferential(t *testing.T) {
 	const D = 6
@@ -100,10 +100,10 @@ func TestSignatureStageDifferential(t *testing.T) {
 }
 
 // TestSignatureFirstTouchConcurrent: queries racing to build the same
-// chunks on a fresh index (run it under -race) answer exactly what a
+// signature blocks on a fresh index (run it under -race) answer exactly what a
 // sequential pass over another fresh index answers, and count the same
-// signature prunes: each chunk is encoded once, and a query that meets a
-// chunk being built waits for it.
+// signature prunes: the layout is built once, each block is encoded once,
+// and a query that meets either being built waits for it.
 func TestSignatureFirstTouchConcurrent(t *testing.T) {
 	const K, D, n, queries = 7, 6, 2000, 32
 	pool, sets := sigCorpus(5, n, K, D)

@@ -23,22 +23,25 @@ type SetStore interface {
 	// CentroidColumn returns every extended centroid as one contiguous
 	// block: Len()·Dim float64s, the i-th set's centroid at
 	// [i·Dim, (i+1)·Dim), consistent with the index configuration's K and
-	// ω. The index keeps the slice for its lifetime and scans it front to
-	// back on every query, so it must be stable, never written, and
-	// already verified (a mapped region's CRCs checked) when returned.
+	// ω. The index keeps the slice for its lifetime (Centroid windows it)
+	// and copies it once, in block order, on its first ranking, so it must
+	// be stable, never written, and already verified (a mapped region's
+	// CRCs checked) when returned.
 	CentroidColumn() []float64
 }
 
 // StoreBuildOptions is NewBulkStore's option set. It is empty: a
-// store-backed index builds nothing.
+// store-backed index builds nothing at construction.
 type StoreBuildOptions struct{}
 
 // NewBulkStore returns a filter index over store: refinement reads sets
-// straight from it and ranking scans its centroid column (flatRanker), so
-// there is no per-object re-encoding, no second copy of the database and
-// no tree to build — construction reads no set and computes nothing per
-// object (the signature chunks are encoded when a query first touches
-// them, signature.go). ids[i] is the external object id of store.At(i).
+// straight from it and ranking reads a blocked copy of its centroid
+// column (blockRanker), so there is no per-object re-encoding, no second
+// copy of the sets and no tree to build. Construction reads no set and
+// computes nothing per object: the first ranking lays the column out in
+// blocks (48 B per object at dim 6, plus a permutation and the block
+// boxes), and a signature block is encoded when a query first touches it
+// (signature.go). ids[i] is the external object id of store.At(i).
 // The index answers queries identically to one built by sequential Add
 // calls over the same sets (same (distance, id) order), refining fewer
 // candidates thanks to its signature stage. It is immutable — Add
@@ -54,11 +57,13 @@ func NewBulkStore(cfg Config, store SetStore, ids []int, _ StoreBuildOptions) (*
 		return nil, fmt.Errorf("filter: centroid column holds %d values, want %d sets × dim %d", len(col), n, ix.cfg.Dim)
 	}
 	ix.store, ix.col, ix.ids = store, col, ids
-	ix.ranker = newFlatRanker(col, n, ix.cfg.PageSize, ix.cfg.Tracker)
+	ix.blocks = newBlockRanker(col, n, ix.cfg.Dim, ix.cfg.PageSize, ix.cfg.Tracker)
+	ix.ranker = ix.blocks
 	if ix.fastL2 {
 		// The signature bound holds for L2 ground distance and w_ω weights
-		// only. Its chunks are encoded on first touch, not here.
-		ix.sigs = make([]sigChunk, (n+sigChunkLen-1)/sigChunkLen)
+		// only. Its blocks are encoded on first touch, not here.
+		nb := (n + blockLen - 1) / blockLen
+		ix.sigs, ix.sigPool = make([]sigBlock, nb), sigPoolFor(nb)
 	}
 	return ix, nil
 }

@@ -391,9 +391,9 @@ func BenchmarkCompact(b *testing.B) {
 // TestMutatedViewSignatureStage: a delta entry meets the signature stage
 // exactly as it does once compaction has moved it into the base. Every
 // set carries the corner vectors (−3, −3, −3) and (3, 3, 3) of the lattice,
-// so every signature block — a base chunk or a delta entry's block of one
-// — spans the same range on every axis and stores a given set with the
-// same codes; and a range query holds one threshold in whatever order it
+// so every signature block — a base's centroid block or a delta entry's
+// block of one — spans the same range on every axis and stores a given
+// set with the same codes; and a range query holds one threshold in whatever order it
 // visits candidates. So a range batch must settle the same candidates at
 // each stage — equal SignaturePruned, Refinements and Matchings, equal
 // answers — over an all-delta view, over a base with tombstones plus a

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync"
 
 	"github.com/voxset/voxset/internal/dist"
 	"github.com/voxset/voxset/internal/index/filter"
@@ -136,11 +137,21 @@ type deltaStream struct {
 	v     *view
 	query vectorset.Flat
 	cands []deltaCand // nil until the first Next; then a min-heap of the entries not yet pulled
-	sig   *dist.Signature
+	sig   *deltaSig   // nil until the first Refine, like ws
 	ws    *dist.Workspace
 
 	sigPruned, refined, solved int64
 }
+
+// deltaSig is a delta walk's signature scratch: the query's exact
+// signature and its quantization into the code space of the entry being
+// refined (each entry is a block of one).
+type deltaSig struct {
+	exact dist.Signature
+	quant dist.QuantizedSignature
+}
+
+var deltaSigs = sync.Pool{New: func() any { return new(deltaSig) }}
 
 // deltaCand is a delta entry's Lemma 2 bound and its index in deltaIDs.
 type deltaCand struct {
@@ -199,12 +210,16 @@ func (s *deltaStream) Refine(pos int, threshold float64) (int, float64, bool) {
 	id := s.v.deltaIDs[pos]
 	e := s.v.delta[id]
 	if s.ws == nil {
-		s.sig = dist.GetSignature(s.query, s.db.cfg.MaxCard, s.db.omega)
+		s.sig = deltaSigs.Get().(*deltaSig)
+		s.sig.exact.Reset(s.query, s.db.cfg.MaxCard, s.db.omega)
 		s.ws = dist.GetWorkspace()
 	}
-	if threshold < math.Inf(1) && dist.SignatureExceeds(e.sig.Bound(s.sig, 0), threshold) {
-		s.sigPruned++
-		return 0, 0, false
+	if threshold < math.Inf(1) {
+		e.sig.Quantize(&s.sig.exact, &s.sig.quant)
+		if e.sig.Exceeds(&s.sig.quant, 0, threshold) {
+			s.sigPruned++
+			return 0, 0, false
+		}
 	}
 	s.refined++
 	d, within := s.ws.MatchingDistanceFlatWithin(s.query, e.set, s.db.omega, threshold)
@@ -220,7 +235,7 @@ func (s *deltaStream) close() {
 	s.db.refExtra.Add(s.refined)
 	s.db.matchExtra.Add(s.solved)
 	if s.ws != nil {
-		dist.PutSignature(s.sig)
+		deltaSigs.Put(s.sig)
 		dist.PutWorkspace(s.ws)
 	}
 }

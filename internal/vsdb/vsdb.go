@@ -508,13 +508,16 @@ func (db *DB) Search(ctx context.Context, qs []Query) ([][]Neighbor, error) {
 
 // KNN returns the k nearest stored objects to the query set under the
 // minimal matching distance: Search of one exact KNN query, nil for a
-// malformed one (Search reports why).
+// malformed one. It drops Search's error, so it is for the benchmark
+// harness and tests, which send well-formed queries; every other caller
+// uses Search, which reports why a query is malformed.
 func (db *DB) KNN(query [][]float64, k int) []Neighbor {
 	return db.searchOne(Query{Set: query, Kind: KNN, K: k})
 }
 
 // Range returns all stored objects within eps of the query set: Search
-// of one exact Range query, nil for a malformed one.
+// of one exact Range query, nil for a malformed one. Like KNN it drops
+// Search's error and is for the benchmark harness and tests.
 func (db *DB) Range(query [][]float64, eps float64) []Neighbor {
 	return db.searchOne(Query{Set: query, Kind: Range, Eps: eps})
 }
@@ -529,7 +532,8 @@ func (db *DB) searchOne(q Query) []Neighbor {
 
 // KNNBatch answers queries[i] exactly as KNN(queries[i], k) would, in
 // one Search (one pinned epoch view for the whole batch); nil when an
-// entry is malformed.
+// entry is malformed. Like KNN it drops Search's error and is for the
+// benchmark harness and tests.
 func (db *DB) KNNBatch(queries [][][]float64, k int) [][]Neighbor {
 	qs := make([]Query, len(queries))
 	for i, q := range queries {
