@@ -97,8 +97,11 @@ fuzz-smoke:
 # column against bulk-loaded tree at 10 k and 100 k centroids, on random
 # parts and on voxload-shaped families (clustered-*), with allocs/op (0
 # for the column), the tracker's pages/op and the blocks/op a query read
-# (a regression to whole-column passes reads every block); BlockLayout
-# prices the layout the first ranking builds. MeshExtract prices a mesh
+# (a regression to whole-column passes reads every block; flat-idorder
+# is the same column unordered, as a file from an older writer holds
+# it); BlockOrder prices the ordering every base pays where it is made,
+# in a snapshot writer's Finish and in every compaction (Compact above
+# includes it). MeshExtract prices a mesh
 # upload's parse, voxelize and cover stages over the 256 STL bodies the
 # mesh-upload workload sends, GreedyR15K7 the cover extraction over 64
 # corpus-built grids; both cycle inputs so no branch pattern is learned.
@@ -106,7 +109,7 @@ bench-smoke:
 	$(GO) test -run xxx -bench 'Ablation_Matching(Hungarian|Pooled)K7|ShardedKNN' -benchtime 200x .
 	$(GO) test -run xxx -bench 'MatchingWithin|SignatureBound' -benchtime 20000x -benchmem ./internal/dist/
 	$(GO) test -run xxx -bench 'FilterKNN|CentroidRanking' -benchtime 200x -benchmem ./internal/index/filter/
-	$(GO) test -run xxx -bench 'BlockLayout' -benchtime 5x -benchmem ./internal/index/filter/
+	$(GO) test -run xxx -bench 'BlockOrder' -benchtime 5x -benchmem ./internal/vectorset/
 	$(GO) test -run xxx -bench 'SearchMutatedView|Compact$$' -benchtime 100x -benchmem ./internal/vsdb/
 	$(GO) test -run xxx -bench 'DegradedRecall' -benchtime 1x ./internal/recall/
 	$(GO) test -run xxx -bench 'Replication' -benchtime 1x ./internal/cluster/

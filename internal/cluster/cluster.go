@@ -461,8 +461,8 @@ func (c *DB) Get(id uint64) [][]float64 {
 	return db.Get(id)
 }
 
-// IDs returns the live ids of every up shard, grouped by shard in
-// per-shard insertion order.
+// IDs returns the live ids of every up shard, grouped by shard, each
+// shard's in its storage order (vsdb.DB.IDs).
 func (c *DB) IDs() []uint64 {
 	var out []uint64
 	for i := range c.shards {

@@ -21,9 +21,11 @@
 //     voxset.Database and the Table 2 reproduction use it.
 //   - NewBulkStore is what every server runs: an immutable index over a
 //     caller-owned SetStore (a memory-mapped snapshot, vsdb's heap base).
-//     Sets are refined in place; centroids are ranked from a copy of the
-//     store's column in blocks of 64 near centroids, each with a bounding
-//     box, which the first query lays out — no tree is built. A query
+//     Sets are refined in place, and centroids are ranked in place from
+//     the store's column in blocks of 64 positions, each with a bounding
+//     box that the first query builds — no tree is built. Every base is
+//     stored in block order (vectorset.BlockOrder), so a block holds 64
+//     near centroids and its box is small. A query
 //     reads the box table and only the blocks whose box can hold one of
 //     its first candidates or lies within its reach; in memory that is
 //     several times cheaper than walking the tree, at any size measured,
@@ -115,7 +117,7 @@ type Config struct {
 type Index struct {
 	cfg    Config
 	omega  []float64
-	ranker ranker // treeRanker{tree} after New, blocks after NewBulkStore
+	ranker ranker // treeRanker{tree} after New, a *blockRanker after NewBulkStore
 	ids    []int  // object id per insertion order
 
 	// A New index grows by Add: centroids go into the dynamic X-tree, sets
@@ -126,11 +128,9 @@ type Index struct {
 	cents [][]float64 // extended centroid per insertion order
 
 	// A NewBulkStore index is immutable: sets are refined in place from
-	// store, centroids ranked from a blocked copy of its column that the
-	// first query builds.
+	// store, centroids ranked in place from its column.
 	store   SetStore
 	col     []float64
-	blocks  *blockRanker
 	sigs    []sigBlock // signature code spaces of a store-backed FastL2 index, one per block, else nil
 	sigPool *sync.Pool // *sigQuery, beside sigs
 

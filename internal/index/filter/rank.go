@@ -8,13 +8,15 @@ import (
 	"github.com/voxset/voxset/internal/index"
 	"github.com/voxset/voxset/internal/index/xtree"
 	"github.com/voxset/voxset/internal/storage"
+	"github.com/voxset/voxset/internal/vectorset"
 )
 
 // ranker is the seam between the query loops and whatever orders the
 // extended centroids. An index has exactly one, fixed by its constructor:
 // New ranks through the dynamic X-tree (treeRanker), NewBulkStore through
-// a blocked copy of the store's centroid column (blockRanker).
-// Positions are insertion-order indexes into Index.ids.
+// the store's centroid column in blocks (blockRanker).
+// Positions index Index.ids: insertion order after New, the store's
+// order after NewBulkStore.
 type ranker interface {
 	// rank starts a ranking of every indexed position by its centroid's
 	// distance to cq. first is how many candidates the caller expects to
@@ -59,15 +61,19 @@ type treeRanking struct{ r *xtree.Ranking }
 func (t treeRanking) next(float64) (index.Neighbor, bool) { return t.r.Next() }
 func (treeRanking) release()                              {}
 
-// blockRanker ranks from a blocked copy of the store's centroid column
-// (layout): the positions grouped into blocks of blockLen by recursive
-// median splits, each block with its bounding box. A ranking reads a
-// block's rows only when its box can hold one of the first chunk or lies
-// within the caller's reach, so a k-nn touches the part of the column its
-// frontier reaches, as the paper's X-tree walk does (§4.3), without a tree:
-// the boxes are one flat table and the rows are read sequentially. An
-// index of up to blockLen objects is one block, read whole. The tracker is
-// charged for the box table and the rows of the blocks read.
+// blockRanker ranks the store's centroid column in place, by blocks of
+// vectorset.BlockLen consecutive positions, each with its bounding box. A
+// ranking reads a block's rows only when its box can hold one of the
+// first chunk or lies within the caller's reach, so a k-nn touches the
+// part of the column its frontier reaches, as the paper's X-tree walk does
+// (§4.3), without a tree: the boxes are one flat table and the rows are
+// read sequentially. The ranking is exact in any position order, since a
+// box bounds whatever members it has; a base stored in block order
+// (vectorset.BlockOrder: every vsdb heap base and every file the snapshot
+// writer makes) gives small boxes, and a column in any other order (a
+// file from an older writer) just ranks slower. An index of up to
+// BlockLen objects is one block, read whole. The tracker is charged for
+// the box table and the rows of the blocks read.
 //
 // The rows stay float64: a member's squared distance must equal the
 // X-tree's bit for bit (Σ (c[j]−q[j])², dimensions in order, one root on
@@ -75,30 +81,22 @@ func (treeRanking) release()                              {}
 // float32 copy would halve the reads and break the lower bound unless
 // every comparison were widened by its rounding error.
 type blockRanker struct {
-	col      []float64 // the store's column, base order; read once, by build
+	col      []float64 // the store's column, ranked in place
 	n, dim   int
 	pageSize int
 	tracker  *storage.Tracker
 
 	once sync.Once
-	lay  *layout   // built by the first ranking (layout)
+	box  []float64 // vectorset.BlockBoxes of col, built by the first ranking (boxes)
 	pool sync.Pool // *blockRanking; the index owns it, a new base gets a new one
 }
 
-// blockLen is the number of positions per block. Measured on the served
-// corpus (10 k jittered objects, k = 10), 64 and 32 read within noise of
-// each other; a longer block reads more rows per box, a shorter one more
-// boxes and coarser signature code spaces (signature.go).
-const blockLen = 64
-
 func newBlockRanker(col []float64, n, dim, pageSize int, tracker *storage.Tracker) *blockRanker {
-	r := &blockRanker{col: col, n: n, dim: dim, pageSize: pageSize, tracker: tracker}
+	r := &blockRanker{col: col[:n*dim], n: n, dim: dim, pageSize: pageSize, tracker: tracker}
 	r.pool.New = func() any {
-		lay := r.layout()
-		nb := lay.blocks()
+		nb := len(r.boxes()) / (2 * dim)
 		return &blockRanking{
 			r:    r,
-			lay:  lay,
 			d2:   make([]float64, n),
 			read: make([]bool, nb),
 			mind: make([]float64, nb),
@@ -107,149 +105,11 @@ func newBlockRanker(col []float64, n, dim, pageSize int, tracker *storage.Tracke
 	return r
 }
 
-// layout returns the blocked column, building it on first use: opening an
+// boxes returns the block boxes, building them on first use: opening an
 // index builds nothing, and a query that meets the build waits for it.
-func (r *blockRanker) layout() *layout {
-	r.once.Do(func() { r.lay = buildLayout(r.col, r.n, r.dim) })
-	return r.lay
-}
-
-// layout is a store-backed index's centroid column in block order.
-type layout struct {
-	dim   int
-	cents []float64 // slot s's centroid at [s·dim, (s+1)·dim): 48 B per object at dim 6
-	perm  []int32   // base position of each slot
-	inv   []int32   // slot of each base position
-	// box[2b·dim : (2b+1)·dim] is block b's low corner, the next dim values
-	// its high corner, over its members' non-NaN coordinates (±Inf kept).
-	box []float64
-}
-
-// blocks returns the number of blocks; block b holds slots
-// [b·blockLen, min((b+1)·blockLen, n)).
-func (l *layout) blocks() int { return len(l.box) / (2 * l.dim) }
-
-// buildLayout copies the column into slot order. Each range of more than
-// one block is split at a block boundary near its middle, along the axis
-// of its widest spread, by selection (not a sort) on that coordinate; the
-// rows move with their positions, so every level reads them sequentially.
-// The result depends only on the column.
-func buildLayout(col []float64, n, dim int) *layout {
-	nb := (n + blockLen - 1) / blockLen
-	l := &layout{
-		dim:   dim,
-		cents: slices.Clone(col[:n*dim]),
-		perm:  make([]int32, n),
-		inv:   make([]int32, n),
-		box:   make([]float64, 2*nb*dim),
-	}
-	for i := range l.perm {
-		l.perm[i] = int32(i)
-	}
-	l.split(0, n, make([]float64, dim), make([]float64, dim))
-	for s, p := range l.perm {
-		l.inv[p] = int32(s)
-	}
-	for b := 0; b < nb; b++ {
-		lo, hi := l.box[2*b*dim:(2*b+1)*dim], l.box[(2*b+1)*dim:(2*b+2)*dim]
-		for j := range lo {
-			lo[j], hi[j] = math.Inf(1), math.Inf(-1)
-		}
-		for s := b * blockLen; s < min((b+1)*blockLen, n); s++ {
-			for j, v := range l.cents[s*dim : (s+1)*dim] {
-				// A NaN fails both tests: it would turn the box into NaN
-				// and hide the block's finite members.
-				if v < lo[j] {
-					lo[j] = v
-				}
-				if v > hi[j] {
-					hi[j] = v
-				}
-			}
-		}
-	}
-	return l
-}
-
-// split orders slots [lo, hi) into blocks; mn and mx are dim-long
-// scratch.
-func (l *layout) split(lo, hi int, mn, mx []float64) {
-	dim := l.dim
-	for hi-lo > blockLen {
-		for j := range mn {
-			mn[j], mx[j] = math.Inf(1), math.Inf(-1)
-		}
-		for s := lo; s < hi; s++ {
-			for j, v := range l.cents[s*dim : (s+1)*dim] {
-				if v < mn[j] {
-					mn[j] = v
-				}
-				if v > mx[j] {
-					mx[j] = v
-				}
-			}
-		}
-		axis, widest := 0, math.Inf(-1)
-		for j := range mn {
-			if w := mx[j] - mn[j]; w > widest {
-				axis, widest = j, w
-			}
-		}
-		mid := lo + ((hi-lo+blockLen-1)/blockLen+1)/2*blockLen
-		l.nth(lo, hi, mid, axis)
-		l.split(lo, mid, mn, mx)
-		lo = mid
-	}
-}
-
-// nth reorders slots [lo, hi) so that slot nth holds the row of that rank
-// by its axis coordinate, no row before it greater and none after it less
-// (quickselect: median-of-three pivot, Hoare partition, which splits runs
-// of equal keys evenly). A NaN coordinate sorts as +Inf.
-func (l *layout) nth(lo, hi, nth, axis int) {
-	key := func(s int) float64 {
-		if v := l.cents[s*l.dim+axis]; v == v {
-			return v
-		}
-		return math.Inf(1)
-	}
-	for hi-lo > 1 {
-		a, b, c := key(lo), key(lo+(hi-lo)/2), key(hi-1)
-		p := max(min(a, b), min(max(a, b), c)) // the median of the three
-		i, j := lo, hi-1
-		for i <= j {
-			for key(i) < p {
-				i++
-			}
-			for key(j) > p {
-				j--
-			}
-			if i <= j {
-				l.swap(i, j)
-				i++
-				j--
-			}
-		}
-		switch { // [lo, j] ≤ p, (j, i) = p, [i, hi) ≥ p
-		case nth <= j:
-			hi = j + 1
-		case nth >= i:
-			lo = i
-		default:
-			return
-		}
-	}
-}
-
-func (l *layout) swap(a, b int) {
-	if a == b {
-		return
-	}
-	l.perm[a], l.perm[b] = l.perm[b], l.perm[a]
-	ra, rb := l.cents[a*l.dim:(a+1)*l.dim], l.cents[b*l.dim:(b+1)*l.dim]
-	for j := range ra {
-		ra[j], rb[j] = rb[j], ra[j]
-	}
+func (r *blockRanker) boxes() []float64 {
+	r.once.Do(func() { r.box = vectorset.BlockBoxes(r.col, r.dim) })
+	return r.box
 }
 
 // boxDist2 is the squared MINDIST from q to block b's box, Σ_j e_j² in
@@ -257,9 +117,9 @@ func (l *layout) swap(a, b int) {
 // is monotone, so it is at most the computed d² of every member (whose
 // |c[j]−q[j]| is at least e_j); it is never NaN, and an axis whose members
 // are all NaN puts the box at +Inf.
-func (l *layout) boxDist2(b int, q []float64) float64 {
-	d := l.dim
-	lo, hi := l.box[2*b*d:(2*b+1)*d], l.box[(2*b+1)*d:(2*b+2)*d]
+func (r *blockRanker) boxDist2(b int, q []float64) float64 {
+	d := r.dim
+	lo, hi := r.box[2*b*d:(2*b+1)*d], r.box[(2*b+1)*d:(2*b+2)*d]
 	lo, hi = lo[:len(q)], hi[:len(q)]
 	s := 0.0
 	for j, v := range q {
@@ -278,11 +138,11 @@ func (l *layout) boxDist2(b int, q []float64) float64 {
 
 // charge bills the tracker for one query's reads: the box table and the
 // rows of the blocks read, under the §5.4 page model.
-func (r *blockRanker) charge(l *layout, rows int) {
+func (r *blockRanker) charge(rows int) {
 	if r.tracker == nil {
 		return
 	}
-	boxBytes, rowBytes := len(l.box)*8, rows*r.dim*8
+	boxBytes, rowBytes := len(r.box)*8, rows*r.dim*8
 	r.tracker.AddPageAccess((boxBytes+r.pageSize-1)/r.pageSize + (rowBytes+r.pageSize-1)/r.pageSize)
 	r.tracker.AddBytes(boxBytes + rowBytes)
 }
@@ -297,25 +157,24 @@ func (r *blockRanker) rank(cq []float64, first int) ranking {
 }
 
 func (r *blockRanker) within(cq []float64, reach float64) []index.Neighbor {
-	l := r.layout()
 	r2 := reach * reach
 	var out []index.Neighbor
-	var d2 [blockLen]float64
+	var d2 [vectorset.BlockLen]float64
 	rows := 0
-	for b := range l.blocks() {
-		if l.boxDist2(b, cq) > r2 {
+	for b := range len(r.boxes()) / (2 * r.dim) {
+		if r.boxDist2(b, cq) > r2 {
 			continue
 		}
-		lo, hi := b*blockLen, min((b+1)*blockLen, r.n)
-		squaredDistances(d2[:hi-lo], l.cents[lo*r.dim:hi*r.dim], cq)
+		lo, hi := b*vectorset.BlockLen, min((b+1)*vectorset.BlockLen, r.n)
+		squaredDistances(d2[:hi-lo], r.col[lo*r.dim:hi*r.dim], cq)
 		rows += hi - lo
 		for t, d := range d2[:hi-lo] {
 			if d <= r2 { // false for a NaN distance: never a candidate
-				out = append(out, index.Neighbor{ID: int(l.perm[lo+t]), Dist: math.Sqrt(d)})
+				out = append(out, index.Neighbor{ID: lo + t, Dist: math.Sqrt(d)})
 			}
 		}
 	}
-	r.charge(l, rows)
+	r.charge(rows)
 	return out
 }
 
@@ -392,11 +251,10 @@ const (
 // stored or query centroid) compares false both ways and is never
 // emitted; ±Inf distances rank last.
 type blockRanking struct {
-	r   *blockRanker
-	lay *layout
-	cq  []float64 // the query centroid, the caller's
+	r  *blockRanker
+	cq []float64 // the query centroid, the caller's
 
-	d2   []float64 // squared distance per slot, valid where read
+	d2   []float64 // squared distance per position, valid where read
 	read []bool    // per block: d2 holds its rows for this query
 	rows int       // rows read this query, for the tracker
 	mind []float64 // MINDIST² per block
@@ -438,11 +296,12 @@ func compareRanked(a, b ranked) int {
 
 // begin prepares the ranking for cq: every block's MINDIST², nothing read.
 func (rk *blockRanking) begin(cq []float64) {
+	rk.r.boxes() // built by now (pool.New); the call orders this read after the build
 	rk.cq, rk.rows = cq, 0
 	clear(rk.read)
 	rk.order, rk.heap = rk.order[:0], rk.heap[:0]
 	for b := range rk.mind {
-		rk.mind[b] = rk.lay.boxDist2(b, cq)
+		rk.mind[b] = rk.r.boxDist2(b, cq)
 		rk.heap = append(rk.heap, int32(b))
 	}
 	for i := len(rk.heap)/2 - 1; i >= 0; i-- {
@@ -488,13 +347,13 @@ func (rk *blockRanking) block(i int) (int, bool) {
 	return int(rk.order[i]), true
 }
 
-// rowsOf returns block b's first slot and its members' squared
+// rowsOf returns block b's first position and its members' squared
 // distances, reading its rows on the first call of the query.
 func (rk *blockRanking) rowsOf(b int) (int, []float64) {
-	lo, hi := b*blockLen, min((b+1)*blockLen, len(rk.d2))
+	lo, hi := b*vectorset.BlockLen, min((b+1)*vectorset.BlockLen, len(rk.d2))
 	if !rk.read[b] {
 		d := rk.r.dim
-		squaredDistances(rk.d2[lo:hi], rk.lay.cents[lo*d:hi*d], rk.cq)
+		squaredDistances(rk.d2[lo:hi], rk.r.col[lo*d:hi*d], rk.cq)
 		rk.read[b] = true
 		rk.rows += hi - lo
 	}
@@ -502,7 +361,7 @@ func (rk *blockRanking) rowsOf(b int) (int, []float64) {
 }
 
 func (rk *blockRanking) release() {
-	rk.r.charge(rk.lay, rk.rows)
+	rk.r.charge(rk.rows)
 	rk.cq = nil
 	rk.r.pool.Put(rk)
 }
@@ -543,7 +402,7 @@ func (rk *blockRanking) advance(reach float64) bool {
 
 // nearest selects the chunk nearest un-emitted positions into run, sorted.
 func (rk *blockRanking) nearest() {
-	last, perm := rk.last, rk.lay.perm
+	last := rk.last
 	h := rk.run[:0] // max-heap under less
 	for i := 0; ; i++ {
 		b, ok := rk.block(i)
@@ -555,7 +414,7 @@ func (rk *blockRanking) nearest() {
 			if len(h) == rk.chunk && d > h[0].d2 {
 				continue // cannot displace the root: the common case, one compare
 			}
-			it := ranked{d, perm[lo+t]}
+			it := ranked{d, int32(lo + t)}
 			if !last.less(it) {
 				continue
 			}
@@ -605,7 +464,7 @@ func siftDown(h []ranked) {
 // collect gathers every un-emitted position with d² ≤ r2 into run,
 // bucketed by d² (a counting sort on the bucket number).
 func (rk *blockRanking) collect(r2 float64) {
-	last, perm := rk.last, rk.lay.perm
+	last := rk.last
 	cand := rk.cand[:0]
 	for i := 0; ; i++ {
 		b, ok := rk.block(i)
@@ -614,7 +473,7 @@ func (rk *blockRanking) collect(r2 float64) {
 		}
 		lo, d2 := rk.rowsOf(b)
 		for t, d := range d2 {
-			if it := (ranked{d, perm[lo+t]}); d <= r2 && last.less(it) {
+			if it := (ranked{d, int32(lo + t)}); d <= r2 && last.less(it) {
 				cand = append(cand, it)
 			}
 		}

@@ -107,11 +107,28 @@ func columnRows(col []float64, dim int) ([][]float64, []int) {
 	return rows, pos
 }
 
+// blockOrdered returns col stored in block order (vectorset.BlockOrder,
+// with each row's position as its id), as a served base holds it.
+func blockOrdered(col []float64, dim int) []float64 {
+	n := len(col) / dim
+	ids := make([]uint64, n)
+	for i := range ids {
+		ids[i] = uint64(i)
+	}
+	out := make([]float64, 0, len(col))
+	for _, i := range vectorset.BlockOrder(ids, col, dim) {
+		out = append(out, col[i*dim:(i+1)*dim]...)
+	}
+	return out
+}
+
 // TestFlatRankingMatchesTree pulls the blocked ranking to exhaustion under
 // a random non-increasing reach — held at +Inf for the first `blind` pulls,
 // as a loop does whose nearest candidates are all dead (the first chunk
 // doubles until it holds them), or finite from the first pull when blind
-// is 0 — at sizes around the block length, and checks it against a brute
+// is 0 — at sizes around the block length, over each column as generated
+// (an arbitrary order, as a file from an older writer holds it) and in
+// block order (as a served base holds it), and checks it against a brute
 // force: exactly the (d², position)-ordered prefix of every non-NaN
 // position, and nothing within the final reach left out. On the finite
 // columns it also checks it against an STR-bulk-loaded X-tree's ranking
@@ -122,134 +139,139 @@ func columnRows(col []float64, dim int) ([][]float64, []int) {
 func TestFlatRankingMatchesTree(t *testing.T) {
 	const k = 10
 	for _, dim := range []int{6, 3} { // the unrolled kernel and the generic one
-		for _, n := range []int{0, 1, k - 1, k, blockLen - 1, blockLen, blockLen + 1, 10_000} {
+		for _, n := range []int{0, 1, k - 1, k, vectorset.BlockLen - 1, vectorset.BlockLen, vectorset.BlockLen + 1, 10_000} {
 			for name, col := range rankingCorpora(n, dim) {
-				flat := newBlockRanker(col, n, dim, storage.DefaultPageSize, nil)
-				rows, pos := columnRows(col, dim)
-				rng := rand.New(rand.NewSource(int64(n + dim)))
-				for qi := 0; qi < 6; qi++ {
-					ctx := fmt.Sprintf("dim=%d n=%d %s query %d", dim, n, name, qi)
-					q := make([]float64, dim)
-					for j := range q {
-						q[j] = rng.NormFloat64() * 5
-						if name == "lattice" {
-							q[j] = float64(rng.Intn(3)) / 4
-						}
+				for _, order := range []string{"generated", "block"} {
+					if order == "block" {
+						col = blockOrdered(col, dim)
 					}
-					blind := []int{0, k, 3 * minChunk}[qi%3]
+					flat := newBlockRanker(col, n, dim, storage.DefaultPageSize, nil)
+					rows, pos := columnRows(col, dim)
+					rng := rand.New(rand.NewSource(int64(n + dim)))
+					for qi := 0; qi < 6; qi++ {
+						ctx := fmt.Sprintf("dim=%d n=%d %s %s-order query %d", dim, n, name, order, qi)
+						q := make([]float64, dim)
+						for j := range q {
+							q[j] = rng.NormFloat64() * 5
+							if name == "lattice" {
+								q[j] = float64(rng.Intn(3)) / 4
+							}
+						}
+						blind := []int{0, k, 3 * minChunk}[qi%3]
 
-					// Flat, to exhaustion. With no blind pulls the reach is
-					// held from the first pull, widened as Index.reach widens
-					// a loop's threshold.
-					reach := math.Inf(1)
-					if blind == 0 && n > 0 {
-						reach = math.Sqrt(squaredDistance(col, dim, rng.Intn(n), q)) * reachSlack
-					}
-					rk := flat.rank(q, k)
-					var got []ranked
-					for {
-						if len(got) == blind && blind > 0 && n > 0 {
-							reach = math.Sqrt(squaredDistance(col, dim, rng.Intn(n), q))
-						} else if len(got) > blind {
-							reach *= 1 - rng.Float64()*0.02
+						// Flat, to exhaustion. With no blind pulls the reach is
+						// held from the first pull, widened as Index.reach widens
+						// a loop's threshold.
+						reach := math.Inf(1)
+						if blind == 0 && n > 0 {
+							reach = math.Sqrt(squaredDistance(col, dim, rng.Intn(n), q)) * reachSlack
 						}
-						nb, ok := rk.next(reach)
-						if !ok {
-							break
+						rk := flat.rank(q, k)
+						var got []ranked
+						for {
+							if len(got) == blind && blind > 0 && n > 0 {
+								reach = math.Sqrt(squaredDistance(col, dim, rng.Intn(n), q))
+							} else if len(got) > blind {
+								reach *= 1 - rng.Float64()*0.02
+							}
+							nb, ok := rk.next(reach)
+							if !ok {
+								break
+							}
+							it := ranked{nb.Dist * nb.Dist, int32(nb.ID)}
+							if nb.Dist != math.Sqrt(squaredDistance(col, dim, nb.ID, q)) {
+								t.Fatalf("%s: rank %d: position %d at %v, want %v", ctx, len(got), nb.ID, nb.Dist, math.Sqrt(squaredDistance(col, dim, nb.ID, q)))
+							}
+							it.d2 = squaredDistance(col, dim, nb.ID, q)
+							if len(got) > 0 && !got[len(got)-1].less(it) {
+								t.Fatalf("%s: rank %d: %+v does not follow %+v", ctx, len(got), it, got[len(got)-1])
+							}
+							got = append(got, it)
 						}
-						it := ranked{nb.Dist * nb.Dist, int32(nb.ID)}
-						if nb.Dist != math.Sqrt(squaredDistance(col, dim, nb.ID, q)) {
-							t.Fatalf("%s: rank %d: position %d at %v, want %v", ctx, len(got), nb.ID, nb.Dist, math.Sqrt(squaredDistance(col, dim, nb.ID, q)))
+						rk.release()
+						brute := bruteRanking(col, dim, q)
+						if len(got) > len(brute) || !slices.Equal(got, brute[:len(got)]) {
+							t.Fatalf("%s: %d emitted are not the brute force's first %d of %d", ctx, len(got), len(got), len(brute))
 						}
-						it.d2 = squaredDistance(col, dim, nb.ID, q)
-						if len(got) > 0 && !got[len(got)-1].less(it) {
-							t.Fatalf("%s: rank %d: %+v does not follow %+v", ctx, len(got), it, got[len(got)-1])
+						within := 0
+						for _, it := range brute {
+							if math.Sqrt(it.d2) <= reach {
+								within++
+							}
 						}
-						got = append(got, it)
-					}
-					rk.release()
-					brute := bruteRanking(col, dim, q)
-					if len(got) > len(brute) || !slices.Equal(got, brute[:len(got)]) {
-						t.Fatalf("%s: %d emitted are not the brute force's first %d of %d", ctx, len(got), len(got), len(brute))
-					}
-					within := 0
-					for _, it := range brute {
-						if math.Sqrt(it.d2) <= reach {
-							within++
+						if len(got) < within {
+							t.Fatalf("%s: ranking ended after %d candidates, %d lie within the final reach %v", ctx, len(got), within, reach)
 						}
-					}
-					if len(got) < within {
-						t.Fatalf("%s: ranking ended after %d candidates, %d lie within the final reach %v", ctx, len(got), within, reach)
-					}
-					if n == 0 {
-						continue
-					}
-					eps := math.Sqrt(squaredDistance(col, dim, rng.Intn(n), q))
-					if !(eps < math.Inf(1)) {
-						eps = math.Sqrt(brute[len(brute)/2].d2)
-					}
-					var inReach []int
-					for _, it := range brute {
-						if it.d2 <= eps*reachSlack*eps*reachSlack {
-							inReach = append(inReach, int(it.pos))
+						if n == 0 {
+							continue
 						}
-					}
-					var ranged []int
-					for _, nb := range flat.within(q, eps*reachSlack) {
-						ranged = append(ranged, nb.ID)
-					}
-					slices.Sort(ranged)
-					slices.Sort(inReach)
-					if !slices.Equal(ranged, inReach) {
-						t.Fatalf("%s: within(%v): %d positions, brute force %d", ctx, eps, len(ranged), len(inReach))
-					}
-					if name == "nonfinite" {
-						continue // the X-tree is not held to NaN coordinates
-					}
+						eps := math.Sqrt(squaredDistance(col, dim, rng.Intn(n), q))
+						if !(eps < math.Inf(1)) {
+							eps = math.Sqrt(brute[len(brute)/2].d2)
+						}
+						var inReach []int
+						for _, it := range brute {
+							if it.d2 <= eps*reachSlack*eps*reachSlack {
+								inReach = append(inReach, int(it.pos))
+							}
+						}
+						var ranged []int
+						for _, nb := range flat.within(q, eps*reachSlack) {
+							ranged = append(ranged, nb.ID)
+						}
+						slices.Sort(ranged)
+						slices.Sort(inReach)
+						if !slices.Equal(ranged, inReach) {
+							t.Fatalf("%s: within(%v): %d positions, brute force %d", ctx, eps, len(ranged), len(inReach))
+						}
+						if name == "nonfinite" {
+							continue // the X-tree is not held to NaN coordinates
+						}
 
-					// The tree, as far.
-					tree := xtree.BulkLoad(rows, pos, xtree.Config{})
-					tr := tree.NewRanking(q)
-					want := make(map[float64][]int)
-					for i := range got {
-						nb, ok := tr.Next()
-						if !ok {
-							t.Fatalf("%s: the tree ranks %d points, flat emitted %d", ctx, i, len(got))
+						// The tree, as far.
+						tree := xtree.BulkLoad(rows, pos, xtree.Config{})
+						tr := tree.NewRanking(q)
+						want := make(map[float64][]int)
+						for i := range got {
+							nb, ok := tr.Next()
+							if !ok {
+								t.Fatalf("%s: the tree ranks %d points, flat emitted %d", ctx, i, len(got))
+							}
+							if math.Float64bits(nb.Dist) != math.Float64bits(math.Sqrt(got[i].d2)) {
+								t.Fatalf("%s: rank %d: flat %v, tree %v", ctx, i, math.Sqrt(got[i].d2), nb.Dist)
+							}
+							want[nb.Dist] = append(want[nb.Dist], nb.ID)
 						}
-						if math.Float64bits(nb.Dist) != math.Float64bits(math.Sqrt(got[i].d2)) {
-							t.Fatalf("%s: rank %d: flat %v, tree %v", ctx, i, math.Sqrt(got[i].d2), nb.Dist)
+						last := math.Sqrt(got[len(got)-1].d2)
+						for { // the rest of the last tie group, which flat may have cut by position
+							nb, ok := tr.Next()
+							if !ok || nb.Dist != last {
+								break
+							}
+							want[last] = append(want[last], nb.ID)
 						}
-						want[nb.Dist] = append(want[nb.Dist], nb.ID)
-					}
-					last := math.Sqrt(got[len(got)-1].d2)
-					for { // the rest of the last tie group, which flat may have cut by position
-						nb, ok := tr.Next()
-						if !ok || nb.Dist != last {
-							break
+						have := make(map[float64][]int)
+						for _, it := range got {
+							have[math.Sqrt(it.d2)] = append(have[math.Sqrt(it.d2)], int(it.pos))
 						}
-						want[last] = append(want[last], nb.ID)
-					}
-					have := make(map[float64][]int)
-					for _, it := range got {
-						have[math.Sqrt(it.d2)] = append(have[math.Sqrt(it.d2)], int(it.pos))
-					}
-					for d, ids := range have {
-						w := want[d]
-						sort.Ints(w)
-						if d == last {
-							w = w[:len(ids)] // flat takes a tie group in position order
+						for d, ids := range have {
+							w := want[d]
+							sort.Ints(w)
+							if d == last {
+								w = w[:len(ids)] // flat takes a tie group in position order
+							}
+							if !reflect.DeepEqual(ids, w) {
+								t.Fatalf("%s: positions at distance %v\n flat %v\n tree %v", ctx, d, ids, w)
+							}
 						}
-						if !reflect.DeepEqual(ids, w) {
-							t.Fatalf("%s: positions at distance %v\n flat %v\n tree %v", ctx, d, ids, w)
-						}
-					}
 
-					// Range.
-					a, b := flat.within(q, eps*reachSlack), treeRanker{tree}.within(q, eps*reachSlack)
-					index.SortNeighbors(a)
-					index.SortNeighbors(b)
-					if !reflect.DeepEqual(a, b) {
-						t.Fatalf("%s: within(%v): flat %d positions, tree %d", ctx, eps, len(a), len(b))
+						// Range.
+						a, b := flat.within(q, eps*reachSlack), treeRanker{tree}.within(q, eps*reachSlack)
+						index.SortNeighbors(a)
+						index.SortNeighbors(b)
+						if !reflect.DeepEqual(a, b) {
+							t.Fatalf("%s: within(%v): flat %d positions, tree %d", ctx, eps, len(a), len(b))
+						}
 					}
 				}
 			}
@@ -404,10 +426,13 @@ func clusteredCentroids(seed int64, parts, copies, queries int) (col []float64, 
 // what the served corpus lets past Lemma 2 per query at those sizes. The
 // columns are jitteredCentroids (10k, 100k: random parts, 8 copies each)
 // and clusteredCentroids (clustered-10k, clustered-100k: parts in
-// families, voxload's shape). flat is what NewBulkStore ranks with, xtree
-// an STR-bulk-loaded tree — what it ranked with before and what the
-// paper's disk model favours: pages/op is the tracker's charge per query,
-// blocks/op the centroid blocks whose rows a flat ranking read.
+// families, voxload's shape). flat is what NewBulkStore ranks a base
+// with, stored in block order; flat-idorder ranks the same column in the
+// order it was generated, parts by id, as a file from a writer that did
+// not order its objects holds it; xtree is an STR-bulk-loaded tree — what
+// the served path ranked with before and what the paper's disk model
+// favours. pages/op is the tracker's charge per query, blocks/op the
+// centroid blocks whose rows a flat ranking read.
 func BenchmarkCentroidRanking(b *testing.B) {
 	const D, queries = 6, 1024
 	for _, size := range []struct {
@@ -420,23 +445,24 @@ func BenchmarkCentroidRanking(b *testing.B) {
 		{"clustered-10k", 1250, 400, clusteredCentroids},
 		{"clustered-100k", 12500, 1300, clusteredCentroids},
 	} {
-		col, qs := size.column(11, size.parts, 8, queries)
+		idOrder, qs := size.column(11, size.parts, 8, queries)
+		col := blockOrdered(idOrder, D)
 		n := len(col) / D
 		rows, pos := columnRows(col, D)
 		var tr storage.Tracker
-		flat := newBlockRanker(col, n, D, storage.DefaultPageSize, &tr)
 		rankers := []struct {
 			name string
 			r    ranker
 		}{
-			{"flat", flat},
 			{"xtree", treeRanker{xtree.BulkLoad(rows, pos, xtree.Config{Tracker: &tr})}},
+			{"flat", newBlockRanker(col, n, D, storage.DefaultPageSize, &tr)},
+			{"flat-idorder", newBlockRanker(idOrder, n, D, storage.DefaultPageSize, &tr)},
 		}
 		// The reach schedule of each query, from the tree's own order.
 		type schedule struct{ from, to float64 }
 		sched := make([]schedule, queries)
 		for i, q := range qs {
-			rk := rankers[1].r.rank(q, 10)
+			rk := rankers[0].r.rank(q, 10)
 			for j := 1; j <= 2*size.pull; j++ {
 				nb, _ := rk.next(math.Inf(1))
 				if j == size.pull {
@@ -445,8 +471,10 @@ func BenchmarkCentroidRanking(b *testing.B) {
 				sched[i].from = nb.Dist
 			}
 		}
-		flat.layout() // built by the first ranking in service; not priced here (BenchmarkBlockLayout)
 		for _, rr := range rankers {
+			if flat, ok := rr.r.(*blockRanker); ok {
+				flat.boxes() // built by the first ranking in service; not priced here
+			}
 			b.Run(rr.name+"/"+size.name, func(b *testing.B) {
 				b.ReportAllocs()
 				tr.Reset()
@@ -470,33 +498,11 @@ func BenchmarkCentroidRanking(b *testing.B) {
 					}
 				}
 				b.ReportMetric(float64(tr.PageAccesses())/float64(b.N), "pages/op")
-				if rr.r == ranker(flat) {
-					rowBytes := float64(tr.BytesRead())/float64(b.N) - float64(len(flat.lay.box)*8)
-					b.ReportMetric(rowBytes/(blockLen*D*8), "blocks/op")
+				if flat, ok := rr.r.(*blockRanker); ok {
+					rowBytes := float64(tr.BytesRead())/float64(b.N) - float64(len(flat.box)*8)
+					b.ReportMetric(rowBytes/(vectorset.BlockLen*D*8), "blocks/op")
 				}
 			})
 		}
-	}
-}
-
-// BenchmarkBlockLayout prices what the first ranking of a store-backed
-// index builds: the slot-ordered copy of the column, its permutation and
-// the block boxes, over the jittered 10k and 100k columns.
-func BenchmarkBlockLayout(b *testing.B) {
-	const D = 6
-	for _, size := range []struct {
-		name  string
-		parts int
-	}{{"10k", 1250}, {"100k", 12500}} {
-		col, _ := jitteredCentroids(11, size.parts, 8, 0)
-		n := len(col) / D
-		b.Run(size.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if l := buildLayout(col, n, D); l.blocks() != (n+blockLen-1)/blockLen {
-					b.Fatalf("%d blocks", l.blocks())
-				}
-			}
-		})
 	}
 }

@@ -9,16 +9,16 @@ import (
 
 // The signature stage (DESIGN.md §6): a store-backed FastL2 index keeps
 // every object's sorted per-axis projection as 16-bit codes, one code
-// space per block of the centroid layout (rank.go), and exact tests it
-// after the Lemma 2 pull and before the set is fetched. A block's codes
-// share one lo and step per axis, so a block of near centroids — the
-// layout groups them — spans a narrow range and gets fine codes, and an
-// outlier coarsens only its own block. A block is encoded on first touch —
-// reading its sets through the store's At, which charges the tracker as
-// any fetch does — so opening an index builds nothing, and a query that
-// meets an unbuilt block waits on its sync.Once instead of racing another
-// query to build it. Lookups read resident codes and charge nothing, like
-// the centroid rows.
+// space per block of vectorset.BlockLen positions (the ranking's blocks,
+// rank.go), and exact tests it after the Lemma 2 pull and before the set
+// is fetched. A block's codes share one lo and step per axis, so a block
+// of near centroids — block order groups them — spans a narrow range and
+// gets fine codes, and an outlier coarsens only its own block. A block is
+// encoded on first touch — reading its sets through the store's At, which
+// charges the tracker as any fetch does — so opening an index builds
+// nothing, and a query that meets an unbuilt block waits on its sync.Once
+// instead of racing another query to build it. Lookups read resident
+// codes and charge nothing, like the centroid rows.
 //
 // A query is quantized into a block's code space the first time it tests
 // one of the block's objects (dist.SignatureCodes.Quantize), and each
@@ -59,15 +59,13 @@ func (sq *sigQuery) release() {
 // farther than threshold, encoding i's block and quantizing the query
 // into it on first touch.
 func (ix *Index) sigExceeds(sq *sigQuery, i int, threshold float64) bool {
-	lay := ix.blocks.layout()
-	slot := int(lay.inv[i])
-	b := slot / blockLen
+	b := i / vectorset.BlockLen
 	c := &ix.sigs[b]
 	c.once.Do(func() {
-		lo := b * blockLen
-		sets := make([]vectorset.Flat, min(blockLen, ix.Len()-lo))
+		lo := b * vectorset.BlockLen
+		sets := make([]vectorset.Flat, min(vectorset.BlockLen, ix.Len()-lo))
 		for t := range sets {
-			sets[t] = ix.store.At(int(lay.perm[lo+t]))
+			sets[t] = ix.store.At(lo + t)
 		}
 		c.codes = dist.EncodeSignatures(sets, ix.cfg.K, ix.omega)
 	})
@@ -83,7 +81,7 @@ func (ix *Index) sigExceeds(sq *sigQuery, i int, threshold float64) bool {
 		sq.at[b] = at
 		sq.touched = append(sq.touched, int32(b))
 	}
-	return c.codes.Exceeds(&sq.qs[at-1], slot%blockLen, threshold)
+	return c.codes.Exceeds(&sq.qs[at-1], i%vectorset.BlockLen, threshold)
 }
 
 // sigPoolFor returns the sigQuery pool of an index with nb blocks.

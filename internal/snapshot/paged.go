@@ -1,6 +1,7 @@
 package snapshot
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -27,7 +28,9 @@ import (
 //	            cardinality, object count, epoch), the byte offset of
 //	            every region, ω inline, and a header CRC.
 //	vector      pages [1, …): the flat vector data of every object,
-//	  region    concatenated in insertion order — exactly the
+//	  region    concatenated in block order (vectorset.BlockOrder, which
+//	            PagedWriter.Finish applies; a file from an older writer
+//	            may hold any order, and is read as stored) — exactly the
 //	            vectorset.Flat row-major layout, so a Flat can alias it.
 //	offsets     starts[count+1] — cumulative float64 counts delimiting
 //	  region    each object's rows — then ids[count], both uint64.
@@ -129,21 +132,31 @@ type PagedWriterOptions struct {
 }
 
 // PagedWriter streams objects into a version-2 paged snapshot with
-// bounded memory: vector data goes straight to disk as it is appended,
-// and only the per-object bookkeeping — offsets, ids, centroids, page
-// CRCs — is buffered until Finish (O(count·dim), independent of the
-// vector payload, which dominates any real database). The file is
-// written as an atomicfile replacement committed on Finish, so a crashed
-// build never leaves a half-written snapshot behind.
+// bounded memory and stores them in block order (vectorset.BlockOrder),
+// so a database opened from the file ranks its centroid region in place
+// with small block boxes. Vector data goes to a scratch file beside the
+// target as it is appended, and only the per-object bookkeeping —
+// offsets, ids, centroids, page CRCs — is buffered until Finish, which
+// orders the objects and copies their vectors into the target in that
+// order (O(count·dim) memory, independent of the vector payload, which
+// dominates any real database). Block order is canonical, so the bytes
+// depend on the objects and the epoch, not on the order they were
+// appended in. The file is written as an atomicfile replacement committed
+// on Finish, so a crashed build never leaves a half-written snapshot
+// behind; a failed Append or Finish, or Abort, removes every file the
+// writer made.
 type PagedWriter struct {
-	f    *atomicfile.File
-	w    *writeCounter
+	path string
 	opts PagedWriterOptions
+	vec  *os.File         // the scratch file: vectors in append order
+	vecW *bufio.Writer    // buffers vec
+	f    *atomicfile.File // the target's temporary, from Finish on
+	w    *writeCounter
 
-	starts []uint64 // cumulative float64 counts, len = count+1
+	starts []uint64 // cumulative float64 counts in vec, len = count+1
 	ids    []uint64
 	cents  []float64 // count·dim, appended per object
-	buf    []byte    // vector encode scratch, reused per Append
+	buf    []byte    // vector encode scratch, reused per object
 	err    error
 }
 
@@ -188,7 +201,7 @@ func (wc *writeCounter) padToPage() error {
 
 // CreatePaged starts a version-2 paged snapshot at path. Objects are
 // streamed in with Append and the file becomes visible atomically on
-// Finish; Abort discards the temporary.
+// Finish; Abort discards everything written so far.
 func CreatePaged(path string, opts PagedWriterOptions) (*PagedWriter, error) {
 	if opts.PageSize == 0 {
 		opts.PageSize = storage.DefaultPageSize
@@ -208,23 +221,17 @@ func CreatePaged(path string, opts PagedWriterOptions) (*PagedWriter, error) {
 	if pagedHeaderFixed+opts.Dim*8+4 > opts.PageSize {
 		return nil, fmt.Errorf("snapshot: page size %d too small for a dim-%d header", opts.PageSize, opts.Dim)
 	}
-	f, err := atomicfile.Create(path)
+	vec, err := os.OpenFile(path+".vec.tmp", os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	pw := &PagedWriter{
-		f:      f,
-		w:      &writeCounter{w: f, pageSize: opts.PageSize},
+	return &PagedWriter{
+		path:   path,
 		opts:   opts,
+		vec:    vec,
+		vecW:   bufio.NewWriterSize(vec, 1<<16),
 		starts: []uint64{0},
-	}
-	// Page 0 is a placeholder until Finish knows the region offsets; the
-	// vector region starts at a fixed page 1 so appends stream directly.
-	if _, err := pw.w.Write(make([]byte, opts.PageSize)); err != nil {
-		pw.Abort()
-		return nil, err
-	}
-	return pw, nil
+	}, nil
 }
 
 // SetSeq records the mutation epoch to persist. Callers converting a
@@ -232,11 +239,8 @@ func CreatePaged(path string, opts PagedWriterOptions) (*PagedWriter, error) {
 // called any time before Finish.
 func (pw *PagedWriter) SetSeq(seq uint64) { pw.opts.Seq = seq }
 
-// Count returns the number of objects appended so far.
-func (pw *PagedWriter) Count() int { return len(pw.ids) }
-
-// Append streams one object's vectors to disk and buffers its offset,
-// id, and extended centroid (computed here — the centroid is a
+// Append streams one object's vectors to the scratch file and buffers its
+// offset, id, and extended centroid (computed here — the centroid is a
 // deterministic function of the set, so recomputation is bit-identical
 // to any previously persisted value).
 func (pw *PagedWriter) Append(id uint64, set vectorset.Flat) error {
@@ -255,13 +259,8 @@ func (pw *PagedWriter) Append(id uint64, set vectorset.Flat) error {
 	if len(pw.ids) >= maxObjects {
 		return pw.fail(fmt.Errorf("snapshot: object count exceeds %d", maxObjects))
 	}
-	n := len(set.Data) * 8
-	if cap(pw.buf) < n {
-		pw.buf = make([]byte, n)
-	}
-	b := pw.buf[:0]
-	b = putFloats(b, set.Data)
-	if _, err := pw.w.Write(b); err != nil {
+	pw.buf = putFloats(pw.buf[:0], set.Data)
+	if _, err := pw.vecW.Write(pw.buf); err != nil {
 		return pw.fail(err)
 	}
 	pw.starts = append(pw.starts, pw.starts[len(pw.starts)-1]+uint64(len(set.Data)))
@@ -270,26 +269,54 @@ func (pw *PagedWriter) Append(id uint64, set vectorset.Flat) error {
 	return nil
 }
 
-// Finish pads the vector region, writes the offsets, centroid, and CRC
-// regions, patches the header page, and commits the file into place.
-// The writer is unusable afterwards.
+// Finish orders the objects into blocks, writes the header, vector,
+// offsets, centroid and CRC regions, commits the file into place and
+// removes the scratch file. The writer is unusable afterwards.
 func (pw *PagedWriter) Finish() error {
 	if pw.err != nil {
 		return pw.err
 	}
-	ps := pw.opts.PageSize
+	if err := pw.vecW.Flush(); err != nil {
+		return pw.fail(err)
+	}
+	f, err := atomicfile.Create(pw.path)
+	if err != nil {
+		return pw.fail(err)
+	}
+	pw.f = f
+	out := bufio.NewWriterSize(f, 1<<16)
+	pw.w = &writeCounter{w: out, pageSize: pw.opts.PageSize}
+	// Page 0 is a placeholder until the region offsets are known.
+	ps, dim := pw.opts.PageSize, pw.opts.Dim
+	if _, err := pw.w.Write(make([]byte, ps)); err != nil {
+		return pw.fail(err)
+	}
+
+	perm := vectorset.BlockOrder(pw.ids, pw.cents, dim)
+	starts := make([]uint64, 1, len(pw.starts))
+	for _, i := range perm {
+		lo, hi := pw.starts[i], pw.starts[i+1]
+		b := pw.buf[:(hi-lo)*8]
+		if _, err := pw.vec.ReadAt(b, int64(lo)*8); err != nil {
+			return pw.fail(err)
+		}
+		if _, err := pw.w.Write(b); err != nil {
+			return pw.fail(err)
+		}
+		starts = append(starts, starts[len(starts)-1]+hi-lo)
+	}
 	if err := pw.w.padToPage(); err != nil {
 		return pw.fail(err)
 	}
-	vecBytes := pw.starts[len(pw.starts)-1] * 8
+	vecBytes := starts[len(starts)-1] * 8
 
 	offStart := pw.w.off
-	enc := make([]byte, 0, (len(pw.starts)+len(pw.ids))*8)
-	for _, s := range pw.starts {
+	enc := make([]byte, 0, (len(starts)+len(perm))*8)
+	for _, s := range starts {
 		enc = binary.LittleEndian.AppendUint64(enc, s)
 	}
-	for _, id := range pw.ids {
-		enc = binary.LittleEndian.AppendUint64(enc, id)
+	for _, i := range perm {
+		enc = binary.LittleEndian.AppendUint64(enc, pw.ids[i])
 	}
 	if _, err := pw.w.Write(enc); err != nil {
 		return pw.fail(err)
@@ -299,7 +326,11 @@ func (pw *PagedWriter) Finish() error {
 	}
 
 	ctrStart := pw.w.off
-	if _, err := pw.w.Write(putFloats(enc[:0], pw.cents)); err != nil {
+	enc = enc[:0]
+	for _, i := range perm {
+		enc = putFloats(enc, pw.cents[i*dim:(i+1)*dim])
+	}
+	if _, err := pw.w.Write(enc); err != nil {
 		return pw.fail(err)
 	}
 	if err := pw.w.padToPage(); err != nil {
@@ -332,32 +363,42 @@ func (pw *PagedWriter) Finish() error {
 	for _, c := range pw.w.crcs[:numPages] {
 		tbl = binary.LittleEndian.AppendUint32(tbl, c)
 	}
-	if _, err := pw.f.Write(tbl); err != nil { // not pageWrite: the table is not self-covered
+	if _, err := out.Write(tbl); err != nil { // not through pw.w: the table is not self-covered
+		return pw.fail(err)
+	}
+	if err := out.Flush(); err != nil {
 		return pw.fail(err)
 	}
 	if _, err := pw.f.WriteAt(hp, 0); err != nil {
 		return pw.fail(err)
 	}
-	f := pw.f
 	pw.f = nil
 	if err := f.Commit(); err != nil {
 		return pw.fail(err)
 	}
+	pw.Abort() // the scratch file
 	pw.err = fmt.Errorf("snapshot: paged writer already finished")
 	return nil
 }
 
-// Abort discards the temporary file. Safe to call after a failed Append
-// or Finish; a no-op once Finish reaches its commit.
+// Abort discards the scratch file and the target's temporary. Safe to
+// call any time, also after a failed Append or Finish (which clean up
+// themselves); a no-op once Finish has returned.
 func (pw *PagedWriter) Abort() {
 	if pw.f != nil {
 		pw.f.Abort()
 		pw.f = nil
 	}
+	if pw.vec != nil {
+		pw.vec.Close()
+		os.Remove(pw.vec.Name())
+		pw.vec = nil
+	}
 }
 
 func (pw *PagedWriter) fail(err error) error {
 	pw.err = err
+	pw.Abort()
 	return err
 }
 
@@ -592,10 +633,10 @@ func (r *PagedReader) Seq() uint64 { return r.seq }
 // PageSize returns the layout page size.
 func (r *PagedReader) PageSize() int { return r.pageSize }
 
-// ID returns the id of the i-th object (insertion order).
+// ID returns the id of the i-th object (file order).
 func (r *PagedReader) ID(i int) uint64 { return r.ids[i] }
 
-// IDs returns all ids in insertion order. The slice aliases the mapping
+// IDs returns all ids in file order. The slice aliases the mapping
 // (appending to it copies, since its capacity equals its length).
 func (r *PagedReader) IDs() []uint64 { return r.ids }
 

@@ -1,6 +1,7 @@
 package snapshot
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"math/rand"
@@ -38,6 +39,16 @@ func makeFixture(t *testing.T, n int) *pagedFixture {
 		fx.sets = append(fx.sets, vectorset.Flat{Data: data, Card: card, Dim: fx.dim})
 	}
 	return fx
+}
+
+// order is the block order the writer stores the fixture in: position s
+// holds fixture object order()[s].
+func (fx *pagedFixture) order() []int {
+	var col []float64
+	for _, set := range fx.sets {
+		col = append(col, set.Centroid(fx.maxCard, fx.omega)...)
+	}
+	return vectorset.BlockOrder(fx.ids, col, fx.dim)
 }
 
 func (fx *pagedFixture) write(t *testing.T, path string, seq uint64) {
@@ -83,12 +94,12 @@ func TestPagedRoundTrip(t *testing.T) {
 	if len(col) != len(fx.ids)*fx.dim {
 		t.Fatalf("CentroidColumn holds %d values, want %d × %d", len(col), len(fx.ids), fx.dim)
 	}
-	for i, id := range fx.ids {
-		if r.ID(i) != id {
-			t.Fatalf("ID(%d) = %d, want %d", i, r.ID(i), id)
+	for i, k := range fx.order() {
+		if r.ID(i) != fx.ids[k] {
+			t.Fatalf("ID(%d) = %d, want %d", i, r.ID(i), fx.ids[k])
 		}
 		got := r.At(i)
-		want := fx.sets[i]
+		want := fx.sets[k]
 		if got.Card != want.Card || got.Dim != want.Dim {
 			t.Fatalf("At(%d) shape (%d,%d), want (%d,%d)", i, got.Card, got.Dim, want.Card, want.Dim)
 		}
@@ -107,6 +118,112 @@ func TestPagedRoundTrip(t *testing.T) {
 	if err := r.Verify(); err != nil {
 		t.Fatalf("Verify: %v", err)
 	}
+}
+
+// dirNames lists the names in dir, sorted.
+func dirNames(t *testing.T, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	return names
+}
+
+// TestPagedWriterLeavesNothingBehind: the writer's scratch file and the
+// target's temporary are gone after Abort, after a failed Append and after
+// a failed Finish, none of which leaves a target either; a Finish that
+// succeeds leaves exactly the target. Appending the same objects in
+// another order writes the same bytes.
+func TestPagedWriterLeavesNothingBehind(t *testing.T) {
+	fx := makeFixture(t, 150)
+	create := func(t *testing.T, path string) *PagedWriter {
+		t.Helper()
+		w, err := CreatePaged(path, PagedWriterOptions{Dim: fx.dim, MaxCard: fx.maxCard, Omega: fx.omega, Seq: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range 100 {
+			if err := w.Append(fx.ids[i], fx.sets[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return w
+	}
+
+	t.Run("abort", func(t *testing.T) {
+		dir := t.TempDir()
+		create(t, filepath.Join(dir, "db.vsnap")).Abort()
+		if names := dirNames(t, dir); len(names) != 0 {
+			t.Fatalf("Abort left %v", names)
+		}
+	})
+	t.Run("failed append", func(t *testing.T) {
+		dir := t.TempDir()
+		w := create(t, filepath.Join(dir, "db.vsnap"))
+		bad := vectorset.Flat{Data: make([]float64, fx.dim+1), Card: 1, Dim: fx.dim + 1}
+		if err := w.Append(99, bad); err == nil {
+			t.Fatal("an object of the wrong dimension was appended")
+		}
+		if names := dirNames(t, dir); len(names) != 0 {
+			t.Fatalf("a failed Append left %v", names)
+		}
+		if err := w.Finish(); err == nil {
+			t.Fatal("Finish after a failed Append succeeded")
+		}
+	})
+	t.Run("failed finish", func(t *testing.T) {
+		dir := t.TempDir()
+		path := filepath.Join(dir, "db.vsnap")
+		w := create(t, path)
+		// A directory where the target's temporary goes fails Finish.
+		if err := os.Mkdir(path+".tmp", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Finish(); err == nil {
+			t.Fatal("Finish succeeded with its temporary blocked")
+		}
+		if names := dirNames(t, dir); len(names) != 1 || names[0] != "db.vsnap.tmp" {
+			t.Fatalf("a failed Finish left %v beside the blocking directory", names)
+		}
+		w.Abort() // a no-op by now
+	})
+	t.Run("finish", func(t *testing.T) {
+		dir := t.TempDir()
+		inOrder := filepath.Join(dir, "in-order.vsnap")
+		fx.write(t, inOrder, 7)
+		if names := dirNames(t, dir); len(names) != 1 || names[0] != "in-order.vsnap" {
+			t.Fatalf("Finish left %v", names)
+		}
+		shuffled := filepath.Join(dir, "shuffled.vsnap")
+		w, err := CreatePaged(shuffled, PagedWriterOptions{Dim: fx.dim, MaxCard: fx.maxCard, Omega: fx.omega, Seq: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, i := range rand.New(rand.NewSource(5)).Perm(len(fx.ids)) {
+			if err := w.Append(fx.ids[i], fx.sets[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		a, err := os.ReadFile(inOrder)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(shuffled)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a, b) {
+			t.Fatal("the same objects appended in another order write other bytes")
+		}
+	})
 }
 
 func TestPagedEmpty(t *testing.T) {
@@ -312,17 +429,17 @@ func TestConvertFileV1ToV2(t *testing.T) {
 	if r.Len() != len(fx.ids) || r.Seq() != 31 {
 		t.Fatalf("converted snapshot: len=%d seq=%d", r.Len(), r.Seq())
 	}
-	for i := range fx.ids {
-		if r.ID(i) != fx.ids[i] {
-			t.Fatalf("ID(%d) = %d, want %d", i, r.ID(i), fx.ids[i])
+	for i, k := range fx.order() {
+		if r.ID(i) != fx.ids[k] {
+			t.Fatalf("ID(%d) = %d, want %d", i, r.ID(i), fx.ids[k])
 		}
-		got, want := r.At(i), fx.sets[i]
+		got, want := r.At(i), fx.sets[k]
 		for j := range want.Data {
 			if got.Data[j] != want.Data[j] {
 				t.Fatalf("object %d float %d mismatch", i, j)
 			}
 		}
-		for j, c := range cents[i] {
+		for j, c := range cents[k] {
 			if math.Abs(r.Centroid(i)[j]-c) != 0 {
 				t.Fatalf("object %d centroid %d: recomputed %v, persisted %v", i, j, r.Centroid(i)[j], c)
 			}

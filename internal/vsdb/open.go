@@ -28,11 +28,12 @@ type baseStore interface {
 }
 
 // heapStore is the heap-resident base: one contiguous flat buffer per
-// object and one block of extended centroids (dim floats each), both in
-// base insertion order, resolved by id through idx. It is also the filter
-// index's SetStore — refinement reads sets[i] and ranking scans cents in
-// place — so the base exists once, not a second time encoded into the
-// filter's simulated paged file or copied into a tree.
+// object and one column of extended centroids (dim floats each), both in
+// block order (vectorset.BlockOrder), resolved by id through idx. It is
+// also the filter index's SetStore — refinement reads sets[i] and ranking
+// reads cents in place — so the base and its centroids exist once, not a
+// second time encoded into the filter's simulated paged file or copied
+// into a tree.
 type heapStore struct {
 	sets    []vectorset.Flat
 	cents   []float64
@@ -79,24 +80,33 @@ func (s *heapStore) baseCentroid(id uint64) []float64 { return s.centroid(s.idx[
 // store and the filter index that refines and ranks against it in place.
 // stored(i) is the i-th set's extended centroid under the database's
 // MaxCard and ω where one is already held (it is copied into the store's
-// block), nil where it must be computed; both happen on the worker pool,
-// so stored must be safe for concurrent calls.
+// column), nil where it must be computed; both happen on the worker pool,
+// so stored must be safe for concurrent calls. The base is stored in block
+// order (vectorset.BlockOrder), and ids is reordered in place to match it.
 func (db *DB) newHeapBase(ids []uint64, sets []vectorset.Flat, stored func(i int) []float64) (*filter.Index, *heapStore) {
 	dim := db.cfg.Dim
+	cents := make([]float64, len(sets)*dim)
+	parallel.ForEach(len(sets), parallel.Workers(0, parallel.Auto()), func(i int) {
+		if c := stored(i); c != nil {
+			copy(cents[i*dim:(i+1)*dim], c)
+		} else {
+			sets[i].CentroidInto(cents[i*dim:(i+1)*dim], db.cfg.MaxCard, db.omega)
+		}
+	})
+	perm := vectorset.BlockOrder(ids, cents, dim)
 	st := &heapStore{
-		sets:    sets,
-		cents:   make([]float64, len(sets)*dim),
+		sets:    make([]vectorset.Flat, len(sets)),
+		cents:   make([]float64, len(cents)),
 		dim:     dim,
 		idx:     make(map[uint64]int, len(ids)),
 		tracker: db.cfg.Tracker,
 	}
-	parallel.ForEach(len(sets), parallel.Workers(0, parallel.Auto()), func(i int) {
-		if c := stored(i); c != nil {
-			copy(st.centroid(i), c)
-		} else {
-			sets[i].CentroidInto(st.centroid(i), db.cfg.MaxCard, db.omega)
-		}
-	})
+	byPos := make([]uint64, len(ids))
+	for s, i := range perm {
+		byPos[s], st.sets[s] = ids[i], sets[i]
+		copy(st.centroid(s), cents[i*dim:(i+1)*dim])
+	}
+	copy(ids, byPos)
 	intIDs := make([]int, len(ids))
 	for i, id := range ids {
 		st.idx[id] = i
@@ -194,9 +204,10 @@ func openPaged(r *snapshot.PagedReader, opt LoadOptions) (*DB, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	// Every query scans the whole centroid region, and the lazy-CRC
-	// accessors panic on damage: verifying it up front turns a corrupt
-	// file into an ErrCorrupt return instead of a fault mid-query.
+	// The filter ranks the centroid region in place, a query reading the
+	// blocks its reach meets, and the lazy-CRC accessors panic on damage:
+	// verifying the region up front turns a corrupt file into an
+	// ErrCorrupt return instead of a fault mid-query.
 	if err := r.CheckCentroids(); err != nil {
 		return nil, fmt.Errorf("vsdb: %w", err)
 	}

@@ -8,7 +8,7 @@ import (
 )
 
 // Persistence (DESIGN.md §7/§8/§11): a database is saved as a paged
-// VXSNAP02 snapshot — the objects in insertion order, the extended
+// VXSNAP02 snapshot — the objects in block order, the extended
 // centroids the filter ranks, the mutation epoch a write-ahead log is
 // replayed against — and reopened by mapping that file (OpenFile).
 
@@ -33,8 +33,9 @@ type LoadOptions struct {
 // and durably (see atomicfile): Checkpoint truncates the WAL behind it,
 // so the snapshot must be on disk before the rename that publishes it.
 // The bytes are a function of the logical state alone — configuration,
-// ids, sets, insertion order and epoch — not of delta/tombstones vs
-// compacted, so SaveFile → OpenFile → SaveFile is a fixed point. SaveFile
+// ids, sets and epoch — not of delta/tombstones vs compacted or of the
+// order the objects arrived in, so SaveFile → OpenFile → SaveFile is a
+// fixed point. SaveFile
 // captures one consistent view; concurrent mutations do not tear it. A
 // database mapped from path may save over it: the mapping keeps the
 // replaced file until Close.
@@ -42,8 +43,10 @@ func (db *DB) SaveFile(path string) error {
 	return db.saveViewFile(db.cur.Load(), path)
 }
 
-// saveViewFile writes v in insertion order. The writer recomputes every
-// centroid from its set, which is bit-identical to the stored one.
+// saveViewFile writes v's live objects; the writer stores them in block
+// order, whatever order v holds them in (its storage order, DB.IDs), and
+// recomputes every centroid from its set, which is bit-identical to the
+// stored one.
 func (db *DB) saveViewFile(v *view, path string) error {
 	w, err := snapshot.CreatePaged(path, snapshot.PagedWriterOptions{
 		Dim:     db.cfg.Dim,

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"github.com/voxset/voxset/internal/snapshot"
@@ -278,5 +279,65 @@ func TestSaveLoadFile(t *testing.T) {
 	}
 	if _, err := OpenFile(path+".missing", LoadOptions{}); err == nil {
 		t.Fatal("missing file accepted")
+	}
+}
+
+// TestBaseStoredInBlockOrder: a heap base stores its objects in the
+// order a snapshot file of them does — the canonical block order, whatever
+// order they arrived in — so a bulk-inserted batch and its saved, reopened
+// file list their ids (DB.IDs) identically, a batch inserted in another
+// order lists them identically too, and compacting the file-backed
+// database changes nothing.
+func TestBaseStoredInBlockOrder(t *testing.T) {
+	const n = 300
+	rng := rand.New(rand.NewSource(8))
+	ids := make([]uint64, n)
+	sets := make([][][]float64, n)
+	for i := range ids {
+		ids[i], sets[i] = uint64(1000+3*i), randomQuery(rng)
+	}
+	bulk := func(order []int) *DB {
+		db, err := Open(Config{Dim: 4, MaxCard: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var bIDs []uint64
+		var bSets [][][]float64
+		for _, i := range order {
+			bIDs, bSets = append(bIDs, ids[i]), append(bSets, sets[i])
+		}
+		if err := db.BulkInsert(bIDs, bSets); err != nil {
+			t.Fatal(err)
+		}
+		return db
+	}
+	heap := bulk(rng.Perm(n))
+	if other := bulk(rng.Perm(n)); !slices.Equal(other.IDs(), heap.IDs()) {
+		t.Fatal("the same objects bulk-inserted in another order are stored in another order")
+	}
+	if slices.IsSorted(heap.IDs()) {
+		t.Fatal("a heap base of 300 objects is stored in id order, not block order")
+	}
+	path := filepath.Join(t.TempDir(), "db.vsnap")
+	if err := heap.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	mapped, err := OpenFile(path, LoadOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mapped.Close()
+	if !slices.Equal(mapped.IDs(), heap.IDs()) {
+		t.Fatal("the snapshot file stores the objects in another order than the heap base")
+	}
+	if err := mapped.Insert(1, randomQuery(rng)); err != nil {
+		t.Fatal(err)
+	}
+	if err := mapped.Delete(1); err != nil {
+		t.Fatal(err)
+	}
+	mapped.Compact()
+	if !slices.Equal(mapped.IDs(), heap.IDs()) {
+		t.Fatal("compacting a base in block order reorders it")
 	}
 }

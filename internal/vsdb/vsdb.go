@@ -171,7 +171,8 @@ type view struct {
 	// order.
 	delta    map[uint64]deltaEntry
 	deltaIDs []uint64
-	// ids is the live object ids in insertion order.
+	// ids is the live object ids in storage order: the base's in block
+	// order (its positions), then the delta's in insertion order.
 	ids []uint64
 }
 
@@ -237,7 +238,7 @@ func (v *view) baseLive() func(id int) bool {
 }
 
 // compacted reports whether the view is exactly its base (no delta, no
-// tombstones) — the state in which ids aligns with base insertion order.
+// tombstones) — the state in which ids aligns with the base's positions.
 func (v *view) compacted() bool { return len(v.delta) == 0 && len(v.tomb) == 0 }
 
 // tombRatio is the fraction of base-resident objects that are deleted.
@@ -323,7 +324,9 @@ func (db *DB) MaxCard() int { return db.cfg.MaxCard }
 // opened with bit-identical distance semantics.
 func (db *DB) Omega() []float64 { return append([]float64(nil), db.omega...) }
 
-// IDs returns the live object ids in insertion order (a copy).
+// IDs returns the live object ids in storage order (a copy): the base's
+// in block order — the order a compaction or an opened snapshot file
+// stores them in — then those inserted since, in insertion order.
 func (db *DB) IDs() []uint64 {
 	v := db.cur.Load()
 	return append([]uint64(nil), v.ids...)

@@ -10,8 +10,8 @@ import (
 
 // Fingerprint returns db's durable state as bytes: the paged snapshot
 // SaveFile writes, which is a function of the logical state alone
-// (configuration, ids, sets, insertion order, epoch). Two databases
-// holding the same state have equal fingerprints.
+// (configuration, ids, sets, epoch). Two databases holding the same state
+// have equal fingerprints.
 func Fingerprint(t testing.TB, db *vsdb.DB) []byte {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "fingerprint.vsnap")
