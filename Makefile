@@ -116,14 +116,14 @@ bench-smoke:
 	$(GO) test -run xxx -bench 'MeshExtract' -benchtime 1024x -benchmem ./internal/meshquery/
 	$(GO) test -run xxx -bench 'GreedyR15K7' -benchtime 256x -benchmem ./internal/cover/
 
-# Voxel-kernel and ingest smoke: word-parallel morphology vs the
-# per-voxel references, voxelization, one object extraction pass, and the
+# Voxel-kernel and ingest smoke: the word-parallel surface/interior split
+# vs its per-voxel reference, voxelization, one object extraction pass, and the
 # benchmark corpus's extraction (IngestAircraft: every one of its 1 250
 # parts once, with CSG membership tests and the voxelize/cover split per
 # part; the voxelizers test only cells inside a solid's declared box, so
 # tests/part reads ≈ 7 k, not the ≈ 97 k of a sweep over the whole cube).
 bench-voxel:
-	$(GO) test -run xxx -bench 'Surface|FillCavities|Components|Voxelize' -benchtime 20x ./internal/voxel/
+	$(GO) test -run xxx -bench 'Surface|Voxelize' -benchtime 20x ./internal/voxel/
 	$(GO) test -run xxx -bench 'IngestObject' -benchtime 5x .
 	$(GO) test -run xxx -bench 'IngestAircraft' -benchtime 1250x -benchmem .
 

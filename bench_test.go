@@ -573,21 +573,20 @@ func BenchmarkAblation_ExactCoverR4K2(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Scaling: the parallel OPTICS engine vs the sequential baseline. One
-// iteration = one full OPTICS run; results are identical between the two
-// engines by construction, so the pair measures pure speedup.
+// Scaling: the OPTICS path Database.Cluster serves (optics.RunRows over
+// core.Engine.RowFunc) with one worker and with one per CPU; the row
+// function reads its worker count from VOXSET_WORKERS when it is built.
+// One iteration = one full OPTICS run; the ordering is identical at every
+// worker count by construction, so the pair measures pure speedup.
 
 func benchmarkScalingOPTICS(b *testing.B, workers int) {
 	benchSetup(b)
-	objs := carEngine.Objects()
-	// Concurrency-safe pairwise distance through the pooled workspace.
-	distFn := func(i, j int) float64 {
-		return dist.MatchingDistance(objs[i].VSet, objs[j].VSet, dist.L2, dist.WeightNorm)
-	}
+	b.Setenv(parallel.EnvWorkers, strconv.Itoa(workers))
+	row := carEngine.RowFunc(core.ModelVectorSet, core.InvNone)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		optics.RunParallel(len(objs), distFn, math.Inf(1), 5, workers)
+		optics.RunRows(carEngine.Len(), row, math.Inf(1), 5)
 	}
 }
 

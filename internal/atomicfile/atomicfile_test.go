@@ -13,8 +13,8 @@ import (
 // previous file intact with no temporary behind. That the fsyncs are
 // ordered so a power loss cannot surface a renamed-but-empty file is not
 // observable without an injectable filesystem that fails or powers off
-// at each write, sync and rename (ROADMAP item 6(c)); until then it rests
-// on Commit's code order.
+// at each write, sync and rename (the ROADMAP item "Multi-file crash
+// points"); until then it rests on Commit's code order.
 
 func writeString(s string) func(io.Writer) error {
 	return func(w io.Writer) error {

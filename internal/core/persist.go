@@ -5,7 +5,6 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
-	"os"
 )
 
 // snapshot is the on-disk representation of an extracted dataset.
@@ -49,27 +48,4 @@ func LoadEngine(r io.Reader) (*Engine, error) {
 	}
 	e.objects = s.Objects
 	return e, nil
-}
-
-// SaveObjectsFile is SaveObjects to a file path.
-func (e *Engine) SaveObjectsFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := e.SaveObjects(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// LoadEngineFile is LoadEngine from a file path.
-func LoadEngineFile(path string) (*Engine, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return LoadEngine(f)
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -52,30 +51,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSnapshotFileRoundTrip(t *testing.T) {
-	e := newTestEngine(t)
-	e.AddParts(cadgen.CarDataset(14)[:6])
-	path := filepath.Join(t.TempDir(), "cars.gob.gz")
-	if err := e.SaveObjectsFile(path); err != nil {
-		t.Fatal(err)
-	}
-	back, err := LoadEngineFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Len() != 6 {
-		t.Errorf("loaded %d objects", back.Len())
-	}
-}
-
 func TestLoadEngineRejectsGarbage(t *testing.T) {
 	if _, err := LoadEngine(strings.NewReader("not a gzip stream")); err == nil {
 		t.Error("expected error for garbage input")
-	}
-}
-
-func TestLoadEngineFileMissing(t *testing.T) {
-	if _, err := LoadEngineFile("/nonexistent/path/x.gob.gz"); err == nil {
-		t.Error("expected error for missing file")
 	}
 }

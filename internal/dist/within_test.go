@@ -85,12 +85,12 @@ func TestMatchingWithinRandom(t *testing.T) {
 	}
 }
 
-// TestMatchingWithinAdversarial is the standing adversarial suite for
-// the kernel (ROADMAP item 2(d)): inputs built to tie — duplicate and
-// zero-norm vectors, identical sets, mirror images, integer lattice
-// covers whose cells collide exactly — at cardinalities 1, MaxCard and
-// unequal, where a bound that is off by one rounding would prune a
-// candidate that ties the threshold.
+// TestMatchingWithinAdversarial is the standing adversarial property
+// suite for the kernel (the ROADMAP aim "Correctness and robustness"):
+// inputs built to tie — duplicate and zero-norm vectors, identical sets,
+// mirror images, integer lattice covers whose cells collide exactly — at
+// cardinalities 1, MaxCard and unequal, where a bound that is off by one
+// rounding would prune a candidate that ties the threshold.
 func TestMatchingWithinAdversarial(t *testing.T) {
 	const dim, maxCard = 6, 7
 	rng := rand.New(rand.NewSource(29))

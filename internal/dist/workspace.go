@@ -287,55 +287,6 @@ func (ws *Workspace) MinEuclideanPerm(x, y [][]float64) float64 {
 	return math.Sqrt(ws.MatchingDistance(x, y, L2Squared, WeightNormSquared))
 }
 
-// GreedyMatching computes the cost of the deterministic greedy maximal
-// matching: each element of the smaller set is paired, in order, with its
-// nearest not-yet-used element of the larger set; leftover elements of
-// the larger set pay their weight. The result is the cost of a feasible
-// matching and therefore an upper bound of MatchingDistance — a cheap
-// O(k²) complement to the centroid lower bound for pruning candidates
-// before the exact O(k³) solve.
-func (ws *Workspace) GreedyMatching(x, y [][]float64, ground Func, weight WeightFunc) float64 {
-	if len(x) < len(y) {
-		x, y = y, x
-	}
-	big, small := len(x), len(y)
-	switch {
-	case big == 0:
-		return 0
-	case small == 0:
-		total := 0.0
-		for _, v := range x {
-			total += weight(v)
-		}
-		return total
-	}
-	ws.growSolve(big)
-	used := ws.used[:big]
-	for i := range used {
-		used[i] = false
-	}
-	total := 0.0
-	for j := 0; j < small; j++ {
-		best, bi := math.Inf(1), -1
-		for i := 0; i < big; i++ {
-			if used[i] {
-				continue
-			}
-			if d := ground(x[i], y[j]); d < best {
-				best, bi = d, i
-			}
-		}
-		used[bi] = true
-		total += best
-	}
-	for i := 0; i < big; i++ {
-		if !used[i] {
-			total += weight(x[i])
-		}
-	}
-	return total
-}
-
 // PartialMatching computes the partial similarity distance of paper §4.1
 // like the package-level PartialMatching, reusing the workspace's
 // min-cost-flow solver across calls.

@@ -56,23 +56,6 @@ func TestMatchingDistanceZeroAllocs(t *testing.T) {
 	}
 }
 
-func TestGreedyMatchingUpperBound(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for trial := 0; trial < 40; trial++ {
-		x := randVecSet(rng, 1+rng.Intn(5), 3)
-		y := randVecSet(rng, 1+rng.Intn(5), 3)
-		greedy := GreedyMatching(x, y, L2, WeightNorm)
-		exact := MatchingDistance(x, y, L2, WeightNorm)
-		if greedy < exact-1e-9 {
-			t.Fatalf("trial %d: greedy %v < exact %v", trial, greedy, exact)
-		}
-	}
-	x := randVecSet(rng, 4, 3)
-	if d := GreedyMatching(x, x, L2, WeightNorm); d > 1e-9 {
-		t.Errorf("greedy self-distance = %v, want 0", d)
-	}
-}
-
 // TestPooledPartialMatching exercises the flow-network reuse: repeated
 // calls through the pool must keep matching the brute-force result.
 func TestPooledPartialMatching(t *testing.T) {

@@ -682,13 +682,3 @@ func FormatTable2(rows []Table2Row) string {
 	}
 	return s
 }
-
-// SampleNeighbors formats the result of a k-nn query for display.
-func SampleNeighbors(parts []cadgen.Part, res []index.Neighbor) string {
-	s := ""
-	for i, nb := range res {
-		s += fmt.Sprintf("%2d. %-20s (class %-12s) dist %.3f\n",
-			i+1, parts[nb.ID].Name, parts[nb.ID].Class, nb.Dist)
-	}
-	return s
-}

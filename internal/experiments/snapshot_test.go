@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"github.com/voxset/voxset/internal/snapshot"
-	"github.com/voxset/voxset/internal/storage"
 	"github.com/voxset/voxset/internal/vsdb"
 	"github.com/voxset/voxset/internal/vsdb/vsdbtest"
 )
@@ -181,47 +180,6 @@ func TestSnapshotFingerprint212(t *testing.T) {
 		for j := range a {
 			if a[j] != b[j] {
 				t.Fatalf("id %d: neighbor %d differs after WAL replay: %+v vs %+v", id, j, a[j], b[j])
-			}
-		}
-	}
-}
-
-// TestLoadOrBuildSnapshot: the first call pays the extraction and writes
-// the snapshot; the second call opens it, charges the tracker for the
-// pages it touches, and answers queries identically.
-func TestLoadOrBuildSnapshot(t *testing.T) {
-	skipIfShort(t)
-	path := filepath.Join(t.TempDir(), "aircraft.vsnap")
-	cfg := smallCfg()
-
-	built, wasLoaded, err := LoadOrBuildSnapshot(path, Aircraft, 5, 8, cfg, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wasLoaded {
-		t.Fatal("first call claims to have loaded a snapshot that did not exist")
-	}
-
-	var tr storage.Tracker
-	reopened, wasLoaded, err := LoadOrBuildSnapshot(path, Aircraft, 5, 8, cfg, 0, &tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !wasLoaded {
-		t.Fatal("second call rebuilt instead of loading")
-	}
-	if tr.BytesRead() == 0 || tr.PageAccesses() == 0 {
-		t.Fatalf("load charged no I/O: %d bytes, %d pages", tr.BytesRead(), tr.PageAccesses())
-	}
-	if reopened.Len() != built.Len() {
-		t.Fatalf("reopened %d objects, want %d", reopened.Len(), built.Len())
-	}
-	for _, id := range built.IDs() {
-		q := built.Get(id)
-		a, b := built.KNN(q, 3), reopened.KNN(q, 3)
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("id %d: neighbor %d differs after reopen", id, i)
 			}
 		}
 	}

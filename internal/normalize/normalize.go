@@ -7,8 +7,6 @@
 package normalize
 
 import (
-	"math"
-
 	"github.com/voxset/voxset/internal/csg"
 	"github.com/voxset/voxset/internal/geom"
 	"github.com/voxset/voxset/internal/voxel"
@@ -74,52 +72,6 @@ func TightBounds(s csg.Solid) geom.AABB {
 	return geom.Box(lo, hi)
 }
 
-// CenterGrid translates the occupied voxels of g so that their bounding
-// box is centered in the grid (integer translation, voxel-exact). The
-// input grid is not modified.
-func CenterGrid(g *voxel.Grid) *voxel.Grid {
-	mn, mx, ok := g.OccupiedBounds()
-	out := voxel.NewGrid(g.Nx, g.Ny, g.Nz)
-	out.Origin, out.CellSize = g.Origin, g.CellSize
-	if !ok {
-		return out
-	}
-	dims := [3]int{g.Nx, g.Ny, g.Nz}
-	var shift [3]int
-	for i := 0; i < 3; i++ {
-		occ := mx[i] - mn[i] + 1
-		shift[i] = (dims[i]-occ)/2 - mn[i]
-	}
-	g.ForEach(func(x, y, z int) {
-		out.Set(x+shift[0], y+shift[1], z+shift[2], true)
-	})
-	return out
-}
-
-// ScaleRatio quantifies the size difference of two normalized objects from
-// their stored extents: the maximum over axes of the larger/smaller extent
-// ratio (1 for identically sized objects). Callers that want scaling
-// *sensitivity* (scaling invariance off) can combine this with any shape
-// distance.
-func ScaleRatio(a, b Info) float64 {
-	ratio := 1.0
-	ea, eb := a.Extent, b.Extent
-	for i := 0; i < 3; i++ {
-		x, y := ea.Component(i), eb.Component(i)
-		if x <= 0 || y <= 0 {
-			continue
-		}
-		r := x / y
-		if r < 1 {
-			r = 1 / r
-		}
-		if r > ratio {
-			ratio = r
-		}
-	}
-	return ratio
-}
-
 // PrincipalAxes returns the principal-axis rotation of the occupied voxel
 // centers of g: a rotation matrix whose rows are the eigenvectors of the
 // voxel covariance matrix in descending eigenvalue order (det +1). For
@@ -143,47 +95,15 @@ func PrincipalAxes(g *voxel.Grid) geom.Mat3 {
 	return rot
 }
 
-// PCAVoxelize voxelizes the solid in its principal-axis frame: the solid
-// is rotated so its principal axes align with x ≥ y ≥ z variance order,
-// then voxelized translation/scale-normalized. This yields full rotation
-// invariance (up to PCA sign ambiguity, which the cube-symmetry search at
-// query time resolves).
-func PCAVoxelize(s csg.Solid, r int) (*voxel.Grid, Info) {
-	// Estimate principal axes from a coarse voxelization.
-	coarse := voxel.VoxelizeSolid(s, s.Bounds(), 24)
-	rot := PrincipalAxes(coarse)
-	rotated := csg.Transform(s, geom.Rotate(rot))
-	return VoxelizeNormalized(rotated, r)
-}
-
-// PCAVoxelize2 is PCAVoxelize at two resolutions sharing one principal-
-// axis estimate and one bounds-tightening pass (see VoxelizeNormalized2).
+// PCAVoxelize2 voxelizes the solid in its principal-axis frame at two
+// resolutions: the solid is rotated so its principal axes align with
+// x ≥ y ≥ z variance order, then voxelized translation/scale-normalized
+// with one bounds-tightening pass (see VoxelizeNormalized2). This yields
+// full rotation invariance (up to PCA sign ambiguity, which the
+// cube-symmetry search at query time resolves).
 func PCAVoxelize2(s csg.Solid, r1, r2 int) (*voxel.Grid, *voxel.Grid, Info) {
 	coarse := voxel.VoxelizeSolid(s, s.Bounds(), 24)
 	rot := PrincipalAxes(coarse)
 	rotated := csg.Transform(s, geom.Rotate(rot))
 	return VoxelizeNormalized2(rotated, r1, r2)
-}
-
-// SymmetryDistance computes the minimum of dist(query transformed by s,
-// db) over the given symmetries, implementing Definition 2's min over the
-// transformation set T. transform must return the feature representation
-// of the query under symmetry s. It returns the minimal distance and the
-// minimizing symmetry.
-func SymmetryDistance[F any](
-	query F,
-	db F,
-	syms []geom.CubeSym,
-	transform func(F, geom.CubeSym) F,
-	dist func(F, F) float64,
-) (float64, geom.CubeSym) {
-	best := math.Inf(1)
-	var bestSym geom.CubeSym
-	for _, s := range syms {
-		if d := dist(transform(query, s), db); d < best {
-			best = d
-			bestSym = s
-		}
-	}
-	return best, bestSym
 }

@@ -37,58 +37,6 @@ func TestVoxelizeNormalizedAnisotropicExtents(t *testing.T) {
 	}
 }
 
-func TestCenterGrid(t *testing.T) {
-	g := voxel.NewCube(10)
-	g.SetCuboid(0, 0, 0, 1, 1, 1, true) // 2³ block in a corner
-	c := CenterGrid(g)
-	mn, mx, ok := c.OccupiedBounds()
-	if !ok {
-		t.Fatal("centered grid empty")
-	}
-	if mn != [3]int{4, 4, 4} || mx != [3]int{5, 5, 5} {
-		t.Errorf("centered bounds = %v..%v", mn, mx)
-	}
-	if c.Count() != 8 {
-		t.Errorf("count changed: %d", c.Count())
-	}
-}
-
-func TestCenterGridEmpty(t *testing.T) {
-	if !CenterGrid(voxel.NewCube(5)).Empty() {
-		t.Error("centering an empty grid should stay empty")
-	}
-}
-
-func TestCenterGridIdempotent(t *testing.T) {
-	g := voxel.NewCube(9)
-	g.SetCuboid(1, 2, 3, 3, 4, 5, true)
-	once := CenterGrid(g)
-	twice := CenterGrid(once)
-	if !once.Equal(twice) {
-		t.Error("CenterGrid should be idempotent")
-	}
-}
-
-func TestScaleRatio(t *testing.T) {
-	a := Info{Extent: geom.V(2, 2, 2)}
-	b := Info{Extent: geom.V(4, 2, 2)}
-	if got := ScaleRatio(a, b); got != 2 {
-		t.Errorf("ratio = %v, want 2", got)
-	}
-	if got := ScaleRatio(a, a); got != 1 {
-		t.Errorf("self ratio = %v, want 1", got)
-	}
-	// Symmetric.
-	if ScaleRatio(a, b) != ScaleRatio(b, a) {
-		t.Error("ScaleRatio must be symmetric")
-	}
-	// Zero extents are skipped, not divided by.
-	c := Info{Extent: geom.V(0, 2, 2)}
-	if got := ScaleRatio(a, c); got != 1 {
-		t.Errorf("ratio with zero extent = %v", got)
-	}
-}
-
 func TestPrincipalAxesAlignsElongation(t *testing.T) {
 	// A rod along the y axis: PCA must map its long axis to x (row 0).
 	g := voxel.NewCube(21)
@@ -123,8 +71,8 @@ func TestPCAVoxelizeRotationInvariant(t *testing.T) {
 	base := csg.NewBox(geom.V(-3, -1, -0.4), geom.V(3, 1, 0.4))
 	rot := csg.Transform(base, geom.Rotate(geom.RotationZ(math.Pi/5)))
 	r := 20
-	ga, _ := PCAVoxelize(base, r)
-	gb, _ := PCAVoxelize(rot, r)
+	ga, _, _ := PCAVoxelize2(base, r, r)
+	gb, _, _ := PCAVoxelize2(rot, r, r)
 	// PCA sign ambiguity: compare under the best cube symmetry.
 	best := math.MaxInt
 	for _, s := range geom.RotoReflections() {
@@ -134,38 +82,5 @@ func TestPCAVoxelizeRotationInvariant(t *testing.T) {
 	}
 	if float64(best) > 0.15*float64(ga.Count()) {
 		t.Errorf("PCA-aligned voxelizations differ in %d of %d voxels", best, ga.Count())
-	}
-}
-
-func TestSymmetryDistance(t *testing.T) {
-	// Feature = [3]float64; symmetries permute components. A query that
-	// matches the database object only after rotation must find distance 0.
-	type F = []float64
-	transform := func(f F, s geom.CubeSym) F {
-		v := s.Apply(geom.V(f[0], f[1], f[2]))
-		return F{v.X, v.Y, v.Z}
-	}
-	dist := func(a, b F) float64 {
-		sum := 0.0
-		for i := range a {
-			d := a[i] - b[i]
-			sum += d * d
-		}
-		return math.Sqrt(sum)
-	}
-	q := F{1, 2, 3}
-	db := F{2, -1, 3} // q rotated 90° about z: (x,y,z) -> (y,-x,z)... one of the 24
-	d, sym := SymmetryDistance(q, db, geom.Rotations90(), transform, dist)
-	if d > 1e-12 {
-		t.Errorf("min distance over rotations = %v, want 0", d)
-	}
-	if got := transform(q, sym); dist(got, db) > 1e-12 {
-		t.Error("returned symmetry does not realize the minimum")
-	}
-	// Without symmetries beyond identity the distance is larger.
-	id := []geom.CubeSym{{Perm: [3]int{0, 1, 2}, Sign: [3]int{1, 1, 1}}}
-	d2, _ := SymmetryDistance(q, db, id, transform, dist)
-	if d2 <= d {
-		t.Errorf("identity-only distance %v should exceed rotation minimum %v", d2, d)
 	}
 }

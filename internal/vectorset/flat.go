@@ -164,13 +164,3 @@ func DecodeFlatInto(dst []float64, rec []byte) (Flat, error) {
 	}
 	return Flat{Data: dst, Card: card, Dim: dim}, nil
 }
-
-// DecodeFlat decodes a serialized set into a freshly allocated flat
-// buffer (exactly one allocation).
-func DecodeFlat(rec []byte) (Flat, error) {
-	card, dim, err := FlatHeader(rec)
-	if err != nil {
-		return Flat{}, err
-	}
-	return DecodeFlatInto(make([]float64, card*dim), rec)
-}

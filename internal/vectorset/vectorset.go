@@ -72,11 +72,6 @@ func (s Set) Centroid(k int, omega []float64) []float64 {
 	return c
 }
 
-// CentroidZero is Centroid with the paper's choice ω = 0.
-func (s Set) CentroidZero(k, dim int) []float64 {
-	return s.Centroid(k, make([]float64, dim))
-}
-
 // CentroidLowerBound returns k·‖C(X) − C(Y)‖₂ given two precomputed
 // extended centroids: by Lemma 2 this never exceeds the minimal matching
 // distance of the underlying sets (with Euclidean ground distance and

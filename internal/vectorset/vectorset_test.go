@@ -47,7 +47,7 @@ func TestCentroidPadsWithOmega(t *testing.T) {
 
 func TestCentroidZeroOfEmptySet(t *testing.T) {
 	var s Set
-	c := s.CentroidZero(4, 6)
+	c := s.Centroid(4, make([]float64, 6)) // the paper's ω = 0
 	for _, v := range c {
 		if v != 0 {
 			t.Errorf("empty-set centroid = %v", c)

@@ -37,38 +37,6 @@ func BenchmarkSurfaceRef(b *testing.B) {
 	}
 }
 
-func BenchmarkFillCavities(b *testing.B) {
-	g := benchGrid(30)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		FillCavities(g)
-	}
-}
-
-func BenchmarkFillCavitiesRef(b *testing.B) {
-	g := benchGrid(30)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		fillCavitiesRef(g)
-	}
-}
-
-func BenchmarkComponents(b *testing.B) {
-	g := benchGrid(30)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		Components(g)
-	}
-}
-
-func BenchmarkComponentsRef(b *testing.B) {
-	g := benchGrid(30)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		componentsRef(g)
-	}
-}
-
 func benchSolid() (csg.Solid, geom.AABB) {
 	s := csg.Difference(
 		csg.NewSphere(geom.V(0, 0, 0), 0.95),

@@ -1,7 +1,7 @@
 // Package voxel implements the voxel substrate of the paper: dense bit
 // grids, voxelization of CSG solids and watertight triangle meshes,
 // surface/interior classification, grid symmetries, sphere kernels for the
-// solid-angle model, morphology and connected components.
+// solid-angle model and connected components.
 //
 // A Grid stores occupancy for N = Nx·Ny·Nz cells in a packed bitset. The
 // paper works with cubic grids of resolution r (r = 15 for the cover

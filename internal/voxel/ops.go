@@ -1,10 +1,6 @@
 package voxel
 
-import (
-	"math/bits"
-
-	"github.com/voxset/voxset/internal/geom"
-)
+import "github.com/voxset/voxset/internal/geom"
 
 // neighbors6 lists the face-adjacent offsets.
 var neighbors6 = [6][3]int{
@@ -57,82 +53,33 @@ func ApplySym(g *Grid, s geom.CubeSym) *Grid {
 	return out
 }
 
-// Dilate returns the 6-neighborhood dilation of the grid: the union of
-// the occupancy with its 6 shifted neighbor images.
-func Dilate(g *Grid) *Grid {
-	out := g.Clone()
-	tmp := make([]uint64, len(g.words))
-	for dir := 0; dir < 6; dir++ {
-		g.shiftNeighbor(tmp, g.words, dir)
-		orWords(out.words, tmp)
-	}
-	clearTailBits(out.words, g.Len())
-	return out
-}
-
-// Erode returns the 6-neighborhood erosion of the grid (the complement of
-// the dilation of the complement; border voxels erode). This coincides
-// with Interior: a voxel survives iff all six face neighbors are
-// occupied.
-func Erode(g *Grid) *Grid {
-	return Interior(g)
-}
-
 // Components labels the 6-connected components of the occupied voxels.
 // It returns the number of components and a label grid (label[i] in
 // 1..n for occupied voxels, 0 for empty), flattened in grid index order.
-//
-// The fill runs scanline-wise: each x-row is a word-packed bitset, runs
-// within a row fill in O(log Nx) word shifts (Kogge-Stone span fill), and
-// a BFS over rows propagates to the four row neighbors (y±1, z±1).
-// Component roots are taken in grid index order, so labels are identical
-// to the per-voxel reference.
+// Labels are assigned in grid index order of each component's first
+// voxel; the fill is a per-voxel stack flood.
 func Components(g *Grid) (n int, labels []int32) {
 	labels = make([]int32, g.Len())
-	rg := newRowGrid(g, true)
-	rows := g.Ny * g.Nz
-	rw := rg.rowWords
-	visited := make([]uint64, rows*rw)
-	state := make([]uint64, rows*rw)
-	inQueue := make([]bool, rows)
-	queue := make([]int32, 0, 64)
-	touched := make([]int32, 0, 64)
-	pro := make([]uint64, rw)
-	tmp := make([]uint64, rw)
-	for r := 0; r < rows; r++ {
-		open := rg.row(rg.open, r)
-		vis := rg.row(visited, r)
-		for {
-			// Lowest unvisited occupied cell of row r starts a component.
-			seedWord := -1
-			var seedBit int
-			for i := 0; i < rw; i++ {
-				if w := open[i] &^ vis[i]; w != 0 {
-					seedWord, seedBit = i, bits.TrailingZeros64(w)
-					break
+	var stack [][3]int
+	for z := 0; z < g.Nz; z++ {
+		for y := 0; y < g.Ny; y++ {
+			for x := 0; x < g.Nx; x++ {
+				if !g.Get(x, y, z) || labels[g.index(x, y, z)] != 0 {
+					continue
 				}
-			}
-			if seedWord < 0 {
-				break
-			}
-			n++
-			srow := rg.row(state, r)
-			srow[seedWord] = 1 << uint(seedBit)
-			spanFill(srow, open, pro, tmp, g.Nx)
-			touched = append(touched[:0], int32(r))
-			queue = append(queue[:0], int32(r))
-			inQueue[r] = true
-			rg.flood(state, queue, inQueue, &touched)
-			for _, tr := range touched {
-				row := rg.row(state, int(tr))
-				visRow := rg.row(visited, int(tr))
-				base := int(tr) * g.Nx
-				for i, w := range row {
-					visRow[i] |= w
-					for ; w != 0; w &= w - 1 {
-						labels[base+i<<6+bits.TrailingZeros64(w)] = int32(n)
+				n++
+				stack = append(stack[:0], [3]int{x, y, z})
+				labels[g.index(x, y, z)] = int32(n)
+				for len(stack) > 0 {
+					c := stack[len(stack)-1]
+					stack = stack[:len(stack)-1]
+					for _, d := range neighbors6 {
+						nx, ny, nz := c[0]+d[0], c[1]+d[1], c[2]+d[2]
+						if g.Get(nx, ny, nz) && labels[g.index(nx, ny, nz)] == 0 {
+							labels[g.index(nx, ny, nz)] = int32(n)
+							stack = append(stack, [3]int{nx, ny, nz})
+						}
 					}
-					row[i] = 0
 				}
 			}
 		}
@@ -165,58 +112,6 @@ func LargestComponent(g *Grid) *Grid {
 			out.Set(x, y, z, true)
 		}
 	})
-	return out
-}
-
-// FillCavities returns a copy of the grid with all internal cavities
-// filled: empty regions not 6-connected to the grid boundary become
-// occupied. Voxelized CAD parts often enclose hollow volumes (pipes,
-// castings) that should count as "inside" for the volume and solid-angle
-// models when the application treats parts as solids.
-//
-// The exterior flood runs scanline-wise over empty cells (see
-// Components); boundary rows seed with all their empty cells, interior
-// rows with their two x-boundary cells.
-func FillCavities(g *Grid) *Grid {
-	rg := newRowGrid(g, false)
-	rows := g.Ny * g.Nz
-	rw := rg.rowWords
-	state := make([]uint64, rows*rw)
-	inQueue := make([]bool, rows)
-	queue := make([]int32, 0, rows)
-	pro := make([]uint64, rw)
-	tmp := make([]uint64, rw)
-	last := g.Nx - 1
-	for r := 0; r < rows; r++ {
-		y, z := r%g.Ny, r/g.Ny
-		open := rg.row(rg.open, r)
-		srow := rg.row(state, r)
-		if y == 0 || y == g.Ny-1 || z == 0 || z == g.Nz-1 {
-			copy(srow, open)
-		} else {
-			srow[0] = open[0] & 1
-			srow[last>>6] |= open[last>>6] & (1 << (uint(last) & 63))
-			spanFill(srow, open, pro, tmp, g.Nx)
-		}
-		if !isRowClear(srow) {
-			queue = append(queue, int32(r))
-			inQueue[r] = true
-		}
-	}
-	rg.flood(state, queue, inQueue, nil)
-	// Occupied = everything that is not exterior.
-	out := NewGrid(g.Nx, g.Ny, g.Nz)
-	out.Origin, out.CellSize = g.Origin, g.CellSize
-	rowBuf := make([]uint64, rw)
-	for r := 0; r < rows; r++ {
-		srow := rg.row(state, r)
-		for i, w := range srow {
-			rowBuf[i] = ^w
-		}
-		clearTailBits(rowBuf, g.Nx)
-		injectBitsOr(out.words, r*g.Nx, g.Nx, rowBuf)
-	}
-	clearTailBits(out.words, g.Len())
 	return out
 }
 

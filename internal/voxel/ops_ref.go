@@ -1,10 +1,10 @@
 package voxel
 
-// Reference implementations of the morphology and flood-fill kernels,
-// kept verbatim from the original per-voxel code. They are the ground
-// truth for the word-parallel kernels in ops.go: the parity test suite
-// asserts bit-identical results on randomized grids. They are not used
-// on any production path.
+// Per-voxel reference implementations of Surface and Interior, kept
+// verbatim from the original code. They are the ground truth for the
+// word-parallel kernels in ops.go: the parity test suite asserts
+// bit-identical results on randomized grids. They are not used on any
+// production path.
 
 // surfaceRef is the per-voxel reference for Surface.
 func surfaceRef(g *Grid) *Grid {
@@ -26,106 +26,4 @@ func interiorRef(g *Grid) *Grid {
 	i := g.Clone()
 	i.Subtract(surfaceRef(g))
 	return i
-}
-
-// dilateRef is the per-voxel reference for Dilate.
-func dilateRef(g *Grid) *Grid {
-	out := g.Clone()
-	g.ForEach(func(x, y, z int) {
-		for _, d := range neighbors6 {
-			nx, ny, nz := x+d[0], y+d[1], z+d[2]
-			if g.InBounds(nx, ny, nz) {
-				out.Set(nx, ny, nz, true)
-			}
-		}
-	})
-	return out
-}
-
-// erodeRef is the per-voxel reference for Erode.
-func erodeRef(g *Grid) *Grid {
-	out := NewGrid(g.Nx, g.Ny, g.Nz)
-	out.Origin, out.CellSize = g.Origin, g.CellSize
-	g.ForEach(func(x, y, z int) {
-		for _, d := range neighbors6 {
-			if !g.Get(x+d[0], y+d[1], z+d[2]) {
-				return
-			}
-		}
-		out.Set(x, y, z, true)
-	})
-	return out
-}
-
-// componentsRef is the per-voxel stack flood fill reference for
-// Components. Labels are assigned in grid index order of each
-// component's first voxel, the order Components must reproduce.
-func componentsRef(g *Grid) (n int, labels []int32) {
-	labels = make([]int32, g.Len())
-	var stack [][3]int
-	for z := 0; z < g.Nz; z++ {
-		for y := 0; y < g.Ny; y++ {
-			for x := 0; x < g.Nx; x++ {
-				if !g.Get(x, y, z) || labels[g.index(x, y, z)] != 0 {
-					continue
-				}
-				n++
-				stack = append(stack[:0], [3]int{x, y, z})
-				labels[g.index(x, y, z)] = int32(n)
-				for len(stack) > 0 {
-					c := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					for _, d := range neighbors6 {
-						nx, ny, nz := c[0]+d[0], c[1]+d[1], c[2]+d[2]
-						if g.Get(nx, ny, nz) && labels[g.index(nx, ny, nz)] == 0 {
-							labels[g.index(nx, ny, nz)] = int32(n)
-							stack = append(stack, [3]int{nx, ny, nz})
-						}
-					}
-				}
-			}
-		}
-	}
-	return n, labels
-}
-
-// fillCavitiesRef is the per-voxel boundary flood fill reference for
-// FillCavities.
-func fillCavitiesRef(g *Grid) *Grid {
-	exterior := NewGrid(g.Nx, g.Ny, g.Nz)
-	var stack [][3]int
-	push := func(x, y, z int) {
-		if g.InBounds(x, y, z) && !g.Get(x, y, z) && !exterior.Get(x, y, z) {
-			exterior.Set(x, y, z, true)
-			stack = append(stack, [3]int{x, y, z})
-		}
-	}
-	for z := 0; z < g.Nz; z++ {
-		for y := 0; y < g.Ny; y++ {
-			for x := 0; x < g.Nx; x++ {
-				if x == 0 || y == 0 || z == 0 || x == g.Nx-1 || y == g.Ny-1 || z == g.Nz-1 {
-					push(x, y, z)
-				}
-			}
-		}
-	}
-	for len(stack) > 0 {
-		c := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, d := range neighbors6 {
-			push(c[0]+d[0], c[1]+d[1], c[2]+d[2])
-		}
-	}
-	out := NewGrid(g.Nx, g.Ny, g.Nz)
-	out.Origin, out.CellSize = g.Origin, g.CellSize
-	for z := 0; z < g.Nz; z++ {
-		for y := 0; y < g.Ny; y++ {
-			for x := 0; x < g.Nx; x++ {
-				if !exterior.Get(x, y, z) {
-					out.Set(x, y, z, true)
-				}
-			}
-		}
-	}
-	return out
 }

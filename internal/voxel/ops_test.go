@@ -129,37 +129,6 @@ func TestApplySymNonCubicPanics(t *testing.T) {
 	ApplySym(NewGrid(3, 4, 3), geom.Rotations90()[0])
 }
 
-func TestDilateErode(t *testing.T) {
-	g := NewCube(7)
-	g.Set(3, 3, 3, true)
-	d := Dilate(g)
-	if d.Count() != 7 {
-		t.Errorf("dilated point = %d voxels, want 7", d.Count())
-	}
-	if !Erode(d).Equal(g) {
-		t.Error("erode(dilate(point)) should recover the point")
-	}
-	if !Erode(g).Empty() {
-		t.Error("eroding a single voxel should be empty")
-	}
-}
-
-func TestErodeDilateDuality(t *testing.T) {
-	// erosion ⊆ original ⊆ dilation
-	f := func(seed int64) bool {
-		g := randomGrid(seed, 6)
-		e, d := Erode(g), Dilate(g)
-		eNotInG := e.Clone()
-		eNotInG.Subtract(g)
-		gNotInD := g.Clone()
-		gNotInD.Subtract(d)
-		return eNotInG.Empty() && gNotInD.Empty()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestComponents(t *testing.T) {
 	g := NewCube(8)
 	g.SetCuboid(0, 0, 0, 1, 1, 1, true) // component of 8
@@ -168,6 +137,12 @@ func TestComponents(t *testing.T) {
 	n, labels := Components(g)
 	if n != 3 {
 		t.Fatalf("components = %d, want 3", n)
+	}
+	// Labels follow the grid index order of each component's first voxel.
+	for _, c := range []struct{ x, y, z, label int }{{0, 0, 0, 1}, {5, 5, 5, 2}, {3, 0, 7, 3}} {
+		if got := labels[g.index(c.x, c.y, c.z)]; got != int32(c.label) {
+			t.Errorf("label at (%d,%d,%d) = %d, want %d", c.x, c.y, c.z, got, c.label)
+		}
 	}
 	counts := map[int32]int{}
 	for _, l := range labels {
@@ -219,51 +194,5 @@ func TestOccupiedCenters(t *testing.T) {
 	}
 	if pts[0] != geom.V(1.25, 1.25, 1.25) {
 		t.Errorf("first center = %v", pts[0])
-	}
-}
-
-func TestFillCavitiesClosedBox(t *testing.T) {
-	// A hollow closed box: the cavity fills, the shell stays.
-	g := NewCube(8)
-	g.SetCuboid(1, 1, 1, 6, 6, 6, true)
-	g.SetCuboid(2, 2, 2, 5, 5, 5, false) // hollow interior
-	filled := FillCavities(g)
-	if filled.Count() != 6*6*6 {
-		t.Errorf("filled count = %d, want %d", filled.Count(), 6*6*6)
-	}
-}
-
-func TestFillCavitiesOpenShapeUnchanged(t *testing.T) {
-	// A cup (open top): the interior connects to the exterior, no fill.
-	g := NewCube(8)
-	g.SetCuboid(1, 1, 1, 6, 6, 6, true)
-	g.SetCuboid(2, 2, 2, 5, 5, 6, false) // open at z-top side of the shell
-	filled := FillCavities(g)
-	if !filled.Equal(g) {
-		t.Errorf("open shape changed: %d vs %d voxels", filled.Count(), g.Count())
-	}
-}
-
-func TestFillCavitiesIdempotentAndSuperset(t *testing.T) {
-	f := func(seed int64) bool {
-		g := randomGrid(seed, 7)
-		once := FillCavities(g)
-		twice := FillCavities(once)
-		if !once.Equal(twice) {
-			return false
-		}
-		// Filling never removes voxels.
-		missing := g.Clone()
-		missing.Subtract(once)
-		return missing.Empty()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestFillCavitiesEmptyGrid(t *testing.T) {
-	if !FillCavities(NewCube(5)).Empty() {
-		t.Error("empty grid should stay empty")
 	}
 }

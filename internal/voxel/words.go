@@ -208,160 +208,3 @@ func (g *Grid) debugCheckTailBits() {
 		}
 	}
 }
-
-// ---------------------------------------------------------------------------
-// Row-aligned views for the scanline flood fills. A "row" is one x-run of
-// Nx cells (fixed y, z), row index r = y + Ny·z; its bits occupy the flat
-// range [r·Nx, r·Nx+Nx), which is not word-aligned in general, so rows are
-// staged through low-aligned buffers of rowWords words.
-
-// rowGrid is a per-row re-packing of a grid used by the scanline fills:
-// open[r·rowWords : (r+1)·rowWords] holds the fillable cells of row r,
-// low-aligned.
-type rowGrid struct {
-	nx, ny, nz int
-	rowWords   int
-	open       []uint64
-}
-
-// newRowGrid extracts per-row fillable masks from g: the occupied cells
-// when occupied is true (component labelling), the empty cells otherwise
-// (cavity filling).
-func newRowGrid(g *Grid, occupied bool) *rowGrid {
-	rg := &rowGrid{nx: g.Nx, ny: g.Ny, nz: g.Nz, rowWords: (g.Nx + 63) / 64}
-	rows := g.Ny * g.Nz
-	rg.open = make([]uint64, rows*rg.rowWords)
-	for r := 0; r < rows; r++ {
-		row := rg.row(rg.open, r)
-		extractBits(g.words, r*g.Nx, g.Nx, row)
-		if !occupied {
-			for i := range row {
-				row[i] = ^row[i]
-			}
-			clearTailBits(row, g.Nx)
-		}
-	}
-	return rg
-}
-
-// row returns the rowWords-slice of row r inside a rows×rowWords buffer.
-func (rg *rowGrid) row(buf []uint64, r int) []uint64 {
-	return buf[r*rg.rowWords : (r+1)*rg.rowWords]
-}
-
-// extractBits copies nbits bits starting at flat bit offset start from src
-// into the low-aligned dst (len ≥ (nbits+63)/64).
-func extractBits(src []uint64, start, nbits int, dst []uint64) {
-	ws, bs := start>>6, uint(start&63)
-	words := (nbits + 63) / 64
-	for i := 0; i < words; i++ {
-		w := src[ws+i] >> bs
-		if bs != 0 && ws+i+1 < len(src) {
-			w |= src[ws+i+1] << (64 - bs)
-		}
-		dst[i] = w
-	}
-	clearTailBits(dst[:words], nbits)
-}
-
-// injectBitsOr ORs the low nbits bits of src into dst at flat bit offset
-// start. Bits of src beyond nbits must be zero.
-func injectBitsOr(dst []uint64, start, nbits int, src []uint64) {
-	ws, bs := start>>6, uint(start&63)
-	words := (nbits + 63) / 64
-	for i := 0; i < words; i++ {
-		dst[ws+i] |= src[i] << bs
-		if bs != 0 && ws+i+1 < len(dst) {
-			dst[ws+i+1] |= src[i] >> (64 - bs)
-		}
-	}
-}
-
-// spanFill expands seed to cover every maximal run of consecutive set
-// bits of open that contains at least one seed bit (Kogge-Stone fill in
-// both directions, log₂ nbits rounds of word shifts). seed, open, pro and
-// tmp are low-aligned nbits-bit buffers; pro and tmp are scratch; open is
-// left untouched.
-func spanFill(seed, open, pro, tmp []uint64, nbits int) {
-	andWords(seed, open)
-	copy(pro, open)
-	for s := 1; s < nbits; s <<= 1 { // upward (increasing x)
-		shiftUpInto(tmp, seed, s)
-		andWords(tmp, pro)
-		orWords(seed, tmp)
-		shiftUpInto(tmp, pro, s)
-		andWords(pro, tmp)
-	}
-	copy(pro, open)
-	for s := 1; s < nbits; s <<= 1 { // downward (decreasing x)
-		shiftDownInto(tmp, seed, s)
-		andWords(tmp, pro)
-		orWords(seed, tmp)
-		shiftDownInto(tmp, pro, s)
-		andWords(pro, tmp)
-	}
-}
-
-// flood runs the scanline BFS: state holds per-row fill bitsets (subsets
-// of rg.open rows, already span-filled for the seeded rows in queue), and
-// rows reachable through face adjacency are filled until a fixpoint. When
-// touched is non-nil every row whose state changed (or was seeded) is
-// recorded exactly once. queue entries must be marked in inQueue.
-func (rg *rowGrid) flood(state []uint64, queue []int32, inQueue []bool, touched *[]int32) {
-	rw := rg.rowWords
-	pro := make([]uint64, rw)
-	tmp := make([]uint64, rw)
-	cand := make([]uint64, rw)
-	for len(queue) > 0 {
-		r := int(queue[len(queue)-1])
-		queue = queue[:len(queue)-1]
-		inQueue[r] = false
-		src := rg.row(state, r)
-		y, z := r%rg.ny, r/rg.ny
-		for _, nb := range [4]int{
-			boolIdx(y > 0, r-1), boolIdx(y < rg.ny-1, r+1),
-			boolIdx(z > 0, r-rg.ny), boolIdx(z < rg.nz-1, r+rg.ny),
-		} {
-			if nb < 0 {
-				continue
-			}
-			dst := rg.row(state, nb)
-			open := rg.row(rg.open, nb)
-			changed := false
-			for i := range cand {
-				cand[i] = src[i] & open[i] &^ dst[i]
-				if cand[i] != 0 {
-					changed = true
-				}
-			}
-			if !changed {
-				continue
-			}
-			if touched != nil && isRowClear(dst) {
-				*touched = append(*touched, int32(nb))
-			}
-			orWords(dst, cand)
-			spanFill(dst, open, pro, tmp, rg.nx)
-			if !inQueue[nb] {
-				inQueue[nb] = true
-				queue = append(queue, int32(nb))
-			}
-		}
-	}
-}
-
-func boolIdx(ok bool, v int) int {
-	if ok {
-		return v
-	}
-	return -1
-}
-
-func isRowClear(row []uint64) bool {
-	for _, w := range row {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
-}

@@ -4,20 +4,17 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
-	"io"
 	"math"
 	"path/filepath"
 	"testing"
 	"time"
 
-	"github.com/voxset/voxset/internal/vectorset"
 	"github.com/voxset/voxset/internal/wal"
 )
 
 // TestNonFiniteRejected: every write entry point a caller reaches without
-// the HTTP edge — Insert, BulkInsert, BulkBuildFromStream — refuses a set
-// with a NaN or ±Inf coordinate with ErrNonFinite and leaves the
-// database (or the target path) untouched.
+// the HTTP edge — Insert, BulkInsert — refuses a set with a NaN or ±Inf
+// coordinate with ErrNonFinite and leaves the database untouched.
 func TestNonFiniteRejected(t *testing.T) {
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		set := [][]float64{{1, 2, 3}, {4, bad, 6}}
@@ -34,24 +31,6 @@ func TestNonFiniteRejected(t *testing.T) {
 		}
 		if db.Len() != 0 || db.Epoch() != 0 {
 			t.Fatalf("rejected writes changed the database: %d objects at epoch %d", db.Len(), db.Epoch())
-		}
-		path := filepath.Join(t.TempDir(), "stream.snap")
-		sent := 0
-		next := func() (uint64, vectorset.Flat, error) {
-			if sent == 2 {
-				return 0, vectorset.Flat{}, io.EOF
-			}
-			sent++
-			if sent == 2 {
-				return 2, vectorset.FlatFromRows(set), nil
-			}
-			return 1, vectorset.FlatFromRows(good), nil
-		}
-		if _, err := BulkBuildFromStream(path, Config{Dim: 3, MaxCard: 4}, 0, next, LoadOptions{}); !errors.Is(err, ErrNonFinite) {
-			t.Fatalf("BulkBuildFromStream with %v: %v, want ErrNonFinite", bad, err)
-		}
-		if _, err := OpenFile(path, LoadOptions{}); err == nil {
-			t.Fatalf("a rejected stream build left a snapshot at %s", path)
 		}
 	}
 }

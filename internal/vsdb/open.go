@@ -2,7 +2,6 @@ package vsdb
 
 import (
 	"fmt"
-	"io"
 	"sync"
 
 	"github.com/voxset/voxset/internal/index/filter"
@@ -158,7 +157,7 @@ func (s *snapStore) baseGet(id uint64) (vectorset.Flat, bool) {
 func (s *snapStore) baseCentroid(id uint64) []float64 { return s.r.Centroid(s.index()[id]) }
 
 // OpenFile opens a paged (VXSNAP02) snapshot file — written by SaveFile,
-// Checkpoint, BulkBuildFromStream or snapshot.ConvertFile — by
+// Checkpoint or snapshot.ConvertFile — by
 // memory-mapping it and serving it in place: base sets alias the mapping
 // (verified lazily, one CRC per page on first touch) and so does the
 // centroid column the filter ranks (verified here, once), so nothing is
@@ -239,62 +238,4 @@ func openPaged(r *snapshot.PagedReader, opt LoadOptions) (*DB, error) {
 // memory-mapped paged snapshot.
 func (db *DB) Mapped() bool {
 	return db.reader != nil && db.reader.Mapped()
-}
-
-// BulkBuildFromStream writes a paged (VXSNAP02) snapshot at path from a
-// stream of objects and opens it for serving. next is called until it
-// returns io.EOF; each call yields one object, validated against cfg
-// (cfg.Tracker/MaxDelta/CompactRatio carry into the opened
-// database via opt, not cfg). Objects stream straight to disk — peak
-// memory is the id set and the writer's centroid column, never the
-// vectors — so this is the ingest path for datasets that do not fit in
-// heap. The
-// write is atomic (temporary sibling file + rename); on error nothing
-// is left at path.
-func BulkBuildFromStream(path string, cfg Config, seq uint64, next func() (uint64, vectorset.Flat, error), opt LoadOptions) (*DB, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	omega := cfg.Omega
-	if omega == nil {
-		omega = make([]float64, cfg.Dim)
-	}
-	chk := &DB{cfg: cfg, omega: omega}
-	w, err := snapshot.CreatePaged(path, snapshot.PagedWriterOptions{
-		Dim:     cfg.Dim,
-		MaxCard: cfg.MaxCard,
-		Omega:   omega,
-		Seq:     seq,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("vsdb: %w", err)
-	}
-	seen := make(map[uint64]struct{})
-	for {
-		id, set, err := next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			w.Abort()
-			return nil, err
-		}
-		if _, dup := seen[id]; dup {
-			w.Abort()
-			return nil, fmt.Errorf("vsdb: stream repeats id %d", id)
-		}
-		seen[id] = struct{}{}
-		if err := chk.checkSet(id, set.Rows()); err != nil {
-			w.Abort()
-			return nil, err
-		}
-		if err := w.Append(id, set); err != nil {
-			w.Abort()
-			return nil, fmt.Errorf("vsdb: %w", err)
-		}
-	}
-	if err := w.Finish(); err != nil {
-		return nil, fmt.Errorf("vsdb: %w", err)
-	}
-	return OpenFile(path, opt)
 }

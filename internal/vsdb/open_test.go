@@ -5,7 +5,6 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -13,7 +12,6 @@ import (
 	"testing"
 
 	"github.com/voxset/voxset/internal/snapshot"
-	"github.com/voxset/voxset/internal/vectorset"
 )
 
 // buildSnapshot saves a randomized database as a snapshot file and
@@ -289,78 +287,5 @@ func TestOpenFileMutationsAndWAL(t *testing.T) {
 	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestBulkBuildFromStream round-trips a streamed build: the opened
-// database serves exactly the streamed objects, and the file re-opens.
-func TestBulkBuildFromStream(t *testing.T) {
-	const n = 300
-	rng := rand.New(rand.NewSource(21))
-	sets := make([]vectorset.Flat, n)
-	for i := range sets {
-		sets[i] = vectorset.FlatFromRows(randSet(rng, 1+rng.Intn(5), 4))
-	}
-	path := filepath.Join(t.TempDir(), "built.snap")
-	i := 0
-	db, err := BulkBuildFromStream(path, Config{Dim: 4, MaxCard: 5}, 12, func() (uint64, vectorset.Flat, error) {
-		if i == n {
-			return 0, vectorset.Flat{}, io.EOF
-		}
-		i++
-		return uint64(i), sets[i-1], nil
-	}, LoadOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if db.Len() != n || db.Epoch() != 12 {
-		t.Fatalf("Len/Epoch = %d/%d, want %d/12", db.Len(), db.Epoch(), n)
-	}
-	want := transcript(db, 3, 10)
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-	db, err = OpenFile(path, LoadOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := transcript(db, 3, 10); got != want {
-		t.Fatal("re-opened snapshot answers queries differently")
-	}
-	db.Close()
-}
-
-// TestBulkBuildFromStreamRejectsBadInput covers duplicate ids, invalid
-// sets, and a failing source; path must not exist afterwards.
-func TestBulkBuildFromStreamRejectsBadInput(t *testing.T) {
-	dir := t.TempDir()
-	set := vectorset.FlatFromRows([][]float64{{1, 2, 3, 4}})
-	cases := map[string]func(calls int) (uint64, vectorset.Flat, error){
-		"duplicate id": func(calls int) (uint64, vectorset.Flat, error) {
-			return 5, set, nil
-		},
-		"wrong dim": func(calls int) (uint64, vectorset.Flat, error) {
-			return uint64(calls), vectorset.FlatFromRows([][]float64{{1, 2}}), nil
-		},
-		"source error": func(calls int) (uint64, vectorset.Flat, error) {
-			if calls > 1 {
-				return 0, vectorset.Flat{}, errors.New("disk on fire")
-			}
-			return uint64(calls), set, nil
-		},
-	}
-	for name, src := range cases {
-		path := filepath.Join(dir, name)
-		calls := 0
-		_, err := BulkBuildFromStream(path, Config{Dim: 4, MaxCard: 5}, 0, func() (uint64, vectorset.Flat, error) {
-			calls++
-			return src(calls)
-		}, LoadOptions{})
-		if err == nil {
-			t.Fatalf("%s: build succeeded", name)
-		}
-		if _, serr := snapshot.SniffFile(path); serr == nil {
-			t.Fatalf("%s: file left behind at %s", name, path)
-		}
 	}
 }

@@ -11,25 +11,6 @@ import (
 	"github.com/voxset/voxset/internal/parallel"
 )
 
-func TestDistanceChecked(t *testing.T) {
-	db := openTestDB(t)
-	a := [][]float64{{1, 2, 3, 4}, {5, 6, 7, 8}}
-	b := [][]float64{{0, 0, 0, 0}}
-	got, err := db.DistanceChecked(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := db.Distance(a, b); got != want {
-		t.Errorf("DistanceChecked = %v, Distance = %v", got, want)
-	}
-	if _, err := db.DistanceChecked(a, [][]float64{{1, 2}}); err == nil {
-		t.Error("ragged input (mixed dims across sets) must error")
-	}
-	if _, err := db.DistanceChecked([][]float64{{1}, {1, 2, 3, 4}}, b); err == nil {
-		t.Error("ragged input (mixed dims within a set) must error")
-	}
-}
-
 // checkConcurrentCallers issues every query of qs alone against the one
 // shared db, first in turn and then from callers goroutines at once: every
 // concurrent answer must equal the sequential one, and the concurrent pass

@@ -86,7 +86,7 @@ var (
 	// ErrNonFinite reports a set with a NaN or ±Inf coordinate, which
 	// would poison every distance it takes part in and with them the
 	// (dist, id) order of every answer. CheckSet refuses it wherever a set
-	// enters: Insert, BulkInsert, BulkBuildFromStream, log replay and
+	// enters: Insert, BulkInsert, log replay and
 	// replicated records (a CRC guards the bytes, not what they say), and
 	// every query (Search, Open).
 	ErrNonFinite = errors.New("non-finite coordinate")
@@ -408,21 +408,9 @@ func (db *DB) Get(id uint64) [][]float64 { return db.cur.Load().get(id).Rows() }
 
 // Distance computes the minimal matching distance between two stored or
 // ad-hoc vector sets under the database's configuration. Malformed input
-// panics; use DistanceChecked for sets from untrusted sources.
+// panics; check sets from untrusted sources with CheckSet first.
 func (db *DB) Distance(a, b [][]float64) float64 {
 	return dist.MatchingDistance(a, b, dist.L2, db.weight())
-}
-
-// DistanceChecked is Distance for sets from untrusted sources: each must
-// pass CheckSet against the database's configuration, else the error
-// says which set and why instead of a panic.
-func (db *DB) DistanceChecked(a, b [][]float64) (float64, error) {
-	for i, set := range [2][][]float64{a, b} {
-		if err := CheckSet(set, db.cfg.Dim, db.cfg.MaxCard, false); err != nil {
-			return 0, fmt.Errorf("vsdb: set %d: %w", i, err)
-		}
-	}
-	return db.Distance(a, b), nil
 }
 
 // Neighbor is one query result.

@@ -339,11 +339,15 @@ func (db *Database) endQuery(start time.Time) {
 	}
 }
 
-// KNN returns the k nearest stored objects to the query object.
+// KNN returns the k nearest stored objects to the query object; k ≤ 0
+// answers nil on every path.
 func (db *Database) KNN(q *Object, k int, opt Query) []Neighbor {
 	start := db.beginQuery()
 	defer func() { db.endQuery(start) }()
 
+	if k <= 0 {
+		return nil
+	}
 	if opt.Invariance != InvNone || opt.ScaleSensitive {
 		return db.invariantKNN(q, k, opt)
 	}
@@ -508,19 +512,23 @@ func MaxPartialPairs(a, b *Object) int {
 
 // PartialKNN returns the k stored objects with the smallest partial
 // matching score against the query: the cost of the best
-// min(pairs, MaxPartialPairs) cover correspondences. Use it to find parts
-// sharing sub-structure with the query regardless of their other
-// geometry. Evaluated exhaustively (the partial score is not a metric, so
-// neither the centroid filter nor the M-tree applies).
+// min(pairs, MaxPartialPairs) cover correspondences, where pairs ≤ 0
+// means MaxPartialPairs (as vsdb.SetQuery.I = 0 does). k ≤ 0 answers nil.
+// Use it to find parts sharing sub-structure with the query regardless of
+// their other geometry. Evaluated exhaustively (the partial score is not a
+// metric, so neither the centroid filter nor the M-tree applies).
 func (db *Database) PartialKNN(q *Object, k, pairs int) []Neighbor {
 	start := db.beginQuery()
 	defer func() { db.endQuery(start) }()
+	if k <= 0 {
+		return nil
+	}
 	db.chargeExhaustive(ModelVectorSet)
 	all := make([]Neighbor, 0, db.Len())
 	for _, o := range db.engine.Objects() {
-		i := pairs
-		if m := MaxPartialPairs(q, o); i > m {
-			i = m
+		i := MaxPartialPairs(q, o)
+		if pairs > 0 && pairs < i {
+			i = pairs
 		}
 		all = append(all, Neighbor{ID: o.ID, Dist: PartialDistance(q, o, i)})
 	}

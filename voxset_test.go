@@ -327,6 +327,51 @@ func TestPartialKNN(t *testing.T) {
 	}
 }
 
+// TestNonPositiveKAndPairs: k ≤ 0 answers nil on every model × access ×
+// invariance path, scale-sensitive or not, and in PartialKNN; pairs ≤ 0
+// means as many pairs as the two sets allow.
+func TestNonPositiveKAndPairs(t *testing.T) {
+	db := carDB(t, 12)
+	q := db.Object(3)
+	models := []Model{ModelVolume, ModelSolidAngle, ModelCoverSeq, ModelCoverSeqPerm, ModelVectorSet}
+	accesses := []Access{AccessAuto, AccessFilter, AccessScan, AccessMTree}
+	invs := []Invariance{InvNone, InvRotation90, InvRotoReflection}
+	for _, k := range []int{-1, 0} {
+		for _, m := range models {
+			for _, a := range accesses {
+				for _, inv := range invs {
+					for _, scale := range []bool{false, true} {
+						opt := Query{Model: m, Access: a, Invariance: inv, ScaleSensitive: scale}
+						if got := db.KNN(q, k, opt); got != nil {
+							t.Errorf("KNN(k=%d, %+v) = %v, want nil", k, opt, got)
+						}
+					}
+				}
+			}
+		}
+		for _, pairs := range []int{-1, 0, 2} {
+			if got := db.PartialKNN(q, k, pairs); got != nil {
+				t.Errorf("PartialKNN(k=%d, pairs=%d) = %v, want nil", k, pairs, got)
+			}
+		}
+	}
+	want := db.PartialKNN(q, db.Len(), math.MaxInt)
+	if want[0].ID != q.ID || want[0].Dist != 0 || want[len(want)-1].Dist == 0 {
+		t.Fatalf("all-pairs partial ranking = %v: want self first at 0 and some object above 0", want)
+	}
+	for _, pairs := range []int{-1, 0} {
+		got := db.PartialKNN(q, db.Len(), pairs)
+		if len(got) != len(want) {
+			t.Fatalf("PartialKNN(pairs=%d) answered %d objects, want %d", pairs, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("PartialKNN(pairs=%d)[%d] = %+v, want %+v (all pairs)", pairs, i, got[i], want[i])
+			}
+		}
+	}
+}
+
 func TestScaleSensitiveQueries(t *testing.T) {
 	db := MustOpen(smallConfig())
 	// Same shape, three sizes.
