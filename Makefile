@@ -49,7 +49,7 @@ check-bench:
 # the checked-in seed corpora. Catches framing/CRC regressions in the
 # paged and legacy snapshot readers, the WAL Reader, and the STL and
 # vector-set codecs without a long fuzz session —
-# plus the scatter-gather merge's identity with sort-and-truncate, the
+# plus the multi-step loop's identity with sort-and-truncate, the
 # threshold-aware matching kernel's contract against the unbounded one, the
 # signature bound's chain (encoded ≤ exact ≤ matching distance, and the
 # integer test never pruning where the exact bound is within threshold), the
@@ -69,7 +69,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzSnapshotDecode -fuzztime 5s ./internal/snapshot/
 	$(GO) test -run xxx -fuzz FuzzPagedOpen -fuzztime 5s ./internal/snapshot/
 	$(GO) test -run xxx -fuzz FuzzWALReplay -fuzztime 5s ./internal/wal/
-	$(GO) test -run xxx -fuzz FuzzClusterMerge -fuzztime 5s ./internal/cluster/
+	$(GO) test -run xxx -fuzz FuzzMultiStep -fuzztime 5s ./internal/index/filter/
 	$(GO) test -run xxx -fuzz FuzzReplicaStreamDecode -fuzztime 5s ./internal/replica/
 	$(GO) test -run xxx -fuzz FuzzMaxSubCuboid -fuzztime 5s ./internal/cover/
 

@@ -418,8 +418,10 @@ func BenchmarkFigure9_VectorSetAircraft7(b *testing.B) {
 
 func BenchmarkFigure10_ClusterExtraction(b *testing.B) {
 	benchSetup(b)
-	ord := optics.Run(carEngine.Len(), carEngine.DistFunc(core.ModelVectorSet, core.InvNone),
-		math.Inf(1), 5)
+	objs := carEngine.Objects()
+	ord := optics.Run(carEngine.Len(), func(i, j int) float64 {
+		return carEngine.Distance(core.ModelVectorSet, core.InvNone, objs[i], objs[j])
+	}, math.Inf(1), 5)
 	maxFinite := 0.0
 	for _, v := range ord.Reach {
 		if !math.IsInf(v, 1) && v > maxFinite {

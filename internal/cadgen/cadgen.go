@@ -379,20 +379,6 @@ func AircraftDataset(seed int64, n int) []Part {
 	return parts
 }
 
-// Classes returns the distinct class names of a part list, in first-seen
-// order.
-func Classes(parts []Part) []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, p := range parts {
-		if !seen[p.Class] {
-			seen[p.Class] = true
-			out = append(out, p.Class)
-		}
-	}
-	return out
-}
-
 // Labels returns the ClassID of every part.
 func Labels(parts []Part) []int {
 	out := make([]int, len(parts))

@@ -14,7 +14,7 @@ func TestCarDatasetComposition(t *testing.T) {
 	if len(parts) != 200 {
 		t.Errorf("car dataset has %d parts, want 200", len(parts))
 	}
-	classes := Classes(parts)
+	classes := classesOf(parts)
 	want := []string{"tire", "door", "fender", "engineblock", "seat", "bracket"}
 	if len(classes) != len(want) {
 		t.Fatalf("classes = %v", classes)
@@ -179,4 +179,18 @@ func TestLabels(t *testing.T) {
 	if labels[0] != 1 {
 		t.Errorf("first label = %d", labels[0])
 	}
+}
+
+// classesOf returns the distinct class names of a part list, in first-seen
+// order.
+func classesOf(parts []Part) []string {
+	seen := map[string]bool{}
+	var out []string
+	for _, p := range parts {
+		if !seen[p.Class] {
+			seen[p.Class] = true
+			out = append(out, p.Class)
+		}
+	}
+	return out
 }

@@ -3,12 +3,11 @@
 // of the ROADMAP's "heavy traffic" scaling track. Objects route to
 // shards by fnv(id) mod N; each shard is a full vsdb.DB owning its own
 // epoch views, write-ahead log and snapshot. A query opens every shard in
-// turn; an exact k-nn then runs one multi-step loop over the shards'
-// candidate streams in a single bound order against one k-th distance,
-// so the shards together refine what one database would, and every other
-// query merges the shards' lists under the (dist, id) contract of
-// index.SortNeighbors. Results are bit-identical to an unsharded database holding the same
-// objects — the cross-shard parity oracle asserts exactly that.
+// turn, then runs one multi-step loop over the shards' candidate streams
+// in a single bound order against one threshold (the k-th distance, ε),
+// so the shards together refine what one database would. Results are
+// bit-identical to an unsharded database holding the same objects — the
+// cross-shard parity oracle asserts exactly that.
 // Mutations route to the owning shard, preserving durable-before-visible
 // per shard.
 //
@@ -99,10 +98,9 @@ type Config struct {
 	// runtime with SetPartial.
 	Partial bool
 	// ShardTimeout bounds one shard-local attempt — the fault hook plus
-	// the shard's Open (its range and partial scans) or mutation — as a
-	// deadline under the caller's context (0 means DefaultShardTimeout).
-	// A k-nn's candidate walk runs after every shard is open, under the
-	// caller's deadline alone.
+	// the shard's Open or mutation — as a deadline under the caller's
+	// context (0 means DefaultShardTimeout). A query's candidate walk runs
+	// after every shard is open, under the caller's deadline alone.
 	ShardTimeout time.Duration
 	// Retries is the number of re-attempts after a retryable failure
 	// (0 means DefaultRetries; negative disables retrying).

@@ -1,208 +1,168 @@
 package cluster_test
 
 import (
-	"encoding/binary"
+	"context"
+	"fmt"
 	"math"
-	"sort"
+	"reflect"
 	"testing"
 
 	"github.com/voxset/voxset/internal/cluster"
 	"github.com/voxset/voxset/internal/index"
+	"github.com/voxset/voxset/internal/index/filter"
 	"github.com/voxset/voxset/internal/vsdb"
 )
 
-// referenceMerge is the specification Merge must reproduce: concatenate
-// every list, sort under the repository-wide (dist, id) contract —
-// delegated to index.SortNeighbors so the cluster cannot drift from the
-// order every other query path uses — and truncate to k (k < 0 keeps
-// everything, k == 0 keeps nothing).
-func referenceMerge(lists [][]vsdb.Neighbor, k int) []vsdb.Neighbor {
-	var cat []index.Neighbor
-	for _, l := range lists {
-		for _, nb := range l {
-			cat = append(cat, index.Neighbor{ID: int(nb.ID), Dist: nb.Dist})
-		}
-	}
-	index.SortNeighbors(cat)
-	if k >= 0 && k < len(cat) {
-		cat = cat[:k]
-	}
-	out := make([]vsdb.Neighbor, len(cat))
-	for i, nb := range cat {
-		out[i] = vsdb.Neighbor{ID: uint64(nb.ID), Dist: nb.Dist}
-	}
-	return out
+// shardList is one shard's candidates as the coordinator's loop sees
+// them: (dist, id)-sorted rows, each with its distance as its bound.
+type shardList struct {
+	rows []index.Neighbor
+	next int
 }
 
-func assertMergeMatches(t *testing.T, lists [][]vsdb.Neighbor, k int, want []vsdb.Neighbor) {
-	t.Helper()
-	got := cluster.Merge(lists, k)
-	if len(got) != len(want) {
-		t.Fatalf("Merge k=%d returned %d rows, want %d\n got %v\nwant %v", k, len(got), len(want), got, want)
+func (s *shardList) Next(threshold float64) (float64, int, bool) {
+	if s.next == len(s.rows) || s.rows[s.next].Dist > threshold {
+		return 0, 0, false
 	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("Merge k=%d row %d = %+v, want %+v", k, i, got[i], want[i])
-		}
-	}
+	s.next++
+	return s.rows[s.next-1].Dist, s.next - 1, true
 }
 
-// Equal distances landing on different shards are the case the merge
-// tie-break exists for: the global order must break exact float ties by
-// ascending id, no matter which shard contributed which row.
+func (s *shardList) Refine(pos int, threshold float64) (int, float64, bool) {
+	nb := s.rows[pos]
+	return nb.ID, nb.Dist, nb.Dist <= threshold
+}
+
+// Equal distances landing on different shards are the case the tie-break
+// exists for: the coordinator walks every shard's stream in one
+// filter.MultiStep, and the global order must break exact float ties by
+// ascending id, no matter which shard contributed which row. k < 0 is a
+// range with no bound on the distance.
 func TestMergeTieBreak(t *testing.T) {
-	n := func(id uint64, d float64) vsdb.Neighbor { return vsdb.Neighbor{ID: id, Dist: d} }
+	n := func(id int, d float64) index.Neighbor { return index.Neighbor{ID: id, Dist: d} }
 	cases := []struct {
 		name  string
-		lists [][]vsdb.Neighbor
+		lists [][]index.Neighbor
 		k     int
-		want  []vsdb.Neighbor
+		want  []index.Neighbor
 	}{
 		{
 			name:  "tie across two shards, low id on second shard",
-			lists: [][]vsdb.Neighbor{{n(7, 1.5)}, {n(3, 1.5)}},
+			lists: [][]index.Neighbor{{n(7, 1.5)}, {n(3, 1.5)}},
 			k:     2,
-			want:  []vsdb.Neighbor{n(3, 1.5), n(7, 1.5)},
+			want:  []index.Neighbor{n(3, 1.5), n(7, 1.5)},
 		},
 		{
 			name:  "tie truncated at k keeps the lower id",
-			lists: [][]vsdb.Neighbor{{n(7, 1.5)}, {n(3, 1.5)}},
+			lists: [][]index.Neighbor{{n(7, 1.5)}, {n(3, 1.5)}},
 			k:     1,
-			want:  []vsdb.Neighbor{n(3, 1.5)},
+			want:  []index.Neighbor{n(3, 1.5)},
 		},
 		{
 			name: "three-way tie across three shards",
-			lists: [][]vsdb.Neighbor{
+			lists: [][]index.Neighbor{
 				{n(20, 0.25), n(21, 2)},
 				{n(5, 0.25)},
 				{n(11, 0.25), n(12, 0.5)},
 			},
 			k:    4,
-			want: []vsdb.Neighbor{n(5, 0.25), n(11, 0.25), n(20, 0.25), n(12, 0.5)},
+			want: []index.Neighbor{n(5, 0.25), n(11, 0.25), n(20, 0.25), n(12, 0.5)},
 		},
 		{
 			name:  "zero distances tie (self-matches on different shards)",
-			lists: [][]vsdb.Neighbor{{n(9, 0)}, {n(2, 0), n(4, 0)}},
+			lists: [][]index.Neighbor{{n(9, 0)}, {n(2, 0), n(4, 0)}},
 			k:     -1,
-			want:  []vsdb.Neighbor{n(2, 0), n(4, 0), n(9, 0)},
+			want:  []index.Neighbor{n(2, 0), n(4, 0), n(9, 0)},
 		},
 		{
 			name:  "distances differing only in the last ulp are not ties",
-			lists: [][]vsdb.Neighbor{{n(1, math.Nextafter(1, 2))}, {n(2, 1)}},
+			lists: [][]index.Neighbor{{n(1, math.Nextafter(1, 2))}, {n(2, 1)}},
 			k:     2,
-			want:  []vsdb.Neighbor{n(2, 1), n(1, math.Nextafter(1, 2))},
+			want:  []index.Neighbor{n(2, 1), n(1, math.Nextafter(1, 2))},
 		},
 		{
 			name:  "k=0 returns nothing",
-			lists: [][]vsdb.Neighbor{{n(1, 1)}, {n(2, 2)}},
+			lists: [][]index.Neighbor{{n(1, 1)}, {n(2, 2)}},
 			k:     0,
 			want:  nil,
 		},
 		{
 			name:  "k beyond total returns everything",
-			lists: [][]vsdb.Neighbor{{n(1, 1)}, {}, {n(2, 2)}},
+			lists: [][]index.Neighbor{{n(1, 1)}, {}, {n(2, 2)}},
 			k:     10,
-			want:  []vsdb.Neighbor{n(1, 1), n(2, 2)},
+			want:  []index.Neighbor{n(1, 1), n(2, 2)},
 		},
 		{
 			name:  "empty inputs",
-			lists: [][]vsdb.Neighbor{{}, nil},
+			lists: [][]index.Neighbor{{}, nil},
 			k:     3,
 			want:  nil,
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			// The table pins the expectation explicitly AND against the
-			// index.SortNeighbors reference — if they ever disagree the
-			// table itself is wrong.
-			if ref := referenceMerge(tc.lists, tc.k); len(ref) != len(tc.want) {
-				t.Fatalf("table expectation disagrees with reference: %v vs %v", tc.want, ref)
-			} else {
-				for i := range ref {
-					if ref[i] != tc.want[i] {
-						t.Fatalf("table expectation disagrees with reference at %d: %v vs %v", i, tc.want, ref)
-					}
+			streams := make([]filter.Stream, len(tc.lists))
+			for i, l := range tc.lists {
+				streams[i] = &shardList{rows: l}
+			}
+			k := tc.k
+			if k < 0 {
+				k = math.MaxInt
+			}
+			got, err := filter.MultiStep(context.Background(), streams, k, math.Inf(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got)+len(tc.want) > 0 && !reflect.DeepEqual(got, tc.want) {
+				t.Fatalf("k=%d: %v, want %v", tc.k, got, tc.want)
+			}
+		})
+	}
+}
+
+// TestTieBreakPastSignedIDs: ids are uint64s, and a tie at one distance
+// breaks by id as unsigned, so 1 ranks before 2⁶³+1 — for a k-nn and a
+// range, over a delta memtable and a compacted base, on 1 shard and across
+// 2. (The loop hands ids through int, where 2⁶³+1 is negative.)
+func TestTieBreakPastSignedIDs(t *testing.T) {
+	set := [][]float64{{1, 2, 3}, {-1, 0, 2}}
+	ids := []uint64{1<<63 | 3, 1, 1<<63 | 1, 1<<63 | 2}
+	want := []vsdb.Neighbor{{ID: 1}, {ID: 1<<63 | 1}, {ID: 1<<63 | 2}, {ID: 1<<63 | 3}}
+	for _, shards := range []int{1, 2} {
+		c := newCluster(t, cluster.Config{Shards: shards, Dim: 3, MaxCard: 2})
+		split := false
+		for _, id := range ids {
+			if err := c.Insert(id, set); err != nil {
+				t.Fatal(err)
+			}
+			split = split || c.ShardOf(id) != c.ShardOf(1)
+		}
+		if shards > 1 && !split {
+			t.Fatal("every id on one shard: the tie never crosses shards")
+		}
+		for _, state := range []string{"delta", "compacted"} {
+			if state == "compacted" {
+				if err := c.Compact(); err != nil {
+					t.Fatal(err)
 				}
 			}
-			assertMergeMatches(t, tc.lists, tc.k, tc.want)
-		})
-	}
-}
-
-// decodeMergeInput derives (lists, k) from fuzz bytes: the first byte
-// picks the list count, the second picks k, then 11-byte records follow
-// — [list selector, id lo, id hi, 8 bytes of float64 dist]. Each list is
-// sorted before merging, establishing Merge's precondition (per-shard
-// results arrive sorted); NaN distances are dropped (no query distance
-// is NaN, and NaN has no place in a total order).
-func decodeMergeInput(data []byte) ([][]vsdb.Neighbor, int) {
-	if len(data) < 2 {
-		return nil, 0
-	}
-	nLists := 1 + int(data[0]%4)
-	k := int(data[1]%34) - 2 // -2..31: exercises k<0, k=0 and truncation
-	lists := make([][]vsdb.Neighbor, nLists)
-	for rec := data[2:]; len(rec) >= 11; rec = rec[11:] {
-		d := math.Float64frombits(binary.LittleEndian.Uint64(rec[3:11]))
-		if math.IsNaN(d) {
-			continue
-		}
-		i := int(rec[0]) % nLists
-		id := uint64(binary.LittleEndian.Uint16(rec[1:3]))
-		lists[i] = append(lists[i], vsdb.Neighbor{ID: id, Dist: d})
-	}
-	for _, l := range lists {
-		sort.Slice(l, func(a, b int) bool {
-			if l[a].Dist != l[b].Dist {
-				return l[a].Dist < l[b].Dist
+			ctx := fmt.Sprintf("shards=%d %s", shards, state)
+			for _, k := range []int{1, 2, 4} {
+				res, err := c.KNN(set, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(res.Neighbors, want[:k]) {
+					t.Errorf("%s: knn k=%d = %v, want %v", ctx, k, res.Neighbors, want[:k])
+				}
 			}
-			return l[a].ID < l[b].ID
-		})
-	}
-	return lists, k
-}
-
-// FuzzClusterMerge checks the identity the cluster merge's correctness
-// argument rests on: a linear k-way merge of sorted per-shard lists is
-// bit-identical to sorting the concatenation and truncating — including
-// exact-tie ordering, duplicate (dist, id) rows, infinities and
-// subnormals.
-func FuzzClusterMerge(f *testing.F) {
-	seed := func(nLists, k byte, recs ...[]byte) []byte {
-		b := []byte{nLists, k}
-		for _, r := range recs {
-			b = append(b, r...)
-		}
-		return b
-	}
-	rec := func(list byte, id uint16, d float64) []byte {
-		b := make([]byte, 11)
-		b[0] = list
-		binary.LittleEndian.PutUint16(b[1:3], id)
-		binary.LittleEndian.PutUint64(b[3:11], math.Float64bits(d))
-		return b
-	}
-	f.Add([]byte{})
-	f.Add(seed(1, 4, rec(0, 1, 0.5), rec(0, 2, 0.25)))
-	// The canonical tie: same distance on two shards, ids reversed.
-	f.Add(seed(1, 3, rec(0, 7, 1.5), rec(1, 3, 1.5)))
-	f.Add(seed(2, 2, rec(0, 7, 1.5), rec(1, 3, 1.5), rec(1, 5, 1.5)))
-	// Duplicate (dist, id) pairs on different shards, k=0, and k<0.
-	f.Add(seed(3, 2, rec(0, 9, 2), rec(1, 9, 2), rec(2, 9, 2)))
-	f.Add(seed(2, 0, rec(0, 1, 1), rec(1, 2, 1)))
-	f.Add(seed(3, 1, rec(0, 4, math.Inf(1)), rec(1, 2, 0), rec(2, 2, 5e-324)))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		lists, k := decodeMergeInput(data)
-		got := cluster.Merge(lists, k)
-		want := referenceMerge(lists, k)
-		if len(got) != len(want) {
-			t.Fatalf("merge returned %d rows, reference %d (k=%d, lists=%v)", len(got), len(want), k, lists)
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("row %d: merge %+v, reference %+v (k=%d, lists=%v)", i, got[i], want[i], k, lists)
+			res, err := c.Range(set, 0.5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(res.Neighbors, want) {
+				t.Errorf("%s: range = %v, want %v", ctx, res.Neighbors, want)
 			}
 		}
-	})
+	}
 }

@@ -29,17 +29,14 @@ type Result struct {
 // The result is bit-identical to an unsharded database holding the same
 // objects, for every Kind and Match:
 //
-//   - an exact k-nn entry opens one candidate stream per shard, and
-//     vsdb.MultiStep refines the streams' candidates in one global
-//     (bound, shard, position) order against one k-th distance, stopping
-//     at the first bound past it — one database's multi-step loop over
-//     the union, so the shards together refine what that database would
+//   - every entry opens one candidate stream per shard;
+//   - vsdb.MultiStep refines the streams' candidates in one global
+//     (bound, shard, position) order against one threshold, stopping at
+//     the first bound past it — one database's multi-step loop over the
+//     union, so the shards together refine what that database would
 //     (DESIGN.md §9);
-//   - every other entry (ε-range, partial matching) is answered by each
-//     shard in full and merged under the (dist, id) contract: every set
-//     distance is scored per (query, object) pair, so an ε-range result is
-//     the disjoint union of the shards' results and each member of a
-//     global top K is inside its own shard's top K.
+//   - the threshold is the k-th distance of a k-nn and ε of a range, and
+//     a partial-matching entry's streams scan every live object at bound 0.
 //
 // Faults, retries, per-shard timeouts and follower reads apply to the
 // opening attempt (callSearch); the streams are walked afterwards, under
@@ -65,21 +62,8 @@ func (c *DB) Search(ctx context.Context, qs []vsdb.Query) ([]Result, error) {
 	}
 	n := len(c.shards)
 	partial := c.partial.Load()
-	// Per entry, what each opened shard gave: a stream for an exact k-nn
-	// entry, the complete list for any other.
+	// Per entry, the stream each opened shard gave.
 	streams := make([][]*vsdb.Stream, len(qs))
-	lists := make([][][]vsdb.Neighbor, len(qs))
-	closeEntry := func(q int) {
-		for _, s := range streams[q] {
-			s.Close()
-		}
-		streams[q] = nil
-	}
-	defer func() { // what a failure leaves open
-		for q := range streams {
-			closeEntry(q)
-		}
-	}()
 	var shardErrs map[int]error
 	var first error
 	for i := 0; i < n; i++ {
@@ -98,12 +82,8 @@ func (c *DB) Search(ctx context.Context, qs []vsdb.Query) ([]Result, error) {
 			shardErrs[i] = err
 			continue
 		}
-		for q := range qs {
-			if s := o.streams[q]; s != nil {
-				streams[q] = append(streams[q], s)
-			} else if len(o.lists[q]) > 0 {
-				lists[q] = append(lists[q], o.lists[q])
-			}
+		for q, s := range o {
+			streams[q] = append(streams[q], s)
 		}
 	}
 	if len(shardErrs) == n {
@@ -111,21 +91,14 @@ func (c *DB) Search(ctx context.Context, qs []vsdb.Query) ([]Result, error) {
 	}
 	out := make([]Result, len(qs))
 	for q := range qs {
-		var nbs []vsdb.Neighbor
-		switch {
-		case len(streams[q]) > 0:
-			// Each entry's streams close right after its walk, so a batch
-			// holds one entry's ranking scratch per shard at a time.
-			var err error
-			nbs, err = vsdb.MultiStep(ctx, streams[q], qs[q].K)
-			closeEntry(q)
-			if err != nil {
-				return nil, err
-			}
-		case qs[q].Kind == vsdb.KNN:
-			nbs = Merge(lists[q], qs[q].K)
-		default:
-			nbs = Merge(lists[q], -1)
+		// Each entry's streams close right after its walk, so a batch
+		// holds one entry's ranking scratch per shard at a time.
+		nbs, err := vsdb.MultiStep(ctx, streams[q])
+		for _, s := range streams[q] {
+			s.Close()
+		}
+		if err != nil {
+			return nil, err
 		}
 		out[q] = Result{Neighbors: nbs, Partial: shardErrs != nil, Errors: shardErrs}
 	}
@@ -162,27 +135,20 @@ func (c *DB) KNNBatch(queries [][][]float64, k int) ([]Result, error) {
 	return c.Search(context.Background(), qs)
 }
 
-// opened is what one shard's Open returned for a batch.
-type opened struct {
-	streams []*vsdb.Stream
-	lists   [][]vsdb.Neighbor
-}
-
 // callSearch opens the batch on shard i under the retry loop, recording
 // the shard's serving statistics.
-func (c *DB) callSearch(ctx context.Context, i int, qs []vsdb.Query) (opened, error) {
+func (c *DB) callSearch(ctx context.Context, i int, qs []vsdb.Query) ([]*vsdb.Stream, error) {
 	s := &c.shards[i]
 	s.queries.Add(int64(len(qs)))
 	start := time.Now()
-	o, err := withRetries(ctx, c, i, OpSearch, func(ctx context.Context, db *vsdb.DB) (opened, error) {
-		streams, lists, err := db.Open(ctx, qs)
-		return opened{streams, lists}, err
+	o, err := withRetries(ctx, c, i, OpSearch, func(_ context.Context, db *vsdb.DB) ([]*vsdb.Stream, error) {
+		return db.Open(qs)
 	})
 	if err != nil {
 		if ctx.Err() == nil { // the caller's deadline is not the shard's failure
 			s.errors.Add(1)
 		}
-		return opened{}, err
+		return nil, err
 	}
 	s.latNS.Add(time.Since(start).Nanoseconds())
 	s.latN.Add(1)

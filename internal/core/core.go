@@ -323,67 +323,6 @@ func (e *Engine) Distance(m Model, inv Invariance, q, db *Object) float64 {
 	return best
 }
 
-// DistFunc returns an OPTICS-compatible pairwise distance function over
-// the engine's objects. For invariant distances it caches the transformed
-// query features of the most recent i — OPTICS (and any sweep algorithm)
-// evaluates one query object against many candidates, so this removes the
-// per-pair transform cost.
-func (e *Engine) DistFunc(m Model, inv Invariance) func(i, j int) float64 {
-	syms := inv.syms()
-	if syms == nil {
-		return func(i, j int) float64 {
-			return e.Distance(m, InvNone, e.objects[i], e.objects[j])
-		}
-	}
-	cachedI := -1
-	var ws dist.Workspace // closure-held matching scratch, reused per pair
-	var tVol, tSA, tCover [][]float64
-	var tVSet [][][]float64
-	return func(i, j int) float64 {
-		if i != cachedI {
-			cachedI = i
-			q := e.objects[i]
-			tVol = tVol[:0]
-			tSA = tSA[:0]
-			tCover = tCover[:0]
-			tVSet = tVSet[:0]
-			for _, s := range syms {
-				switch m {
-				case ModelVolume:
-					tVol = append(tVol, e.vol.Transform(q.Volume, s))
-				case ModelSolidAngle:
-					tSA = append(tSA, e.sa.Transform(q.SolidAngle, s))
-				case ModelCoverSeq:
-					tCover = append(tCover, cover.TransformOneVector(q.CoverVec, s))
-				case ModelCoverSeqPerm, ModelVectorSet:
-					tVSet = append(tVSet, cover.TransformVectorSet(q.VSet, s))
-				}
-			}
-		}
-		db := e.objects[j]
-		best := math.Inf(1)
-		for si := range syms {
-			var d float64
-			switch m {
-			case ModelVolume:
-				d = dist.L2(tVol[si], db.Volume)
-			case ModelSolidAngle:
-				d = dist.L2(tSA[si], db.SolidAngle)
-			case ModelCoverSeq:
-				d = dist.L2(tCover[si], db.CoverVec)
-			case ModelCoverSeqPerm:
-				d = ws.MinEuclideanPerm(tVSet[si], db.VSet)
-			case ModelVectorSet:
-				d = ws.MatchingDistance(tVSet[si], db.VSet, dist.L2, dist.WeightNorm)
-			}
-			if d < best {
-				best = d
-			}
-		}
-		return best
-	}
-}
-
 // WorldScale returns the object's voxel→world scale factor at the cover
 // resolution: one voxel of its normalized grid corresponds to this many
 // world units. Derived from the stored per-axis scale factors (§3.2).
@@ -466,8 +405,9 @@ func (e *Engine) DistanceScaleSensitive(m Model, inv Invariance, q, db *Object) 
 // the invariance loop are computed once per row and shared read-only by
 // the workers, each of which refines through its own pooled matching
 // workspace, so the per-pair cost is a pure distance evaluation.
-// Orderings produced with this function are identical to the sequential
-// DistFunc.
+// Every entry equals Distance(m, inv, i, j) bit for bit, so orderings
+// produced with this function are identical to a sequential run over
+// Distance.
 func (e *Engine) RowFunc(m Model, inv Invariance) func(i int, out []float64) {
 	syms := inv.syms()
 	workers := parallel.Workers(0, parallel.Auto())

@@ -79,8 +79,6 @@ func TestBoundsFacesAreClosed(t *testing.T) {
 			[]geom.Vec3{geom.V(-0.25, -1, 2), geom.V(1.25, -1, 2), geom.V(0.5, -1.75, 2), geom.V(0.5, -0.25, 2), geom.V(0.5, -1, 1.25), geom.V(0.5, -1, 2.75)}},
 		{csg.NewCylinder(geom.V(0, 0, 1), 2, 0.5, 3),
 			[]geom.Vec3{geom.V(0, 0, -0.5), geom.V(0, 0, 2.5), geom.V(0.5, 0, 1), geom.V(0, -0.5, 1)}},
-		{csg.NewCone(geom.V(1, 1, 1), 0, 1, 2, 0.5),
-			[]geom.Vec3{geom.V(1, 1, 1), geom.V(3, 1, 1), geom.V(3, 1.5, 1), geom.V(3, 1, 0.5)}},
 		{csg.NewTorus(geom.V(0, 0, 0), 2, 1, 0.25),
 			[]geom.Vec3{geom.V(1.25, 0, 0), geom.V(0, -1.25, 0), geom.V(1, 0, 0.25), geom.V(1, 0, -0.25)}},
 	}

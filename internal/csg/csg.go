@@ -1,7 +1,7 @@
 // Package csg implements a small constructive-solid-geometry kernel.
 //
 // CAD parts in this reproduction are synthesized as CSG trees over
-// primitive solids (boxes, cylinders, spheres, tori, cones) combined with
+// primitive solids (boxes, cylinders, spheres, tori) combined with
 // boolean operators and affine transforms. A solid answers point
 // membership queries; the voxelizer samples it on a regular grid to obtain
 // the voxel approximations the paper's similarity models consume.
@@ -120,51 +120,6 @@ func (s torus) Bounds() geom.AABB {
 	out := s.rMajor + s.rMinor
 	e := geom.V(out, out, out).SetComponent(s.axis, s.rMinor)
 	return geom.AABB{Min: s.c.Sub(e), Max: s.c.Add(e)}
-}
-
-type cone struct {
-	apex         geom.Vec3
-	axis         int
-	dir          float64 // +1: opens toward +axis, -1: toward -axis
-	height, base float64 // base = radius at distance height from apex
-}
-
-// NewCone returns a solid right circular cone with the given apex, opening
-// along the coordinate axis in direction dir (+1 or -1), with the given
-// height and base radius.
-func NewCone(apex geom.Vec3, axis int, dir float64, height, baseRadius float64) Solid {
-	if axis < 0 || axis > 2 {
-		panic("csg: cone axis must be 0, 1 or 2")
-	}
-	if dir != 1 && dir != -1 {
-		panic("csg: cone dir must be +1 or -1")
-	}
-	return cone{apex, axis, dir, height, baseRadius}
-}
-
-func (s cone) Contains(p geom.Vec3) bool {
-	d := p.Sub(s.apex)
-	h := d.Component(s.axis) * s.dir
-	if h < 0 || h > s.height {
-		return false
-	}
-	u := d.Component((s.axis + 1) % 3)
-	v := d.Component((s.axis + 2) % 3)
-	r := s.base * h / s.height
-	return u*u+v*v <= r*r
-}
-
-func (s cone) Bounds() geom.AABB {
-	lo := s.apex
-	hi := s.apex
-	if s.dir > 0 {
-		hi = hi.SetComponent(s.axis, hi.Component(s.axis)+s.height)
-	} else {
-		lo = lo.SetComponent(s.axis, lo.Component(s.axis)-s.height)
-	}
-	b := geom.Box(lo, hi)
-	e := geom.V(s.base, s.base, s.base).SetComponent(s.axis, 0)
-	return geom.AABB{Min: b.Min.Sub(e), Max: b.Max.Add(e)}
 }
 
 type halfspace struct {

@@ -82,22 +82,6 @@ func TestTorusContains(t *testing.T) {
 	}
 }
 
-func TestConeContains(t *testing.T) {
-	c := NewCone(geom.V(0, 0, 0), 2, 1, 4, 2) // apex origin, opens +z
-	if !c.Contains(geom.V(0, 0, 0.1)) {
-		t.Error("near apex should be inside")
-	}
-	if !c.Contains(geom.V(1.9, 0, 4)) {
-		t.Error("base rim should be inside")
-	}
-	if c.Contains(geom.V(1.9, 0, 1)) {
-		t.Error("wide point near apex should be outside")
-	}
-	if c.Contains(geom.V(0, 0, 4.1)) || c.Contains(geom.V(0, 0, -0.1)) {
-		t.Error("beyond height range should be outside")
-	}
-}
-
 func TestHalfspace(t *testing.T) {
 	h := NewHalfspace(geom.V(0, 0, 1), 0) // z <= 0
 	if !h.Contains(geom.V(5, 5, -1)) || h.Contains(geom.V(0, 0, 0.1)) {
@@ -166,7 +150,6 @@ func TestBoundsContainSolid(t *testing.T) {
 		NewBox(geom.V(-1, -1, -1), geom.V(2, 0, 1)),
 		NewCylinder(geom.V(0, 1, 0), 1, 0.7, 3),
 		NewTorus(geom.V(0, 0, 0), 0, 2, 0.5),
-		NewCone(geom.V(0, 0, 1), 2, -1, 2, 1),
 		Union(NewSphere(geom.V(0, 0, 0), 1), NewBox(geom.V(2, 2, 2), geom.V(3, 3, 3))),
 		Transform(NewBox(geom.V(-1, -1, -1), geom.V(1, 1, 1)),
 			geom.Rotate(geom.RotationZ(math.Pi/5))),

@@ -57,17 +57,6 @@ func (m Matching) Proper() bool {
 	return false
 }
 
-// MatchedPairs returns the number of matched pairs, min(|X|, |Y|).
-func (m Matching) MatchedPairs() int {
-	n := 0
-	for _, j := range m.XtoY {
-		if j >= 0 {
-			n++
-		}
-	}
-	return n
-}
-
 // MinimalMatching computes the minimal matching distance dist_mm between
 // the vector sets X and Y (Definition 6) with the given ground distance
 // and weight function, using the Kuhn-Munkres algorithm on the cost matrix

@@ -3,8 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 
 	"github.com/voxset/voxset/internal/core"
 )
@@ -21,53 +19,29 @@ type ClassifyRow struct {
 	Objects  int
 }
 
-// Classification1NN computes leave-one-out 1-nn accuracy for each model,
-// in parallel over query objects.
+// Classification1NN computes leave-one-out 1-nn accuracy for each model:
+// one distance row per query object (core.Engine.RowFunc, parallel within
+// the row), its nearest other object the first at the least distance.
 func Classification1NN(e *core.Engine, models []core.Model, inv core.Invariance) []ClassifyRow {
 	objs := e.Objects()
 	n := len(objs)
+	out := make([]float64, n)
 	rows := make([]ClassifyRow, 0, len(models))
 	for _, m := range models {
+		row := e.RowFunc(m, inv)
 		correct := 0
-		var mu sync.Mutex
-		var wg sync.WaitGroup
-		workers := runtime.GOMAXPROCS(0)
-		chunk := (n + workers - 1) / workers
-		for w := 0; w < workers; w++ {
-			lo, hi := w*chunk, (w+1)*chunk
-			if hi > n {
-				hi = n
-			}
-			if lo >= hi {
-				continue
-			}
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				f := e.DistFunc(m, inv)
-				local := 0
-				for i := lo; i < hi; i++ {
-					best := math.Inf(1)
-					bestJ := -1
-					for j := 0; j < n; j++ {
-						if j == i {
-							continue
-						}
-						if d := f(i, j); d < best {
-							best = d
-							bestJ = j
-						}
-					}
-					if bestJ >= 0 && objs[bestJ].ClassID == objs[i].ClassID {
-						local++
-					}
+		for i := range objs {
+			row(i, out)
+			best, bestJ := math.Inf(1), -1
+			for j, d := range out {
+				if j != i && d < best {
+					best, bestJ = d, j
 				}
-				mu.Lock()
-				correct += local
-				mu.Unlock()
-			}(lo, hi)
+			}
+			if bestJ >= 0 && objs[bestJ].ClassID == objs[i].ClassID {
+				correct++
+			}
 		}
-		wg.Wait()
 		rows = append(rows, ClassifyRow{Model: m, Accuracy: float64(correct) / float64(n), Objects: n})
 	}
 	return rows

@@ -262,8 +262,10 @@ func TestParallelOpticsMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq := optics.Run(e.Len(), e.DistFunc(core.ModelVectorSet, core.InvRotoReflection),
-		math.Inf(1), 4)
+	objs := e.Objects()
+	seq := optics.Run(e.Len(), func(i, j int) float64 {
+		return e.Distance(core.ModelVectorSet, core.InvRotoReflection, objs[i], objs[j])
+	}, math.Inf(1), 4)
 	par := optics.RunRows(e.Len(), e.RowFunc(core.ModelVectorSet, core.InvRotoReflection),
 		math.Inf(1), 4)
 	if len(seq.Order) != len(par.Order) {

@@ -64,9 +64,6 @@ func (b AABB) Intersect(c AABB) AABB {
 	return AABB{Min: b.Min.Max(c.Min), Max: b.Max.Min(c.Max)}
 }
 
-// Intersects reports whether b and c share at least one point.
-func (b AABB) Intersects(c AABB) bool { return !b.Intersect(c).IsEmpty() }
-
 // Expand grows the box by d in every direction.
 func (b AABB) Expand(d float64) AABB {
 	e := Vec3{d, d, d}

@@ -61,12 +61,6 @@ func (m Mat3) Col(j int) Vec3 { return Vec3{m[0][j], m[1][j], m[2][j]} }
 // Row returns the i-th row of m as a vector.
 func (m Mat3) Row(i int) Vec3 { return Vec3{m[i][0], m[i][1], m[i][2]} }
 
-// RotationX returns the rotation matrix about the x-axis by angle rad.
-func RotationX(rad float64) Mat3 {
-	c, s := math.Cos(rad), math.Sin(rad)
-	return Mat3{{1, 0, 0}, {0, c, -s}, {0, s, c}}
-}
-
 // RotationY returns the rotation matrix about the y-axis by angle rad.
 func RotationY(rad float64) Mat3 {
 	c, s := math.Cos(rad), math.Sin(rad)
@@ -84,9 +78,6 @@ type Affine struct {
 	M Mat3
 	T Vec3
 }
-
-// IdentityAffine returns the identity transform.
-func IdentityAffine() Affine { return Affine{M: Identity3()} }
 
 // Apply maps the point v through the affine transform.
 func (a Affine) Apply(v Vec3) Vec3 { return a.M.MulVec(v).Add(a.T) }

@@ -60,7 +60,7 @@ func TestNewBulkMatchesAdd(t *testing.T) {
 					t.Fatalf("%s: KNN\n add  %+v\n bulk %+v", ctx, a, b)
 				}
 				eps := a[len(a)/2].Dist
-				if ra, rb := rangeLive(inc, q, eps, live), rangeLive(bulk, q, eps, live); !reflect.DeepEqual(ra, rb) {
+				if ra, rb := rangeStreams(q, eps, live, inc), rangeStreams(q, eps, live, bulk); !reflect.DeepEqual(ra, rb) {
 					t.Fatalf("%s: Range(%v)\n add  %+v\n bulk %+v", ctx, eps, ra, rb)
 				}
 			}

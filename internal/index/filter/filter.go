@@ -1,14 +1,16 @@
 // Package filter implements the paper's filter/refinement query pipeline
 // for vector-set data (§4.3): k·‖C(X)−C(q)‖₂ over the 6-dimensional
 // extended centroids lower-bounds the minimal matching distance (Lemma
-// 2), so
+// 2), so both query forms are one loop, the optimal multi-step algorithm
+// of Seidl & Kriegel [29]: rank candidates by filter distance, refine
+// with the exact matching distance, stop when the next filter distance
+// exceeds the threshold —
 //
-//   - ε-range queries refine only objects whose centroid lies within
-//     ε/k of the query centroid (Korn et al. [19]), and
-//   - k-nn queries use the optimal multi-step algorithm of Seidl &
-//     Kriegel [29]: rank candidates by filter distance, refine with the
-//     exact matching distance, stop when the next filter distance exceeds
-//     the current k-th exact distance.
+//   - for a k-nn query the current k-th exact distance, which falls as
+//     results come in;
+//   - for an ε-range query ε itself, so it refines exactly the objects
+//     whose centroid lies within ε/k of the query centroid (Korn et al.
+//     [19]).
 //
 // An index has one of two shapes, fixed by its constructor, and each shape
 // has its own way of ranking centroids behind one seam (rank.go):
@@ -32,30 +34,32 @@
 //     and the tracker is charged the pages of the boxes and of the rows
 //     read, so the paper's accounting shows what it costs on disk.
 //
-// Both rankers emit the same distances bit for bit, so the loops refine
-// the same candidates and return the same answers. The loops pull
-// candidates with the largest centroid distance that can still matter
-// (the k-th exact distance ÷ k), which is what lets the blocked ranker
-// read and order only the blocks and positions within it instead of all
-// n.
+// Both rankers emit the same distances bit for bit, so the loop refines
+// the same candidates and returns the same answers through either. The
+// loop pulls candidates with the largest centroid distance that can still
+// matter (the threshold ÷ k), which is what lets the blocked ranker read
+// and order only the blocks and positions within it instead of all n; a
+// range's first pull carries its reach already, so the ranker reads just
+// what lies within it.
 //
-// The k-nn loop is one function over candidate streams (stream.go): a
-// Cursor is an index's stream — Next pulls the centroid ranking, Refine
-// runs the exact tests below — and MultiStep refines any number of streams
-// in one global (bound, stream, position) order against one k-th
-// distance. KNN is MultiStep over the index's own cursor; vsdb adds its
-// delta memtable as a second stream, and the sharded coordinator one
-// cursor per shard, so every shape refines what one index over the union
+// The loop is one function over candidate streams (stream.go): a Cursor
+// is an index's stream — Next pulls the centroid ranking, Refine runs the
+// exact tests below — and MultiStep refines any number of streams in one
+// global (bound, stream, position) order against one threshold. KNN and
+// Range are MultiStep over the index's own cursor; vsdb adds its delta
+// memtable as a second stream (and answers partial matching, which has no
+// bound, with a scan stream), and the sharded coordinator one set of
+// streams per shard, so every shape refines what one index over the union
 // would.
 //
-// Every query runs on the caller's goroutine: the k-nn loop is sequential
-// by construction (it refines in ranking order and stops at the first
-// bound past the k-th distance), and concurrency comes from concurrent
-// callers, which an index serves safely (DESIGN.md §6).
+// Every query runs on the caller's goroutine: the loop is sequential by
+// construction (it refines in ranking order and stops at the first bound
+// past the threshold), and concurrency comes from concurrent callers,
+// which an index serves safely (DESIGN.md §6).
 //
-// Every refinement loop holds a threshold (the current k-th exact
-// distance, ε), and each candidate the centroid ranking lets through meets
-// two more exact tests against it before a solve (DESIGN.md §6): on a
+// The loop holds a threshold (the current k-th exact distance, ε), and
+// each candidate the centroid ranking lets through meets two more exact
+// tests against it before a solve (DESIGN.md §6): on a
 // store-backed FastL2 index, the sorted per-axis projection bound over
 // stored 16-bit signatures, one code space per centroid block, tested in
 // integers (signature.go), which settles most candidates without
@@ -352,83 +356,29 @@ func (ix *Index) exact(ws *dist.Workspace, q qview, i int, bound float64, t *tal
 	return d
 }
 
-// Range returns all objects whose minimal matching distance to q is at
-// most eps, in (distance, id) order.
-func (ix *Index) Range(q [][]float64, eps float64) []index.Neighbor {
-	qv, cq := ix.newQuery(q)
-	out, _ := ix.rangeQuery(context.Background(), qv, cq, eps, nil) // a background context never ends
-	return out
-}
-
-// RangeFlat is Range for a query already in the flat layout, skipping
-// the per-call conversion (the vsdb query path).
-func (ix *Index) RangeFlat(q vectorset.Flat, eps float64) []index.Neighbor {
-	out, _ := ix.RangeFlatLive(context.Background(), q, eps, nil) // a background context never ends
-	return out
-}
-
-// RangeFlatLive is RangeFlat over the objects whose id satisfies live
-// (all of them when live is nil): a dead candidate is dropped before
-// refinement, so it costs no exact evaluation. ctx is checked once per
-// ctxEvery candidates; once it is done the call returns ctx.Err().
-func (ix *Index) RangeFlatLive(ctx context.Context, q vectorset.Flat, eps float64, live func(id int) bool) ([]index.Neighbor, error) {
-	qv, cq := ix.newQueryFlat(q)
-	return ix.rangeQuery(ctx, qv, cq, eps, live)
-}
-
-// beyond reports whether a centroid distance proves its object farther
-// than threshold (Lemma 2: dist_mm ≥ K·‖C(X)−C(q)‖) — the range loop's
-// prune test, and MultiStep's stop test on a Cursor's bound K·‖C(X)−C(q)‖.
-// reach is its inverse, the centroid distance up to which a ranking must
-// not skip anything.
-func (ix *Index) beyond(centroidDist, threshold float64) bool {
-	return vectorset.BoundExceeds(centroidDist*float64(ix.cfg.K), threshold)
-}
-
+// reach is the largest centroid distance whose Lemma 2 bound
+// K·‖C(X)−C(q)‖ can still lie within threshold — the inverse of
+// MultiStep's stop test — up to which a ranking must not skip anything.
 func (ix *Index) reach(threshold float64) float64 {
 	return threshold / float64(ix.cfg.K) * reachSlack
 }
 
 // reachSlack widens reach so that no rounding — in the division above, in
-// a ranker's reach², in beyond's own product — can make a ranking leave
-// out a position that beyond would still accept. A ranking that hands out
-// a few positions more costs an ordering step, never a refinement: beyond
-// decides.
+// a ranker's reach², in the stop test's own product — can make a ranking
+// leave out a position that the stop test would still accept. A ranking
+// that hands out a few positions more costs an ordering step, never a
+// refinement: the stop test decides.
 const reachSlack = 1 + 0x1p-40
 
-func (ix *Index) rangeQuery(ctx context.Context, q qview, cq []float64, eps float64, live func(id int) bool) ([]index.Neighbor, error) {
-	defer q.release()
-	ws := dist.GetWorkspace()
-	defer dist.PutWorkspace(ws)
-	var t tally
-	defer func() { ix.publish(t) }() // what a cancelled loop refined counts too
-	var out []index.Neighbor
-	// dist_mm ≤ eps requires ‖C(X)−C(q)‖ ≤ eps/K (Korn et al. [19]); the
-	// ranker over-collects by a rounding margin and beyond decides.
-	for n, c := range ix.ranker.within(cq, ix.reach(eps)) {
-		if (n+1)%ctxEvery == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		if ix.beyond(c.Dist, eps) || (live != nil && !live(ix.ids[c.ID])) {
-			continue
-		}
-		if d := ix.exact(ws, q, c.ID, eps, &t); d <= eps {
-			out = append(out, index.Neighbor{ID: ix.ids[c.ID], Dist: d})
-		}
-	}
-	index.SortNeighbors(out)
-	return out, nil
-}
-
 // worseNeighbor reports whether a ranks strictly after b under the
-// deterministic (distance, id) result order.
+// deterministic (distance, id) result order. Ids compare as uint64: a
+// database's ids are uint64s handed through int, and one ≥ 2⁶³ must still
+// rank after 1.
 func worseNeighbor(a, b index.Neighbor) bool {
 	if a.Dist != b.Dist {
 		return a.Dist > b.Dist
 	}
-	return a.ID > b.ID
+	return uint64(a.ID) > uint64(b.ID)
 }
 
 // resultHeap is a max-heap of the current k best exact neighbors: the
@@ -472,6 +422,17 @@ func (h *resultHeap) offer(nb index.Neighbor, k int) {
 	}
 }
 
+// compareNeighbors orders an answer by worseNeighbor, the heap's order.
+func compareNeighbors(a, b index.Neighbor) int {
+	switch {
+	case worseNeighbor(b, a):
+		return -1
+	case worseNeighbor(a, b):
+		return 1
+	}
+	return 0
+}
+
 // KNN returns the k nearest neighbors of q under the minimal matching
 // distance using the optimal multi-step algorithm (Seidl & Kriegel):
 // candidates are refined in filter-distance order and the walk stops as
@@ -482,7 +443,7 @@ func (ix *Index) KNN(q [][]float64, k int) []index.Neighbor {
 		return nil
 	}
 	qv, cq := ix.newQuery(q)
-	return ix.knn(ix.cursor(qv, cq, k, nil), k)
+	return ix.walk(ix.cursor(qv, cq, k, nil), min(k, ix.Len()), math.Inf(1))
 }
 
 // KNNFlat is KNN for a query already in the flat layout, skipping the
@@ -491,11 +452,26 @@ func (ix *Index) KNNFlat(q vectorset.Flat, k int) []index.Neighbor {
 	if k <= 0 || ix.Len() == 0 {
 		return nil
 	}
-	return ix.knn(ix.Cursor(q, k, nil), k)
+	return ix.walk(ix.Cursor(q, k, nil), min(k, ix.Len()), math.Inf(1))
 }
 
-func (ix *Index) knn(c *Cursor, k int) []index.Neighbor {
+// Range returns all objects whose minimal matching distance to q is at
+// most eps, in (distance, id) order: MultiStep over the index's one Cursor
+// with the threshold held at eps, so only objects whose centroid lies
+// within eps/K of the query's are refined (Korn et al. [19]).
+func (ix *Index) Range(q [][]float64, eps float64) []index.Neighbor {
+	qv, cq := ix.newQuery(q)
+	return ix.walk(ix.cursor(qv, cq, 0, nil), math.MaxInt, eps)
+}
+
+// RangeFlat is Range for a query already in the flat layout, skipping
+// the per-call conversion.
+func (ix *Index) RangeFlat(q vectorset.Flat, eps float64) []index.Neighbor {
+	return ix.walk(ix.Cursor(q, 0, nil), math.MaxInt, eps)
+}
+
+func (ix *Index) walk(c *Cursor, k int, threshold float64) []index.Neighbor {
 	defer c.Close()
-	out, _ := MultiStep(context.Background(), []Stream{c}, min(k, ix.Len())) // a background context never ends
+	out, _ := MultiStep(context.Background(), []Stream{c}, k, threshold) // a background context never ends
 	return out
 }

@@ -11,7 +11,7 @@ import (
 	"github.com/voxset/voxset/internal/vectorset"
 )
 
-// ranker is the seam between the query loops and whatever orders the
+// ranker is the seam between the query loop and whatever orders the
 // extended centroids. An index has exactly one, fixed by its constructor:
 // New ranks through the dynamic X-tree (treeRanker), NewBulkStore through
 // the store's centroid column in blocks (blockRanker).
@@ -20,11 +20,9 @@ import (
 type ranker interface {
 	// rank starts a ranking of every indexed position by its centroid's
 	// distance to cq. first is how many candidates the caller expects to
-	// pull before it holds a bound (its k).
+	// pull before it holds a bound (a k-nn's k); a caller whose first pull
+	// already has a finite reach (a range) never uses it.
 	rank(cq []float64, first int) ranking
-	// within returns, in no particular order, every position whose
-	// centroid lies within reach of cq (same rounding caveat as next).
-	within(cq []float64, reach float64) []index.Neighbor
 }
 
 // ranking is one query's walk over the centroids in ascending distance.
@@ -36,7 +34,8 @@ type ranking interface {
 	// Positions beyond reach may still be returned — the caller keeps its
 	// own stop test — but none within reach is ever skipped, give or take
 	// the rounding of reach², which callers absorb by widening reach
-	// (Index.reach).
+	// (Index.reach). A ranking whose first pull has a finite reach (a
+	// range's) reads only what lies within it.
 	next(reach float64) (nb index.Neighbor, ok bool)
 	// release returns the ranking's scratch; the ranking is dead after it.
 	release()
@@ -48,18 +47,44 @@ type ranking interface {
 type treeRanker struct{ tree *xtree.Tree }
 
 func (t treeRanker) rank(cq []float64, _ int) ranking {
-	return treeRanking{t.tree.NewRanking(cq)}
+	return &treeRanking{tree: t.tree, cq: cq}
 }
 
-func (t treeRanker) within(cq []float64, reach float64) []index.Neighbor {
-	return t.tree.Range(cq, reach)
+// treeRanking is best-first from a first pull at +Inf (a k-nn's), which is
+// already lazy and ignores reach. A first pull with a finite reach (a
+// range's) runs the tree's range search to that reach instead and emits
+// its answer in order: best-first would also expand the nodes between the
+// reach and the first point past it, which the range search never reads,
+// and §5.4 charges every node page read.
+type treeRanking struct {
+	tree    *xtree.Tree
+	cq      []float64
+	started bool
+	best    *xtree.Ranking   // the k-nn form
+	ranged  []index.Neighbor // the range form's answer not yet emitted, in (distance, position) order
 }
 
-// treeRanking ignores reach: best-first is already lazy.
-type treeRanking struct{ r *xtree.Ranking }
+func (t *treeRanking) next(reach float64) (index.Neighbor, bool) {
+	if !t.started {
+		t.started = true
+		if reach < math.Inf(1) {
+			t.ranged = t.tree.Range(t.cq, reach)
+		} else {
+			t.best = t.tree.NewRanking(t.cq)
+		}
+	}
+	if t.best != nil {
+		return t.best.Next()
+	}
+	if len(t.ranged) == 0 {
+		return index.Neighbor{}, false
+	}
+	nb := t.ranged[0]
+	t.ranged = t.ranged[1:]
+	return nb, true
+}
 
-func (t treeRanking) next(float64) (index.Neighbor, bool) { return t.r.Next() }
-func (treeRanking) release()                              {}
+func (*treeRanking) release() {}
 
 // blockRanker ranks the store's centroid column in place, by blocks of
 // vectorset.BlockLen consecutive positions, each with its bounding box. A
@@ -152,30 +177,8 @@ func (r *blockRanker) rank(cq []float64, first int) ranking {
 	rk.begin(cq)
 	rk.last, rk.bucketed = ranked{-1, -1}, false
 	rk.chunk = min(max(minChunk, chunkPerResult*first), r.n)
-	rk.nearest()
+	rk.run, rk.cur, rk.sorted = rk.run[:0], 0, 0
 	return rk
-}
-
-func (r *blockRanker) within(cq []float64, reach float64) []index.Neighbor {
-	r2 := reach * reach
-	var out []index.Neighbor
-	var d2 [vectorset.BlockLen]float64
-	rows := 0
-	for b := range len(r.boxes()) / (2 * r.dim) {
-		if r.boxDist2(b, cq) > r2 {
-			continue
-		}
-		lo, hi := b*vectorset.BlockLen, min((b+1)*vectorset.BlockLen, r.n)
-		squaredDistances(d2[:hi-lo], r.col[lo*r.dim:hi*r.dim], cq)
-		rows += hi - lo
-		for t, d := range d2[:hi-lo] {
-			if d <= r2 { // false for a NaN distance: never a candidate
-				out = append(out, index.Neighbor{ID: lo + t, Dist: math.Sqrt(d)})
-			}
-		}
-	}
-	r.charge(rows)
-	return out
 }
 
 // squaredDistances writes ‖cents[i]−q‖² into d2[i], summing the dimensions
@@ -236,7 +239,8 @@ const (
 //     MINDIST² is strictly greater than its root's d²;
 //  2. the first pull with a finite reach collects every un-emitted
 //     position within it, reading only the blocks whose MINDIST is. reach
-//     only shrinks, so nothing outside that set can ever be asked for;
+//     only shrinks, so nothing outside that set can ever be asked for. A
+//     range's first pull has its reach already and starts here;
 //  3. the collected set is scattered into buckets by d² and each bucket
 //     is sorted only when the walk gets to it — the loop usually stops
 //     about halfway through.
@@ -259,8 +263,9 @@ type blockRanking struct {
 	rows int       // rows read this query, for the tracker
 	mind []float64 // MINDIST² per block
 	// order lists the blocks in ascending (mind, block) order as far as
-	// they have been needed; heap is a min-heap of the rest.
+	// they have been needed; heap is a min-heap of the rest, once heaped.
 	order, heap []int32
+	heaped      bool
 
 	run    []ranked // emitted from run[cur]; run[:sorted] is in order
 	cur    int
@@ -299,13 +304,9 @@ func (rk *blockRanking) begin(cq []float64) {
 	rk.r.boxes() // built by now (pool.New); the call orders this read after the build
 	rk.cq, rk.rows = cq, 0
 	clear(rk.read)
-	rk.order, rk.heap = rk.order[:0], rk.heap[:0]
+	rk.order, rk.heap, rk.heaped = rk.order[:0], rk.heap[:0], false
 	for b := range rk.mind {
 		rk.mind[b] = rk.r.boxDist2(b, cq)
-		rk.heap = append(rk.heap, int32(b))
-	}
-	for i := len(rk.heap)/2 - 1; i >= 0; i-- {
-		rk.siftBlock(i)
 	}
 }
 
@@ -332,8 +333,19 @@ func (rk *blockRanking) siftBlock(i int) {
 	}
 }
 
-// block returns the i-th block in ascending (MINDIST², block) order.
+// block returns the i-th block in ascending (MINDIST², block) order,
+// heapifying the blocks on the query's first call (a range never makes
+// one).
 func (rk *blockRanking) block(i int) (int, bool) {
+	if !rk.heaped {
+		for b := range rk.mind {
+			rk.heap = append(rk.heap, int32(b))
+		}
+		for j := len(rk.heap)/2 - 1; j >= 0; j-- {
+			rk.siftBlock(j)
+		}
+		rk.heaped = true
+	}
 	for len(rk.order) <= i {
 		if len(rk.heap) == 0 {
 			return 0, false
@@ -383,8 +395,8 @@ func (rk *blockRanking) advance(reach float64) bool {
 		if r2 := reach * reach; r2 < math.Inf(1) {
 			rk.collect(r2)
 		} else {
-			rk.chunk = min(2*rk.chunk, len(rk.d2))
 			rk.nearest()
+			rk.chunk = min(2*rk.chunk, len(rk.d2))
 			return rk.sorted > 0
 		}
 	}
@@ -462,14 +474,15 @@ func siftDown(h []ranked) {
 }
 
 // collect gathers every un-emitted position with d² ≤ r2 into run,
-// bucketed by d² (a counting sort on the bucket number).
+// bucketed by d² (a counting sort on the bucket number). The buckets
+// order what it gathers, so it visits the blocks within r2 in storage
+// order, not through the block heap.
 func (rk *blockRanking) collect(r2 float64) {
 	last := rk.last
 	cand := rk.cand[:0]
-	for i := 0; ; i++ {
-		b, ok := rk.block(i)
-		if !ok || rk.mind[b] > r2 {
-			break
+	for b, m := range rk.mind {
+		if m > r2 {
+			continue
 		}
 		lo, d2 := rk.rowsOf(b)
 		for t, d := range d2 {

@@ -215,14 +215,14 @@ func TestFlatRankingMatchesTree(t *testing.T) {
 								inReach = append(inReach, int(it.pos))
 							}
 						}
-						var ranged []int
-						for _, nb := range flat.within(q, eps*reachSlack) {
-							ranged = append(ranged, nb.ID)
+						var inRange []int
+						for _, nb := range rangeRanking(flat, q, eps*reachSlack) {
+							inRange = append(inRange, nb.ID)
 						}
-						slices.Sort(ranged)
+						slices.Sort(inRange)
 						slices.Sort(inReach)
-						if !slices.Equal(ranged, inReach) {
-							t.Fatalf("%s: within(%v): %d positions, brute force %d", ctx, eps, len(ranged), len(inReach))
+						if !slices.Equal(inRange, inReach) {
+							t.Fatalf("%s: range to %v: %d positions, brute force %d", ctx, eps, len(inRange), len(inReach))
 						}
 						if name == "nonfinite" {
 							continue // the X-tree is not held to NaN coordinates
@@ -266,16 +266,31 @@ func TestFlatRankingMatchesTree(t *testing.T) {
 						}
 
 						// Range.
-						a, b := flat.within(q, eps*reachSlack), treeRanker{tree}.within(q, eps*reachSlack)
+						a, b := rangeRanking(flat, q, eps*reachSlack), rangeRanking(treeRanker{tree}, q, eps*reachSlack)
 						index.SortNeighbors(a)
 						index.SortNeighbors(b)
 						if !reflect.DeepEqual(a, b) {
-							t.Fatalf("%s: within(%v): flat %d positions, tree %d", ctx, eps, len(a), len(b))
+							t.Fatalf("%s: range to %v: flat %d positions, tree %d", ctx, eps, len(a), len(b))
 						}
 					}
 				}
 			}
 		}
+	}
+}
+
+// rangeRanking is a range's walk over a ranking: reach held from the first
+// pull, pulled to exhaustion.
+func rangeRanking(r ranker, q []float64, reach float64) []index.Neighbor {
+	rk := r.rank(q, 0)
+	defer rk.release()
+	var out []index.Neighbor
+	for {
+		nb, ok := rk.next(reach)
+		if !ok {
+			return out
+		}
+		out = append(out, nb)
 	}
 }
 

@@ -39,8 +39,8 @@ func sigCorpus(seed int64, n, maxCard, dim int) (pool, sets [][][]float64) {
 }
 
 // TestSignatureStageDifferential: with the signature stage in the loop,
-// a Cursor under MultiStep and RangeFlatLive on a store-backed index
-// still answer byte for byte like a brute-force scan with the unbounded
+// a Cursor under MultiStep, k-nn and ε-range, on a store-backed index
+// still answers byte for byte like a brute-force scan with the unbounded
 // distance — K = 7 and 8, with and without a liveness predicate, at k
 // and ε chosen on exact ties — at sizes around the block boundary (0, 1,
 // 63, 64, 65) and at 10 000 objects; and the stage fires.
@@ -86,7 +86,7 @@ func TestSignatureStageDifferential(t *testing.T) {
 						}
 						eps := all[at].Dist
 						m := sort.Search(len(all), func(i int) bool { return all[i].Dist > eps })
-						if got := rangeLive(ix, qf, eps, live); !reflect.DeepEqual(got, all[:m]) {
+						if got := rangeStreams(qf, eps, live, ix); !reflect.DeepEqual(got, all[:m]) {
 							t.Fatalf("%s query %d: range eps=%v\n got %v\nwant %v", ctx, qi, eps, got, all[:m])
 						}
 					}

@@ -3,6 +3,7 @@ package filter
 import (
 	"context"
 	"math"
+	"slices"
 	"sync"
 
 	"github.com/voxset/voxset/internal/dist"
@@ -10,38 +11,47 @@ import (
 	"github.com/voxset/voxset/internal/vectorset"
 )
 
-// Stream is one source of k-nn candidates in ascending Lemma 2 bound: an
-// index's Cursor, or a database's walk over its unindexed memtable.
-// MultiStep runs one multi-step loop over any number of them.
+// Stream is one source of candidates in ascending Lemma 2 bound: an
+// index's Cursor, or a database's walk over its unindexed memtable or,
+// for a distance without a bound, over every live object. MultiStep runs
+// one loop over any number of them, whatever the query form.
 type Stream interface {
-	// Next returns the next candidate's Lemma 2 bound (K·‖C(X)−C(q)‖) and
-	// the stream's position for it, in ascending (bound, position) order.
-	// threshold is the loop's current k-th distance (+Inf before it has
-	// one) and never grows from one call to the next; ok is false once no
-	// remaining candidate's bound lies within it. A candidate beyond it may
-	// still be returned: MultiStep's stop test decides.
+	// Next returns the next candidate's lower bound (K·‖C(X)−C(q)‖ for a
+	// Cursor) and the stream's position for it, in ascending (bound,
+	// position) order. threshold is the loop's current one — the k-th
+	// distance (+Inf before it has one) or ε — and never grows from one
+	// call to the next; ok is false once no remaining candidate's bound
+	// lies within it. A candidate beyond it may still be returned:
+	// MultiStep's stop test decides.
 	Next(threshold float64) (bound float64, pos int, ok bool)
 	// Refine tests the candidate at pos against threshold — liveness, the
 	// signature bound, then the threshold-aware matching kernel — and
 	// returns its object id and exact distance. ok is false when the
 	// candidate is dead or proven farther than threshold; a distance equal
-	// to it is kept, so ties at the k-th place reach the result order.
+	// to it is kept, so ties at the k-th place and at ε reach the answer.
 	Refine(pos int, threshold float64) (id int, d float64, ok bool)
 }
 
-// MultiStep answers a k-nn query over the union of streams with the
-// optimal multi-step algorithm of Seidl & Kriegel [29]: it refines
-// candidates in global (bound, stream, position) order against one k-th
-// distance and stops at the first bound that exceeds it, so it refines
-// what a single index over the union would, ties in the bound aside. The
-// streams must hold disjoint ids; k must not exceed the number of objects
-// they hold together (it sizes the answer). The answer is (dist, id)-ordered
-// and identical whatever the split into streams, because the result heap
-// breaks ties at the k-th place by id, not by refinement order.
+// MultiStep answers a query over the union of streams with the optimal
+// multi-step algorithm of Seidl & Kriegel [29]: it refines candidates in
+// global (bound, stream, position) order against one threshold and stops
+// at the first bound that exceeds it, so it refines what a single index
+// over the union would, ties in the bound aside. The streams must hold
+// disjoint ids.
+//
+// threshold is where the loop starts. A k-nn starts at +Inf, and once k
+// candidates are in the threshold falls to the k-th exact distance; k
+// must not exceed the number of objects the streams hold together, since
+// it sizes the answer. An ε-range starts at ε and passes k = math.MaxInt,
+// no cap, so the threshold stays at ε and the loop refines exactly the
+// candidates whose bound is within it (Korn et al. [19]); its answer grows
+// as it is found. Either answer is (dist, id)-ordered and identical
+// whatever the split into streams, because the result heap breaks
+// distance ties by id, not by refinement order.
 //
 // ctx is checked once per ctxEvery refinements; once it is done MultiStep
 // returns ctx.Err() and no answer.
-func MultiStep(ctx context.Context, streams []Stream, k int) ([]index.Neighbor, error) {
+func MultiStep(ctx context.Context, streams []Stream, k int, threshold float64) ([]index.Neighbor, error) {
 	if k <= 0 {
 		return nil, nil
 	}
@@ -52,12 +62,14 @@ func MultiStep(ctx context.Context, streams []Stream, k int) ([]index.Neighbor, 
 	}
 	var buf [8]head
 	heads := buf[:0]
-	kth := math.Inf(1) // the k-th exact distance once k candidates are in
 	for _, s := range streams {
-		b, p, ok := s.Next(kth)
+		b, p, ok := s.Next(threshold)
 		heads = append(heads, head{b, p, ok})
 	}
-	results := make(resultHeap, 0, k)
+	var results resultHeap
+	if k < math.MaxInt {
+		results = make(resultHeap, 0, k)
+	}
 	for n := 1; ; n++ {
 		if n%ctxEvery == 0 {
 			if err := ctx.Err(); err != nil {
@@ -70,20 +82,22 @@ func MultiStep(ctx context.Context, streams []Stream, k int) ([]index.Neighbor, 
 				best = i
 			}
 		}
-		if best < 0 || vectorset.BoundExceeds(heads[best].bound, kth) {
-			break // no unseen object can beat the current k-th distance
+		if best < 0 || vectorset.BoundExceeds(heads[best].bound, threshold) {
+			break // no unseen object can beat the threshold
 		}
 		s := streams[best]
-		if id, d, ok := s.Refine(heads[best].pos, kth); ok {
-			results.offer(index.Neighbor{ID: id, Dist: d}, k)
-			if len(results) == k {
-				kth = results[0].Dist
+		if id, d, ok := s.Refine(heads[best].pos, threshold); ok {
+			nb := index.Neighbor{ID: id, Dist: d}
+			if k == math.MaxInt {
+				results = append(results, nb) // a range keeps all it finds
+			} else if results.offer(nb, k); len(results) == k {
+				threshold = results[0].Dist
 			}
 		}
 		h := &heads[best]
-		h.bound, h.pos, h.ok = s.Next(kth)
+		h.bound, h.pos, h.ok = s.Next(threshold)
 	}
-	index.SortNeighbors(results) // the heap's one allocation is the answer
+	slices.SortFunc(results, compareNeighbors) // the heap's one allocation is a k-nn's answer
 	return results, nil
 }
 
@@ -93,8 +107,8 @@ func MultiStep(ctx context.Context, streams []Stream, k int) ([]index.Neighbor, 
 // profile.
 const ctxEvery = 64
 
-// Cursor is one k-nn query's walk over an index, the Stream MultiStep
-// pulls from: Next is the centroid ranking, Refine the liveness test, the
+// Cursor is one query's walk over an index, the Stream MultiStep pulls
+// from: Next is the centroid ranking, Refine the liveness test, the
 // signature stage and the threshold-aware kernel. Opening one prepares
 // only the query (its centroid and signature); the ranking pass over the
 // index runs on the first Next, so a caller can open cursors on several
@@ -113,12 +127,13 @@ type Cursor struct {
 
 var cursors = sync.Pool{New: func() any { return new(Cursor) }}
 
-// Cursor opens a k-nn walk for q over the objects whose id satisfies live
-// (all of them when live is nil): a dead candidate is ranked but never
-// refined and takes no place among the k. first — how many candidates the
-// cursor is expected to supply before the loop holds k results: k when it
-// is the loop's only stream, its share of k beside others — sizes the
-// ranking's first selection; it affects cost, never the answer.
+// Cursor opens a walk for q over the objects whose id satisfies live (all
+// of them when live is nil): a dead candidate is ranked but never refined
+// and takes no place in the answer. first — how many candidates the
+// cursor is expected to supply before a k-nn loop holds k results: k when
+// it is the loop's only stream, its share of k beside others — sizes the
+// ranking's first selection; it affects cost, never the answer, and a
+// range, whose first pull already has its reach, leaves it unused.
 func (ix *Index) Cursor(q vectorset.Flat, first int, live func(id int) bool) *Cursor {
 	qv, cq := ix.newQueryFlat(q)
 	return ix.cursor(qv, cq, first, live)

@@ -3,6 +3,7 @@ package filter
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -46,37 +47,38 @@ func latticeCorpus(seed int64, n, maxCard, dim int) [][][]float64 {
 // knnStreams is a k-nn over the union of the indexes: MultiStep over one
 // Cursor per index, each skipping what live rejects.
 func knnStreams(q vectorset.Flat, k int, live func(int) bool, ixs ...*Index) []index.Neighbor {
+	return walkStreams(q, k, math.Inf(1), live, ixs)
+}
+
+// rangeStreams is the ε-range form of knnStreams: no cap on the answer,
+// the threshold held at eps.
+func rangeStreams(q vectorset.Flat, eps float64, live func(int) bool, ixs ...*Index) []index.Neighbor {
+	return walkStreams(q, math.MaxInt, eps, live, ixs)
+}
+
+func walkStreams(q vectorset.Flat, k int, threshold float64, live func(int) bool, ixs []*Index) []index.Neighbor {
 	streams := make([]Stream, len(ixs))
 	for i, ix := range ixs {
 		c := ix.Cursor(q, k, live)
 		defer c.Close()
 		streams[i] = c
 	}
-	out, err := MultiStep(context.Background(), streams, k)
+	out, err := MultiStep(context.Background(), streams, k, threshold)
 	if err != nil {
 		panic(err) // a background context never ends
 	}
 	return out
 }
 
-// rangeLive is RangeFlatLive under a context that never ends.
-func rangeLive(ix *Index, q vectorset.Flat, eps float64, live func(int) bool) []index.Neighbor {
-	out, err := ix.RangeFlatLive(context.Background(), q, eps, live)
-	if err != nil {
-		panic(err)
-	}
-	return out
-}
-
-// TestBoundedRefinementDifferential: the k-nn loop (MultiStep over
-// cursors) and RangeFlatLive, whose loops hand their threshold to the
-// ranking and to the matching kernel, answer byte for byte like a
-// brute-force scan with the unbounded distance — through the X-tree and
-// through the centroid column, with and without a liveness predicate, at
-// k and ε chosen on exact ties, under a power-of-two K and under K = 7.
-// The same objects split across three indexes (position mod 3), walked by
-// one MultiStep over three cursors, answer the same k-nn: equal distances
-// at the k-th place then sit in different streams.
+// TestBoundedRefinementDifferential: the loop (MultiStep over cursors),
+// which hands its threshold to the ranking and to the matching kernel,
+// answers k-nn and ε-range queries byte for byte like a brute-force scan
+// with the unbounded distance — through the X-tree and through the
+// centroid column, with and without a liveness predicate, at k and ε
+// chosen on exact ties, under a power-of-two K and under K = 7. The same
+// objects split across three indexes (position mod 3), walked by one
+// MultiStep over three cursors, answer the same k-nn and ε-range: equal
+// distances at the k-th place and at ε then sit in different streams.
 func TestBoundedRefinementDifferential(t *testing.T) {
 	const D, parts = 6, 3
 	dead := func(id int) bool { return id%5 == 0 }
@@ -128,8 +130,11 @@ func TestBoundedRefinementDifferential(t *testing.T) {
 					for _, at := range []int{0, 9, 49} {
 						eps := all[at].Dist
 						n := sort.Search(len(all), func(i int) bool { return all[i].Dist > eps })
-						if got := rangeLive(ix, qf, eps, live); !reflect.DeepEqual(got, all[:n]) {
+						if got := rangeStreams(qf, eps, live, ix); !reflect.DeepEqual(got, all[:n]) {
 							t.Fatalf("%s: range eps=%v\n got %v\nwant %v", ctx, eps, got, all[:n])
+						}
+						if got := rangeStreams(qf, eps, live, split[name]...); !reflect.DeepEqual(got, all[:n]) {
+							t.Fatalf("%s: range eps=%v over %d streams\n got %v\nwant %v", ctx, eps, parts, got, all[:n])
 						}
 					}
 				}

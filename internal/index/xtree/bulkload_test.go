@@ -147,7 +147,7 @@ func TestBulkLoadSinglePoint(t *testing.T) {
 	if len(got) != 1 || got[0].ID != 7 {
 		t.Errorf("knn = %v", got)
 	}
-	if tr.Height() != 1 {
-		t.Errorf("height = %d", tr.Height())
+	if tr.height != 1 {
+		t.Errorf("height = %d", tr.height)
 	}
 }

@@ -100,12 +100,6 @@ func New(dim int, cfg Config) *Tree {
 // Len returns the number of indexed points.
 func (t *Tree) Len() int { return t.size }
 
-// Height returns the height of the tree (1 for a single leaf).
-func (t *Tree) Height() int { return t.height }
-
-// Supernodes returns the number of supernodes currently in the tree.
-func (t *Tree) Supernodes() int { return t.supernodes }
-
 // Dim returns the dimensionality of the indexed points.
 func (t *Tree) Dim() int { return t.dim }
 

@@ -52,8 +52,8 @@ func TestXTreeInsertAndLen(t *testing.T) {
 	if tr.Len() != 500 {
 		t.Errorf("len = %d", tr.Len())
 	}
-	if tr.Height() < 2 {
-		t.Errorf("height = %d; tree should have split", tr.Height())
+	if tr.height < 2 {
+		t.Errorf("height = %d; tree should have split", tr.height)
 	}
 }
 
@@ -221,7 +221,7 @@ func TestXTreeHighDimBuildsSupernodes(t *testing.T) {
 	if len(got) != 5 {
 		t.Errorf("knn on degenerate data returned %d results", len(got))
 	}
-	t.Logf("supernodes created: %d, height: %d", tr.Supernodes(), tr.Height())
+	t.Logf("supernodes created: %d, height: %d", tr.supernodes, tr.height)
 }
 
 func TestXTreeDuplicatePoints(t *testing.T) {

@@ -77,17 +77,3 @@ func AdjustedRandIndex(a, b []int) float64 {
 	}
 	return (sumCells - expected) / (maxIdx - expected)
 }
-
-// NoiseFraction returns the fraction of objects labelled 0 (unclustered).
-func NoiseFraction(clusters []int) float64 {
-	if len(clusters) == 0 {
-		return 0
-	}
-	noise := 0
-	for _, c := range clusters {
-		if c == 0 {
-			noise++
-		}
-	}
-	return float64(noise) / float64(len(clusters))
-}

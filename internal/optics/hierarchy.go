@@ -160,23 +160,3 @@ func RenderTree(forest []*ClusterNode, r Result, labelFn func(objects []int) str
 	}
 	return sb.String()
 }
-
-// FlattenLeaves returns the leaf clusters of the forest (the finest
-// clusters), ordered by Start.
-func FlattenLeaves(forest []*ClusterNode) []*ClusterNode {
-	var out []*ClusterNode
-	var walk func(n *ClusterNode)
-	walk = func(n *ClusterNode) {
-		if len(n.Children) == 0 {
-			out = append(out, n)
-			return
-		}
-		for _, c := range n.Children {
-			walk(c)
-		}
-	}
-	for _, root := range forest {
-		walk(root)
-	}
-	return out
-}

@@ -76,7 +76,7 @@ func TestHierarchicalClustersOnRealClustering(t *testing.T) {
 	addBlob(1000, 15) // group B
 	r := Run(len(pts), func(i, j int) float64 { return dist.L2(pts[i], pts[j]) }, math.Inf(1), 3)
 	forest := HierarchicalClusters(r, 5)
-	leaves := FlattenLeaves(forest)
+	leaves := flattenLeaves(forest)
 	if len(leaves) < 3 {
 		t.Fatalf("leaves = %d, want ≥ 3 (A1, A2, B)", len(leaves))
 	}
@@ -104,7 +104,7 @@ func TestRenderTreeAndLeaves(t *testing.T) {
 	if !strings.Contains(out, "size 9") || !strings.Contains(out, "  [") {
 		t.Errorf("tree rendering:\n%s", out)
 	}
-	leaves := FlattenLeaves(forest)
+	leaves := flattenLeaves(forest)
 	if len(leaves) != 3 { // G1, G2 and the second top-level valley
 		t.Errorf("leaves = %d, want 3", len(leaves))
 	}
@@ -114,4 +114,24 @@ func TestHierarchyEmptyPlot(t *testing.T) {
 	if got := HierarchicalClusters(Result{}, 2); len(got) != 0 {
 		t.Error("empty plot should yield empty forest")
 	}
+}
+
+// flattenLeaves returns the leaf clusters of the forest (the finest
+// clusters), ordered by Start.
+func flattenLeaves(forest []*ClusterNode) []*ClusterNode {
+	var out []*ClusterNode
+	var walk func(n *ClusterNode)
+	walk = func(n *ClusterNode) {
+		if len(n.Children) == 0 {
+			out = append(out, n)
+			return
+		}
+		for _, c := range n.Children {
+			walk(c)
+		}
+	}
+	for _, root := range forest {
+		walk(root)
+	}
+	return out
 }

@@ -85,19 +85,3 @@ func RenderASCII(r Result, width, height int) string {
 	sb.WriteString(fmt.Sprintf("max reachability: %.4g, objects: %d\n", maxFinite, n))
 	return sb.String()
 }
-
-// ValleyCount returns the number of clusters an ε-cut at the given
-// fraction of the maximum finite reachability would produce — a crude
-// scalar summary of how much structure a plot shows.
-func ValleyCount(r Result, fraction float64) int {
-	maxFinite := 0.0
-	for _, v := range r.Reach {
-		if !math.IsInf(v, 1) && v > maxFinite {
-			maxFinite = v
-		}
-	}
-	if maxFinite == 0 {
-		return 0
-	}
-	return NumClusters(EpsCut(r, maxFinite*fraction))
-}

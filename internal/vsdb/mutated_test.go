@@ -1,6 +1,7 @@
 package vsdb
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -60,6 +61,13 @@ func (m bruteModel) scan(q [][]float64) []Neighbor {
 	return out
 }
 
+// sortNeighbors orders out under the (dist, id) contract.
+func sortNeighbors(out []Neighbor) {
+	slices.SortFunc(out, func(a, b Neighbor) int {
+		return cmp.Or(cmp.Compare(a.Dist, b.Dist), cmp.Compare(a.ID, b.ID))
+	})
+}
+
 // checkAgainstBrute compares k-nn at k ∈ {1, 10, 50, live+3} and range
 // queries — at ε equal to the 1st, 10th and last brute distance, so the
 // boundary always carries an exact tie — with the model.
@@ -96,8 +104,8 @@ func checkAgainstBrute(t *testing.T, db *DB, m bruteModel, q [][]float64, ctx st
 // Open on db and one on other (a second database, its ids disjoint from
 // db's, its sets from the same pool so that equal distances at the k-th
 // place fall in both), walked by one MultiStep at k ∈ {1, 10, live+3},
-// must answer the brute top k of their union. A Range entry opened in the
-// same batch answers as Search does.
+// must answer the brute top k of their union, and a Range entry opened in
+// the same batch and walked the same way the brute members within ε.
 func checkStreamsAgainstBrute(t *testing.T, db, other *DB, m, om bruteModel, q [][]float64, ctx string) {
 	t.Helper()
 	union := bruteModel{}
@@ -110,12 +118,12 @@ func checkStreamsAgainstBrute(t *testing.T, db, other *DB, m, om bruteModel, q [
 	rangeQ := Query{Set: q, Kind: Range, Eps: 1}
 	for _, k := range []int{1, 10, len(union) + 3} {
 		batch := []Query{{Set: q, Kind: KNN, K: k}, rangeQ}
-		s1, l1, err1 := db.Open(context.Background(), batch)
-		s2, _, err2 := other.Open(context.Background(), batch)
+		s1, err1 := db.Open(batch)
+		s2, err2 := other.Open(batch)
 		if err1 != nil || err2 != nil {
 			t.Fatal(err1, err2)
 		}
-		got, err := MultiStep(context.Background(), []*Stream{s1[0], s2[0]}, k)
+		got, err := MultiStep(context.Background(), []*Stream{s1[0], s2[0]})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,8 +133,20 @@ func checkStreamsAgainstBrute(t *testing.T, db, other *DB, m, om bruteModel, q [
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: knn k=%d over two streams\n got %v\nwant %v", ctx, k, got, want)
 		}
-		if s1[1] != nil || !reflect.DeepEqual(l1[1], one(db, rangeQ)) {
-			t.Fatalf("%s: the range entry opened as %v, want %v", ctx, l1[1], one(db, rangeQ))
+		ranged, err := MultiStep(context.Background(), []*Stream{s1[1], s2[1]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s1[1].Close()
+		s2[1].Close()
+		var wantRange []Neighbor
+		for _, nb := range all {
+			if nb.Dist <= rangeQ.Eps {
+				wantRange = append(wantRange, nb)
+			}
+		}
+		if !reflect.DeepEqual(ranged, wantRange) {
+			t.Fatalf("%s: range eps=%v over two streams\n got %v\nwant %v", ctx, rangeQ.Eps, ranged, wantRange)
 		}
 	}
 }

@@ -1,11 +1,5 @@
 package vsdb
 
-import (
-	"context"
-
-	"github.com/voxset/voxset/internal/dist"
-)
-
 // SetQuery selects the set distance a Query runs under. The zero value
 // is the minimal matching distance, answered through the filter/refine
 // engine, so callers that thread a SetQuery through without touching it
@@ -15,8 +9,10 @@ import (
 // cheapest pairing of i query vectors with i distinct object vectors,
 // ignoring the rest of both sets. It is not a metric (it violates the
 // triangle inequality), so the centroid filter's lower bound does not
-// apply; partial queries run as an exact scan over every live
-// object. That is the right trade for the workload it serves — a
+// apply: a partial entry's candidates are a scan stream over every live
+// object, each at bound 0, under the same multi-step loop as every other
+// query (MultiStep), which refines them all and keeps the K best or those
+// within Eps. That is the right trade for the workload it serves — a
 // damaged or cropped scan whose surviving sub-vectors should match the
 // true part without the missing ones being charged as weight.
 type SetQuery struct {
@@ -41,50 +37,4 @@ func (q SetQuery) partialI(nq, nobj int) int {
 		i = nobj
 	}
 	return i
-}
-
-// partialView answers one Match.Partial query against a pinned view by
-// exact scan: every live object within Eps for a Range query, the K
-// nearest for a KNN query.
-func (db *DB) partialView(ctx context.Context, v *view, q *Query) ([]Neighbor, error) {
-	if q.Kind == Range {
-		return db.partialScan(ctx, v, q.Set, q.Match, q.Eps)
-	}
-	out, err := db.partialScan(ctx, v, q.Set, q.Match, -1)
-	if k := min(q.K, len(out)); k < len(out) {
-		out = out[:k:k]
-	}
-	return out, err
-}
-
-// partialScan computes the partial matching distance from query to
-// every live object in the view — base and delta alike, tombstones
-// excluded — on the caller's goroutine. eps ≥ 0 filters to the range
-// predicate, eps < 0 keeps everything; the list is (dist, id)-ordered
-// like every other query path. ctx is checked once per ctxEvery objects.
-func (db *DB) partialScan(ctx context.Context, v *view, query [][]float64, q SetQuery, eps float64) ([]Neighbor, error) {
-	n := len(v.ids)
-	if n == 0 {
-		return nil, nil
-	}
-	ws := dist.GetWorkspace()
-	defer dist.PutWorkspace(ws)
-	out := make([]Neighbor, 0, n)
-	for i, id := range v.ids {
-		if (i+1)%ctxEvery == 0 {
-			if err := ctx.Err(); err != nil {
-				db.refExtra.Add(int64(i))
-				return nil, err
-			}
-		}
-		set := v.get(id).Rows()
-		d := ws.PartialMatching(query, set, dist.L2, q.partialI(len(query), len(set)))
-		if eps >= 0 && d > eps {
-			continue
-		}
-		out = append(out, Neighbor{ID: id, Dist: d})
-	}
-	db.refExtra.Add(int64(n))
-	sortNeighbors(out)
-	return out, nil
 }

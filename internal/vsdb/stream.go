@@ -12,69 +12,47 @@ import (
 	"github.com/voxset/voxset/internal/vectorset"
 )
 
-// Stream is one exact k-nn entry's candidates over one pinned view, as
-// the two sources filter.MultiStep merges: the base's cursor, which skips
-// tombstoned objects, and the delta memtable in ascending centroid bound.
-// Open hands one out per exact k-nn entry; one MultiStep call walks it,
-// beside any number of others (one per shard); Close releases it.
+// Stream is one query entry's candidates over one pinned view, as the
+// sources filter.MultiStep walks. An entry under the minimal matching
+// distance has two: the base's cursor, which skips tombstoned objects, and
+// the delta memtable in ascending centroid bound. A partial-matching entry
+// has one scan over every live object (scanStream). Open hands out one per
+// entry; one MultiStep call walks it, beside any number of others opened
+// with the same entry (one per shard).
 type Stream struct {
 	db    *DB
 	v     *view
-	query vectorset.Flat
-	base  *filter.Cursor // nil until MultiStep
+	q     Query
+	base  *filter.Cursor // nil until MultiStep, and for a partial entry
 	delta *deltaStream   // nil until MultiStep, and without delta entries
+	scan  *scanStream    // a partial entry's, nil until MultiStep
 }
 
-// Open pins one view and prepares every entry of qs against it: an exact
-// k-nn entry gets a Stream (streams[i]; its answer is MultiStep over it),
-// any other entry — ε-range, partial matching — its complete answer
-// (lists[i]), exactly as Search gives it. Opening a stream pins the view
-// and nothing more: ranking and refinement run when MultiStep walks it, so
-// a sharded coordinator can open every shard before it walks any. Every
-// stream must be closed.
-//
-// A malformed entry (Query.Check) fails the call before anything is
-// opened, with an error naming the entry; ctx bounds the range and partial
-// entries answered here, and once it is done Open releases what it opened
-// and returns ctx.Err().
-func (db *DB) Open(ctx context.Context, qs []Query) (streams []*Stream, lists [][]Neighbor, err error) {
+// Open pins one view and hands out a Stream for every entry of qs, k-nn
+// or ε-range, under either set distance: its answer is MultiStep over it.
+// Opening pins the view and nothing more — ranking and refinement run when
+// MultiStep walks the stream — so a sharded coordinator can open every
+// shard before it walks any. A stream holds nothing until it is walked;
+// Close releases what the walk took. A malformed entry (Query.Check) fails
+// the call, with an error naming the entry.
+func (db *DB) Open(qs []Query) ([]*Stream, error) {
 	for i := range qs {
 		if err := qs[i].Check(db.cfg.Dim, db.cfg.MaxCard); err != nil {
-			return nil, nil, fmt.Errorf("vsdb: query %d: %w", i, err)
+			return nil, fmt.Errorf("vsdb: query %d: %w", i, err)
 		}
 	}
 	v := db.cur.Load()
-	streams = make([]*Stream, len(qs))
-	lists = make([][]Neighbor, len(qs))
+	all := make([]Stream, len(qs))
+	streams := make([]*Stream, len(qs))
 	for i := range qs {
-		q := &qs[i]
-		switch {
-		case q.Match.Partial:
-			lists[i], err = db.partialView(ctx, v, q)
-		case q.Kind == Range:
-			lists[i], err = db.rangeView(ctx, v, q)
-		default:
-			streams[i] = &Stream{db: db, v: v, query: vectorset.FlatFromRows(q.Set)}
-		}
-		if err != nil {
-			closeStreams(streams)
-			return nil, nil, err
-		}
+		all[i] = Stream{db: db, v: v, q: qs[i]}
+		streams[i] = &all[i]
 	}
-	return streams, lists, nil
+	return streams, nil
 }
 
-// closeStreams closes every non-nil stream of an Open.
-func closeStreams(streams []*Stream) {
-	for _, s := range streams {
-		if s != nil {
-			s.Close()
-		}
-	}
-}
-
-// Close publishes the stream's counters to its database and releases its
-// scratch.
+// Close publishes the counters of the stream's walk to its database and
+// releases its scratch.
 func (s *Stream) Close() {
 	if s.base != nil {
 		s.base.Close()
@@ -82,40 +60,64 @@ func (s *Stream) Close() {
 	if s.delta != nil {
 		s.delta.close()
 	}
+	if s.scan != nil {
+		s.scan.close()
+	}
+	s.base, s.delta, s.scan = nil, nil, nil
 }
 
-// MultiStep answers a k-nn entry over the union of streams opened with
-// the same query on databases holding disjoint ids (a cluster's shards):
-// one filter.MultiStep over every stream's base cursor and delta walk, in
-// global (bound, stream, position) order against one k-th distance. The
-// answer is the K nearest, (dist, id)-ordered — what one database holding
-// every object answers — and the loop refines what that database's would,
-// ties in the bound aside. Once ctx is done it returns ctx.Err() within
-// one block of refinements.
-func MultiStep(ctx context.Context, streams []*Stream, k int) ([]Neighbor, error) {
+// MultiStep answers one entry over the union of streams opened with it on
+// databases holding disjoint ids (a cluster's shards): one
+// filter.MultiStep over every stream's sources, in global (bound, stream,
+// position) order. A k-nn starts at +Inf and keeps the K nearest; an
+// ε-range holds its threshold at Eps, so it refines exactly the
+// candidates whose bound is within Eps. The answer is (dist, id)-ordered —
+// what one database holding every object answers — and the loop refines
+// what that database's would, ties in the bound aside. Once ctx is done it
+// returns ctx.Err() within one block of refinements.
+func MultiStep(ctx context.Context, streams []*Stream) ([]Neighbor, error) {
+	if len(streams) == 0 {
+		return nil, nil
+	}
+	q := &streams[0].q
 	live := 0
 	for _, s := range streams {
 		live += len(s.v.ids)
 	}
-	if k = min(k, live); k <= 0 {
-		return nil, nil
+	k, threshold := math.MaxInt, q.Eps
+	if q.Kind == KNN {
+		if k, threshold = min(q.K, live), math.Inf(1); k <= 0 {
+			return nil, nil
+		}
+	}
+	var query vectorset.Flat
+	if !q.Match.Partial {
+		query = vectorset.FlatFromRows(q.Set)
 	}
 	var buf [8]filter.Stream
 	srcs := buf[:0]
 	for _, s := range streams {
-		// A view holding a share of the objects supplies about that share
-		// of the first k candidates, which sizes its ranking's first
+		if q.Match.Partial {
+			s.scan = &scanStream{db: s.db, v: s.v, q: q}
+			srcs = append(srcs, s.scan)
+			continue
+		}
+		// A k-nn's view holding a share of the objects supplies about that
+		// share of the first k candidates, which sizes its ranking's first
 		// selection: k for one database, k/N for each of N even shards.
-		first := (k*len(s.v.ids) + live - 1) / live
-		s.base = s.v.base.Cursor(s.query, first, s.v.baseLive())
+		first := 0
+		if q.Kind == KNN {
+			first = (k*len(s.v.ids) + live - 1) / live
+		}
+		s.base = s.v.base.Cursor(query, first, s.v.baseLive())
 		srcs = append(srcs, s.base)
 		if len(s.v.deltaIDs) > 0 {
-			s.delta = &deltaStream{db: s.db, v: s.v, query: s.query}
+			s.delta = &deltaStream{db: s.db, v: s.v, query: query}
 			srcs = append(srcs, s.delta)
 		}
 	}
-	nbs, err := filter.MultiStep(ctx, srcs, k)
-	if err != nil {
+	nbs, err := filter.MultiStep(ctx, srcs, k, threshold)
+	if err != nil || len(nbs) == 0 {
 		return nil, err
 	}
 	out := make([]Neighbor, len(nbs))
@@ -130,8 +132,8 @@ func MultiStep(ctx context.Context, streams []*Stream, k int) ([]Neighbor, error
 // signature bound and the threshold-aware kernel exactly as the base's
 // cursor refines a base object, so an entry is pruned exactly when it
 // would be after compaction. Its bounds are computed and heapified on the
-// first Next, and each Next pops the least: a k-nn pulls only the entries
-// within its k-th distance, so ordering the rest would be wasted.
+// first Next, and each Next pops the least: a query pulls only the entries
+// within its threshold, so ordering the rest would be wasted.
 type deltaStream struct {
 	db    *DB
 	v     *view
@@ -236,6 +238,48 @@ func (s *deltaStream) close() {
 	s.db.matchExtra.Add(s.solved)
 	if s.ws != nil {
 		deltaSigs.Put(s.sig)
+		dist.PutWorkspace(s.ws)
+	}
+}
+
+// scanStream is a partial-matching entry's candidates over one view: every
+// live object, base and delta alike, tombstones excluded, each at bound 0.
+// The partial distance is not a metric and has no Lemma 2 bound, so the
+// loop refines every object — each one counts as a refinement — and keeps
+// the K best (a k-nn) or those within Eps (a range).
+type scanStream struct {
+	db      *DB
+	v       *view
+	q       *Query
+	next    int // index in v.ids of the next object
+	ws      *dist.Workspace
+	refined int64
+}
+
+// Next implements filter.Stream.
+func (s *scanStream) Next(float64) (float64, int, bool) {
+	if s.next == len(s.v.ids) {
+		return 0, 0, false
+	}
+	s.next++
+	return 0, s.next - 1, true
+}
+
+// Refine implements filter.Stream.
+func (s *scanStream) Refine(pos int, threshold float64) (int, float64, bool) {
+	if s.ws == nil {
+		s.ws = dist.GetWorkspace()
+	}
+	s.refined++
+	id := s.v.ids[pos]
+	set := s.v.get(id).Rows()
+	d := s.ws.PartialMatching(s.q.Set, set, dist.L2, s.q.Match.partialI(len(s.q.Set), len(set)))
+	return int(id), d, d <= threshold
+}
+
+func (s *scanStream) close() {
+	s.db.refExtra.Add(s.refined)
+	if s.ws != nil {
 		dist.PutWorkspace(s.ws)
 	}
 }

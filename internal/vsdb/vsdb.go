@@ -21,7 +21,7 @@
 //     place, and owns no tree;
 //   - delta: a small memtable of objects inserted since, each stored
 //     with its extended centroid and its encoded signature. It has no
-//     index, but it is filtered like the base: a k-nn walks it as a second
+//     index, but it is filtered like the base: a query walks it as a second
 //     candidate stream in ascending centroid lower bound, merged with the
 //     base's in one bound order (Stream, MultiStep), and refines only the
 //     entries that neither bound rules out (running the matching on all
@@ -32,7 +32,7 @@
 //
 // A mutated view therefore runs the exact evaluations its compacted
 // form would, give or take ties in the bound. The same streams let a
-// sharded coordinator run one k-nn loop over every shard (Open).
+// sharded coordinator run one loop per query over every shard (Open).
 // Compaction folds delta and tomb back into a fresh base that
 // keeps the centroids already computed (one block, copied, not a tree); it
 // triggers automatically on the MaxDelta / CompactRatio thresholds or
@@ -55,7 +55,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -470,28 +469,25 @@ func (q *Query) Check(dim, maxCard int) error {
 // return at that epoch, because single and batched entries run the same
 // per-entry function against the same immutable view. Entries run in
 // order on the caller's goroutine; concurrency comes from concurrent
-// callers, which share the view lock-free. An exact k-nn entry is
-// MultiStep over the entry's one Stream (Open).
+// callers, which share the view lock-free. Every entry is MultiStep over
+// its one Stream (Open).
 //
 // Results are exact, (dist, id)-ordered, and identical at any epoch
 // representation (compacted or not). A malformed entry fails the call
 // before any work (Query.Check; the error names the entry), and once ctx
-// is done Search stops within one block of refinements or scanned objects
-// and returns ctx.Err().
+// is done Search stops within one block of refinements and returns
+// ctx.Err().
 func (db *DB) Search(ctx context.Context, qs []Query) ([][]Neighbor, error) {
-	streams, out, err := db.Open(ctx, qs)
+	streams, err := db.Open(qs)
 	if err != nil {
 		return nil, err
 	}
-	defer closeStreams(streams) // what a failure leaves open
+	out := make([][]Neighbor, len(qs))
 	for i, s := range streams {
-		if s != nil {
-			out[i], err = MultiStep(ctx, []*Stream{s}, qs[i].K)
-			s.Close()
-			streams[i] = nil
-			if err != nil {
-				return nil, err
-			}
+		out[i], err = MultiStep(ctx, []*Stream{s})
+		s.Close()
+		if err != nil {
+			return nil, err
 		}
 	}
 	return out, nil
@@ -534,22 +530,6 @@ func (db *DB) KNNBatch(queries [][][]float64, k int) [][]Neighbor {
 	return out
 }
 
-// rangeView answers one exact ε-range query against a pinned view: the
-// base proposes its live neighbours (the exact ranking skips tombstones),
-// then the delta memtable is folded in under its centroid bounds.
-func (db *DB) rangeView(ctx context.Context, v *view, q *Query) ([]Neighbor, error) {
-	query := vectorset.FlatFromRows(q.Set)
-	cands, err := v.base.RangeFlatLive(ctx, query, q.Eps, v.baseLive())
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Neighbor, len(cands))
-	for i, nb := range cands {
-		out[i] = Neighbor{ID: uint64(nb.ID), Dist: nb.Dist}
-	}
-	return db.deltaRange(ctx, v, query, q.Eps, out)
-}
-
 // deltaBound is the Lemma 2 lower bound MaxCard·‖C(X)−C(q)‖₂ of a delta
 // entry's distance to the query with extended centroid cq — the very
 // expression the filter ranks base objects by, so a delta entry is pruned
@@ -557,48 +537,4 @@ func (db *DB) rangeView(ctx context.Context, v *view, q *Query) ([]Neighbor, err
 // against their threshold with vectorset.BoundExceeds).
 func (db *DB) deltaBound(cq []float64, e deltaEntry) float64 {
 	return vectorset.CentroidLowerBound(cq, e.cent, db.cfg.MaxCard)
-}
-
-// deltaRange appends to out, the base's answer, every delta object
-// within eps of the query — the delta stream's candidates up to eps, each
-// refined exactly as a k-nn refines it (signature bound, then the
-// threshold-aware kernel) — and returns the union (dist, id)-ordered. ctx
-// is checked once per ctxEvery candidates.
-func (db *DB) deltaRange(ctx context.Context, v *view, query vectorset.Flat, eps float64, out []Neighbor) ([]Neighbor, error) {
-	if len(v.deltaIDs) == 0 {
-		return out, nil
-	}
-	s := &deltaStream{db: db, v: v, query: query}
-	defer s.close()
-	for n := 1; ; n++ {
-		if n%ctxEvery == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		_, pos, ok := s.Next(eps)
-		if !ok {
-			break
-		}
-		if id, d, ok := s.Refine(pos, eps); ok {
-			out = append(out, Neighbor{ID: uint64(id), Dist: d})
-		}
-	}
-	sortNeighbors(out)
-	return out, nil
-}
-
-// ctxEvery is how many delta entries or scanned objects a loop visits
-// between two checks of its context (filter's loops use the same block).
-const ctxEvery = 64
-
-func neighborLess(a, b Neighbor) bool {
-	if a.Dist != b.Dist {
-		return a.Dist < b.Dist
-	}
-	return a.ID < b.ID
-}
-
-func sortNeighbors(out []Neighbor) {
-	sort.Slice(out, func(i, j int) bool { return neighborLess(out[i], out[j]) })
 }
