@@ -68,6 +68,17 @@ func (s Sequence) FinalErr(objectVoxels int) int {
 // (the polynomial algorithm of Jagadish & Bruckstein that the paper
 // uses). The grid must be cubic. Extraction stops early when the error
 // reaches zero or no cover strictly reduces it.
+//
+// Each step scans the two gain fields only inside the box where the full
+// grid scan's winner can lie, and returns that winner (DESIGN.md §5):
+//   - σ=+ is scanned in the object's occupied box B. S ⊆ B at every step,
+//     so every cell outside B is −1; trimming an all-(−1) layer off a
+//     cuboid strictly raises its sum, so every maximal cuboid lies in B,
+//     and Kadane restarts at B's low x as the full scan does, the run
+//     before it being negative.
+//   - σ=− is scanned in the box of the + covers placed so far, which holds
+//     S; outside it the field is 0, and reachDown maps the boxed winner to
+//     the full scan's.
 func Greedy(g *voxel.Grid, k int) Sequence {
 	if g.Nx != g.Ny || g.Ny != g.Nz {
 		panic("cover: Greedy requires a cubic grid")
@@ -82,27 +93,35 @@ func Greedy(g *voxel.Grid, k int) Sequence {
 	// 0 inside S. gainMinus[v] for σ=− : +1 where ¬O∧S, -1 where O∧S, 0
 	// outside S. S starts empty, and a placed cover rewrites only its own
 	// cells, so the two fields also hold S and need no grid of their own.
-	gainPlus := make([]int32, r*r*r)
-	gainMinus := make([]int32, r*r*r)
+	n := r * r * r
+	fields := make([]int32, 2*n)
+	gainPlus, gainMinus := fields[:n:n], fields[n:]
 	for i := range gainPlus {
 		gainPlus[i] = -1
 	}
-	g.ForEach(func(x, y, z int) { gainPlus[x+r*(y+r*z)] = 1 })
+	object, placed := emptyBox(r), emptyBox(r) // B, and the box of the + covers
+	g.ForEach(func(x, y, z int) {
+		gainPlus[x+r*(y+r*z)] = 1
+		object.include(Cover{X0: x, Y0: y, Z0: z, X1: x, Y1: y, Z1: z})
+	})
 	missing, spurious := g.Count(), 0 // |O\S| and |S\O|: positives of the two fields
 	err := missing
+	sc := newScanner(r)
 
 	for step := 0; step < k && err > 0; step++ {
 		// A field without positive cells has maximum sub-cuboid sum 0 (an
 		// all-covered approximation still leaves zero cells somewhere while
 		// the error is positive), and a zero gain never beats the other
-		// sign or survives the gain > 0 check — skip the scan.
+		// sign or survives the gain > 0 check — skip the scan. A positive
+		// cell of gainMinus is in S, so placed is not empty then.
 		var gp, gm int32
 		var cp, cm Cover
 		if missing > 0 {
-			gp, cp = maxSubCuboid(gainPlus, r)
+			gp, cp = sc.maxSubCuboid(gainPlus, object)
 		}
 		if spurious > 0 {
-			gm, cm = maxSubCuboid(gainMinus, r)
+			gm, cm = sc.maxSubCuboid(gainMinus, placed)
+			cm = placed.reachDown(cm)
 		}
 
 		var best Cover
@@ -143,6 +162,9 @@ func Greedy(g *voxel.Grid, k int) Sequence {
 				}
 			}
 		}
+		if best.Sign > 0 {
+			placed.include(best)
+		}
 		err -= int(gain)
 		seq.Covers = append(seq.Covers, best)
 		seq.Errs = append(seq.Errs, err)
@@ -160,42 +182,106 @@ func (s Sequence) Render() *voxel.Grid {
 	return g
 }
 
-// maxSubCuboid finds the contiguous axis-parallel sub-cuboid of the r³
-// field with maximal element sum, returning the sum and the cuboid
-// (Sign unset): the 3-D Kadane reduction, O(r⁵), scanning z0, z1, y0, y1,
-// x in that order. Exact upper bounds end a loop once nothing left in it
-// can beat the incumbent: a z-slab's row bound (Σ over its rows ≥ y0 of
-// max(0, the row's best x-run)) ends the y0 loop; the best x-run of rows
-// y0..y1 plus the row bound past y1 ends the y1 loop; the slab's largest
-// rectangle (or the bound that skipped part of it) plus the positive mass
-// of the layers past z1 ends the z1 loop; the positive mass from z0 on
-// ends the z0 loop. Kadane runs branch-free, tracking a row range's best
-// run only; the branchy form is replayed when that run beats the
-// incumbent, to take its updates in scan order. The incumbent is replaced
-// only by a strictly greater sum and nothing skipped can exceed it, so
-// the result — scan-order tie-breaking included — is maxSubCuboidRef's.
-func maxSubCuboid(f []int32, r int) (int32, Cover) {
+// box is an inclusive cell box of an r³ grid: lo[a] ≤ hi[a] on every axis
+// a = x, y, z once a cell is included.
+type box struct{ lo, hi [3]int }
+
+// emptyBox is the box of no cell of an r³ grid.
+func emptyBox(r int) box { return box{lo: [3]int{r, r, r}, hi: [3]int{-1, -1, -1}} }
+
+// include grows b to hold the cuboid c.
+func (b *box) include(c Cover) {
+	b.lo = [3]int{min(b.lo[0], c.X0), min(b.lo[1], c.Y0), min(b.lo[2], c.Z0)}
+	b.hi = [3]int{max(b.hi[0], c.X1), max(b.hi[1], c.Y1), max(b.hi[2], c.Z1)}
+}
+
+// reachDown maps the winner of a scan boxed to b, over a field that is 0
+// everywhere outside b, to the full grid scan's winner. The full scan's
+// passes for z0 from 0 up to b's low z see the same slab sums (the layers
+// below are zero), so a winner starting at b's low z is first met at
+// z0 = 0; likewise in y. Its low x stays: Kadane restarts through leading
+// zeros (a run ≤ 0 restarts). Its upper ends stay: a zero never raises a
+// run strictly, and the slabs and row ranges past b repeat the last ones.
+func (b box) reachDown(c Cover) Cover {
+	if c.Z0 == b.lo[2] {
+		c.Z0 = 0
+	}
+	if c.Y0 == b.lo[1] {
+		c.Y0 = 0
+	}
+	return c
+}
+
+// scanner holds maxSubCuboid's scratch, sized for an r³ grid once and
+// reused by every scan of a Greedy call.
+type scanner struct {
+	r        int
+	slab     []int32 // column sums over z ∈ [z0..z1], indexed y·nx + x
+	colsum   []int32 // row sums over y ∈ [y0..y1], indexed x
+	rowBound []int32 // Σ over slab rows ≥ y of max(0, best x-run)
+	layerPos []int32 // positive mass of the layers ≥ z
+}
+
+func newScanner(r int) *scanner {
+	buf := make([]int32, r*r+r+2*(r+1)) // one allocation for the four
+	next := func(n int) []int32 {
+		s := buf[:n:n]
+		buf = buf[n:]
+		return s
+	}
+	return &scanner{r: r, slab: next(r * r), colsum: next(r), rowBound: next(r + 1), layerPos: next(r + 1)}
+}
+
+// maxSubCuboid finds the contiguous axis-parallel sub-cuboid of the
+// field's cells inside b with maximal element sum, returning the sum and
+// the cuboid in grid coordinates (Sign unset): the 3-D Kadane reduction,
+// O(n⁵) for a box of side n, scanning z0, z1, y0, y1, x in that order.
+// Exact upper bounds end a loop once nothing left in it can beat the
+// incumbent: a z-slab's row bound (Σ over its rows ≥ y0 of max(0, the
+// row's best x-run)) ends the y0 loop; the best x-run of rows y0..y1 plus
+// the row bound past y1 ends the y1 loop; the slab's largest rectangle (or
+// the bound that skipped part of it) plus the positive mass of the layers
+// past z1 ends the z1 loop; the positive mass from z0 on ends the z0 loop.
+// Kadane runs branch-free, tracking a row range's best run only; the
+// branchy form is replayed when that run beats the incumbent, to take its
+// updates in scan order. The incumbent is replaced only by a strictly
+// greater sum and nothing skipped can exceed it, so the result —
+// scan-order tie-breaking included — is maxSubCuboidRef's over the box's
+// cells.
+func (sc *scanner) maxSubCuboid(f []int32, b box) (int32, Cover) {
+	r := sc.r
+	bx, by, bz := b.lo[0], b.lo[1], b.lo[2]
+	nx, ny, nz := b.hi[0]-bx+1, b.hi[1]-by+1, b.hi[2]-bz+1
+	slab := sc.slab[:nx*ny]
+	colsum := sc.colsum[:nx]
+	rowBound := sc.rowBound[:ny+1]
+	layerPos := sc.layerPos[:nz+1]
+	rowBound[ny], layerPos[nz] = 0, 0
+	// fieldRow is the box's part of the field row (y, z), box-relative.
+	fieldRow := func(y, z int) []int32 {
+		i := bx + r*(by+y+r*(bz+z))
+		return f[i : i+nx : i+nx]
+	}
 	best := int32(-1 << 30)
 	var bc Cover
-	slab := make([]int32, r*r)     // column sums over z ∈ [z0..z1], indexed y*r+x
-	colsum := make([]int32, r)     // row sums over y ∈ [y0..y1], indexed x
-	rowBound := make([]int32, r+1) // Σ over slab rows ≥ y of max(0, best x-run)
-	layerPos := make([]int32, r+1) // positive mass of the layers ≥ z
-	for z := r - 1; z >= 0; z-- {
+	for z := nz - 1; z >= 0; z-- {
 		var pos int32
-		for _, v := range f[z*r*r : (z+1)*r*r] {
-			pos += max(v, 0)
+		for y := 0; y < ny; y++ {
+			for _, v := range fieldRow(y, z) {
+				pos += max(v, 0)
+			}
 		}
 		layerPos[z] = layerPos[z+1] + pos
 	}
-	for z0 := 0; z0 < r && layerPos[z0] > best; z0++ {
+	for z0 := 0; z0 < nz && layerPos[z0] > best; z0++ {
 		clear(slab)
-		for z1 := z0; z1 < r; z1++ {
-			layer := f[z1*r*r : (z1+1)*r*r]
-			for y := 0; y < r; y++ {
-				row := slab[y*r : (y+1)*r]
+		for z1 := z0; z1 < nz; z1++ {
+			for y := 0; y < ny; y++ {
+				frow := fieldRow(y, z1)
+				row := slab[y*nx : (y+1)*nx]
+				row = row[:len(frow)]
 				var run, top int32
-				for x, v := range layer[y*r : (y+1)*r] {
+				for x, v := range frow {
 					s := row[x] + v
 					row[x] = s
 					run = max(run, 0) + s
@@ -203,19 +289,19 @@ func maxSubCuboid(f []int32, r int) (int32, Cover) {
 				}
 				rowBound[y] = top
 			}
-			for y := r - 1; y >= 0; y-- {
+			for y := ny - 1; y >= 0; y-- {
 				rowBound[y] += rowBound[y+1]
 			}
 			slabTop := int32(-1 << 30) // bound on this slab's largest rectangle
-			for y0 := 0; y0 < r; y0++ {
+			for y0 := 0; y0 < ny; y0++ {
 				if rowBound[y0] <= best {
 					slabTop = max(slabTop, rowBound[y0])
 					break
 				}
 				clear(colsum)
-				for y1 := y0; y1 < r; y1++ {
+				for y1 := y0; y1 < ny; y1++ {
 					run, top := int32(0), int32(-1<<30)
-					for x, v := range slab[y1*r : (y1+1)*r] {
+					for x, v := range slab[y1*nx : (y1+1)*nx] {
 						c := colsum[x] + v
 						colsum[x] = c
 						run = max(run, 0) + c
@@ -236,6 +322,9 @@ func maxSubCuboid(f []int32, r int) (int32, Cover) {
 			}
 		}
 	}
+	bc.X0, bc.X1 = bc.X0+bx, bc.X1+bx
+	bc.Y0, bc.Y1 = bc.Y0+by, bc.Y1+by
+	bc.Z0, bc.Z1 = bc.Z0+bz, bc.Z1+bz
 	return best, bc
 }
 

@@ -55,6 +55,14 @@ func maxSubCuboidRef(f []int32, r int) (int32, Cover) {
 	return best, bc
 }
 
+// fullBox is the whole r³ grid, [0, r−1]³.
+func fullBox(r int) box { return box{hi: [3]int{r - 1, r - 1, r - 1}} }
+
+// maxSubCuboidFull is the scan over the whole grid, the box [0, r−1]³.
+func maxSubCuboidFull(f []int32, r int) (int32, Cover) {
+	return newScanner(r).maxSubCuboid(f, fullBox(r))
+}
+
 // gainFieldsRef builds Greedy's two gain fields for object o and
 // approximation s from per-cell reads, and counts their positive cells.
 func gainFieldsRef(o, s *voxel.Grid) (plus, minus []int32, missing, spurious int) {

@@ -140,7 +140,7 @@ func TestMaxSubCuboidKnown(t *testing.T) {
 	set(1, 1, 1, 5)
 	set(2, 1, 1, 4)
 	set(3, 1, 1, -10)
-	sum, c := maxSubCuboid(f, r)
+	sum, c := maxSubCuboidFull(f, r)
 	if sum != 9 {
 		t.Errorf("sum = %d, want 9", sum)
 	}
@@ -156,7 +156,7 @@ func TestMaxSubCuboidAllNegativePicksLeastBad(t *testing.T) {
 		f[i] = -5
 	}
 	f[13] = -1 // center
-	sum, c := maxSubCuboid(f, r)
+	sum, c := maxSubCuboidFull(f, r)
 	if sum != -1 {
 		t.Errorf("sum = %d, want -1", sum)
 	}
@@ -173,7 +173,7 @@ func TestMaxSubCuboidMatchesBruteForce(t *testing.T) {
 		for i := range f {
 			f[i] = int32(rng.Intn(7) - 3)
 		}
-		fast, _ := maxSubCuboid(f, r)
+		fast, _ := maxSubCuboidFull(f, r)
 		slow := bruteMaxSubCuboid(f, r)
 		if fast != slow {
 			t.Fatalf("trial %d: kadane %d != brute %d", trial, fast, slow)

@@ -22,7 +22,7 @@ func TestMaxSubCuboidParity(t *testing.T) {
 	for r := 1; r <= 20; r++ {
 		for name, f := range parityFields(r) {
 			wantSum, wantCover := maxSubCuboidRef(f, r)
-			gotSum, gotCover := maxSubCuboid(f, r)
+			gotSum, gotCover := maxSubCuboidFull(f, r)
 			if wantSum != gotSum || wantCover != gotCover {
 				t.Fatalf("r=%d %s: pruned scan returned (%d, %+v), reference (%d, %+v)",
 					r, name, gotSum, gotCover, wantSum, wantCover)
@@ -162,14 +162,99 @@ func TestGreedyMatchesRef(t *testing.T) {
 	}
 }
 
+// TestGreedyBoxedMatchesRef pins Greedy's boxed scans to the reference
+// greedy, which scans both fields over the whole grid, on objects that
+// leave most of the grid outside their box — sparse blobs, thin slabs and
+// rods — at every r from 1 to 20 with budgets up to 12, so the − field is
+// scanned after several + covers of differing boxes.
+func TestGreedyBoxedMatchesRef(t *testing.T) {
+	for r := 1; r <= 20; r++ {
+		for seed := int64(0); seed < 4; seed++ {
+			rng := rand.New(rand.NewSource(seed*100 + int64(r)))
+			for _, shape := range []string{"blobs", "slab", "rod"} {
+				g := sparseObject(rng, r, shape)
+				k := 1 + rng.Intn(12)
+				want, got := greedyRef(g, k), Greedy(g, k)
+				if !reflect.DeepEqual(want, got) {
+					t.Fatalf("r=%d seed %d %s k=%d: Greedy\n%v %v\nreference\n%v %v",
+						r, seed, shape, k, got.Covers, got.Errs, want.Covers, want.Errs)
+				}
+			}
+		}
+	}
+}
+
+// sparseObject draws an object filling little of its r³ grid: a few
+// small boxes (blobs), boxes one or two cells thin along one axis
+// (slab), or long along one axis and thin along the others (rod). Small
+// cuboids are then cut out inside the object's box, so that − covers pay
+// off and are scanned in boxes away from the grid's low corner.
+func sparseObject(rng *rand.Rand, r int, shape string) *voxel.Grid {
+	g := voxel.NewCube(r)
+	thin, long := rng.Intn(3), rng.Intn(3)
+	for b := 0; b < 2+rng.Intn(3); b++ {
+		var lo, hi [3]int
+		for a := range lo {
+			n := 1 + rng.Intn(max(1, r/3))
+			switch {
+			case shape == "slab" && a == thin, shape == "rod" && a != long:
+				n = 1 + rng.Intn(2)
+			case shape != "blobs":
+				n = 1 + rng.Intn(r)
+			}
+			n = min(n, r)
+			lo[a] = rng.Intn(r - n + 1)
+			hi[a] = lo[a] + n - 1
+		}
+		g.SetCuboid(lo[0], lo[1], lo[2], hi[0], hi[1], hi[2], true)
+	}
+	mn, mx, _ := g.OccupiedBounds()
+	for c := 0; c < 1+rng.Intn(4); c++ {
+		var lo, hi [3]int
+		for a := range lo {
+			lo[a] = mn[a] + rng.Intn(mx[a]-mn[a]+1)
+			hi[a] = min(mx[a], lo[a]+rng.Intn(3))
+		}
+		g.SetCuboid(lo[0], lo[1], lo[2], hi[0], hi[1], hi[2], false)
+	}
+	return g
+}
+
+// TestGreedyMinusReachesDown: an 8³ block at [2..9]³ with a 4³ notch in
+// its low-y, low-z corner. The first cover is the block (+); the second
+// removes the notch (−), and since gainMinus is 0 below the block, the
+// full scan first meets the notch's cuboid with z0 = 0 and y0 = 0. Greedy
+// scans the − field only inside the block and must map its winner there.
+func TestGreedyMinusReachesDown(t *testing.T) {
+	g := voxel.NewCube(12)
+	g.SetCuboid(2, 2, 2, 9, 9, 9, true)
+	g.SetCuboid(4, 2, 2, 7, 5, 5, false)
+	want, got := greedyRef(g, 3), Greedy(g, 3)
+	if !reflect.DeepEqual(want, got) {
+		t.Fatalf("Greedy\n%v %v\nreference\n%v %v", got.Covers, got.Errs, want.Covers, want.Errs)
+	}
+	minus := Cover{X0: 4, X1: 7, Y0: 0, Y1: 5, Z0: 0, Z1: 5, Sign: -1}
+	if len(got.Covers) != 2 || got.Covers[1] != minus {
+		t.Fatalf("covers %v, want the block then %v", got.Covers, minus)
+	}
+}
+
 // FuzzMaxSubCuboid: for any field — r from the first byte (1..20), cell
 // values in −2..2 from the rest, cycled, small so sums tie often — the
-// pruned scan returns the reference's sum and cuboid.
+// pruned scan over the whole grid returns the reference's sum and cuboid.
+// The same field is then scanned in a box drawn from the six corner
+// arguments (taken mod r and ordered): outside it every cell is set to
+// −1 (Greedy's σ=+ field outside the object's box) or to 0 (its σ=−
+// field outside the placed covers' box), one inside cell is raised to 1
+// unless one is positive already (Greedy scans a field only then), and
+// the boxed scan — followed by reachDown for the 0 case — must return the
+// reference's winner over the whole grid.
 func FuzzMaxSubCuboid(f *testing.F) {
-	f.Add([]byte{15, 0x01, 0xff, 0x00})
-	f.Add([]byte{4, 0x01, 0x01, 0xff, 0xff, 0x00, 0x01})
-	f.Add([]byte{20})
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Add([]byte{15, 0x01, 0xff, 0x00}, uint8(2), uint8(3), uint8(4), uint8(9), uint8(8), uint8(12), false)
+	f.Add([]byte{4, 0x01, 0x01, 0xff, 0xff, 0x00, 0x01}, uint8(1), uint8(1), uint8(1), uint8(2), uint8(3), uint8(3), true)
+	f.Add([]byte{20}, uint8(0), uint8(5), uint8(5), uint8(19), uint8(6), uint8(7), true)
+	f.Add([]byte{12, 0x03, 0x03, 0x00, 0x01}, uint8(2), uint8(2), uint8(2), uint8(9), uint8(9), uint8(9), true)
+	f.Fuzz(func(t *testing.T, data []byte, x0, y0, z0, x1, y1, z1 uint8, zeroOutside bool) {
 		if len(data) == 0 {
 			return
 		}
@@ -182,10 +267,41 @@ func FuzzMaxSubCuboid(f *testing.F) {
 			}
 		}
 		wantSum, wantCover := maxSubCuboidRef(field, r)
-		gotSum, gotCover := maxSubCuboid(field, r)
+		gotSum, gotCover := maxSubCuboidFull(field, r)
 		if wantSum != gotSum || wantCover != gotCover {
 			t.Fatalf("r=%d: pruned scan returned (%d, %+v), reference (%d, %+v)",
 				r, gotSum, gotCover, wantSum, wantCover)
+		}
+
+		var b box
+		for a, c := range [3][2]uint8{{x0, x1}, {y0, y1}, {z0, z1}} {
+			lo, hi := int(c[0])%r, int(c[1])%r
+			b.lo[a], b.hi[a] = min(lo, hi), max(lo, hi)
+		}
+		outside := int32(-1)
+		if zeroOutside {
+			outside = 0
+		}
+		positive := false
+		for i := range field {
+			x, y, z := i%r, i/r%r, i/(r*r)
+			if x < b.lo[0] || x > b.hi[0] || y < b.lo[1] || y > b.hi[1] || z < b.lo[2] || z > b.hi[2] {
+				field[i] = outside
+			} else if field[i] > 0 {
+				positive = true
+			}
+		}
+		if !positive {
+			field[b.lo[0]+r*(b.lo[1]+r*b.lo[2])] = 1
+		}
+		wantSum, wantCover = maxSubCuboidRef(field, r)
+		gotSum, gotCover = newScanner(r).maxSubCuboid(field, b)
+		if zeroOutside {
+			gotCover = b.reachDown(gotCover)
+		}
+		if wantSum != gotSum || wantCover != gotCover {
+			t.Fatalf("r=%d box %v outside %d: boxed scan returned (%d, %+v), reference (%d, %+v)",
+				r, b, outside, gotSum, gotCover, wantSum, wantCover)
 		}
 	})
 }

@@ -198,30 +198,68 @@ func TestXTreeChargesTracker(t *testing.T) {
 	}
 }
 
+// TestXTreeHighDimBuildsSupernodes: in high dimensions the X-tree falls
+// back to supernodes where a directory split would overlap too much, and
+// answers stay exact either way. The uniform 8-d case is pinned to reach
+// split's supernode branch; the 24-d highly correlated case is kept for
+// its answers (it builds a tall tree of ordinary splits, no supernode).
 func TestXTreeHighDimBuildsSupernodes(t *testing.T) {
-	// In very high dimensions with correlated data splits degrade and the
-	// X-tree should fall back to supernodes rather than overlap.
-	dim := 24
-	rng := rand.New(rand.NewSource(17))
-	tr := New(dim, Config{PageSize: 1024})
-	for i := 0; i < 2000; i++ {
-		p := make([]float64, dim)
-		base := rng.Float64()
-		for j := range p {
-			p[j] = base + rng.Float64()*0.01 // highly correlated
+	correlated := func(seed int64, n, dim int) [][]float64 {
+		rng := rand.New(rand.NewSource(seed))
+		pts := make([][]float64, n)
+		for i := range pts {
+			p := make([]float64, dim)
+			base := rng.Float64()
+			for j := range p {
+				p[j] = base + rng.Float64()*0.01
+			}
+			pts[i] = p
 		}
-		tr.Insert(p, i)
+		return pts
 	}
-	if tr.Len() != 2000 {
-		t.Fatal("bad len")
+	cases := []struct {
+		name           string
+		pts            [][]float64
+		wantSupernodes bool
+	}{
+		{"uniform-8d", randPoints(8, 4000, 8), true},
+		{"correlated-24d", correlated(17, 2000, 24), false},
 	}
-	// Queries must still be correct.
-	q := make([]float64, dim)
-	got := tr.KNN(q, 5)
-	if len(got) != 5 {
-		t.Errorf("knn on degenerate data returned %d results", len(got))
+	for _, c := range cases {
+		dim := len(c.pts[0])
+		tr := New(dim, Config{PageSize: 1024})
+		for i, p := range c.pts {
+			tr.Insert(p, i)
+		}
+		if tr.Len() != len(c.pts) {
+			t.Fatalf("%s: len %d, want %d", c.name, tr.Len(), len(c.pts))
+		}
+		if c.wantSupernodes && tr.supernodes == 0 {
+			t.Fatalf("%s: no supernode built (height %d)", c.name, tr.height)
+		}
+		t.Logf("%s: supernodes %d, height %d", c.name, tr.supernodes, tr.height)
+		rng := rand.New(rand.NewSource(31))
+		for trial := 0; trial < 10; trial++ {
+			// A point of the set, or one between two of them per coordinate.
+			a, b := c.pts[rng.Intn(len(c.pts))], c.pts[rng.Intn(len(c.pts))]
+			q := a
+			if trial%2 == 1 {
+				q = make([]float64, dim)
+				for j := range q {
+					q[j] = a[j] + (b[j]-a[j])*rng.Float64()
+				}
+			}
+			got, want := tr.KNN(q, 10), bruteKNN(c.pts, q, 10)
+			if len(got) != len(want) {
+				t.Fatalf("%s trial %d: %d results, want %d", c.name, trial, len(got), len(want))
+			}
+			for i := range got {
+				if got[i].Dist != want[i].Dist {
+					t.Fatalf("%s trial %d: result %d dist %v, want %v", c.name, trial, i, got[i].Dist, want[i].Dist)
+				}
+			}
+		}
 	}
-	t.Logf("supernodes created: %d, height: %d", tr.supernodes, tr.height)
 }
 
 func TestXTreeDuplicatePoints(t *testing.T) {

@@ -50,13 +50,35 @@ func FuzzReadSTL(f *testing.F) {
 // never panic the parser, structurally corrupt input (truncated binary
 // records, malformed ASCII vertices) must always be reported as an
 // error, and any accepted mesh must survive a write → reparse cycle with
-// identical geometry. Seed corpus lives in testdata/fuzz/FuzzSTLParse.
+// identical geometry. ViewSTL must agree with the parser on every input:
+// the same error text, or the same triangles and bounds. Seed corpus lives in
+// testdata/fuzz/FuzzSTLParse.
 func FuzzSTLParse(f *testing.F) {
 	for _, seed := range stlSeeds() {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := ReadSTL(bytes.NewReader(data))
+		v, verr := ViewSTL(data)
+		switch {
+		case err != nil:
+			if verr == nil || verr.Error() != err.Error() || v != nil {
+				t.Fatalf("parser error %q, view error %v (view %v)", err, verr, v)
+			}
+		case verr != nil:
+			t.Fatalf("parser accepted, view error %q", verr)
+		case v.Len() != len(m.Triangles):
+			t.Fatalf("view has %d triangles, parser %d", v.Len(), len(m.Triangles))
+		default:
+			for i, tr := range m.Triangles {
+				if v.Triangle(i) != tr {
+					t.Fatalf("triangle %d: view %v, parser %v", i, v.Triangle(i), tr)
+				}
+			}
+			if b, finite := FiniteBounds(v); !finite || b != m.Bounds() {
+				t.Fatalf("view bounds %v (finite %v), parsed mesh's %v", b, finite, m.Bounds())
+			}
+		}
 		if err != nil {
 			if m != nil {
 				t.Fatal("non-nil mesh returned alongside an error")

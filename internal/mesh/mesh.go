@@ -29,33 +29,74 @@ type Mesh struct {
 	Triangles []Triangle
 }
 
-// Bounds returns the AABB of the whole mesh (empty for no triangles), in
-// one pass of plain comparisons: vertices are finite (the STL parsers
-// reject the rest), so no NaN has to be propagated.
+// Triangles is a read-only sequence of triangles: a *Mesh, or a binary
+// STL body read in place (ViewSTL). The voxelizer reads either.
+type Triangles interface {
+	Len() int
+	Triangle(i int) Triangle
+}
+
+// Len returns the triangle count; a nil mesh has none.
+func (m *Mesh) Len() int {
+	if m == nil {
+		return 0
+	}
+	return len(m.Triangles)
+}
+
+// Triangle returns the i-th triangle.
+func (m *Mesh) Triangle(i int) Triangle { return m.Triangles[i] }
+
+// ForEach calls fn with every triangle of ts in order. A *Mesh's
+// triangles are passed in place and a binary STL view's decoded into one
+// reused value, with no call through the interface per triangle: the
+// voxelizer's loops over an upload would pay one on every triangle.
+func ForEach(ts Triangles, fn func(t *Triangle)) {
+	switch m := ts.(type) {
+	case *Mesh:
+		for i := 0; i < m.Len(); i++ { // a nil *Mesh has none
+			fn(&m.Triangles[i])
+		}
+	case *stlView:
+		var t Triangle
+		for i, n := 0, m.Len(); i < n; i++ {
+			t = m.Triangle(i)
+			fn(&t)
+		}
+	default:
+		for i, n := 0, ts.Len(); i < n; i++ {
+			t := ts.Triangle(i)
+			fn(&t)
+		}
+	}
+}
+
+// Bounds returns the AABB of the whole mesh (empty for no triangles).
 func (m *Mesh) Bounds() geom.AABB {
-	b := geom.EmptyAABB()
-	for i := range m.Triangles {
-		t := &m.Triangles[i]
+	b, _ := FiniteBounds(m)
+	return b
+}
+
+// FiniteBounds returns the AABB of ts (empty for no triangles) and
+// whether every vertex coordinate is a finite number — the precondition
+// of voxelization — in one pass of plain comparisons. The STL parsers
+// guarantee finiteness; a mesh built in memory need not hold it. A
+// binary STL view returns what its own check found in that pass.
+func FiniteBounds(ts Triangles) (b geom.AABB, finite bool) {
+	if v, ok := ts.(*stlView); ok {
+		return v.bounds, true // found by the view's own check
+	}
+	b = geom.EmptyAABB()
+	var nan float64 // stays 0 while every vertex is finite
+	ForEach(ts, func(t *Triangle) {
 		for _, v := range [...]*geom.Vec3{&t.A, &t.B, &t.C} {
 			extend(&b.Min.X, &b.Max.X, v.X)
 			extend(&b.Min.Y, &b.Max.Y, v.Y)
 			extend(&b.Min.Z, &b.Max.Z, v.Z)
+			nan += nanUnlessFinite(*v)
 		}
-	}
-	return b
-}
-
-// Finite reports whether every vertex coordinate is a finite number, the
-// precondition of Bounds and of voxelization. The STL parsers guarantee
-// it; a mesh built in memory need not hold it.
-func (m *Mesh) Finite() bool {
-	for i := range m.Triangles {
-		t := &m.Triangles[i]
-		if nanUnlessFinite(t.A)+nanUnlessFinite(t.B)+nanUnlessFinite(t.C) != 0 {
-			return false
-		}
-	}
-	return true
+	})
+	return b, nan == 0
 }
 
 // nanUnlessFinite is 0 for a finite vector and NaN otherwise: x − x is NaN

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -181,19 +182,21 @@ func binarySTLWithVertex(x float32) []byte {
 
 // TestSTLNonFiniteVertices: a NaN, infinite or beyond-float32 vertex is
 // rejected by both parsers with the explicit error (it used to surface
-// only as an "empty grid" after NaN had propagated through Bounds); a
-// huge but finite one is the parser's to accept.
+// only as an "empty grid" after NaN had propagated through Bounds),
+// whichever of the triangle's nine coordinates holds it; a huge but
+// finite one is the parser's to accept. ViewSTL returns the same error.
 func TestSTLNonFiniteVertices(t *testing.T) {
 	ascii := func(x string) []byte {
 		return []byte("solid s\nfacet normal 0 0 1\nouter loop\nvertex " + x +
 			" 0 0\nvertex 1 0 0\nvertex 0 1 0\nendloop\nendfacet\nendsolid s\n")
 	}
 	inf := float32(math.Inf(1))
-	for _, tc := range []struct {
+	type row struct {
 		name string
 		data []byte
 		ok   bool
-	}{
+	}
+	rows := []row{
 		{"binary NaN", binarySTLWithVertex(float32(math.NaN())), false},
 		{"binary +Inf", binarySTLWithVertex(inf), false},
 		{"binary -Inf", binarySTLWithVertex(-inf), false},
@@ -203,7 +206,16 @@ func TestSTLNonFiniteVertices(t *testing.T) {
 		{"ascii -inf", ascii("-inf"), false},
 		{"ascii 1e39 (beyond float32)", ascii("1e39"), false},
 		{"ascii 1e30", ascii("1e30"), true},
-	} {
+	}
+	for c := 1; c < 9; c++ { // coordinate 0 is binarySTLWithVertex's
+		data := binarySTLWithVertex(0)
+		binary.LittleEndian.PutUint32(data[84+12+4*c:], math.Float32bits(-inf))
+		rows = append(rows, row{fmt.Sprintf("binary -Inf at coordinate %d", c), data, false})
+	}
+	for _, tc := range rows {
+		if _, verr := ViewSTL(tc.data); tc.ok != (verr == nil) || (verr != nil && !errors.Is(verr, errNonFinite)) {
+			t.Errorf("%s: view error %v", tc.name, verr)
+		}
 		m, err := ParseSTL(tc.data)
 		switch {
 		case tc.ok && err != nil:

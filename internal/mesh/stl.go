@@ -77,14 +77,45 @@ func ReadSTL(r io.Reader) (*Mesh, error) {
 	return ParseSTL(data)
 }
 
-// ParseSTL is ReadSTL for a caller that already holds the whole file
-// (an upload body): nothing is copied. A vertex that is NaN, infinite or
-// beyond the binary format's float32 range is an error.
+// ParseSTL is ReadSTL for a caller that already holds the whole file: a
+// binary body is validated by ViewSTL and its triangles copied out, an
+// ASCII one parsed. A vertex that is NaN, infinite or beyond the binary
+// format's float32 range is an error.
 func ParseSTL(data []byte) (*Mesh, error) {
 	if isASCIISTL(data) {
 		return parseASCIISTL(data)
 	}
-	return parseBinarySTL(data)
+	v, err := viewBinarySTL(data)
+	if err != nil {
+		return nil, err
+	}
+	// The view holds only records present in data, so a forged header
+	// cannot size this allocation.
+	m := &Mesh{Name: strings.TrimRight(string(data[:80]), "\x00 "), Triangles: make([]Triangle, v.Len())}
+	for i := range m.Triangles {
+		m.Triangles[i] = v.Triangle(i)
+	}
+	return m, nil
+}
+
+// ViewSTL reads an STL file held in data (an upload body) with ParseSTL's
+// checks and errors, and returns its triangles. A binary body is read in
+// place: nothing is copied, and each triangle's float32 vertices are
+// decoded on access — exactly, so it equals ParseSTL's. The view aliases
+// data and is valid while data is. An ASCII body is parsed to a *Mesh.
+func ViewSTL(data []byte) (Triangles, error) {
+	if isASCIISTL(data) {
+		m, err := parseASCIISTL(data)
+		if err != nil {
+			return nil, err // not a typed-nil *Mesh
+		}
+		return m, nil
+	}
+	v, err := viewBinarySTL(data)
+	if err != nil {
+		return nil, err
+	}
+	return v, nil
 }
 
 // finite reports whether every coordinate of v is a finite float32, the
@@ -112,37 +143,72 @@ func min(a, b int) int {
 	return b
 }
 
-func parseBinarySTL(data []byte) (*Mesh, error) {
+// stlRecord is the size of one binary STL triangle record: a normal and
+// three vertices of three little-endian float32s each, and a 2-byte
+// attribute count.
+const stlRecord = 50
+
+// stlView is a validated binary STL body's records, read in place.
+type stlView struct {
+	recs   []byte
+	bounds geom.AABB // of every vertex, found by viewBinarySTL's check
+}
+
+func (v *stlView) Len() int { return len(v.recs) / stlRecord }
+
+func (v *stlView) Triangle(i int) Triangle {
+	b := v.record(i)
+	return Triangle{A: vec32(b, 12), B: vec32(b, 24), C: vec32(b, 36)}
+}
+
+// record returns the i-th record; a fixed-size array needs no bounds
+// checks at the constant offsets read from it.
+func (v *stlView) record(i int) *[stlRecord]byte {
+	return (*[stlRecord]byte)(v.recs[i*stlRecord:])
+}
+
+// vec32 decodes the three little-endian float32s at b[off:off+12];
+// float32 → float64 is exact.
+func vec32(b *[stlRecord]byte, off int) geom.Vec3 {
+	return geom.V(
+		float64(math.Float32frombits(binary.LittleEndian.Uint32(b[off:]))),
+		float64(math.Float32frombits(binary.LittleEndian.Uint32(b[off+4:]))),
+		float64(math.Float32frombits(binary.LittleEndian.Uint32(b[off+8:]))),
+	)
+}
+
+// viewBinarySTL checks a binary STL body — the declared triangle count
+// covered by the bytes present, every vertex a finite float32 — and views
+// its records, finding their bounds in the same pass. Bytes past the
+// declared records are ignored.
+func viewBinarySTL(data []byte) (*stlView, error) {
 	if len(data) < 84 {
 		return nil, fmt.Errorf("stl: binary file too short (%d bytes)", len(data))
 	}
-	n := binary.LittleEndian.Uint32(data[80:84])
-	const rec = 50
-	if len(data) < 84+int(n)*rec {
+	n := int(binary.LittleEndian.Uint32(data[80:84]))
+	if len(data) < 84+n*stlRecord {
 		return nil, fmt.Errorf("stl: truncated binary file: %d triangles declared, %d bytes available",
 			n, len(data)-84)
 	}
-	// The declared count is covered by the bytes present (checked above),
-	// so a forged header cannot size this allocation.
-	m := &Mesh{Name: strings.TrimRight(string(data[:80]), "\x00 "), Triangles: make([]Triangle, n)}
-	off := 84
-	readVec := func(b []byte) geom.Vec3 {
-		return geom.V(
-			float64(math.Float32frombits(binary.LittleEndian.Uint32(b[0:4]))),
-			float64(math.Float32frombits(binary.LittleEndian.Uint32(b[4:8]))),
-			float64(math.Float32frombits(binary.LittleEndian.Uint32(b[8:12]))),
-		)
-	}
-	for i := range m.Triangles {
-		b := data[off : off+rec]
-		t := Triangle{A: readVec(b[12:24]), B: readVec(b[24:36]), C: readVec(b[36:48])}
-		if !finite(t.A) || !finite(t.B) || !finite(t.C) {
-			return nil, fmt.Errorf("stl: triangle %d: %w", i, errNonFinite)
+	v := &stlView{recs: data[84 : 84+n*stlRecord], bounds: geom.EmptyAABB()}
+	lo, hi := &v.bounds.Min, &v.bounds.Max
+	for i := 0; i < n; i++ {
+		b := v.record(i)
+		for off := 12; off < 48; off += 12 {
+			ux := binary.LittleEndian.Uint32(b[off:])
+			uy := binary.LittleEndian.Uint32(b[off+4:])
+			uz := binary.LittleEndian.Uint32(b[off+8:])
+			// A float32 is NaN or ±Inf exactly when its exponent is all ones.
+			const exp = 0x7f800000
+			if ux&exp == exp || uy&exp == exp || uz&exp == exp {
+				return nil, fmt.Errorf("stl: triangle %d: %w", i, errNonFinite)
+			}
+			extend(&lo.X, &hi.X, float64(math.Float32frombits(ux)))
+			extend(&lo.Y, &hi.Y, float64(math.Float32frombits(uy)))
+			extend(&lo.Z, &hi.Z, float64(math.Float32frombits(uz)))
 		}
-		m.Triangles[i] = t
-		off += rec
 	}
-	return m, nil
+	return v, nil
 }
 
 func parseASCIISTL(data []byte) (*Mesh, error) {

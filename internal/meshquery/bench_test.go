@@ -46,7 +46,9 @@ var (
 // BenchmarkMeshExtract prices the three stages of a /query/mesh upload
 // before the search, each over the 256 upload bodies in turn (one input
 // repeated would let the branch predictor learn it): parse, voxelize at
-// the served cover resolution, and the greedy cover extraction.
+// the served cover resolution, and the greedy cover extraction; then the
+// served path whole — the body read in place by mesh.ViewSTL, voxelized
+// and covered.
 func BenchmarkMeshExtract(b *testing.B) {
 	cfg := DefaultConfig()
 	bodies := uploadBodies()
@@ -86,6 +88,20 @@ func BenchmarkMeshExtract(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			sinkSet = CoverSet(grids[i%len(grids)], cfg.Covers)
+		}
+	})
+	b.Run("served", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			m, err := mesh.ViewSTL(bodies[i%len(bodies)])
+			if err != nil {
+				b.Fatal(err)
+			}
+			g, err := Voxelize(m, cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			sinkSet = CoverSet(g, cfg.Covers)
 		}
 	})
 }

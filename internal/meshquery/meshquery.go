@@ -11,6 +11,11 @@
 // vector set directly — the acceptance contract holds by construction,
 // not by keeping two copies in sync.
 //
+// Input: any mesh.Triangles — a *mesh.Mesh, or an uploaded binary STL
+// body read in place by mesh.ViewSTL, which the served path uses so the
+// body is voxelized without copying it into a []Triangle. The view decodes
+// float32 vertices exactly, so both give the same grid.
+//
 // Normalization: the voxelizer centers the mesh's bounding box inside a
 // cube of its maximum extent before rasterizing (the grid placement of
 // voxel.fitGridToBounds), so translation and scale are normalized exactly
@@ -74,19 +79,22 @@ type Result struct {
 	Voxels int
 }
 
-// Voxelize rasterizes the mesh into its normalized cover grid. A NaN or
-// infinite vertex is ErrNonFinite: it would make the grid placement NaN.
-func Voxelize(m *mesh.Mesh, cfg Config) (*voxel.Grid, error) {
+// Voxelize rasterizes the triangles — a *mesh.Mesh, or a binary STL
+// body read in place by mesh.ViewSTL — into their normalized cover grid.
+// A nil or empty mesh is ErrEmptyMesh; a NaN or infinite vertex is
+// ErrNonFinite: it would make the grid placement NaN.
+func Voxelize(m mesh.Triangles, cfg Config) (*voxel.Grid, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	if m == nil || len(m.Triangles) == 0 {
+	if m == nil || m.Len() == 0 { // (*mesh.Mesh)(nil).Len() is 0
 		return nil, ErrEmptyMesh
 	}
-	if !m.Finite() {
+	bounds, finite := mesh.FiniteBounds(m)
+	if !finite {
 		return nil, ErrNonFinite
 	}
-	g := voxel.VoxelizeMeshWorkers(m, m.Bounds(), cfg.RCover, 1)
+	g := voxel.VoxelizeMeshWorkers(m, bounds, cfg.RCover, 1)
 	if g.Empty() {
 		return nil, ErrDegenerate
 	}
@@ -103,14 +111,14 @@ func CoverSet(g *voxel.Grid, covers int) [][]float64 {
 // Extract runs the full pipeline: Voxelize, then CoverSet. Serving
 // handlers call the two stages separately (to time them); this
 // composition is definitionally the same computation.
-func Extract(m *mesh.Mesh, cfg Config) (Result, error) {
+func Extract(m mesh.Triangles, cfg Config) (Result, error) {
 	g, err := Voxelize(m, cfg)
 	if err != nil {
 		return Result{}, err
 	}
 	return Result{
 		Set:       CoverSet(g, cfg.Covers),
-		Triangles: len(m.Triangles),
+		Triangles: m.Len(),
 		Voxels:    g.Count(),
 	}, nil
 }

@@ -112,12 +112,41 @@ func TestExtractNonFinite(t *testing.T) {
 	}
 }
 
+// TestExtractViewMatchesParse: on every upload body of the mesh-upload
+// benchmark, extraction over the body read in place (mesh.ViewSTL) gives
+// exactly the result of extraction over the parsed mesh.
+func TestExtractViewMatchesParse(t *testing.T) {
+	cfg := DefaultConfig()
+	for i, body := range uploadBodies() {
+		m, err := mesh.ParseSTL(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := mesh.ViewSTL(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Extract(m, cfg)
+		if err != nil {
+			t.Fatalf("body %d: %v", i, err)
+		}
+		got, err := Extract(v, cfg)
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("body %d: view extracted %+v (%v), parsed mesh %+v", i, got, err, want)
+		}
+	}
+}
+
 func TestExtractErrors(t *testing.T) {
 	if _, err := Extract(&mesh.Mesh{Name: "empty"}, DefaultConfig()); !errors.Is(err, ErrEmptyMesh) {
 		t.Fatalf("empty mesh: got %v, want ErrEmptyMesh", err)
 	}
 	if _, err := Extract(nil, DefaultConfig()); !errors.Is(err, ErrEmptyMesh) {
 		t.Fatalf("nil mesh: got %v, want ErrEmptyMesh", err)
+	}
+	var none *mesh.Mesh // a nil *Mesh is a non-nil Triangles
+	if _, err := Extract(none, DefaultConfig()); !errors.Is(err, ErrEmptyMesh) {
+		t.Fatalf("nil *mesh.Mesh: got %v, want ErrEmptyMesh", err)
 	}
 	if _, err := Extract(mesh.NewBox(geom.Vec3{}, geom.Vec3{X: 1, Y: 1, Z: 1}), Config{RCover: 0, Covers: 7}); err == nil {
 		t.Fatal("RCover=0 accepted")

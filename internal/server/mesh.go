@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/url"
 	"strconv"
+	"sync"
 	"time"
 
 	"github.com/voxset/voxset/internal/mesh"
@@ -152,17 +154,47 @@ type meshExtraction struct {
 	stages    MeshStages
 }
 
-// extractMesh parses the STL bytes and runs voxelize + extract, timing
-// each stage. Errors are client errors (400).
+// meshBodies pools /query/mesh body buffers (*[]byte). A body is
+// voxelized in place, and nothing of it outlives its extraction.
+var meshBodies sync.Pool
+
+// readMeshBody reads a /query/mesh body, at most maxMeshBytes of it, into
+// a pooled buffer: sized once to a declared Content-Length (net/http's
+// body reader ends there), grown as it arrives otherwise (a chunked
+// upload). The caller puts the buffer back in meshBodies once the body is
+// extracted; a failed read drops it, so a body cut off at the cap does not
+// leave a buffer of that size in the pool.
+func (s *Server) readMeshBody(w http.ResponseWriter, r *http.Request) (*[]byte, error) {
+	bp, _ := meshBodies.Get().(*[]byte)
+	if bp == nil {
+		bp = new([]byte)
+	}
+	body := http.MaxBytesReader(w, r.Body, s.maxMeshBytes)
+	if n := r.ContentLength; n > 0 && n <= s.maxMeshBytes {
+		if int64(cap(*bp)) < n {
+			*bp = make([]byte, n)
+		}
+		*bp = (*bp)[:n]
+		_, err := io.ReadFull(body, *bp)
+		return bp, err
+	}
+	buf := bytes.NewBuffer((*bp)[:0])
+	_, err := buf.ReadFrom(body)
+	*bp = buf.Bytes()
+	return bp, err
+}
+
+// extractMesh reads the STL bytes in place (mesh.ViewSTL) and runs
+// voxelize + extract, timing each stage. Errors are client errors (400).
 func (s *Server) extractMesh(data []byte, cfg meshquery.Config) (meshExtraction, error) {
 	var ex meshExtraction
 	t := time.Now()
-	m, err := mesh.ParseSTL(data)
+	m, err := mesh.ViewSTL(data)
 	ex.stages.ParseMS = msSince(t)
 	if err != nil {
 		return ex, fmt.Errorf("invalid STL: %v", err)
 	}
-	ex.triangles = len(m.Triangles)
+	ex.triangles = m.Len()
 	t = time.Now()
 	g, err := meshquery.Voxelize(m, cfg)
 	ex.stages.VoxelizeMS = msSince(t)
@@ -199,15 +231,7 @@ func (s *Server) handleQueryMesh(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 		return
 	}
-	// A declared Content-Length sizes the buffer once (plus the spare room
-	// ReadFrom wants for the read that meets EOF) instead of growing it by
-	// doubling; the limit is enforced on the bytes read either way.
-	var body bytes.Buffer
-	if n := r.ContentLength; n > 0 && n <= s.maxMeshBytes {
-		body.Grow(int(n) + bytes.MinRead)
-	}
-	_, err = body.ReadFrom(http.MaxBytesReader(w, r.Body, s.maxMeshBytes))
-	data := body.Bytes()
+	body, err := s.readMeshBody(w, r)
 	if err != nil {
 		m.errors.Add(1)
 		var mbe *http.MaxBytesError
@@ -218,7 +242,8 @@ func (s *Server) handleQueryMesh(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "reading body: " + err.Error()})
 		return
 	}
-	ex, err := s.extractMesh(data, cfg)
+	ex, err := s.extractMesh(*body, cfg)
+	meshBodies.Put(body) // nothing extracted aliases the body
 	if err != nil {
 		m.errors.Add(1)
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})

@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/voxset/voxset/internal/cluster"
@@ -284,6 +285,47 @@ func TestQueryMeshUploadFraming(t *testing.T) {
 	if resp, _, raw := postMesh(t, ts.URL+"/query/mesh?k=3", far); resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("1e30 vertex: status %d (%s), want 200 or 400", resp.StatusCode, raw)
 	}
+}
+
+// TestQueryMeshConcurrentUploads: bodies are read into pooled buffers and
+// extracted in place, so concurrent uploads of different meshes — sized
+// and chunked — must each get the set extracted offline from their own
+// mesh, never one from a buffer another request is reusing.
+func TestQueryMeshConcurrentUploads(t *testing.T) {
+	meshes := testMeshes(6)
+	sets := extractAll(t, meshes)
+	_, ts := newTestServer(t, Config{DB: buildMeshDB(t, sets), CacheSize: -1})
+	bodies := make([][]byte, len(meshes))
+	for i, m := range meshes {
+		bodies[i] = stlBytes(t, m)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for n := 0; n < 12; n++ {
+				i := (w + n) % len(bodies)
+				var body io.Reader = bytes.NewReader(bodies[i])
+				if n%3 == 2 {
+					body = io.MultiReader(body) // hides the length: sent chunked
+				}
+				resp, err := http.Post(ts.URL+"/query/mesh?k=2", "application/octet-stream", body)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				var got MeshQueryResponse
+				err = json.NewDecoder(resp.Body).Decode(&got)
+				resp.Body.Close()
+				if err != nil || resp.StatusCode != http.StatusOK || !reflect.DeepEqual(got.Set, sets[i]) {
+					t.Errorf("worker %d upload %d (mesh %d): status %d, err %v, set %v, want %v", w, n, i, resp.StatusCode, err, got.Set, sets[i])
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }
 
 // TestQueryMeshBodyCaps: uploads beyond MaxMeshBytes get 413 on the

@@ -260,7 +260,7 @@ func fitGridToBounds(g *Grid, bounds geom.AABB, r int) {
 // exactly through cell-center rays) are handled by nudging the ray a tiny
 // amount; remaining double-count artifacts are removed by deduplicating
 // near-identical crossing depths.
-func VoxelizeMesh(m *mesh.Mesh, bounds geom.AABB, r int) *Grid {
+func VoxelizeMesh(m mesh.Triangles, bounds geom.AABB, r int) *Grid {
 	return VoxelizeMeshWorkers(m, bounds, r, 0)
 }
 
@@ -270,7 +270,7 @@ func VoxelizeMesh(m *mesh.Mesh, bounds geom.AABB, r int) *Grid {
 // with private word buffers, and buffers merge by OR. A column's
 // crossings do not depend on scheduling, so the result is bit-identical
 // at any worker count.
-func VoxelizeMeshWorkers(m *mesh.Mesh, bounds geom.AABB, r, workers int) *Grid {
+func VoxelizeMeshWorkers(m mesh.Triangles, bounds geom.AABB, r, workers int) *Grid {
 	g := NewCube(r)
 	fitGridToBounds(g, bounds, r)
 	start, depths := columnCrossings(m, g)
@@ -306,7 +306,7 @@ func VoxelizeMeshWorkers(m *mesh.Mesh, bounds geom.AABB, r, workers int) *Grid {
 // (walls parallel to the rays) cross no ray and are skipped; the rest have
 // their ray-independent barycentric terms computed once, with the per-ray
 // expressions' operands and order, so each depth is the same float64.
-func columnCrossings(m *mesh.Mesh, g *Grid) (start []int32, depths []float64) {
+func columnCrossings(m mesh.Triangles, g *Grid) (start []int32, depths []float64) {
 	const nudge = 1e-7
 	r := g.Nx
 	rays := make([]float64, 2*r) // rx per x, then ry per y
@@ -321,12 +321,11 @@ func columnCrossings(m *mesh.Mesh, g *Grid) (start []int32, depths []float64) {
 	}
 	hits := make([]crossing, 0, 4*r*r)
 	start = make([]int32, r*r+1)
-	for i := range m.Triangles {
-		t := &m.Triangles[i]
+	mesh.ForEach(m, func(t *mesh.Triangle) {
 		ax, ay, bx, by, cx, cy := t.A.X, t.A.Y, t.B.X, t.B.Y, t.C.X, t.C.Y
 		d := (by-cy)*(ax-cx) + (cx-bx)*(ay-cy)
 		if d == 0 {
-			continue
+			return
 		}
 		x0 := clampIdx(int(math.Floor((min(ax, bx, cx)-g.Origin.X)/g.CellSize-0.5)), 0, r-1)
 		x1 := clampIdx(int(math.Ceil((max(ax, bx, cx)-g.Origin.X)/g.CellSize)), 0, r-1)
@@ -348,7 +347,7 @@ func columnCrossings(m *mesh.Mesh, g *Grid) (start []int32, depths []float64) {
 				start[col]++
 			}
 		}
-	}
+	})
 	// Counting sort by column: start[c] holds c's count, then (prefix sums)
 	// the end of c's run, and after the fill counts it back down, its start.
 	for c := 1; c < len(start); c++ {
